@@ -107,6 +107,42 @@ def _load_config(path: str | None) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _config_family(family: str, n: int, cfg: dict) -> OperatorFamily:
+    if family == "degen-t":
+        pairs = [
+            ([FieldElement.parse(c) for c in ql], [FieldElement.parse(c) for c in qr])
+            for ql, qr in cfg["pairs"]
+        ]
+        return degenerate_t_family(
+            n,
+            slot_from_json(cfg["qhat"]),
+            [FieldElement.parse(c) for c in cfg["p"]],
+            pairs,
+        )
+    segments: list[Isolated | Interval] = []
+    for iso in cfg.get("isolated", []):
+        segments.append(
+            Isolated(
+                index=int(iso["index"]),
+                phi=slot_from_json(iso["phi"]),
+                psi=slot_from_json(iso["psi"]),
+            )
+        )
+    for iv in cfg.get("intervals", []):
+        seg_lines = None
+        if "lines" in iv:
+            seg_lines = [_LINES[l.lower()] for l in iv["lines"]]
+        segments.append(
+            Interval(
+                start=int(iv["start"]), stop=int(iv["stop"]),
+                a=FieldElement.parse(iv["a"]), b=FieldElement.parse(iv["b"]),
+                c=FieldElement.parse(iv["c"]), d=FieldElement.parse(iv["d"]),
+                lines=seg_lines,
+            )
+        )
+    return with_vanishing_q0(n, FieldElement.parse(cfg["mu"]), segments)
+
+
 def build_family(family: str, n: int, params: str | None,
                  lines: str | None, config: str | None) -> OperatorFamily:
     values = _parse_params(params)
@@ -118,42 +154,11 @@ def build_family(family: str, n: int, params: str | None,
         if len(values) != 4:
             raise ConfigError("case2 needs --params a,b,c,d")
         return main_case2(n, *values, _parse_lines(lines, n - 1))
-    if family == "degen-t":
-        cfg = _load_config(config)
-        pairs = [
-            ([FieldElement.parse(c) for c in ql], [FieldElement.parse(c) for c in qr])
-            for ql, qr in cfg["pairs"]
-        ]
-        return degenerate_t_family(
-            n,
-            slot_from_json(cfg["qhat"]),
-            [FieldElement.parse(c) for c in cfg["p"]],
-            pairs,
-        )
-    if family == "vanq0":
-        cfg = _load_config(config)
-        segments: list[Isolated | Interval] = []
-        for iso in cfg.get("isolated", []):
-            segments.append(
-                Isolated(
-                    index=int(iso["index"]),
-                    phi=slot_from_json(iso["phi"]),
-                    psi=slot_from_json(iso["psi"]),
-                )
-            )
-        for iv in cfg.get("intervals", []):
-            seg_lines = None
-            if "lines" in iv:
-                seg_lines = [_LINES[l.lower()] for l in iv["lines"]]
-            segments.append(
-                Interval(
-                    start=int(iv["start"]), stop=int(iv["stop"]),
-                    a=FieldElement.parse(iv["a"]), b=FieldElement.parse(iv["b"]),
-                    c=FieldElement.parse(iv["c"]), d=FieldElement.parse(iv["d"]),
-                    lines=seg_lines,
-                )
-            )
-        return with_vanishing_q0(n, FieldElement.parse(cfg["mu"]), segments)
+    if family in ("degen-t", "vanq0"):
+        try:
+            return _config_family(family, n, _load_config(config))
+        except (TypeError, AttributeError) as exc:
+            raise ConfigError(f"malformed {family} config: {exc}") from exc
     if family.startswith("preset:"):
         name = family.split(":", 1)[1]
         param = values[0] if values else None
@@ -280,7 +285,10 @@ def _read_seed(args, n: int) -> MultiPoly:
     path = Path(text)
     if path.exists():
         text = path.read_text()
-    return poly_from_json(json.loads(text), n)
+    try:
+        return poly_from_json(json.loads(text), n)
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed --seed-poly: {exc}") from exc
 
 
 def _cmd_table(args) -> int:

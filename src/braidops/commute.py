@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .braid import quad_commute_check
 from .families import OperatorFamily
 from .multipoly import MultiPoly
 from .pddo import PDDO, Degeneracy
@@ -75,18 +74,18 @@ def cross_family_commute(fam1: OperatorFamily, fam2: OperatorFamily) -> CommuteR
     """Check whether every operator of fam1 commutes with every one of fam2.
 
     Consecutive-index pairs almost never commute unless one family consists
-    of scalar multiples of the identity.
+    of scalar multiples of the identity.  Distant pairs (i, k), k >= i + 2,
+    are reported as commuting without computation.
     """
     if fam1.n != fam2.n:
         raise ValueError("families must act on the same number of variables")
     n = fam1.n
     same = {i: commutes_same_index(fam1[i], fam2[i]) for i in range(1, n)}
-    distant = {}
+    # pi_i and pi_k act on disjoint variable pairs with coefficients in them: commute.
+    distant = {(i, k): True for i in range(1, n) for k in range(i + 2, n)}
     consecutive = {}
     for i in range(1, n):
         for k in range(1, n):
-            if abs(i - k) >= 2 and i < k:
-                distant[(i, k)] = quad_commute_check(fam1[i], fam2[k], i, k, n)
-            elif abs(i - k) == 1:
+            if abs(i - k) == 1:
                 consecutive[(i, k)] = _consecutive_commute(fam1[i], fam2[k], i, k, n)
     return CommuteReport(same_index=same, distant=distant, consecutive=consecutive)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .divdiff import dpositive_lift  # noqa: F401  (re-exported surface)
 from .field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR
 from .multipoly import SlotPoly
 from .pddo import PDDO, Degeneracy, identity_op

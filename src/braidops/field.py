@@ -13,10 +13,8 @@ from fractions import Fraction
 
 __all__ = ["FieldElement", "ZETA", "ZETA_BAR", "ZERO", "ONE"]
 
-Coercible = "FieldElement | Fraction | int | str"
-
 _ELEM_RE = re.compile(
-    r"^(?P<rat>-?\d+(?:/\d+)?)(?:(?P<zsign>[+-])(?P<zeta>\d+(?:/\d+)?)z)?$"
+    r"^(?P<rat>-?\d+(?:/0*[1-9]\d*)?)(?:(?P<zsign>[+-])(?P<zeta>\d+(?:/0*[1-9]\d*)?)z)?$"
 )
 
 
@@ -67,9 +65,6 @@ class FieldElement:
 
     def __bool__(self) -> bool:
         return self.rat_part != 0 or self.zeta_part != 0
-
-    def is_rational(self) -> bool:
-        return self.zeta_part == 0
 
     def __add__(self, other) -> "FieldElement":
         other = FieldElement.of(other)

@@ -119,10 +119,6 @@ class PDDO:
         c = FieldElement.of(c)
         return PDDO(self.T.scale(c), self.Q0.scale(c))
 
-    def scale_poly(self, h: SlotPoly) -> "PDDO":
-        """Post-multiply the operator by the polynomial h(x_i, x_{i+1})."""
-        return PDDO(self.T * h, self.Q0 * h)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PDDO):
             return NotImplemented

@@ -130,46 +130,50 @@ class TableEntry:
 
 
 def polynomial_table(
-    fam: OperatorFamily,
-    seed: MultiPoly | None = None,
-    mode: str = "top_down",
+    fam: OperatorFamily, seed: MultiPoly | None = None
 ) -> list[TableEntry]:
     """One polynomial per permutation of S_n, from the seed downward.
 
-    Convention: the entry for w applies the operators along a reduced word
-    of w^{-1} w0 to the seed (default: the staircase monomial), the standard
-    top-down recursion from the longest element.  Equality across all
-    reduced words of each w^{-1} w0 is asserted during generation.
+    Convention: the entry for w applies the operators along the reduced word
+    reduced_words(w^{-1} w0)[0] to the seed (default: the staircase monomial).
+    Entries are built down the weak order: entry(w) = pi_i(entry(w s_i)),
+    asserted equal for every ascent i of w (n!(n-1)/2 applications).  The
+    ascents are the first letters of the reduced words of w^{-1} w0, so by
+    induction on length this is agreement across all reduced words.
     """
-    if mode != "top_down":
-        raise ValueError(f"unknown table mode {mode!r}")
     n = fam.n
     if n > MAX_TABLE_N:
         raise SizeLimitError(f"tables capped at n = {MAX_TABLE_N}")
     report = family_braid_check(fam)
     if not report.passed:
+        bad = ", ".join(f"cubic{p}" for p, rep in report.cubic.items() if not rep.passed)
         raise BraidCheckError(
             "family fails the braid relations; table entries would depend "
-            f"on the chosen reduced words (failing: {_failing(report)})"
+            f"on the chosen reduced words (failing: {bad})"
         )
     if seed is None:
         seed = staircase(n)
     w0 = Permutation.longest(n)
-    entries = []
-    for w in sorted(Permutation.all(n), key=lambda p: p.one_line):
-        v = w.inverse() * w0
-        words = reduced_words(v)
-        polys = [apply_word(fam, word, seed) for word in words]
-        first = polys[0]
-        if any(p != first for p in polys[1:]):
+    polys = {w0: seed}
+    # Decreasing length; w0, the only longest permutation, comes first.
+    for w in sorted(Permutation.all(n), key=Permutation.length, reverse=True)[1:]:
+        values = [fam[i].apply(i, polys[w.apply_transposition(i)])
+                  for i in range(1, n) if w(i) < w(i + 1)]
+        if any(p != values[0] for p in values[1:]):
             raise AssertionError(
                 f"reduced-word dependence at {w.one_line} despite braid check"
             )
-        entries.append(TableEntry(perm=w, word=tuple(words[0]), poly=first))
-    return entries
+        polys[w] = values[0]
+    return [
+        TableEntry(perm=w, word=_first_reduced_word(w.inverse() * w0), poly=polys[w])
+        for w in Permutation.all(n)
+    ]
 
 
-def _failing(report) -> str:
-    bad = [f"cubic{pair}" for pair, rep in report.cubic.items() if not rep.passed]
-    bad += [f"quad{pair}" for pair, ok in report.quad.items() if not ok]
-    return ", ".join(bad)
+def _first_reduced_word(v: Permutation) -> tuple[int, ...]:
+    """reduced_words(v)[0]: strip the smallest right descent until v = id."""
+    word = ()
+    while not v.is_identity():
+        i = v.descents()[0]
+        v, word = v.apply_transposition(i), (i,) + word
+    return word

@@ -14,6 +14,7 @@ from braidops.braid import (
     family_braid_check,
     quad_commute_check,
 )
+from braidops.cli import _random_family
 from braidops.families import (
     Case2Line,
     main_case1,
@@ -104,6 +105,19 @@ class TestFamilyCheck:
         assert report.passed
         assert set(report.cubic) == {(1, 2), (2, 3)}
         assert set(report.quad) == {(1, 3)}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("family", ["case1", "case2", "degen-t", "vanq0"])
+    def test_distant_pairs_match_the_oracle(self, family, n):
+        # The report fills distant pairs without computing; the probing
+        # oracle must agree on every one of them.
+        fam = _random_family(family, n, random.Random(10 * n))
+        report = family_braid_check(fam)
+        distant = {(i, k) for i in range(1, n) for k in range(1, n) if k - i >= 2}
+        assert set(report.quad) == distant
+        for i, k in distant:
+            assert report.quad[(i, k)]
+            assert quad_commute_check(fam[i], fam[k], i, k, n)
 
     def test_mixed_lines_family(self):
         fam = main_case2(

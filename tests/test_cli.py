@@ -47,6 +47,14 @@ class TestVerify:
         code, _, err = run(["verify", "--n", "3", "--family", "case1"], capsys)
         assert code == 2
 
+    def test_zero_denominator_exits_two(self, capsys):
+        code, out, err = run(
+            ["verify", "--n", "4", "--family", "case1", "--params", "1/0,1,1,1,1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_family_exits_two(self, capsys):
         code, _, err = run(
             ["verify", "--n", "3", "--family", "nope", "--params", "1"], capsys
@@ -193,6 +201,32 @@ class TestConfigFamilies:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("field,value", [("p", 5), ("qhat", [{"e": [0, 0], "c": 1}])])
+    def test_malformed_degen_t_config_exits_two(self, field, value, tmp_path, capsys):
+        cfg = {
+            "qhat": [{"e": [0, 0], "c": "1"}],
+            "p": ["0", "1"],
+            "pairs": [[["0", "1"], ["1"]], [["1"], ["0", "1"]]],
+            field: value,
+        }
+        path = tmp_path / "degent.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(
+            ["verify", "--n", "3", "--family", "degen-t", "--config", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed degen-t config") and err.count("\n") == 1
+
+    def test_malformed_seed_poly_exits_two(self, capsys):
+        code, out, err = run(
+            ["table", "--n", "3", "--family", "preset:demazure",
+             "--seed-poly", '[{"e": [0, 0, 0], "c": 1}]'],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed --seed-poly") and err.count("\n") == 1
 
     def test_missing_config_exits_two(self, capsys):
         code, _, err = run(["verify", "--n", "4", "--family", "vanq0"], capsys)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from braidops import sampling
+from braidops.braid import quad_commute_check
 from braidops.commute import (
     CommuteReport,
     commutes_same_index,
@@ -93,6 +94,16 @@ class TestCrossFamily:
         assert all(report.distant.values())
         assert not any(report.consecutive.values())
         assert not report.passed
+
+    def test_distant_pairs_match_the_oracle(self):
+        rng = random.Random(22)
+        fam1 = main_case1(5, *sampling.draw_case1_params(rng))
+        fam2 = preset("grothendieck", 5, 3)
+        report = cross_family_commute(fam1, fam2)
+        assert set(report.distant) == {(1, 3), (1, 4), (2, 4)}
+        for i, k in report.distant:
+            assert report.distant[(i, k)]
+            assert quad_commute_check(fam1[i], fam2[k], i, k, 5)
 
     def test_report_shape(self):
         report = cross_family_commute(preset("demazure", 4), preset("demazure", 4))

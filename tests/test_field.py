@@ -39,8 +39,8 @@ class TestBasics:
             FieldElement.of(0.5)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "z", "1+z", "1/0", "1.5", "one"):
-            with pytest.raises((ValueError, ZeroDivisionError)):
+        for bad in ("", "z", "1+z", "1/0", "1+1/0z", "1.5", "one"):
+            with pytest.raises(ValueError):
                 FieldElement.parse(bad)
 
     def test_inverse_of_zero_raises(self):
