@@ -36,7 +36,7 @@ from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly
 from .words import apply_word, polynomial_table, staircase
 
-__all__ = ["main", "poly_to_json", "poly_from_json", "slot_to_json", "slot_from_json"]
+__all__ = ["main", "poly_to_json", "poly_from_json", "slot_from_json"]
 
 
 class ConfigError(ValueError):
@@ -58,10 +58,6 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
             raise ConfigError(f"exponent vector {e} does not have {n_vars} entries")
         terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
     return MultiPoly(n_vars, terms)
-
-
-def slot_to_json(p: SlotPoly) -> list[dict]:
-    return [{"e": list(e), "c": str(c)} for e, c in p.sorted_terms()]
 
 
 def slot_from_json(data: list[dict]) -> SlotPoly:
@@ -145,6 +141,8 @@ def _config_family(family: str, n: int, cfg: dict) -> OperatorFamily:
 
 def build_family(family: str, n: int, params: str | None,
                  lines: str | None, config: str | None) -> OperatorFamily:
+    if n < 2:
+        raise ConfigError(f"--n must be at least 2, got {n}")
     values = _parse_params(params)
     if family == "case1":
         if len(values) != 5:
@@ -316,6 +314,9 @@ def _cmd_apply(args) -> int:
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
     seed = _read_seed(args, fam.n)
     word = [int(w) for w in args.word.split(",")] if args.word else []
+    for letter in word:
+        if not 1 <= letter <= fam.n - 1:
+            raise ConfigError(f"--word letter {letter} out of range 1..{fam.n - 1}")
     result = apply_word(fam, word, seed)
     if args.output == "json":
         print(_dumps({"n": fam.n, "word": word, "poly": poly_to_json(result)}))

@@ -1,6 +1,9 @@
 """The transposition and divided difference operators, and the canonical
 decomposition of slot polynomials into symmetric plus d-positive parts.
 
+``ddiff`` uses the closed form d_i(x_i^r x_{i+1}^s) = sum_{l=s}^{r-1}
+x_i^l x_{i+1}^{r+s-1-l} for r > s, term by term, as ``SlotPoly.ddiff`` does.
+
 A monomial u^r v^s is d-positive when r > s; the d-positive polynomials are
 a complement of the symmetric ones, and the divided difference restricts to
 a bijection from d-positive onto symmetric polynomials.  ``dpositive_lift``
@@ -9,27 +12,16 @@ inverts that bijection.
 
 from __future__ import annotations
 
-from .multipoly import (
-    MultiPoly,
-    SlotPoly,
-    InexactDivisionError,
-    exact_div,
-    swap_vars,
-)
+from .multipoly import MultiPoly, SlotPoly, _ddiff_terms
 
 __all__ = ["ddiff", "dpositive_split", "dpositive_lift"]
 
 
 def ddiff(f: MultiPoly, i: int) -> MultiPoly:
     """(f - s_i f) / (x_i - x_{i+1}); the result is symmetric in x_i, x_{i+1}."""
-    numerator = f - swap_vars(f, i)
-    if numerator.is_zero():
-        return MultiPoly.zero(f.n_vars)
-    denominator = MultiPoly.variable(f.n_vars, i) - MultiPoly.variable(f.n_vars, i + 1)
-    try:
-        return exact_div(numerator, denominator)
-    except InexactDivisionError as exc:  # antisymmetric numerator: unreachable
-        raise AssertionError("antisymmetric numerator not divisible") from exc
+    if not 1 <= i <= f.n_vars - 1:
+        raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
+    return MultiPoly(f.n_vars, _ddiff_terms(f.terms, i - 1))
 
 
 def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:

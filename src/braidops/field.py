@@ -120,13 +120,16 @@ class FieldElement:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             other = FieldElement.of(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.rat_part == other.rat_part and self.zeta_part == other.zeta_part
 
     def __hash__(self) -> int:
+        # A rational element equals its int or Fraction, so it hashes like one.
+        if self.zeta_part == 0:
+            return hash(self.rat_part)
         return hash((self.rat_part, self.zeta_part))
 
 

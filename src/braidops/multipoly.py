@@ -9,6 +9,7 @@ Term order for printing and leading terms is graded lexicographic.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .field import FieldElement, ONE, ZERO
@@ -79,6 +80,26 @@ def _divide_terms(f: Mapping, g: Mapping) -> dict:
             else:
                 rem.pop(shifted, None)
     return quo
+
+
+def _ddiff_terms(terms: Mapping, k: int) -> dict:
+    """The divided difference in exponent positions k, k + 1 (variables x, y),
+    from d(x^r y^s) = sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s, d antisymmetric."""
+    out: dict = {}
+    for e, c in terms.items():
+        r, s = e[k], e[k + 1]
+        if r == s:
+            continue
+        lo, hi, sign = (s, r, c) if r > s else (r, s, -c)
+        head, tail = e[:k], e[k + 2:]
+        for l in range(lo, hi):
+            key = head + (l, lo + hi - 1 - l) + tail
+            val = out.get(key, ZERO) + sign
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
 
 
 def _fmt_terms(terms: Mapping, names) -> str:
@@ -220,13 +241,15 @@ class MultiPoly:
         return MultiPoly(self.n_vars, {e: c * v for e, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, (int, Fraction, FieldElement)):
             other = MultiPoly.const(self.n_vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.n_vars == other.n_vars and self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self.degree() <= 0:  # equals its constant, so hashes like it
+            return hash(self._terms.get((0,) * self.n_vars, ZERO))
         return hash((self.n_vars, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
@@ -372,24 +395,8 @@ class SlotPoly:
         return SlotPoly({(s, r): c for (r, s), c in self._terms.items()})
 
     def ddiff(self) -> "SlotPoly":
-        """The divided difference (p - swap p)/(u - v), taken in the slots.
-
-        Computed monomial-wise from the closed form
-        d(u^r v^s) = sum_{l=s}^{r-1} u^l v^{r+s-1-l} for r > s.
-        """
-        out: dict = {}
-        for (r, s), c in self._terms.items():
-            if r == s:
-                continue
-            lo, hi, sign = (s, r, c) if r > s else (r, s, -c)
-            for l in range(lo, hi):
-                e = (l, lo + hi - 1 - l)
-                val = out.get(e, ZERO) + sign
-                if val:
-                    out[e] = val
-                else:
-                    out.pop(e, None)
-        return SlotPoly(out)
+        """The divided difference (p - swap p)/(u - v), taken in the slots."""
+        return SlotPoly(_ddiff_terms(self._terms, 0))
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return SlotPoly(_divide_terms(self._terms, g._terms))
@@ -403,13 +410,15 @@ class SlotPoly:
         return total
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, (int, Fraction, FieldElement)):
             other = SlotPoly.const(other)
         if not isinstance(other, SlotPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equals its constant, so hashes like it
+            return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:

@@ -5,6 +5,8 @@ two presentation invariants: the slot polynomials T = P + (u - v)R + Q and
 Q0 = swap(P) + Q - (u - v)S.  The action on a polynomial is
 (T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}), and
 R0 = (T - Q0)/(u - v) is the multiplier of f in the P = S = 0 presentation.
+As T = Q0 + (u - v)R0, the action is computed in that first canonical form,
+Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f, with no polynomial division.
 """
 
 from __future__ import annotations
@@ -13,16 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .divdiff import dpositive_lift, dpositive_split
+from .divdiff import ddiff, dpositive_lift, dpositive_split
 from .field import FieldElement
-from .multipoly import (
-    InexactDivisionError,
-    MultiPoly,
-    SlotPoly,
-    exact_div,
-    instantiate,
-    swap_vars,
-)
+from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, instantiate
 
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op"]
 
@@ -133,17 +128,13 @@ class PDDO:
     # -- action ------------------------------------------------------------
 
     def apply(self, i: int, f: MultiPoly) -> MultiPoly:
-        """Apply at index i: (T f - Q0 s_i f)/(x_i - x_{i+1})."""
+        """Apply at index i, computed as Q0 d_i f + R0 f at (x_i, x_{i+1})."""
         n = f.n_vars
         if not 1 <= i <= n - 1:
             raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        t = instantiate(self.T, i, i + 1, n)
         q0 = instantiate(self.Q0, i, i + 1, n)
-        numerator = t * f - q0 * swap_vars(f, i)
-        if numerator.is_zero():
-            return MultiPoly.zero(n)
-        denominator = MultiPoly.variable(n, i) - MultiPoly.variable(n, i + 1)
-        return exact_div(numerator, denominator)
+        r0 = instantiate(self.R0, i, i + 1, n)
+        return q0 * ddiff(f, i) + r0 * f
 
     def probe(self, i: int, n: int | None = None) -> tuple[MultiPoly, MultiPoly]:
         """Return (pi(1), pi(x_i)) as polynomials in n variables."""

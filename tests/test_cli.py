@@ -55,6 +55,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("family,n", [
+        ("preset:demazure", "0"), ("preset:demazure", "1"),
+        ("case2", "-1"), ("case1", "1"),
+    ])
+    def test_small_n_exits_two(self, family, n, capsys):
+        params = {"case1": "1,2,1,2,3", "case2": "0,1,0,0"}.get(family, "")
+        argv = ["verify", "--n", n, "--family", family]
+        code, out, err = run(argv + (["--params", params] if params else []), capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be at least 2, got {n}\n"
+
     def test_unknown_family_exits_two(self, capsys):
         code, _, err = run(
             ["verify", "--n", "3", "--family", "nope", "--params", "1"], capsys
@@ -151,6 +162,17 @@ class TestApply:
         assert code == 0
         data = json.loads(out)
         assert poly_from_json(data["poly"], 3) == staircase(3)
+
+
+    @pytest.mark.parametrize("word", ["5", "0", "1,3", "-1"])
+    def test_letter_out_of_range_exits_two(self, word, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", word],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --word letter ") and err.count("\n") == 1
+        assert err.endswith(" out of range 1..2\n")
 
 
 class TestCommute:

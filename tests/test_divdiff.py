@@ -47,6 +47,12 @@ class TestDdiff:
         sym = f + swap_vars(f, i)
         assert ddiff(sym * sym, i).is_zero()
 
+    def test_index_bounds(self):
+        f = MultiPoly.monomial(3, (2, 1, 0))
+        for i in (0, 3):
+            with pytest.raises(IndexError):
+                ddiff(f, i)
+
     def test_single_value(self):
         f = MultiPoly.monomial(2, (2, 0))
         x1 = MultiPoly.variable(2, 1)

@@ -47,11 +47,26 @@ class TestBasics:
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
 
+    def test_rational_elements_hash_like_their_value(self):
+        assert len({FieldElement.of(1), 1}) == 1
+        assert len({FieldElement.of("-3/4"), Fraction(-3, 4)}) == 1
+        assert hash(ZERO) == hash(0)
+        assert len({ZETA, ZETA_BAR, ONE, 1}) == 3
+
+    def test_strings_are_not_equal_to_elements(self):
+        assert FieldElement.of(1) != "1"
+        assert "0+1/2z" != FieldElement.parse("0+1/2z")
+
 
 class TestProperties:
     @given(elements)
     def test_string_round_trip(self, x):
         assert FieldElement.parse(str(x)) == x
+
+    @given(rationals)
+    def test_rational_elements_equal_and_hash_like_fractions(self, q):
+        x = FieldElement(q, Fraction(0))
+        assert x == q and hash(x) == hash(q)
 
     @given(elements, elements, elements)
     def test_ring_axioms(self, x, y, z):

@@ -1,5 +1,7 @@
 """Tests for sparse multivariate polynomials and bivariate slot templates."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +55,15 @@ class TestMultiPoly:
         x2 = MultiPoly.variable(2, 2)
         assert str(x1 * x1 * x2 + x2) == "x1^2*x2 + x2"
         assert str(MultiPoly.zero(2)) == "0"
+
+    def test_constants_hash_like_their_value(self):
+        assert len({MultiPoly.zero(3), 0}) == 1
+        assert len({MultiPoly.const(2, 5), 5, FieldElement.of(5)}) == 1
+        assert MultiPoly.const(2, "1/2") == Fraction(1, 2)
+        assert hash(MultiPoly.const(2, "1/2")) == hash(Fraction(1, 2))
+        z = FieldElement.parse("1-2z")
+        assert MultiPoly.const(4, z) == z and hash(MultiPoly.const(4, z)) == hash(z)
+        assert len({MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)}) == 2
 
     def test_immutable(self):
         p = MultiPoly.variable(2, 1)
@@ -108,6 +119,12 @@ class TestSlotPoly:
         p = SlotPoly.monomial(2, 1)
         assert p.swap() == SlotPoly.monomial(1, 2)
         assert (p + p.swap()).is_symmetric()
+
+    def test_constants_hash_like_their_value(self):
+        assert len({SlotPoly.zero(), 0}) == 1
+        assert len({SlotPoly.const("2/3"), Fraction(2, 3), FieldElement.of("2/3")}) == 1
+        assert len({SlotPoly.const("1+1z"), FieldElement.parse("1+1z")}) == 1
+        assert SlotPoly.u() != 0 and SlotPoly.u() != SlotPoly.v()
 
     def test_constant_queries(self):
         assert SlotPoly.const(7).is_constant()

@@ -1,12 +1,26 @@
 """Tests for the operator class: invariants, action, canonical forms,
 composition, and Hecke parameters."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidops import multipoly
+from braidops.divdiff import ddiff
+from braidops.families import Case2Line, main_case1, main_case2, preset
 from braidops.field import FieldElement, ZERO
-from braidops.multipoly import InexactDivisionError, MultiPoly, SlotPoly
+from braidops.multipoly import (
+    InexactDivisionError,
+    MultiPoly,
+    SlotPoly,
+    exact_div,
+    instantiate,
+    swap_vars,
+)
 from braidops.pddo import PDDO, Degeneracy, identity_op
+from braidops.sampling import random_multipoly
+from braidops.words import staircase
 
 coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=6).map(
     FieldElement.of
@@ -67,8 +81,6 @@ class TestInvariants:
 class TestAction:
     def test_action_matches_explicit_formula(self):
         # Demazure: pi f = d(x1 f).
-        from braidops.divdiff import ddiff
-
         op = demazure()
         f = MultiPoly.monomial(3, (1, 1, 0))
         expected = ddiff(MultiPoly.variable(3, 1) * f, 1)
@@ -96,11 +108,47 @@ class TestAction:
         p1, px = op.probe(1, n)
         x = MultiPoly.variable(n, 1)
         y = MultiPoly.variable(n, 2)
-        from braidops.multipoly import instantiate
-
         assert px - y * p1 == instantiate(op.T, 1, 2, n)
         assert px - x * p1 == instantiate(op.Q0, 1, 2, n)
         assert p1 == instantiate(op.R0, 1, 2, n)
+
+
+def _long_division(numerator, i):
+    """numerator / (x_i - x_{i+1}) by generic long division."""
+    if numerator.is_zero():
+        return numerator
+    n = numerator.n_vars
+    return exact_div(numerator, MultiPoly.variable(n, i) - MultiPoly.variable(n, i + 1))
+
+
+class TestNoDivisionOnApply:
+    def test_apply_and_ddiff_never_divide(self, monkeypatch):
+        n = 4
+        lines = [Case2Line.LINE1, Case2Line.LINE4, Case2Line.LINE3]
+        families = [
+            main_case1(n, 1, 2, 1, 2, 3),
+            main_case2(n, 1, 2, 1, 2, lines),
+            preset("pure_ddiff", n, 2),
+            preset("demazure", n),
+            preset("grothendieck", n, FieldElement.parse("1/2+1z")),
+        ]
+        rng = random.Random(4)
+        polys = [staircase(n)] + [random_multipoly(rng, n, 4, 6) for _ in range(2)]
+        cases = [(fam[i], i, f) for fam in families for i in range(1, n) for f in polys]
+        expected_apply = [
+            _long_division(instantiate(op.T, i, i + 1, n) * f
+                           - instantiate(op.Q0, i, i + 1, n) * swap_vars(f, i), i)
+            for op, i, f in cases
+        ]
+        expected_ddiff = [_long_division(f - swap_vars(f, i), i)
+                          for _, i, f in cases]
+
+        def refuse(*args):
+            raise AssertionError("long division on the apply path")
+
+        monkeypatch.setattr(multipoly, "_divide_terms", refuse)
+        assert [op.apply(i, f) for op, i, f in cases] == expected_apply
+        assert [ddiff(f, i) for _, i, f in cases] == expected_ddiff
 
 
 class TestDegeneracy:
