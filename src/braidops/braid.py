@@ -182,16 +182,23 @@ class FamilyReport:
 
 def family_braid_check(fam: "OperatorFamily") -> FamilyReport:
     """Run the cubic check on consecutive pairs of a family of n-1 operators;
-    every distant pair (i, k), k >= i + 2, is reported as commuting."""
+    every distant pair (i, k), k >= i + 2, is reported as commuting.
+
+    The cubic check is index-free, so it runs once per distinct pair of
+    operators: a uniform family needs one check whatever n is."""
     ops = list(fam.ops)
     n = fam.n
     if len(ops) != n - 1:
         raise ValueError("family must have n - 1 operators")
     if n < 3:
         raise ValueError("braid relations need n >= 3")
+    checked: dict[tuple[PDDO, PDDO], CubicReport] = {}
     cubic = {}
     for i in range(1, n - 1):
-        cubic[(i, i + 1)] = cubic_braid_check(ops[i - 1], ops[i])
+        pair = (ops[i - 1], ops[i])
+        if pair not in checked:
+            checked[pair] = cubic_braid_check(*pair)
+        cubic[(i, i + 1)] = checked[pair]
     # pi_i and pi_k act on disjoint variable pairs with coefficients in them: commute.
     quad = {(i, k): True for i in range(1, n) for k in range(i + 2, n)}
     return FamilyReport(cubic=cubic, quad=quad)

@@ -1,15 +1,23 @@
 """Exact arithmetic in the ground field Q(z), where z^2 = z - 1.
 
-z is a primitive sixth root of unity; its conjugate is 1 - z.  Elements are
-stored as an ordered pair of rationals (rational part, coefficient of z),
-which is a unique representation once z^2 is always reduced to z - 1.
+z is a primitive sixth root of unity; its conjugate is 1 - z.  An element is
+stored as three Python ints (a, b, d) meaning (a + b z)/d, in canonical form:
+d > 0 and gcd(a, b, d) = 1.  With z^2 always reduced to z - 1 the form is
+unique, so equality compares the three ints.  Every operation is an integer
+formula followed by at most one gcd (``FieldElement._raw``).  ``_scaled``
+gives :mod:`braidops.multipoly` the integer numerators of a whole term map
+over one denominator, so that it accumulates products in integers, and
+``_unscaled`` turns the sums back into field elements.  The rational part
+a/d and the z coefficient b/d are read as Fractions through ``rat_part``
+and ``zeta_part``; an element is never changed after construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Mapping
 
 __all__ = ["FieldElement", "ZETA", "ZETA_BAR", "ZERO", "ONE"]
 
@@ -18,12 +26,45 @@ _ELEM_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element rat_part + zeta_part * z of Q(z)."""
+    """An element rat_part + zeta_part * z of Q(z), stored as (a + b z)/d."""
 
-    rat_part: Fraction
-    zeta_part: Fraction
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, rat_part, zeta_part):
+        """From two ints or Fractions.  Reduced fractions brought over the lcm
+        of their denominators are coprime to it, so no gcd is needed."""
+        p, q = rat_part.as_integer_ratio()
+        r, s = zeta_part.as_integer_ratio()
+        if q != s:
+            d = q // gcd(q, s) * s
+            p *= d // q
+            r *= d // s
+            q = d
+        self._a = p
+        self._b = r
+        self._d = q
+
+    @staticmethod
+    def _raw(a: int, b: int, d: int) -> "FieldElement":
+        """(a + b z)/d for any ints with d != 0, brought to canonical form."""
+        if d < 0:
+            a, b, d = -a, -b, -d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        return _canonical(a, b, d)
+
+    @property
+    def rat_part(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def zeta_part(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(value) -> "FieldElement":
@@ -31,14 +72,14 @@ class FieldElement:
         if isinstance(value, FieldElement):
             return value
         if isinstance(value, (int, Fraction)):
-            return FieldElement(Fraction(value), Fraction(0))
+            return _canonical(value.numerator, 0, value.denominator)
         if isinstance(value, str):
             return FieldElement.parse(value)
         raise TypeError(f"cannot coerce {value!r} to FieldElement")
 
     @staticmethod
     def zeta() -> "FieldElement":
-        return FieldElement(Fraction(0), Fraction(1))
+        return _canonical(0, 1, 1)
 
     @staticmethod
     def parse(text: str) -> "FieldElement":
@@ -55,51 +96,60 @@ class FieldElement:
         return FieldElement(rat, zeta)
 
     def __str__(self) -> str:
-        if self.zeta_part == 0:
+        if not self._b:
             return str(self.rat_part)
-        sign = "+" if self.zeta_part > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.rat_part}{sign}{abs(self.zeta_part)}z"
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
 
     def __bool__(self) -> bool:
-        return self.rat_part != 0 or self.zeta_part != 0
+        return bool(self._a or self._b)
 
     def __add__(self, other) -> "FieldElement":
         other = FieldElement.of(other)
-        return FieldElement(
-            self.rat_part + other.rat_part, self.zeta_part + other.zeta_part
+        d, e = self._d, other._d
+        if d == e:
+            return _raw(self._a + other._a, self._b + other._b, d)
+        return _raw(
+            self._a * e + other._a * d, self._b * e + other._b * d, d * e
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.rat_part, -self.zeta_part)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "FieldElement":
-        return self + (-FieldElement.of(other))
+        other = FieldElement.of(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _raw(self._a - other._a, self._b - other._b, d)
+        return _raw(
+            self._a * e - other._a * d, self._b * e - other._b * d, d * e
+        )
 
     def __rsub__(self, other) -> "FieldElement":
         return FieldElement.of(other) - self
 
     def __mul__(self, other) -> "FieldElement":
         other = FieldElement.of(other)
-        a, b = self.rat_part, self.zeta_part
-        c, d = other.rat_part, other.zeta_part
-        # (a + bz)(c + dz) = ac + (ad + bc)z + bd z^2, and z^2 = z - 1.
-        return FieldElement(a * c - b * d, a * d + b * c + b * d)
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        # (a + bz)(c + ez) = ac + (ae + bc)z + be z^2, and z^2 = z - 1.
+        return _raw(a * c - b * e, a * e + b * c + b * e, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if not self:
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
             raise ZeroDivisionError("inverse of zero field element")
-        a, b = self.rat_part, self.zeta_part
-        # (a + bz)(a + b - bz) = a^2 + ab + b^2, the norm to Q.
-        norm = a * a + a * b + b * b
-        return FieldElement((a + b) / norm, -b / norm)
+        # (a + bz)(a + b - bz) = a^2 + ab + b^2, the norm to Q, positive for
+        # nonzero (a, b).
+        return _raw(d * (a + b), -d * b, a * a + a * b + b * b)
 
     def __truediv__(self, other) -> "FieldElement":
         return self * FieldElement.of(other).inverse()
@@ -120,20 +170,55 @@ class FieldElement:
         return result
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, FieldElement):
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            other = FieldElement.of(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.rat_part == other.rat_part and self.zeta_part == other.zeta_part
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # A rational element equals its int or Fraction, so it hashes like one.
-        if self.zeta_part == 0:
+        if not self._b:
             return hash(self.rat_part)
         return hash((self.rat_part, self.zeta_part))
 
 
-ZERO = FieldElement(Fraction(0), Fraction(0))
-ONE = FieldElement(Fraction(1), Fraction(0))
+_new = object.__new__
+_raw = FieldElement._raw
+
+
+def _canonical(a: int, b: int, d: int) -> FieldElement:
+    """Wrap (a, b, d) that is already in canonical form."""
+    x = _new(FieldElement)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _scaled(terms: Mapping) -> tuple[list, int]:
+    """The values (a + b z)/d of a map as integer pairs over one common
+    denominator: ([(key, a', b'), ...], D) with each value (a' + b' z)/D."""
+    den = 1
+    for c in terms.values():
+        d = c._d
+        if den % d:
+            den = den // gcd(den, d) * d
+    out = []
+    for key, c in terms.items():
+        k = den // c._d
+        out.append((key, c._a * k, c._b * k))
+    return out, den
+
+
+def _unscaled(pairs: Mapping, den: int) -> dict:
+    """The inverse of ``_scaled``: a map of integer pairs (a, b) to the map of
+    the nonzero values (a + b z)/den."""
+    return {key: _raw(a, b, den) for key, (a, b) in pairs.items() if a or b}
+
+
+ZERO = _canonical(0, 0, 1)
+ONE = _canonical(1, 0, 1)
 ZETA = FieldElement.zeta()
 ZETA_BAR = ONE - ZETA

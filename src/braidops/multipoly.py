@@ -5,14 +5,20 @@ coefficients stored).  SlotPoly is a polynomial in two abstract slots (u, v)
 that can be instantiated at any ordered pair of variables; it carries the
 coefficient polynomials of the operators built in :mod:`braidops.pddo`.
 Term order for printing and leading terms is graded lexicographic.
+
+Products and divided differences accumulate in integers: each operand's
+coefficients are brought over one common denominator, the (a, b) numerator
+pairs of a + b z are summed per exponent vector, and one field element is
+built per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE, ZERO, _scaled, _unscaled
 
 __all__ = [
     "MultiPoly",
@@ -37,24 +43,40 @@ def _grlex(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
 
 
-def _clean(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c}
-
-
-def _add_terms(a: Mapping, b: Mapping, sign: FieldElement) -> dict:
+def _add_terms(a: Mapping, b: Mapping, subtract: bool = False) -> dict:
+    """a + b, or a - b, of two term maps without zero coefficients."""
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, ZERO) + sign * c
-    return _clean(out)
+        old = out.get(e)
+        if old is None:
+            out[e] = -c if subtract else c
+        else:
+            new = old - c if subtract else old + c
+            if new:
+                out[e] = new
+            else:
+                del out[e]
+    return out
 
 
 def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, ZERO) + ca * cb
-    return _clean(out)
+    """The product of two term maps, accumulated in integers."""
+    if not a or not b:
+        return {}
+    sa, da = _scaled(a)
+    sb, db = _scaled(b)
+    acc: dict = {}
+    for ea, ra, za in sa:
+        for eb, rb, zb in sb:
+            # (ra + za z)(rb + zb z) with z^2 = z - 1.
+            e = tuple(map(add, ea, eb))
+            pair = acc.get(e)
+            if pair is None:
+                acc[e] = [ra * rb - za * zb, ra * zb + za * (rb + zb)]
+            else:
+                pair[0] += ra * rb - za * zb
+                pair[1] += ra * zb + za * (rb + zb)
+    return _unscaled(acc, da * db)
 
 
 def _divide_terms(f: Mapping, g: Mapping) -> dict:
@@ -85,21 +107,23 @@ def _divide_terms(f: Mapping, g: Mapping) -> dict:
 def _ddiff_terms(terms: Mapping, k: int) -> dict:
     """The divided difference in exponent positions k, k + 1 (variables x, y),
     from d(x^r y^s) = sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s, d antisymmetric."""
-    out: dict = {}
-    for e, c in terms.items():
+    scaled, den = _scaled(terms)
+    acc: dict = {}
+    for e, a, b in scaled:
         r, s = e[k], e[k + 1]
         if r == s:
             continue
-        lo, hi, sign = (s, r, c) if r > s else (r, s, -c)
+        lo, hi, a, b = (s, r, a, b) if r > s else (r, s, -a, -b)
         head, tail = e[:k], e[k + 2:]
         for l in range(lo, hi):
             key = head + (l, lo + hi - 1 - l) + tail
-            val = out.get(key, ZERO) + sign
-            if val:
-                out[key] = val
+            pair = acc.get(key)
+            if pair is None:
+                acc[key] = [a, b]
             else:
-                out.pop(key, None)
-    return out
+                pair[0] += a
+                pair[1] += b
+    return _unscaled(acc, den)
 
 
 def _fmt_terms(terms: Mapping, names) -> str:
@@ -214,14 +238,14 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         self._check(other)
-        return MultiPoly(self.n_vars, _add_terms(self._terms, other._terms, ONE))
+        return MultiPoly(self.n_vars, _add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         self._check(other)
-        return MultiPoly(self.n_vars, _add_terms(self._terms, other._terms, -ONE))
+        return MultiPoly(self.n_vars, _add_terms(self._terms, other._terms, subtract=True))
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
@@ -368,12 +392,12 @@ class SlotPoly:
         return SlotPoly.const(other)
 
     def __add__(self, other) -> "SlotPoly":
-        return SlotPoly(_add_terms(self._terms, self._coerce(other)._terms, ONE))
+        return SlotPoly(_add_terms(self._terms, self._coerce(other)._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "SlotPoly":
-        return SlotPoly(_add_terms(self._terms, self._coerce(other)._terms, -ONE))
+        return SlotPoly(_add_terms(self._terms, self._coerce(other)._terms, subtract=True))
 
     def __rsub__(self, other) -> "SlotPoly":
         return self._coerce(other) - self
@@ -435,9 +459,9 @@ def instantiate(p: SlotPoly, i: int, j: int, n: int) -> MultiPoly:
         if not 1 <= idx <= n:
             raise IndexError(f"variable index {idx} out of range 1..{n}")
     out = {}
-    for (r, s), c in p.terms.items():
+    for (r, s), c in p.terms.items():  # i != j, so no two terms meet
         e = [0] * n
-        e[i - 1] += r
-        e[j - 1] += s
-        out[tuple(e)] = out.get(tuple(e), ZERO) + c
+        e[i - 1] = r
+        e[j - 1] = s
+        out[tuple(e)] = c
     return MultiPoly(n, out)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidops import sampling
+from braidops import braid, sampling
 from braidops.braid import (
     almost_equal,
     cubic_braid_check,
@@ -17,6 +17,7 @@ from braidops.braid import (
 from braidops.cli import _random_family
 from braidops.families import (
     Case2Line,
+    OperatorFamily,
     main_case1,
     main_case2,
     preset,
@@ -124,6 +125,43 @@ class TestFamilyCheck:
             4, 1, 2, 1, 2, [Case2Line.LINE1, Case2Line.LINE4, Case2Line.LINE2]
         )
         assert family_braid_check(fam).passed
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+
+        def counted(pi, varpi):
+            calls.append((pi, varpi))
+            return cubic_braid_check(pi, varpi)
+
+        monkeypatch.setattr(braid, "cubic_braid_check", counted)
+        return calls
+
+    def test_uniform_family_checks_one_pair(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        report = family_braid_check(preset("demazure", 6))
+        assert len(calls) == 1
+        assert set(report.cubic) == {(i, i + 1) for i in range(1, 5)}
+        assert report.passed
+
+    def test_cached_reports_match_per_pair_checks(self, monkeypatch):
+        lines = [Case2Line.LINE1, Case2Line.LINE1, Case2Line.LINE4,
+                 Case2Line.LINE2, Case2Line.LINE1, Case2Line.LINE1]
+        fam = main_case2(7, 1, 2, 1, 2, lines)
+        ops = list(fam.ops)
+        bump = SlotPoly.u() + SlotPoly.const(1)  # adds (u + 1) d to pi_5
+        ops[4] = PDDO(ops[4].T + bump, ops[4].Q0 + bump)
+        broken = OperatorFamily(7, tuple(ops))
+        calls = self.counting(monkeypatch)
+        report = family_braid_check(fam)
+        assert len(calls) == len(set(calls)) == 4  # lines (1,1) (1,4) (4,2) (2,1)
+        broken_report = family_braid_check(broken)
+        assert not broken_report.passed
+        for f, r in ((fam, report), (broken, broken_report)):
+            for i in range(1, 6):
+                uncached = cubic_braid_check(f[i], f[i + 1])
+                assert r.cubic[(i, i + 1)].flags == uncached.flags
+                assert r.cubic[(i, i + 1)].failure == uncached.failure
 
 
 class TestAlmostEqual:

@@ -1,6 +1,7 @@
 """Tests for exact arithmetic in the quadratic extension Q(z), z^2 = z - 1."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -100,3 +101,128 @@ class TestProperties:
         a, b = x.rat_part, x.zeta_part
         norm = a * a + a * b + b * b
         assert (norm == 0) == (not x)
+
+
+class Ref:
+    """The reference Q(z): a (rational part, z part) pair of Fractions with
+    the schoolbook formulas, sharing no code with braidops.field."""
+
+    def __init__(self, r, s):
+        self.r, self.s = Fraction(r), Fraction(s)
+
+    def __add__(self, o):
+        return Ref(self.r + o.r, self.s + o.s)
+
+    def __sub__(self, o):
+        return Ref(self.r - o.r, self.s - o.s)
+
+    def __neg__(self):
+        return Ref(-self.r, -self.s)
+
+    def __mul__(self, o):
+        # (a + bz)(c + dz) = ac - bd + (ad + bc + bd)z, as z^2 = z - 1.
+        a, b, c, d = self.r, self.s, o.r, o.s
+        return Ref(a * c - b * d, a * d + b * c + b * d)
+
+    def inverse(self):
+        a, b = self.r, self.s
+        norm = a * a + a * b + b * b
+        return Ref((a + b) / norm, -b / norm)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, k):
+        base = self if k >= 0 else self.inverse()
+        out = Ref(1, 0)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def __bool__(self):
+        return bool(self.r or self.s)
+
+    def key(self):
+        return (self.r, self.s)
+
+    def hash(self):
+        return hash(self.r) if self.s == 0 else hash((self.r, self.s))
+
+    def str(self):
+        if self.s == 0:
+            return str(self.r)
+        return f"{self.r}{'+' if self.s > 0 else '-'}{abs(self.s)}z"
+
+
+def is_canonical(x: FieldElement) -> bool:
+    a, b, d = x._a, x._b, x._d
+    return all(type(v) is int for v in (a, b, d)) and d > 0 and gcd(a, b, d) == 1
+
+
+def agrees(x: FieldElement, ref: Ref) -> bool:
+    return (is_canonical(x) and (x.rat_part, x.zeta_part) == ref.key()
+            and hash(x) == ref.hash() and str(x) == ref.str())
+
+
+pairs = st.tuples(rationals, rationals)
+
+
+class TestAgainstReference:
+    """The integer kernel against the Fraction-pair reference."""
+
+    @given(pairs)
+    def test_constructors(self, p):
+        ref = Ref(*p)
+        x = FieldElement(*p)
+        assert agrees(x, ref)
+        assert agrees(FieldElement.parse(str(x)), ref)
+        assert agrees(FieldElement.of(str(x)), ref)
+        assert agrees(FieldElement.of(p[0]), Ref(p[0], 0))
+        assert agrees(FieldElement.of(p[0].numerator), Ref(p[0].numerator, 0))
+
+    @given(pairs, pairs)
+    def test_ring_operations(self, p, q):
+        x, y, rx, ry = FieldElement(*p), FieldElement(*q), Ref(*p), Ref(*q)
+        assert agrees(x + y, rx + ry)
+        assert agrees(x - y, rx - ry)
+        assert agrees(-x, -rx)
+        assert agrees(x * y, rx * ry)
+        assert (x == y) == (rx.key() == ry.key())
+        if ry:
+            assert agrees(y.inverse(), ry.inverse())
+            assert agrees(x / y, rx / ry)
+
+    @given(pairs, rationals)
+    def test_mixed_with_rationals(self, p, q):
+        x, rx, rq = FieldElement(*p), Ref(*p), Ref(q, 0)
+        assert agrees(x + q, rx + rq) and agrees(q + x, rx + rq)
+        assert agrees(x - q, rx - rq) and agrees(q - x, rq - rx)
+        assert agrees(x * q, rx * rq) and agrees(q * x, rx * rq)
+        assert (x == q) == (rx.key() == rq.key())
+        if q:
+            assert agrees(x / q, rx / rq)
+        if rx:
+            assert agrees(q / x, rq / rx)
+
+    @given(pairs.filter(lambda p: any(p)), st.integers(min_value=-5, max_value=5))
+    def test_powers(self, p, k):
+        assert agrees(FieldElement(*p) ** k, Ref(*p) ** k)
+
+    @given(pairs, st.integers(min_value=1, max_value=30), st.booleans())
+    def test_raw_normalises_unreduced_input(self, p, k, negate):
+        r, s = p
+        den = r.denominator * s.denominator * k
+        a, b = int(r * den), int(s * den)
+        if negate:
+            a, b, den = -a, -b, -den
+        x = FieldElement._raw(a, b, den)
+        assert is_canonical(x)
+        assert x == FieldElement(r, s)
+        d = r.denominator * s.denominator // gcd(r.denominator, s.denominator)
+        assert FieldElement._raw(int(r * d), int(s * d), d) == FieldElement(r, s)
+
+    def test_parts_are_read_only(self):
+        x = FieldElement.of(2)
+        for name in ("rat_part", "zeta_part", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, Fraction(3))

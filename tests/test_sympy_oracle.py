@@ -1,9 +1,15 @@
-"""PDDO.apply and divdiff.ddiff against sympy rational functions.
+"""PDDO.apply, PDDO.compose, divdiff.ddiff and the cubic braid numerators
+against sympy.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
 ``cancel``, and z is reduced modulo its minimal polynomial z^2 - z + 1 only
-when two results are compared.
+when two results are compared.  Compositions are expanded in the twisted
+group algebra: an operator at index i is f |-> alpha f + beta s_i f with
+alpha = T/(x_i - x_{i+1}) and beta = -Q0/(x_i - x_{i+1}), and
+beta s_i (c w f) = beta s_i(c) (s_i w) f.  Their coefficients are kept as
+sympy ring polynomials over a power of the Vandermonde product, with z
+reduced after every step.
 """
 
 import random
@@ -12,6 +18,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from braidops.braid import COEFF_NAMES, _coefficients
 from braidops.divdiff import ddiff
 from braidops.families import Case2Line, main_case1, main_case2, preset
 from braidops.field import FieldElement
@@ -138,3 +145,108 @@ def test_ddiff_matches(seed, n):
     fx = poly_expr(f, x)
     for i in range(1, n):
         assert_same(poly_expr(ddiff(f, i), x), sympy_ddiff(fx, x, i))
+
+
+def act(op: PDDO, R, x, i, combo, m):
+    """Apply op at index i to sum_w N_w / V^m (w f), given as {w: N_w} over
+    the polynomial ring R in x and z, where V is the Vandermonde product of x
+    and a permutation w is the tuple p with (w f)(x) = f(x_p[0], x_p[1], ...).
+    Returns the numerators over V^(m + 1): as s_i V = -V and V/(x_i - x_{i+1})
+    is a polynomial, no division is needed."""
+    vdm = sympy.prod([x[a] - x[b] for a in range(len(x)) for b in range(a + 1, len(x))])
+    cofactor = R(sympy.cancel(vdm / (x[i - 1] - x[i])))
+    T = R(at(slot_expr(op.T), x, i)) * cofactor
+    Q0 = R(at(slot_expr(op.Q0), x, i)) * cofactor
+    gens = R.gens
+    swap = [(gens[i - 1], gens[i]), (gens[i], gens[i - 1])]
+    t = list(range(len(x)))
+    t[i - 1], t[i] = i, i - 1
+    out: dict = {}
+    for w, num in combo.items():
+        # alpha = T/(x_i - x_{i+1}) and beta = -Q0/(x_i - x_{i+1}).
+        out[w] = out.get(w, R.zero) + T * num
+        sw = tuple(t[k] for k in w)
+        out[sw] = out.get(sw, R.zero) - (-1) ** m * Q0 * num.compose(swap)
+    return {w: reduce_z(R, num) for w, num in out.items()}
+
+
+def in_ring(R, f: MultiPoly):
+    """f as an element of R = Q[x_1..x_n, z]."""
+    terms = {}
+    for e, c in f.terms.items():
+        for k, q in enumerate((c.rat_part, c.zeta_part)):
+            if q:
+                terms[e + (k,)] = sympy.QQ(q.numerator, q.denominator)
+    return R.from_dict(terms)
+
+
+# z^k = a + b z for k mod 6, from z^2 = z - 1 (z^3 = -1).
+Z_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def reduce_z(R, p):
+    """p with every power of z reduced modulo z^2 - z + 1."""
+    out = {}
+    for e, c in p.items():
+        for k, m in enumerate(Z_POWERS[e[-1] % 6]):
+            if m:
+                key = e[:-1] + (k,)
+                out[key] = out.get(key, R.domain.zero) + m * c
+    return R.from_dict({e: c for e, c in out.items() if c})
+
+
+def assert_same_poly(R, lib, oracle):
+    """lib == oracle in R, with z reduced modulo z^2 - z + 1."""
+    assert reduce_z(R, lib) == reduce_z(R, oracle)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_compose_matches(seed):
+    """c = a.compose(b) against a(b f) = N_id/(u - v)^2 f + N_s/(u - v)^2 sf,
+    so T_c (u - v) = N_id and Q0_c (u - v) = -N_s."""
+    rng = random.Random(1000 + seed)
+    a, b = (PDDO.from_pqrs(*(random_slot(rng) for _ in range(4))) for _ in range(2))
+    c = a.compose(b)
+    x = (U, V)
+    R = sympy.polys.rings.ring(x + (Z,), sympy.QQ)[0]
+    ident, s = (0, 1), (1, 0)
+    composed = act(a, R, x, 1, act(b, R, x, 1, {ident: R.one}, 0), 1)
+    uv = R(U - V)
+    assert_same_poly(R, R(slot_expr(c.T)) * uv, composed.get(ident, R.zero))
+    assert_same_poly(R, R(slot_expr(c.Q0)) * uv, -composed.get(s, R.zero))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cubic_numerators_match(seed):
+    """The six numerators of both triple compositions over the common
+    denominator D = (x-y)^2 (x-z) (y-z)^2, for random (non-braiding)
+    operators: each library numerator times V^3 equals D N_w."""
+    rng = random.Random(2000 + seed)
+    pi, varpi = (PDDO.from_pqrs(*(random_slot(rng) for _ in range(4))) for _ in range(2))
+    left, right = _coefficients(pi, varpi)
+    x = xs(3)
+    R = sympy.polys.rings.ring(x + (Z,), sympy.QQ)[0]
+
+    def word(*letters):
+        combo = {(0, 1, 2): R.one}
+        for m, (op, i) in enumerate(reversed(letters)):
+            combo = act(op, R, x, i, combo, m)
+        return combo
+
+    def then(p, q):  # the permutation q applied after p
+        return tuple(q[k] for k in p)
+
+    ident, s1, s2 = (0, 1, 2), (1, 0, 2), (0, 2, 1)
+    perm = {
+        "f": ident, "sf": s1, "sigma_f": s2,
+        "s_sigma_f": then(s2, s1), "sigma_s_f": then(s1, s2),
+        "s_sigma_s_f": then(then(s1, s2), s1),
+    }
+    vdm3 = R((x[0] - x[1]) * (x[0] - x[2]) * (x[1] - x[2])) ** 3
+    den = R((x[0] - x[1]) ** 2 * (x[0] - x[2]) * (x[1] - x[2]) ** 2)
+    lhs = word((pi, 1), (varpi, 2), (pi, 1))
+    rhs = word((varpi, 2), (pi, 1), (varpi, 2))
+    for name in COEFF_NAMES:
+        for lib, combo in ((left, lhs), (right, rhs)):
+            oracle = den * combo.get(perm[name], R.zero)
+            assert_same_poly(R, in_ring(R, lib[name]) * vdm3, oracle)
