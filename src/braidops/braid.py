@@ -1,10 +1,32 @@
 """Exact verification of the braid relations and the almost-equality test.
 
-The cubic check is fully symbolic: both triple compositions are brought over
-the common denominator (x-y)^2 (x-z) (y-z)^2 and the six numerator
-coefficients (of f, sf, sigma f, s sigma f, sigma s f, and the matched pair
-s sigma s f / sigma s sigma f) are compared as exact polynomial identities
-in three variables.
+The cubic check is fully symbolic.  Both triple compositions pi varpi pi and
+varpi pi varpi are brought over the common denominator (x-y)^2 (x-z) (y-z)^2,
+and their six numerator coefficients (of f, sf, sigma f, s sigma f,
+sigma s f, and the matched pair s sigma s f / sigma s sigma f) must agree as
+polynomials in three variables.  Each difference of two numerators is
+written as factor * reduced difference.  Write q, t for Q0, T of pi and
+qt, tt for those of varpi, instantiated at variable pairs (t_xy = T(x, y)
+and so on), and B = t_xy tt_yz (x-z):
+
+=========== ===================== ==============================================
+name        factor                reduced difference
+=========== ===================== ==============================================
+f           1                     B ((y-z) t_xy - (x-y) tt_yz)
+                                  - (y-z)^2 tt_xz q_xy q_yx
+                                  + (x-y)^2 t_xz qt_yz qt_zy
+sf          -(y-z) q_xy           B - tt_xz ((y-z) t_yx + (x-y) tt_yz)
+sigma_f     -(x-y) qt_yz          t_xz ((y-z) t_xy + (x-y) tt_zy) - B
+s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz
+sigma_s_f   (x-y)(y-z) qt_yz q_xz t_xy - tt_xy
+s_sigma_s_f -(x-y)(y-z)           q_xy qt_xz q_yz - qt_xy q_xz qt_yz
+=========== ===================== ==============================================
+
+Q(z)[x, y, z] is an integral domain, so a difference vanishes exactly when
+its factor or its reduced difference does, and a factor vanishes exactly
+when a Q0 or Q0~ in it does.  The last reduced difference is the almost-equality
+identity, and the middle two vanish exactly when T == T~: a braiding pair
+with both Q0 nonzero has T == T~.
 """
 
 from __future__ import annotations
@@ -47,12 +69,12 @@ class CubicReport:
         return self.passed
 
 
-def _coefficients(pi: PDDO, varpi: PDDO) -> tuple[dict, dict]:
-    """Numerator coefficients of both triple compositions.
-
-    Common denominator (x-y)^2 (x-z) (y-z)^2: the pi varpi pi numerators are
-    multiplied by (y-z) and the varpi pi varpi ones by (x-y).
-    """
+def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
+    """The six numerator differences, left minus right, in the module's
+    table: name -> (known to vanish, factor, reduced difference), the last
+    two as functions that build the polynomial on demand.  A difference is
+    known to vanish when its factor is zero, and the middle two also when
+    T == T~."""
     n = 3
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
@@ -65,40 +87,50 @@ def _coefficients(pi: PDDO, varpi: PDDO) -> tuple[dict, dict]:
 
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
-    t_xy, t_yx, t_xz, t_yz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3), at(T, 2, 3)
+    t_xy, t_yx, t_xz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3)
     q_xy, q_yx, q_xz, q_yz = at(Q, 1, 2), at(Q, 2, 1), at(Q, 1, 3), at(Q, 2, 3)
-    tt_xy, tt_xz, tt_yz, tt_zy = at(Tt, 1, 2), at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)
+    tt_xz, tt_yz, tt_zy = at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)
     qt_xy, qt_xz, qt_yz, qt_zy = at(Qt, 1, 2), at(Qt, 1, 3), at(Qt, 2, 3), at(Qt, 3, 2)
-
-    left = {
-        "f": yz * (t_xy * t_xy * tt_yz * xz - tt_xz * q_xy * q_yx * yz),
-        "sf": -yz * q_xy * (t_xy * tt_yz * xz - t_yx * tt_xz * yz),
-        "sigma_f": -xy * yz * t_xy * qt_yz * t_xz,
-        "sigma_s_f": xy * yz * t_xy * qt_yz * q_xz,
-        "s_sigma_f": xy * yz * q_xy * qt_xz * t_yz,
-        "s_sigma_s_f": -xy * yz * q_xy * qt_xz * q_yz,
+    B = t_xy * tt_yz * xz
+    yz_t_xy, xy_tt_yz = yz * t_xy, xy * tt_yz
+    either_zero = Q.is_zero() or Qt.is_zero()
+    same_t = either_zero or T == Tt
+    return {
+        "f": (False, lambda: MultiPoly.const(n, 1), lambda: (
+            B * (yz_t_xy - xy_tt_yz)
+            - yz * yz * tt_xz * q_xy * q_yx + xy * xy * t_xz * qt_yz * qt_zy)),
+        "sf": (Q.is_zero(), lambda: -yz * q_xy,
+               lambda: B - tt_xz * (yz * t_yx + xy_tt_yz)),
+        "sigma_f": (Qt.is_zero(), lambda: -xy * qt_yz,
+                    lambda: t_xz * (yz_t_xy + xy * tt_zy) - B),
+        "s_sigma_f": (same_t, lambda: xy * yz * q_xy * qt_xz,
+                      lambda: at(T - Tt, 2, 3)),
+        "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * q_xz,
+                      lambda: at(T - Tt, 1, 2)),
+        "s_sigma_s_f": (False, lambda: -xy * yz,
+                        lambda: q_xy * qt_xz * q_yz - qt_xy * q_xz * qt_yz),
     }
-    right = {
-        "f": xy * (t_xy * tt_yz * tt_yz * xz - t_xz * qt_yz * qt_zy * xy),
-        "sigma_f": -xy * qt_yz * (t_xy * tt_yz * xz - tt_zy * t_xz * xy),
-        "sf": -xy * yz * tt_yz * q_xy * tt_xz,
-        "s_sigma_f": xy * yz * tt_yz * q_xy * qt_xz,
-        "sigma_s_f": xy * yz * qt_yz * q_xz * tt_xy,
-        "s_sigma_s_f": -xy * yz * qt_yz * q_xz * qt_xy,  # coefficient of sigma s sigma f
-    }
-    return left, right
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
-    """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?"""
-    left, right = _coefficients(pi, varpi)
+    """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
+
+    A coefficient's flag is True when its factor is zero, and otherwise says
+    whether its reduced difference is zero (see the module docstring); a
+    zero factor and T == T~ are read off the slot polynomials.  So the full
+    numerators, with their large shared factors, are never multiplied out.
+    The failure witness, the full difference of the first failing
+    coefficient, is built as factor * reduced difference for that name only.
+    """
+    parts = _factored_differences(pi, varpi)
     flags = {}
     failure = None
     for name in COEFF_NAMES:
-        diff = left[name] - right[name]
-        flags[name] = diff.is_zero()
+        vanishes, factor, reduced = parts[name]
+        diff = None if vanishes else reduced()
+        flags[name] = diff is None or diff.is_zero()
         if failure is None and not flags[name]:
-            failure = (name, diff)
+            failure = (name, factor() * diff)
     return CubicReport(flags=flags, failure=failure)
 
 

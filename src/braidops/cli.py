@@ -50,10 +50,22 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
     return [{"e": list(e), "c": str(c)} for e, c in p.sorted_terms()]
 
 
+def _exponents(raw) -> tuple[int, ...]:
+    """An exponent vector read from JSON; each entry must be a non-negative
+    integer (an integral float such as 2.0 is read as 2; bools are refused)."""
+    out = []
+    for x in raw:
+        integral = type(x) is int or (type(x) is float and x.is_integer())
+        if not integral or x < 0:
+            raise ConfigError(f"exponent {x!r} is not a non-negative integer")
+        out.append(int(x))
+    return tuple(out)
+
+
 def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
     terms = {}
     for item in data:
-        e = tuple(int(x) for x in item["e"])
+        e = _exponents(item["e"])
         if len(e) != n_vars:
             raise ConfigError(f"exponent vector {e} does not have {n_vars} entries")
         terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
@@ -63,7 +75,7 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
 def slot_from_json(data: list[dict]) -> SlotPoly:
     terms = {}
     for item in data:
-        e = tuple(int(x) for x in item["e"])
+        e = _exponents(item["e"])
         terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
     return SlotPoly(terms)
 
@@ -215,6 +227,8 @@ def _print_report(report: FamilyReport, output: str) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.random_trials < 0:
+        raise ConfigError(f"--random-trials must be at least 0, got {args.random_trials}")
     if args.random_trials:
         rng = random.Random(args.rng_seed)
         failures = 0

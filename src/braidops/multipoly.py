@@ -166,6 +166,16 @@ class MultiPoly:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "_terms", cleaned)
 
+    @classmethod
+    def _wrap(cls, n_vars: int, terms: dict) -> "MultiPoly":
+        """Take a clean term map as is: tuple exponents of length n_vars and
+        nonzero FieldElement coefficients, built by this module and not
+        shared."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "_terms", terms)
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
 
@@ -238,25 +248,26 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         self._check(other)
-        return MultiPoly(self.n_vars, _add_terms(self._terms, other._terms))
+        return MultiPoly._wrap(self.n_vars, _add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         self._check(other)
-        return MultiPoly(self.n_vars, _add_terms(self._terms, other._terms, subtract=True))
+        terms = _add_terms(self._terms, other._terms, subtract=True)
+        return MultiPoly._wrap(self.n_vars, terms)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n_vars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._wrap(self.n_vars, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         self._check(other)
-        return MultiPoly(self.n_vars, _mul_terms(self._terms, other._terms))
+        return MultiPoly._wrap(self.n_vars, _mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -315,6 +326,14 @@ class SlotPoly:
             if c:
                 cleaned[tuple(e)] = c
         object.__setattr__(self, "_terms", cleaned)
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "SlotPoly":
+        """Take a clean term map as is: exponent pairs and nonzero
+        FieldElement coefficients, built by this module and not shared."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("SlotPoly is immutable")
@@ -392,21 +411,22 @@ class SlotPoly:
         return SlotPoly.const(other)
 
     def __add__(self, other) -> "SlotPoly":
-        return SlotPoly(_add_terms(self._terms, self._coerce(other)._terms))
+        return SlotPoly._wrap(_add_terms(self._terms, self._coerce(other)._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "SlotPoly":
-        return SlotPoly(_add_terms(self._terms, self._coerce(other)._terms, subtract=True))
+        terms = _add_terms(self._terms, self._coerce(other)._terms, subtract=True)
+        return SlotPoly._wrap(terms)
 
     def __rsub__(self, other) -> "SlotPoly":
         return self._coerce(other) - self
 
     def __neg__(self) -> "SlotPoly":
-        return SlotPoly({e: -c for e, c in self._terms.items()})
+        return SlotPoly._wrap({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other) -> "SlotPoly":
-        return SlotPoly(_mul_terms(self._terms, self._coerce(other)._terms))
+        return SlotPoly._wrap(_mul_terms(self._terms, self._coerce(other)._terms))
 
     __rmul__ = __mul__
 
@@ -416,11 +436,11 @@ class SlotPoly:
 
     def swap(self) -> "SlotPoly":
         """Exchange the two slots."""
-        return SlotPoly({(s, r): c for (r, s), c in self._terms.items()})
+        return SlotPoly._wrap({(s, r): c for (r, s), c in self._terms.items()})
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
-        return SlotPoly(_ddiff_terms(self._terms, 0))
+        return SlotPoly._wrap(_ddiff_terms(self._terms, 0))
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return SlotPoly(_divide_terms(self._terms, g._terms))
@@ -459,9 +479,9 @@ def instantiate(p: SlotPoly, i: int, j: int, n: int) -> MultiPoly:
         if not 1 <= idx <= n:
             raise IndexError(f"variable index {idx} out of range 1..{n}")
     out = {}
-    for (r, s), c in p.terms.items():  # i != j, so no two terms meet
+    for (r, s), c in p._terms.items():  # i != j, so no two terms meet
         e = [0] * n
         e[i - 1] = r
         e[j - 1] = s
         out[tuple(e)] = c
-    return MultiPoly(n, out)
+    return MultiPoly._wrap(n, out)

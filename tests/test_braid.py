@@ -27,14 +27,21 @@ from braidops.families import (
 from braidops.field import FieldElement
 from braidops.multipoly import SlotPoly
 from braidops.pddo import PDDO
+from cubic_reference import full_report
 
-coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
-    FieldElement.of
-)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+coeffs = rationals.map(FieldElement.of)
 
 slotpolys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
 ).map(SlotPoly)
+
+zslotpolys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.builds(FieldElement, rationals, rationals), max_size=3,
+).map(SlotPoly)
+
+UV = SlotPoly.u() - SlotPoly.v()
 
 
 class TestCubicCheck:
@@ -75,6 +82,63 @@ class TestCubicCheck:
     def test_zeta_pair_oracle_agreement(self):
         pi, varpi = zeta_pair(1, 0, 1)
         assert cubic_braid_oracle(pi, varpi)
+
+
+def assert_same_report(pi, varpi):
+    got, want = cubic_braid_check(pi, varpi), full_report(pi, varpi)
+    assert got.flags == want.flags
+    assert got.failure == want.failure
+    if got.failure is not None:
+        assert str(got.failure[1]) == str(want.failure[1])
+    return got
+
+
+def perturbed(op, rng):
+    """op plus h times the divided difference, for a random nonzero h."""
+    h = sampling.random_slotpoly(rng, nonzero=True)
+    return PDDO(op.T + h, op.Q0 + h)
+
+
+class TestAgainstFullNumerators:
+    """The factored check against the multiplied-out numerators of both
+    triple compositions: same flags, failing name and witness polynomial."""
+
+    @given(zslotpolys, zslotpolys, zslotpolys, zslotpolys,
+           st.sampled_from(["random", "q_zero", "qt_zero", "t_zero", "same_t", "same_q"]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_pairs(self, q1, r1, q2, r2, shape):
+        if shape == "q_zero":
+            q1 = SlotPoly.zero()
+        elif shape == "qt_zero":
+            q2 = SlotPoly.zero()
+        elif shape == "t_zero":
+            q1 = -UV * r1
+        elif shape == "same_t":
+            q2 = q1 + UV * (r1 - r2)
+        elif shape == "same_q":
+            q2 = q1
+        pi, varpi = PDDO(q1 + UV * r1, q1), PDDO(q2 + UV * r2, q2)
+        assert_same_report(pi, varpi)
+        assert_same_report(varpi, pi)
+
+    def test_families_and_perturbed_copies(self):
+        rng = random.Random(11)
+        pairs = []
+        for family in ("case1", "case2", "degen-t", "vanq0"):
+            fam = _random_family(family, 5, rng)
+            pairs += [(fam[i], fam[i + 1]) for i in range(1, 4)]
+        for name in ("pure_ddiff", "demazure", "grothendieck"):
+            fam = preset(name, 3, 2)
+            pairs.append((fam[1], fam[2]))
+        for _ in range(3):
+            pairs.append(zeta_pair(*sampling.draw_zeta_params(rng)))
+        failed = set()
+        for pi, varpi in pairs:
+            assert assert_same_report(pi, varpi).passed
+            for broken in ((perturbed(pi, rng), varpi), (pi, perturbed(varpi, rng))):
+                report = assert_same_report(*broken)
+                failed.update(name for name, ok in report.flags.items() if not ok)
+        assert failed == set(braid.COEFF_NAMES)
 
 
 class TestQuadCheck:

@@ -2,6 +2,10 @@
 deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,15 @@ class TestVerify:
         code2, out2, _ = run(argv, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_negative_random_trials_exits_two(self, capsys):
+        code, out, err = run(
+            ["verify", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3",
+             "--random-trials", "-1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --random-trials must be at least 0, got -1\n"
 
     def test_json_output(self, capsys):
         code, out, _ = run(
@@ -250,6 +263,49 @@ class TestConfigFamilies:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed --seed-poly") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("exponent", ["-1", "1.5", "true", '"1"'])
+    def test_bad_seed_poly_exponent_exits_two(self, exponent, capsys):
+        seed = f'[{{"e": [1, {exponent}, 0], "c": "1/1"}}]'
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", "1",
+             "--seed-poly", seed],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exponent ") and err.count("\n") == 1
+
+    def test_integral_float_exponent_reads_as_int(self):
+        p = poly_from_json([{"e": [2.0, 0, 1], "c": "1"}], 3)
+        assert p == MultiPoly.monomial(3, (2, 0, 1))
+
+    @pytest.mark.parametrize("exponent", [-1, 0.5, False])
+    def test_bad_config_exponent_exits_two(self, exponent, tmp_path, capsys):
+        cfg = {
+            "qhat": [{"e": [exponent, 0], "c": "1"}],
+            "p": ["0", "1"],
+            "pairs": [[["0", "1"], ["1"]], [["1"], ["0", "1"]]],
+        }
+        path = tmp_path / "degent.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(
+            ["verify", "--n", "3", "--family", "degen-t", "--config", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exponent ") and err.count("\n") == 1
+
     def test_missing_config_exits_two(self, capsys):
         code, _, err = run(["verify", "--n", "4", "--family", "vanq0"], capsys)
         assert code == 2
+
+
+def test_runs_as_a_module(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "braidops", "verify", "--n", "3",
+         "--family", "preset:demazure"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0
+    assert done.stdout.endswith("overall: pass\n")

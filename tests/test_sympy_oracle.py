@@ -1,5 +1,5 @@
-"""PDDO.apply, PDDO.compose, divdiff.ddiff and the cubic braid numerators
-against sympy.
+"""PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff and the cubic
+braid numerators against sympy.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -18,12 +18,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from braidops.braid import COEFF_NAMES, _coefficients
+from braidops.braid import COEFF_NAMES, _factored_differences
 from braidops.divdiff import ddiff
-from braidops.families import Case2Line, main_case1, main_case2, preset
+from braidops.families import Case2Line, case1_operator, main_case1, main_case2, preset
 from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly
-from braidops.pddo import PDDO
+from braidops.pddo import PDDO, Degeneracy, identity_op
+from cubic_reference import full_numerators
 
 Z, U, V = sympy.symbols("z u v")
 MINPOLY = Z**2 - Z + 1
@@ -216,14 +217,15 @@ def test_compose_matches(seed):
     assert_same_poly(R, R(slot_expr(c.Q0)) * uv, -composed.get(s, R.zero))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_cubic_numerators_match(seed):
-    """The six numerators of both triple compositions over the common
-    denominator D = (x-y)^2 (x-z) (y-z)^2, for random (non-braiding)
-    operators: each library numerator times V^3 equals D N_w."""
-    rng = random.Random(2000 + seed)
-    pi, varpi = (PDDO.from_pqrs(*(random_slot(rng) for _ in range(4))) for _ in range(2))
-    left, right = _coefficients(pi, varpi)
+def random_op(rng):
+    return PDDO.from_pqrs(*(random_slot(rng) for _ in range(4)))
+
+
+def triple_compositions(pi, varpi):
+    """The ring R, and for each coefficient name the oracle numerators
+    (lhs, rhs) of pi varpi pi and varpi pi varpi over the common denominator
+    D = (x-y)^2 (x-z) (y-z)^2, multiplied by V^3 so they live in R: a
+    library numerator N matches when N V^3 equals the returned value."""
     x = xs(3)
     R = sympy.polys.rings.ring(x + (Z,), sympy.QQ)[0]
 
@@ -242,11 +244,122 @@ def test_cubic_numerators_match(seed):
         "s_sigma_f": then(s2, s1), "sigma_s_f": then(s1, s2),
         "s_sigma_s_f": then(then(s1, s2), s1),
     }
-    vdm3 = R((x[0] - x[1]) * (x[0] - x[2]) * (x[1] - x[2])) ** 3
     den = R((x[0] - x[1]) ** 2 * (x[0] - x[2]) * (x[1] - x[2]) ** 2)
     lhs = word((pi, 1), (varpi, 2), (pi, 1))
     rhs = word((varpi, 2), (pi, 1), (varpi, 2))
+    return R, {name: (den * lhs.get(perm[name], R.zero), den * rhs.get(perm[name], R.zero))
+               for name in COEFF_NAMES}
+
+
+def vdm3(R):
+    x = R.gens
+    return ((x[0] - x[1]) * (x[0] - x[2]) * (x[1] - x[2])) ** 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cubic_numerators_match(seed):
+    """The twelve full numerators of the test-side reference, for random
+    (non-braiding) operators: each times V^3 equals D N_w."""
+    rng = random.Random(2000 + seed)
+    pi, varpi = random_op(rng), random_op(rng)
+    left, right = full_numerators(pi, varpi)
+    R, oracle = triple_compositions(pi, varpi)
     for name in COEFF_NAMES:
-        for lib, combo in ((left, lhs), (right, rhs)):
-            oracle = den * combo.get(perm[name], R.zero)
-            assert_same_poly(R, in_ring(R, lib[name]) * vdm3, oracle)
+        for lib, num in zip((left, right), oracle[name]):
+            assert_same_poly(R, in_ring(R, lib[name]) * vdm3(R), num)
+
+
+def degenerate_pairs(rng):
+    """Random pairs with Q0 = 0, Q0~ = 0, T = 0, T == T~ and Q0 == Q0~."""
+    uv = SlotPoly.u() - SlotPoly.v()
+    q_zero = PDDO.from_q0_r0(SlotPoly.zero(), random_slot(rng))
+    t_zero = PDDO(SlotPoly.zero(), uv * random_slot(rng))
+    a = random_op(rng)
+    same_t = PDDO(a.T, a.Q0 + uv * random_slot(rng))
+    same_q = PDDO.from_q0_r0(a.Q0, random_slot(rng))
+    assert q_zero.degeneracy is Degeneracy.Q_ZERO
+    assert t_zero.degeneracy is Degeneracy.T_ZERO
+    assert same_t.Q0 != a.Q0 and same_q.T != a.T
+    return [(q_zero, random_op(rng)), (random_op(rng), q_zero),
+            (t_zero, random_op(rng)), (random_op(rng), t_zero), (a, same_t),
+            (same_q, a)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_factored_differences_match(seed):
+    """factor * reduced difference of every name equals D (N_lhs - N_rhs),
+    and it is zero when the library reports it as known to vanish."""
+    rng = random.Random(3000 + seed)
+    pairs = [(random_op(rng), random_op(rng))] + degenerate_pairs(rng)
+    for pi, varpi in pairs:
+        R, oracle = triple_compositions(pi, varpi)
+        for name, (vanishes, factor, reduced) in _factored_differences(pi, varpi).items():
+            lib = factor() * reduced()
+            assert lib.is_zero() or not vanishes
+            lhs, rhs = oracle[name]
+            assert_same_poly(R, in_ring(R, lib) * vdm3(R), lhs - rhs)
+
+
+def hecke_equations(op: PDDO):
+    """Linear equations in the unknowns (m0, m1, n0, n1) whose solutions are
+    the (mu, nu) = (m0 + m1 z, n0 + n1 z) with op op = mu op + nu Id."""
+    x = (U, V)
+    R = sympy.polys.rings.ring(x + (Z,), sympy.QQ)[0]
+    ident = (0, 1)
+    once = act(op, R, x, 1, {ident: R.one}, 0)  # over (u - v)
+    twice = act(op, R, x, 1, once, 1)  # over (u - v)^2
+    m0, m1, n0, n1 = unknowns = sympy.symbols("m0 m1 n0 n1")
+    uv = U - V
+    equations = []
+    for w in (ident, (1, 0)):
+        expr = (twice.get(w, R.zero).as_expr()
+                - (m0 + m1 * Z) * uv * once.get(w, R.zero).as_expr()
+                - (n0 + n1 * Z) * uv**2 * (1 if w == ident else 0))
+        reduced = sympy.Poly(sympy.expand(expr), Z).rem(sympy.Poly(MINPOLY, Z))
+        equations += sympy.Poly(reduced.as_expr(), U, V, Z).coeffs()
+    return equations, unknowns
+
+
+def hecke_cases(rng):
+    """Hecke operators with Q(z) coefficients (a case1 or Grothendieck
+    operator times a, plus b Id), random operators (almost never Hecke), one
+    with d T constant but nu not (T = u, R0 = u + c), and the Q0 = 0 and
+    T = 0 branches with constant and non-constant R0."""
+    uv = SlotPoly.u() - SlotPoly.v()
+
+    def nonzero():
+        return random_element(rng) or FieldElement.of(1)
+
+    a, c, k = nonzero(), nonzero(), nonzero()
+    case1 = case1_operator(a, k * a, c, k * c, random_element(rng))
+    groth = preset("grothendieck", 3, random_element(rng))[1]
+    return [
+        case1.scale(nonzero()) + identity_op(random_element(rng)),
+        groth.scale(nonzero()) + identity_op(random_element(rng)),
+        random_op(rng), random_op(rng),
+        PDDO(SlotPoly.u(), SlotPoly.u() - uv * (SlotPoly.u() + nonzero())),
+        PDDO.from_q0_r0(SlotPoly.zero(), SlotPoly.const(nonzero())),
+        PDDO.from_q0_r0(SlotPoly.zero(), SlotPoly.u() + random_element(rng)),
+        PDDO(SlotPoly.zero(), uv.scale(nonzero())),
+        PDDO(SlotPoly.zero(), uv * (SlotPoly.v() + random_element(rng))),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hecke_params_match(seed):
+    """hecke_params satisfies op op = mu op + nu Id, and is None exactly when
+    no constant pair does."""
+    rng = random.Random(4000 + seed)
+    found_in = set()
+    for op in hecke_cases(rng):
+        found = op.hecke_params()
+        equations, unknowns = hecke_equations(op)
+        if found is None:
+            assert sympy.linsolve(equations, unknowns) == sympy.EmptySet
+            continue
+        found_in.add(op.degeneracy)
+        mu, nu = found
+        values = dict(zip(unknowns, map(sympy.Rational, (
+            mu.rat_part, mu.zeta_part, nu.rat_part, nu.zeta_part))))
+        assert all(eq.subs(values) == 0 for eq in equations)
+    assert found_in == {Degeneracy.NONDEGENERATE, Degeneracy.Q_ZERO, Degeneracy.T_ZERO}
