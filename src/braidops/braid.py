@@ -45,7 +45,6 @@ __all__ = [
     "CubicReport",
     "FamilyReport",
     "cubic_braid_check",
-    "cubic_braid_oracle",
     "quad_commute_check",
     "almost_equal",
     "family_braid_check",
@@ -132,32 +131,6 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
         if failure is None and not flags[name]:
             failure = (name, factor() * diff)
     return CubicReport(flags=flags, failure=failure)
-
-
-def cubic_braid_oracle(pi: PDDO, varpi: PDDO, max_degree: int | None = None) -> bool:
-    """Brute-force check: apply both compositions to monomial probes.
-
-    The probe degree defaults to the maximal coefficient degree plus two,
-    which separates the six coefficient groups at the degrees in play.
-    """
-    if max_degree is None:
-        max_degree = max(
-            2,
-            pi.T.degree(), pi.Q0.degree(), varpi.T.degree(), varpi.Q0.degree(),
-        ) + 2
-
-    def lhs(f: MultiPoly) -> MultiPoly:
-        return pi.apply(1, varpi.apply(2, pi.apply(1, f)))
-
-    def rhs(f: MultiPoly) -> MultiPoly:
-        return varpi.apply(2, pi.apply(1, varpi.apply(2, f)))
-
-    rng = range(max_degree + 1)
-    for a, b, c in product(rng, rng, rng):
-        f = MultiPoly.monomial(3, (a, b, c))
-        if lhs(f) != rhs(f):
-            return False
-    return True
 
 
 def quad_commute_check(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:

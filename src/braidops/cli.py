@@ -96,14 +96,17 @@ def _parse_params(text: str | None) -> list[FieldElement]:
     return [FieldElement.parse(part) for part in text.split(",")]
 
 
+def _line(name: str) -> Case2Line:
+    key = name.strip().lower()
+    if key not in _LINES:
+        raise ConfigError(f"unknown line {key!r}; use l1..l4")
+    return _LINES[key]
+
+
 def _parse_lines(text: str | None, count: int) -> list[Case2Line]:
     if not text:
         return [Case2Line.LINE1] * count
-    parts = text.split(",")
-    try:
-        lines = [_LINES[p.strip().lower()] for p in parts]
-    except KeyError as exc:
-        raise ConfigError(f"unknown line {exc.args[0]!r}; use l1..l4") from exc
+    lines = [_line(p) for p in text.split(",")]
     if len(lines) != count:
         raise ConfigError(f"expected {count} line choices, got {len(lines)}")
     return lines
@@ -139,7 +142,7 @@ def _config_family(family: str, n: int, cfg: dict) -> OperatorFamily:
     for iv in cfg.get("intervals", []):
         seg_lines = None
         if "lines" in iv:
-            seg_lines = [_LINES[l.lower()] for l in iv["lines"]]
+            seg_lines = [_line(l) for l in iv["lines"]]
         segments.append(
             Interval(
                 start=int(iv["start"]), stop=int(iv["stop"]),
@@ -405,6 +408,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ConstraintError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; use a smaller --n or seed polynomial",
+              file=sys.stderr)
         return 2
 
 

@@ -1,19 +1,19 @@
 """Polynomial divided difference operators.
 
-An operator f |-> d_i(P f) + Q d_i f + R f + S s_i f is stored through its
-two presentation invariants: the slot polynomials T = P + (u - v)R + Q and
-Q0 = swap(P) + Q - (u - v)S.  The action on a polynomial is
-(T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}), and
-R0 = (T - Q0)/(u - v) is the multiplier of f in the P = S = 0 presentation.
-As T = Q0 + (u - v)R0, the action is computed in that first canonical form,
-Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f, with no polynomial division.
+An operator f |-> d_i(P f) + Q d_i f + R f + S s_i f is kept in its first
+canonical form, Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f, with
+Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
+(T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}) with
+T = P + (u - v)R + Q = Q0 + (u - v)R0, so T is a product and every operator
+built inside the library, and its action, needs no polynomial division.
+Only the public constructor PDDO(T, Q0) divides, once, to check outside
+input and recover R0 = (T - Q0)/(u - v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .divdiff import ddiff, dpositive_lift, dpositive_split
 from .field import FieldElement
@@ -50,69 +50,64 @@ class CanonicalForms:
 
 
 class PDDO:
-    """One polynomial divided difference operator, keyed by (T, Q0)."""
+    """One polynomial divided difference operator in the first canonical
+    form (Q0, R0), with T = Q0 + (u - v)R0; compared and hashed by (T, Q0)."""
 
-    __slots__ = ("T", "Q0", "__dict__")
+    __slots__ = ("T", "Q0", "R0", "degeneracy")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "Q0", Q0)
-        self.R0  # eager: validates divisibility of T - Q0 by (u - v)
-        self.degeneracy
-
-    def __setattr__(self, *args):
-        raise AttributeError("PDDO is immutable")
-
-    @cached_property
-    def R0(self) -> SlotPoly:
-        diff = self.T - self.Q0
-        if diff.is_zero():
-            return SlotPoly.zero()
+        """Build from outside (T, Q0); T - Q0 must be divisible by u - v."""
         try:
-            return diff.exact_div(_UV)
+            R0 = (T - Q0).exact_div(_UV)
         except InexactDivisionError as exc:
             raise InexactDivisionError(
                 "T - Q0 must be divisible by u - v; corrupted operator data"
             ) from exc
+        self._fill(T, Q0, R0)
 
-    @cached_property
-    def degeneracy(self) -> Degeneracy:
-        if self.T.is_zero() and self.Q0.is_zero():
-            return Degeneracy.ZERO
-        if self.Q0.is_zero():
-            return Degeneracy.Q_ZERO
-        if self.T.is_zero():
-            return Degeneracy.T_ZERO
-        return Degeneracy.NONDEGENERATE
+    def _fill(self, T: SlotPoly, Q0: SlotPoly, R0: SlotPoly) -> None:
+        fill = object.__setattr__
+        fill(self, "T", T)
+        fill(self, "Q0", Q0)
+        fill(self, "R0", R0)
+        if Q0:
+            degeneracy = Degeneracy.NONDEGENERATE if T else Degeneracy.T_ZERO
+        else:
+            degeneracy = Degeneracy.Q_ZERO if T else Degeneracy.ZERO
+        fill(self, "degeneracy", degeneracy)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PDDO is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_pqrs(cls, P: SlotPoly, Q: SlotPoly, R: SlotPoly, S: SlotPoly) -> "PDDO":
         """Build from any presentation f |-> d(Pf) + Q df + R f + S sf."""
-        q0 = P.swap() + Q - _UV * S
-        t = P + _UV * R + Q
-        return cls(t, q0)
+        return cls.from_q0_r0(P.swap() + Q - _UV * S, P.ddiff() + R + S)
 
     @classmethod
     def from_q0_r0(cls, Q0: SlotPoly, R0: SlotPoly) -> "PDDO":
-        return cls(Q0 + _UV * R0, Q0)
+        """The operator f |-> Q0 d f + R0 f."""
+        op = object.__new__(cls)
+        op._fill(Q0 + _UV * R0, Q0, R0)
+        return op
 
     @classmethod
     def zero(cls) -> "PDDO":
-        return cls(SlotPoly.zero(), SlotPoly.zero())
+        return cls.from_q0_r0(SlotPoly.zero(), SlotPoly.zero())
 
     # -- operator algebra --------------------------------------------------
 
     def __add__(self, other: "PDDO") -> "PDDO":
-        return PDDO(self.T + other.T, self.Q0 + other.Q0)
+        return PDDO.from_q0_r0(self.Q0 + other.Q0, self.R0 + other.R0)
 
     def __sub__(self, other: "PDDO") -> "PDDO":
-        return PDDO(self.T - other.T, self.Q0 - other.Q0)
+        return PDDO.from_q0_r0(self.Q0 - other.Q0, self.R0 - other.R0)
 
     def scale(self, c) -> "PDDO":
         c = FieldElement.of(c)
-        return PDDO(self.T.scale(c), self.Q0.scale(c))
+        return PDDO.from_q0_r0(self.Q0.scale(c), self.R0.scale(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PDDO):

@@ -1,11 +1,17 @@
-"""The twelve full numerator coefficients of both triple compositions, the
-reference that ``braid.cubic_braid_check`` is tested against.
+"""Brute-force references that the library's closed-form decisions are
+tested against.
 
-Common denominator (x-y)^2 (x-z) (y-z)^2: the pi varpi pi numerators are
-multiplied by (y-z) and the varpi pi varpi ones by (x-y).  The library
-decides each identity through a factored difference instead; this module
-multiplies everything out.
+The twelve full numerator coefficients of both triple compositions, for
+``braid.cubic_braid_check``.  Common denominator (x-y)^2 (x-z) (y-z)^2: the
+pi varpi pi numerators are multiplied by (y-z) and the varpi pi varpi ones
+by (x-y).  The library decides each identity through a factored difference
+instead; this module multiplies everything out.
+
+``cubic_braid_oracle`` applies both triple compositions to monomials, and
+the two commutation references compose operators in both orders.
 """
+
+from itertools import product
 
 from braidops.braid import COEFF_NAMES, CubicReport
 from braidops.multipoly import MultiPoly, SlotPoly, instantiate
@@ -60,3 +66,51 @@ def full_report(pi: PDDO, varpi: PDDO) -> CubicReport:
         if failure is None and not flags[name]:
             failure = (name, diff)
     return CubicReport(flags=flags, failure=failure)
+
+
+def cubic_braid_oracle(pi: PDDO, varpi: PDDO, max_degree: int | None = None) -> bool:
+    """Brute-force check: apply both compositions to monomial probes.
+
+    The probe degree defaults to the maximal coefficient degree plus two,
+    which separates the six coefficient groups at the degrees in play.
+    """
+    if max_degree is None:
+        max_degree = max(
+            2,
+            pi.T.degree(), pi.Q0.degree(), varpi.T.degree(), varpi.Q0.degree(),
+        ) + 2
+
+    def lhs(f: MultiPoly) -> MultiPoly:
+        return pi.apply(1, varpi.apply(2, pi.apply(1, f)))
+
+    def rhs(f: MultiPoly) -> MultiPoly:
+        return varpi.apply(2, pi.apply(1, varpi.apply(2, f)))
+
+    rng = range(max_degree + 1)
+    for a, b, c in product(rng, rng, rng):
+        f = MultiPoly.monomial(3, (a, b, c))
+        if lhs(f) != rhs(f):
+            return False
+    return True
+
+
+def commutes_by_composition(op1: PDDO, op2: PDDO) -> bool:
+    """Same-index commutation: compose in both orders and compare."""
+    return op1.compose(op2) == op2.compose(op1)
+
+
+def consecutive_probe(op_i: PDDO, op_k: PDDO, i: int, k: int, n: int) -> bool:
+    """Consecutive commutation pi_i pi_k = pi_k pi_i, |i - k| = 1, probed on
+    the 35 monomials of degree <= 4 in the three touched variables."""
+    lo = min(i, k)
+    touched = (lo, lo + 1, lo + 2)
+    for degs in product(range(5), repeat=3):
+        if sum(degs) > 4:
+            continue
+        e = [0] * n
+        for var, d in zip(touched, degs):
+            e[var - 1] = d
+        f = MultiPoly.monomial(n, e)
+        if op_i.apply(i, op_k.apply(k, f)) != op_k.apply(k, op_i.apply(i, f)):
+            return False
+    return True

@@ -15,7 +15,6 @@ from braidops import sampling
 from braidops.braid import (
     almost_equal,
     cubic_braid_check,
-    cubic_braid_oracle,
     family_braid_check,
 )
 from braidops.cli import main as cli_main, poly_from_json
@@ -38,6 +37,7 @@ from braidops.families import (
 from braidops.field import FieldElement, ZERO
 from braidops.multipoly import MultiPoly, SlotPoly, instantiate, swap_vars
 from braidops.pddo import PDDO, Degeneracy, identity_op
+from cubic_reference import cubic_braid_oracle
 
 U = SlotPoly.u()
 V = SlotPoly.v()

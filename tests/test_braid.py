@@ -10,7 +10,6 @@ from braidops import braid, sampling
 from braidops.braid import (
     almost_equal,
     cubic_braid_check,
-    cubic_braid_oracle,
     family_braid_check,
     quad_commute_check,
 )
@@ -27,7 +26,7 @@ from braidops.families import (
 from braidops.field import FieldElement
 from braidops.multipoly import SlotPoly
 from braidops.pddo import PDDO
-from cubic_reference import full_report
+from cubic_reference import cubic_braid_oracle, full_report
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 coeffs = rationals.map(FieldElement.of)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from braidops import cli
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.multipoly import MultiPoly
 from braidops.words import staircase
@@ -297,6 +298,40 @@ class TestConfigFamilies:
     def test_missing_config_exits_two(self, capsys):
         code, _, err = run(["verify", "--n", "4", "--family", "vanq0"], capsys)
         assert code == 2
+
+    def test_unknown_config_line_reads_like_lines_option(self, tmp_path, capsys):
+        cfg = {
+            "mu": "1",
+            "isolated": [],
+            "intervals": [
+                {"start": 1, "stop": 2, "a": "0", "b": "1", "c": "0", "d": "0",
+                 "lines": ["l9", "l1"]}
+            ],
+        }
+        path = tmp_path / "vanq0.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(
+            ["verify", "--n", "5", "--family", "vanq0", "--config", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown line 'l9'; use l1..l4\n"
+        code, out, err_lines = run(
+            ["verify", "--n", "3", "--family", "case2", "--params", "0,1,0,0",
+             "--lines", "l9,l1"],
+            capsys,
+        )
+        assert (code, out, err_lines) == (2, "", err)
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "polynomial_table", exhausted)
+    code, out, err = run(["table", "--n", "3", "--family", "preset:demazure"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def test_runs_as_a_module(tmp_path):

@@ -8,6 +8,7 @@ from braidops import sampling
 from braidops.braid import quad_commute_check
 from braidops.commute import (
     CommuteReport,
+    _consecutive_commute,
     commutes_same_index,
     cross_family_commute,
 )
@@ -18,11 +19,79 @@ from braidops.families import (
     preset,
 )
 from braidops.field import FieldElement
-from braidops.multipoly import SlotPoly
-from braidops.pddo import PDDO, identity_op
+from braidops.multipoly import MultiPoly, SlotPoly
+from braidops.pddo import PDDO, Degeneracy, identity_op
+from cubic_reference import commutes_by_composition, consecutive_probe
 
 U = SlotPoly.u()
+V = SlotPoly.v()
+UV = U - V
 ZERO_P = SlotPoly.zero()
+
+
+def _r0_shapes(rng):
+    """R0 with neither u nor v, only u, only v, and both."""
+    c = sampling.random_field_element(rng, nonzero=True)
+    return [
+        SlotPoly.const(c),
+        U.scale(c) + SlotPoly.const(1),
+        (V * V).scale(c) + V,
+        sampling.random_slotpoly(rng, nonzero=True) + (U * V).scale(c),
+    ]
+
+
+def _operators(rng):
+    """Seeded operators of all four degeneracies, over every R0 shape."""
+    ops = [PDDO.zero()]
+    for r0 in _r0_shapes(rng):
+        q0 = sampling.random_slotpoly(rng, nonzero=True)
+        ops.append(PDDO.from_q0_r0(q0, r0))  # nondegenerate
+        ops.append(PDDO.from_q0_r0(ZERO_P, r0))  # Q_ZERO
+        ops.append(PDDO.from_q0_r0(-UV * r0, r0))  # T_ZERO
+    return ops
+
+
+class TestExactCriteria:
+    """The closed-form decisions against the compose and probe references."""
+
+    def test_operators_cover_every_degeneracy(self):
+        kinds = {op.degeneracy for op in _operators(random.Random(30))}
+        assert kinds == set(Degeneracy)
+
+    def test_same_index_matches_composition(self):
+        rng = random.Random(31)
+        for _ in range(3):
+            ops = _operators(rng)
+            for op1 in ops:
+                for op2 in ops:
+                    assert commutes_same_index(op1, op2) == commutes_by_composition(
+                        op1, op2
+                    ), (op1, op2)
+
+    @pytest.mark.parametrize("i,k", [(1, 2), (2, 1), (2, 3)])
+    def test_consecutive_matches_probe(self, i, k):
+        rng = random.Random(32 + i + k)
+        ops = _operators(rng)
+        outcomes = set()
+        for op_i in ops:
+            for op_k in ops:
+                got = _consecutive_commute(op_i, op_k, i, k, 4)
+                assert got == consecutive_probe(op_i, op_k, i, k, 4), (op_i, op_k)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_commutation_neither_composes_nor_applies(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("commutation built an operator or a polynomial")
+
+        fam1 = preset("grothendieck", 4, 2)
+        fam2 = main_case1(4, 1, 2, 1, 2, 3)
+        monkeypatch.setattr(PDDO, "compose", refuse)
+        monkeypatch.setattr(PDDO, "apply", refuse)
+        monkeypatch.setattr(MultiPoly, "monomial", refuse)
+        for fam in (fam1, fam2):
+            report = cross_family_commute(fam, fam2)
+            assert not any(report.consecutive.values())
 
 
 class TestSameIndex:

@@ -6,9 +6,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidops import multipoly
+from braidops import multipoly, sampling
 from braidops.divdiff import ddiff
-from braidops.families import Case2Line, main_case1, main_case2, preset
+from braidops.families import (
+    Case2Line,
+    Interval,
+    Isolated,
+    degenerate_t_family,
+    main_case1,
+    main_case2,
+    preset,
+    with_vanishing_q0,
+    zeta_pair,
+)
 from braidops.field import FieldElement, ZERO
 from braidops.multipoly import (
     InexactDivisionError,
@@ -76,6 +86,14 @@ class TestInvariants:
         with pytest.raises(AttributeError):
             op.T = ZERO_P
         assert hash(op) == hash(PDDO.from_pqrs(U, ZERO_P, ZERO_P, ZERO_P))
+
+
+    def test_canonical_data_are_plain_slots(self):
+        op = demazure()
+        assert not hasattr(op, "__dict__")
+        assert (op.R0, op.degeneracy) == (ONE_P, Degeneracy.NONDEGENERATE)
+        with pytest.raises(AttributeError):
+            op.R0 = ZERO_P
 
 
 class TestAction:
@@ -149,6 +167,45 @@ class TestNoDivisionOnApply:
         monkeypatch.setattr(multipoly, "_divide_terms", refuse)
         assert [op.apply(i, f) for op, i, f in cases] == expected_apply
         assert [ddiff(f, i) for _, i, f in cases] == expected_ddiff
+
+    def test_internal_constructions_never_divide(self, monkeypatch):
+        """Every operator built inside the library carries R0 in closed form;
+        only the public PDDO(T, Q0) divides."""
+        rng = random.Random(5)
+        qhat, p, pairs = sampling.draw_degent_data(rng, 4)
+        mu = sampling.random_field_element(rng, 5, nonzero=True)
+        phi, psi = sampling.draw_isolated_pair(rng, mu)
+        presentations = [
+            tuple(sampling.random_slotpoly(rng) for _ in range(4)) for _ in range(4)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("long division on construction")
+
+        monkeypatch.setattr(multipoly, "_divide_terms", refuse)
+        lines = [Case2Line.LINE1, Case2Line.LINE2, Case2Line.LINE3, Case2Line.LINE4]
+        families = [
+            main_case1(5, 1, 2, 1, 2, 3),
+            main_case2(5, 1, 2, 1, 2, lines),
+            degenerate_t_family(4, qhat, p, pairs),
+            with_vanishing_q0(4, mu, [Isolated(1, phi, psi)]),
+            with_vanishing_q0(5, 1, [Interval(1, 2, 0, 1, 0, 0, lines[2:])]),
+            preset("pure_ddiff", 4, 2),
+            preset("demazure", 4),
+            preset("grothendieck", 4, FieldElement.parse("1/2+1z")),
+        ]
+        ops = [op for fam in families for op in fam.ops]
+        ops += [op for variant in (1, 2, 3, 4) for op in zeta_pair(2, 1, variant)]
+        ops += [PDDO.from_pqrs(*pqrs) for pqrs in presentations]
+        ops += [PDDO.zero(), identity_op(3)]
+        for op1, op2 in zip(ops, ops[1:]):
+            composed = op1.compose(op2)
+            assert composed.T == composed.Q0 + (U - V) * composed.R0
+            assert (op1 + op2).R0 == op1.R0 + op2.R0
+            assert (op1 - op2).R0 == op1.R0 - op2.R0
+            assert op1.scale(3).R0 == op1.R0.scale(3)
+        with pytest.raises(AssertionError, match="long division"):
+            PDDO(U, V)
 
 
 class TestDegeneracy:
