@@ -173,9 +173,11 @@ def build_family(family: str, n: int, params: str | None,
         except (TypeError, AttributeError) as exc:
             raise ConfigError(f"malformed {family} config: {exc}") from exc
     if family.startswith("preset:"):
-        name = family.split(":", 1)[1]
-        param = values[0] if values else None
-        return preset(name, n, param)
+        if len(values) > 1:
+            raise ConfigError(
+                f"{family} takes at most one --params value, got {len(values)}"
+            )
+        return preset(family.split(":", 1)[1], n, *values)
     raise ConfigError(f"unknown family {family!r}")
 
 

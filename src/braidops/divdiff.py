@@ -6,8 +6,12 @@ x_i^l x_{i+1}^{r+s-1-l} for r > s, term by term, as ``SlotPoly.ddiff`` does.
 
 A monomial u^r v^s is d-positive when r > s; the d-positive polynomials are
 a complement of the symmetric ones, and the divided difference restricts to
-a bijection from d-positive onto symmetric polynomials.  ``dpositive_lift``
-inverts that bijection.
+a bijection from d-positive onto symmetric polynomials.  Both directions are
+closed forms.  Writing p[cond] for the terms u^r v^s of p whose (r, s)
+satisfy cond, the split is pos = p[r > s] - swap(p[r < s]), sym = p - pos.
+With h_{r,s} = d(u^{r+1} v^s) = sum_{l=s}^{r} u^l v^{r+s-l}, telescoping
+gives u^r v^s + u^s v^r = h_{r,s} - h_{r-1,s+1} for r > s (and u^r v^r =
+h_{r,r}), so the lift of a symmetric phi is u phi[r >= s] - v phi[r >= s + 2].
 """
 
 from __future__ import annotations
@@ -27,45 +31,26 @@ def ddiff(f: MultiPoly, i: int) -> MultiPoly:
 def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:
     """Write p = sym + pos with sym symmetric and pos d-positive.
 
-    A monomial u^r v^s with r > s is already d-positive; one with r < s is
-    rewritten as (u^r v^s + u^s v^r) - u^s v^r, a symmetric basis element
+    pos = p[r > s] - swap(p[r < s]) and sym = p - pos: a monomial u^r v^s
+    with r < s is (u^r v^s + u^s v^r) - u^s v^r, a symmetric basis element
     minus a d-positive monomial.
     """
-    sym: dict = {}
-    pos: dict = {}
-
-    def bump(acc, key, c):
-        new = acc.get(key, None)
-        new = c if new is None else new + c
-        acc[key] = new
-
-    for (r, s), c in p.terms.items():
-        if r == s:
-            bump(sym, (r, s), c)
-        elif r > s:
-            bump(pos, (r, s), c)
-        else:
-            bump(sym, (r, s), c)
-            bump(sym, (s, r), c)
-            bump(pos, (s, r), -c)
-    return SlotPoly(sym), SlotPoly(pos)
+    terms = p._terms.items()
+    above = SlotPoly._wrap({(r, s): c for (r, s), c in terms if r > s})
+    below = SlotPoly._wrap({(s, r): c for (r, s), c in terms if r < s})
+    pos = above - below
+    return p - pos, pos
 
 
 def dpositive_lift(phi: SlotPoly) -> SlotPoly:
     """The unique d-positive g with ddiff(g) = phi, for symmetric phi.
 
-    Peels the leading symmetric multiple a * sum_{l=d-r}^{r} u^l v^{d-l}
-    using ddiff(u^{r+1} v^{d-r}) = that sum, then recurses on the lower
-    variable degree that remains.
+    g = u phi[r >= s] - v phi[r >= s + 2], because u^r v^s + u^s v^r =
+    d(u^{r+1} v^s) - d(u^r v^{s+1}) for r > s, where the second term is
+    zero when r = s + 1, and u^r v^r = d(u^{r+1} v^r).
     """
     if not phi.is_symmetric():
         raise ValueError("dpositive_lift requires a slot-symmetric input")
-    remainder = phi
-    lifted = SlotPoly.zero()
-    while remainder:
-        (r, s), coeff = remainder.sorted_terms()[0]
-        # Leading term in graded lex has r >= s by symmetry.
-        step = SlotPoly.monomial(r + 1, s, coeff)
-        lifted = lifted + step
-        remainder = remainder - step.ddiff()
-    return lifted
+    terms = phi._terms.items()
+    lifted = SlotPoly._wrap({(r + 1, s): c for (r, s), c in terms if r >= s})
+    return lifted - SlotPoly._wrap({(r, s + 1): c for (r, s), c in terms if r >= s + 2})

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR
 from .multipoly import SlotPoly
-from .pddo import PDDO, Degeneracy, identity_op
+from .pddo import PDDO, identity_op
 
 __all__ = [
     "ConstraintError",
@@ -159,16 +159,6 @@ def coincident_lines(a, b, c, d) -> list[set[Case2Line]]:
     return [members for _, members in groups if len(members) > 1]
 
 
-def _uni_product(coeffs_a, coeffs_b) -> list[FieldElement]:
-    out = [ZERO] * (len(coeffs_a) + len(coeffs_b) - 1)
-    for i, ca in enumerate(coeffs_a):
-        for j, cb in enumerate(coeffs_b):
-            out[i + j] = out[i + j] + ca * cb
-    while out and out[-1] == ZERO:
-        out.pop()
-    return out
-
-
 def transposition_scaled(q_l, q_r, qhat: SlotPoly) -> PDDO:
     """The operator f |-> q_l(x_i) q_r(x_{i+1}) qhat(x_i, x_{i+1}) s_i f."""
     multiplier = SlotPoly.univariate(q_l, 0) * SlotPoly.univariate(q_r, 1) * qhat
@@ -191,25 +181,23 @@ def degenerate_t_family(
     """
     if qhat.is_zero():
         raise ConstraintError("qhat must be nonzero")
-    p_coeffs = [_fe(c) for c in p]
-    while p_coeffs and p_coeffs[-1] == ZERO:
-        p_coeffs.pop()
-    if not p_coeffs:
+    product = SlotPoly.univariate(p)
+    if not product:
         raise ConstraintError("shared product p must be nonzero")
     if len(factor_pairs) != n - 1:
         raise ConstraintError(f"need {n - 1} factor pairs, got {len(factor_pairs)}")
     ops = []
     for idx, (q_l, q_r) in enumerate(factor_pairs, start=1):
-        ql = [_fe(c) for c in q_l]
-        qr = [_fe(c) for c in q_r]
-        if not any(ql) or not any(qr):
+        left = SlotPoly.univariate(q_l)
+        right = SlotPoly.univariate(q_r)
+        if not left or not right:
             raise ConstraintError(f"factor pair at index {idx} must be nonzero")
-        if _uni_product(ql, qr) != p_coeffs:
+        if left * right != product:
             raise ConstraintError(
                 f"factor pair at index {idx} violates the product property "
                 "q_l * q_r = p"
             )
-        ops.append(transposition_scaled(ql, qr, qhat))
+        ops.append(transposition_scaled(q_l, q_r, qhat))
     return OperatorFamily(n, tuple(ops), provenance="DegenT")
 
 
@@ -311,9 +299,7 @@ def with_vanishing_q0(
 
     for seg in segments:
         if isinstance(seg, Isolated):
-            product = seg.phi * seg.psi
-            dprod = product.ddiff()
-            if not dprod.is_constant() or dprod.constant_value() != mu:
+            if (seg.phi * seg.psi).ddiff() != mu:
                 raise ConstraintError(
                     f"isolated index {seg.index}: d(phi * psi) must equal mu"
                 )
@@ -364,6 +350,8 @@ def preset(name: str, n: int, param=None) -> OperatorFamily:
             raise ConstraintError("pure_ddiff needs a nonzero scale d")
         fam = main_case2(n, 0, 0, 0, d, [Case2Line.LINE1] * (n - 1))
     elif name == "demazure":
+        if param is not None:
+            raise ConstraintError("demazure takes no parameter")
         fam = main_case2(n, 0, 1, 0, 0, [Case2Line.LINE1] * (n - 1))
     elif name == "grothendieck":
         beta = _fe(0 if param is None else param)

@@ -400,9 +400,6 @@ class SlotPoly:
     def is_dpositive(self) -> bool:
         return all(r > s for r, s in self._terms)
 
-    def sorted_terms(self) -> list:
-        return [(e, self._terms[e]) for e in sorted(self._terms, key=_grlex, reverse=True)]
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "SlotPoly":

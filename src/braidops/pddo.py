@@ -166,28 +166,26 @@ class PDDO:
         return PDDO.from_q0_r0(q, r)
 
     def hecke_params(self) -> tuple[FieldElement, FieldElement] | None:
-        """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist."""
-        deg = self.degeneracy
-        if deg in (Degeneracy.Q_ZERO, Degeneracy.ZERO):
-            # Multiplication by R0 satisfies a Hecke relation iff R0 = r is
-            # constant, and then op^2 = r * op.
+        """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.
+
+        op o op is f |-> Q0 d(T) d f + (Q0 d(R0) + R0^2) f.  When Q0 != 0 the
+        relation holds iff mu = d(T) and nu = Q0 d(R0) + (R0 - mu) R0 are
+        both constant; for T = 0 these are mu = 0 and nu = R0 swap(R0), which
+        is constant iff R0 is.  When Q0 = 0 the operator is multiplication by R0,
+        which satisfies one iff R0 = r is constant, and then op^2 = r * op.
+        """
+        if not self.Q0:
             if self.R0.is_constant():
                 return self.R0.constant_value(), FieldElement.of(0)
-            return None
-        if deg is Degeneracy.T_ZERO:
-            # R0 * s squares to R0(u,v) R0(v,u); Hecke iff R0 is a scalar.
-            if self.R0.is_constant():
-                lam = self.R0.constant_value()
-                return FieldElement.of(0), lam * lam
             return None
         dt = self.T.ddiff()
         if not dt.is_constant():
             return None
         mu = dt.constant_value()
-        nu_poly = (self.R0 * self.T.swap()).ddiff() + self.R0 * self.R0.swap()
-        if not nu_poly.is_constant():
+        nu = self.Q0 * self.R0.ddiff() + (self.R0 - mu) * self.R0
+        if not nu.is_constant():
             return None
-        return mu, nu_poly.constant_value()
+        return mu, nu.constant_value()
 
 
 def identity_op(c=1) -> PDDO:

@@ -46,7 +46,7 @@ UV = SlotPoly.u() - SlotPoly.v()
 class TestCubicCheck:
     def test_classical_families_pass(self):
         for name in ("pure_ddiff", "demazure", "grothendieck"):
-            fam = preset(name, 3, 2)
+            fam = preset(name, 3, None if name == "demazure" else 2)
             report = cubic_braid_check(fam[1], fam[2])
             assert report.passed, (name, report.flags)
             assert report.failure is None
@@ -127,7 +127,7 @@ class TestAgainstFullNumerators:
             fam = _random_family(family, 5, rng)
             pairs += [(fam[i], fam[i + 1]) for i in range(1, 4)]
         for name in ("pure_ddiff", "demazure", "grothendieck"):
-            fam = preset(name, 3, 2)
+            fam = preset(name, 3, None if name == "demazure" else 2)
             pairs.append((fam[1], fam[2]))
         for _ in range(3):
             pairs.append(zeta_pair(*sampling.draw_zeta_params(rng)))

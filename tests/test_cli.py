@@ -71,6 +71,19 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: --n must be at least 2, got {n}\n"
 
+    @pytest.mark.parametrize("family,params,message", [
+        ("preset:grothendieck", "1,2",
+         "preset:grothendieck takes at most one --params value, got 2"),
+        ("preset:pure_ddiff", "1,2,3",
+         "preset:pure_ddiff takes at most one --params value, got 3"),
+        ("preset:demazure", "1", "demazure takes no parameter"),
+    ])
+    def test_surplus_preset_params_exit_two(self, family, params, message, capsys):
+        argv = ["verify", "--n", "4", "--family", family, "--params", params]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_unknown_family_exits_two(self, capsys):
         code, _, err = run(
             ["verify", "--n", "3", "--family", "nope", "--params", "1"], capsys

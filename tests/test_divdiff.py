@@ -7,9 +7,8 @@ from braidops.divdiff import ddiff, dpositive_lift, dpositive_split
 from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly, swap_vars
 
-coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
-    FieldElement.of
-)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+coeffs = st.builds(FieldElement, rationals, rationals)  # a + b z in Q(z)
 
 
 def multipolys(n_vars: int, max_degree: int = 3):
@@ -20,7 +19,7 @@ def multipolys(n_vars: int, max_degree: int = 3):
 
 
 slotpolys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=6
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), coeffs, max_size=6
 ).map(SlotPoly)
 
 symmetric_slotpolys = slotpolys.map(lambda p: p + p.swap())

@@ -256,6 +256,10 @@ class TestPresets:
         with pytest.raises(ConstraintError):
             preset("pure_ddiff", 3, 0)
 
+    def test_demazure_takes_no_parameter(self):
+        with pytest.raises(ConstraintError, match="demazure takes no parameter"):
+            preset("demazure", 3, 1)
+
     def test_unknown_preset(self):
         with pytest.raises(ConstraintError):
             preset("schubert", 3)
@@ -271,4 +275,5 @@ class TestPresets:
 
     def test_all_presets_pass_braid(self):
         for name in ("pure_ddiff", "demazure", "grothendieck"):
-            assert family_braid_check(preset(name, 4, 1)).passed
+            param = None if name == "demazure" else 1
+            assert family_braid_check(preset(name, 4, param)).passed
