@@ -50,11 +50,18 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
     return [{"e": list(e), "c": str(c)} for e, c in p.sorted_terms()]
 
 
+def _list(value, field: str) -> list:
+    """A JSON value that must be a list; a string would be read per character."""
+    if type(value) is not list:
+        raise TypeError(f"{field} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 def _exponents(raw) -> tuple[int, ...]:
     """An exponent vector read from JSON; each entry must be a non-negative
     integer (an integral float such as 2.0 is read as 2; bools are refused)."""
     out = []
-    for x in raw:
+    for x in _list(raw, "exponent vector"):
         integral = type(x) is int or (type(x) is float and x.is_integer())
         if not integral or x < 0:
             raise ConfigError(f"exponent {x!r} is not a non-negative integer")
@@ -62,22 +69,25 @@ def _exponents(raw) -> tuple[int, ...]:
     return tuple(out)
 
 
-def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
+def _terms(data, field: str) -> dict[tuple[int, ...], FieldElement]:
+    """The exponent -> coefficient map of a JSON term list."""
     terms = {}
-    for item in data:
+    for item in _list(data, field):
         e = _exponents(item["e"])
+        terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
+    return terms
+
+
+def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
+    terms = _terms(data, "term list")
+    for e in terms:
         if len(e) != n_vars:
             raise ConfigError(f"exponent vector {e} does not have {n_vars} entries")
-        terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
     return MultiPoly(n_vars, terms)
 
 
-def slot_from_json(data: list[dict]) -> SlotPoly:
-    terms = {}
-    for item in data:
-        e = _exponents(item["e"])
-        terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
-    return SlotPoly(terms)
+def slot_from_json(data: list[dict], field: str = "term list") -> SlotPoly:
+    return SlotPoly(_terms(data, field))
 
 
 def _dumps(obj) -> str:
@@ -86,14 +96,7 @@ def _dumps(obj) -> str:
 
 # -- family construction ----------------------------------------------------
 
-_LINES = {"l1": Case2Line.LINE1, "l2": Case2Line.LINE2,
-          "l3": Case2Line.LINE3, "l4": Case2Line.LINE4}
-
-
-def _parse_params(text: str | None) -> list[FieldElement]:
-    if not text:
-        return []
-    return [FieldElement.parse(part) for part in text.split(",")]
+_LINES = {f"l{line.value}": line for line in Case2Line}
 
 
 def _line(name: str) -> Case2Line:
@@ -103,99 +106,115 @@ def _line(name: str) -> Case2Line:
     return _LINES[key]
 
 
-def _parse_lines(text: str | None, count: int) -> list[Case2Line]:
-    if not text:
-        return [Case2Line.LINE1] * count
-    lines = [_line(p) for p in text.split(",")]
-    if len(lines) != count:
-        raise ConfigError(f"expected {count} line choices, got {len(lines)}")
-    return lines
+def _elements(data, field: str) -> list[FieldElement]:
+    return [FieldElement.parse(c) for c in _list(data, field)]
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        raise ConfigError("this family needs --config with a JSON file")
-    return json.loads(Path(path).read_text())
+def _case1(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
+    if len(params) != 5:
+        raise ConfigError(f"{family} needs --params a,b,c,d,e")
+    return main_case1(n, *params)
 
 
-def _config_family(family: str, n: int, cfg: dict) -> OperatorFamily:
-    if family == "degen-t":
-        pairs = [
-            ([FieldElement.parse(c) for c in ql], [FieldElement.parse(c) for c in qr])
-            for ql, qr in cfg["pairs"]
-        ]
-        return degenerate_t_family(
-            n,
-            slot_from_json(cfg["qhat"]),
-            [FieldElement.parse(c) for c in cfg["p"]],
-            pairs,
-        )
-    segments: list[Isolated | Interval] = []
-    for iso in cfg.get("isolated", []):
-        segments.append(
-            Isolated(
-                index=int(iso["index"]),
-                phi=slot_from_json(iso["phi"]),
-                psi=slot_from_json(iso["psi"]),
-            )
-        )
-    for iv in cfg.get("intervals", []):
-        seg_lines = None
-        if "lines" in iv:
-            seg_lines = [_line(l) for l in iv["lines"]]
-        segments.append(
-            Interval(
-                start=int(iv["start"]), stop=int(iv["stop"]),
-                a=FieldElement.parse(iv["a"]), b=FieldElement.parse(iv["b"]),
-                c=FieldElement.parse(iv["c"]), d=FieldElement.parse(iv["d"]),
-                lines=seg_lines,
-            )
-        )
+def _case2(family: str, n: int, params: list[FieldElement],
+           lines: str | None) -> OperatorFamily:
+    if len(params) != 4:
+        raise ConfigError(f"{family} needs --params a,b,c,d")
+    choices = [_line(p) for p in lines.split(",")] if lines else [Case2Line.LINE1] * (n - 1)
+    if len(choices) != n - 1:
+        raise ConfigError(f"expected {n - 1} line choices, got {len(choices)}")
+    return main_case2(n, *params, choices)
+
+
+def _preset(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
+    if len(params) > 1:
+        raise ConfigError(f"{family} takes at most one --params value, got {len(params)}")
+    return preset(family.split(":", 1)[1], n, *params)
+
+
+def _from_config(read):
+    """The builder of a family given by --config: read(n, the loaded JSON)."""
+    def build(family: str, n: int, config: str | None) -> OperatorFamily:
+        if not config:
+            raise ConfigError("this family needs --config with a JSON file")
+        cfg = json.loads(Path(config).read_text())
+        try:
+            return read(n, cfg)
+        except (TypeError, AttributeError) as exc:
+            raise ConfigError(f"malformed {family} config: {exc}") from exc
+    return build
+
+
+def _degen_t(n: int, cfg: dict) -> OperatorFamily:
+    pairs = []
+    for pair in _list(cfg["pairs"], "pairs"):
+        q_l, q_r = _list(pair, "pairs entry")
+        pairs.append((_elements(q_l, "pairs entry"), _elements(q_r, "pairs entry")))
+    qhat = slot_from_json(cfg["qhat"], "qhat")
+    return degenerate_t_family(n, qhat, _elements(cfg["p"], "p"), pairs)
+
+
+def _vanq0(n: int, cfg: dict) -> OperatorFamily:
+    segments: list[Isolated | Interval] = [
+        Isolated(index=int(iso["index"]), phi=slot_from_json(iso["phi"], "phi"),
+                 psi=slot_from_json(iso["psi"], "psi"))
+        for iso in _list(cfg.get("isolated", []), "isolated")
+    ]
+    for iv in _list(cfg.get("intervals", []), "intervals"):
+        lines = [_line(l) for l in _list(iv["lines"], "lines")] if "lines" in iv else None
+        segments.append(Interval(
+            start=int(iv["start"]), stop=int(iv["stop"]),
+            **{k: FieldElement.parse(iv[k]) for k in "abcd"}, lines=lines,
+        ))
     return with_vanishing_q0(n, FieldElement.parse(cfg["mu"]), segments)
+
+
+def _draw_vanq0(n: int, rng: random.Random) -> OperatorFamily:
+    mu = sampling.random_field_element(rng, 5, nonzero=True)
+    phi, psi = sampling.draw_isolated_pair(rng, mu)
+    return with_vanishing_q0(n, mu, [Isolated(1, phi, psi)])
+
+
+# family -> (the options of --params, --lines, --config it takes,
+#            build(family, n, **options), its --random-trials draw(n, rng));
+# "preset:" stands for every preset:<name>.
+_FAMILIES = {
+    "case1": (("params",), _case1,
+              lambda n, rng: main_case1(n, *sampling.draw_case1_params(rng))),
+    "case2": (("params", "lines"), _case2, lambda n, rng: main_case2(
+        n, *sampling.draw_case2_params(rng), sampling.random_lines(rng, n - 1))),
+    "degen-t": (("config",), _from_config(_degen_t), lambda n, rng:
+                degenerate_t_family(n, *sampling.draw_degent_data(rng, n))),
+    "vanq0": (("config",), _from_config(_vanq0), _draw_vanq0),
+    "preset:": (("params",), _preset, None),
+}
+
+
+def _refuse_unused(who: str, given: dict[str, str | None], takes=()) -> None:
+    for name, value in given.items():
+        if value is not None and name not in takes:
+            raise ConfigError(f"{who} takes no --{name}")
 
 
 def build_family(family: str, n: int, params: str | None,
                  lines: str | None, config: str | None) -> OperatorFamily:
     if n < 2:
         raise ConfigError(f"--n must be at least 2, got {n}")
-    values = _parse_params(params)
-    if family == "case1":
-        if len(values) != 5:
-            raise ConfigError("case1 needs --params a,b,c,d,e")
-        return main_case1(n, *values)
-    if family == "case2":
-        if len(values) != 4:
-            raise ConfigError("case2 needs --params a,b,c,d")
-        return main_case2(n, *values, _parse_lines(lines, n - 1))
-    if family in ("degen-t", "vanq0"):
-        try:
-            return _config_family(family, n, _load_config(config))
-        except (TypeError, AttributeError) as exc:
-            raise ConfigError(f"malformed {family} config: {exc}") from exc
-    if family.startswith("preset:"):
-        if len(values) > 1:
-            raise ConfigError(
-                f"{family} takes at most one --params value, got {len(values)}"
-            )
-        return preset(family.split(":", 1)[1], n, *values)
-    raise ConfigError(f"unknown family {family!r}")
+    key = "preset:" if family.startswith("preset:") else family
+    if key not in _FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
+    options, build, _ = _FAMILIES[key]
+    given = {"params": params, "lines": lines, "config": config}
+    _refuse_unused(family, given, options)
+    given["params"] = [FieldElement.parse(p) for p in params.split(",")] if params else []
+    return build(family, n, **{name: given[name] for name in options})
 
 
 def _random_family(family: str, n: int, rng: random.Random) -> OperatorFamily:
-    if family == "case1":
-        return main_case1(n, *sampling.draw_case1_params(rng))
-    if family == "case2":
-        return main_case2(
-            n, *sampling.draw_case2_params(rng), sampling.random_lines(rng, n - 1)
-        )
-    if family == "degen-t":
-        qhat, p, pairs = sampling.draw_degent_data(rng, n)
-        return degenerate_t_family(n, qhat, p, pairs)
-    if family == "vanq0":
-        mu = sampling.random_field_element(rng, 5, nonzero=True)
-        phi, psi = sampling.draw_isolated_pair(rng, mu)
-        return with_vanishing_q0(n, mu, [Isolated(1, phi, psi)])
-    raise ConfigError(f"--random-trials does not support family {family!r}")
+    draw = _FAMILIES[family][2] if family in _FAMILIES else None
+    if draw is None:
+        raise ConfigError(f"--random-trials does not support family {family!r}")
+    return draw(n, rng)
 
 
 # -- report rendering -------------------------------------------------------
@@ -235,14 +254,14 @@ def _cmd_verify(args) -> int:
     if args.random_trials < 0:
         raise ConfigError(f"--random-trials must be at least 0, got {args.random_trials}")
     if args.random_trials:
+        _refuse_unused("--random-trials",
+                       {"params": args.params, "lines": args.lines, "config": args.config})
         rng = random.Random(args.rng_seed)
         failures = 0
         for trial in range(args.random_trials):
-            fam = _random_family(args.family, args.n, rng)
-            report = family_braid_check(fam)
-            status = "pass" if report.passed else "FAIL"
-            print(f"trial {trial}: {status}")
-            failures += 0 if report.passed else 1
+            report = family_braid_check(_random_family(args.family, args.n, rng))
+            print(f"trial {trial}: {'pass' if report.passed else 'FAIL'}")
+            failures += not report.passed
         print(f"{args.random_trials - failures}/{args.random_trials} trials passed")
         return 0 if failures == 0 else 1
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
@@ -347,16 +366,6 @@ def _cmd_apply(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
-def _add_family_args(parser, suffix: str = "") -> None:
-    parser.add_argument(
-        f"--family{suffix}", required=True,
-        help="case1 | case2 | degen-t | vanq0 | preset:<pure_ddiff|demazure|grothendieck>",
-    )
-    parser.add_argument(f"--params{suffix}", help="comma-separated rationals (p/q)")
-    parser.add_argument(f"--lines{suffix}", help="per-index case2 lines, e.g. l1,l4,l2")
-    parser.add_argument(f"--config{suffix}", help="JSON config for degen-t / vanq0")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidops", description=__doc__,
@@ -364,42 +373,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the braid-relation checks")
-    _add_family_args(p_verify)
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--output", choices=("text", "json"), default="text")
+    def command(name, func, help, output="text", suffixes=("",)):
+        p = sub.add_parser(name, help=help)
+        for s in suffixes:
+            p.add_argument(f"--family{s}", required=True,
+                           help=" | ".join(_FAMILIES) + "<pure_ddiff|demazure|grothendieck>")
+            p.add_argument(f"--params{s}", help="comma-separated rationals (p/q)")
+            p.add_argument(f"--lines{s}", help="per-index case2 lines, e.g. l1,l4,l2")
+            p.add_argument(f"--config{s}", help="JSON config for degen-t / vanq0")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--output", choices=("text", "json"), default=output)
+        p.set_defaults(func=func)
+        return p
+
+    p_verify = command("verify", _cmd_verify, "run the braid-relation checks")
     p_verify.add_argument("--random-trials", type=int, default=0)
     p_verify.add_argument("--rng-seed", type=int, default=0)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_hecke = sub.add_parser("hecke", help="print Hecke parameters per operator")
-    _add_family_args(p_hecke)
-    p_hecke.add_argument("--n", type=int, required=True)
-    p_hecke.add_argument("--output", choices=("text", "json"), default="text")
-    p_hecke.set_defaults(func=_cmd_hecke)
-
-    p_commute = sub.add_parser("commute", help="cross-family commutation report")
-    _add_family_args(p_commute)
-    _add_family_args(p_commute, suffix="2")
-    p_commute.add_argument("--n", type=int, required=True)
-    p_commute.add_argument("--output", choices=("text", "json"), default="text")
-    p_commute.set_defaults(func=_cmd_commute)
-
-    p_table = sub.add_parser("table", help="polynomial table over S_n")
-    _add_family_args(p_table)
-    p_table.add_argument("--n", type=int, required=True)
+    command("hecke", _cmd_hecke, "print Hecke parameters per operator")
+    command("commute", _cmd_commute, "cross-family commutation report", suffixes=("", "2"))
+    p_table = command("table", _cmd_table, "polynomial table over S_n", output="json")
     p_table.add_argument("--seed-poly", help="JSON term list (inline or file)")
-    p_table.add_argument("--output", choices=("text", "json"), default="json")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_apply = sub.add_parser("apply", help="apply a word of operators to a polynomial")
-    _add_family_args(p_apply)
-    p_apply.add_argument("--n", type=int, required=True)
+    p_apply = command("apply", _cmd_apply, "apply a word of operators to a polynomial",
+                      output="json")
     p_apply.add_argument("--word", help="comma-separated indices, leftmost applied last")
     p_apply.add_argument("--seed-poly", help="JSON term list (inline or file)")
-    p_apply.add_argument("--output", choices=("text", "json"), default="json")
-    p_apply.set_defaults(func=_cmd_apply)
-
     return parser
 
 

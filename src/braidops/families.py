@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR
+from .field import FieldElement, ZERO, ZETA, ZETA_BAR
 from .multipoly import SlotPoly
 from .pddo import PDDO, identity_op
 
@@ -213,22 +213,15 @@ def zeta_pair(a, b, variant: int) -> tuple[PDDO, PDDO]:
         raise ConstraintError("variant must be 1, 2, 3, or 4")
     u_b = _U + SlotPoly.const(b)
     v_b = _V + SlotPoly.const(b)
-    mix = _U.scale(ZETA) + _V.scale(ZETA_BAR) + SlotPoly.const(b)
-    mix_bar = _U.scale(ZETA_BAR) + _V.scale(ZETA) + SlotPoly.const(b)
-    zero = SlotPoly.zero()
-    if variant == 1:
-        q = (u_b * mix).scale(a)
-        r = u_b.scale(a * ZETA_BAR)
-    elif variant == 2:
-        q = (u_b * mix_bar).scale(a)
-        r = u_b.scale(a * ZETA)
-    elif variant == 3:
-        q = (v_b * mix).scale(a)
-        r = (_U + _V.scale(ZETA_BAR) + SlotPoly.const((ONE + ZETA_BAR) * b)).scale(a)
+    # Variants 2 and 4 are variants 1 and 3 with zeta and zeta-bar swapped.
+    w, w_bar = (ZETA, ZETA_BAR) if variant in (1, 3) else (ZETA_BAR, ZETA)
+    mix = _U.scale(w) + _V.scale(w_bar) + SlotPoly.const(b)
+    if variant <= 2:
+        q, r = u_b * mix, u_b.scale(w_bar)
     else:
-        q = (v_b * mix_bar).scale(a)
-        r = (_U + _V.scale(ZETA) + SlotPoly.const((ONE + ZETA) * b)).scale(a)
-    pi = PDDO.from_pqrs(zero, q, r, zero)
+        q, r = v_b * mix, u_b + v_b.scale(w_bar)
+    zero = SlotPoly.zero()
+    pi = PDDO.from_pqrs(zero, q.scale(a), r.scale(a), zero)
     # varpi multiplies f by a(x_{i+1} + b): in its own slots, a(u + b).
     varpi = PDDO.from_q0_r0(zero, u_b.scale(a))
     return pi, varpi

@@ -144,8 +144,8 @@ def polynomial_table(
     n = fam.n
     if n > MAX_TABLE_N:
         raise SizeLimitError(f"tables capped at n = {MAX_TABLE_N}")
-    report = family_braid_check(fam)
-    if not report.passed:
+    report = family_braid_check(fam) if n >= 3 else None  # S_2 has no braid relation
+    if report is not None and not report.passed:
         bad = ", ".join(f"cubic{p}" for p, rep in report.cubic.items() if not rep.passed)
         raise BraidCheckError(
             "family fails the braid relations; table entries would depend "

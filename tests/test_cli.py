@@ -1,6 +1,8 @@
 """Tests for the command line interface: exit codes, JSON round trips, and
 deterministic output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidops import cli
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.multipoly import MultiPoly
 from braidops.words import staircase
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEGENT3 = json.loads((GOLDEN / "degent3.json").read_text())
 
 
 def run(argv, capsys):
@@ -83,6 +90,23 @@ class TestVerify:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "case1", "--params", "1,2,1,2,3", "--lines", "l9"],
+         "case1 takes no --lines"),
+        (["--family", "degen-t", "--config", str(GOLDEN / "degent4.json"),
+          "--params", "1,2"], "degen-t takes no --params"),
+        (["--family", "preset:demazure", "--lines", "l1,l1,l1"],
+         "preset:demazure takes no --lines"),
+        (["--family", "vanq0", "--config", "", "--lines", ""], "vanq0 takes no --lines"),
+        (["--family", "case2", "--random-trials", "2", "--params", "1,2,1,2"],
+         "--random-trials takes no --params"),
+        (["--family", "vanq0", "--random-trials", "1", "--config",
+          str(GOLDEN / "vanq0_isolated.json")], "--random-trials takes no --config"),
+    ])
+    def test_unused_option_exits_two(self, argv, message, capsys):
+        code, out, err = run(["verify", "--n", "4", *argv], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_family_exits_two(self, capsys):
         code, _, err = run(
@@ -160,6 +184,13 @@ class TestTable:
         assert polys[(3, 2, 1)] == staircase(3)
         assert polys[(1, 2, 3)] == MultiPoly.const(3, 1)
 
+    def test_s2_table_has_no_braid_audit(self, capsys):
+        code, out, _ = run(
+            ["table", "--n", "2", "--family", "preset:pure_ddiff", "--output", "text"],
+            capsys,
+        )
+        assert (code, out) == (0, "(1, 2)  (1)\n(2, 1)  x1\n")
+
     def test_byte_identical_across_runs(self, capsys):
         argv = ["table", "--n", "3", "--family", "preset:demazure"]
         _, out1, _ = run(argv, capsys)
@@ -203,6 +234,14 @@ class TestApply:
 
 
 class TestCommute:
+    def test_unused_second_family_option_exits_two(self, capsys):
+        code, out, err = run(
+            ["commute", "--n", "4", "--family", "preset:demazure",
+             "--family2", "case1", "--params2", "1,2,1,2,3", "--config2", "x.json"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: case1 takes no --config\n")
+
     def test_consecutive_demazure_fails(self, capsys):
         code, out, _ = run(
             [
@@ -267,6 +306,39 @@ class TestConfigFamilies:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed degen-t config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("family,n,config,message", [
+        ("degen-t", "3", {**DEGENT3, "p": "12"}, "p must be a JSON list, not str"),
+        ("degen-t", "3", {**DEGENT3, "pairs": [["0", ["1"]], [["1"], ["0", "1"]]]},
+         "pairs entry must be a JSON list, not str"),
+        ("degen-t", "3", {**DEGENT3, "pairs": ["ab", [["1"], ["0", "1"]]]},
+         "pairs entry must be a JSON list, not str"),
+        ("vanq0", "5", {"mu": "1", "intervals": [
+            {"start": 2, "stop": 3, "a": "1", "b": "2", "c": "1", "d": "2",
+             "lines": "l1"}]}, "lines must be a JSON list, not str"),
+        ("vanq0", "4", {"mu": "1", "isolated": {"index": 1}},
+         "isolated must be a JSON list, not dict"),
+    ])
+    def test_wrong_shape_config_exits_two(self, family, n, config, message,
+                                          tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(
+            ["hecke", "--n", n, "--family", family, "--config", str(path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed {family} config: {message}\n"
+
+    @pytest.mark.parametrize("seed,message", [
+        ("{}", "term list must be a JSON list, not dict"),
+        ('[{"e": "100", "c": "1"}]', "exponent vector must be a JSON list, not str"),
+    ])
+    def test_wrong_shape_seed_poly_exits_two(self, seed, message, capsys):
+        code, out, err = run(
+            ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", seed],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: malformed --seed-poly: {message}\n")
 
     def test_malformed_seed_poly_exits_two(self, capsys):
         code, out, err = run(
@@ -357,3 +429,113 @@ def test_runs_as_a_module(tmp_path):
     )
     assert done.returncode == 0
     assert done.stdout.endswith("overall: pass\n")
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+FAMILY_NAMES = [name for name in cli._FAMILIES if name != "preset:"] + [
+    "preset:pure_ddiff", "preset:demazure", "preset:grothendieck", "preset:nope", "nope",
+]
+OPTION_VALUES = {
+    "params": ["1,2,1,2,3", "0,1,0,0", "1,2,1/2,1", "2", "", "1/0", "x", "1,,2"],
+    "lines": ["l1,l2,l4", "l1,l1", "l1", "l9", "", "l1,l2,l3,l4", "l1,7"],
+    "config": [str(GOLDEN / name) for name in (
+        "degent3.json", "degent4.json", "vanq0_isolated.json", "vanq0_interval.json",
+    )] + [str(GOLDEN / "missing.json"), str(GOLDEN), ""],
+}
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+
+
+@st.composite
+def family_args(draw, suffix=""):
+    """--family and a subset of --params/--lines/--config; half the time only
+    options that the family takes."""
+    family = draw(st.sampled_from(FAMILY_NAMES))
+    key = "preset:" if family.startswith("preset:") else family
+    takes = cli._FAMILIES[key][0] if key in cli._FAMILIES else ()
+    fitting = draw(st.booleans())
+    argv = [f"--family{suffix}", family]
+    for option, values in OPTION_VALUES.items():
+        if (option in takes or not fitting) and draw(st.booleans()):
+            argv.append(f"--{option}{suffix}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["verify", "hecke", "commute", "table", "apply"]))
+    argv = [command, "--n", str(draw(st.integers(2, 4))), *draw(family_args())]
+    if command == "commute":
+        argv += draw(family_args("2"))
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--random-trials", str(draw(st.integers(0, 2)))]
+    if command == "apply" and draw(st.booleans()):
+        argv += ["--word", draw(st.sampled_from(["1", "2,1", "3,x"]))]
+    return argv + ["--output", draw(st.sampled_from(["text", "json"]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    code, _, err = run_quietly(argv)
+    assert_contract(code, err)
+
+
+# (config file, n, paths of every field that must be a JSON list)
+CONFIG_BASES = [
+    ("degent4.json", 4, [("p",), ("pairs",), ("pairs", 1), ("pairs", 2, 0),
+                         ("qhat",), ("qhat", 0, "e")]),
+    ("vanq0_isolated.json", 4, [("isolated",), ("intervals",), ("isolated", 0, "phi"),
+                                ("isolated", 0, "psi"), ("isolated", 0, "phi", 0, "e")]),
+    ("vanq0_interval.json", 5, [("isolated",), ("intervals",), ("intervals", 0, "lines")]),
+]
+NOT_LISTS = st.one_of(
+    st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.sampled_from(CONFIG_BASES), data=st.data())
+def test_fuzzed_config_keeps_exit_code_contract(config_file, base, data):
+    name, n, list_fields = base
+    cfg = json.loads((GOLDEN / name).read_text())
+    path = data.draw(st.sampled_from(list_fields))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    replaced = data.draw(st.booleans())
+    if replaced:
+        parent[path[-1]] = data.draw(NOT_LISTS)
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent.pop(path[-1])
+    config_file.write_text(json.dumps(cfg))
+    family = "degen-t" if name.startswith("degent") else "vanq0"
+    command = data.draw(st.sampled_from(["verify", "hecke", "table"]))
+    code, _, err = run_quietly(
+        [command, "--n", str(n), "--family", family, "--config", str(config_file)]
+    )
+    assert_contract(code, err)
+    if replaced:
+        assert code == 2 and " must be a JSON list, not " in err
