@@ -57,16 +57,19 @@ def _list(value, field: str) -> list:
     return value
 
 
+def _natural(x, field: str) -> int:
+    """A non-negative integer read from JSON (an integral float such as 2.0
+    is read as 2; bools, strings and other floats are refused)."""
+    integral = type(x) is int or (type(x) is float and x.is_integer())
+    if not integral or x < 0:
+        raise ConfigError(f"{field} {x!r} is not a non-negative integer")
+    return int(x)
+
+
 def _exponents(raw) -> tuple[int, ...]:
     """An exponent vector read from JSON; each entry must be a non-negative
-    integer (an integral float such as 2.0 is read as 2; bools are refused)."""
-    out = []
-    for x in _list(raw, "exponent vector"):
-        integral = type(x) is int or (type(x) is float and x.is_integer())
-        if not integral or x < 0:
-            raise ConfigError(f"exponent {x!r} is not a non-negative integer")
-        out.append(int(x))
-    return tuple(out)
+    integer."""
+    return tuple(_natural(x, "exponent") for x in _list(raw, "exponent vector"))
 
 
 def _terms(data, field: str) -> dict[tuple[int, ...], FieldElement]:
@@ -156,14 +159,14 @@ def _degen_t(n: int, cfg: dict) -> OperatorFamily:
 
 def _vanq0(n: int, cfg: dict) -> OperatorFamily:
     segments: list[Isolated | Interval] = [
-        Isolated(index=int(iso["index"]), phi=slot_from_json(iso["phi"], "phi"),
-                 psi=slot_from_json(iso["psi"], "psi"))
+        Isolated(index=_natural(iso["index"], "index"),
+                 phi=slot_from_json(iso["phi"], "phi"), psi=slot_from_json(iso["psi"], "psi"))
         for iso in _list(cfg.get("isolated", []), "isolated")
     ]
     for iv in _list(cfg.get("intervals", []), "intervals"):
         lines = [_line(l) for l in _list(iv["lines"], "lines")] if "lines" in iv else None
         segments.append(Interval(
-            start=int(iv["start"]), stop=int(iv["stop"]),
+            start=_natural(iv["start"], "start"), stop=_natural(iv["stop"], "stop"),
             **{k: FieldElement.parse(iv[k]) for k in "abcd"}, lines=lines,
         ))
     return with_vanishing_q0(n, FieldElement.parse(cfg["mu"]), segments)
@@ -318,9 +321,10 @@ def _read_seed(args, n: int) -> MultiPoly:
     if not args.seed_poly:
         return staircase(n)
     text = args.seed_poly
-    path = Path(text)
-    if path.exists():
-        text = path.read_text()
+    # An inline term list is never looked up as a path: one longer than the
+    # file-name limit would make the lookup itself fail.
+    if not text.lstrip().startswith("[") and Path(text).exists():
+        text = Path(text).read_text()
     try:
         return poly_from_json(json.loads(text), n)
     except (TypeError, AttributeError) as exc:

@@ -36,8 +36,8 @@ def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:
     minus a d-positive monomial.
     """
     terms = p._terms.items()
-    above = SlotPoly._wrap({(r, s): c for (r, s), c in terms if r > s})
-    below = SlotPoly._wrap({(s, r): c for (r, s), c in terms if r < s})
+    above = SlotPoly._wrap(2, {(r, s): c for (r, s), c in terms if r > s})
+    below = SlotPoly._wrap(2, {(s, r): c for (r, s), c in terms if r < s})
     pos = above - below
     return p - pos, pos
 
@@ -52,5 +52,5 @@ def dpositive_lift(phi: SlotPoly) -> SlotPoly:
     if not phi.is_symmetric():
         raise ValueError("dpositive_lift requires a slot-symmetric input")
     terms = phi._terms.items()
-    lifted = SlotPoly._wrap({(r + 1, s): c for (r, s), c in terms if r >= s})
-    return lifted - SlotPoly._wrap({(r, s + 1): c for (r, s), c in terms if r >= s + 2})
+    lifted = SlotPoly._wrap(2, {(r + 1, s): c for (r, s), c in terms if r >= s})
+    return lifted - SlotPoly._wrap(2, {(r, s + 1): c for (r, s), c in terms if r >= s + 2})

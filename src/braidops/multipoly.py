@@ -1,10 +1,11 @@
-"""Sparse multivariate polynomials over Q(z), plus bivariate slot templates.
+"""Sparse multivariate polynomials over Q(z), with two-variable slot templates.
 
 MultiPoly is a polynomial in x_1..x_n with a canonical term map (no zero
-coefficients stored).  SlotPoly is a polynomial in two abstract slots (u, v)
-that can be instantiated at any ordered pair of variables; it carries the
-coefficient polynomials of the operators built in :mod:`braidops.pddo`.
-Term order for printing and leading terms is graded lexicographic.
+coefficients stored).  SlotPoly is a two-variable MultiPoly in slots u, v
+(x_1, x_2) that can be instantiated at any ordered pair of variables; it
+carries the coefficient polynomials of the operators built in
+:mod:`braidops.pddo`.  Term order for printing and leading terms is graded
+lexicographic.
 
 Products and divided differences accumulate in integers: each operand's
 coefficients are brought over one common denominator, the (a, b) numerator
@@ -177,7 +178,7 @@ class MultiPoly:
         return self
 
     def __setattr__(self, *args):
-        raise AttributeError("MultiPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -217,6 +218,14 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self._terms), default=-1)
 
+    def is_constant(self) -> bool:
+        return not any(any(e) for e in self._terms)
+
+    def constant_value(self) -> FieldElement:
+        if not self.is_constant():
+            raise ValueError(f"{self} is not constant")
+        return self._terms.get((0,) * self.n_vars, ZERO)
+
     def sorted_terms(self) -> list:
         return [(e, self._terms[e]) for e in sorted(self._terms, key=_grlex, reverse=True)]
 
@@ -234,57 +243,59 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "MultiPoly") -> None:
-        if self.n_vars != other.n_vars:
-            raise DimensionMismatchError(
-                f"mixing {self.n_vars}-variable and {other.n_vars}-variable polynomials"
-            )
-
     def _coerce(self, other) -> "MultiPoly":
+        """other as a polynomial of this class and dimension; a scalar
+        becomes a constant."""
         if isinstance(other, MultiPoly):
+            if type(other) is not type(self):
+                raise DimensionMismatchError(
+                    f"mixing {type(self).__name__} and {type(other).__name__}")
+            if other.n_vars != self.n_vars:
+                raise DimensionMismatchError(
+                    f"mixing {self.n_vars}-variable and {other.n_vars}-variable polynomials"
+                )
             return other
-        return MultiPoly.const(self.n_vars, other)
+        c = FieldElement.of(other)
+        return type(self)._wrap(self.n_vars, {(0,) * self.n_vars: c} if c else {})
 
     def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        self._check(other)
-        return MultiPoly._wrap(self.n_vars, _add_terms(self._terms, other._terms))
+        terms = _add_terms(self._terms, self._coerce(other)._terms)
+        return type(self)._wrap(self.n_vars, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        self._check(other)
-        terms = _add_terms(self._terms, other._terms, subtract=True)
-        return MultiPoly._wrap(self.n_vars, terms)
+        terms = _add_terms(self._terms, self._coerce(other)._terms, subtract=True)
+        return type(self)._wrap(self.n_vars, terms)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._wrap(self.n_vars, {e: -c for e, c in self._terms.items()})
+        return type(self)._wrap(self.n_vars, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        self._check(other)
-        return MultiPoly._wrap(self.n_vars, _mul_terms(self._terms, other._terms))
+        terms = _mul_terms(self._terms, self._coerce(other)._terms)
+        return type(self)._wrap(self.n_vars, terms)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
         c = FieldElement.of(c)
-        return MultiPoly(self.n_vars, {e: c * v for e, v in self._terms.items()})
+        terms = {e: c * v for e, v in self._terms.items()}
+        return type(self)._wrap(self.n_vars, terms if c else {})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, FieldElement)):
-            other = MultiPoly.const(self.n_vars, other)
+            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.n_vars == other.n_vars and self._terms == other._terms
+        return (type(self) is type(other) and self.n_vars == other.n_vars
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        if self.degree() <= 0:  # equals its constant, so hashes like it
-            return hash(self._terms.get((0,) * self.n_vars, ZERO))
+        if self.is_constant():  # equals its constant, so hashes like it
+            return hash(self.constant_value())
         return hash((self.n_vars, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
@@ -307,36 +318,27 @@ def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The quotient f/g when g divides f exactly in the polynomial ring."""
-    if isinstance(g, MultiPoly):
-        f._check(g)
-    return MultiPoly(f.n_vars, _divide_terms(f.terms, g.terms))
+    return type(f)._wrap(f.n_vars, _divide_terms(f._terms, f._coerce(g)._terms))
 
 
-class SlotPoly:
-    """A bivariate polynomial template in abstract slots (u, v)."""
+class SlotPoly(MultiPoly):
+    """A two-variable MultiPoly in the slots u = x_1 and v = x_2: a bivariate
+    template that :func:`instantiate` places at any ordered pair of variables."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], FieldElement]):
-        cleaned = {}
-        for e, c in terms.items():
+        for e in terms:
             if len(e) != 2:
                 raise ValueError(f"slot exponent pair {e} must have length 2")
-            c = FieldElement.of(c)
-            if c:
-                cleaned[tuple(e)] = c
-        object.__setattr__(self, "_terms", cleaned)
+        super().__init__(2, terms)
 
-    @classmethod
-    def _wrap(cls, terms: dict) -> "SlotPoly":
-        """Take a clean term map as is: exponent pairs and nonzero
-        FieldElement coefficients, built by this module and not shared."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("SlotPoly is immutable")
+    # bench/tracer.py patches these by name in this class's own dict, so that
+    # slot arithmetic is counted apart from MultiPoly arithmetic.
+    __add__ = __radd__ = MultiPoly.__add__
+    __sub__, __rsub__, __neg__ = MultiPoly.__sub__, MultiPoly.__rsub__, MultiPoly.__neg__
+    __mul__ = __rmul__ = MultiPoly.__mul__
+    scale = MultiPoly.scale
 
     # -- constructors ------------------------------------------------------
 
@@ -371,28 +373,7 @@ class SlotPoly:
             terms[e] = FieldElement.of(c)
         return SlotPoly(terms)
 
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def degree(self) -> int:
-        return max((r + s for r, s in self._terms), default=-1)
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self._terms)
-
-    def constant_value(self) -> FieldElement:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self._terms.get((0, 0), ZERO)
+    # -- slot operations ---------------------------------------------------
 
     def is_symmetric(self) -> bool:
         return self == self.swap()
@@ -400,67 +381,19 @@ class SlotPoly:
     def is_dpositive(self) -> bool:
         return all(r > s for r, s in self._terms)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "SlotPoly":
-        if isinstance(other, SlotPoly):
-            return other
-        return SlotPoly.const(other)
-
-    def __add__(self, other) -> "SlotPoly":
-        return SlotPoly._wrap(_add_terms(self._terms, self._coerce(other)._terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "SlotPoly":
-        terms = _add_terms(self._terms, self._coerce(other)._terms, subtract=True)
-        return SlotPoly._wrap(terms)
-
-    def __rsub__(self, other) -> "SlotPoly":
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "SlotPoly":
-        return SlotPoly._wrap({e: -c for e, c in self._terms.items()})
-
-    def __mul__(self, other) -> "SlotPoly":
-        return SlotPoly._wrap(_mul_terms(self._terms, self._coerce(other)._terms))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "SlotPoly":
-        c = FieldElement.of(c)
-        return SlotPoly({e: c * v for e, v in self._terms.items()})
-
     def swap(self) -> "SlotPoly":
         """Exchange the two slots."""
-        return SlotPoly._wrap({(s, r): c for (r, s), c in self._terms.items()})
+        return SlotPoly._wrap(2, {(s, r): c for (r, s), c in self._terms.items()})
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
-        return SlotPoly._wrap(_ddiff_terms(self._terms, 0))
+        return SlotPoly._wrap(2, _ddiff_terms(self._terms, 0))
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
-        return SlotPoly(_divide_terms(self._terms, g._terms))
+        return SlotPoly._wrap(2, _divide_terms(self._terms, self._coerce(g)._terms))
 
     def evaluate(self, uval, vval) -> FieldElement:
-        u = FieldElement.of(uval)
-        v = FieldElement.of(vval)
-        total = ZERO
-        for (r, s), c in self._terms.items():
-            total = total + c * u**r * v**s
-        return total
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = SlotPoly.const(other)
-        if not isinstance(other, SlotPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self.is_constant():  # equals its constant, so hashes like it
-            return hash(self.constant_value())
-        return hash(frozenset(self._terms.items()))
+        return super().evaluate((uval, vval))
 
     def __str__(self) -> str:
         return _fmt_terms(self._terms, ["u", "v"])

@@ -360,6 +360,43 @@ class TestConfigFamilies:
         assert (code, out) == (2, "")
         assert err.startswith("error: exponent ") and err.count("\n") == 1
 
+    def test_long_inline_seed_poly_is_not_read_as_a_path(self, capsys):
+        seed = json.dumps([{"e": [k, 19 - k, 0], "c": "1"} for k in range(20)])
+        assert len(seed) > 255  # longer than a file name may be
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", "1",
+             "--seed-poly", seed],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["poly"]) > 0
+
+    def test_missing_seed_poly_file_exits_two(self, tmp_path, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", "1",
+             "--seed-poly", str(tmp_path / "missing.json")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,n,segments,key,value", [
+        *[("vanq0_isolated.json", 4, "isolated", "index", v) for v in (1.9, True, "1")],
+        *[("vanq0_interval.json", 5, "intervals", key, v)
+          for key in ("start", "stop") for v in (2.5, True, "2")],
+    ])
+    def test_non_integer_config_index_exits_two(self, name, n, segments, key, value,
+                                                tmp_path, capsys):
+        cfg = json.loads((GOLDEN / name).read_text())
+        cfg[segments][0][key] = value
+        path = tmp_path / "vanq0.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(
+            ["hecke", "--n", str(n), "--family", "vanq0", "--config", str(path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {key} {value!r} is not a non-negative integer\n"
+
     def test_integral_float_exponent_reads_as_int(self):
         p = poly_from_json([{"e": [2.0, 0, 1], "c": "1"}], 3)
         assert p == MultiPoly.monomial(3, (2, 0, 1))

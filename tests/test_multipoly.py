@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from braidops.divdiff import dpositive_lift, dpositive_split
 from braidops.field import FieldElement, ONE
 from braidops.multipoly import (
     DimensionMismatchError,
@@ -111,6 +112,25 @@ class TestSlotPoly:
         )
         assert SlotPoly.univariate([0, 1], 1) == v
 
+    def test_is_a_two_variable_multipoly(self):
+        u, x1 = SlotPoly.u(), MultiPoly.variable(2, 1)
+        assert isinstance(u, MultiPoly) and u.n_vars == 2
+        assert u.terms == x1.terms and u != x1
+        with pytest.raises(DimensionMismatchError):
+            u + x1
+        with pytest.raises(DimensionMismatchError):
+            x1 * u
+
+    @given(slotpolys, slotpolys, coeffs)
+    def test_slot_operations_return_slot_polynomials(self, p, q, c):
+        uv = SlotPoly.u() - SlotPoly.v()
+        results = [
+            p + q, p - q, p * q, -p, 1 + p, 2 - p, 3 * p, p.scale(c), p.swap(),
+            p.ddiff(), (p * uv).exact_div(uv), *dpositive_split(p),
+            dpositive_lift(p + p.swap()),
+        ]
+        assert all(type(r) is SlotPoly for r in results)
+
     def test_univariate_rejects_bad_slot(self):
         with pytest.raises(ValueError):
             SlotPoly.univariate([1], 2)
@@ -123,6 +143,8 @@ class TestSlotPoly:
     def test_constants_hash_like_their_value(self):
         assert len({SlotPoly.zero(), 0}) == 1
         assert len({SlotPoly.const("2/3"), Fraction(2, 3), FieldElement.of("2/3")}) == 1
+        two_thirds = MultiPoly.const(3, "2/3")
+        assert two_thirds == Fraction(2, 3) and hash(two_thirds) == hash(SlotPoly.const("2/3"))
         assert len({SlotPoly.const("1+1z"), FieldElement.parse("1+1z")}) == 1
         assert SlotPoly.u() != 0 and SlotPoly.u() != SlotPoly.v()
 
