@@ -25,7 +25,7 @@ def ddiff(f: MultiPoly, i: int) -> MultiPoly:
     """(f - s_i f) / (x_i - x_{i+1}); the result is symmetric in x_i, x_{i+1}."""
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
-    return MultiPoly._wrap(f.n_vars, _ddiff_terms(f._terms, i - 1))
+    return type(f)._wrap(f.n_vars, _ddiff_terms(f._terms, i - 1))
 
 
 def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:

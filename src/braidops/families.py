@@ -4,6 +4,12 @@ Each constructor validates the defining parameter constraints strictly and
 returns an OperatorFamily; the construction realizes exactly the normalized
 coefficient polynomials recorded for each family, so every family built here
 passes the braid verification in :mod:`braidops.braid`.
+
+Every operator is built straight in the first canonical form (Q0, R0).  The
+main cases share one normal form: T = a uv + b u + c v + d with ad = bc, and
+Q0 = T - (u - v)R0, where R0 is b - c - e for case 1 and b - c, 0, a v + b,
+-(a u + c) for the four lines of case 2.  So case 1 at e = 0 is line 1 and
+at e = b - c is line 2, which is why case 1 excludes those two values.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
 
 _U = SlotPoly.u()
 _V = SlotPoly.v()
+_UV = _U - _V
 
 
 class ConstraintError(ValueError):
@@ -63,13 +70,15 @@ class OperatorFamily:
 
 
 class Case2Line(Enum):
-    """The four independent per-index operator shapes of the second main case,
-    given as the (P, Q, R) of the presentation with d-positive Q and R."""
+    """The four independent per-index operator shapes of the second main case.
 
-    LINE1 = 1  # P = a uv + b u + c v + d, Q = 0,              R = 0
-    LINE2 = 2  # P = a uv + c u + c v + d, Q = (b - c) u,      R = 0
-    LINE3 = 3  # P = a u^2 + (b+c) u + c v + d, Q = -c u,      R = -a u
-    LINE4 = 4  # P = c v + d,              Q = a u^2 + b u,    R = -a u
+    Every line has T = a uv + b u + c v + d and differs only in R0, with
+    Q0 = T - (u - v)R0; the table _LINE_R0 gives R0 per line."""
+
+    LINE1 = 1  # R0 = b - c
+    LINE2 = 2  # R0 = 0
+    LINE3 = 3  # R0 = a v + b
+    LINE4 = 4  # R0 = -(a u + c)
 
 
 def _fe(x) -> FieldElement:
@@ -85,13 +94,21 @@ def _check_abcd(a, b, c, d) -> tuple[FieldElement, ...]:
     return a, b, c, d
 
 
+def _abcd_operator(a, b, c, d, r0: SlotPoly) -> PDDO:
+    """The main-case operator with T = a uv + b u + c v + d and this R0."""
+    t = (_U * _V).scale(a) + _U.scale(b) + _V.scale(c) + SlotPoly.const(d)
+    return PDDO.from_q0_r0(t - _UV * r0, r0)
+
+
 def case1_operator(a, b, c, d, e) -> PDDO:
-    """The uniform operator f |-> (b-c-e) d(x_i f) + [a x_i x_{i+1} + (c+e) x_i
-    + c x_{i+1} + d] d f, without parameter validation."""
+    """The uniform operator with T = a uv + b u + c v + d and constant
+    R0 = b - c - e, without parameter validation.
+
+    It acts as f |-> (b-c-e) d(x_i f) + [a x_i x_{i+1} + (c+e) x_i
+    + c x_{i+1} + d] d f.  At e = b - c (R0 = 0) and e = 0 (R0 = b - c) it
+    is Case2Line.LINE2 and LINE1."""
     a, b, c, d, e = map(_fe, (a, b, c, d, e))
-    p = _U.scale(b - c - e)
-    q = (_U * _V).scale(a) + _U.scale(c + e) + _V.scale(c) + SlotPoly.const(d)
-    return PDDO.from_pqrs(p, q, SlotPoly.zero(), SlotPoly.zero())
+    return _abcd_operator(a, b, c, d, SlotPoly.const(b - c - e))
 
 
 def main_case1(n: int, a, b, c, d, e) -> OperatorFamily:
@@ -108,31 +125,18 @@ def main_case1(n: int, a, b, c, d, e) -> OperatorFamily:
     return OperatorFamily(n, (op,) * (n - 1), provenance="MainCase1")
 
 
+_LINE_R0 = {
+    Case2Line.LINE1: lambda a, b, c: SlotPoly.const(b - c),
+    Case2Line.LINE2: lambda a, b, c: SlotPoly.zero(),
+    Case2Line.LINE3: lambda a, b, c: _V.scale(a) + SlotPoly.const(b),
+    Case2Line.LINE4: lambda a, b, c: -(_U.scale(a) + SlotPoly.const(c)),
+}
+
+
 def case2_operator(a, b, c, d, line: Case2Line) -> PDDO:
     """One per-index operator of the second main case, unvalidated."""
     a, b, c, d = map(_fe, (a, b, c, d))
-    uv = _U * _V
-    uu = _U * _U
-    zero = SlotPoly.zero()
-    if line is Case2Line.LINE1:
-        p = uv.scale(a) + _U.scale(b) + _V.scale(c) + SlotPoly.const(d)
-        q = zero
-        r = zero
-    elif line is Case2Line.LINE2:
-        p = uv.scale(a) + _U.scale(c) + _V.scale(c) + SlotPoly.const(d)
-        q = _U.scale(b - c)
-        r = zero
-    elif line is Case2Line.LINE3:
-        p = uu.scale(a) + _U.scale(b + c) + _V.scale(c) + SlotPoly.const(d)
-        q = _U.scale(-c)
-        r = _U.scale(-a)
-    elif line is Case2Line.LINE4:
-        p = _V.scale(c) + SlotPoly.const(d)
-        q = uu.scale(a) + _U.scale(b)
-        r = _U.scale(-a)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown line {line}")
-    return PDDO.from_pqrs(p, q, r, zero)
+    return _abcd_operator(a, b, c, d, _LINE_R0[line](a, b, c))
 
 
 def main_case2(n: int, a, b, c, d, lines: Sequence[Case2Line]) -> OperatorFamily:
@@ -147,24 +151,16 @@ def main_case2(n: int, a, b, c, d, lines: Sequence[Case2Line]) -> OperatorFamily
 
 def coincident_lines(a, b, c, d) -> list[set[Case2Line]]:
     """Groups of line choices that yield the same operator at these parameters."""
-    ops = {line: case2_operator(a, b, c, d, line) for line in Case2Line}
-    groups: list[tuple[PDDO, set[Case2Line]]] = []
-    for line, op in ops.items():
-        for rep, members in groups:
-            if op == rep:
-                members.add(line)
-                break
-        else:
-            groups.append((op, {line}))
-    return [members for _, members in groups if len(members) > 1]
+    groups: dict[PDDO, set[Case2Line]] = {}
+    for line in Case2Line:
+        groups.setdefault(case2_operator(a, b, c, d, line), set()).add(line)
+    return [members for members in groups.values() if len(members) > 1]
 
 
 def transposition_scaled(q_l, q_r, qhat: SlotPoly) -> PDDO:
     """The operator f |-> q_l(x_i) q_r(x_{i+1}) qhat(x_i, x_{i+1}) s_i f."""
     multiplier = SlotPoly.univariate(q_l, 0) * SlotPoly.univariate(q_r, 1) * qhat
-    return PDDO.from_pqrs(
-        SlotPoly.zero(), SlotPoly.zero(), SlotPoly.zero(), multiplier
-    )
+    return PDDO.from_q0_r0(-(_UV * multiplier), multiplier)
 
 
 def degenerate_t_family(
@@ -220,10 +216,9 @@ def zeta_pair(a, b, variant: int) -> tuple[PDDO, PDDO]:
         q, r = u_b * mix, u_b.scale(w_bar)
     else:
         q, r = v_b * mix, u_b + v_b.scale(w_bar)
-    zero = SlotPoly.zero()
-    pi = PDDO.from_pqrs(zero, q.scale(a), r.scale(a), zero)
+    pi = PDDO.from_q0_r0(q.scale(a), r.scale(a))
     # varpi multiplies f by a(x_{i+1} + b): in its own slots, a(u + b).
-    varpi = PDDO.from_q0_r0(zero, u_b.scale(a))
+    varpi = PDDO.from_q0_r0(SlotPoly.zero(), u_b.scale(a))
     return pi, varpi
 
 
@@ -252,9 +247,7 @@ class Interval:
 
 def isolated_operator(phi: SlotPoly, psi: SlotPoly) -> PDDO:
     """f |-> phi * d(psi f) = phi swap(psi) d f + phi d(psi) f."""
-    return PDDO.from_pqrs(
-        SlotPoly.zero(), phi * psi.swap(), phi * psi.ddiff(), SlotPoly.zero()
-    )
+    return PDDO.from_q0_r0(phi * psi.swap(), phi * psi.ddiff())
 
 
 def with_vanishing_q0(
@@ -272,66 +265,57 @@ def with_vanishing_q0(
     if mu == ZERO:
         raise ConstraintError("mu must be nonzero")
     covered: dict[int, PDDO] = {}
-    members: set[int] = set()
-    for seg in segments:
-        if isinstance(seg, Isolated):
-            indices = [seg.index]
-        else:
-            if seg.stop - seg.start < 1:
-                raise ConstraintError(
-                    f"interval {seg.start}..{seg.stop} must contain at least "
-                    "two indices; use an Isolated segment instead"
-                )
-            indices = list(range(seg.start, seg.stop + 1))
-        for i in indices:
-            if not 1 <= i <= n - 1:
-                raise ConstraintError(f"segment index {i} out of range 1..{n - 1}")
-            if i in members:
-                raise ConstraintError(f"segments overlap at index {i}")
-            members.add(i)
-
     for seg in segments:
         if isinstance(seg, Isolated):
             if (seg.phi * seg.psi).ddiff() != mu:
                 raise ConstraintError(
                     f"isolated index {seg.index}: d(phi * psi) must equal mu"
                 )
-            covered[seg.index] = isolated_operator(seg.phi, seg.psi)
+            built = {seg.index: isolated_operator(seg.phi, seg.psi)}
         else:
+            if seg.stop - seg.start < 1:
+                raise ConstraintError(
+                    f"interval {seg.start}..{seg.stop} must contain at least "
+                    "two indices; use an Isolated segment instead"
+                )
             a, b, c, d = _check_abcd(seg.a, seg.b, seg.c, seg.d)
             if b - c != mu:
                 raise ConstraintError(
                     f"interval {seg.start}..{seg.stop}: b - c must equal mu"
                 )
-            lines = list(seg.lines) if seg.lines is not None else [
-                Case2Line.LINE1
-            ] * (seg.stop - seg.start + 1)
-            if len(lines) != seg.stop - seg.start + 1:
+            indices = range(seg.start, seg.stop + 1)
+            default = [Case2Line.LINE1] * len(indices)
+            lines = default if seg.lines is None else list(seg.lines)
+            if len(lines) != len(indices):
                 raise ConstraintError("interval line choices have wrong length")
-            for i, line in zip(range(seg.start, seg.stop + 1), lines):
-                covered[i] = case2_operator(a, b, c, d, line)
+            built = {
+                i: case2_operator(a, b, c, d, line) for i, line in zip(indices, lines)
+            }
+        for i, op in built.items():
+            if not 1 <= i <= n - 1:
+                raise ConstraintError(f"segment index {i} out of range 1..{n - 1}")
+            if i in covered:
+                raise ConstraintError(f"segments overlap at index {i}")
+            covered[i] = op
 
-    complement = [i for i in range(1, n) if i not in members]
-    if not complement:
+    if len(covered) == n - 1:
         raise ConstraintError("the set of scalar indices must be non-empty")
     for seg in segments:
         if isinstance(seg, Isolated):
             for nb in (seg.index - 1, seg.index + 1):
-                if nb in members:
+                if nb in covered:
                     raise ConstraintError(
                         f"isolated index {seg.index} has a non-scalar neighbor {nb}"
                     )
         else:
             for nb in (seg.start - 1, seg.stop + 1):
-                if nb in members:
+                if nb in covered:
                     raise ConstraintError(
                         f"interval {seg.start}..{seg.stop} is not maximal: "
                         f"index {nb} is also non-scalar"
                     )
 
-    ops = tuple(
-        covered.get(i, identity_op(mu)) for i in range(1, n)
-    )
+    ops = tuple(covered.get(i, identity_op(mu)) for i in range(1, n))
     return OperatorFamily(n, ops, provenance="WithVanQ0")
 
 

@@ -290,8 +290,12 @@ class MultiPoly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (type(self) is type(other) and self.n_vars == other.n_vars
-                and self._terms == other._terms)
+        if type(self) is type(other) and self.n_vars == other.n_vars:
+            return self._terms == other._terms
+        # Constants equal their value whatever the class or dimension, which
+        # keeps equality transitive.
+        return (self.is_constant() and other.is_constant()
+                and self.constant_value() == other.constant_value())
 
     def __hash__(self) -> int:
         if self.is_constant():  # equals its constant, so hashes like it
@@ -309,11 +313,11 @@ def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
     out = {}
-    for e, c in f.terms.items():
+    for e, c in f._terms.items():
         le = list(e)
         le[i - 1], le[i] = le[i], le[i - 1]
         out[tuple(le)] = c
-    return MultiPoly(f.n_vars, out)
+    return type(f)._wrap(f.n_vars, out)
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:

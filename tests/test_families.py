@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidops import sampling
 from braidops.braid import almost_equal, cubic_braid_check, family_braid_check
@@ -15,21 +16,30 @@ from braidops.families import (
     Isolated,
     OperatorFamily,
     case1_operator,
+    case2_operator,
     coincident_lines,
     degenerate_t_family,
     isolated_operator,
     main_case1,
     main_case2,
     preset,
+    transposition_scaled,
     with_vanishing_q0,
     zeta_pair,
 )
-from braidops.field import FieldElement
+from braidops.field import ZETA, ZETA_BAR, FieldElement
 from braidops.multipoly import SlotPoly
-from braidops.pddo import Degeneracy, identity_op
+from braidops.pddo import PDDO, Degeneracy, identity_op
 
 U = SlotPoly.u()
 V = SlotPoly.v()
+ZERO_SLOT = SlotPoly.zero()
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+qz = st.builds(FieldElement, rationals, rationals)
+small_slotpolys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), qz, max_size=4
+).map(SlotPoly)
 
 
 class TestOperatorFamily:
@@ -79,6 +89,63 @@ class TestMainCase1:
         for _ in range(5):
             fam = main_case1(4, *sampling.draw_case1_params(rng))
             assert family_braid_check(fam).passed
+
+
+class TestNormalForm:
+    """Every constructor against the (P, Q, R, S) presentation it replaced,
+    kept here as the reference; no parameter constraint is needed."""
+
+    @staticmethod
+    def _reference(a, b, c, d, e) -> dict:
+        uv, uu, k, zero = U * V, U * U, SlotPoly.const, ZERO_SLOT
+        pqr = {  # (P, Q, R) with S = 0
+            "case1": (U.scale(b - c - e),
+                      uv.scale(a) + U.scale(c + e) + V.scale(c) + k(d), zero),
+            Case2Line.LINE1: (uv.scale(a) + U.scale(b) + V.scale(c) + k(d), zero, zero),
+            Case2Line.LINE2: (uv.scale(a) + U.scale(c) + V.scale(c) + k(d),
+                              U.scale(b - c), zero),
+            Case2Line.LINE3: (uu.scale(a) + U.scale(b + c) + V.scale(c) + k(d),
+                              U.scale(-c), U.scale(-a)),
+            Case2Line.LINE4: (V.scale(c) + k(d), uu.scale(a) + U.scale(b), U.scale(-a)),
+        }
+        return {key: PDDO.from_pqrs(p, q, r, zero) for key, (p, q, r) in pqr.items()}
+
+    @staticmethod
+    def _same(op: PDDO, reference: PDDO) -> bool:
+        return (op.T, op.Q0, op.R0) == (reference.T, reference.Q0, reference.R0)
+
+    @given(qz, qz, qz, qz, qz)
+    def test_main_cases_share_one_t(self, a, b, c, d, e):
+        t = (U * V).scale(a) + U.scale(b) + V.scale(c) + SlotPoly.const(d)
+        reference = self._reference(a, b, c, d, e)
+        built = {"case1": case1_operator(a, b, c, d, e)}
+        built.update({line: case2_operator(a, b, c, d, line) for line in Case2Line})
+        for key, op in built.items():
+            assert self._same(op, reference[key]), key
+            assert op.T == t and op.T.ddiff() == b - c
+
+    @given(small_slotpolys, small_slotpolys, st.lists(qz, min_size=1, max_size=3),
+           st.lists(qz, min_size=1, max_size=3))
+    def test_transposition_and_isolated(self, phi, psi, q_l, q_r):
+        m = SlotPoly.univariate(q_l, 0) * SlotPoly.univariate(q_r, 1) * phi
+        assert self._same(transposition_scaled(q_l, q_r, phi),
+                          PDDO.from_pqrs(ZERO_SLOT, ZERO_SLOT, ZERO_SLOT, m))
+        assert self._same(
+            isolated_operator(phi, psi),
+            PDDO.from_pqrs(ZERO_SLOT, phi * psi.swap(), phi * psi.ddiff(), ZERO_SLOT),
+        )
+
+    @given(qz.filter(bool), qz, st.sampled_from([1, 2, 3, 4]))
+    def test_zeta_pair(self, a, b, variant):
+        u_b, v_b = U + SlotPoly.const(b), V + SlotPoly.const(b)
+        w, w_bar = (ZETA, ZETA_BAR) if variant in (1, 3) else (ZETA_BAR, ZETA)
+        mix = U.scale(w) + V.scale(w_bar) + SlotPoly.const(b)
+        q, r = (u_b * mix, u_b.scale(w_bar)) if variant <= 2 else (
+            v_b * mix, u_b + v_b.scale(w_bar))
+        pi, varpi = zeta_pair(a, b, variant)
+        zero = ZERO_SLOT
+        assert self._same(pi, PDDO.from_pqrs(zero, q.scale(a), r.scale(a), zero))
+        assert self._same(varpi, PDDO.from_pqrs(zero, zero, u_b.scale(a), zero))
 
 
 class TestMainCase2:

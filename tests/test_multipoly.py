@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from braidops.divdiff import dpositive_lift, dpositive_split
+from braidops.divdiff import ddiff, dpositive_lift, dpositive_split
 from braidops.field import FieldElement, ONE
 from braidops.multipoly import (
     DimensionMismatchError,
@@ -127,9 +127,10 @@ class TestSlotPoly:
         results = [
             p + q, p - q, p * q, -p, 1 + p, 2 - p, 3 * p, p.scale(c), p.swap(),
             p.ddiff(), (p * uv).exact_div(uv), *dpositive_split(p),
-            dpositive_lift(p + p.swap()),
+            dpositive_lift(p + p.swap()), swap_vars(p, 1), ddiff(p, 1),
         ]
         assert all(type(r) is SlotPoly for r in results)
+        assert swap_vars(p, 1) == p.swap() and ddiff(p, 1) == p.ddiff()
 
     def test_univariate_rejects_bad_slot(self):
         with pytest.raises(ValueError):
@@ -146,6 +147,10 @@ class TestSlotPoly:
         two_thirds = MultiPoly.const(3, "2/3")
         assert two_thirds == Fraction(2, 3) and hash(two_thirds) == hash(SlotPoly.const("2/3"))
         assert len({SlotPoly.const("1+1z"), FieldElement.parse("1+1z")}) == 1
+        # Equality of constants is transitive, so no insertion order splits them.
+        assert len({Fraction(2, 3), SlotPoly.const("2/3"), two_thirds}) == 1
+        assert len({SlotPoly.const("2/3"), two_thirds, Fraction(2, 3)}) == 1
+        assert SlotPoly.const(5) == MultiPoly.const(3, 5) != MultiPoly.const(2, 4)
         assert SlotPoly.u() != 0 and SlotPoly.u() != SlotPoly.v()
 
     def test_constant_queries(self):
