@@ -30,16 +30,15 @@ def commutes_same_index(op1: PDDO, op2: PDDO) -> bool:
     return q1 * q2.ddiff() == q2 * q1.ddiff() and q1 * r2.ddiff() == q2 * r1.ddiff()
 
 
-def _consecutive_commute(op_i: PDDO, op_k: PDDO, i: int, k: int, n: int) -> bool:
-    """Does pi_i pi_k = pi_k pi_i hold for |i - k| = 1?
+def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:
+    """Does the operator lo at index i commute with hi at index i + 1?
 
     Write the lower operator as a + b s and the upper one as a' + b' sigma.
     The s sigma and sigma s coefficients of the two products, b s(b') and
     b' sigma(b), vanish only when a Q0 is zero.  A lower multiplication
-    operator R0(x_lo, x_lo+1) then commutes exactly when it has no v, and an
-    upper one R0(x_lo+1, x_lo+2) exactly when it has no u.
+    operator R0(x_i, x_i+1) then commutes exactly when it has no v, and an
+    upper one R0(x_i+1, x_i+2) exactly when it has no u.
     """
-    lo, hi = (op_i, op_k) if i < k else (op_k, op_i)
     if not lo.Q0 and not hi.Q0:
         return True
     if not lo.Q0:
@@ -83,8 +82,7 @@ def cross_family_commute(fam1: OperatorFamily, fam2: OperatorFamily) -> CommuteR
     # pi_i and pi_k act on disjoint variable pairs with coefficients in them: commute.
     distant = {(i, k): True for i in range(1, n) for k in range(i + 2, n)}
     consecutive = {}
-    for i in range(1, n):
-        for k in range(1, n):
-            if abs(i - k) == 1:
-                consecutive[(i, k)] = _consecutive_commute(fam1[i], fam2[k], i, k, n)
+    for i in range(1, n - 1):
+        consecutive[(i, i + 1)] = _consecutive_commute(fam1[i], fam2[i + 1])
+        consecutive[(i + 1, i)] = _consecutive_commute(fam2[i], fam1[i + 1])
     return CommuteReport(same_index=same, distant=distant, consecutive=consecutive)

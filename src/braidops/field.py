@@ -32,18 +32,11 @@ class FieldElement:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, rat_part, zeta_part):
-        """From two ints or Fractions.  Reduced fractions brought over the lcm
-        of their denominators are coprime to it, so no gcd is needed."""
+        """From two ints or Fractions p/q and r/s, as (p s + r q z)/(q s)."""
         p, q = rat_part.as_integer_ratio()
         r, s = zeta_part.as_integer_ratio()
-        if q != s:
-            d = q // gcd(q, s) * s
-            p *= d // q
-            r *= d // s
-            q = d
-        self._a = p
-        self._b = r
-        self._d = q
+        x = _raw(p * s, r * q, q * s)
+        self._a, self._b, self._d = x._a, x._b, x._d
 
     @staticmethod
     def _raw(a: int, b: int, d: int) -> "FieldElement":

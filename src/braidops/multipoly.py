@@ -394,7 +394,7 @@ class SlotPoly(MultiPoly):
         return SlotPoly._wrap(2, _ddiff_terms(self._terms, 0))
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
-        return SlotPoly._wrap(2, _divide_terms(self._terms, self._coerce(g)._terms))
+        return exact_div(self, g)
 
     def evaluate(self, uval, vval) -> FieldElement:
         return super().evaluate((uval, vval))

@@ -131,14 +131,6 @@ class PDDO:
         r0 = instantiate(self.R0, i, i + 1, n)
         return q0 * ddiff(f, i) + r0 * f
 
-    def probe(self, i: int, n: int | None = None) -> tuple[MultiPoly, MultiPoly]:
-        """Return (pi(1), pi(x_i)) as polynomials in n variables."""
-        if n is None:
-            n = i + 1
-        one = MultiPoly.const(n, 1)
-        xi = MultiPoly.variable(n, i)
-        return self.apply(i, one), self.apply(i, xi)
-
     # -- derived data ------------------------------------------------------
 
     def canonical_forms(self) -> CanonicalForms:

@@ -101,13 +101,18 @@ def reduced_words(w: Permutation) -> list[list[int]]:
     """All reduced words of w, by recursive descent on descents."""
     if w.n > MAX_TABLE_N:
         raise SizeLimitError(f"reduced word enumeration capped at n = {MAX_TABLE_N}")
+    return [list(word) for word in _reduced_words(w)]
+
+
+def _reduced_words(w: Permutation):
+    """The reduced words of w as tuples, in the order of ``reduced_words``:
+    for each right descent i, smallest first, the words of w s_i then i."""
     if w.is_identity():
-        return [[]]
-    words = []
+        yield ()
+        return
     for i in w.descents():
-        for prefix in reduced_words(w.apply_transposition(i)):
-            words.append(prefix + [i])
-    return words
+        for prefix in _reduced_words(w.apply_transposition(i)):
+            yield prefix + (i,)
 
 
 def apply_word(fam: OperatorFamily, word: Sequence[int], f: MultiPoly) -> MultiPoly:
@@ -165,15 +170,6 @@ def polynomial_table(
             )
         polys[w] = values[0]
     return [
-        TableEntry(perm=w, word=_first_reduced_word(w.inverse() * w0), poly=polys[w])
+        TableEntry(perm=w, word=next(_reduced_words(w.inverse() * w0)), poly=polys[w])
         for w in Permutation.all(n)
     ]
-
-
-def _first_reduced_word(v: Permutation) -> tuple[int, ...]:
-    """reduced_words(v)[0]: strip the smallest right descent until v = id."""
-    word = ()
-    while not v.is_identity():
-        i = v.descents()[0]
-        v, word = v.apply_transposition(i), (i,) + word
-    return word

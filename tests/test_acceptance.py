@@ -239,9 +239,9 @@ def test_criterion_4_invariants_and_oracle(capsys):
             assert PDDO.from_q0_r0(cf.q0, cf.r0) == op
             assert PDDO.from_pqrs(cf.p_plus, cf.q_sup, cf.r_plus, zero) == op
             assert PDDO.from_pqrs(cf.p_sup, cf.q_plus, cf.r_plus, zero) == op
-            p1, px = op.probe(1, 2)
             x = MultiPoly.variable(2, 1)
             y = MultiPoly.variable(2, 2)
+            p1, px = op.apply(1, MultiPoly.const(2, 1)), op.apply(1, x)
             assert px - y * p1 == instantiate(op.T, 1, 2, 2)
             assert px - x * p1 == instantiate(op.Q0, 1, 2, 2)
 

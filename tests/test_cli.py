@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from braidops import cli
 from braidops.cli import main, poly_from_json, poly_to_json
-from braidops.multipoly import MultiPoly
+from braidops.families import OperatorFamily
+from braidops.multipoly import MultiPoly, SlotPoly
+from braidops.pddo import PDDO
 from braidops.words import staircase
 
 
@@ -123,6 +125,51 @@ class TestVerify:
         code2, out2, _ = run(argv, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_random_trials_refuse_json_output(self, capsys):
+        code, out, err = run(
+            ["verify", "--n", "4", "--family", "case2", "--random-trials", "1",
+             "--output", "json"],
+            capsys,
+        )
+        assert (code, out, err) == (
+            2, "", "error: --random-trials prints text only; it takes no --output json\n")
+
+    @pytest.mark.parametrize("trials", [[], ["--random-trials", "0"]])
+    def test_rng_seed_needs_random_trials(self, trials, capsys):
+        code, out, err = run(
+            ["verify", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3",
+             "--rng-seed", "5", *trials],
+            capsys,
+        )
+        assert (code, out, err) == (
+            2, "", "error: --rng-seed needs a positive --random-trials\n")
+
+    def test_failing_family_exits_one(self, monkeypatch, capsys):
+        """A case1 family whose middle operator gains u d_2 fails both cubic
+        relations; verify reports every failing coefficient."""
+        build = cli.build_family
+
+        def perturbed(*args):
+            fam = build(*args)
+            op, h = fam[2], SlotPoly.u()
+            return OperatorFamily(fam.n, (fam[1], PDDO(op.T + h, op.Q0 + h), fam[3]))
+
+        monkeypatch.setattr(cli, "build_family", perturbed)
+        argv = ["verify", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3"]
+        code, out, err = run(argv, capsys)
+        bad = "f, sf, sigma_f, s_sigma_f, sigma_s_f, s_sigma_s_f"
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            f"cubic  (1,2): FAIL  (failing coefficients: {bad})",
+            f"cubic  (2,3): FAIL  (failing coefficients: {bad})",
+            "quad   (1,3): pass",
+            "overall: FAIL",
+        ]
+        code, out, _ = run(argv + ["--output", "json"], capsys)
+        data = json.loads(out)
+        assert code == 1 and data["passed"] is False
+        assert [rep["passed"] for rep in data["cubic"].values()] == [False, False]
 
     def test_negative_random_trials_exits_two(self, capsys):
         code, out, err = run(
@@ -360,6 +407,24 @@ class TestConfigFamilies:
         assert (code, out) == (2, "")
         assert err.startswith("error: exponent ") and err.count("\n") == 1
 
+    def test_seed_poly_exponent_over_the_limit_exits_two(self, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", "1",
+             "--seed-poly", '[{"e": [100001, 0, 0], "c": "1"}]'],
+            capsys,
+        )
+        assert (code, out, err) == (
+            2, "", "error: exponent 100001 exceeds the limit 100000\n")
+
+    def test_seed_poly_exponent_at_the_limit_is_read(self, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", "",
+             "--seed-poly", '[{"e": [100000, 0, 0], "c": "1"}]'],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["poly"] == [{"e": [100000, 0, 0], "c": "1"}]
+
     def test_long_inline_seed_poly_is_not_read_as_a_path(self, capsys):
         seed = json.dumps([{"e": [k, 19 - k, 0], "c": "1"} for k in range(20)])
         assert len(seed) > 255  # longer than a file name may be
@@ -416,6 +481,16 @@ class TestConfigFamilies:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: exponent ") and err.count("\n") == 1
+
+    def test_config_exponent_over_the_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "degent.json"
+        path.write_text(json.dumps({**DEGENT3, "qhat": [{"e": [100001, 0], "c": "1"}]}))
+        code, out, err = run(
+            ["verify", "--n", "3", "--family", "degen-t", "--config", str(path)],
+            capsys,
+        )
+        assert (code, out, err) == (
+            2, "", "error: exponent 100001 exceeds the limit 100000\n")
 
     def test_missing_config_exits_two(self, capsys):
         code, _, err = run(["verify", "--n", "4", "--family", "vanq0"], capsys)
@@ -520,6 +595,8 @@ def cli_argvs(draw):
         argv += draw(family_args("2"))
     if command == "verify" and draw(st.booleans()):
         argv += ["--random-trials", str(draw(st.integers(0, 2)))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--rng-seed", str(draw(st.integers(0, 9)))]
     if command == "apply" and draw(st.booleans()):
         argv += ["--word", draw(st.sampled_from(["1", "2,1", "3,x"]))]
     return argv + ["--output", draw(st.sampled_from(["text", "json"]))]

@@ -75,7 +75,8 @@ class TestExactCriteria:
         outcomes = set()
         for op_i in ops:
             for op_k in ops:
-                got = _consecutive_commute(op_i, op_k, i, k, 4)
+                lo, hi = (op_i, op_k) if i < k else (op_k, op_i)
+                got = _consecutive_commute(lo, hi)
                 assert got == consecutive_probe(op_i, op_k, i, k, 4), (op_i, op_k)
                 outcomes.add(got)
         assert outcomes == {True, False}

@@ -123,9 +123,9 @@ class TestAction:
         T = pi(x) - y pi(1) and Q0 = pi(x) - x pi(1)."""
         op = PDDO.from_pqrs(*pqrs)
         n = 2
-        p1, px = op.probe(1, n)
         x = MultiPoly.variable(n, 1)
         y = MultiPoly.variable(n, 2)
+        p1, px = op.apply(1, MultiPoly.const(n, 1)), op.apply(1, x)
         assert px - y * p1 == instantiate(op.T, 1, 2, n)
         assert px - x * p1 == instantiate(op.Q0, 1, 2, n)
         assert p1 == instantiate(op.R0, 1, 2, n)
