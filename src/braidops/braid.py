@@ -191,10 +191,7 @@ def family_braid_check(fam: "OperatorFamily") -> FamilyReport:
 
     The cubic check is index-free, so it runs once per distinct pair of
     operators: a uniform family needs one check whatever n is."""
-    ops = list(fam.ops)
-    n = fam.n
-    if len(ops) != n - 1:
-        raise ValueError("family must have n - 1 operators")
+    ops, n = fam.ops, fam.n
     if n < 3:
         raise ValueError("braid relations need n >= 3")
     checked: dict[tuple[PDDO, PDDO], CubicReport] = {}

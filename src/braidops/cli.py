@@ -78,21 +78,32 @@ def _exponents(raw) -> tuple[int, ...]:
     return e
 
 
+def _fields(obj, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """A JSON object with every required field and no field outside
+    required + optional; a misspelled field would otherwise be ignored."""
+    if type(obj) is not dict:
+        raise TypeError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown field {key!r} in {where}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"missing field {key!r} in {where}")
+    return obj
+
+
 def _terms(data, field: str) -> dict[tuple[int, ...], FieldElement]:
     """The exponent -> coefficient map of a JSON term list."""
     terms = {}
-    for item in _list(data, field):
+    for k, item in enumerate(_list(data, field)):
+        item = _fields(item, f"{field} entry {k}", ("e", "c"))
         e = _exponents(item["e"])
         terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
     return terms
 
 
 def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
-    terms = _terms(data, "term list")
-    for e in terms:
-        if len(e) != n_vars:
-            raise ConfigError(f"exponent vector {e} does not have {n_vars} entries")
-    return MultiPoly(n_vars, terms)
+    return MultiPoly(n_vars, _terms(data, "term list"))
 
 
 def slot_from_json(data: list[dict], field: str = "term list") -> SlotPoly:
@@ -153,6 +164,7 @@ def _from_config(read):
 
 
 def _degen_t(n: int, cfg: dict) -> OperatorFamily:
+    cfg = _fields(cfg, "degen-t config", ("qhat", "p", "pairs"))
     pairs = []
     for pair in _list(cfg["pairs"], "pairs"):
         q_l, q_r = _list(pair, "pairs entry")
@@ -162,12 +174,15 @@ def _degen_t(n: int, cfg: dict) -> OperatorFamily:
 
 
 def _vanq0(n: int, cfg: dict) -> OperatorFamily:
-    segments: list[Isolated | Interval] = [
-        Isolated(index=_natural(iso["index"], "index"),
-                 phi=slot_from_json(iso["phi"], "phi"), psi=slot_from_json(iso["psi"], "psi"))
-        for iso in _list(cfg.get("isolated", []), "isolated")
-    ]
-    for iv in _list(cfg.get("intervals", []), "intervals"):
+    cfg = _fields(cfg, "vanq0 config", ("mu",), ("isolated", "intervals"))
+    segments: list[Isolated | Interval] = []
+    for k, iso in enumerate(_list(cfg.get("isolated", []), "isolated")):
+        iso = _fields(iso, f"isolated entry {k}", ("index", "phi", "psi"))
+        segments.append(Isolated(
+            index=_natural(iso["index"], "index"),
+            phi=slot_from_json(iso["phi"], "phi"), psi=slot_from_json(iso["psi"], "psi")))
+    for k, iv in enumerate(_list(cfg.get("intervals", []), "intervals")):
+        iv = _fields(iv, f"intervals entry {k}", ("start", "stop", *"abcd"), ("lines",))
         lines = [_line(l) for l in _list(iv["lines"], "lines")] if "lines" in iv else None
         segments.append(Interval(
             start=_natural(iv["start"], "start"), stop=_natural(iv["stop"], "stop"),
@@ -256,8 +271,19 @@ def _print_report(report: FamilyReport, output: str) -> None:
 
 # -- subcommands ------------------------------------------------------------
 
+# verify and commute report all (n-1)(n-2)/2 distant pairs.  At n = 500 a run
+# takes about 0.13 s, 2.8 MB of output and 70 MiB on a 2-core machine; at
+# n = 1000, 0.5 s, 11 MB and 220 MiB.
+MAX_REPORT_N = 500
+
+
+def _refuse_large_report(n: int) -> None:
+    if n > MAX_REPORT_N:
+        raise ConfigError(f"--n {n} exceeds the limit {MAX_REPORT_N} of verify and commute")
+
 
 def _cmd_verify(args) -> int:
+    _refuse_large_report(args.n)
     if args.random_trials < 0:
         raise ConfigError(f"--random-trials must be at least 0, got {args.random_trials}")
     if args.rng_seed is not None and not args.random_trials:
@@ -302,6 +328,7 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_commute(args) -> int:
+    _refuse_large_report(args.n)
     fam1 = build_family(args.family, args.n, args.params, args.lines, args.config)
     fam2 = build_family(args.family2, args.n, args.params2, args.lines2, args.config2)
     report = cross_family_commute(fam1, fam2)

@@ -230,6 +230,13 @@ class Isolated:
     phi: SlotPoly
     psi: SlotPoly
 
+    def operators(self, mu: FieldElement) -> dict[int, PDDO]:
+        """{index: operator}; requires d(phi psi) = mu."""
+        if (self.phi * self.psi).ddiff() != mu:
+            raise ConstraintError(
+                f"isolated index {self.index}: d(phi * psi) must equal mu")
+        return {self.index: isolated_operator(self.phi, self.psi)}
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -244,6 +251,19 @@ class Interval:
     d: object
     lines: Sequence[Case2Line] | None = None
 
+    def operators(self, mu: FieldElement) -> dict[int, PDDO]:
+        """{index: operator} over start..stop via main_case2; requires b - c = mu."""
+        indices = range(self.start, self.stop + 1)
+        where = f"interval {self.start}..{self.stop}"
+        if len(indices) < 2:
+            raise ConstraintError(
+                f"{where} must contain at least two indices; use an Isolated segment")
+        lines = [Case2Line.LINE1] * len(indices) if self.lines is None else self.lines
+        fam = main_case2(len(indices) + 1, self.a, self.b, self.c, self.d, lines)
+        if _fe(self.b) - _fe(self.c) != mu:
+            raise ConstraintError(f"{where}: b - c must equal mu")
+        return dict(zip(indices, fam.ops))
+
 
 def isolated_operator(phi: SlotPoly, psi: SlotPoly) -> PDDO:
     """f |-> phi * d(psi f) = phi swap(psi) d f + phi d(psi) f."""
@@ -255,9 +275,9 @@ def with_vanishing_q0(
 ) -> OperatorFamily:
     """Families containing scalar operators mu*Id at some indices.
 
-    Indices not covered by a segment get mu*Id.  Isolated segments must have
-    d(phi psi) = mu and no neighbor inside another segment; interval segments
-    are length >= 2 runs of second-main-case operators with b - c = mu.
+    Indices not covered by a segment get mu*Id, and at least one must.
+    Segments lie in 1..n-1, are disjoint and do not touch (no i and i + 1 in
+    two segments), so each is a maximal non-scalar run.
     """
     mu = _fe(mu)
     if n < 4:
@@ -265,56 +285,21 @@ def with_vanishing_q0(
     if mu == ZERO:
         raise ConstraintError("mu must be nonzero")
     covered: dict[int, PDDO] = {}
-    for seg in segments:
-        if isinstance(seg, Isolated):
-            if (seg.phi * seg.psi).ddiff() != mu:
-                raise ConstraintError(
-                    f"isolated index {seg.index}: d(phi * psi) must equal mu"
-                )
-            built = {seg.index: isolated_operator(seg.phi, seg.psi)}
-        else:
-            if seg.stop - seg.start < 1:
-                raise ConstraintError(
-                    f"interval {seg.start}..{seg.stop} must contain at least "
-                    "two indices; use an Isolated segment instead"
-                )
-            a, b, c, d = _check_abcd(seg.a, seg.b, seg.c, seg.d)
-            if b - c != mu:
-                raise ConstraintError(
-                    f"interval {seg.start}..{seg.stop}: b - c must equal mu"
-                )
-            indices = range(seg.start, seg.stop + 1)
-            default = [Case2Line.LINE1] * len(indices)
-            lines = default if seg.lines is None else list(seg.lines)
-            if len(lines) != len(indices):
-                raise ConstraintError("interval line choices have wrong length")
-            built = {
-                i: case2_operator(a, b, c, d, line) for i, line in zip(indices, lines)
-            }
-        for i, op in built.items():
+    owner: dict[int, int] = {}
+    for k, seg in enumerate(segments):
+        for i, op in seg.operators(mu).items():
             if not 1 <= i <= n - 1:
                 raise ConstraintError(f"segment index {i} out of range 1..{n - 1}")
             if i in covered:
                 raise ConstraintError(f"segments overlap at index {i}")
-            covered[i] = op
-
+            covered[i], owner[i] = op, k
     if len(covered) == n - 1:
         raise ConstraintError("the set of scalar indices must be non-empty")
-    for seg in segments:
-        if isinstance(seg, Isolated):
-            for nb in (seg.index - 1, seg.index + 1):
-                if nb in covered:
-                    raise ConstraintError(
-                        f"isolated index {seg.index} has a non-scalar neighbor {nb}"
-                    )
-        else:
-            for nb in (seg.start - 1, seg.stop + 1):
-                if nb in covered:
-                    raise ConstraintError(
-                        f"interval {seg.start}..{seg.stop} is not maximal: "
-                        f"index {nb} is also non-scalar"
-                    )
-
+    for i, k in owner.items():
+        if owner.get(i + 1, k) != k:
+            raise ConstraintError(
+                f"index {i} has a non-scalar neighbor {i + 1} in another segment"
+            )
     ops = tuple(covered.get(i, identity_op(mu)) for i in range(1, n))
     return OperatorFamily(n, ops, provenance="WithVanQ0")
 

@@ -160,7 +160,7 @@ class MultiPoly:
         cleaned = {}
         for e, c in terms.items():
             if len(e) != n_vars:
-                raise ValueError(f"exponent vector {e} has wrong length")
+                raise ValueError(f"exponent vector {e} does not have {n_vars} entries")
             c = FieldElement.of(c)
             if c:
                 cleaned[tuple(e)] = c
@@ -332,9 +332,6 @@ class SlotPoly(MultiPoly):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], FieldElement]):
-        for e in terms:
-            if len(e) != 2:
-                raise ValueError(f"slot exponent pair {e} must have length 2")
         super().__init__(2, terms)
 
     # bench/tracer.py patches these by name in this class's own dict, so that

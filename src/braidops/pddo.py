@@ -53,7 +53,7 @@ class PDDO:
     """One polynomial divided difference operator in the first canonical
     form (Q0, R0), with T = Q0 + (u - v)R0; compared and hashed by (T, Q0)."""
 
-    __slots__ = ("T", "Q0", "R0", "degeneracy")
+    __slots__ = ("T", "Q0", "R0")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
         """Build from outside (T, Q0); T - Q0 must be divisible by u - v."""
@@ -66,18 +66,17 @@ class PDDO:
         self._fill(T, Q0, R0)
 
     def _fill(self, T: SlotPoly, Q0: SlotPoly, R0: SlotPoly) -> None:
-        fill = object.__setattr__
-        fill(self, "T", T)
-        fill(self, "Q0", Q0)
-        fill(self, "R0", R0)
-        if Q0:
-            degeneracy = Degeneracy.NONDEGENERATE if T else Degeneracy.T_ZERO
-        else:
-            degeneracy = Degeneracy.Q_ZERO if T else Degeneracy.ZERO
-        fill(self, "degeneracy", degeneracy)
+        for name, value in zip(PDDO.__slots__, (T, Q0, R0)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
         raise AttributeError("PDDO is immutable")
+
+    @property
+    def degeneracy(self) -> Degeneracy:
+        if self.Q0:
+            return Degeneracy.NONDEGENERATE if self.T else Degeneracy.T_ZERO
+        return Degeneracy.Q_ZERO if self.T else Degeneracy.ZERO
 
     # -- constructors ------------------------------------------------------
 

@@ -365,6 +365,9 @@ class TestConfigFamilies:
              "lines": "l1"}]}, "lines must be a JSON list, not str"),
         ("vanq0", "4", {"mu": "1", "isolated": {"index": 1}},
          "isolated must be a JSON list, not dict"),
+        ("vanq0", "4", [], "vanq0 config must be a JSON object, not list"),
+        ("vanq0", "4", {"mu": "1", "isolated": [[1, [], []]]},
+         "isolated entry 0 must be a JSON object, not list"),
     ])
     def test_wrong_shape_config_exits_two(self, family, n, config, message,
                                           tmp_path, capsys):
@@ -521,6 +524,94 @@ class TestConfigFamilies:
         assert (code, out, err_lines) == (2, "", err)
 
 
+VANQ0_ISOLATED = json.loads((GOLDEN / "vanq0_isolated.json").read_text())
+VANQ0_INTERVAL = json.loads((GOLDEN / "vanq0_interval.json").read_text())
+
+
+def _with(cfg, path, value):
+    """A deep copy of cfg with the object at path replaced by value."""
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("family,n,config,message", [
+        ("vanq0", "4", {"mu": "1", "isolatd": VANQ0_ISOLATED["isolated"]},
+         "unknown field 'isolatd' in vanq0 config"),
+        ("vanq0", "4", {"isolated": []}, "missing field 'mu' in vanq0 config"),
+        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "psy"), []),
+         "unknown field 'psy' in isolated entry 0"),
+        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0), {"index": 1, "phi": []}),
+         "missing field 'psi' in isolated entry 0"),
+        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "x"), 2),
+         "unknown field 'x' in phi entry 0"),
+        ("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, "line"), ["l3", "l4"]),
+         "unknown field 'line' in intervals entry 0"),
+        ("vanq0", "5", {"mu": "1", "intervals": [{"start": 2, "stop": 3}]},
+         "missing field 'a' in intervals entry 0"),
+        ("degen-t", "3", {**DEGENT3, "q_hat": DEGENT3["qhat"]},
+         "unknown field 'q_hat' in degen-t config"),
+        ("degen-t", "3", {"qhat": DEGENT3["qhat"], "p": DEGENT3["p"]},
+         "missing field 'pairs' in degen-t config"),
+        ("degen-t", "3", {**DEGENT3, "qhat": [{"e": [0, 0]}]},
+         "missing field 'c' in qhat entry 0"),
+    ])
+    def test_unknown_or_missing_field_exits_two(self, family, n, config, message,
+                                                tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(
+            ["hecke", "--n", n, "--family", family, "--config", str(path)], capsys
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("seed,message", [
+        ('[{"e": [1, 0, 0], "c": "1", "x": 2}]', "unknown field 'x' in term list entry 0"),
+        ('[{"e": [1, 0, 0], "c": "1"}, {"e": [1, 0, 0]}]',
+         "missing field 'c' in term list entry 1"),
+    ])
+    def test_seed_poly_term_fields_checked(self, seed, message, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--seed-poly", seed],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestReportSizeLimit:
+    LIMIT = cli.MAX_REPORT_N
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "preset:demazure"],
+        ["verify", "--family", "case2", "--random-trials", "3"],
+        ["commute", "--family", "preset:demazure", "--family2", "preset:demazure"],
+    ])
+    def test_over_the_limit_exits_two(self, argv, capsys):
+        for n in (self.LIMIT + 1, 100_000):
+            code, out, err = run([*argv, "--n", str(n)], capsys)
+            assert (code, out) == (2, "")
+            assert err == (f"error: --n {n} exceeds the limit {self.LIMIT} "
+                           "of verify and commute\n")
+
+    def test_at_the_limit_runs(self, capsys):
+        code, out, err = run(
+            ["verify", "--n", str(self.LIMIT), "--family", "preset:demazure"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.count("\n") == (self.LIMIT - 2) + (self.LIMIT - 2) * (self.LIMIT - 3) // 2 + 1
+
+    def test_other_commands_take_a_larger_n(self, capsys):
+        code, out, err = run(
+            ["hecke", "--n", str(self.LIMIT + 1), "--family", "preset:demazure"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.count("\n") == self.LIMIT
+
+
 def test_memory_error_exits_two(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError
@@ -623,6 +714,17 @@ NOT_LISTS = st.one_of(
 )
 
 
+def _object_fields(node, path=()):
+    """The path of every field of every JSON object inside node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _object_fields(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _object_fields(value, path + (k,))
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
@@ -633,13 +735,18 @@ def config_file(tmp_path_factory):
 def test_fuzzed_config_keeps_exit_code_contract(config_file, base, data):
     name, n, list_fields = base
     cfg = json.loads((GOLDEN / name).read_text())
-    path = data.draw(st.sampled_from(list_fields))
+    mutation = data.draw(st.sampled_from(["replace", "delete", "rename"]))
+    # A rename misspells any field of any object in the config.
+    fields = list(_object_fields(cfg)) if mutation == "rename" else list_fields
+    path = data.draw(st.sampled_from(fields))
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
-    replaced = data.draw(st.booleans())
-    if replaced:
+    if mutation == "replace":
         parent[path[-1]] = data.draw(NOT_LISTS)
+    elif mutation == "rename":
+        renamed = path[-1] + "s"
+        parent[renamed] = parent.pop(path[-1])
     elif isinstance(parent, dict):
         del parent[path[-1]]
     else:
@@ -651,5 +758,7 @@ def test_fuzzed_config_keeps_exit_code_contract(config_file, base, data):
         [command, "--n", str(n), "--family", family, "--config", str(config_file)]
     )
     assert_contract(code, err)
-    if replaced:
+    if mutation == "replace":
         assert code == 2 and " must be a JSON list, not " in err
+    if mutation == "rename":
+        assert code == 2 and f"unknown field {renamed!r} in " in err

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidops import sampling
 from braidops.braid import almost_equal, cubic_braid_check, family_braid_check
@@ -255,7 +255,65 @@ class TestZetaPair:
             assert cubic_braid_check(pi, varpi).passed
 
 
+ONE_SLOT = SlotPoly.const(1)
+
+
+def _interval(start, stop, lines=None):
+    """An interval with b - c = 1, the mu of the layouts below."""
+    return Interval(start, stop, a=1, b=2, c=1, d=2, lines=lines)
+
+
+@st.composite
+def vanq0_layouts(draw):
+    """n <= 8 and up to three segments starting anywhere in 0..n, intervals
+    possibly empty or of length one; isolated segments are Demazure operators."""
+    n = draw(st.integers(4, 8))
+    segments = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n))
+        if draw(st.booleans()):
+            segments.append(Isolated(start, ONE_SLOT, U))
+            continue
+        stop = start + draw(st.integers(-1, 3))
+        size = stop - start + 1
+        lines = draw(st.lists(st.sampled_from(list(Case2Line)),
+                              min_size=size, max_size=size))
+        segments.append(_interval(start, stop, lines))
+    return n, segments
+
+
+def _valid_layout(n, segments) -> bool:
+    """The classification's conditions, read off index sets alone."""
+    sets = [{seg.index} if isinstance(seg, Isolated)
+            else set(range(seg.start, seg.stop + 1)) for seg in segments]
+    covered = [i for indices in sets for i in indices]
+    return (
+        all(len(indices) >= 2 for indices, seg in zip(sets, segments)
+            if isinstance(seg, Interval))
+        and all(1 <= i <= n - 1 for i in covered)
+        and len(covered) == len(set(covered))
+        and not any(i + 1 in other for a, indices in enumerate(sets)
+                    for b, other in enumerate(sets) if a != b for i in indices)
+        and len(covered) < n - 1
+    )
+
+
 class TestWithVanishingQ0:
+    @settings(max_examples=300, deadline=None)
+    @given(vanq0_layouts())
+    @example((6, [_interval(1, 2), _interval(3, 4)]))  # interval touching interval
+    @example((6, [_interval(3, 4), _interval(1, 2)]))
+    @example((5, [_interval(1, 2), Isolated(3, ONE_SLOT, U)]))  # interval, isolated
+    @example((5, [Isolated(1, ONE_SLOT, U), _interval(2, 3)]))
+    @example((6, [_interval(1, 2), _interval(4, 5)]))
+    def test_accepts_exactly_the_valid_layouts(self, layout):
+        n, segments = layout
+        if _valid_layout(n, segments):
+            assert family_braid_check(with_vanishing_q0(n, 1, segments)).passed
+        else:
+            with pytest.raises(ConstraintError):
+                with_vanishing_q0(n, 1, segments)
+
     def test_basic_structural_errors(self):
         with pytest.raises(ConstraintError, match="n >= 4"):
             with_vanishing_q0(3, 1, [])

@@ -86,6 +86,13 @@ ARGVS = [
     *_both(["apply", "--n", "4", *CASE2_MIXED4, "--word", "3,2,1",
             "--seed-poly", DENSE4]),
     *_both(["apply", "--n", "4", *DEGENT4, "--word", "2,3"]),
+    # Refused input: a misspelled config field, an unknown term field and an
+    # --n over the size limit of verify and commute.
+    ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_misspelled.json"],
+    ["apply", "--n", "3", "--family", "preset:demazure",
+     "--seed-poly", '[{"e":[1,0,0],"c":"1","x":2}]'],
+    ["verify", "--n", "100000", "--family", "preset:demazure"],
+    ["verify", "--n", "100000", "--family", "case2", "--random-trials", "2"],
 ]
 
 
