@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import sampling
-from .braid import FamilyReport, family_braid_check
-from .commute import cross_family_commute
+from .braid import CubicReport, FamilyReport, family_braid_check
+from .commute import CommuteReport, cross_family_commute
 from .families import (
     Case2Line,
     Interval,
@@ -54,6 +54,18 @@ def _list(value, field: str) -> list:
     if type(value) is not list:
         raise TypeError(f"{field} must be a JSON list, not {type(value).__name__}")
     return value
+
+
+def _string(value, field: str) -> str:
+    """A JSON value that must be a string: a coefficient such as "1/2" or a line name."""
+    if type(value) is not str:
+        raise TypeError(f"{field} must be a JSON string, not {type(value).__name__}")
+    return value
+
+
+def _element(value, field: str) -> FieldElement:
+    """A coefficient read from JSON; it must be a string such as "1/2"."""
+    return FieldElement.parse(_string(value, field))
 
 
 # The largest exponent a seed or config term may hold; work grows with it.
@@ -96,9 +108,11 @@ def _terms(data, field: str) -> dict[tuple[int, ...], FieldElement]:
     """The exponent -> coefficient map of a JSON term list."""
     terms = {}
     for k, item in enumerate(_list(data, field)):
-        item = _fields(item, f"{field} entry {k}", ("e", "c"))
+        where = f"{field} entry {k}"
+        item = _fields(item, where, ("e", "c"))
         e = _exponents(item["e"])
-        terms[e] = terms.get(e, FieldElement.of(0)) + FieldElement.parse(item["c"])
+        c = _element(item["c"], f"field 'c' in {where}")
+        terms[e] = terms.get(e, FieldElement.of(0)) + c
     return terms
 
 
@@ -127,7 +141,7 @@ def _line(name: str) -> Case2Line:
 
 
 def _elements(data, field: str) -> list[FieldElement]:
-    return [FieldElement.parse(c) for c in _list(data, field)]
+    return [_element(c, f"{field} entry {j}") for j, c in enumerate(_list(data, field))]
 
 
 def _case1(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
@@ -166,9 +180,12 @@ def _from_config(read):
 def _degen_t(n: int, cfg: dict) -> OperatorFamily:
     cfg = _fields(cfg, "degen-t config", ("qhat", "p", "pairs"))
     pairs = []
-    for pair in _list(cfg["pairs"], "pairs"):
-        q_l, q_r = _list(pair, "pairs entry")
-        pairs.append((_elements(q_l, "pairs entry"), _elements(q_r, "pairs entry")))
+    for k, pair in enumerate(_list(cfg["pairs"], "pairs")):
+        sides = [_list(q, "pairs entry") for q in _list(pair, "pairs entry")]
+        if len(sides) != 2:
+            raise TypeError(f"pairs entry {k} must hold two lists [q_l, q_r], not {len(sides)}")
+        pairs.append(tuple(_elements(q, f"pairs entry {k} {side}")
+                           for side, q in zip(("q_l", "q_r"), sides)))
     qhat = slot_from_json(cfg["qhat"], "qhat")
     return degenerate_t_family(n, qhat, _elements(cfg["p"], "p"), pairs)
 
@@ -177,18 +194,24 @@ def _vanq0(n: int, cfg: dict) -> OperatorFamily:
     cfg = _fields(cfg, "vanq0 config", ("mu",), ("isolated", "intervals"))
     segments: list[Isolated | Interval] = []
     for k, iso in enumerate(_list(cfg.get("isolated", []), "isolated")):
-        iso = _fields(iso, f"isolated entry {k}", ("index", "phi", "psi"))
+        where = f"isolated entry {k}"
+        iso = _fields(iso, where, ("index", "phi", "psi"))
         segments.append(Isolated(
             index=_natural(iso["index"], "index"),
-            phi=slot_from_json(iso["phi"], "phi"), psi=slot_from_json(iso["psi"], "psi")))
+            phi=slot_from_json(iso["phi"], f"{where} phi"),
+            psi=slot_from_json(iso["psi"], f"{where} psi")))
     for k, iv in enumerate(_list(cfg.get("intervals", []), "intervals")):
-        iv = _fields(iv, f"intervals entry {k}", ("start", "stop", *"abcd"), ("lines",))
-        lines = [_line(l) for l in _list(iv["lines"], "lines")] if "lines" in iv else None
+        where = f"intervals entry {k}"
+        iv = _fields(iv, where, ("start", "stop", *"abcd"), ("lines",))
+        lines = None
+        if "lines" in iv:
+            lines = [_line(_string(l, f"{where} lines entry {j}"))
+                     for j, l in enumerate(_list(iv["lines"], "lines"))]
         segments.append(Interval(
             start=_natural(iv["start"], "start"), stop=_natural(iv["stop"], "stop"),
-            **{k: FieldElement.parse(iv[k]) for k in "abcd"}, lines=lines,
+            **{x: _element(iv[x], f"field {x!r} in {where}") for x in "abcd"}, lines=lines,
         ))
-    return with_vanishing_q0(n, FieldElement.parse(cfg["mu"]), segments)
+    return with_vanishing_q0(n, _element(cfg["mu"], "field 'mu' in vanq0 config"), segments)
 
 
 def _draw_vanq0(n: int, rng: random.Random) -> OperatorFamily:
@@ -242,30 +265,30 @@ def _random_family(family: str, n: int, rng: random.Random) -> OperatorFamily:
 # -- report rendering -------------------------------------------------------
 
 
-def _report_json(report: FamilyReport) -> dict:
-    return {
-        "passed": report.passed,
-        "cubic": {
-            f"{i},{k}": {"passed": rep.passed, "flags": rep.flags}
-            for (i, k), rep in report.cubic.items()
-        },
-        "quad": {f"{i},{k}": ok for (i, k), ok in report.quad.items()},
-    }
+# section of a FamilyReport or CommuteReport -> its padded text label
+_LABELS = {"cubic": "cubic  ", "quad": "quad   ", "same_index": "same-index  ",
+           "distant": "distant     ", "consecutive": "consecutive "}
 
 
-def _print_report(report: FamilyReport, output: str) -> None:
+def _print_report(report: FamilyReport | CommuteReport, output: str) -> None:
+    """Print a report's sections (its fields): one `label (i,k): pass|FAIL`
+    line per index pair and an `overall:` line, or JSON keyed "i,k".  A
+    same-index entry i prints as (i,i) and "i"."""
+    sections = {name: sorted(results.items()) for name, results in vars(report).items()}
     if output == "json":
-        print(_dumps(_report_json(report)))
+        print(_dumps({"passed": report.passed, **{name: {
+            ",".join(map(str, key)) if type(key) is tuple else str(key):
+                {"passed": r.passed, "flags": r.flags} if isinstance(r, CubicReport) else r
+            for key, r in items
+        } for name, items in sections.items()}}))
         return
-    for (i, k), rep in sorted(report.cubic.items()):
-        status = "pass" if rep.passed else "FAIL"
-        detail = ""
-        if not rep.passed:
-            bad = [name for name, ok in rep.flags.items() if not ok]
-            detail = f"  (failing coefficients: {', '.join(bad)})"
-        print(f"cubic  ({i},{k}): {status}{detail}")
-    for (i, k), ok in sorted(report.quad.items()):
-        print(f"quad   ({i},{k}): {'pass' if ok else 'FAIL'}")
+    for name, items in sections.items():
+        for key, r in items:
+            i, k = key if type(key) is tuple else (key, key)
+            flags = r.flags if isinstance(r, CubicReport) else {}
+            bad = [coeff for coeff, ok in flags.items() if not ok]
+            detail = f"  (failing coefficients: {', '.join(bad)})" if bad else ""
+            print(f"{_LABELS[name]}({i},{k}): {'pass' if r else 'FAIL'}{detail}")
     print(f"overall: {'pass' if report.passed else 'FAIL'}")
 
 
@@ -309,21 +332,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hecke(args) -> int:
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
-    rows = []
-    for i in range(1, fam.n):
-        hp = fam[i].hecke_params()
-        rows.append(
-            {"index": i, "mu": None if hp is None else str(hp[0]),
-             "nu": None if hp is None else str(hp[1])}
-        )
+    params = {i: fam[i].hecke_params() for i in range(1, fam.n)}
     if args.output == "json":
-        print(_dumps({"n": fam.n, "hecke": rows}))
-    else:
-        for row in rows:
-            if row["mu"] is None:
-                print(f"pi_{row['index']}: no Hecke relation")
-            else:
-                print(f"pi_{row['index']}: mu = {row['mu']}, nu = {row['nu']}")
+        print(_dumps({"n": fam.n, "hecke": [
+            {"index": i, "mu": hp and str(hp[0]), "nu": hp and str(hp[1])}
+            for i, hp in params.items()]}))
+        return 0
+    for i, hp in params.items():
+        relation = "no Hecke relation" if hp is None else f"mu = {hp[0]}, nu = {hp[1]}"
+        print(f"pi_{i}: {relation}")
     return 0
 
 
@@ -332,23 +349,7 @@ def _cmd_commute(args) -> int:
     fam1 = build_family(args.family, args.n, args.params, args.lines, args.config)
     fam2 = build_family(args.family2, args.n, args.params2, args.lines2, args.config2)
     report = cross_family_commute(fam1, fam2)
-    if args.output == "json":
-        print(_dumps({
-            "passed": report.passed,
-            "same_index": {str(i): ok for i, ok in report.same_index.items()},
-            "distant": {f"{i},{k}": ok for (i, k), ok in report.distant.items()},
-            "consecutive": {
-                f"{i},{k}": ok for (i, k), ok in report.consecutive.items()
-            },
-        }))
-    else:
-        for i, ok in sorted(report.same_index.items()):
-            print(f"same-index  ({i},{i}): {'pass' if ok else 'FAIL'}")
-        for (i, k), ok in sorted(report.distant.items()):
-            print(f"distant     ({i},{k}): {'pass' if ok else 'FAIL'}")
-        for (i, k), ok in sorted(report.consecutive.items()):
-            print(f"consecutive ({i},{k}): {'pass' if ok else 'FAIL'}")
-        print(f"overall: {'pass' if report.passed else 'FAIL'}")
+    _print_report(report, args.output)
     return 0 if report.passed else 1
 
 
@@ -390,7 +391,11 @@ def _cmd_table(args) -> int:
 def _cmd_apply(args) -> int:
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
     seed = _read_seed(args, fam.n)
-    word = [int(w) for w in args.word.split(",")] if args.word else []
+    try:
+        word = [int(w) for w in args.word.split(",")] if args.word else []
+    except ValueError:
+        raise ConfigError(
+            f"--word {args.word!r} is not a comma-separated list of integers") from None
     for letter in word:
         if not 1 <= letter <= fam.n - 1:
             raise ConfigError(f"--word letter {letter} out of range 1..{fam.n - 1}")

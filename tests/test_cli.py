@@ -22,6 +22,18 @@ from braidops.words import staircase
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEGENT3 = json.loads((GOLDEN / "degent3.json").read_text())
+VANQ0_ISOLATED = json.loads((GOLDEN / "vanq0_isolated.json").read_text())
+VANQ0_INTERVAL = json.loads((GOLDEN / "vanq0_interval.json").read_text())
+
+
+def _with(cfg, path, value):
+    """A deep copy of cfg with the object at path replaced by value."""
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
 
 
 def run(argv, capsys):
@@ -279,6 +291,14 @@ class TestApply:
         assert err.startswith("error: --word letter ") and err.count("\n") == 1
         assert err.endswith(" out of range 1..2\n")
 
+    @pytest.mark.parametrize("word", ["1,,2", "a", "1,2,", "1.0"])
+    def test_non_integer_word_exits_two(self, word, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", word], capsys
+        )
+        assert (code, out, err) == (
+            2, "", f"error: --word {word!r} is not a comma-separated list of integers\n")
+
 
 class TestCommute:
     def test_unused_second_family_option_exits_two(self, capsys):
@@ -368,6 +388,27 @@ class TestConfigFamilies:
         ("vanq0", "4", [], "vanq0 config must be a JSON object, not list"),
         ("vanq0", "4", {"mu": "1", "isolated": [[1, [], []]]},
          "isolated entry 0 must be a JSON object, not list"),
+        *[("degen-t", "3", _with(DEGENT3, ("pairs", 0), pair),
+           f"pairs entry 0 must hold two lists [q_l, q_r], not {len(pair)}")
+          for pair in ([], [["0", "1"]], [["0", "1"], ["1"], ["1"]])],
+        # Every coefficient is a JSON string.
+        ("vanq0", "4", {**VANQ0_ISOLATED, "mu": 1},
+         "field 'mu' in vanq0 config must be a JSON string, not int"),
+        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "c"), 1),
+         "field 'c' in isolated entry 0 phi entry 0 must be a JSON string, not int"),
+        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "psi", 0, "c"), None),
+         "field 'c' in isolated entry 0 psi entry 0 must be a JSON string, not NoneType"),
+        *[("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, x), 2),
+           f"field {x!r} in intervals entry 0 must be a JSON string, not int") for x in "abcd"],
+        ("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, "lines", 1), 4),
+         "intervals entry 0 lines entry 1 must be a JSON string, not int"),
+        ("degen-t", "3", _with(DEGENT3, ("qhat", 0, "c"), 1.5),
+         "field 'c' in qhat entry 0 must be a JSON string, not float"),
+        ("degen-t", "3", _with(DEGENT3, ("p", 1), 1), "p entry 1 must be a JSON string, not int"),
+        ("degen-t", "3", _with(DEGENT3, ("pairs", 0, 0, 1), 1),
+         "pairs entry 0 q_l entry 1 must be a JSON string, not int"),
+        ("degen-t", "3", _with(DEGENT3, ("pairs", 1, 1, 0), True),
+         "pairs entry 1 q_r entry 0 must be a JSON string, not bool"),
     ])
     def test_wrong_shape_config_exits_two(self, family, n, config, message,
                                           tmp_path, capsys):
@@ -382,6 +423,8 @@ class TestConfigFamilies:
     @pytest.mark.parametrize("seed,message", [
         ("{}", "term list must be a JSON list, not dict"),
         ('[{"e": "100", "c": "1"}]', "exponent vector must be a JSON list, not str"),
+        ('[{"e": [1, 0, 0], "c": 2}]',
+         "field 'c' in term list entry 0 must be a JSON string, not int"),
     ])
     def test_wrong_shape_seed_poly_exits_two(self, seed, message, capsys):
         code, out, err = run(
@@ -524,20 +567,6 @@ class TestConfigFamilies:
         assert (code, out, err_lines) == (2, "", err)
 
 
-VANQ0_ISOLATED = json.loads((GOLDEN / "vanq0_isolated.json").read_text())
-VANQ0_INTERVAL = json.loads((GOLDEN / "vanq0_interval.json").read_text())
-
-
-def _with(cfg, path, value):
-    """A deep copy of cfg with the object at path replaced by value."""
-    cfg = json.loads(json.dumps(cfg))
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return cfg
-
-
 class TestConfigFields:
     @pytest.mark.parametrize("family,n,config,message", [
         ("vanq0", "4", {"mu": "1", "isolatd": VANQ0_ISOLATED["isolated"]},
@@ -548,7 +577,11 @@ class TestConfigFields:
         ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0), {"index": 1, "phi": []}),
          "missing field 'psi' in isolated entry 0"),
         ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "x"), 2),
-         "unknown field 'x' in phi entry 0"),
+         "unknown field 'x' in isolated entry 0 phi entry 0"),
+        ("vanq0", "4", {**VANQ0_ISOLATED, "isolated": [
+            *VANQ0_ISOLATED["isolated"],
+            {"index": 3, "phi": [{"e": [0, 0], "c": "1", "x": 2}], "psi": []}]},
+         "unknown field 'x' in isolated entry 1 phi entry 0"),
         ("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, "line"), ["l3", "l4"]),
          "unknown field 'line' in intervals entry 0"),
         ("vanq0", "5", {"mu": "1", "intervals": [{"start": 2, "stop": 3}]},

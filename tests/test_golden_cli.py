@@ -1,7 +1,7 @@
 """Golden corpus of CLI output.
 
-Every argv in ARGVS must reproduce its recorded stdout and exit code byte for
-byte.  Configs and seeds live in tests/golden/, and argvs name configs
+Every argv in ARGVS must reproduce its recorded exit code, stdout and stderr
+byte for byte.  Configs and seeds live in tests/golden/, and argvs name configs
 relative to that directory.  Re-record only when an output change is
 intended:
 
@@ -93,18 +93,38 @@ ARGVS = [
      "--seed-poly", '[{"e":[1,0,0],"c":"1","x":2}]'],
     ["verify", "--n", "100000", "--family", "preset:demazure"],
     ["verify", "--n", "100000", "--family", "case2", "--random-trials", "2"],
+    # Refused input: a coefficient that is not a JSON string, a --word that is
+    # not a list of integers, a degen-t pair without exactly two lists, and a
+    # bad term in a nested term list, named by its full path.
+    ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_mu_number.json"],
+    ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_phi_c_number.json"],
+    ["hecke", "--n", "5", "--family", "vanq0", "--config", "vanq0_interval_a_number.json"],
+    ["hecke", "--n", "3", "--family", "degen-t", "--config", "degent3_p_number.json"],
+    ["hecke", "--n", "3", "--family", "degen-t", "--config", "degent3_pairs_number.json"],
+    ["apply", "--n", "3", "--family", "preset:demazure",
+     "--seed-poly", '[{"e":[1,0,0],"c":2}]'],
+    ["apply", "--n", "3", "--family", "preset:demazure", "--word", "1,,2"],
+    ["apply", "--n", "3", "--family", "preset:demazure", "--word", "a"],
+    ["hecke", "--n", "3", "--family", "degen-t", "--config", "degent3_pair_one_list.json"],
+    ["hecke", "--n", "3", "--family", "degen-t", "--config", "degent3_pair_three_lists.json"],
+    ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_second_phi_extra_field.json"],
+    # Refused input: an option the family does not take, and a seed exponent
+    # over the limit.
+    ["verify", "--n", "4", *CASE1, "--lines", "l1,l1,l1"],
+    ["apply", "--n", "3", "--family", "preset:demazure",
+     "--seed-poly", '[{"e":[100001,0,0],"c":"1"}]'],
 ]
 
 
 def run_cli(argv):
-    """Exit code and stdout of one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _recorded():
@@ -120,15 +140,16 @@ def test_corpus_covers_every_argv():
 def test_replay_is_byte_identical(index, monkeypatch):
     record = _recorded()[index]
     monkeypatch.chdir(GOLDEN)
-    code, out = run_cli(record["argv"])
+    code, out, err = run_cli(record["argv"])
     assert code == record["exit"]
     assert out == record["stdout"]
+    assert err == record["stderr"]
 
 
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     records = []
     for argv in ARGVS:
-        code, out = run_cli(argv)
-        records.append({"argv": argv, "exit": code, "stdout": out})
+        code, out, err = run_cli(argv)
+        records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     CORPUS.write_text(json.dumps(records, indent=1) + "\n")
