@@ -578,10 +578,6 @@ class TestConfigFields:
          "missing field 'psi' in isolated entry 0"),
         ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "x"), 2),
          "unknown field 'x' in isolated entry 0 phi entry 0"),
-        ("vanq0", "4", {**VANQ0_ISOLATED, "isolated": [
-            *VANQ0_ISOLATED["isolated"],
-            {"index": 3, "phi": [{"e": [0, 0], "c": "1", "x": 2}], "psi": []}]},
-         "unknown field 'x' in isolated entry 1 phi entry 0"),
         ("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, "line"), ["l3", "l4"]),
          "unknown field 'line' in intervals entry 0"),
         ("vanq0", "5", {"mu": "1", "intervals": [{"start": 2, "stop": 3}]},
@@ -592,6 +588,10 @@ class TestConfigFields:
          "missing field 'pairs' in degen-t config"),
         ("degen-t", "3", {**DEGENT3, "qhat": [{"e": [0, 0]}]},
          "missing field 'c' in qhat entry 0"),
+        ("vanq0", "4", {**VANQ0_ISOLATED, "isolated": [
+            *VANQ0_ISOLATED["isolated"],
+            {"index": 3, "phi": [{"e": [0, 0], "c": "1", "x": 2}], "psi": []}]},
+         "unknown field 'x' in isolated entry 1 phi entry 0"),
     ])
     def test_unknown_or_missing_field_exits_two(self, family, n, config, message,
                                                 tmp_path, capsys):
