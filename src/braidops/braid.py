@@ -201,6 +201,10 @@ def family_braid_check(fam: "OperatorFamily") -> FamilyReport:
         if pair not in checked:
             checked[pair] = cubic_braid_check(*pair)
         cubic[(i, i + 1)] = checked[pair]
-    # pi_i and pi_k act on disjoint variable pairs with coefficients in them: commute.
-    quad = {(i, k): True for i in range(1, n) for k in range(i + 2, n)}
-    return FamilyReport(cubic=cubic, quad=quad)
+    return FamilyReport(cubic=cubic, quad=_distant_pairs(n))
+
+
+def _distant_pairs(n: int) -> dict[tuple[int, int], bool]:
+    """Every (i, k) with k >= i + 2 commutes: pi_i and pi_k act on disjoint
+    variable pairs with coefficients in them."""
+    return {(i, k): True for i in range(1, n) for k in range(i + 2, n)}

@@ -35,7 +35,7 @@ from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly
 from .words import apply_word, polynomial_table, staircase
 
-__all__ = ["main", "poly_to_json", "poly_from_json", "slot_from_json"]
+__all__ = ["main", "poly_to_json", "poly_from_json"]
 
 
 class ConfigError(ValueError):
@@ -49,79 +49,96 @@ def poly_to_json(p: MultiPoly) -> list[dict]:
     return [{"e": list(e), "c": str(c)} for e, c in p.sorted_terms()]
 
 
-def _list(value, field: str) -> list:
-    """A JSON value that must be a list; a string would be read per character."""
-    if type(value) is not list:
-        raise TypeError(f"{field} must be a JSON list, not {type(value).__name__}")
-    return value
-
-
-def _string(value, field: str) -> str:
-    """A JSON value that must be a string: a coefficient such as "1/2" or a line name."""
-    if type(value) is not str:
-        raise TypeError(f"{field} must be a JSON string, not {type(value).__name__}")
-    return value
-
-
-def _element(value, field: str) -> FieldElement:
-    """A coefficient read from JSON; it must be a string such as "1/2"."""
-    return FieldElement.parse(_string(value, field))
-
-
 # The largest exponent a seed or config term may hold; work grows with it.
 MAX_EXPONENT = 100_000
 
-
-def _natural(x, field: str) -> int:
-    """A non-negative integer read from JSON (an integral float such as 2.0
-    is read as 2; bools, strings and other floats are refused)."""
-    integral = type(x) is int or (type(x) is float and x.is_integer())
-    if not integral or x < 0:
-        raise ConfigError(f"{field} {x!r} is not a non-negative integer")
-    return int(x)
+# The JSON name of each type that json.loads returns.
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
 
 
-def _exponents(raw) -> tuple[int, ...]:
-    """An exponent vector read from JSON; each entry must be a non-negative
-    integer of at most MAX_EXPONENT."""
-    e = tuple(_natural(x, "exponent") for x in _list(raw, "exponent vector"))
-    if max(e, default=0) > MAX_EXPONENT:
-        raise ConfigError(f"exponent {max(e)} exceeds the limit {MAX_EXPONENT}")
-    return e
+class _Json:
+    """A loaded JSON value, its source such as "vanq0 config" and its path such
+    as isolated[0].phi[0].c; every refusal reads `<source>: <path> <problem>`."""
 
+    def __init__(self, value, source: str, path: str = ""):
+        self.value, self.source, self.path = value, source, path
 
-def _fields(obj, where: str, required: tuple, optional: tuple = ()) -> dict:
-    """A JSON object with every required field and no field outside
-    required + optional; a misspelled field would otherwise be ignored."""
-    if type(obj) is not dict:
-        raise TypeError(f"{where} must be a JSON object, not {type(obj).__name__}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown field {key!r} in {where}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"missing field {key!r} in {where}")
-    return obj
+    @classmethod
+    def load(cls, text: str, source: str) -> "_Json":
+        try:
+            return cls(json.loads(text), source)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise ConfigError(f"{source}: top level cannot be read as JSON ({exc})") from None
 
+    def _at(self, key: int | str, value=None) -> "_Json":
+        step = f"[{key}]" if type(key) is int else (
+            f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]")
+        return _Json(value, self.source, (self.path + step).lstrip("."))
 
-def _terms(data, field: str) -> dict[tuple[int, ...], FieldElement]:
-    """The exponent -> coefficient map of a JSON term list."""
-    terms = {}
-    for k, item in enumerate(_list(data, field)):
-        where = f"{field} entry {k}"
-        item = _fields(item, where, ("e", "c"))
-        e = _exponents(item["e"])
-        c = _element(item["c"], f"field 'c' in {where}")
-        terms[e] = terms.get(e, FieldElement.of(0)) + c
-    return terms
+    def error(self, problem: str) -> ConfigError:
+        return ConfigError(f"{self.source}: {self.path or 'top level'} {problem}")
+
+    def _is(self, *kinds: type):
+        if type(self.value) not in kinds:
+            found = _JSON_TYPES.get(type(self.value), type(self.value).__name__)
+            raise self.error(f"must be a JSON {_JSON_TYPES[kinds[0]]}, not {found}")
+        return self.value
+
+    def list(self) -> list["_Json"]:
+        return [self._at(k, v) for k, v in enumerate(self._is(list))]
+
+    def fields(self, required: tuple, optional: tuple = ()) -> dict[str, "_Json"]:
+        """An object's fields; a misspelled one is refused, not ignored."""
+        obj = self._is(dict)
+        for key in obj:
+            if key not in required and key not in optional:
+                raise self._at(key).error("is an unknown field")
+        for key in required:
+            if key not in obj:
+                raise self._at(key).error("is missing")
+        return {key: self._at(key, v) for key, v in obj.items()}
+
+    def string(self, read):
+        """A string read by read; a ValueError it raises is refused here."""
+        text = self._is(str)
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise self.error(str(exc))
+
+    def element(self) -> FieldElement:
+        """A coefficient: a string such as "1/2" or "1/2-3z"."""
+        text = self._is(str)
+        try:
+            return FieldElement.parse(text)
+        except ValueError:
+            raise self.error(f"{json.dumps(text)} is not a field element p/q or p/q+r/sz")
+
+    def natural(self, limit: float = float("inf")) -> int:
+        """A non-negative integer; an integral float such as 2.0 reads as 2."""
+        x = self._is(int, float)
+        if x < 0 or (type(x) is float and not x.is_integer()):
+            raise self.error(f"{json.dumps(x)} is not a non-negative integer")
+        if x > limit:
+            raise self.error(f"{json.dumps(x)} exceeds the limit {limit}")
+        return int(x)
+
+    def terms(self, arity: int) -> dict[tuple[int, ...], FieldElement]:
+        """The exponent -> coefficient map of a term list [{"e": [...], "c": "p/q"}]."""
+        terms = {}
+        for item in self.list():
+            item = item.fields(("e", "c"))
+            exponents = item["e"].list()
+            if len(exponents) != arity:
+                raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
+            e = tuple(x.natural(MAX_EXPONENT) for x in exponents)
+            terms[e] = terms.get(e, FieldElement.of(0)) + item["c"].element()
+        return terms
 
 
 def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
-    return MultiPoly(n_vars, _terms(data, "term list"))
-
-
-def slot_from_json(data: list[dict], field: str = "term list") -> SlotPoly:
-    return SlotPoly(_terms(data, field))
+    return MultiPoly(n_vars, _Json(data, "term list").terms(n_vars))
 
 
 def _dumps(obj) -> str:
@@ -138,10 +155,6 @@ def _line(name: str) -> Case2Line:
     if key not in _LINES:
         raise ConfigError(f"unknown line {key!r}; use l1..l4")
     return _LINES[key]
-
-
-def _elements(data, field: str) -> list[FieldElement]:
-    return [_element(c, f"{field} entry {j}") for j, c in enumerate(_list(data, field))]
 
 
 def _case1(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
@@ -164,54 +177,39 @@ def _preset(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
     return preset(family.split(":", 1)[1], n, *params)
 
 
-def _from_config(read):
-    """The builder of a family given by --config: read(n, the loaded JSON)."""
-    def build(family: str, n: int, config: str | None) -> OperatorFamily:
-        if not config:
-            raise ConfigError("this family needs --config with a JSON file")
-        cfg = json.loads(Path(config).read_text())
-        try:
-            return read(n, cfg)
-        except (TypeError, AttributeError) as exc:
-            raise ConfigError(f"malformed {family} config: {exc}") from exc
-    return build
+def _config(family: str, config: str | None) -> _Json:
+    if not config:
+        raise ConfigError("this family needs --config with a JSON file")
+    return _Json.load(Path(config).read_text(), f"{family} config")
 
 
-def _degen_t(n: int, cfg: dict) -> OperatorFamily:
-    cfg = _fields(cfg, "degen-t config", ("qhat", "p", "pairs"))
+def _degen_t(family: str, n: int, config: str | None) -> OperatorFamily:
+    cfg = _config(family, config).fields(("qhat", "p", "pairs"))
     pairs = []
-    for k, pair in enumerate(_list(cfg["pairs"], "pairs")):
-        sides = [_list(q, "pairs entry") for q in _list(pair, "pairs entry")]
+    for pair in cfg["pairs"].list():
+        sides = pair.list()
         if len(sides) != 2:
-            raise TypeError(f"pairs entry {k} must hold two lists [q_l, q_r], not {len(sides)}")
-        pairs.append(tuple(_elements(q, f"pairs entry {k} {side}")
-                           for side, q in zip(("q_l", "q_r"), sides)))
-    qhat = slot_from_json(cfg["qhat"], "qhat")
-    return degenerate_t_family(n, qhat, _elements(cfg["p"], "p"), pairs)
+            raise pair.error(f"must hold two lists [q_l, q_r], not {len(sides)}")
+        pairs.append(tuple([c.element() for c in side.list()] for side in sides))
+    qhat = SlotPoly(cfg["qhat"].terms(2))
+    return degenerate_t_family(n, qhat, [c.element() for c in cfg["p"].list()], pairs)
 
 
-def _vanq0(n: int, cfg: dict) -> OperatorFamily:
-    cfg = _fields(cfg, "vanq0 config", ("mu",), ("isolated", "intervals"))
+def _vanq0(family: str, n: int, config: str | None) -> OperatorFamily:
+    cfg = _config(family, config).fields(("mu",), ("isolated", "intervals"))
     segments: list[Isolated | Interval] = []
-    for k, iso in enumerate(_list(cfg.get("isolated", []), "isolated")):
-        where = f"isolated entry {k}"
-        iso = _fields(iso, where, ("index", "phi", "psi"))
-        segments.append(Isolated(
-            index=_natural(iso["index"], "index"),
-            phi=slot_from_json(iso["phi"], f"{where} phi"),
-            psi=slot_from_json(iso["psi"], f"{where} psi")))
-    for k, iv in enumerate(_list(cfg.get("intervals", []), "intervals")):
-        where = f"intervals entry {k}"
-        iv = _fields(iv, where, ("start", "stop", *"abcd"), ("lines",))
-        lines = None
-        if "lines" in iv:
-            lines = [_line(_string(l, f"{where} lines entry {j}"))
-                     for j, l in enumerate(_list(iv["lines"], "lines"))]
+    for iso in cfg["isolated"].list() if "isolated" in cfg else []:
+        iso = iso.fields(("index", "phi", "psi"))
+        phi, psi = (SlotPoly(iso[side].terms(2)) for side in ("phi", "psi"))
+        segments.append(Isolated(iso["index"].natural(), phi, psi))
+    for iv in cfg["intervals"].list() if "intervals" in cfg else []:
+        iv = iv.fields(("start", "stop", *"abcd"), ("lines",))
+        lines = [line.string(_line) for line in iv["lines"].list()] if "lines" in iv else None
         segments.append(Interval(
-            start=_natural(iv["start"], "start"), stop=_natural(iv["stop"], "stop"),
-            **{x: _element(iv[x], f"field {x!r} in {where}") for x in "abcd"}, lines=lines,
+            start=iv["start"].natural(), stop=iv["stop"].natural(),
+            **{x: iv[x].element() for x in "abcd"}, lines=lines,
         ))
-    return with_vanishing_q0(n, _element(cfg["mu"], "field 'mu' in vanq0 config"), segments)
+    return with_vanishing_q0(n, cfg["mu"].element(), segments)
 
 
 def _draw_vanq0(n: int, rng: random.Random) -> OperatorFamily:
@@ -228,9 +226,9 @@ _FAMILIES = {
               lambda n, rng: main_case1(n, *sampling.draw_case1_params(rng))),
     "case2": (("params", "lines"), _case2, lambda n, rng: main_case2(
         n, *sampling.draw_case2_params(rng), sampling.random_lines(rng, n - 1))),
-    "degen-t": (("config",), _from_config(_degen_t), lambda n, rng:
+    "degen-t": (("config",), _degen_t, lambda n, rng:
                 degenerate_t_family(n, *sampling.draw_degent_data(rng, n))),
-    "vanq0": (("config",), _from_config(_vanq0), _draw_vanq0),
+    "vanq0": (("config",), _vanq0, _draw_vanq0),
     "preset:": (("params",), _preset, None),
 }
 
@@ -251,7 +249,8 @@ def build_family(family: str, n: int, params: str | None,
     options, build, _ = _FAMILIES[key]
     given = {"params": params, "lines": lines, "config": config}
     _refuse_unused(family, given, options)
-    given["params"] = [FieldElement.parse(p) for p in params.split(",")] if params else []
+    given["params"] = ([p.element() for p in _Json(params.split(","), "--params").list()]
+                       if params else [])
     return build(family, n, **{name: given[name] for name in options})
 
 
@@ -361,10 +360,7 @@ def _read_seed(args, n: int) -> MultiPoly:
     # file-name limit would make the lookup itself fail.
     if not text.lstrip().startswith("[") and Path(text).exists():
         text = Path(text).read_text()
-    try:
-        return poly_from_json(json.loads(text), n)
-    except (TypeError, AttributeError) as exc:
-        raise ConfigError(f"malformed --seed-poly: {exc}") from exc
+    return MultiPoly(n, _Json.load(text, "--seed-poly").terms(n))
 
 
 def _cmd_table(args) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .braid import _distant_pairs
 from .families import OperatorFamily
 from .pddo import PDDO
 
@@ -79,10 +80,8 @@ def cross_family_commute(fam1: OperatorFamily, fam2: OperatorFamily) -> CommuteR
         raise ValueError("families must act on the same number of variables")
     n = fam1.n
     same = {i: commutes_same_index(fam1[i], fam2[i]) for i in range(1, n)}
-    # pi_i and pi_k act on disjoint variable pairs with coefficients in them: commute.
-    distant = {(i, k): True for i in range(1, n) for k in range(i + 2, n)}
     consecutive = {}
     for i in range(1, n - 1):
         consecutive[(i, i + 1)] = _consecutive_commute(fam1[i], fam2[i + 1])
         consecutive[(i + 1, i)] = _consecutive_commute(fam2[i], fam1[i + 1])
-    return CommuteReport(same_index=same, distant=distant, consecutive=consecutive)
+    return CommuteReport(same_index=same, distant=_distant_pairs(n), consecutive=consecutive)

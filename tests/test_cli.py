@@ -36,6 +36,19 @@ def _with(cfg, path, value):
     return cfg
 
 
+def _cases(*cases):
+    """pytest params (family, n, config, message) from (label, family, n, config,
+    message) tuples, with ids family-n-config<k>-label: a case keeps its id when
+    its expected message changes."""
+    return [pytest.param(family, n, config, message, id=f"{family}-{n}-config{k}-{label}")
+            for k, (label, family, n, config, message) in enumerate(cases)]
+
+
+# The JSON name of each type that json.loads returns, as refusals print it.
+JSON_TYPE = {dict: "object", list: "list", str: "string", int: "number",
+             float: "number", bool: "boolean", type(None): "null"}
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -48,8 +61,14 @@ class TestJsonForms:
         assert poly_from_json(poly_to_json(p), 3) == p
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(cli.ConfigError) as info:
             poly_from_json([{"e": [1, 0], "c": "1"}], 3)
+        assert str(info.value) == "term list: [0].e must have 3 entries, not 2"
+
+    def test_wrong_shape_is_a_value_error(self):
+        with pytest.raises(ValueError) as info:
+            poly_from_json({"e": [1, 0, 0], "c": "1"}, 3)
+        assert str(info.value) == "term list: top level must be a JSON list, not object"
 
 
 class TestVerify:
@@ -301,6 +320,16 @@ class TestApply:
 
 
 class TestCommute:
+    @pytest.mark.parametrize("argv", [
+        ["commute", "--family", "case1", "--params", "1,2,1,2,3",
+         "--family2", "case1", "--params2", "1,x,1,2,3"],
+        ["verify", "--family", "case1", "--params", "1,x,1,2,3"],
+    ])
+    def test_bad_params_entry_is_named(self, argv, capsys):
+        code, out, err = run([*argv, "--n", "4"], capsys)
+        assert (code, out, err) == (
+            2, "", 'error: --params: [1] "x" is not a field element p/q or p/q+r/sz\n')
+
     def test_unused_second_family_option_exits_two(self, capsys):
         code, out, err = run(
             ["commute", "--n", "4", "--family", "preset:demazure",
@@ -357,8 +386,13 @@ class TestConfigFamilies:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("field,value", [("p", 5), ("qhat", [{"e": [0, 0], "c": 1}])])
-    def test_malformed_degen_t_config_exits_two(self, field, value, tmp_path, capsys):
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("p", 5, "p must be a JSON list, not number", id="p-5"),
+        pytest.param("qhat", [{"e": [0, 0], "c": 1}],
+                     "qhat[0].c must be a JSON string, not number", id="qhat-value1"),
+    ])
+    def test_malformed_degen_t_config_exits_two(self, field, value, message,
+                                                tmp_path, capsys):
         cfg = {
             "qhat": [{"e": [0, 0], "c": "1"}],
             "p": ["0", "1"],
@@ -371,45 +405,72 @@ class TestConfigFamilies:
             ["verify", "--n", "3", "--family", "degen-t", "--config", str(path)],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: malformed degen-t config") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"error: degen-t config: {message}\n")
 
-    @pytest.mark.parametrize("family,n,config,message", [
-        ("degen-t", "3", {**DEGENT3, "p": "12"}, "p must be a JSON list, not str"),
-        ("degen-t", "3", {**DEGENT3, "pairs": [["0", ["1"]], [["1"], ["0", "1"]]]},
-         "pairs entry must be a JSON list, not str"),
-        ("degen-t", "3", {**DEGENT3, "pairs": ["ab", [["1"], ["0", "1"]]]},
-         "pairs entry must be a JSON list, not str"),
-        ("vanq0", "5", {"mu": "1", "intervals": [
+    @pytest.mark.parametrize("family,n,config,message", _cases(
+        ("p must be a JSON list, not str", "degen-t", "3", {**DEGENT3, "p": "12"},
+         "p must be a JSON list, not string"),
+        ("pairs entry must be a JSON list, not str", "degen-t", "3",
+         {**DEGENT3, "pairs": [["0", ["1"]], [["1"], ["0", "1"]]]},
+         "pairs[0][0] must be a JSON list, not string"),
+        ("pairs entry must be a JSON list, not str", "degen-t", "3",
+         {**DEGENT3, "pairs": ["ab", [["1"], ["0", "1"]]]},
+         "pairs[0] must be a JSON list, not string"),
+        ("lines must be a JSON list, not str", "vanq0", "5", {"mu": "1", "intervals": [
             {"start": 2, "stop": 3, "a": "1", "b": "2", "c": "1", "d": "2",
-             "lines": "l1"}]}, "lines must be a JSON list, not str"),
-        ("vanq0", "4", {"mu": "1", "isolated": {"index": 1}},
-         "isolated must be a JSON list, not dict"),
-        ("vanq0", "4", [], "vanq0 config must be a JSON object, not list"),
-        ("vanq0", "4", {"mu": "1", "isolated": [[1, [], []]]},
-         "isolated entry 0 must be a JSON object, not list"),
-        *[("degen-t", "3", _with(DEGENT3, ("pairs", 0), pair),
-           f"pairs entry 0 must hold two lists [q_l, q_r], not {len(pair)}")
+             "lines": "l1"}]}, "intervals[0].lines must be a JSON list, not string"),
+        ("isolated must be a JSON list, not dict", "vanq0", "4",
+         {"mu": "1", "isolated": {"index": 1}}, "isolated must be a JSON list, not object"),
+        ("vanq0 config must be a JSON object, not list", "vanq0", "4", [],
+         "top level must be a JSON object, not list"),
+        ("isolated entry 0 must be a JSON object, not list", "vanq0", "4",
+         {"mu": "1", "isolated": [[1, [], []]]},
+         "isolated[0] must be a JSON object, not list"),
+        *[(f"pairs entry 0 must hold two lists [q_l, q_r], not {len(pair)}", "degen-t", "3",
+           _with(DEGENT3, ("pairs", 0), pair),
+           f"pairs[0] must hold two lists [q_l, q_r], not {len(pair)}")
           for pair in ([], [["0", "1"]], [["0", "1"], ["1"], ["1"]])],
         # Every coefficient is a JSON string.
-        ("vanq0", "4", {**VANQ0_ISOLATED, "mu": 1},
-         "field 'mu' in vanq0 config must be a JSON string, not int"),
-        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "c"), 1),
-         "field 'c' in isolated entry 0 phi entry 0 must be a JSON string, not int"),
-        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "psi", 0, "c"), None),
-         "field 'c' in isolated entry 0 psi entry 0 must be a JSON string, not NoneType"),
-        *[("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, x), 2),
-           f"field {x!r} in intervals entry 0 must be a JSON string, not int") for x in "abcd"],
-        ("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, "lines", 1), 4),
-         "intervals entry 0 lines entry 1 must be a JSON string, not int"),
-        ("degen-t", "3", _with(DEGENT3, ("qhat", 0, "c"), 1.5),
-         "field 'c' in qhat entry 0 must be a JSON string, not float"),
-        ("degen-t", "3", _with(DEGENT3, ("p", 1), 1), "p entry 1 must be a JSON string, not int"),
-        ("degen-t", "3", _with(DEGENT3, ("pairs", 0, 0, 1), 1),
-         "pairs entry 0 q_l entry 1 must be a JSON string, not int"),
-        ("degen-t", "3", _with(DEGENT3, ("pairs", 1, 1, 0), True),
-         "pairs entry 1 q_r entry 0 must be a JSON string, not bool"),
-    ])
+        ("field 'mu' in vanq0 config must be a JSON string, not int", "vanq0", "4",
+         {**VANQ0_ISOLATED, "mu": 1}, "mu must be a JSON string, not number"),
+        ("field 'c' in isolated entry 0 phi entry 0 must be a JSON string, not int",
+         "vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "c"), 1),
+         "isolated[0].phi[0].c must be a JSON string, not number"),
+        ("field 'c' in isolated entry 0 psi entry 0 must be a JSON string, not NoneType",
+         "vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "psi", 0, "c"), None),
+         "isolated[0].psi[0].c must be a JSON string, not null"),
+        *[(f"field {x!r} in intervals entry 0 must be a JSON string, not int", "vanq0", "5",
+           _with(VANQ0_INTERVAL, ("intervals", 0, x), 2),
+           f"intervals[0].{x} must be a JSON string, not number") for x in "abcd"],
+        ("intervals entry 0 lines entry 1 must be a JSON string, not int", "vanq0", "5",
+         _with(VANQ0_INTERVAL, ("intervals", 0, "lines", 1), 4),
+         "intervals[0].lines[1] must be a JSON string, not number"),
+        ("field 'c' in qhat entry 0 must be a JSON string, not float", "degen-t", "3",
+         _with(DEGENT3, ("qhat", 0, "c"), 1.5), "qhat[0].c must be a JSON string, not number"),
+        ("p entry 1 must be a JSON string, not int", "degen-t", "3",
+         _with(DEGENT3, ("p", 1), 1), "p[1] must be a JSON string, not number"),
+        ("pairs entry 0 q_l entry 1 must be a JSON string, not int", "degen-t", "3",
+         _with(DEGENT3, ("pairs", 0, 0, 1), 1),
+         "pairs[0][0][1] must be a JSON string, not number"),
+        ("pairs entry 1 q_r entry 0 must be a JSON string, not bool", "degen-t", "3",
+         _with(DEGENT3, ("pairs", 1, 1, 0), True),
+         "pairs[1][1][0] must be a JSON string, not boolean"),
+        # A string that is no field element, and an exponent vector of the
+        # wrong length, are named by their path too.
+        ("mu is not a field element", "vanq0", "4", {**VANQ0_ISOLATED, "mu": "x"},
+         'mu "x" is not a field element p/q or p/q+r/sz'),
+        ("c is not a field element", "vanq0", "4",
+         _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "c"), "1/0"),
+         'isolated[0].phi[0].c "1/0" is not a field element p/q or p/q+r/sz'),
+        ("pairs entry is not a field element", "degen-t", "3",
+         _with(DEGENT3, ("pairs", 1, 0, 0), "one"),
+         'pairs[1][0][0] "one" is not a field element p/q or p/q+r/sz'),
+        ("phi exponent vector of the wrong length", "vanq0", "4",
+         _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "e"), [0, 0, 0]),
+         "isolated[0].phi[0].e must have 2 entries, not 3"),
+        ("qhat exponent vector of the wrong length", "degen-t", "3",
+         _with(DEGENT3, ("qhat", 0, "e"), [0]), "qhat[0].e must have 2 entries, not 1"),
+    ))
     def test_wrong_shape_config_exits_two(self, family, n, config, message,
                                           tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -417,21 +478,39 @@ class TestConfigFamilies:
         code, out, err = run(
             ["hecke", "--n", n, "--family", family, "--config", str(path)], capsys
         )
-        assert (code, out) == (2, "")
-        assert err == f"error: malformed {family} config: {message}\n"
+        assert (code, out, err) == (2, "", f"error: {family} config: {message}\n")
 
     @pytest.mark.parametrize("seed,message", [
-        ("{}", "term list must be a JSON list, not dict"),
-        ('[{"e": "100", "c": "1"}]', "exponent vector must be a JSON list, not str"),
-        ('[{"e": [1, 0, 0], "c": 2}]',
-         "field 'c' in term list entry 0 must be a JSON string, not int"),
+        pytest.param(seed, message, id=f"{seed}-{label}") for label, seed, message in [
+            ("term list must be a JSON list, not dict", "{}",
+             "top level must be a JSON list, not object"),
+            ("exponent vector must be a JSON list, not str", '[{"e": "100", "c": "1"}]',
+             "[0].e must be a JSON list, not string"),
+            ("field 'c' in term list entry 0 must be a JSON string, not int",
+             '[{"e": [1, 0, 0], "c": 2}]', "[0].c must be a JSON string, not number"),
+            ("exponent vector of the wrong length", '[{"e": [1, 0], "c": "1"}]',
+             "[0].e must have 3 entries, not 2"),
+            ("not a field element", '[{"e": [1, 0, 0], "c": "1/2z"}]',
+             '[0].c "1/2z" is not a field element p/q or p/q+r/sz'),
+            ("not JSON", "[", "top level cannot be read as JSON "
+             "(Expecting value: line 1 column 2 (char 1))"),
+        ]
     ])
     def test_wrong_shape_seed_poly_exits_two(self, seed, message, capsys):
         code, out, err = run(
             ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", seed],
             capsys,
         )
-        assert (code, out, err) == (2, "", f"error: malformed --seed-poly: {message}\n")
+        assert (code, out, err) == (2, "", f"error: --seed-poly: {message}\n")
+
+    def test_deeply_nested_seed_poly_exits_two(self, capsys):
+        seed = "[" * 100_000 + "]" * 100_000
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--seed-poly", seed], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --seed-poly: top level cannot be read as JSON (")
+        assert err.count("\n") == 1
 
     def test_malformed_seed_poly_exits_two(self, capsys):
         code, out, err = run(
@@ -439,8 +518,8 @@ class TestConfigFamilies:
              "--seed-poly", '[{"e": [0, 0, 0], "c": 1}]'],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: malformed --seed-poly") and err.count("\n") == 1
+        assert (code, out, err) == (
+            2, "", "error: --seed-poly: [0].c must be a JSON string, not number\n")
 
     @pytest.mark.parametrize("exponent", ["-1", "1.5", "true", '"1"'])
     def test_bad_seed_poly_exponent_exits_two(self, exponent, capsys):
@@ -450,8 +529,10 @@ class TestConfigFamilies:
              "--seed-poly", seed],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: exponent ") and err.count("\n") == 1
+        problem = {"true": "must be a JSON number, not boolean",
+                   '"1"': "must be a JSON number, not string"}.get(
+            exponent, f"{exponent} is not a non-negative integer")
+        assert (code, out, err) == (2, "", f"error: --seed-poly: [0].e[1] {problem}\n")
 
     def test_seed_poly_exponent_over_the_limit_exits_two(self, capsys):
         code, out, err = run(
@@ -460,7 +541,16 @@ class TestConfigFamilies:
             capsys,
         )
         assert (code, out, err) == (
-            2, "", "error: exponent 100001 exceeds the limit 100000\n")
+            2, "", "error: --seed-poly: [0].e[0] 100001 exceeds the limit 100000\n")
+
+    def test_exponent_over_the_limit_is_shown_as_json_wrote_it(self, capsys):
+        code, out, err = run(
+            ["apply", "--n", "3", "--family", "preset:demazure", "--word", "1",
+             "--seed-poly", '[{"e": [1e300, 0, 0], "c": "1"}]'],
+            capsys,
+        )
+        assert (code, out, err) == (
+            2, "", "error: --seed-poly: [0].e[0] 1e+300 exceeds the limit 100000\n")
 
     def test_seed_poly_exponent_at_the_limit_is_read(self, capsys):
         code, out, err = run(
@@ -505,8 +595,10 @@ class TestConfigFamilies:
         code, out, err = run(
             ["hecke", "--n", str(n), "--family", "vanq0", "--config", str(path)], capsys
         )
-        assert (code, out) == (2, "")
-        assert err == f"error: {key} {value!r} is not a non-negative integer\n"
+        problem = (f"{value} is not a non-negative integer" if type(value) is float
+                   else f"must be a JSON number, not {JSON_TYPE[type(value)]}")
+        assert (code, out, err) == (
+            2, "", f"error: vanq0 config: {segments}[0].{key} {problem}\n")
 
     def test_integral_float_exponent_reads_as_int(self):
         p = poly_from_json([{"e": [2.0, 0, 1], "c": "1"}], 3)
@@ -525,8 +617,9 @@ class TestConfigFamilies:
             ["verify", "--n", "3", "--family", "degen-t", "--config", str(path)],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: exponent ") and err.count("\n") == 1
+        problem = ("must be a JSON number, not boolean" if exponent is False
+                   else f"{exponent} is not a non-negative integer")
+        assert (code, out, err) == (2, "", f"error: degen-t config: qhat[0].e[0] {problem}\n")
 
     def test_config_exponent_over_the_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "degent.json"
@@ -536,7 +629,7 @@ class TestConfigFamilies:
             capsys,
         )
         assert (code, out, err) == (
-            2, "", "error: exponent 100001 exceeds the limit 100000\n")
+            2, "", "error: degen-t config: qhat[0].e[0] 100001 exceeds the limit 100000\n")
 
     def test_missing_config_exits_two(self, capsys):
         code, _, err = run(["verify", "--n", "4", "--family", "vanq0"], capsys)
@@ -557,42 +650,54 @@ class TestConfigFamilies:
             ["verify", "--n", "5", "--family", "vanq0", "--config", str(path)],
             capsys,
         )
-        assert (code, out) == (2, "")
-        assert err == "error: unknown line 'l9'; use l1..l4\n"
-        code, out, err_lines = run(
+        code_lines, out_lines, err_lines = run(
             ["verify", "--n", "3", "--family", "case2", "--params", "0,1,0,0",
              "--lines", "l9,l1"],
             capsys,
         )
-        assert (code, out, err_lines) == (2, "", err)
+        assert (code_lines, out_lines, err_lines) == (
+            2, "", "error: unknown line 'l9'; use l1..l4\n")
+        # The config names the entry's path, then the problem as --lines words it.
+        problem = err_lines.removeprefix("error: ")
+        assert (code, out, err) == (
+            2, "", f"error: vanq0 config: intervals[0].lines[0] {problem}")
 
 
 class TestConfigFields:
-    @pytest.mark.parametrize("family,n,config,message", [
-        ("vanq0", "4", {"mu": "1", "isolatd": VANQ0_ISOLATED["isolated"]},
-         "unknown field 'isolatd' in vanq0 config"),
-        ("vanq0", "4", {"isolated": []}, "missing field 'mu' in vanq0 config"),
-        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "psy"), []),
-         "unknown field 'psy' in isolated entry 0"),
-        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0), {"index": 1, "phi": []}),
-         "missing field 'psi' in isolated entry 0"),
-        ("vanq0", "4", _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "x"), 2),
-         "unknown field 'x' in isolated entry 0 phi entry 0"),
-        ("vanq0", "5", _with(VANQ0_INTERVAL, ("intervals", 0, "line"), ["l3", "l4"]),
-         "unknown field 'line' in intervals entry 0"),
-        ("vanq0", "5", {"mu": "1", "intervals": [{"start": 2, "stop": 3}]},
-         "missing field 'a' in intervals entry 0"),
-        ("degen-t", "3", {**DEGENT3, "q_hat": DEGENT3["qhat"]},
-         "unknown field 'q_hat' in degen-t config"),
-        ("degen-t", "3", {"qhat": DEGENT3["qhat"], "p": DEGENT3["p"]},
-         "missing field 'pairs' in degen-t config"),
-        ("degen-t", "3", {**DEGENT3, "qhat": [{"e": [0, 0]}]},
-         "missing field 'c' in qhat entry 0"),
-        ("vanq0", "4", {**VANQ0_ISOLATED, "isolated": [
-            *VANQ0_ISOLATED["isolated"],
-            {"index": 3, "phi": [{"e": [0, 0], "c": "1", "x": 2}], "psi": []}]},
-         "unknown field 'x' in isolated entry 1 phi entry 0"),
-    ])
+    @pytest.mark.parametrize("family,n,config,message", _cases(
+        ("unknown field 'isolatd' in vanq0 config", "vanq0", "4",
+         {"mu": "1", "isolatd": VANQ0_ISOLATED["isolated"]}, "isolatd is an unknown field"),
+        ("missing field 'mu' in vanq0 config", "vanq0", "4", {"isolated": []},
+         "mu is missing"),
+        ("unknown field 'psy' in isolated entry 0", "vanq0", "4",
+         _with(VANQ0_ISOLATED, ("isolated", 0, "psy"), []),
+         "isolated[0].psy is an unknown field"),
+        ("missing field 'psi' in isolated entry 0", "vanq0", "4",
+         _with(VANQ0_ISOLATED, ("isolated", 0), {"index": 1, "phi": []}),
+         "isolated[0].psi is missing"),
+        ("unknown field 'x' in isolated entry 0 phi entry 0", "vanq0", "4",
+         _with(VANQ0_ISOLATED, ("isolated", 0, "phi", 0, "x"), 2),
+         "isolated[0].phi[0].x is an unknown field"),
+        ("unknown field 'line' in intervals entry 0", "vanq0", "5",
+         _with(VANQ0_INTERVAL, ("intervals", 0, "line"), ["l3", "l4"]),
+         "intervals[0].line is an unknown field"),
+        ("missing field 'a' in intervals entry 0", "vanq0", "5",
+         {"mu": "1", "intervals": [{"start": 2, "stop": 3}]}, "intervals[0].a is missing"),
+        ("unknown field 'q_hat' in degen-t config", "degen-t", "3",
+         {**DEGENT3, "q_hat": DEGENT3["qhat"]}, "q_hat is an unknown field"),
+        ("missing field 'pairs' in degen-t config", "degen-t", "3",
+         {"qhat": DEGENT3["qhat"], "p": DEGENT3["p"]}, "pairs is missing"),
+        ("missing field 'c' in qhat entry 0", "degen-t", "3",
+         {**DEGENT3, "qhat": [{"e": [0, 0]}]}, "qhat[0].c is missing"),
+        ("unknown field 'x' in isolated entry 1 phi entry 0", "vanq0", "4",
+         {**VANQ0_ISOLATED, "isolated": [
+             *VANQ0_ISOLATED["isolated"],
+             {"index": 3, "phi": [{"e": [0, 0], "c": "1", "x": 2}], "psi": []}]},
+         "isolated[1].phi[0].x is an unknown field"),
+        # A field name that is no identifier is quoted as a JSON string.
+        ("unknown field with a space", "vanq0", "4", {**VANQ0_ISOLATED, "is olated": []},
+         '["is olated"] is an unknown field'),
+    ))
     def test_unknown_or_missing_field_exits_two(self, family, n, config, message,
                                                 tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -600,19 +705,22 @@ class TestConfigFields:
         code, out, err = run(
             ["hecke", "--n", n, "--family", family, "--config", str(path)], capsys
         )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {family} config: {message}\n")
 
     @pytest.mark.parametrize("seed,message", [
-        ('[{"e": [1, 0, 0], "c": "1", "x": 2}]', "unknown field 'x' in term list entry 0"),
-        ('[{"e": [1, 0, 0], "c": "1"}, {"e": [1, 0, 0]}]',
-         "missing field 'c' in term list entry 1"),
+        pytest.param(seed, message, id=f"{seed}-{label}") for label, seed, message in [
+            ("unknown field 'x' in term list entry 0", '[{"e": [1, 0, 0], "c": "1", "x": 2}]',
+             "[0].x is an unknown field"),
+            ("missing field 'c' in term list entry 1",
+             '[{"e": [1, 0, 0], "c": "1"}, {"e": [1, 0, 0]}]', "[1].c is missing"),
+        ]
     ])
     def test_seed_poly_term_fields_checked(self, seed, message, capsys):
         code, out, err = run(
             ["apply", "--n", "3", "--family", "preset:demazure", "--seed-poly", seed],
             capsys,
         )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: --seed-poly: {message}\n")
 
 
 class TestReportSizeLimit:
@@ -733,18 +841,23 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
     assert_contract(code, err)
 
 
-# (config file, n, paths of every field that must be a JSON list)
+# (config file, n, paths of every field that must be a JSON list, paths of
+# every coefficient)
 CONFIG_BASES = [
     ("degent4.json", 4, [("p",), ("pairs",), ("pairs", 1), ("pairs", 2, 0),
-                         ("qhat",), ("qhat", 0, "e")]),
+                         ("qhat",), ("qhat", 0, "e")],
+     [("p", 0), ("pairs", 2, 0, 1), ("pairs", 1, 1, 0), ("qhat", 1, "c")]),
     ("vanq0_isolated.json", 4, [("isolated",), ("intervals",), ("isolated", 0, "phi"),
-                                ("isolated", 0, "psi"), ("isolated", 0, "phi", 0, "e")]),
-    ("vanq0_interval.json", 5, [("isolated",), ("intervals",), ("intervals", 0, "lines")]),
+                                ("isolated", 0, "psi"), ("isolated", 0, "phi", 0, "e")],
+     [("mu",), ("isolated", 0, "phi", 0, "c"), ("isolated", 0, "psi", 0, "c")]),
+    ("vanq0_interval.json", 5, [("isolated",), ("intervals",), ("intervals", 0, "lines")],
+     [("mu",), *[("intervals", 0, x) for x in "abcd"]]),
 ]
 NOT_LISTS = st.one_of(
     st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none(),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
+NOT_ELEMENTS = st.sampled_from(["x", "1/0", "", "1/2+", "z", "1 2", "0x1", "1/2z-3"])
 
 
 def _object_fields(node, path=()):
@@ -758,6 +871,12 @@ def _object_fields(node, path=()):
             yield from _object_fields(value, path + (k,))
 
 
+def _path_text(path):
+    """A path such as ("isolated", 0, "phi") written isolated[0].phi."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
@@ -766,17 +885,20 @@ def config_file(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(base=st.sampled_from(CONFIG_BASES), data=st.data())
 def test_fuzzed_config_keeps_exit_code_contract(config_file, base, data):
-    name, n, list_fields = base
+    name, n, list_fields, coefficients = base
     cfg = json.loads((GOLDEN / name).read_text())
-    mutation = data.draw(st.sampled_from(["replace", "delete", "rename"]))
+    mutation = data.draw(st.sampled_from(["replace", "delete", "rename", "coefficient"]))
     # A rename misspells any field of any object in the config.
-    fields = list(_object_fields(cfg)) if mutation == "rename" else list_fields
+    fields = {"rename": list(_object_fields(cfg)),
+              "coefficient": coefficients}.get(mutation, list_fields)
     path = data.draw(st.sampled_from(fields))
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
     if mutation == "replace":
-        parent[path[-1]] = data.draw(NOT_LISTS)
+        value = parent[path[-1]] = data.draw(NOT_LISTS)
+    elif mutation == "coefficient":
+        value = parent[path[-1]] = data.draw(NOT_ELEMENTS)
     elif mutation == "rename":
         renamed = path[-1] + "s"
         parent[renamed] = parent.pop(path[-1])
@@ -791,7 +913,15 @@ def test_fuzzed_config_keeps_exit_code_contract(config_file, base, data):
         [command, "--n", str(n), "--family", family, "--config", str(config_file)]
     )
     assert_contract(code, err)
+    # A refusal names the mutated field by its full path.
+    where = f"error: {family} config: {_path_text(path)}"
     if mutation == "replace":
-        assert code == 2 and " must be a JSON list, not " in err
+        assert (code, err) == (2, f"{where} must be a JSON list, not "
+                                  f"{JSON_TYPE[type(value)]}\n")
+    if mutation == "coefficient":
+        assert (code, err) == (2, f"{where} {json.dumps(value)} is not a field element "
+                                  "p/q or p/q+r/sz\n")
     if mutation == "rename":
-        assert code == 2 and f"unknown field {renamed!r} in " in err
+        renamed_path = _path_text((*path[:-1], renamed))
+        assert (code, err) == (2, f"error: {family} config: {renamed_path} "
+                                  "is an unknown field\n")

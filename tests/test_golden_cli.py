@@ -113,6 +113,11 @@ ARGVS = [
     ["verify", "--n", "4", *CASE1, "--lines", "l1,l1,l1"],
     ["apply", "--n", "3", "--family", "preset:demazure",
      "--seed-poly", '[{"e":[100001,0,0],"c":"1"}]'],
+    # Refused input: a coefficient string that is no field element, and an
+    # exponent vector of the wrong length.
+    ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_phi_c_not_element.json"],
+    ["apply", "--n", "3", "--family", "preset:demazure",
+     "--seed-poly", '[{"e":[1,0],"c":"1"}]'],
 ]
 
 
