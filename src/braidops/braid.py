@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
 
 __all__ = [
+    "Report",
     "CubicReport",
     "FamilyReport",
     "cubic_braid_check",
@@ -53,19 +54,25 @@ __all__ = [
 COEFF_NAMES = ("f", "sf", "sigma_f", "s_sigma_f", "sigma_s_f", "s_sigma_s_f")
 
 
+class Report:
+    """A verdict report: it passes when every verdict in every dict-valued
+    field passes, a nested report through its own __bool__."""
+
+    @property
+    def passed(self) -> bool:
+        return all(all(verdicts.values()) for verdicts in vars(self).values()
+                   if isinstance(verdicts, dict))
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
 @dataclass(frozen=True)
-class CubicReport:
+class CubicReport(Report):
     """Outcome of one cubic braid comparison, one flag per coefficient."""
 
     flags: dict[str, bool]
     failure: tuple[str, MultiPoly] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(self.flags.values())
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
@@ -171,18 +178,11 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
 
 
 @dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Report):
     """Aggregated braid verification for a whole family."""
 
     cubic: dict[tuple[int, int], CubicReport] = field(default_factory=dict)
     quad: dict[tuple[int, int], bool] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.cubic.values()) and all(self.quad.values())
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def family_braid_check(fam: "OperatorFamily") -> FamilyReport:

@@ -33,7 +33,7 @@ from .families import (
 )
 from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly
-from .words import apply_word, polynomial_table, staircase
+from .words import MAX_TABLE_N, apply_word, polynomial_table, staircase
 
 __all__ = ["main", "poly_to_json", "poly_from_json"]
 
@@ -364,6 +364,8 @@ def _read_seed(args, n: int) -> MultiPoly:
 
 
 def _cmd_table(args) -> int:
+    if args.n > MAX_TABLE_N:  # refused before the family's n - 1 operators are built
+        raise ConfigError(f"tables capped at n = {MAX_TABLE_N}")
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
     seed = _read_seed(args, fam.n)
     entries = polynomial_table(fam, seed)

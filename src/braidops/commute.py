@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braid import _distant_pairs
+from .braid import Report, _distant_pairs
 from .families import OperatorFamily
 from .pddo import PDDO
 
@@ -50,23 +50,12 @@ def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:
 
 
 @dataclass(frozen=True)
-class CommuteReport:
+class CommuteReport(Report):
     """Per-index-pair commutation of two families."""
 
     same_index: dict[int, bool] = field(default_factory=dict)
     distant: dict[tuple[int, int], bool] = field(default_factory=dict)
     consecutive: dict[tuple[int, int], bool] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(self.same_index.values())
-            and all(self.distant.values())
-            and all(self.consecutive.values())
-        )
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def cross_family_commute(fam1: OperatorFamily, fam2: OperatorFamily) -> CommuteReport:

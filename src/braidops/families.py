@@ -145,15 +145,20 @@ def main_case2(n: int, a, b, c, d, lines: Sequence[Case2Line]) -> OperatorFamily
     lines = list(lines)
     if len(lines) != n - 1:
         raise ConstraintError(f"need {n - 1} line choices, got {len(lines)}")
-    ops = tuple(case2_operator(a, b, c, d, line) for line in lines)
-    return OperatorFamily(n, ops, provenance="MainCase2")
+    ops = _line_operators(a, b, c, d, lines)
+    return OperatorFamily(n, tuple(ops[line] for line in lines), provenance="MainCase2")
+
+
+def _line_operators(a, b, c, d, lines) -> dict[Case2Line, PDDO]:
+    """One operator per distinct line choice, so equal choices share it."""
+    return {line: case2_operator(a, b, c, d, line) for line in dict.fromkeys(lines)}
 
 
 def coincident_lines(a, b, c, d) -> list[set[Case2Line]]:
     """Groups of line choices that yield the same operator at these parameters."""
     groups: dict[PDDO, set[Case2Line]] = {}
-    for line in Case2Line:
-        groups.setdefault(case2_operator(a, b, c, d, line), set()).add(line)
+    for line, op in _line_operators(a, b, c, d, Case2Line).items():
+        groups.setdefault(op, set()).add(line)
     return [members for members in groups.values() if len(members) > 1]
 
 
@@ -230,6 +235,10 @@ class Isolated:
     phi: SlotPoly
     psi: SlotPoly
 
+    @property
+    def indices(self) -> range:
+        return range(self.index, self.index + 1)
+
     def operators(self, mu: FieldElement) -> dict[int, PDDO]:
         """{index: operator}; requires d(phi psi) = mu."""
         if (self.phi * self.psi).ddiff() != mu:
@@ -251,9 +260,13 @@ class Interval:
     d: object
     lines: Sequence[Case2Line] | None = None
 
+    @property
+    def indices(self) -> range:
+        return range(self.start, self.stop + 1)
+
     def operators(self, mu: FieldElement) -> dict[int, PDDO]:
         """{index: operator} over start..stop via main_case2; requires b - c = mu."""
-        indices = range(self.start, self.stop + 1)
+        indices = self.indices
         where = f"interval {self.start}..{self.stop}"
         if len(indices) < 2:
             raise ConstraintError(
@@ -277,31 +290,35 @@ def with_vanishing_q0(
 
     Indices not covered by a segment get mu*Id, and at least one must.
     Segments lie in 1..n-1, are disjoint and do not touch (no i and i + 1 in
-    two segments), so each is a maximal non-scalar run.
+    two segments), so each is a maximal non-scalar run.  This layout is
+    checked before any operator is built: a segment's index range may be
+    far larger than n.
     """
     mu = _fe(mu)
     if n < 4:
         raise ConstraintError("the vanishing-Q0 classification requires n >= 4")
     if mu == ZERO:
         raise ConstraintError("mu must be nonzero")
-    covered: dict[int, PDDO] = {}
     owner: dict[int, int] = {}
     for k, seg in enumerate(segments):
-        for i, op in seg.operators(mu).items():
+        for i in seg.indices:
             if not 1 <= i <= n - 1:
                 raise ConstraintError(f"segment index {i} out of range 1..{n - 1}")
-            if i in covered:
+            if i in owner:
                 raise ConstraintError(f"segments overlap at index {i}")
-            covered[i], owner[i] = op, k
-    if len(covered) == n - 1:
+            owner[i] = k
+    if len(owner) == n - 1:
         raise ConstraintError("the set of scalar indices must be non-empty")
     for i, k in owner.items():
         if owner.get(i + 1, k) != k:
             raise ConstraintError(
                 f"index {i} has a non-scalar neighbor {i + 1} in another segment"
             )
-    ops = tuple(covered.get(i, identity_op(mu)) for i in range(1, n))
-    return OperatorFamily(n, ops, provenance="WithVanQ0")
+    ops = [identity_op(mu)] * (n - 1)
+    for seg in segments:
+        for i, op in seg.operators(mu).items():
+            ops[i - 1] = op
+    return OperatorFamily(n, tuple(ops), provenance="WithVanQ0")
 
 
 def preset(name: str, n: int, param=None) -> OperatorFamily:

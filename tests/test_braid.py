@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from braidops import braid, sampling
 from braidops.braid import (
+    CubicReport,
+    FamilyReport,
+    Report,
     almost_equal,
     cubic_braid_check,
     family_braid_check,
     quad_commute_check,
 )
 from braidops.cli import _random_family
+from braidops.commute import CommuteReport
 from braidops.families import (
     Case2Line,
     OperatorFamily,
@@ -24,7 +28,7 @@ from braidops.families import (
     zeta_pair,
 )
 from braidops.field import FieldElement
-from braidops.multipoly import SlotPoly
+from braidops.multipoly import MultiPoly, SlotPoly
 from braidops.pddo import PDDO
 from cubic_reference import cubic_braid_oracle, full_report
 
@@ -225,6 +229,24 @@ class TestFamilyCheck:
                 uncached = cubic_braid_check(f[i], f[i + 1])
                 assert r.cubic[(i, i + 1)].flags == uncached.flags
                 assert r.cubic[(i, i + 1)].failure == uncached.failure
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_passed_and_bool_agree_on_every_report(ok):
+    """A report passes when every verdict of its dict fields does; a nested
+    CubicReport counts through bool() and its failure witness is no verdict."""
+    cubic = CubicReport(flags={"f": True, "sf": ok},
+                        failure=None if ok else ("sf", MultiPoly.variable(3, 1)))
+    reports = [
+        cubic,
+        FamilyReport(cubic={(1, 2): cubic}, quad={(1, 3): True}),
+        CommuteReport(same_index={1: True}, distant={(1, 3): True},
+                      consecutive={(1, 2): ok}),
+    ]
+    for report in reports:
+        assert report.passed is ok
+        assert bool(report) is ok
+        assert type(report).passed is Report.passed  # the rule is written once
 
 
 class TestAlmostEqual:

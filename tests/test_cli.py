@@ -753,6 +753,15 @@ class TestReportSizeLimit:
         assert out.count("\n") == self.LIMIT
 
 
+def test_table_refuses_a_large_n_before_building_the_family(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_family", lambda *args: built.append(args))
+    code, out, err = run(["table", "--n", "7", "--family", "case2",
+                          "--params", "1,2,1,2"], capsys)
+    assert (code, out, err) == (2, "", "error: tables capped at n = 6\n")
+    assert built == []
+
+
 def test_memory_error_exits_two(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidops import sampling
+from braidops import families, sampling
 from braidops.braid import almost_equal, cubic_braid_check, family_braid_check
 from braidops.families import (
     Case2Line,
@@ -174,6 +174,12 @@ class TestMainCase2:
     def test_coincident_lines_when_b_equals_c(self):
         groups = coincident_lines(1, 2, 2, 4)
         assert any({Case2Line.LINE1, Case2Line.LINE2} <= g for g in groups)
+
+    def test_equal_line_choices_share_one_operator(self):
+        fam = main_case2(5, 1, 2, 1, 2, [Case2Line.LINE1, Case2Line.LINE3,
+                                         Case2Line.LINE1, Case2Line.LINE3])
+        assert fam[1] is fam[3] and fam[2] is fam[4]
+        assert fam[1] is not fam[2]
 
     def test_mixing_e_values_fails_cubic(self):
         # Two valid uniform operators with different e do not braid together.
@@ -345,6 +351,17 @@ class TestWithVanishingQ0:
                 5, 1,
                 [Isolated(2, phi, psi), Interval(start=2, stop=3, a=0, b=1, c=0, d=0)],
             )
+
+    def test_layout_is_checked_before_any_operator_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(families, "main_case2", lambda *args: built.append(args))
+        with pytest.raises(ConstraintError, match=r"segment index 4 out of range 1\.\.3"):
+            with_vanishing_q0(4, 1, [_interval(1, 300_000)])
+        assert built == []
+
+    def test_scalar_indices_share_one_operator(self):
+        fam = with_vanishing_q0(6, 1, [Isolated(3, ONE_SLOT, U)])
+        assert fam[1] is fam[2] is fam[4] is fam[5] == identity_op(1)
 
     def test_demazure_id_demazure(self):
         fam = with_vanishing_q0(

@@ -118,6 +118,10 @@ ARGVS = [
     ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_phi_c_not_element.json"],
     ["apply", "--n", "3", "--family", "preset:demazure",
      "--seed-poly", '[{"e":[1,0],"c":"1"}]'],
+    # Refused before any operator is built: a vanq0 interval far beyond n, and
+    # a table over the size cap.
+    ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_interval_out_of_range.json"],
+    ["table", "--n", "200000", "--family", "case2", "--params", "1,2,1,2"],
 ]
 
 
