@@ -12,9 +12,11 @@ monomial x1^{n-1} x2^{n-2} ... x_{n-1}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import sampling
@@ -142,7 +144,46 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the values
+    the CLI prints: dicts with str keys, lists, str, int, bool and None.
+    Anything else raises TypeError.  With an indent, json.dumps runs its pure
+    Python encoder, which takes two to four times as long on a table (2-core
+    machine)."""
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write(obj, newline: str, emit) -> None:
+    """Emit obj as JSON text; newline is the line break and indent of the line
+    obj starts on."""
+    kind = type(obj)
+    if kind is str:
+        emit(_quote(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif kind is bool:
+        emit("true" if obj else "false")
+    elif obj is None:
+        emit("null")
+    elif kind is list:
+        inner, separator = newline + "  ", "["
+        for item in obj:
+            emit(separator + inner)
+            _write(item, inner, emit)
+            separator = ","
+        emit(newline + "]" if obj else "[]")
+    elif kind is dict:
+        inner, separator = newline + "  ", "{"
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(separator + inner + _quote(key) + ": ")
+            _write(obj[key], inner, emit)
+            separator = ","
+        emit(newline + "}" if obj else "{}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- family construction ----------------------------------------------------
@@ -331,7 +372,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hecke(args) -> int:
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
-    params = {i: fam[i].hecke_params() for i in range(1, fam.n)}
+    # Once per operator object, which families share over many indices.  Keyed
+    # on identity: PDDO.__hash__ builds frozensets on every call, which costs
+    # more than computing afresh.
+    distinct = {id(op): op for op in fam.ops}
+    computed = {key: op.hecke_params() for key, op in distinct.items()}
+    params = {i: computed[id(fam[i])] for i in range(1, fam.n)}
     if args.output == "json":
         print(_dumps({"n": fam.n, "hecke": [
             {"index": i, "mu": hp and str(hp[0]), "nu": hp and str(hp[1])}
@@ -408,6 +454,7 @@ def _cmd_apply(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidops", description=__doc__,

@@ -7,15 +7,16 @@ carries the coefficient polynomials of the operators built in
 :mod:`braidops.pddo`.  Term order for printing and leading terms is graded
 lexicographic.
 
-Products and divided differences accumulate in integers: each operand's
-coefficients are brought over one common denominator, the (a, b) numerator
-pairs of a + b z are summed per exponent vector, and one field element is
-built per output term.
+Products, divided differences and operator applications (``_apply_terms``)
+accumulate in integers: each operand's coefficients are brought over one
+common denominator, the (a, b) numerator pairs of a + b z are summed per
+exponent vector, and one field element is built per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add
 from typing import Iterable, Mapping
 
@@ -125,6 +126,52 @@ def _ddiff_terms(terms: Mapping, k: int) -> dict:
                 pair[0] += a
                 pair[1] += b
     return _unscaled(acc, den)
+
+
+def _apply_terms(f: Mapping, k: int, q0: Mapping, r0: Mapping) -> dict:
+    """Q0(x, y) d f + R0(x, y) f for slot term maps q0, r0 placed at exponent
+    positions k, k + 1 (variables x, y), accumulated in integers over one
+    denominator, with d f taken as in ``_ddiff_terms``."""
+    if not f:
+        return {}
+    sf, df = _scaled(f)
+    sq, dq = _scaled(q0)
+    sr, dr = _scaled(r0)
+    den = dq // gcd(dq, dr) * dr
+    sq = [(e, a * (den // dq), b * (den // dq)) for e, a, b in sq]
+    sr = [(e, a * (den // dr), b * (den // dr)) for e, a, b in sr]
+    # The (x, y) exponents of f and of d f, grouped by the exponents outside
+    # positions k, k + 1; d f is over the denominator of f.
+    groups: dict = {}
+    for e, a, b in sf:
+        r, s = e[k], e[k + 1]
+        f_pairs, d_pairs = groups.setdefault((e[:k], e[k + 2:]), ({}, {}))
+        f_pairs[r, s] = (a, b)
+        if r == s or not sq:
+            continue
+        lo, hi, a, b = (s, r, a, b) if r > s else (r, s, -a, -b)
+        for l in range(lo, hi):
+            key = (l, lo + hi - 1 - l)
+            pair = d_pairs.get(key)
+            if pair is None:
+                d_pairs[key] = [a, b]
+            else:
+                pair[0] += a
+                pair[1] += b
+    acc: dict = {}
+    for (head, tail), (f_pairs, d_pairs) in groups.items():
+        for slots, pairs in ((sq, d_pairs), (sr, f_pairs)):
+            for (x, y), (a, b) in pairs.items():
+                # (a + b z)(c + g z) with z^2 = z - 1, as in _mul_terms.
+                for (u, v), c, g in slots:
+                    key = head + (x + u, y + v) + tail
+                    pair = acc.get(key)
+                    if pair is None:
+                        acc[key] = [a * c - b * g, a * g + b * (c + g)]
+                    else:
+                        pair[0] += a * c - b * g
+                        pair[1] += a * g + b * (c + g)
+    return _unscaled(acc, df * den)
 
 
 def _fmt_terms(terms: Mapping, names) -> str:

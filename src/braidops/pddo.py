@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .divdiff import ddiff, dpositive_lift, dpositive_split
+from .divdiff import dpositive_lift, dpositive_split
 from .field import FieldElement
-from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, instantiate
+from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _apply_terms
 
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op"]
 
@@ -122,13 +122,12 @@ class PDDO:
     # -- action ------------------------------------------------------------
 
     def apply(self, i: int, f: MultiPoly) -> MultiPoly:
-        """Apply at index i, computed as Q0 d_i f + R0 f at (x_i, x_{i+1})."""
+        """Apply at index i: Q0 d_i f + R0 f at (x_i, x_{i+1}), in one
+        integer pass."""
         n = f.n_vars
         if not 1 <= i <= n - 1:
             raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        q0 = instantiate(self.Q0, i, i + 1, n)
-        r0 = instantiate(self.R0, i, i + 1, n)
-        return q0 * ddiff(f, i) + r0 * f
+        return MultiPoly._wrap(n, _apply_terms(f._terms, i - 1, self.Q0._terms, self.R0._terms))
 
     # -- derived data ------------------------------------------------------
 

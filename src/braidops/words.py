@@ -169,7 +169,11 @@ def polynomial_table(
                 f"reduced-word dependence at {w.one_line} despite braid check"
             )
         polys[w] = values[0]
-    return [
-        TableEntry(perm=w, word=next(_reduced_words(w.inverse() * w0)), poly=polys[w])
-        for w in Permutation.all(n)
-    ]
+    # The first reduced word of v = w^{-1} w0, built up the weak order: with d
+    # the smallest right descent of v it is the first word of v s_d, then d.
+    words = {Permutation.identity(n): ()}
+    for v in sorted(Permutation.all(n), key=Permutation.length)[1:]:
+        d = v.descents()[0]
+        words[v] = words[v.apply_transposition(d)] + (d,)
+    return [TableEntry(perm=w, word=words[w.inverse() * w0], poly=polys[w])
+            for w in Permutation.all(n)]

@@ -10,13 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidops import cli
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.families import OperatorFamily
 from braidops.multipoly import MultiPoly, SlotPoly
-from braidops.pddo import PDDO
+from braidops.pddo import PDDO, identity_op
 from braidops.words import staircase
 
 
@@ -241,6 +241,19 @@ class TestHecke:
             {"index": 1, "mu": "1", "nu": "6"},
             {"index": 2, "mu": "1", "nu": "6"},
         ]
+
+    def test_one_computation_per_distinct_operator(self, monkeypatch, capsys):
+        one, two = identity_op(1), identity_op(2)
+        monkeypatch.setattr(cli, "build_family",
+                            lambda *args: OperatorFamily(4, (one, two, one)))
+        computed = []
+        hecke_params = PDDO.hecke_params
+        monkeypatch.setattr(PDDO, "hecke_params",
+                            lambda op: computed.append(op) or hecke_params(op))
+        code, out, _ = run(["hecke", "--n", "4", "--family", "case1"], capsys)
+        assert (code, out) == (0, "pi_1: mu = 1, nu = 0\npi_2: mu = 2, nu = 0\n"
+                                  "pi_3: mu = 1, nu = 0\n")
+        assert computed == [one, two]
 
 
 class TestTable:
@@ -782,6 +795,60 @@ def test_runs_as_a_module(tmp_path):
     )
     assert done.returncode == 0
     assert done.stdout.endswith("overall: pass\n")
+
+
+# -- the JSON writer and the cached parser --------------------------------------
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+JSON_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
+                    | st.characters(), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-10**40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@example({"": [], "a\"\\\x01\u00e9": {}, "b": [[{}], -10**60, True, False, None]})
+def test_dumps_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {"a": [0.0]}, [(1,)], {1: "one"}],
+                         ids=["float", "tuple", "nested-float", "nested-tuple", "int-key"])
+def test_dumps_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    """One process, one parser: each call answers as a fresh process does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    seed = json.dumps([{"e": [1, 0, 0], "c": "1/2-1z"}])
+    sequence = [
+        ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", seed],
+        ["table", "--n", "3", "--family", "preset:demazure"],
+        ["verify", "--n", "4", "--family", "case1", "--random-trials", "2",
+         "--rng-seed", "3"],
+        ["verify", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3"],
+        ["table", "--n", "3"],  # no --family: argparse exits 2
+        ["hecke", "--n", "3", "--family", "case1", "--params", "1,2,1,2,3"],
+    ]
+    answers = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        answers.append((code, *capsys.readouterr()))
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [subprocess.run([sys.executable, "-m", "braidops", *argv],
+                            capture_output=True, text=True, env=env)
+             for argv in sequence]
+    assert answers == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+    assert [code for code, _, _ in answers] == [0, 0, 0, 0, 2, 0]
 
 
 # -- fuzzing the exit-code contract -------------------------------------------

@@ -2,9 +2,10 @@
 composition, and Hecke parameters."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidops import multipoly, sampling
 from braidops.divdiff import ddiff
@@ -41,6 +42,18 @@ slotpolys = st.dictionaries(
 ).map(SlotPoly)
 
 quadruples = st.tuples(slotpolys, slotpolys, slotpolys, slotpolys)
+
+# Q(z) coefficients with z parts and mixed denominators.
+qz_coeffs = st.builds(
+    FieldElement, *[st.fractions(min_value=-6, max_value=6, max_denominator=12)] * 2)
+qz_slotpolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), qz_coeffs, max_size=4
+).map(SlotPoly)
+
+
+def qz_polys(n):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), qz_coeffs,
+                           max_size=5).map(lambda terms: MultiPoly(n, terms))
 
 U = SlotPoly.u()
 V = SlotPoly.v()
@@ -129,6 +142,23 @@ class TestAction:
         assert px - y * p1 == instantiate(op.T, 1, 2, n)
         assert px - x * p1 == instantiate(op.Q0, 1, 2, n)
         assert p1 == instantiate(op.R0, 1, 2, n)
+
+    @given(qz_slotpolys, qz_slotpolys, st.integers(2, 5).flatmap(qz_polys))
+    @example(ZERO_P, SlotPoly({(1, 0): FieldElement(Fraction(1, 2), Fraction(-2, 3))}),
+             MultiPoly(3, {(2, 0, 1): FieldElement(Fraction(3, 4), Fraction(5))}))
+    @example(SlotPoly({(0, 1): FieldElement(Fraction(-1, 6), Fraction(1, 4))}), ZERO_P,
+             MultiPoly(4, {(0, 3, 1, 2): FieldElement(Fraction(2), Fraction(1, 3))}))
+    @example(U * V - ONE_P, V, MultiPoly.zero(5))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_matches_the_reference_formula(self, q0, r0, f):
+        """apply is one integer pass; it equals Q0 d_i f + R0 f built from
+        instantiate, ddiff, two products and a sum, at every index."""
+        op = PDDO.from_q0_r0(q0, r0)
+        n = f.n_vars
+        for i in range(1, n):
+            reference = (instantiate(q0, i, i + 1, n) * ddiff(f, i)
+                         + instantiate(r0, i, i + 1, n) * f)
+            assert op.apply(i, f) == reference
 
 
 def _long_division(numerator, i):
