@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .multipoly import MultiPoly, SlotPoly, instantiate
-from .pddo import PDDO
+from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -94,13 +95,12 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     t_xy, t_yx, t_xz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3)
-    q_xy, q_yx, q_xz, q_yz = at(Q, 1, 2), at(Q, 2, 1), at(Q, 1, 3), at(Q, 2, 3)
+    q_xy, q_yx, q_xz = at(Q, 1, 2), at(Q, 2, 1), at(Q, 1, 3)
     tt_xz, tt_yz, tt_zy = at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)
-    qt_xy, qt_xz, qt_yz, qt_zy = at(Qt, 1, 2), at(Qt, 1, 3), at(Qt, 2, 3), at(Qt, 3, 2)
+    qt_xz, qt_yz, qt_zy = at(Qt, 1, 3), at(Qt, 2, 3), at(Qt, 3, 2)
     B = t_xy * tt_yz * xz
     yz_t_xy, xy_tt_yz = yz * t_xy, xy * tt_yz
-    either_zero = Q.is_zero() or Qt.is_zero()
-    same_t = either_zero or T == Tt
+    same_t = Q.is_zero() or Qt.is_zero() or T == Tt
     return {
         "f": (False, lambda: MultiPoly.const(n, 1), lambda: (
             B * (yz_t_xy - xy_tt_yz)
@@ -113,8 +113,7 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
                       lambda: at(T - Tt, 2, 3)),
         "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * q_xz,
                       lambda: at(T - Tt, 1, 2)),
-        "s_sigma_s_f": (False, lambda: -xy * yz,
-                        lambda: q_xy * qt_xz * q_yz - qt_xy * q_xz * qt_yz),
+        "s_sigma_s_f": (False, lambda: -xy * yz, lambda: sub(*_almost_products(Q, Qt))),
     }
 
 
@@ -171,10 +170,15 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
     """
     if q.is_zero() or qt.is_zero():
         raise ValueError("almost_equal requires nonzero inputs")
-    n = 3
-    lhs = instantiate(q, 1, 2, n) * instantiate(qt, 1, 3, n) * instantiate(q, 2, 3, n)
-    rhs = instantiate(qt, 1, 2, n) * instantiate(q, 1, 3, n) * instantiate(qt, 2, 3, n)
-    return lhs == rhs
+    lhs, rhs = _almost_products(q, qt)
+    return lhs == rhs  # cheaper than lhs - rhs when the term counts differ
+
+
+def _almost_products(q: SlotPoly, qt: SlotPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The sides q(x,y) qt(x,z) q(y,z) and qt(x,y) q(x,z) qt(y,z) of almost-equality."""
+    (q_xy, q_xz, q_yz), (qt_xy, qt_xz, qt_yz) = (
+        [instantiate(p, i, j, 3) for i, j in ((1, 2), (1, 3), (2, 3))] for p in (q, qt))
+    return q_xy * qt_xz * q_yz, qt_xy * q_xz * qt_yz
 
 
 @dataclass(frozen=True)
@@ -190,18 +194,13 @@ def family_braid_check(fam: "OperatorFamily") -> FamilyReport:
     every distant pair (i, k), k >= i + 2, is reported as commuting.
 
     The cubic check is index-free, so it runs once per distinct pair of
-    operators: a uniform family needs one check whatever n is."""
+    operator objects: a uniform family needs one check whatever n is."""
     ops, n = fam.ops, fam.n
     if n < 3:
         raise ValueError("braid relations need n >= 3")
-    checked: dict[tuple[PDDO, PDDO], CubicReport] = {}
-    cubic = {}
-    for i in range(1, n - 1):
-        pair = (ops[i - 1], ops[i])
-        if pair not in checked:
-            checked[pair] = cubic_braid_check(*pair)
-        cubic[(i, i + 1)] = checked[pair]
-    return FamilyReport(cubic=cubic, quad=_distant_pairs(n))
+    reports = per_operator(cubic_braid_check, zip(ops, ops[1:]))
+    return FamilyReport(cubic={(i, i + 1): r for i, r in enumerate(reports, 1)},
+                        quad=_distant_pairs(n))
 
 
 def _distant_pairs(n: int) -> dict[tuple[int, int], bool]:

@@ -35,6 +35,7 @@ from .families import (
 )
 from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly
+from .pddo import PDDO, per_operator
 from .words import MAX_TABLE_N, apply_word, polynomial_table, staircase
 
 __all__ = ["main", "poly_to_json", "poly_from_json"]
@@ -208,6 +209,8 @@ def _case2(family: str, n: int, params: list[FieldElement],
            lines: str | None) -> OperatorFamily:
     if len(params) != 4:
         raise ConfigError(f"{family} needs --params a,b,c,d")
+    if lines == "":
+        raise ConfigError("--lines is empty; give one of l1..l4 per index")
     choices = [_line(p) for p in lines.split(",")] if lines else [Case2Line.LINE1] * (n - 1)
     return main_case2(n, *params, choices)
 
@@ -291,7 +294,7 @@ def build_family(family: str, n: int, params: str | None,
     given = {"params": params, "lines": lines, "config": config}
     _refuse_unused(family, given, options)
     given["params"] = ([p.element() for p in _Json(params.split(","), "--params").list()]
-                       if params else [])
+                       if params is not None else [])
     return build(family, n, **{name: given[name] for name in options})
 
 
@@ -372,12 +375,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hecke(args) -> int:
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
-    # Once per operator object, which families share over many indices.  Keyed
-    # on identity: PDDO.__hash__ builds frozensets on every call, which costs
-    # more than computing afresh.
-    distinct = {id(op): op for op in fam.ops}
-    computed = {key: op.hecke_params() for key, op in distinct.items()}
-    params = {i: computed[id(fam[i])] for i in range(1, fam.n)}
+    params = dict(enumerate(per_operator(PDDO.hecke_params, ((op,) for op in fam.ops)), 1))
     if args.output == "json":
         print(_dumps({"n": fam.n, "hecke": [
             {"index": i, "mu": hp and str(hp[0]), "nu": hp and str(hp[1])}
@@ -399,12 +397,12 @@ def _cmd_commute(args) -> int:
 
 
 def _read_seed(args, n: int) -> MultiPoly:
-    if not args.seed_poly:
-        return staircase(n)
     text = args.seed_poly
-    # An inline term list is never looked up as a path: one longer than the
-    # file-name limit would make the lookup itself fail.
-    if not text.lstrip().startswith("[") and Path(text).exists():
+    if text is None:
+        return staircase(n)
+    # Neither an inline term list nor "" is looked up as a path: the lookup of
+    # a list longer than the file-name limit fails, and "" names the directory.
+    if text and not text.lstrip().startswith("[") and Path(text).exists():
         text = Path(text).read_text()
     return MultiPoly(n, _Json.load(text, "--seed-poly").terms(n))
 

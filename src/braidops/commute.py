@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .braid import Report, _distant_pairs
 from .families import OperatorFamily
-from .pddo import PDDO
+from .pddo import PDDO, per_operator
 
 __all__ = ["commutes_same_index", "CommuteReport", "cross_family_commute"]
 
@@ -68,7 +68,7 @@ def cross_family_commute(fam1: OperatorFamily, fam2: OperatorFamily) -> CommuteR
     if fam1.n != fam2.n:
         raise ValueError("families must act on the same number of variables")
     n = fam1.n
-    same = {i: commutes_same_index(fam1[i], fam2[i]) for i in range(1, n)}
+    same = dict(enumerate(per_operator(commutes_same_index, zip(fam1.ops, fam2.ops)), 1))
     consecutive = {}
     for i in range(1, n - 1):
         consecutive[(i, i + 1)] = _consecutive_commute(fam1[i], fam2[i + 1])

@@ -89,10 +89,10 @@ class FieldElement:
         return FieldElement(rat, zeta)
 
     def __str__(self) -> str:
-        if not self._b:
-            return str(self.rat_part)
-        sign = "+" if self._b > 0 else "-"
-        return f"{self.rat_part}{sign}{abs(self.zeta_part)}z"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{_ratio(abs(b), d)}z"
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
@@ -188,6 +188,12 @@ def _canonical(a: int, b: int, d: int) -> FieldElement:
     x._b = b
     x._d = d
     return x
+
+
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}" if q != g else str(p // g)
 
 
 def _scaled(terms: Mapping) -> tuple[list, int]:

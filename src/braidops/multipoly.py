@@ -7,10 +7,10 @@ carries the coefficient polynomials of the operators built in
 :mod:`braidops.pddo`.  Term order for printing and leading terms is graded
 lexicographic.
 
-Products, divided differences and operator applications (``_apply_terms``)
-accumulate in integers: each operand's coefficients are brought over one
-common denominator, the (a, b) numerator pairs of a + b z are summed per
-exponent vector, and one field element is built per output term.
+Products, divided differences (one loop, ``_ddiff_pairs``) and operator
+applications (``_apply_terms``) accumulate in integers: operands are brought
+over one common denominator, the (a, b) numerator pairs of a + b z are summed
+per exponent vector, and one field element is built per output term.
 """
 
 from __future__ import annotations
@@ -106,61 +106,52 @@ def _divide_terms(f: Mapping, g: Mapping) -> dict:
     return quo
 
 
-def _ddiff_terms(terms: Mapping, k: int) -> dict:
-    """The divided difference in exponent positions k, k + 1 (variables x, y),
-    from d(x^r y^s) = sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s, d antisymmetric."""
-    scaled, den = _scaled(terms)
+def _ddiff_pairs(scaled: list, k: int) -> dict:
+    """d in exponent positions k, k + 1 (variables x, y) of the integer pairs
+    [(e, a, b), ...] of ``_scaled``, as (e[:k], e[k + 2:]) -> {(x, y exponents):
+    [a, b]} over the same denominator, from d(x^r y^s) = sum_{l=s}^{r-1} x^l
+    y^{r+s-1-l} for r > s, d antisymmetric."""
     acc: dict = {}
     for e, a, b in scaled:
         r, s = e[k], e[k + 1]
         if r == s:
             continue
         lo, hi, a, b = (s, r, a, b) if r > s else (r, s, -a, -b)
-        head, tail = e[:k], e[k + 2:]
+        pairs = acc.setdefault((e[:k], e[k + 2:]), {})
         for l in range(lo, hi):
-            key = head + (l, lo + hi - 1 - l) + tail
-            pair = acc.get(key)
+            key = (l, lo + hi - 1 - l)
+            pair = pairs.get(key)
             if pair is None:
-                acc[key] = [a, b]
+                pairs[key] = [a, b]
             else:
                 pair[0] += a
                 pair[1] += b
-    return _unscaled(acc, den)
+    return acc
+
+
+def _ddiff_terms(terms: Mapping, k: int) -> dict:
+    """The divided difference of a term map in exponent positions k, k + 1."""
+    scaled, den = _scaled(terms)
+    return _unscaled({head + xy + tail: pair for (head, tail), pairs
+                      in _ddiff_pairs(scaled, k).items() for xy, pair in pairs.items()}, den)
 
 
 def _apply_terms(f: Mapping, k: int, q0: Mapping, r0: Mapping) -> dict:
     """Q0(x, y) d f + R0(x, y) f for slot term maps q0, r0 placed at exponent
     positions k, k + 1 (variables x, y), accumulated in integers over one
-    denominator, with d f taken as in ``_ddiff_terms``."""
-    if not f:
-        return {}
+    denominator."""
     sf, df = _scaled(f)
     sq, dq = _scaled(q0)
     sr, dr = _scaled(r0)
     den = dq // gcd(dq, dr) * dr
     sq = [(e, a * (den // dq), b * (den // dq)) for e, a, b in sq]
     sr = [(e, a * (den // dr), b * (den // dr)) for e, a, b in sr]
-    # The (x, y) exponents of f and of d f, grouped by the exponents outside
-    # positions k, k + 1; d f is over the denominator of f.
-    groups: dict = {}
+    f_groups: dict = {}
     for e, a, b in sf:
-        r, s = e[k], e[k + 1]
-        f_pairs, d_pairs = groups.setdefault((e[:k], e[k + 2:]), ({}, {}))
-        f_pairs[r, s] = (a, b)
-        if r == s or not sq:
-            continue
-        lo, hi, a, b = (s, r, a, b) if r > s else (r, s, -a, -b)
-        for l in range(lo, hi):
-            key = (l, lo + hi - 1 - l)
-            pair = d_pairs.get(key)
-            if pair is None:
-                d_pairs[key] = [a, b]
-            else:
-                pair[0] += a
-                pair[1] += b
+        f_groups.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = (a, b)
     acc: dict = {}
-    for (head, tail), (f_pairs, d_pairs) in groups.items():
-        for slots, pairs in ((sq, d_pairs), (sr, f_pairs)):
+    for slots, groups in ((sq, _ddiff_pairs(sf, k) if sq else {}), (sr, f_groups)):
+        for (head, tail), pairs in groups.items():
             for (x, y), (a, b) in pairs.items():
                 # (a + b z)(c + g z) with z^2 = z - 1, as in _mul_terms.
                 for (u, v), c, g in slots:

@@ -19,7 +19,7 @@ from .divdiff import dpositive_lift, dpositive_split
 from .field import FieldElement
 from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _apply_terms
 
-__all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op"]
+__all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
 _UV = SlotPoly.u() - SlotPoly.v()
 
@@ -181,3 +181,17 @@ class PDDO:
 def identity_op(c=1) -> PDDO:
     """The operator c * Id."""
     return PDDO.from_q0_r0(SlotPoly.zero(), SlotPoly.const(c))
+
+
+def per_operator(fn, argument_tuples) -> list:
+    """[fn(*args) for args in argument_tuples], calling fn once per distinct
+    tuple of argument objects.  Keyed on identity, not on PDDO.__hash__, which
+    builds frozensets on every call and costs more than it would save."""
+    memo: dict = {}
+    results = []
+    for args in argument_tuples:
+        key = tuple(map(id, args))
+        if key not in memo:
+            memo[key] = args, fn(*args)  # holding args keeps their ids from reuse
+        results.append(memo[key][1])
+    return results

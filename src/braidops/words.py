@@ -75,13 +75,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions; equals the length of any reduced word."""
-        w = self.one_line
-        return sum(
-            1
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-            if w[i] > w[j]
-        )
+        return _inversions(self.one_line)
 
     def descents(self) -> list[int]:
         """Indices i with w(i) > w(i+1)."""
@@ -97,22 +91,19 @@ class Permutation:
         return self.one_line == tuple(range(1, self.n + 1))
 
 
+def _inversions(w: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
 def reduced_words(w: Permutation) -> list[list[int]]:
-    """All reduced words of w, by recursive descent on descents."""
+    """All reduced words of w: for each right descent i, smallest first, the
+    words of w s_i, each followed by i."""
     if w.n > MAX_TABLE_N:
         raise SizeLimitError(f"reduced word enumeration capped at n = {MAX_TABLE_N}")
-    return [list(word) for word in _reduced_words(w)]
-
-
-def _reduced_words(w: Permutation):
-    """The reduced words of w as tuples, in the order of ``reduced_words``:
-    for each right descent i, smallest first, the words of w s_i then i."""
     if w.is_identity():
-        yield ()
-        return
-    for i in w.descents():
-        for prefix in _reduced_words(w.apply_transposition(i)):
-            yield prefix + (i,)
+        return [[]]
+    return [word + [i] for i in w.descents()
+            for word in reduced_words(w.apply_transposition(i))]
 
 
 def apply_word(fam: OperatorFamily, word: Sequence[int], f: MultiPoly) -> MultiPoly:
@@ -158,22 +149,21 @@ def polynomial_table(
         )
     if seed is None:
         seed = staircase(n)
-    w0 = Permutation.longest(n)
-    polys = {w0: seed}
-    # Decreasing length; w0, the only longest permutation, comes first.
-    for w in sorted(Permutation.all(n), key=Permutation.length, reverse=True)[1:]:
-        values = [fam[i].apply(i, polys[w.apply_transposition(i)])
-                  for i in range(1, n) if w(i) < w(i + 1)]
+    # One-line tuples by decreasing length; w0, the only longest, comes first,
+    # and w s_i for an ascent i, and w' below, are longer than w.
+    sweep = sorted(_permutations(range(1, n + 1)), key=_inversions, reverse=True)
+    polys, words = {sweep[0]: seed}, {sweep[0]: ()}
+    for w in sweep[1:]:
+        values = [fam[i].apply(i, polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]])
+                  for i in range(1, n) if w[i - 1] < w[i]]
         if any(p != values[0] for p in values[1:]):
-            raise AssertionError(
-                f"reduced-word dependence at {w.one_line} despite braid check"
-            )
+            raise AssertionError(f"reduced-word dependence at {w} despite braid check")
         polys[w] = values[0]
-    # The first reduced word of v = w^{-1} w0, built up the weak order: with d
-    # the smallest right descent of v it is the first word of v s_d, then d.
-    words = {Permutation.identity(n): ()}
-    for v in sorted(Permutation.all(n), key=Permutation.length)[1:]:
-        d = v.descents()[0]
-        words[v] = words[v.apply_transposition(d)] + (d,)
-    return [TableEntry(perm=w, word=words[w.inverse() * w0], poly=polys[w])
-            for w in Permutation.all(n)]
+        # The first reduced word of w^{-1} w0 ends in its smallest right
+        # descent d = n + 1 - m, m the largest value standing right of m - 1
+        # in w; before it comes the word of w' = w with m - 1, m exchanged.
+        m = max(m for m in range(2, n + 1) if w.index(m) > w.index(m - 1))
+        w_prime = tuple(m - 1 if x == m else m if x == m - 1 else x for x in w)
+        words[w] = words[w_prime] + (n + 1 - m,)
+    return [TableEntry(perm=Permutation(w), word=words[w], poly=polys[w])
+            for w in _permutations(range(1, n + 1))]

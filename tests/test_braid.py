@@ -230,6 +230,27 @@ class TestFamilyCheck:
                 assert r.cubic[(i, i + 1)].flags == uncached.flags
                 assert r.cubic[(i, i + 1)].failure == uncached.failure
 
+    def test_equal_operators_that_are_distinct_objects(self, monkeypatch):
+        # The checks run once per pair of operator objects; pairs that are
+        # equal but not shared still get each pair's own report.
+        dem = preset("demazure", 5)[1]
+        bump = SlotPoly.u() + SlotPoly.const(1)
+
+        def bumped():
+            return PDDO(dem.T + bump, dem.Q0 + bump)
+
+        fam = OperatorFamily(5, (bumped(), PDDO(dem.T, dem.Q0), bumped(),
+                                 PDDO(dem.T, dem.Q0)))
+        assert fam[1] == fam[3] and fam[1] is not fam[3]
+        calls = self.counting(monkeypatch)
+        report = family_braid_check(fam)
+        assert len(calls) == 3
+        assert not report.passed
+        for i in range(1, 4):
+            alone = cubic_braid_check(fam[i], fam[i + 1])
+            assert report.cubic[(i, i + 1)].flags == alone.flags
+            assert report.cubic[(i, i + 1)].failure == alone.failure
+
 
 @pytest.mark.parametrize("ok", [True, False])
 def test_passed_and_bool_agree_on_every_report(ok):

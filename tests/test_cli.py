@@ -364,6 +364,32 @@ class TestCommute:
         assert "overall: FAIL" in out
 
 
+class TestEmptyOptionValues:
+    # An empty value is given, as _refuse_unused counts it, so it is read and
+    # refused, never replaced by the default that an absent option gets.
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2",
+          "--lines", ""], "--lines is empty; give one of l1..l4 per index"),
+        (["table", "--n", "3", "--family", "preset:grothendieck", "--params", ""],
+         '--params: [0] "" is not a field element p/q or p/q+r/sz'),
+        (["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", ""],
+         "--seed-poly: top level cannot be read as JSON "
+         "(Expecting value: line 1 column 1 (char 0))"),
+        (["commute", "--n", "4", "--family", "preset:demazure", "--family2", "case2",
+          "--params2", "1,2,1,2", "--lines2", ""],
+         "--lines is empty; give one of l1..l4 per index"),
+        (["commute", "--n", "4", "--family", "preset:demazure",
+          "--family2", "preset:pure_ddiff", "--params2", ""],
+         '--params: [0] "" is not a field element p/q or p/q+r/sz'),
+    ], ids=["lines", "params", "seed-poly", "lines2", "params2"])
+    def test_empty_value_exits_two(self, argv, message, capsys):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+    def test_empty_word_is_the_empty_word(self, capsys):
+        argv = ["apply", "--n", "3", "--family", "preset:demazure", "--output", "text"]
+        assert run([*argv, "--word", ""], capsys) == run(argv, capsys)
+
+
 class TestConfigFamilies:
     def test_degen_t_from_config(self, tmp_path, capsys):
         cfg = {

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from braidops import sampling
+from braidops import commute, sampling
 from braidops.braid import quad_commute_check
 from braidops.commute import (
     CommuteReport,
@@ -174,6 +174,20 @@ class TestCrossFamily:
         for i, k in report.distant:
             assert report.distant[(i, k)]
             assert quad_commute_check(fam1[i], fam2[k], i, k, 5)
+
+    def test_uniform_families_check_one_same_index_pair(self, monkeypatch):
+        calls = []
+
+        def counted(op1, op2):
+            calls.append((op1, op2))
+            return commutes_same_index(op1, op2)
+
+        monkeypatch.setattr(commute, "commutes_same_index", counted)
+        fam1, fam2 = preset("demazure", 6), preset("grothendieck", 6, 2)
+        report = cross_family_commute(fam1, fam2)
+        assert len(calls) == 1
+        direct = commutes_same_index(fam1[1], fam2[1])
+        assert report.same_index == {i: direct for i in range(1, 6)}
 
     def test_report_shape(self):
         report = cross_family_commute(preset("demazure", 4), preset("demazure", 4))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from braidops.field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR
 
@@ -63,6 +63,17 @@ class TestProperties:
     @given(elements)
     def test_string_round_trip(self, x):
         assert FieldElement.parse(str(x)) == x
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+           st.integers(1, 10**30))
+    @example(0, 0, 1)
+    @example(0, -3, 6)
+    @example(-4, 0, 6)
+    @example(-5, -7, 10)
+    def test_str_formats_each_part_as_its_fraction(self, a, b, d):
+        rat, zeta = Fraction(a, d), Fraction(b, d)
+        expected = str(rat) if not zeta else f"{rat}{'+' if zeta > 0 else '-'}{abs(zeta)}z"
+        assert str(FieldElement(rat, zeta)) == expected
 
     @given(rationals)
     def test_rational_elements_equal_and_hash_like_fractions(self, q):

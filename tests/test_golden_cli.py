@@ -122,6 +122,10 @@ ARGVS = [
     # a table over the size cap.
     ["hecke", "--n", "4", "--family", "vanq0", "--config", "vanq0_interval_out_of_range.json"],
     ["table", "--n", "200000", "--family", "case2", "--params", "1,2,1,2"],
+    # Refused input: an empty option value, which is given, not absent.
+    ["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2", "--lines", ""],
+    ["table", "--n", "3", "--family", "preset:grothendieck", "--params", ""],
+    ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", ""],
 ]
 
 

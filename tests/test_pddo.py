@@ -29,7 +29,7 @@ from braidops.multipoly import (
     instantiate,
     swap_vars,
 )
-from braidops.pddo import PDDO, Degeneracy, identity_op
+from braidops.pddo import PDDO, Degeneracy, identity_op, per_operator
 from braidops.sampling import random_multipoly
 from braidops.words import staircase
 
@@ -326,3 +326,17 @@ class TestHecke:
         square = op.compose(op)
         expected = op.scale(mu) + identity_op(nu)
         assert square == expected
+
+
+def test_per_operator_computes_once_per_tuple_of_objects():
+    a, b = [1], [1]  # equal, unhashable, distinct
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return len(calls)
+
+    argument_tuples = [(a,), (b,), (a,), (a, b), (b, a), (a, b), (b,)]
+    assert per_operator(fn, iter(argument_tuples)) == [1, 2, 1, 3, 4, 3, 2]
+    assert [tuple(map(id, args)) for args in calls] == [
+        (id(a),), (id(b),), (id(a), id(b)), (id(b), id(a))]

@@ -149,14 +149,22 @@ class TestTable:
 
 def _reduced_word_table(fam, seed):
     """Reference construction: apply every reduced word of w^{-1} w0 to the
-    seed, require agreement, and report the first word."""
+    seed, require agreement, and report the first word.  Words that end
+    alike share the application of that ending."""
+    applied = {(): seed}
+
+    def apply(word):
+        if word not in applied:
+            applied[word] = apply_word(fam, word[:1], apply(word[1:]))
+        return applied[word]
+
     w0 = Permutation.longest(fam.n)
     table = {}
     for w in Permutation.all(fam.n):
-        ws = reduced_words(w.inverse() * w0)
-        polys = [apply_word(fam, word, seed) for word in ws]
+        ws = [tuple(word) for word in reduced_words(w.inverse() * w0)]
+        polys = [apply(word) for word in ws]
         assert all(p == polys[0] for p in polys)
-        table[w.one_line] = (tuple(ws[0]), polys[0])
+        table[w.one_line] = (ws[0], polys[0])
     return table
 
 
@@ -168,10 +176,13 @@ def _family(kind, n):
 
 
 class TestTableAgainstReducedWords:
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize(
-        "kind", ["pure_ddiff", "demazure", "grothendieck", "case2-mixed", "dense"]
-    )
+    # At n = 5 a case2 reference makes 3,060 applications to polynomials of up
+    # to 2,000 terms, about 35 s, so case2-mixed stops at n = 4.
+    @pytest.mark.parametrize("kind,n", [
+        (kind, n) for n in (2, 3, 4, 5)
+        for kind in ("pure_ddiff", "demazure", "grothendieck", "case2-mixed", "dense")
+        if (kind, n) != ("case2-mixed", 5)
+    ])
     def test_entries_and_words_match(self, kind, n):
         if kind == "dense":
             fam = preset("pure_ddiff", n)
