@@ -211,7 +211,8 @@ def _case2(family: str, n: int, params: list[FieldElement],
         raise ConfigError(f"{family} needs --params a,b,c,d")
     if lines == "":
         raise ConfigError("--lines is empty; give one of l1..l4 per index")
-    choices = [_line(p) for p in lines.split(",")] if lines else [Case2Line.LINE1] * (n - 1)
+    choices = ([line.string(_line) for line in _Json(lines.split(","), "--lines").list()]
+               if lines is not None else [Case2Line.LINE1] * (n - 1))
     return main_case2(n, *params, choices)
 
 
@@ -222,9 +223,15 @@ def _preset(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
 
 
 def _config(family: str, config: str | None) -> _Json:
-    if not config:
+    if config is None:
         raise ConfigError("this family needs --config with a JSON file")
-    return _Json.load(Path(config).read_text(), f"{family} config")
+    if config == "":
+        raise ConfigError("--config is empty; give a JSON file")
+    try:
+        text = Path(config).read_text()
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {config!r} ({exc.strerror})") from None
+    return _Json.load(text, f"{family} config")
 
 
 def _degen_t(family: str, n: int, config: str | None) -> OperatorFamily:

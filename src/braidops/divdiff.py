@@ -16,7 +16,7 @@ h_{r,r}), so the lift of a symmetric phi is u phi[r >= s] - v phi[r >= s + 2].
 
 from __future__ import annotations
 
-from .multipoly import MultiPoly, SlotPoly, _ddiff_terms
+from .multipoly import MultiPoly, SlotPoly
 
 __all__ = ["ddiff", "dpositive_split", "dpositive_lift"]
 
@@ -25,7 +25,7 @@ def ddiff(f: MultiPoly, i: int) -> MultiPoly:
     """(f - s_i f) / (x_i - x_{i+1}); the result is symmetric in x_i, x_{i+1}."""
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
-    return type(f)._wrap(f.n_vars, _ddiff_terms(f._terms, i - 1))
+    return f._ddiff(i - 1)
 
 
 def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:
@@ -35,9 +35,9 @@ def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:
     with r < s is (u^r v^s + u^s v^r) - u^s v^r, a symmetric basis element
     minus a d-positive monomial.
     """
-    terms = p._terms.items()
-    above = SlotPoly._wrap(2, {(r, s): c for (r, s), c in terms if r > s})
-    below = SlotPoly._wrap(2, {(s, r): c for (r, s), c in terms if r < s})
+    num, den = p._num.items(), p._den
+    above = SlotPoly._normal(2, {(r, s): c for (r, s), c in num if r > s}, den)
+    below = SlotPoly._normal(2, {(s, r): c for (r, s), c in num if r < s}, den)
     pos = above - below
     return p - pos, pos
 
@@ -51,6 +51,6 @@ def dpositive_lift(phi: SlotPoly) -> SlotPoly:
     """
     if not phi.is_symmetric():
         raise ValueError("dpositive_lift requires a slot-symmetric input")
-    terms = phi._terms.items()
-    lifted = SlotPoly._wrap(2, {(r + 1, s): c for (r, s), c in terms if r >= s})
-    return lifted - SlotPoly._wrap(2, {(r, s + 1): c for (r, s), c in terms if r >= s + 2})
+    num, den = phi._num.items(), phi._den
+    lifted = SlotPoly._normal(2, {(r + 1, s): c for (r, s), c in num if r >= s}, den)
+    return lifted - SlotPoly._normal(2, {(r, s + 1): c for (r, s), c in num if r >= s + 2}, den)

@@ -4,10 +4,10 @@ z is a primitive sixth root of unity; its conjugate is 1 - z.  An element is
 stored as three Python ints (a, b, d) meaning (a + b z)/d, in canonical form:
 d > 0 and gcd(a, b, d) = 1.  With z^2 always reduced to z - 1 the form is
 unique, so equality compares the three ints.  Every operation is an integer
-formula followed by at most one gcd (``FieldElement._raw``).  ``_scaled``
-gives :mod:`braidops.multipoly` the integer numerators of a whole term map
-over one denominator, so that it accumulates products in integers, and
-``_unscaled`` turns the sums back into field elements.  The rational part
+formula followed by at most one gcd (``FieldElement._raw``).  Polynomials
+(:mod:`braidops.multipoly`) do not hold field elements: they store the same
+integers, a pair (a, b) per term over one denominator per polynomial, and
+call ``_raw`` only where a coefficient is read out.  The rational part
 a/d and the z coefficient b/d are read as Fractions through ``rat_part``
 and ``zeta_part``; an element is never changed after construction.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 __all__ = ["FieldElement", "ZETA", "ZETA_BAR", "ZERO", "ONE"]
 
@@ -194,27 +193,6 @@ def _ratio(p: int, q: int) -> str:
     """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
     g = gcd(p, q)
     return f"{p // g}/{q // g}" if q != g else str(p // g)
-
-
-def _scaled(terms: Mapping) -> tuple[list, int]:
-    """The values (a + b z)/d of a map as integer pairs over one common
-    denominator: ([(key, a', b'), ...], D) with each value (a' + b' z)/D."""
-    den = 1
-    for c in terms.values():
-        d = c._d
-        if den % d:
-            den = den // gcd(den, d) * d
-    out = []
-    for key, c in terms.items():
-        k = den // c._d
-        out.append((key, c._a * k, c._b * k))
-    return out, den
-
-
-def _unscaled(pairs: Mapping, den: int) -> dict:
-    """The inverse of ``_scaled``: a map of integer pairs (a, b) to the map of
-    the nonzero values (a + b z)/den."""
-    return {key: _raw(a, b, den) for key, (a, b) in pairs.items() if a or b}
 
 
 ZERO = _canonical(0, 0, 1)

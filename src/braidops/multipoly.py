@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials over Q(z), with two-variable slot templates.
 
-MultiPoly is a polynomial in x_1..x_n with a canonical term map (no zero
-coefficients stored).  SlotPoly is a two-variable MultiPoly in slots u, v
-(x_1, x_2) that can be instantiated at any ordered pair of variables; it
-carries the coefficient polynomials of the operators built in
-:mod:`braidops.pddo`.  Term order for printing and leading terms is graded
-lexicographic.
+MultiPoly is a polynomial in x_1..x_n.  It is stored as integers: a map from
+exponent vector to a numerator pair (a, b) and one denominator d > 0, the
+coefficient of each term being (a + b z)/d.  The form is canonical, with no
+pair (0, 0) and gcd(d, every a, every b) = 1, so equality compares d and the
+map.  SlotPoly is a two-variable MultiPoly in slots u, v (x_1, x_2) that can
+be instantiated at any ordered pair of variables; it carries the coefficient
+polynomials of the operators built in :mod:`braidops.pddo`.  Term order for
+printing and leading terms is graded lexicographic.
 
-Products, divided differences (one loop, ``_ddiff_pairs``) and operator
-applications (``_apply_terms``) accumulate in integers: operands are brought
-over one common denominator, the (a, b) numerator pairs of a + b z are summed
-per exponent vector, and one field element is built per output term.
+Sums, products, divided differences (one loop, ``_ddiff_pairs``), operator
+applications (``_apply``) and the slot moves work on the stored integers and
+end with at most one gcd pass over the result (``_normal``); stored pairs are
+tuples, shared between polynomials and never changed.  Field elements are
+built only where a coefficient is read out: ``terms``, ``sorted_terms``,
+``constant_value``, ``evaluate``, ``str`` and the long division of
+``exact_div``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import gcd
 from operator import add
 from typing import Iterable, Mapping
 
-from .field import FieldElement, ONE, ZERO, _scaled, _unscaled
+from .field import FieldElement, ONE, ZERO
 
 __all__ = [
     "MultiPoly",
@@ -31,6 +36,8 @@ __all__ = [
     "exact_div",
     "instantiate",
 ]
+
+_element = FieldElement._raw
 
 
 class DimensionMismatchError(ValueError):
@@ -45,40 +52,76 @@ def _grlex(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
 
 
-def _add_terms(a: Mapping, b: Mapping, subtract: bool = False) -> dict:
-    """a + b, or a - b, of two term maps without zero coefficients."""
-    out = dict(a)
-    for e, c in b.items():
-        old = out.get(e)
-        if old is None:
-            out[e] = -c if subtract else c
-        else:
-            new = old - c if subtract else old + c
-            if new:
-                out[e] = new
-            else:
-                del out[e]
-    return out
+def _pairs(n_vars: int, terms: Mapping) -> tuple[dict, int]:
+    """The stored form (exponent -> (a, b), d) of a map to coefficients, in
+    one pass; the pairs met so far are rescaled when d grows.
+
+    d is the least common multiple of the coefficients' denominators.  Each
+    coefficient is in lowest terms, so a prime power that divides d exactly
+    divides one coefficient's denominator exactly, and that coefficient's
+    numerators, scaled by a factor prime to it, are not both multiples of the
+    prime: the content is 1 with no gcd pass.
+    """
+    num: dict = {}
+    den = 1
+    for e, c in terms.items():
+        if len(e) != n_vars:
+            raise ValueError(f"exponent vector {e} does not have {n_vars} entries")
+        if type(c) is not FieldElement:
+            c = FieldElement.of(c)
+        a, b, d = c._a, c._b, c._d
+        if not (a or b):
+            continue
+        if den % d:
+            k = d // gcd(den, d)
+            num = {x: (p * k, q * k) for x, (p, q) in num.items()}
+            den *= k
+        k = den // d
+        num[tuple(e)] = (a * k, b * k) if k != 1 else (a, b)
+    return num, den
 
 
-def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    """The product of two term maps, accumulated in integers."""
-    if not a or not b:
-        return {}
-    sa, da = _scaled(a)
-    sb, db = _scaled(b)
+def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
+    """The product of two numerator maps, before zero pairs are dropped:
+    (ra + za z)(rb + zb z) = ra rb - za zb + (ra zb + za (rb + zb)) z, as
+    z^2 = z - 1.  Exponent sums are written out for two and three variables,
+    where building each with map(add, ...) costs as much as the arithmetic."""
     acc: dict = {}
-    for ea, ra, za in sa:
-        for eb, rb, zb in sb:
-            # (ra + za z)(rb + zb z) with z^2 = z - 1.
-            e = tuple(map(add, ea, eb))
-            pair = acc.get(e)
-            if pair is None:
-                acc[e] = [ra * rb - za * zb, ra * zb + za * (rb + zb)]
-            else:
-                pair[0] += ra * rb - za * zb
-                pair[1] += ra * zb + za * (rb + zb)
-    return _unscaled(acc, da * db)
+    get = acc.get
+    if n_vars == 2:
+        bs = [(b0, b1, rb, zb, rb + zb) for (b0, b1), (rb, zb) in b.items()]
+        for (a0, a1), (ra, za) in a.items():
+            for b0, b1, rb, zb, sb in bs:
+                e = (a0 + b0, a1 + b1)
+                pair = get(e)
+                if pair is None:
+                    acc[e] = [ra * rb - za * zb, ra * zb + za * sb]
+                else:
+                    pair[0] += ra * rb - za * zb
+                    pair[1] += ra * zb + za * sb
+    elif n_vars == 3:
+        bs = [(b0, b1, b2, rb, zb, rb + zb) for (b0, b1, b2), (rb, zb) in b.items()]
+        for (a0, a1, a2), (ra, za) in a.items():
+            for b0, b1, b2, rb, zb, sb in bs:
+                e = (a0 + b0, a1 + b1, a2 + b2)
+                pair = get(e)
+                if pair is None:
+                    acc[e] = [ra * rb - za * zb, ra * zb + za * sb]
+                else:
+                    pair[0] += ra * rb - za * zb
+                    pair[1] += ra * zb + za * sb
+    else:
+        bs = [(eb, rb, zb, rb + zb) for eb, (rb, zb) in b.items()]
+        for ea, (ra, za) in a.items():
+            for eb, rb, zb, sb in bs:
+                e = tuple(map(add, ea, eb))
+                pair = get(e)
+                if pair is None:
+                    acc[e] = [ra * rb - za * zb, ra * zb + za * sb]
+                else:
+                    pair[0] += ra * rb - za * zb
+                    pair[1] += ra * zb + za * sb
+    return acc
 
 
 def _divide_terms(f: Mapping, g: Mapping) -> dict:
@@ -106,13 +149,13 @@ def _divide_terms(f: Mapping, g: Mapping) -> dict:
     return quo
 
 
-def _ddiff_pairs(scaled: list, k: int) -> dict:
-    """d in exponent positions k, k + 1 (variables x, y) of the integer pairs
-    [(e, a, b), ...] of ``_scaled``, as (e[:k], e[k + 2:]) -> {(x, y exponents):
-    [a, b]} over the same denominator, from d(x^r y^s) = sum_{l=s}^{r-1} x^l
-    y^{r+s-1-l} for r > s, d antisymmetric."""
+def _ddiff_pairs(num: Mapping, k: int) -> dict:
+    """d in exponent positions k, k + 1 (variables x, y) of a numerator map,
+    as (e[:k], e[k + 2:]) -> {(x, y exponents): [a, b]} over the same
+    denominator, from d(x^r y^s) = sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s,
+    d antisymmetric."""
     acc: dict = {}
-    for e, a, b in scaled:
+    for e, (a, b) in num.items():
         r, s = e[k], e[k + 1]
         if r == s:
             continue
@@ -129,32 +172,24 @@ def _ddiff_pairs(scaled: list, k: int) -> dict:
     return acc
 
 
-def _ddiff_terms(terms: Mapping, k: int) -> dict:
-    """The divided difference of a term map in exponent positions k, k + 1."""
-    scaled, den = _scaled(terms)
-    return _unscaled({head + xy + tail: pair for (head, tail), pairs
-                      in _ddiff_pairs(scaled, k).items() for xy, pair in pairs.items()}, den)
-
-
-def _apply_terms(f: Mapping, k: int, q0: Mapping, r0: Mapping) -> dict:
-    """Q0(x, y) d f + R0(x, y) f for slot term maps q0, r0 placed at exponent
+def _apply(f: "MultiPoly", k: int, q0: "SlotPoly", r0: "SlotPoly") -> "MultiPoly":
+    """Q0(x, y) d f + R0(x, y) f for slot polynomials q0, r0 placed at exponent
     positions k, k + 1 (variables x, y), accumulated in integers over one
     denominator."""
-    sf, df = _scaled(f)
-    sq, dq = _scaled(q0)
-    sr, dr = _scaled(r0)
+    dq, dr = q0._den, r0._den
     den = dq // gcd(dq, dr) * dr
-    sq = [(e, a * (den // dq), b * (den // dq)) for e, a, b in sq]
-    sr = [(e, a * (den // dr), b * (den // dr)) for e, a, b in sr]
+    kq, kr = den // dq, den // dr
+    sq = [(u, v, a * kq, b * kq) for (u, v), (a, b) in q0._num.items()]
+    sr = [(u, v, a * kr, b * kr) for (u, v), (a, b) in r0._num.items()]
     f_groups: dict = {}
-    for e, a, b in sf:
-        f_groups.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = (a, b)
+    for e, pair in f._num.items():
+        f_groups.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = pair
     acc: dict = {}
-    for slots, groups in ((sq, _ddiff_pairs(sf, k) if sq else {}), (sr, f_groups)):
+    for slots, groups in ((sq, _ddiff_pairs(f._num, k) if sq else {}), (sr, f_groups)):
         for (head, tail), pairs in groups.items():
             for (x, y), (a, b) in pairs.items():
-                # (a + b z)(c + g z) with z^2 = z - 1, as in _mul_terms.
-                for (u, v), c, g in slots:
+                # (a + b z)(c + g z) with z^2 = z - 1, as in _mul_pairs.
+                for u, v, c, g in slots:
                     key = head + (x + u, y + v) + tail
                     pair = acc.get(key)
                     if pair is None:
@@ -162,21 +197,25 @@ def _apply_terms(f: Mapping, k: int, q0: Mapping, r0: Mapping) -> dict:
                     else:
                         pair[0] += a * c - b * g
                         pair[1] += a * g + b * (c + g)
-    return _unscaled(acc, df * den)
+    return MultiPoly._normal(f.n_vars, _nonzero(acc), f._den * den)
 
 
-def _fmt_terms(terms: Mapping, names) -> str:
+def _nonzero(acc: Mapping) -> dict:
+    """The pairs of an accumulator that are not (0, 0), as tuples."""
+    return {e: (a, b) for e, (a, b) in acc.items() if a or b}
+
+
+def _fmt_terms(terms: list, names) -> str:
     if not terms:
         return "0"
     parts = []
-    for e in sorted(terms, key=_grlex, reverse=True):
+    for e, coeff in terms:
         factors = []
         for name, exp in zip(names, e):
             if exp == 1:
                 factors.append(name)
             elif exp > 1:
                 factors.append(f"{name}^{exp}")
-        coeff = terms[e]
         body = "*".join(factors)
         if not body:
             parts.append(f"({coeff})")
@@ -188,32 +227,44 @@ def _fmt_terms(terms: Mapping, names) -> str:
 
 
 class MultiPoly:
-    """A polynomial in variables x_1..x_n over Q(z)."""
+    """A polynomial in variables x_1..x_n over Q(z), stored as numerator pairs
+    (a, b) per exponent vector over one denominator d: coefficients (a + b z)/d."""
 
-    __slots__ = ("n_vars", "_terms")
+    __slots__ = ("n_vars", "_num", "_den")
 
     def __init__(self, n_vars: int, terms: Mapping[tuple[int, ...], FieldElement]):
         if n_vars < 1:
             raise ValueError("n_vars must be positive")
-        cleaned = {}
-        for e, c in terms.items():
-            if len(e) != n_vars:
-                raise ValueError(f"exponent vector {e} does not have {n_vars} entries")
-            c = FieldElement.of(c)
-            if c:
-                cleaned[tuple(e)] = c
+        num, den = _pairs(n_vars, terms)
         object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _wrap(cls, n_vars: int, terms: dict) -> "MultiPoly":
-        """Take a clean term map as is: tuple exponents of length n_vars and
-        nonzero FieldElement coefficients, built by this module and not
-        shared."""
+    def _wrap(cls, n_vars: int, num: dict, den: int) -> "MultiPoly":
+        """Take a canonical stored form as is: tuple exponents of length n_vars
+        mapped to tuple pairs, none (0, 0), over den > 0 with content 1; the
+        map is built by this module and never changed afterwards."""
         self = object.__new__(cls)
         object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         return self
+
+    @classmethod
+    def _normal(cls, n_vars: int, num: dict, den: int) -> "MultiPoly":
+        """As _wrap for pairs without (0, 0) over any den > 0: divides out the
+        gcd of den and every numerator."""
+        g = den
+        if g != 1:
+            for a, b in num.values():
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
+            else:  # the zero polynomial ends with g = den, so d = 1
+                num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+                den //= g
+        return cls._wrap(n_vars, num, den)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -244,35 +295,38 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        d = self._den
+        return {e: _element(a, b, d) for e, (a, b) in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=-1)
+        return max((sum(e) for e in self._num), default=-1)
 
     def is_constant(self) -> bool:
-        return not any(any(e) for e in self._terms)
+        return not any(any(e) for e in self._num)
 
     def constant_value(self) -> FieldElement:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._terms.get((0,) * self.n_vars, ZERO)
+        pair = self._num.get((0,) * self.n_vars)
+        return ZERO if pair is None else _element(*pair, self._den)
 
     def sorted_terms(self) -> list:
-        return [(e, self._terms[e]) for e in sorted(self._terms, key=_grlex, reverse=True)]
+        num, d = self._num, self._den
+        return [(e, _element(*num[e], d)) for e in sorted(num, key=_grlex, reverse=True)]
 
     def evaluate(self, point) -> FieldElement:
         values = [FieldElement.of(p) for p in point]
         if len(values) != self.n_vars:
             raise DimensionMismatchError("evaluation point has wrong length")
         total = ZERO
-        for e, c in self._terms.items():
+        for e, c in self.terms.items():
             term = c
             for val, exp in zip(values, e):
                 term = term * val**exp
@@ -294,34 +348,73 @@ class MultiPoly:
                 )
             return other
         c = FieldElement.of(other)
-        return type(self)._wrap(self.n_vars, {(0,) * self.n_vars: c} if c else {})
+        if not c:
+            return type(self)._wrap(self.n_vars, {}, 1)
+        return type(self)._wrap(self.n_vars, {(0,) * self.n_vars: (c._a, c._b)}, c._d)
+
+    def _sum(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the least common denominator."""
+        den, db = self._den, other._den
+        if den == db:
+            out = dict(self._num)
+            kb = sign
+        else:
+            den = den // gcd(den, db) * db
+            ka = den // self._den
+            out = {e: (a * ka, b * ka) for e, (a, b) in self._num.items()}
+            kb = sign * (den // db)
+        for e, (a, b) in other._num.items():
+            pair = out.get(e)
+            if pair is None:
+                out[e] = (a * kb, b * kb)
+            else:
+                a = pair[0] + a * kb
+                b = pair[1] + b * kb
+                if a or b:
+                    out[e] = (a, b)
+                else:
+                    del out[e]
+        return type(self)._normal(self.n_vars, out, den)
 
     def __add__(self, other) -> "MultiPoly":
-        terms = _add_terms(self._terms, self._coerce(other)._terms)
-        return type(self)._wrap(self.n_vars, terms)
+        return self._sum(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        terms = _add_terms(self._terms, self._coerce(other)._terms, subtract=True)
-        return type(self)._wrap(self.n_vars, terms)
+        return self._sum(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
 
     def __neg__(self) -> "MultiPoly":
-        return type(self)._wrap(self.n_vars, {e: -c for e, c in self._terms.items()})
+        num = {e: (-a, -b) for e, (a, b) in self._num.items()}
+        return type(self)._wrap(self.n_vars, num, self._den)
 
     def __mul__(self, other) -> "MultiPoly":
-        terms = _mul_terms(self._terms, self._coerce(other)._terms)
-        return type(self)._wrap(self.n_vars, terms)
+        other = self._coerce(other)
+        if not self._num or not other._num:
+            return type(self)._wrap(self.n_vars, {}, 1)
+        acc = _mul_pairs(self._num, other._num, self.n_vars)
+        return type(self)._normal(self.n_vars, _nonzero(acc), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
         c = FieldElement.of(c)
-        terms = {e: c * v for e, v in self._terms.items()}
-        return type(self)._wrap(self.n_vars, terms if c else {})
+        if not c:
+            return type(self)._wrap(self.n_vars, {}, 1)
+        ca, cb = c._a, c._b
+        cs = ca + cb
+        num = {e: (a * ca - b * cb, a * cb + b * cs) for e, (a, b) in self._num.items()}
+        return type(self)._normal(self.n_vars, num, self._den * c._d)
+
+    def _ddiff(self, k: int) -> "MultiPoly":
+        """The divided difference in exponent positions k, k + 1."""
+        num = {head + xy + tail: (a, b)
+               for (head, tail), pairs in _ddiff_pairs(self._num, k).items()
+               for xy, (a, b) in pairs.items() if a or b}
+        return type(self)._normal(self.n_vars, num, self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -329,7 +422,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if type(self) is type(other) and self.n_vars == other.n_vars:
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         # Constants equal their value whatever the class or dimension, which
         # keeps equality transitive.
         return (self.is_constant() and other.is_constant()
@@ -338,10 +431,10 @@ class MultiPoly:
     def __hash__(self) -> int:
         if self.is_constant():  # equals its constant, so hashes like it
             return hash(self.constant_value())
-        return hash((self.n_vars, frozenset(self._terms.items())))
+        return hash((self.n_vars, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
-        return _fmt_terms(self._terms, [f"x{k+1}" for k in range(self.n_vars)])
+        return _fmt_terms(self.sorted_terms(), [f"x{k+1}" for k in range(self.n_vars)])
 
     __repr__ = __str__
 
@@ -351,16 +444,17 @@ def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
     out = {}
-    for e, c in f._terms.items():
+    for e, pair in f._num.items():
         le = list(e)
         le[i - 1], le[i] = le[i], le[i - 1]
-        out[tuple(le)] = c
-    return type(f)._wrap(f.n_vars, out)
+        out[tuple(le)] = pair
+    return type(f)._wrap(f.n_vars, out, f._den)
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The quotient f/g when g divides f exactly in the polynomial ring."""
-    return type(f)._wrap(f.n_vars, _divide_terms(f._terms, f._coerce(g)._terms))
+    quo = _divide_terms(f.terms, f._coerce(g).terms)
+    return type(f)._wrap(f.n_vars, *_pairs(f.n_vars, quo))
 
 
 class SlotPoly(MultiPoly):
@@ -418,24 +512,57 @@ class SlotPoly(MultiPoly):
         return self == self.swap()
 
     def is_dpositive(self) -> bool:
-        return all(r > s for r, s in self._terms)
+        return all(r > s for r, s in self._num)
 
     def swap(self) -> "SlotPoly":
         """Exchange the two slots."""
-        return SlotPoly._wrap(2, {(s, r): c for (r, s), c in self._terms.items()})
+        return SlotPoly._wrap(2, {(s, r): pair for (r, s), pair in self._num.items()}, self._den)
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
-        return SlotPoly._wrap(2, _ddiff_terms(self._terms, 0))
+        return self._ddiff(0)
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return exact_div(self, g)
+
+    def _over_u_minus_v(self) -> "SlotPoly":
+        """self/(u - v) without long division; raises InexactDivisionError
+        unless self(v, v) = 0.
+
+        u^r v^s = v^s (u^r - v^r) + v^(r+s), so p = sum c_rs v^s (u^r - v^r)
+        / (u - v) * (u - v) + p(v, v), and when p(v, v) = 0 the quotient is
+        sum c_rs sum_{l<r} u^l v^(r-1-l+s).  One pass gives both the quotient
+        and the coefficients of p(v, v), summed per total degree r + s.
+        """
+        acc: dict = {}
+        diagonal: dict = {}
+        for (r, s), (a, b) in self._num.items():
+            pair = diagonal.get(r + s)
+            if pair is None:
+                diagonal[r + s] = [a, b]
+            else:
+                pair[0] += a
+                pair[1] += b
+            for l in range(r):
+                key = (l, r - 1 - l + s)
+                pair = acc.get(key)
+                if pair is None:
+                    acc[key] = [a, b]
+                else:
+                    pair[0] += a
+                    pair[1] += b
+        if any(a or b for a, b in diagonal.values()):
+            raise InexactDivisionError("nonzero remainder in exact division")
+        # In descending term order, as long division yields its quotient.
+        num = {e: (a, b) for e in sorted(acc, key=_grlex, reverse=True)
+               for a, b in (acc[e],) if a or b}
+        return SlotPoly._normal(2, num, self._den)
 
     def evaluate(self, uval, vval) -> FieldElement:
         return super().evaluate((uval, vval))
 
     def __str__(self) -> str:
-        return _fmt_terms(self._terms, ["u", "v"])
+        return _fmt_terms(self.sorted_terms(), ["u", "v"])
 
     __repr__ = __str__
 
@@ -448,9 +575,9 @@ def instantiate(p: SlotPoly, i: int, j: int, n: int) -> MultiPoly:
         if not 1 <= idx <= n:
             raise IndexError(f"variable index {idx} out of range 1..{n}")
     out = {}
-    for (r, s), c in p._terms.items():  # i != j, so no two terms meet
+    for (r, s), pair in p._num.items():  # i != j, so no two terms meet
         e = [0] * n
         e[i - 1] = r
         e[j - 1] = s
-        out[tuple(e)] = c
-    return MultiPoly._wrap(n, out)
+        out[tuple(e)] = pair
+    return MultiPoly._wrap(n, out, p._den)

@@ -5,9 +5,10 @@ canonical form, Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f, with
 Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
 (T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}) with
 T = P + (u - v)R + Q = Q0 + (u - v)R0, so T is a product and every operator
-built inside the library, and its action, needs no polynomial division.
-Only the public constructor PDDO(T, Q0) divides, once, to check outside
-input and recover R0 = (T - Q0)/(u - v).
+built inside the library, and its action, needs no polynomial division.  The
+public constructor PDDO(T, Q0) checks outside input and recovers
+R0 = (T - Q0)/(u - v) by the one-sided quotient, also without long division:
+T - Q0 is divisible exactly when it vanishes at u = v.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 from .divdiff import dpositive_lift, dpositive_split
 from .field import FieldElement
-from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _apply_terms
+from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _apply
 
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
@@ -56,9 +57,10 @@ class PDDO:
     __slots__ = ("T", "Q0", "R0")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
-        """Build from outside (T, Q0); T - Q0 must be divisible by u - v."""
+        """Build from outside (T, Q0); T - Q0 must vanish at u = v, so that
+        it is divisible by u - v."""
         try:
-            R0 = (T - Q0).exact_div(_UV)
+            R0 = (T - Q0)._over_u_minus_v()
         except InexactDivisionError as exc:
             raise InexactDivisionError(
                 "T - Q0 must be divisible by u - v; corrupted operator data"
@@ -127,7 +129,7 @@ class PDDO:
         n = f.n_vars
         if not 1 <= i <= n - 1:
             raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        return MultiPoly._wrap(n, _apply_terms(f._terms, i - 1, self.Q0._terms, self.R0._terms))
+        return _apply(f, i - 1, self.Q0, self.R0)
 
     # -- derived data ------------------------------------------------------
 

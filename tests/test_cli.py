@@ -381,8 +381,38 @@ class TestEmptyOptionValues:
         (["commute", "--n", "4", "--family", "preset:demazure",
           "--family2", "preset:pure_ddiff", "--params2", ""],
          '--params: [0] "" is not a field element p/q or p/q+r/sz'),
-    ], ids=["lines", "params", "seed-poly", "lines2", "params2"])
+        (["verify", "--n", "4", "--family", "vanq0", "--config", ""],
+         "--config is empty; give a JSON file"),
+        (["hecke", "--n", "3", "--family", "degen-t", "--config", ""],
+         "--config is empty; give a JSON file"),
+        (["commute", "--n", "4", "--family", "preset:demazure",
+          "--family2", "vanq0", "--config2", ""],
+         "--config is empty; give a JSON file"),
+    ], ids=["lines", "params", "seed-poly", "lines2", "params2", "config", "config-degen-t",
+            "config2"])
     def test_empty_value_exits_two(self, argv, message, capsys):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+    def test_absent_config_is_missing(self, capsys):
+        assert run(["verify", "--n", "4", "--family", "vanq0"], capsys) == (
+            2, "", "error: this family needs --config with a JSON file\n")
+
+    def test_unreadable_config_names_the_option(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        argv = ["verify", "--n", "4", "--family", "vanq0", "--config"]
+        assert run([*argv, missing], capsys) == (
+            2, "", f"error: --config: cannot read {missing!r} (No such file or directory)\n")
+        assert run([*argv, str(tmp_path)], capsys) == (
+            2, "", f"error: --config: cannot read {str(tmp_path)!r} (Is a directory)\n")
+
+    @pytest.mark.parametrize("lines,message", [
+        ("l1,,l1", "--lines: [1] unknown line ''; use l1..l4"),
+        ("l1,l2,l5", "--lines: [2] unknown line 'l5'; use l1..l4"),
+        (",", "--lines: [0] unknown line ''; use l1..l4"),
+    ], ids=["empty-entry", "unknown-entry", "comma"])
+    def test_lines_entry_refusal_names_option_and_entry(self, lines, message, capsys):
+        argv = ["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2",
+                "--lines", lines]
         assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
     def test_empty_word_is_the_empty_word(self, capsys):
@@ -695,9 +725,9 @@ class TestConfigFamilies:
             capsys,
         )
         assert (code_lines, out_lines, err_lines) == (
-            2, "", "error: unknown line 'l9'; use l1..l4\n")
+            2, "", "error: --lines: [0] unknown line 'l9'; use l1..l4\n")
         # The config names the entry's path, then the problem as --lines words it.
-        problem = err_lines.removeprefix("error: ")
+        problem = err_lines.removeprefix("error: --lines: [0] ")
         assert (code, out, err) == (
             2, "", f"error: vanq0 config: intervals[0].lines[0] {problem}")
 

@@ -126,6 +126,11 @@ ARGVS = [
     ["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2", "--lines", ""],
     ["table", "--n", "3", "--family", "preset:grothendieck", "--params", ""],
     ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", ""],
+    ["verify", "--n", "4", "--family", "vanq0", "--config", ""],
+    # A config that cannot be read, and an empty entry in --lines: each
+    # refusal names the option.
+    ["verify", "--n", "4", "--family", "vanq0", "--config", "no_such_config.json"],
+    ["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2", "--lines", "l1,,l1"],
 ]
 
 

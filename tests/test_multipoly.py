@@ -1,9 +1,10 @@
 """Tests for sparse multivariate polynomials and bivariate slot templates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidops.divdiff import ddiff, dpositive_lift, dpositive_split
 from braidops.field import FieldElement, ONE
@@ -16,6 +17,7 @@ from braidops.multipoly import (
     instantiate,
     swap_vars,
 )
+from braidops.pddo import PDDO
 
 coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
     FieldElement.of
@@ -193,3 +195,210 @@ class TestSlotPoly:
         # d(u^3 v) = u^2 v + u v^2 at l = 1, 2.
         got = SlotPoly.monomial(3, 1).ddiff()
         assert got == SlotPoly.monomial(2, 1) + SlotPoly.monomial(1, 2)
+
+
+# -- the stored form against a field-element reference ------------------------
+#
+# The reference below works on plain {exponents: FieldElement} maps with the
+# field's own arithmetic and never reads a polynomial's stored integers; the
+# library's results are read through `terms`.  Two and three variables run the
+# written-out product loops, four and five the general one.
+
+qz_coeffs = st.builds(
+    FieldElement,
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+
+
+def term_maps(n_vars: int, max_size: int = 6):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n_vars), qz_coeffs,
+                           max_size=max_size)
+
+
+def operands(count: int):
+    """(n, count term maps in n variables) for n from 2 to 5."""
+    return st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), *[term_maps(n)] * count))
+
+
+def _clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, FieldElement.of(0)) + c * sign
+    return _clean(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, FieldElement.of(0)) + ca * cb
+    return _clean(out)
+
+
+def ref_swap(a: dict, k: int) -> dict:
+    """Exchange exponent positions k, k + 1."""
+    return {e[:k] + (e[k + 1], e[k]) + e[k + 2:]: c for e, c in a.items()}
+
+
+def ref_ddiff(a: dict, k: int) -> dict:
+    """d(x^r y^s) = sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s, antisymmetric."""
+    out: dict = {}
+    for e, c in a.items():
+        r, s = e[k], e[k + 1]
+        sign = 1 if r > s else -1
+        for l in range(min(r, s), max(r, s)):
+            key = e[:k] + (l, r + s - 1 - l) + e[k + 2:]
+            out[key] = out.get(key, FieldElement.of(0)) + c * sign
+    return _clean(out)
+
+
+def ref_place(a: dict, i: int, j: int, n: int) -> dict:
+    out = {}
+    for (r, s), c in a.items():
+        e = [0] * n
+        e[i - 1], e[j - 1] = r, s
+        out[tuple(e)] = c
+    return out
+
+
+def assert_canonical(p: MultiPoly) -> None:
+    """d > 0, content 1, no zero pair; pairs are int tuples, never lists."""
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    for e, pair in num.items():
+        assert type(e) is tuple and len(e) == p.n_vars
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(x) is int for x in pair) and pair != (0, 0)
+    assert gcd(den, *[x for pair in num.values() for x in pair]) == 1
+
+
+def _snapshot(p: MultiPoly):
+    return dict(p._num), p._den
+
+
+class TestStoredForm:
+    @given(operands(3), qz_coeffs)
+    @settings(max_examples=120, deadline=None)
+    def test_ring_operations_match_the_reference(self, data, c):
+        n, a, b, h = data
+        f, g, k = (MultiPoly(n, t) for t in (a, b, h))
+        before = [_snapshot(p) for p in (f, g, k)]
+        cases = [
+            (f, _clean(a)),
+            (f + g, ref_sum(a, b)),
+            (f - g, ref_sum(a, b, -1)),
+            (-f, {e: -x for e, x in _clean(a).items()}),
+            (f * g, ref_mul(a, b)),
+            (f * g * k, ref_mul(ref_mul(a, b), h)),
+            (f * g - g * k, ref_sum(ref_mul(a, b), ref_mul(b, h), -1)),
+            (f.scale(c), _clean({e: x * c for e, x in a.items()})),
+            (f + c, ref_sum(a, {(0,) * n: c})),
+            (c.rat_part - f, ref_sum({(0,) * n: FieldElement.of(c.rat_part)}, a, -1)),
+            (f * c, _clean({e: x * c for e, x in a.items()})),
+            (swap_vars(f, n - 1), ref_swap(_clean(a), n - 2)),
+            (ddiff(f, 1), ref_ddiff(a, 0)),
+            (ddiff(f * g, n - 1), ref_ddiff(ref_mul(a, b), n - 2)),
+        ]
+        for result, expected in cases:
+            assert type(result) is MultiPoly and result.n_vars == n
+            assert_canonical(result)
+            assert result.terms == expected
+        assert [_snapshot(p) for p in (f, g, k)] == before
+
+    @given(operands(1), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_ddiff_solves_its_defining_equation(self, data, i):
+        """(x_i - x_{i+1}) d_i f = f - s_i f, which fixes d_i f."""
+        n, a = data
+        i = min(i, n - 1)
+        f = MultiPoly(n, a)
+        x_minus_y = {tuple(int(k == i - 1) for k in range(n)): FieldElement.of(1),
+                     tuple(int(k == i) for k in range(n)): FieldElement.of(-1)}
+        assert ref_mul(x_minus_y, ddiff(f, i).terms) == ref_sum(
+            _clean(a), ref_swap(_clean(a), i - 1), -1)
+
+    @given(term_maps(2), term_maps(2), term_maps(2), st.integers(2, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_slot_operations_match_the_reference(self, a, b, h, n, data):
+        p, q, r = SlotPoly(a), SlotPoly(b), SlotPoly(h)
+        f = MultiPoly(n, data.draw(term_maps(n)))
+        before = [_snapshot(x) for x in (p, q, r, f)]
+        i = data.draw(st.integers(1, n))
+        j = data.draw(st.integers(1, n).filter(lambda j: j != i))
+        k = data.draw(st.integers(1, n - 1))
+        a = _clean(a)
+        pos = ref_sum({(x, y): c for (x, y), c in a.items() if x > y},
+                      {(y, x): c for (x, y), c in a.items() if x < y}, -1)
+        phi = ref_sum(a, ref_swap(a, 0))
+        lift = ref_sum({(x + 1, y): c for (x, y), c in phi.items() if x >= y},
+                       {(x, y + 1): c for (x, y), c in phi.items() if x >= y + 2}, -1)
+        applied = ref_sum(ref_mul(ref_place(b, k, k + 1, n), ref_ddiff(f.terms, k - 1)),
+                          ref_mul(ref_place(h, k, k + 1, n), f.terms))
+        sym, plus = dpositive_split(p)
+        cases = [
+            (p.swap(), ref_swap(a, 0)),
+            (p.ddiff(), ref_ddiff(a, 0)),
+            (p * q, ref_mul(a, b)),
+            (plus, pos),
+            (sym, ref_sum(a, pos, -1)),
+            (dpositive_lift(p + p.swap()), lift),
+            (instantiate(p, i, j, n), ref_place(a, i, j, n)),
+            (PDDO.from_q0_r0(q, r).apply(k, f), applied),
+        ]
+        for result, expected in cases:
+            assert_canonical(result)
+            assert result.terms == expected
+        assert [_snapshot(x) for x in (p, q, r, f)] == before
+
+    @given(operands(1), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_and_hash_follow_the_terms(self, data, rng):
+        """Two routes to one polynomial give one stored form, so == and hash
+        agree; insertion order and common factors do not matter."""
+        n, a = data
+        f = MultiPoly(n, a)
+        items = list(a.items())
+        rng.shuffle(items)
+        shuffled = MultiPoly(n, dict(items))
+        two = MultiPoly(n, {e: c * 2 for e, c in a.items()})
+        third = MultiPoly(n, {e: c / 3 for e, c in a.items()})
+        for g in (shuffled, two.scale("1/2"), third * 3, (f + f) - f, f * MultiPoly.const(n, 1)):
+            assert g == f and hash(g) == hash(f)
+            assert _snapshot(g) == _snapshot(f)
+        assert_canonical(two)
+        assert_canonical(third)
+        if f and not f.is_constant():
+            assert f != f + 1 and f != MultiPoly(n + 1, {e + (0,): c for e, c in a.items()})
+
+    @given(qz_coeffs, st.integers(2, 5))
+    def test_constants_equal_and_hash_like_their_value(self, c, n):
+        values = [c]
+        if not c.zeta_part:
+            values += [c.rat_part] + ([int(c.rat_part)] if c.rat_part.denominator == 1 else [])
+        polys = [MultiPoly.const(n, c), SlotPoly.const(c),
+                 MultiPoly(n, {(0,) * n: c}) + MultiPoly.variable(n, 1)
+                 - MultiPoly.variable(n, 1)]
+        for p in polys:
+            assert_canonical(p)
+            assert p.is_constant() and p.constant_value() == c
+            for value in values + polys:
+                assert p == value and hash(p) == hash(value)
+
+    def test_one_denominator_per_polynomial(self):
+        # (1/2 + z/3) x1 + 5/6 x2 is stored as ((3 + 2z) x1 + 5 x2)/6.
+        f = MultiPoly(2, {(1, 0): FieldElement(Fraction(1, 2), Fraction(1, 3)),
+                          (0, 1): FieldElement.of(Fraction(5, 6))})
+        assert (f._num, f._den) == ({(1, 0): (3, 2), (0, 1): (5, 0)}, 6)
+        # Doubling cancels the 2 of the denominator in every term at once.
+        assert (f.scale(2)._num, f.scale(2)._den) == ({(1, 0): (3, 2), (0, 1): (5, 0)}, 3)
+        # z^2 = z - 1: (z x1)(z x1) = (z - 1) x1^2.
+        z = MultiPoly(2, {(1, 0): FieldElement.zeta()})
+        assert ((z * z)._num, (z * z)._den) == ({(2, 0): (-1, 1)}, 1)
+        assert MultiPoly.zero(3)._den == 1 and (f - f)._den == 1

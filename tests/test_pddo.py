@@ -94,6 +94,24 @@ class TestInvariants:
         with pytest.raises(InexactDivisionError):
             PDDO(U, ZERO_P)  # T - Q0 = u is not divisible by u - v
 
+    @given(qz_slotpolys, qz_slotpolys, qz_slotpolys, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_r0_matches_long_division(self, t, q0, h, divisible):
+        """PDDO(T, Q0) finds R0 = (T - Q0)/(u - v) by the one-sided quotient:
+        the same polynomial, in the same term order, as exact_div, and the
+        same refusal when u - v leaves a remainder."""
+        if divisible:
+            t = q0 + (U - V) * h
+        try:
+            expected = exact_div(t - q0, U - V)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError, match="corrupted operator data"):
+                PDDO(t, q0)
+            return
+        r0 = PDDO(t, q0).R0
+        assert r0 == expected
+        assert list(r0.terms.items()) == list(expected.terms.items())
+
     def test_immutable_and_hashable(self):
         op = demazure()
         with pytest.raises(AttributeError):
@@ -199,8 +217,9 @@ class TestNoDivisionOnApply:
         assert [ddiff(f, i) for _, i, f in cases] == expected_ddiff
 
     def test_internal_constructions_never_divide(self, monkeypatch):
-        """Every operator built inside the library carries R0 in closed form;
-        only the public PDDO(T, Q0) divides."""
+        """Every operator built inside the library carries R0 in closed form,
+        and the public PDDO(T, Q0) gets it by the one-sided quotient: no
+        constructor divides."""
         rng = random.Random(5)
         qhat, p, pairs = sampling.draw_degent_data(rng, 4)
         mu = sampling.random_field_element(rng, 5, nonzero=True)
@@ -234,8 +253,11 @@ class TestNoDivisionOnApply:
             assert (op1 + op2).R0 == op1.R0 + op2.R0
             assert (op1 - op2).R0 == op1.R0 - op2.R0
             assert op1.scale(3).R0 == op1.R0.scale(3)
-        with pytest.raises(AssertionError, match="long division"):
-            PDDO(U, V)
+        for op in ops:
+            assert PDDO(op.T, op.Q0) == op
+            assert PDDO(op.T, op.Q0).R0 == op.R0
+        with pytest.raises(InexactDivisionError, match="corrupted operator data"):
+            PDDO(U, ONE_P)
 
 
 class TestDegeneracy:
