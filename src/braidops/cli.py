@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -33,8 +34,8 @@ from .families import (
     preset,
     with_vanishing_q0,
 )
-from .field import FieldElement
-from .multipoly import MultiPoly, SlotPoly
+from .field import FieldElement, _text
+from .multipoly import MultiPoly, SlotPoly, _grlex
 from .pddo import PDDO, per_operator
 from .words import MAX_TABLE_N, apply_word, polynomial_table, staircase
 
@@ -146,10 +147,10 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
 
 def _dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the values
-    the CLI prints: dicts with str keys, lists, str, int, bool and None.
-    Anything else raises TypeError.  With an indent, json.dumps runs its pure
-    Python encoder, which takes two to four times as long on a table (2-core
-    machine)."""
+    the reports and hecke print: dicts with str keys, lists, str, int, bool
+    and None.  Anything else raises TypeError.  With an indent, json.dumps
+    runs its pure Python encoder, which takes two to four times as long
+    (2-core machine).  Tables and apply print through _poly_text instead."""
     out: list[str] = []
     _write(obj, "\n", out.append)
     return "".join(out)
@@ -185,6 +186,42 @@ def _write(obj, newline: str, emit) -> None:
         emit(newline + "}" if obj else "{}")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _ints(values, newline: str) -> str:
+    """_dumps(list(values)) for ints, on a line whose break and indent is newline."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + ",".join([inner + str(x) for x in values]) + newline + "]"
+
+
+def _object(fields, newline: str) -> str:
+    """_dumps of an object from its (key, value text) pairs, keys in sorted
+    order, on a line whose break and indent is newline."""
+    inner = newline + "  "
+    return "{" + ",".join([f'{inner}"{key}": {text}' for key, text in fields]) + newline + "}"
+
+
+def _poly_text(p: MultiPoly, newline: str, blocks: dict) -> str:
+    """_dumps(poly_to_json(p)) on a line whose break and indent is newline,
+    formatted from p's stored integers with no field element, str or dict per
+    term.  blocks maps an exponent tuple to its "e" list as it reads at this
+    indent; a table passes one map for all of its entries."""
+    num, d = p._num, p._den
+    if not num:
+        return "[]"
+    inner = newline + "  "
+    field = inner + "  "
+    head, middle, tail = inner + "{" + field + '"c": "', '",' + field + '"e": ', inner + "}"
+    parts = []
+    for e in sorted(num, key=_grlex, reverse=True):
+        block = blocks.get(e)
+        if block is None:
+            block = blocks[e] = _ints(e, field)
+        a, b = num[e]
+        parts.append(head + _text(a, b, d) + middle + block + tail)
+    return "[" + ",".join(parts) + newline + "]"
 
 
 # -- family construction ----------------------------------------------------
@@ -419,17 +456,20 @@ def _cmd_table(args) -> int:
         raise ConfigError(f"tables capped at n = {MAX_TABLE_N}")
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
     seed = _read_seed(args, fam.n)
-    entries = polynomial_table(fam, seed)
+    entries = polynomial_table(fam, seed)  # all of it, so a refusal prints nothing
     if args.output == "json":
-        print(_dumps({
-            "n": fam.n,
-            "entries": [
-                {"perm": list(entry.perm.one_line),
-                 "word": list(entry.word),
-                 "poly": poly_to_json(entry.poly)}
-                for entry in entries
-            ],
-        }))
+        # _dumps({"n": ..., "entries": [{"perm", "word", "poly"}, ...]}), one
+        # entry at a time; stdout is looked up now, so redirect_stdout holds.
+        write = sys.stdout.write
+        line, blocks = "\n      ", {}
+        separator = '{\n  "entries": ['
+        for entry in entries:
+            write(separator + "\n    " + _object((
+                ("perm", _ints(entry.perm.one_line, line)),
+                ("poly", _poly_text(entry.poly, line, blocks)),
+                ("word", _ints(entry.word, line))), "\n    "))
+            separator = ","
+        write('\n  ],\n  "n": ' + str(fam.n) + "\n}\n")
     else:
         width = max(len(str(e.perm.one_line)) for e in entries)
         for entry in entries:
@@ -450,7 +490,9 @@ def _cmd_apply(args) -> int:
             raise ConfigError(f"--word letter {letter} out of range 1..{fam.n - 1}")
     result = apply_word(fam, word, seed)
     if args.output == "json":
-        print(_dumps({"n": fam.n, "word": word, "poly": poly_to_json(result)}))
+        sys.stdout.write(_object((("n", str(fam.n)),
+                                  ("poly", _poly_text(result, "\n  ", {})),
+                                  ("word", _ints(word, "\n  "))), "\n") + "\n")
     else:
         print(result)
     return 0
@@ -498,7 +540,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: print nothing, and exit
+        # as a process killed by SIGPIPE does (128 + 13), like cat in the same
+        # pipe.  Pointing the descriptor at os.devnull lets the interpreter's
+        # final flush of the unwritten rest succeed silently.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # not a descriptor, as under redirect_stdout
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,9 @@ unique, so equality compares the three ints.  Every operation is an integer
 formula followed by at most one gcd (``FieldElement._raw``).  Polynomials
 (:mod:`braidops.multipoly`) do not hold field elements: they store the same
 integers, a pair (a, b) per term over one denominator per polynomial, and
-call ``_raw`` only where a coefficient is read out.  The rational part
+call ``_raw`` only where a coefficient is read out; the CLI's JSON writer
+prints a stored pair through ``_text``, the formatter of ``str``, with no
+element at all.  The rational part
 a/d and the z coefficient b/d are read as Fractions through ``rat_part``
 and ``zeta_part``; an element is never changed after construction.
 """
@@ -88,10 +90,7 @@ class FieldElement:
         return FieldElement(rat, zeta)
 
     def __str__(self) -> str:
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _ratio(a, d)
-        return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{_ratio(abs(b), d)}z"
+        return _text(self._a, self._b, self._d)
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
@@ -99,8 +98,14 @@ class FieldElement:
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
+    # Arithmetic with an operand that `of` cannot coerce, such as a
+    # polynomial, returns NotImplemented, so that Python asks the operand.
+
     def __add__(self, other) -> "FieldElement":
-        other = FieldElement.of(other)
+        try:
+            other = FieldElement.of(other)
+        except TypeError:
+            return NotImplemented
         d, e = self._d, other._d
         if d == e:
             return _raw(self._a + other._a, self._b + other._b, d)
@@ -114,7 +119,10 @@ class FieldElement:
         return _canonical(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "FieldElement":
-        other = FieldElement.of(other)
+        try:
+            other = FieldElement.of(other)
+        except TypeError:
+            return NotImplemented
         d, e = self._d, other._d
         if d == e:
             return _raw(self._a - other._a, self._b - other._b, d)
@@ -126,7 +134,10 @@ class FieldElement:
         return FieldElement.of(other) - self
 
     def __mul__(self, other) -> "FieldElement":
-        other = FieldElement.of(other)
+        try:
+            other = FieldElement.of(other)
+        except TypeError:
+            return NotImplemented
         a, b = self._a, self._b
         c, e = other._a, other._b
         # (a + bz)(c + ez) = ac + (ae + bc)z + be z^2, and z^2 = z - 1.
@@ -193,6 +204,18 @@ def _ratio(p: int, q: int) -> str:
     """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
     g = gcd(p, q)
     return f"{p // g}/{q // g}" if q != g else str(p // g)
+
+
+def _text(a: int, b: int, d: int) -> str:
+    """The text "p/q" or "p/q+r/sz" of (a + b z)/d for any ints with d > 0.
+
+    Each part is printed in lowest terms, so (a, b, d) need not be canonical:
+    a polynomial's stored pair over its shared denominator prints as its
+    coefficient does.
+    """
+    if not b:
+        return _ratio(a, d)
+    return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{_ratio(abs(b), d)}z"
 
 
 ZERO = _canonical(0, 0, 1)

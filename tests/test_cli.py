@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from braidops import cli
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.families import OperatorFamily
+from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly
 from braidops.pddo import PDDO, identity_op
-from braidops.words import staircase
+from braidops.words import Permutation, TableEntry, polynomial_table, staircase
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -876,6 +877,127 @@ def test_dumps_matches_json_dumps(obj):
 def test_dumps_refuses_other_types(obj):
     with pytest.raises(TypeError):
         cli._dumps(obj)
+
+
+# Tables and apply print from each polynomial's stored integers; the bytes are
+# those of _dumps over poly_to_json, plus the newline print adds.
+
+def _reference(obj) -> str:
+    return cli._dumps(obj) + "\n"
+
+
+def _entry_json(entry) -> dict:
+    return {"perm": list(entry.perm.one_line), "word": list(entry.word),
+            "poly": poly_to_json(entry.poly)}
+
+
+# Coefficients with z parts, negative parts and denominators other than 1; an
+# empty map is the zero polynomial.
+WRITER_COEFFS = st.builds(
+    FieldElement,
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=30),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12) | st.just(0),
+)
+
+
+@st.composite
+def writer_polys(draw, n):
+    exponent = st.integers(0, 12)
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * n), WRITER_COEFFS, max_size=8))
+    return MultiPoly(n, terms)
+
+
+@st.composite
+def writer_words(draw, n):
+    return tuple(draw(st.lists(st.integers(1, n - 1), max_size=6)))
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), writer_polys(n), writer_words(n),
+    st.lists(st.tuples(st.permutations(range(1, n + 1)), writer_words(n), writer_polys(n)),
+             min_size=1, max_size=4))))
+@example((2, MultiPoly.zero(2), (), [((1, 2), (), MultiPoly.zero(2))]))
+@example((3, MultiPoly.const(3, "-1/2+3/4z"), (2, 1),
+          [((3, 2, 1), (1,), MultiPoly(3, {(2, 1, 0): "-7/3-1z", (0, 0, 1): "5"}))]))
+@settings(max_examples=60, deadline=None)
+def test_apply_and_table_writers_match_dumps(case):
+    """The two streaming writers against _dumps over poly_to_json, with the
+    computation replaced by drawn polynomials and entries."""
+    n, poly, word, rows = case
+    entries = [TableEntry(perm=Permutation(tuple(perm)), word=w, poly=p) for perm, w, p in rows]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "apply_word", lambda fam, letters, seed: poly)
+        patch.setattr(cli, "polynomial_table", lambda fam, seed: entries)
+        family = ["--n", str(n), "--family", "preset:demazure"]
+        applied = run_quietly(["apply", *family, "--word", ",".join(map(str, word))])
+        table = run_quietly(["table", *family])
+    assert applied == (0, _reference({"n": n, "word": list(word),
+                                      "poly": poly_to_json(poly)}), "")
+    assert table == (0, _reference({"n": n, "entries": [_entry_json(e) for e in entries]}), "")
+
+
+# A seed with z parts, negative parts and denominators, as a --seed-poly.
+ODD_SEED = json.dumps([{"e": [2, 0, 1, 0], "c": "-3/4+2/3z"}, {"e": [0, 1, 0, 0], "c": "5/6"},
+                       {"e": [1, 1, 1, 0], "c": "0-1z"}])
+
+
+@pytest.mark.parametrize("family, params, lines", [
+    ("preset:pure_ddiff", None, None), ("preset:demazure", None, None),
+    ("preset:grothendieck", None, None), ("preset:grothendieck", "-2/3", None),
+    ("case1", "1,2,1,2,3", None), ("case2", "1,2,1,2", "l1,l3,l4"),
+])
+@pytest.mark.parametrize("seed", [None, ODD_SEED], ids=["staircase", "odd-seed"])
+def test_table_writer_matches_dumps(family, params, lines, seed):
+    argv = ["table", "--n", "4", "--family", family]
+    for option, value in (("--params", params), ("--lines", lines), ("--seed-poly", seed)):
+        argv += [f"{option}={value}"] if value is not None else []
+    fam = cli.build_family(family, 4, params, lines, None)
+    entries = polynomial_table(fam, seed and poly_from_json(json.loads(seed), 4))
+    expected = _reference({"n": 4, "entries": [_entry_json(e) for e in entries]})
+    assert run_quietly(argv) == (0, expected, "")
+
+
+def test_refused_table_prints_nothing(monkeypatch):
+    """The whole table is computed before its first byte is written, so a
+    refusal at the table's last operator application leaves stdout empty."""
+    argv = ["table", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3"]
+    apply, calls = PDDO.apply, []
+
+    def counted(self, i, f):
+        calls.append(i)
+        return apply(self, i, f)
+
+    monkeypatch.setattr(PDDO, "apply", counted)
+    assert run_quietly(argv)[0] == 0
+    last = len(calls)
+
+    def refused(self, i, f):
+        calls.append(i)
+        if len(calls) == last:
+            raise ValueError("refused at the last application")
+        return apply(self, i, f)
+
+    calls.clear()
+    monkeypatch.setattr(PDDO, "apply", refused)
+    assert run_quietly(argv) == (2, "", "error: refused at the last application\n")
+
+
+def test_closed_stdout_exits_141_silently():
+    """A reader that closes the pipe early, as `| head -c 64` does: nothing on
+    stderr, and the status of a process that SIGPIPE killed, as cat gives."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    # 1.39 MB of JSON, more than a pipe buffer holds, so writes meet the
+    # closed pipe.
+    proc = subprocess.Popen([sys.executable, "-m", "braidops", "table", "--n", "5",
+                             "--family", "preset:demazure"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+    assert head.startswith(b'{\n  "entries": [\n    {\n      "perm": [')
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from braidops.field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR
+from braidops.field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR, _text
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -74,6 +74,15 @@ class TestProperties:
         rat, zeta = Fraction(a, d), Fraction(b, d)
         expected = str(rat) if not zeta else f"{rat}{'+' if zeta > 0 else '-'}{abs(zeta)}z"
         assert str(FieldElement(rat, zeta)) == expected
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+           st.integers(1, 10**30), st.integers(1, 10**6))
+    @example(0, 0, 1, 7)
+    @example(3, -3, 1, 4)
+    def test_text_reads_unreduced_integers(self, a, b, d, k):
+        """The one coefficient formatter, which tables call on a polynomial's
+        stored pair over its shared denominator: k cancels."""
+        assert _text(a * k, b * k, d * k) == str(FieldElement._raw(a, b, d))
 
     @given(rationals)
     def test_rational_elements_equal_and_hash_like_fractions(self, q):

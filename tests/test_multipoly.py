@@ -402,3 +402,21 @@ class TestStoredForm:
         z = MultiPoly(2, {(1, 0): FieldElement.zeta()})
         assert ((z * z)._num, (z * z)._den) == ({(2, 0): (-1, 1)}, 1)
         assert MultiPoly.zero(3)._den == 1 and (f - f)._den == 1
+
+    @given(qz_coeffs, term_maps(2), operands(1))
+    def test_field_element_on_the_left_defers_to_the_polynomial(self, c, s, data):
+        """FieldElement arithmetic returns NotImplemented for a polynomial, so
+        Python asks the polynomial's reflected method."""
+        n, a = data
+        for p in (SlotPoly(s), MultiPoly(n, a)):
+            assert c * p == p * c and type(c * p) is type(p)
+            assert c + p == p + c and type(c + p) is type(p)
+            assert c - p == -(p - c) and type(c - p) is type(p)
+
+    def test_field_element_times_a_slot(self):
+        c = FieldElement.parse("1+1z")
+        assert c * SlotPoly.u() == SlotPoly.monomial(1, 0, c) == SlotPoly.u() * c
+        for bad in (0.5, object()):
+            for op in (lambda: c + bad, lambda: c - bad, lambda: c * bad):
+                with pytest.raises(TypeError):
+                    op()
