@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import sampling
@@ -145,51 +144,13 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
     return MultiPoly(n_vars, _Json(data, "term list").terms(n_vars))
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the values
-    the reports and hecke print: dicts with str keys, lists, str, int, bool
-    and None.  Anything else raises TypeError.  With an indent, json.dumps
-    runs its pure Python encoder, which takes two to four times as long
-    (2-core machine).  Tables and apply print through _poly_text instead."""
-    out: list[str] = []
-    _write(obj, "\n", out.append)
-    return "".join(out)
-
-
-def _write(obj, newline: str, emit) -> None:
-    """Emit obj as JSON text; newline is the line break and indent of the line
-    obj starts on."""
-    kind = type(obj)
-    if kind is str:
-        emit(_quote(obj))
-    elif kind is int:
-        emit(int.__repr__(obj))
-    elif kind is bool:
-        emit("true" if obj else "false")
-    elif obj is None:
-        emit("null")
-    elif kind is list:
-        inner, separator = newline + "  ", "["
-        for item in obj:
-            emit(separator + inner)
-            _write(item, inner, emit)
-            separator = ","
-        emit(newline + "]" if obj else "[]")
-    elif kind is dict:
-        inner, separator = newline + "  ", "{"
-        for key in sorted(obj):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(separator + inner + _quote(key) + ": ")
-            _write(obj[key], inner, emit)
-            separator = ","
-        emit(newline + "}" if obj else "{}")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+# json.dumps(obj, indent=2, sort_keys=True) prints the reports.  Tables, apply
+# and hecke print the same bytes through the writers below: they format each
+# polynomial from its stored integers, and a listing streams one item at a time.
 
 
 def _ints(values, newline: str) -> str:
-    """_dumps(list(values)) for ints, on a line whose break and indent is newline."""
+    """The JSON of a list of ints, on a line whose break and indent is newline."""
     if not values:
         return "[]"
     inner = newline + "  "
@@ -197,14 +158,14 @@ def _ints(values, newline: str) -> str:
 
 
 def _object(fields, newline: str) -> str:
-    """_dumps of an object from its (key, value text) pairs, keys in sorted
+    """The JSON of an object from its (key, value text) pairs, keys in sorted
     order, on a line whose break and indent is newline."""
     inner = newline + "  "
     return "{" + ",".join([f'{inner}"{key}": {text}' for key, text in fields]) + newline + "}"
 
 
 def _poly_text(p: MultiPoly, newline: str, blocks: dict) -> str:
-    """_dumps(poly_to_json(p)) on a line whose break and indent is newline,
+    """The JSON of poly_to_json(p) on a line whose break and indent is newline,
     formatted from p's stored integers with no field element, str or dict per
     term.  blocks maps an exponent tuple to its "e" list as it reads at this
     indent; a table passes one map for all of its entries."""
@@ -222,6 +183,19 @@ def _poly_text(p: MultiPoly, newline: str, blocks: dict) -> str:
         a, b = num[e]
         parts.append(head + _text(a, b, d) + middle + block + tail)
     return "[" + ",".join(parts) + newline + "]"
+
+
+def _print_listing(key: str, items, n: int) -> None:
+    """Print {key: [...], "n": n}, writing each item's text (at indent 4) as
+    soon as items yields it.  key must sort before "n", and items must yield
+    at least one text: a table has n! entries and hecke n - 1.  stdout is
+    looked up now, so redirect_stdout holds."""
+    write = sys.stdout.write
+    separator = '{\n  "' + key + '": ['
+    for text in items:
+        write(separator + "\n    " + text)
+        separator = ","
+    write('\n  ],\n  "n": ' + str(n) + "\n}\n")
 
 
 # -- family construction ----------------------------------------------------
@@ -259,16 +233,19 @@ def _preset(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
     return preset(family.split(":", 1)[1], n, *params)
 
 
+def _read_file(option: str, path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{option}: cannot read {path!r} ({exc.strerror})") from None
+
+
 def _config(family: str, config: str | None) -> _Json:
     if config is None:
         raise ConfigError("this family needs --config with a JSON file")
     if config == "":
         raise ConfigError("--config is empty; give a JSON file")
-    try:
-        text = Path(config).read_text()
-    except OSError as exc:
-        raise ConfigError(f"--config: cannot read {config!r} ({exc.strerror})") from None
-    return _Json.load(text, f"{family} config")
+    return _Json.load(_read_file("--config", config), f"{family} config")
 
 
 def _degen_t(family: str, n: int, config: str | None) -> OperatorFamily:
@@ -363,11 +340,11 @@ def _print_report(report: FamilyReport | CommuteReport, output: str) -> None:
     same-index entry i prints as (i,i) and "i"."""
     sections = {name: sorted(results.items()) for name, results in vars(report).items()}
     if output == "json":
-        print(_dumps({"passed": report.passed, **{name: {
+        print(json.dumps({"passed": report.passed, **{name: {
             ",".join(map(str, key)) if type(key) is tuple else str(key):
                 {"passed": r.passed, "flags": r.flags} if isinstance(r, CubicReport) else r
             for key, r in items
-        } for name, items in sections.items()}}))
+        } for name, items in sections.items()}}, indent=2, sort_keys=True))
         return
     for name, items in sections.items():
         for key, r in items:
@@ -381,9 +358,11 @@ def _print_report(report: FamilyReport | CommuteReport, output: str) -> None:
 
 # -- subcommands ------------------------------------------------------------
 
-# verify and commute report all (n-1)(n-2)/2 distant pairs.  At n = 500 a run
-# takes about 0.13 s, 2.8 MB of output and 70 MiB on a 2-core machine; at
-# n = 1000, 0.5 s, 11 MB and 220 MiB.
+# verify and commute report all (n-1)(n-2)/2 distant pairs.  On a 2-core
+# machine, a whole verify process at n = 500 prints 2.7 MB of JSON in
+# 0.4-0.6 s at 73-75 MiB peak RSS (text: 2.8 MB, 0.7-0.9 s, 41 MiB); at
+# n = 1000, 10.6 MB of JSON in 1.6-2.1 s at 253 MiB (text: 11.4 MB, 2.3-3.6 s,
+# 116 MiB).
 MAX_REPORT_N = 500
 
 
@@ -421,9 +400,11 @@ def _cmd_hecke(args) -> int:
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
     params = dict(enumerate(per_operator(PDDO.hecke_params, ((op,) for op in fam.ops)), 1))
     if args.output == "json":
-        print(_dumps({"n": fam.n, "hecke": [
-            {"index": i, "mu": hp and str(hp[0]), "nu": hp and str(hp[1])}
-            for i, hp in params.items()]}))
+        def text(x):  # a parameter as a JSON string, or null
+            return "null" if x is None else f'"{x}"'
+        _print_listing("hecke", (_object((
+            ("index", str(i)), ("mu", text(hp and hp[0])), ("nu", text(hp and hp[1]))), "\n    ")
+            for i, hp in params.items()), fam.n)
         return 0
     for i, hp in params.items():
         relation = "no Hecke relation" if hp is None else f"mu = {hp[0]}, nu = {hp[1]}"
@@ -447,7 +428,7 @@ def _read_seed(args, n: int) -> MultiPoly:
     # Neither an inline term list nor "" is looked up as a path: the lookup of
     # a list longer than the file-name limit fails, and "" names the directory.
     if text and not text.lstrip().startswith("[") and Path(text).exists():
-        text = Path(text).read_text()
+        text = _read_file("--seed-poly", text)
     return MultiPoly(n, _Json.load(text, "--seed-poly").terms(n))
 
 
@@ -458,18 +439,11 @@ def _cmd_table(args) -> int:
     seed = _read_seed(args, fam.n)
     entries = polynomial_table(fam, seed)  # all of it, so a refusal prints nothing
     if args.output == "json":
-        # _dumps({"n": ..., "entries": [{"perm", "word", "poly"}, ...]}), one
-        # entry at a time; stdout is looked up now, so redirect_stdout holds.
-        write = sys.stdout.write
         line, blocks = "\n      ", {}
-        separator = '{\n  "entries": ['
-        for entry in entries:
-            write(separator + "\n    " + _object((
-                ("perm", _ints(entry.perm.one_line, line)),
-                ("poly", _poly_text(entry.poly, line, blocks)),
-                ("word", _ints(entry.word, line))), "\n    "))
-            separator = ","
-        write('\n  ],\n  "n": ' + str(fam.n) + "\n}\n")
+        _print_listing("entries", (_object((
+            ("perm", _ints(entry.perm.one_line, line)),
+            ("poly", _poly_text(entry.poly, line, blocks)),
+            ("word", _ints(entry.word, line))), "\n    ") for entry in entries), fam.n)
     else:
         width = max(len(str(e.perm.one_line)) for e in entries)
         for entry in entries:

@@ -651,6 +651,12 @@ class TestConfigFamilies:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["table", "apply"])
+    def test_unreadable_seed_poly_names_the_option(self, command, tmp_path, capsys):
+        argv = [command, "--n", "3", "--family", "preset:demazure", "--seed-poly", str(tmp_path)]
+        assert run(argv, capsys) == (
+            2, "", f"error: --seed-poly: cannot read {str(tmp_path)!r} (Is a directory)\n")
+
     @pytest.mark.parametrize("name,n,segments,key,value", [
         *[("vanq0_isolated.json", 4, "isolated", "index", v) for v in (1.9, True, "1")],
         *[("vanq0_interval.json", 5, "intervals", key, v)
@@ -854,36 +860,13 @@ def test_runs_as_a_module(tmp_path):
     assert done.stdout.endswith("overall: pass\n")
 
 
-# -- the JSON writer and the cached parser --------------------------------------
+# -- the JSON writers and the cached parser ------------------------------------
 
-# Strings with quotes, backslashes, control characters and non-ASCII text.
-JSON_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
-                    | st.characters(), max_size=6)
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(max_value=-10**40) | JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@given(JSON_VALUES)
-@example({"": [], "a\"\\\x01\u00e9": {}, "b": [[{}], -10**60, True, False, None]})
-def test_dumps_matches_json_dumps(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("obj", [1.5, (1, 2), {"a": [0.0]}, [(1,)], {1: "one"}],
-                         ids=["float", "tuple", "nested-float", "nested-tuple", "int-key"])
-def test_dumps_refuses_other_types(obj):
-    with pytest.raises(TypeError):
-        cli._dumps(obj)
-
-
-# Tables and apply print from each polynomial's stored integers; the bytes are
-# those of _dumps over poly_to_json, plus the newline print adds.
+# Tables, apply and hecke print through the CLI's own writers; the bytes are
+# those of the stdlib over the plain JSON values, plus the newline print adds.
 
 def _reference(obj) -> str:
-    return cli._dumps(obj) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _entry_json(entry) -> dict:
@@ -921,8 +904,8 @@ def writer_words(draw, n):
           [((3, 2, 1), (1,), MultiPoly(3, {(2, 1, 0): "-7/3-1z", (0, 0, 1): "5"}))]))
 @settings(max_examples=60, deadline=None)
 def test_apply_and_table_writers_match_dumps(case):
-    """The two streaming writers against _dumps over poly_to_json, with the
-    computation replaced by drawn polynomials and entries."""
+    """The two streaming writers against json.dumps over poly_to_json, with
+    the computation replaced by drawn polynomials and entries."""
     n, poly, word, rows = case
     entries = [TableEntry(perm=Permutation(tuple(perm)), word=w, poly=p) for perm, w, p in rows]
     with pytest.MonkeyPatch.context() as patch:
@@ -955,6 +938,25 @@ def test_table_writer_matches_dumps(family, params, lines, seed):
     entries = polynomial_table(fam, seed and poly_from_json(json.loads(seed), 4))
     expected = _reference({"n": 4, "entries": [_entry_json(e) for e in entries]})
     assert run_quietly(argv) == (0, expected, "")
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.lists(
+    st.none() | st.tuples(WRITER_COEFFS, WRITER_COEFFS), min_size=n - 1, max_size=n - 1)))
+@example([None])
+@example([(FieldElement.of(0), FieldElement.parse("-3/4+2/5z")), None,
+          (FieldElement.parse("0-1z"), FieldElement.of(0))])
+@settings(max_examples=60, deadline=None)
+def test_hecke_writer_matches_dumps(params):
+    """hecke's listing writer against json.dumps, with the Hecke parameters
+    replaced by drawn (mu, nu) pairs, or None where no relation holds."""
+    n = len(params) + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "per_operator", lambda compute, args: params)
+        printed = run_quietly(["hecke", "--n", str(n), "--family", "preset:demazure",
+                               "--output", "json"])
+    assert printed == (0, _reference({"n": n, "hecke": [
+        {"index": i, "mu": hp and str(hp[0]), "nu": hp and str(hp[1])}
+        for i, hp in enumerate(params, 1)]}), "")
 
 
 def test_refused_table_prints_nothing(monkeypatch):

@@ -131,6 +131,8 @@ ARGVS = [
     # refusal names the option.
     ["verify", "--n", "4", "--family", "vanq0", "--config", "no_such_config.json"],
     ["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2", "--lines", "l1,,l1"],
+    # A --seed-poly that names a directory: the refusal names the option.
+    ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", "."],
 ]
 
 
@@ -149,6 +151,12 @@ def _recorded():
     return json.loads(CORPUS.read_text())
 
 
+# Every record that passes and prints JSON; the check below shares no code
+# with the library.
+JSON_RECORDS = [i for i, record in enumerate(_recorded())
+                if record["exit"] == 0 and record["stdout"].startswith("{")]
+
+
 def test_corpus_covers_every_argv():
     assert [r["argv"] for r in _recorded()] == ARGVS
 
@@ -162,6 +170,13 @@ def test_replay_is_byte_identical(index, monkeypatch):
     assert code == record["exit"]
     assert out == record["stdout"]
     assert err == record["stderr"]
+
+
+@pytest.mark.parametrize("index", JSON_RECORDS,
+                         ids=[f"{i:02d}-{ARGVS[i][0]}" for i in JSON_RECORDS])
+def test_json_output_is_what_the_stdlib_prints(index):
+    stdout = _recorded()[index]["stdout"]
+    assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":
