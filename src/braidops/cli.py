@@ -33,8 +33,8 @@ from .families import (
     preset,
     with_vanishing_q0,
 )
-from .field import FieldElement, _text
-from .multipoly import MultiPoly, SlotPoly, _grlex
+from .field import FieldElement
+from .multipoly import MultiPoly, SlotPoly
 from .pddo import PDDO, per_operator
 from .words import MAX_TABLE_N, apply_word, polynomial_table, staircase
 
@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 def poly_to_json(p: MultiPoly) -> list[dict]:
-    return [{"e": list(e), "c": str(c)} for e, c in p.sorted_terms()]
+    return [{"e": list(e), "c": c} for e, c in p._printed_terms()]
 
 
 # The largest exponent a seed or config term may hold; work grows with it.
@@ -146,7 +146,10 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
 
 # json.dumps(obj, indent=2, sort_keys=True) prints the reports.  Tables, apply
 # and hecke print the same bytes through the writers below: they format each
-# polynomial from its stored integers, and a listing streams one item at a time.
+# polynomial from its term walk, and a listing streams one item at a time.
+# A report or an apply result is one print call: under python -u a closed pipe
+# cuts its long text short without an error, and the newline that print writes
+# next raises BrokenPipeError, so the exit status is 141 in either mode.
 
 
 def _ints(values, newline: str) -> str:
@@ -166,23 +169,19 @@ def _object(fields, newline: str) -> str:
 
 def _poly_text(p: MultiPoly, newline: str, blocks: dict) -> str:
     """The JSON of poly_to_json(p) on a line whose break and indent is newline,
-    formatted from p's stored integers with no field element, str or dict per
-    term.  blocks maps an exponent tuple to its "e" list as it reads at this
-    indent; a table passes one map for all of its entries."""
-    num, d = p._num, p._den
-    if not num:
-        return "[]"
+    formatted from p's term walk with no dict per term.  blocks maps an
+    exponent tuple to its "e" list as it reads at this indent; a table passes
+    one map for all of its entries."""
     inner = newline + "  "
     field = inner + "  "
     head, middle, tail = inner + "{" + field + '"c": "', '",' + field + '"e": ', inner + "}"
     parts = []
-    for e in sorted(num, key=_grlex, reverse=True):
+    for e, c in p._printed_terms():
         block = blocks.get(e)
         if block is None:
             block = blocks[e] = _ints(e, field)
-        a, b = num[e]
-        parts.append(head + _text(a, b, d) + middle + block + tail)
-    return "[" + ",".join(parts) + newline + "]"
+        parts.append(head + c + middle + block + tail)
+    return "[" + ",".join(parts) + newline + "]" if parts else "[]"
 
 
 def _print_listing(key: str, items, n: int) -> None:
@@ -235,9 +234,11 @@ def _preset(family: str, n: int, params: list[FieldElement]) -> OperatorFamily:
 
 def _read_file(option: str, path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{option}: cannot read {path!r} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{option}: cannot read {path!r} ({exc})") from None
 
 
 def _config(family: str, config: str | None) -> _Json:
@@ -335,34 +336,37 @@ _LABELS = {"cubic": "cubic  ", "quad": "quad   ", "same_index": "same-index  ",
 
 
 def _print_report(report: FamilyReport | CommuteReport, output: str) -> None:
-    """Print a report's sections (its fields): one `label (i,k): pass|FAIL`
-    line per index pair and an `overall:` line, or JSON keyed "i,k".  A
-    same-index entry i prints as (i,i) and "i"."""
+    """Print a report's sections (its fields) in one print call: one `label
+    (i,k): pass|FAIL` line per index pair and an `overall:` line, or JSON keyed
+    "i,k".  A same-index entry i prints as (i,i) and "i"."""
     sections = {name: sorted(results.items()) for name, results in vars(report).items()}
     if output == "json":
-        print(json.dumps({"passed": report.passed, **{name: {
+        text = json.dumps({"passed": report.passed, **{name: {
             ",".join(map(str, key)) if type(key) is tuple else str(key):
                 {"passed": r.passed, "flags": r.flags} if isinstance(r, CubicReport) else r
             for key, r in items
-        } for name, items in sections.items()}}, indent=2, sort_keys=True))
-        return
-    for name, items in sections.items():
-        for key, r in items:
-            i, k = key if type(key) is tuple else (key, key)
-            flags = r.flags if isinstance(r, CubicReport) else {}
-            bad = [coeff for coeff, ok in flags.items() if not ok]
-            detail = f"  (failing coefficients: {', '.join(bad)})" if bad else ""
-            print(f"{_LABELS[name]}({i},{k}): {'pass' if r else 'FAIL'}{detail}")
-    print(f"overall: {'pass' if report.passed else 'FAIL'}")
+        } for name, items in sections.items()}}, indent=2, sort_keys=True)
+    else:
+        lines = []
+        for name, items in sections.items():
+            for key, r in items:
+                i, k = key if type(key) is tuple else (key, key)
+                flags = r.flags if isinstance(r, CubicReport) else {}
+                bad = [coeff for coeff, ok in flags.items() if not ok]
+                detail = f"  (failing coefficients: {', '.join(bad)})" if bad else ""
+                lines.append(f"{_LABELS[name]}({i},{k}): {'pass' if r else 'FAIL'}{detail}")
+        lines.append(f"overall: {'pass' if report.passed else 'FAIL'}")
+        text = "\n".join(lines)
+    print(text)
 
 
 # -- subcommands ------------------------------------------------------------
 
 # verify and commute report all (n-1)(n-2)/2 distant pairs.  On a 2-core
 # machine, a whole verify process at n = 500 prints 2.7 MB of JSON in
-# 0.4-0.6 s at 73-75 MiB peak RSS (text: 2.8 MB, 0.7-0.9 s, 41 MiB); at
-# n = 1000, 10.6 MB of JSON in 1.6-2.1 s at 253 MiB (text: 11.4 MB, 2.3-3.6 s,
-# 116 MiB).
+# 0.4-0.6 s at 73-75 MiB peak RSS (text: 2.8 MB, 0.3-0.4 s, 57 MiB); at
+# n = 1000, 10.6 MB of JSON in 1.3-2.0 s at 253 MiB (text: 11.4 MB, 0.9-1.4 s,
+# 180 MiB).
 MAX_REPORT_N = 500
 
 
@@ -425,9 +429,9 @@ def _read_seed(args, n: int) -> MultiPoly:
     text = args.seed_poly
     if text is None:
         return staircase(n)
-    # Neither an inline term list nor "" is looked up as a path: the lookup of
-    # a list longer than the file-name limit fails, and "" names the directory.
-    if text and not text.lstrip().startswith("[") and Path(text).exists():
+    # A value that names no file, such as "" or one longer than a file name
+    # may be, is read as inline JSON.
+    if os.path.exists(text):
         text = _read_file("--seed-poly", text)
     return MultiPoly(n, _Json.load(text, "--seed-poly").terms(n))
 
@@ -464,9 +468,8 @@ def _cmd_apply(args) -> int:
             raise ConfigError(f"--word letter {letter} out of range 1..{fam.n - 1}")
     result = apply_word(fam, word, seed)
     if args.output == "json":
-        sys.stdout.write(_object((("n", str(fam.n)),
-                                  ("poly", _poly_text(result, "\n  ", {})),
-                                  ("word", _ints(word, "\n  "))), "\n") + "\n")
+        print(_object((("n", str(fam.n)), ("poly", _poly_text(result, "\n  ", {})),
+                       ("word", _ints(word, "\n  "))), "\n"))
     else:
         print(result)
     return 0

@@ -7,11 +7,12 @@ unique, so equality compares the three ints.  Every operation is an integer
 formula followed by at most one gcd (``FieldElement._raw``).  Polynomials
 (:mod:`braidops.multipoly`) do not hold field elements: they store the same
 integers, a pair (a, b) per term over one denominator per polynomial, and
-call ``_raw`` only where a coefficient is read out; the CLI's JSON writer
-prints a stored pair through ``_text``, the formatter of ``str``, with no
-element at all.  The rational part
-a/d and the z coefficient b/d are read as Fractions through ``rat_part``
-and ``zeta_part``; an element is never changed after construction.
+call ``_raw`` only where a coefficient is read out as a value.  A polynomial
+becomes text through its one term walk, ``MultiPoly._printed_terms``, which
+prints each stored pair through ``_text``, the formatter of ``str``, with no
+element at all.  The rational part a/d and the z coefficient b/d are read as
+Fractions through ``rat_part`` and ``zeta_part``; an element is never changed
+after construction.
 """
 
 from __future__ import annotations

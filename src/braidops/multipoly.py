@@ -13,9 +13,11 @@ Sums, products, divided differences (one loop, ``_ddiff_pairs``), operator
 applications (``_apply``) and the slot moves work on the stored integers and
 end with at most one gcd pass over the result (``_normal``); stored pairs are
 tuples, shared between polynomials and never changed.  Field elements are
-built only where a coefficient is read out: ``terms``, ``sorted_terms``,
-``constant_value``, ``evaluate``, ``str`` and the long division of
-``exact_div``.
+built only where a coefficient is read out as a value: ``terms``,
+``constant_value``, ``evaluate`` and the long division of ``exact_div``.  A
+polynomial becomes text in one way, the term walk ``_printed_terms``, which
+prints each stored pair through ``field._text`` with no field element; ``str``
+and the CLI's JSON writers read it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import gcd
 from operator import add
 from typing import Iterable, Mapping
 
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE, ZERO, _text
 
 __all__ = [
     "MultiPoly",
@@ -205,25 +207,12 @@ def _nonzero(acc: Mapping) -> dict:
     return {e: (a, b) for e, (a, b) in acc.items() if a or b}
 
 
-def _fmt_terms(terms: list, names) -> str:
-    if not terms:
-        return "0"
+def _fmt_terms(p: "MultiPoly", names) -> str:
     parts = []
-    for e, coeff in terms:
-        factors = []
-        for name, exp in zip(names, e):
-            if exp == 1:
-                factors.append(name)
-            elif exp > 1:
-                factors.append(f"{name}^{exp}")
-        body = "*".join(factors)
-        if not body:
-            parts.append(f"({coeff})")
-        elif coeff == ONE:
-            parts.append(body)
-        else:
-            parts.append(f"({coeff})*{body}")
-    return " + ".join(parts)
+    for e, coeff in p._printed_terms():
+        body = "*".join([name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k])
+        parts.append(f"({coeff})" if not body else body if coeff == "1" else f"({coeff})*{body}")
+    return " + ".join(parts) or "0"
 
 
 class MultiPoly:
@@ -317,9 +306,14 @@ class MultiPoly:
         pair = self._num.get((0,) * self.n_vars)
         return ZERO if pair is None else _element(*pair, self._den)
 
-    def sorted_terms(self) -> list:
-        num, d = self._num, self._den
-        return [(e, _element(*num[e], d)) for e in sorted(num, key=_grlex, reverse=True)]
+    def _printed_terms(self) -> list:
+        """The (exponents, coefficient text) of each term in descending
+        graded-lex order, the text read from the stored pair as str of its
+        field element reads: the one way a polynomial becomes text.  Exponent
+        vectors are distinct, so the sort never compares two pairs."""
+        d = self._den
+        terms = sorted([(sum(e), e, a, b) for e, (a, b) in self._num.items()], reverse=True)
+        return [(e, _text(a, b, d)) for _, e, a, b in terms]
 
     def evaluate(self, point) -> FieldElement:
         values = [FieldElement.of(p) for p in point]
@@ -434,7 +428,7 @@ class MultiPoly:
         return hash((self.n_vars, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
-        return _fmt_terms(self.sorted_terms(), [f"x{k+1}" for k in range(self.n_vars)])
+        return _fmt_terms(self, [f"x{k+1}" for k in range(self.n_vars)])
 
     __repr__ = __str__
 
@@ -562,7 +556,7 @@ class SlotPoly(MultiPoly):
         return super().evaluate((uval, vval))
 
     def __str__(self) -> str:
-        return _fmt_terms(self.sorted_terms(), ["u", "v"])
+        return _fmt_terms(self, ["u", "v"])
 
     __repr__ = __str__
 

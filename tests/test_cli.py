@@ -657,6 +657,26 @@ class TestConfigFamilies:
         assert run(argv, capsys) == (
             2, "", f"error: --seed-poly: cannot read {str(tmp_path)!r} (Is a directory)\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "4", "--family", "vanq0", "--config"],
+        ["hecke", "--n", "3", "--family", "degen-t", "--config"],
+        ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly"],
+        ["apply", "--n", "3", "--family", "preset:demazure", "--seed-poly"],
+    ], ids=["vanq0-config", "degen-t-config", "table-seed", "apply-seed"])
+    def test_file_that_is_not_utf8_names_the_option(self, argv, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run([*argv, str(path)], capsys) == (
+            2, "", f"error: {argv[-1]}: cannot read {str(path)!r} ('utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte)\n")
+
+    @pytest.mark.parametrize("command", ["table", "apply"])
+    def test_value_too_long_to_name_a_file_is_read_as_json(self, command, capsys):
+        argv = [command, "--n", "3", "--family", "preset:demazure", "--seed-poly", "x" * 300]
+        assert run(argv, capsys) == (
+            2, "", "error: --seed-poly: top level cannot be read as JSON "
+            "(Expecting value: line 1 column 1 (char 0))\n")
+
     @pytest.mark.parametrize("name,n,segments,key,value", [
         *[("vanq0_isolated.json", 4, "isolated", "index", v) for v in (1.9, True, "1")],
         *[("vanq0_interval.json", 5, "intervals", key, v)
@@ -984,22 +1004,106 @@ def test_refused_table_prints_nothing(monkeypatch):
     assert run_quietly(argv) == (2, "", "error: refused at the last application\n")
 
 
-def test_closed_stdout_exits_141_silently():
-    """A reader that closes the pipe early, as `| head -c 64` does: nothing on
-    stderr, and the status of a process that SIGPIPE killed, as cat gives."""
+def _read_64_bytes_and_close(argv, env=()):
+    """Run the CLI, with env added to its environment, into a pipe that is
+    closed after 64 bytes, as `| head -c 64` does; return its exit status, its
+    stderr and the 64 bytes."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    # 1.39 MB of JSON, more than a pipe buffer holds, so writes meet the
-    # closed pipe.
-    proc = subprocess.Popen([sys.executable, "-m", "braidops", "table", "--n", "5",
-                             "--family", "preset:demazure"],
+    env = {**os.environ, "PYTHONPATH": str(src), **dict(env)}
+    proc = subprocess.Popen([sys.executable, "-m", "braidops", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     head = proc.stdout.read(64)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert (proc.wait(timeout=120), err) == (141, b"")
+    return proc.wait(timeout=120), err, head
+
+
+def test_closed_stdout_exits_141_silently():
+    """A reader that closes the pipe early: nothing on stderr, and the status
+    of a process that SIGPIPE killed, as cat gives."""
+    # 1.39 MB of JSON, more than a pipe buffer holds, so the streamed writes
+    # meet the closed pipe.
+    status, err, head = _read_64_bytes_and_close(["table", "--n", "5", "--family",
+                                                  "preset:demazure"])
+    assert (status, err) == (141, b"")
     assert head.startswith(b'{\n  "entries": [\n    {\n      "perm": [')
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["verify", "--n", "500", "--family", "preset:demazure", "--output", "text"],
+     b"cubic  (1,2): pass\ncubic  (2,3): pass\n"),
+    (["verify", "--n", "500", "--family", "preset:demazure", "--output", "json"],
+     b'{\n  "cubic": {\n    "1,2": {\n'),
+    (["apply", "--n", "3", "--family", "preset:demazure", "--word", "1",
+      "--seed-poly", '[{"e": [3000, 0, 0], "c": "1"}]'], b'{\n  "n": 3,\n  "poly": [\n'),
+], ids=["verify-text", "verify-json", "apply"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_during_one_write_exits_141_silently(argv, first, unbuffered):
+    """A 2.8 MB report, or a 0.3 MB apply result, printed in one call meets the
+    closed pipe; with PYTHONUNBUFFERED (python -u) that write is cut short
+    without an error, and the newline that print writes after it raises."""
+    status, err, head = _read_64_bytes_and_close(argv, {"PYTHONUNBUFFERED": unbuffered})
+    assert (status, err) == (141, b"")
+    assert head.startswith(first)
+
+
+# -- the report writer -----------------------------------------------------------
+
+REPORT_LABELS = {"cubic": "cubic  ", "quad": "quad   ", "same_index": "same-index  ",
+                 "distant": "distant     ", "consecutive": "consecutive "}
+
+
+def _report_by_lines(report) -> str:
+    """A report's text printed one line per print call, sections in field
+    order and index pairs in sorted order; a same-index entry i reads (i,i)."""
+    out = io.StringIO()
+    for name, results in vars(report).items():
+        for key, result in sorted(results.items()):
+            i, k = key if isinstance(key, tuple) else (key, key)
+            bad = [c for c, ok in getattr(result, "flags", {}).items() if not ok]
+            detail = f"  (failing coefficients: {', '.join(bad)})" if bad else ""
+            print(f"{REPORT_LABELS[name]}({i},{k}): {'pass' if result else 'FAIL'}{detail}",
+                  file=out)
+    print(f"overall: {'pass' if report.passed else 'FAIL'}", file=out)
+    return out.getvalue()
+
+
+def _kept(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that keeps each value it returns."""
+    compute, kept = getattr(cli, name), []
+    monkeypatch.setattr(cli, name, lambda *args: kept.append(compute(*args)) or kept[-1])
+    return kept
+
+
+def test_family_report_text_matches_one_print_per_line(monkeypatch):
+    """A case1 family at n = 30 whose operator 15 gains u d_2: the cubic pairs
+    next to it name failing coefficients."""
+    build = cli.build_family
+
+    def perturbed(*args):
+        fam = build(*args)
+        op, h = fam[15], SlotPoly.u()
+        ops = list(fam.ops)
+        ops[14] = PDDO(op.T + h, op.Q0 + h)
+        return OperatorFamily(fam.n, tuple(ops))
+
+    monkeypatch.setattr(cli, "build_family", perturbed)
+    reports = _kept(monkeypatch, "family_braid_check")
+    code, out, err = run_quietly(["verify", "--n", "30", "--family", "case1",
+                                  "--params", "1,2,1,2,3", "--output", "text"])
+    assert (code, err) == (1, "")
+    assert out == _report_by_lines(reports[0])
+    assert out.count("failing coefficients") == 2 and len(out.splitlines()) == 28 + 378 + 1
+
+
+def test_commute_report_text_matches_one_print_per_line(monkeypatch):
+    reports = _kept(monkeypatch, "cross_family_commute")
+    code, out, err = run_quietly(["commute", "--n", "30", "--family", "preset:demazure",
+                                  "--family2", "preset:demazure", "--output", "text"])
+    assert (code, err) == (1, "")
+    assert out == _report_by_lines(reports[0])
+    assert "consecutive (1,2): FAIL\n" in out
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):

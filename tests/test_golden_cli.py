@@ -133,6 +133,11 @@ ARGVS = [
     ["verify", "--n", "4", "--family", "case2", "--params", "1,2,1,2", "--lines", "l1,,l1"],
     # A --seed-poly that names a directory: the refusal names the option.
     ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", "."],
+    # A config and a seed file that are not UTF-8, and a --seed-poly too long
+    # to name a file, which is read as inline JSON: each refusal names the option.
+    ["verify", "--n", "4", "--family", "vanq0", "--config", "not_utf8.json"],
+    ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", "not_utf8.json"],
+    ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", "x" * 300],
 ]
 
 

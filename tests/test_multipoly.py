@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidops import field, multipoly
+from braidops.cli import poly_to_json
 from braidops.divdiff import ddiff, dpositive_lift, dpositive_split
 from braidops.field import FieldElement, ONE
 from braidops.multipoly import (
@@ -420,3 +422,51 @@ class TestStoredForm:
             for op in (lambda: c + bad, lambda: c - bad, lambda: c * bad):
                 with pytest.raises(TypeError):
                     op()
+
+
+# -- text: the one term walk against a field-element reference -----------------
+
+# Coefficients with z parts and denominators, and +-1, which str prints without
+# a factor; an empty map is the zero polynomial.
+text_coeffs = qz_coeffs | st.sampled_from([1, -1, "0+1z", "-1/2"]).map(FieldElement.of)
+
+
+def text_polys(n_vars: int):
+    exponent = st.integers(0, 4)
+    return st.dictionaries(st.tuples(*[exponent] * n_vars), text_coeffs, max_size=6)
+
+
+def ref_text(p: MultiPoly, names) -> tuple[str, list[dict]]:
+    """str(p) and poly_to_json(p), from p.terms and str of each field element."""
+    terms = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    parts = []
+    for e, c in terms:
+        body = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k)
+        parts.append(f"({c})" if not body else body if c == ONE else f"({c})*{body}")
+    return " + ".join(parts) or "0", [{"e": list(e), "c": str(c)} for e, c in terms]
+
+
+class TestText:
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), text_polys(n))),
+           text_polys(2))
+    @settings(max_examples=150, deadline=None)
+    def test_str_and_json_match_the_field_element_reference(self, data, s):
+        n, a = data
+        for p, names in ((MultiPoly(n, a), [f"x{k}" for k in range(1, n + 1)]),
+                         (SlotPoly(s), ["u", "v"])):
+            assert (str(p), poly_to_json(p)) == ref_text(p, names)
+
+    def test_str_builds_no_field_element(self, monkeypatch):
+        f = MultiPoly(3, {(2, 0, 1): "-3/4+2/3z", (0, 1, 0): "1", (0, 0, 0): "5/6"})
+        p = SlotPoly({(1, 0): "0-1z", (0, 2): "-1"})
+        expected = [(str(x), poly_to_json(x)) for x in (f, p)]
+
+        def refused(*args):
+            raise AssertionError("a field element was built")
+
+        monkeypatch.setattr(multipoly, "_element", refused)
+        monkeypatch.setattr(FieldElement, "_raw", refused)
+        monkeypatch.setattr(field, "_canonical", refused)
+        assert [(str(x), poly_to_json(x)) for x in (f, p)] == expected
+        assert expected[0][0] == "(-3/4+2/3z)*x1^2*x3 + x2 + (5/6)"
+        assert expected[1][0] == "(-1)*v^2 + (0-1z)*u"
