@@ -102,17 +102,21 @@ class FieldElement:
     # Arithmetic with an operand that `of` cannot coerce, such as a
     # polynomial, returns NotImplemented, so that Python asks the operand.
 
-    def __add__(self, other) -> "FieldElement":
+    def _sum(self, other, sign: int) -> "FieldElement":
+        """self + sign * other; NotImplemented when other cannot be coerced."""
         try:
             other = FieldElement.of(other)
         except TypeError:
             return NotImplemented
         d, e = self._d, other._d
         if d == e:
-            return _raw(self._a + other._a, self._b + other._b, d)
+            return _raw(self._a + sign * other._a, self._b + sign * other._b, d)
         return _raw(
-            self._a * e + other._a * d, self._b * e + other._b * d, d * e
+            self._a * e + sign * other._a * d, self._b * e + sign * other._b * d, d * e
         )
+
+    def __add__(self, other) -> "FieldElement":
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -120,16 +124,7 @@ class FieldElement:
         return _canonical(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "FieldElement":
-        try:
-            other = FieldElement.of(other)
-        except TypeError:
-            return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _raw(self._a - other._a, self._b - other._b, d)
-        return _raw(
-            self._a * e - other._a * d, self._b * e - other._b * d, d * e
-        )
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "FieldElement":
         return FieldElement.of(other) - self

@@ -9,9 +9,11 @@ be instantiated at any ordered pair of variables; it carries the coefficient
 polynomials of the operators built in :mod:`braidops.pddo`.  Term order for
 printing and leading terms is graded lexicographic.
 
-Sums, products, divided differences (one loop, ``_ddiff_pairs``), operator
-applications (``_apply``) and the slot moves work on the stored integers and
-end with at most one gcd pass over the result (``_normal``); stored pairs are
+Sums, products, operator applications and the slot moves work on the stored
+integers and end with at most one gcd pass over the result (``_normal``).
+``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
+(Q0, R0) = (1, 0); it runs the two-variable kernel ``_ddiff_pairs`` on each
+slice of f, as ``SlotPoly.ddiff`` does on its own map.  Stored pairs are
 tuples, shared between polynomials and never changed.  Field elements are
 built only where a coefficient is read out as a value: ``terms``,
 ``constant_value``, ``evaluate`` and the long division of ``exact_div``.  A
@@ -151,23 +153,20 @@ def _divide_terms(f: Mapping, g: Mapping) -> dict:
     return quo
 
 
-def _ddiff_pairs(num: Mapping, k: int) -> dict:
-    """d in exponent positions k, k + 1 (variables x, y) of a numerator map,
-    as (e[:k], e[k + 2:]) -> {(x, y exponents): [a, b]} over the same
-    denominator, from d(x^r y^s) = sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s,
-    d antisymmetric."""
+def _ddiff_pairs(pairs: Mapping) -> dict:
+    """d of a two-variable numerator map {(x, y exponents): (a, b)}, as
+    {(x, y): [a, b]} over the same denominator, from d(x^r y^s) =
+    sum_{l=s}^{r-1} x^l y^{r+s-1-l} for r > s, d antisymmetric."""
     acc: dict = {}
-    for e, (a, b) in num.items():
-        r, s = e[k], e[k + 1]
+    for (r, s), (a, b) in pairs.items():
         if r == s:
             continue
         lo, hi, a, b = (s, r, a, b) if r > s else (r, s, -a, -b)
-        pairs = acc.setdefault((e[:k], e[k + 2:]), {})
         for l in range(lo, hi):
             key = (l, lo + hi - 1 - l)
-            pair = pairs.get(key)
+            pair = acc.get(key)
             if pair is None:
-                pairs[key] = [a, b]
+                acc[key] = [a, b]
             else:
                 pair[0] += a
                 pair[1] += b
@@ -177,29 +176,35 @@ def _ddiff_pairs(num: Mapping, k: int) -> dict:
 def _apply(f: "MultiPoly", k: int, q0: "SlotPoly", r0: "SlotPoly") -> "MultiPoly":
     """Q0(x, y) d f + R0(x, y) f for slot polynomials q0, r0 placed at exponent
     positions k, k + 1 (variables x, y), accumulated in integers over one
-    denominator."""
+    denominator.  f is split once by the exponents outside the two positions.
+    Each two-variable slice goes through _ddiff_pairs and is summed in its two
+    variables, since its terms stay in it; a zero q0 or r0 skips its pass."""
     dq, dr = q0._den, r0._den
     den = dq // gcd(dq, dr) * dr
     kq, kr = den // dq, den // dr
-    sq = [(u, v, a * kq, b * kq) for (u, v), (a, b) in q0._num.items()]
-    sr = [(u, v, a * kr, b * kr) for (u, v), (a, b) in r0._num.items()]
-    f_groups: dict = {}
+    sq = [(u, v, a * kq, b * kq, (a + b) * kq) for (u, v), (a, b) in q0._num.items()]
+    sr = [(u, v, a * kr, b * kr, (a + b) * kr) for (u, v), (a, b) in r0._num.items()]
+    slices: dict = {}
     for e, pair in f._num.items():
-        f_groups.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = pair
-    acc: dict = {}
-    for slots, groups in ((sq, _ddiff_pairs(f._num, k) if sq else {}), (sr, f_groups)):
-        for (head, tail), pairs in groups.items():
-            for (x, y), (a, b) in pairs.items():
+        slices.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = pair
+    num: dict = {}
+    for (head, tail), pairs in slices.items():
+        acc: dict = {}
+        for slots, terms in ((sq, _ddiff_pairs(pairs) if sq else {}), (sr, pairs if sr else {})):
+            for (x, y), (a, b) in terms.items():
                 # (a + b z)(c + g z) with z^2 = z - 1, as in _mul_pairs.
-                for u, v, c, g in slots:
-                    key = head + (x + u, y + v) + tail
+                for u, v, c, g, cg in slots:
+                    key = (x + u, y + v)
                     pair = acc.get(key)
                     if pair is None:
-                        acc[key] = [a * c - b * g, a * g + b * (c + g)]
+                        acc[key] = [a * c - b * g, a * g + b * cg]
                     else:
                         pair[0] += a * c - b * g
-                        pair[1] += a * g + b * (c + g)
-    return MultiPoly._normal(f.n_vars, _nonzero(acc), f._den * den)
+                        pair[1] += a * g + b * cg
+        for xy, (a, b) in acc.items():
+            if a or b:
+                num[head + xy + tail] = (a, b)
+    return type(f)._normal(f.n_vars, num, f._den * den)
 
 
 def _nonzero(acc: Mapping) -> dict:
@@ -403,13 +408,6 @@ class MultiPoly:
         num = {e: (a * ca - b * cb, a * cb + b * cs) for e, (a, b) in self._num.items()}
         return type(self)._normal(self.n_vars, num, self._den * c._d)
 
-    def _ddiff(self, k: int) -> "MultiPoly":
-        """The divided difference in exponent positions k, k + 1."""
-        num = {head + xy + tail: (a, b)
-               for (head, tail), pairs in _ddiff_pairs(self._num, k).items()
-               for xy, (a, b) in pairs.items() if a or b}
-        return type(self)._normal(self.n_vars, num, self._den)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.is_constant() and self.constant_value() == other
@@ -514,7 +512,7 @@ class SlotPoly(MultiPoly):
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
-        return self._ddiff(0)
+        return SlotPoly._normal(2, _nonzero(_ddiff_pairs(self._num)), self._den)
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return exact_div(self, g)

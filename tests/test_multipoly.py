@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from braidops import field, multipoly
 from braidops.cli import poly_to_json
 from braidops.divdiff import ddiff, dpositive_lift, dpositive_split
+from braidops.families import preset
 from braidops.field import FieldElement, ONE
 from braidops.multipoly import (
     DimensionMismatchError,
@@ -292,6 +293,7 @@ class TestStoredForm:
         n, a, b, h = data
         f, g, k = (MultiPoly(n, t) for t in (a, b, h))
         before = [_snapshot(p) for p in (f, g, k)]
+        m = n // 2  # x_m, x_{m+1} have variables on both sides once n >= 4
         cases = [
             (f, _clean(a)),
             (f + g, ref_sum(a, b)),
@@ -307,6 +309,8 @@ class TestStoredForm:
             (swap_vars(f, n - 1), ref_swap(_clean(a), n - 2)),
             (ddiff(f, 1), ref_ddiff(a, 0)),
             (ddiff(f * g, n - 1), ref_ddiff(ref_mul(a, b), n - 2)),
+            (ddiff(f, m), ref_ddiff(a, m - 1)),
+            (preset("pure_ddiff", n)[m].apply(m, f), ref_ddiff(a, m - 1)),
         ]
         for result, expected in cases:
             assert type(result) is MultiPoly and result.n_vars == n
