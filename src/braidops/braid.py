@@ -113,7 +113,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
                       lambda: at(T - Tt, 2, 3)),
         "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * q_xz,
                       lambda: at(T - Tt, 1, 2)),
-        "s_sigma_s_f": (False, lambda: -xy * yz, lambda: sub(*_almost_products(Q, Qt))),
+        "s_sigma_s_f": (False, lambda: -xy * yz, lambda: sub(*_almost_products(
+            q_xy, q_xz, at(Q, 2, 3), at(Qt, 1, 2), qt_xz, qt_yz))),
     }
 
 
@@ -170,14 +171,14 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
     """
     if q.is_zero() or qt.is_zero():
         raise ValueError("almost_equal requires nonzero inputs")
-    lhs, rhs = _almost_products(q, qt)
+    lhs, rhs = _almost_products(
+        *(instantiate(p, i, j, 3) for p in (q, qt) for i, j in ((1, 2), (1, 3), (2, 3))))
     return lhs == rhs  # cheaper than lhs - rhs when the term counts differ
 
 
-def _almost_products(q: SlotPoly, qt: SlotPoly) -> tuple[MultiPoly, MultiPoly]:
-    """The sides q(x,y) qt(x,z) q(y,z) and qt(x,y) q(x,z) qt(y,z) of almost-equality."""
-    (q_xy, q_xz, q_yz), (qt_xy, qt_xz, qt_yz) = (
-        [instantiate(p, i, j, 3) for i, j in ((1, 2), (1, 3), (2, 3))] for p in (q, qt))
+def _almost_products(q_xy, q_xz, q_yz, qt_xy, qt_xz, qt_yz) -> tuple[MultiPoly, MultiPoly]:
+    """The sides q(x,y) qt(x,z) q(y,z) and qt(x,y) q(x,z) qt(y,z) of
+    almost-equality, from q and qt placed at the three variable pairs."""
     return q_xy * qt_xz * q_yz, qt_xy * q_xz * qt_yz
 
 

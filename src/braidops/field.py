@@ -3,16 +3,18 @@
 z is a primitive sixth root of unity; its conjugate is 1 - z.  An element is
 stored as three Python ints (a, b, d) meaning (a + b z)/d, in canonical form:
 d > 0 and gcd(a, b, d) = 1.  With z^2 always reduced to z - 1 the form is
-unique, so equality compares the three ints.  Every operation is an integer
-formula followed by at most one gcd (``FieldElement._raw``).  Polynomials
-(:mod:`braidops.multipoly`) do not hold field elements: they store the same
-integers, a pair (a, b) per term over one denominator per polynomial, and
-call ``_raw`` only where a coefficient is read out as a value.  A polynomial
-becomes text through its one term walk, ``MultiPoly._printed_terms``, which
-prints each stored pair through ``_text``, the formatter of ``str``, with no
-element at all.  The rational part a/d and the z coefficient b/d are read as
-Fractions through ``rat_part`` and ``zeta_part``; an element is never changed
-after construction.
+unique, so equality compares the three ints.  Every operation is one integer
+formula followed by one gcd (``FieldElement._raw``), with no shortcut for
+equal or unit denominators: field arithmetic is scalar work, so a branch
+would save nothing measurable.  Polynomials (:mod:`braidops.multipoly`) do
+not hold field elements: they store the same integers, a pair (a, b) per
+term over one denominator per polynomial, and call ``_raw`` only where a
+coefficient is read out as a value.  A polynomial becomes text through its
+one term walk, ``MultiPoly._printed_terms``, which prints each stored pair
+through ``_text``, the formatter of ``str``, with no element at all.  The
+rational part a/d and the z coefficient b/d are read as Fractions through
+``rat_part`` and ``zeta_part``; an element is never changed after
+construction.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ class FieldElement:
 
     def __init__(self, rat_part, zeta_part):
         """From two ints or Fractions p/q and r/s, as (p s + r q z)/(q s)."""
+        if not (isinstance(rat_part, (int, Fraction)) and isinstance(zeta_part, (int, Fraction))):
+            raise TypeError(f"parts must be ints or Fractions: {rat_part!r}, {zeta_part!r}")
         p, q = rat_part.as_integer_ratio()
         r, s = zeta_part.as_integer_ratio()
         x = _raw(p * s, r * q, q * s)
@@ -43,15 +47,8 @@ class FieldElement:
     @staticmethod
     def _raw(a: int, b: int, d: int) -> "FieldElement":
         """(a + b z)/d for any ints with d != 0, brought to canonical form."""
-        if d < 0:
-            a, b, d = -a, -b, -d
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        return _canonical(a, b, d)
+        g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+        return _canonical(a // g, b // g, d // g)
 
     @property
     def rat_part(self) -> Fraction:
@@ -109,11 +106,7 @@ class FieldElement:
         except TypeError:
             return NotImplemented
         d, e = self._d, other._d
-        if d == e:
-            return _raw(self._a + sign * other._a, self._b + sign * other._b, d)
-        return _raw(
-            self._a * e + sign * other._a * d, self._b * e + sign * other._b * d, d * e
-        )
+        return _raw(self._a * e + sign * other._a * d, self._b * e + sign * other._b * d, d * e)
 
     def __add__(self, other) -> "FieldElement":
         return self._sum(other, 1)

@@ -71,6 +71,8 @@ def _pairs(n_vars: int, terms: Mapping) -> tuple[dict, int]:
     for e, c in terms.items():
         if len(e) != n_vars:
             raise ValueError(f"exponent vector {e} does not have {n_vars} entries")
+        if not all(type(k) is int and k >= 0 for k in e):
+            raise ValueError(f"exponent vector {e} has an entry that is not an int >= 0")
         if type(c) is not FieldElement:
             c = FieldElement.of(c)
         a, b, d = c._a, c._b, c._d
@@ -387,26 +389,17 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __neg__(self) -> "MultiPoly":
-        num = {e: (-a, -b) for e, (a, b) in self._num.items()}
-        return type(self)._wrap(self.n_vars, num, self._den)
+        return self * -1
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        if not self._num or not other._num:
-            return type(self)._wrap(self.n_vars, {}, 1)
         acc = _mul_pairs(self._num, other._num, self.n_vars)
         return type(self)._normal(self.n_vars, _nonzero(acc), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = FieldElement.of(c)
-        if not c:
-            return type(self)._wrap(self.n_vars, {}, 1)
-        ca, cb = c._a, c._b
-        cs = ca + cb
-        num = {e: (a * ca - b * cb, a * cb + b * cs) for e, (a, b) in self._num.items()}
-        return type(self)._normal(self.n_vars, num, self._den * c._d)
+        return self * c
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, FieldElement)):

@@ -8,7 +8,9 @@ T = P + (u - v)R + Q = Q0 + (u - v)R0, so T is a product and every operator
 built inside the library, and its action, needs no polynomial division.  The
 public constructor PDDO(T, Q0) checks outside input and recovers
 R0 = (T - Q0)/(u - v) by the one-sided quotient, also without long division:
-T - Q0 is divisible exactly when it vanishes at u = v.
+T - Q0 is divisible exactly when it vanishes at u = v.  An operator is fixed
+by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so composition and
+the Hecke parameters are read off ``apply`` with no product formula of their own.
 """
 
 from __future__ import annotations
@@ -150,21 +152,21 @@ class PDDO:
         )
 
     def compose(self, other: "PDDO") -> "PDDO":
-        """The operator f |-> self(other(f)), same index on both."""
-        q1, r1 = self.Q0, self.R0
-        q2, r2 = other.Q0, other.R0
-        q = q1 * q2.ddiff() + r1 * q2 + q1 * r2.swap()
-        r = q1 * r2.ddiff() + r1 * r2
-        return PDDO.from_q0_r0(q, r)
+        """The operator f |-> self(other(f)), same index on both, read off the
+        action.  With pi = self and other = Q0~ d + R0~, d(Q0~ d f) = d(Q0~) d f
+        and d(R0~ f) = d(R0~) f + swap(R0~) d f, so the composite has
+        Q0 = pi(Q0~) + Q0 swap(R0~) and R0 = pi(R0~), its value at 1."""
+        return PDDO.from_q0_r0(self.apply(1, other.Q0) + self.Q0 * other.R0.swap(),
+                               self.apply(1, other.R0))
 
     def hecke_params(self) -> tuple[FieldElement, FieldElement] | None:
         """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.
 
-        op o op is f |-> Q0 d(T) d f + (Q0 d(R0) + R0^2) f.  When Q0 != 0 the
-        relation holds iff mu = d(T) and nu = Q0 d(R0) + (R0 - mu) R0 are
-        both constant; for T = 0 these are mu = 0 and nu = R0 swap(R0), which
-        is constant iff R0 is.  When Q0 = 0 the operator is multiplication by R0,
-        which satisfies one iff R0 = r is constant, and then op^2 = r * op.
+        When Q0 != 0, op o op has Q0 d(T) for its Q0 (see compose), so mu must
+        be d(T), and at 1, where op(1) = R0, the relation reads op(R0) = mu R0
+        + nu: it holds iff d(T) and nu = op(R0) - mu R0 are both constant.  When
+        Q0 = 0 the operator is multiplication by R0, which satisfies one iff
+        R0 = r is constant, and then op^2 = r * op.
         """
         if not self.Q0:
             if self.R0.is_constant():
@@ -174,7 +176,7 @@ class PDDO:
         if not dt.is_constant():
             return None
         mu = dt.constant_value()
-        nu = self.Q0 * self.R0.ddiff() + (self.R0 - mu) * self.R0
+        nu = self.apply(1, self.R0) - self.R0 * mu
         if not nu.is_constant():
             return None
         return mu, nu.constant_value()

@@ -21,6 +21,7 @@ from braidops.commute import CommuteReport
 from braidops.families import (
     Case2Line,
     OperatorFamily,
+    case1_operator,
     main_case1,
     main_case2,
     preset,
@@ -54,6 +55,23 @@ class TestCubicCheck:
             report = cubic_braid_check(fam[1], fam[2])
             assert report.passed, (name, report.flags)
             assert report.failure is None
+
+    def test_each_slot_polynomial_is_placed_once(self, monkeypatch):
+        """The almost-equality products reuse the placements that the other
+        differences built: 14 instantiate calls for a braiding pair of two
+        distinct, equal operators, none repeated."""
+        calls = []
+        real = braid.instantiate
+
+        def counting(p, i, j, n):
+            calls.append((p, i, j))
+            return real(p, i, j, n)
+
+        monkeypatch.setattr(braid, "instantiate", counting)
+        pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)
+        assert cubic_braid_check(pi, varpi).passed
+        assert len(calls) == 14
+        assert len({(id(p), i, j) for p, i, j in calls}) == 14
 
     def test_failure_reports_a_witness(self):
         good = preset("demazure", 3)[1]

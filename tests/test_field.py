@@ -39,6 +39,18 @@ class TestBasics:
         with pytest.raises(TypeError):
             FieldElement.of(0.5)
 
+    def test_constructor_rejects_floats(self):
+        for parts in ((0.1, 0), (0, 0.5), (Fraction(1, 2), 1.0)):
+            with pytest.raises(TypeError):
+                FieldElement(*parts)
+
+    def test_raw_brings_any_denominator_to_canonical_form(self):
+        cases = [((3, -6, -9), (-1, 2, 3)), ((4, 6, 1), (4, 6, 1)),
+                 ((6, 10, 4), (3, 5, 2)), ((0, 0, -7), (0, 0, 1)), ((-2, 4, -2), (1, -2, 1))]
+        for raw, canonical in cases:
+            x = FieldElement._raw(*raw)
+            assert (x._a, x._b, x._d) == canonical
+
     def test_parse_rejects_garbage(self):
         for bad in ("", "z", "1+z", "1/0", "1+1/0z", "1.5", "one"):
             with pytest.raises(ValueError):

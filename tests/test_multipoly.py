@@ -1,5 +1,6 @@
 """Tests for sparse multivariate polynomials and bivariate slot templates."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -70,6 +71,13 @@ class TestMultiPoly:
         z = FieldElement.parse("1-2z")
         assert MultiPoly.const(4, z) == z and hash(MultiPoly.const(4, z)) == hash(z)
         assert len({MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)}) == 2
+
+    def test_exponents_must_be_non_negative_ints(self):
+        for n, e in ((1, (2.0,)), (2, (1, -1)), (2, (True, 0)), (3, (0, 1, "2"))):
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                MultiPoly(n, {e: 1})
+        with pytest.raises(ValueError, match=re.escape("(0, -1)")):
+            SlotPoly({(0, -1): 1})
 
     def test_immutable(self):
         p = MultiPoly.variable(2, 1)
@@ -362,6 +370,19 @@ class TestStoredForm:
             assert_canonical(result)
             assert result.terms == expected
         assert [_snapshot(x) for x in (p, q, r, f)] == before
+
+    @given(operands(1), term_maps(2), qz_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_scale_and_negation_match_the_reference(self, data, s, c):
+        """scale and unary minus are products with a constant, zero included."""
+        n, a = data
+        for p, terms in ((MultiPoly(n, a), a), (SlotPoly(s), s), (MultiPoly.zero(n), {})):
+            for k in (c, FieldElement.of(0), -1):
+                result = p.scale(k)
+                assert type(result) is type(p)
+                assert_canonical(result)
+                assert result.terms == _clean({e: x * k for e, x in terms.items()})
+            assert type(-p) is type(p) and (-p).terms == p.scale(-1).terms
 
     @given(operands(1), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)

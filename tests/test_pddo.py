@@ -94,6 +94,11 @@ class TestInvariants:
         with pytest.raises(InexactDivisionError):
             PDDO(U, ZERO_P)  # T - Q0 = u is not divisible by u - v
 
+    def test_negative_exponents_rejected(self):
+        """u^-1 and v^-1 would give R0 = 0 with T != Q0 + (u - v)R0."""
+        with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+            PDDO(SlotPoly({(-1, 0): 1}), SlotPoly({(0, -1): 1}))
+
     @given(qz_slotpolys, qz_slotpolys, qz_slotpolys, st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_r0_matches_long_division(self, t, q0, h, divisible):
@@ -324,6 +329,62 @@ class TestAlgebra:
         assert (op1 + op2).apply(1, f) == op1.apply(1, f) + op2.apply(1, f)
         assert (op1 - op2).apply(1, f) == op1.apply(1, f) - op2.apply(1, f)
         assert op1.scale(3).apply(1, f) == op1.apply(1, f).scale(3)
+
+
+# Q(z) operators with zero Q0 or R0 drawn as often as nonzero ones, and ones
+# with linear Q0 and constant R0, which satisfy a Hecke relation.
+qz_slots_or_zero = st.one_of(st.just(ZERO_P), qz_slotpolys)
+qz_ops = st.one_of(
+    st.builds(PDDO.from_q0_r0, qz_slots_or_zero, qz_slots_or_zero),
+    st.builds(lambda a, b, c, r: PDDO.from_q0_r0(U * a + V * b + c, SlotPoly.const(r)),
+              qz_coeffs, qz_coeffs, qz_coeffs, qz_coeffs),
+)
+
+
+def product_formula_compose(op1: PDDO, op2: PDDO) -> PDDO:
+    """The composite by the expanded product formula, d(g h) = d(g) h +
+    swap(g) d(h) with d of a symmetric polynomial zero."""
+    q1, r1, q2, r2 = op1.Q0, op1.R0, op2.Q0, op2.R0
+    return PDDO.from_q0_r0(q1 * q2.ddiff() + r1 * q2 + q1 * r2.swap(),
+                           q1 * r2.ddiff() + r1 * r2)
+
+
+def product_formula_hecke(op: PDDO):
+    """(mu, nu) with mu = d(T) and nu = Q0 d(R0) + (R0 - mu) R0, expanded."""
+    if not op.Q0:
+        return (op.R0.constant_value(), ZERO) if op.R0.is_constant() else None
+    dt = op.T.ddiff()
+    if not dt.is_constant():
+        return None
+    mu = dt.constant_value()
+    nu = op.Q0 * op.R0.ddiff() + (op.R0 - mu) * op.R0
+    return (mu, nu.constant_value()) if nu.is_constant() else None
+
+
+class TestReadOffTheAction:
+    """compose and hecke_params are read off apply; the expanded product
+    formulas they replaced are the oracles."""
+
+    @given(qz_ops, qz_ops, qz_polys(3))
+    @settings(max_examples=80, deadline=None)
+    def test_compose_matches_the_product_formula(self, op1, op2, f):
+        composed = op1.compose(op2)
+        assert composed == product_formula_compose(op1, op2)
+        for i in (1, 2):
+            assert composed.apply(i, f) == op1.apply(i, op2.apply(i, f))
+
+    @given(qz_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_hecke_params_match_the_product_formula(self, op):
+        params = op.hecke_params()
+        assert params == product_formula_hecke(op)
+        if params is not None:
+            mu, nu = params
+            assert op.compose(op) == op.scale(mu) + identity_op(nu)
+
+    def test_linear_q0_and_constant_r0_satisfy_a_relation(self):
+        op = PDDO.from_q0_r0(U * 2 - V + FieldElement.zeta(), SlotPoly.const(3))
+        assert op.hecke_params() == (FieldElement.of(9), FieldElement.of(-18))
 
 
 class TestHecke:
