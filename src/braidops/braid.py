@@ -76,6 +76,11 @@ class CubicReport(Report):
     failure: tuple[str, MultiPoly] | None = None
 
 
+# x - y, x - z and y - z in Q(z)[x, y, z], built once for every cubic check.
+_XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
+                 for i, j in ((1, 2), (1, 3), (2, 3)))
+
+
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (known to vanish, factor, reduced difference), the last
@@ -87,11 +92,7 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
         return instantiate(p, i, j, n)
 
-    x = MultiPoly.variable(n, 1)
-    y = MultiPoly.variable(n, 2)
-    z = MultiPoly.variable(n, 3)
-    xy, xz, yz = x - y, x - z, y - z
-
+    xy, xz, yz = _XY, _XZ, _YZ
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     t_xy, t_yx, t_xz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3)

@@ -49,7 +49,8 @@ class DimensionMismatchError(ValueError):
 
 
 class InexactDivisionError(ArithmeticError):
-    """exact_div was called with a divisor that leaves a remainder."""
+    """exact_div was called with a divisor that leaves a remainder, or
+    PDDO(T, Q0) with T - Q0 not divisible by u - v."""
 
 
 def _grlex(exponents: tuple[int, ...]) -> tuple:
@@ -511,23 +512,12 @@ class SlotPoly(MultiPoly):
         return exact_div(self, g)
 
     def _over_u_minus_v(self) -> "SlotPoly":
-        """self/(u - v) without long division; raises InexactDivisionError
-        unless self(v, v) = 0.
-
-        u^r v^s = v^s (u^r - v^r) + v^(r+s), so p = sum c_rs v^s (u^r - v^r)
-        / (u - v) * (u - v) + p(v, v), and when p(v, v) = 0 the quotient is
-        sum c_rs sum_{l<r} u^l v^(r-1-l+s).  One pass gives both the quotient
-        and the coefficients of p(v, v), summed per total degree r + s.
-        """
+        """The one-sided quotient of self by u - v, without long division and
+        with no check of its own: u^r v^s = v^s (u^r - v^r) + v^(r+s), so
+        p = (u - v) sum c_rs sum_{l<r} u^l v^(r-1-l+s) + p(v, v), and the sum
+        is p/(u - v) exactly when p(v, v) = 0."""
         acc: dict = {}
-        diagonal: dict = {}
         for (r, s), (a, b) in self._num.items():
-            pair = diagonal.get(r + s)
-            if pair is None:
-                diagonal[r + s] = [a, b]
-            else:
-                pair[0] += a
-                pair[1] += b
             for l in range(r):
                 key = (l, r - 1 - l + s)
                 pair = acc.get(key)
@@ -536,8 +526,6 @@ class SlotPoly(MultiPoly):
                 else:
                     pair[0] += a
                     pair[1] += b
-        if any(a or b for a, b in diagonal.values()):
-            raise InexactDivisionError("nonzero remainder in exact division")
         # In descending term order, as long division yields its quotient.
         num = {e: (a, b) for e in sorted(acc, key=_grlex, reverse=True)
                for a, b in (acc[e],) if a or b}

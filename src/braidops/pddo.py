@@ -1,16 +1,15 @@
 """Polynomial divided difference operators.
 
-An operator f |-> d_i(P f) + Q d_i f + R f + S s_i f is kept in its first
-canonical form, Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f, with
-Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
+An operator f |-> d_i(P f) + Q d_i f + R f + S s_i f is stored as its first
+canonical form, the pair (Q0, R0) of Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f,
+with Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
 (T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}) with
-T = P + (u - v)R + Q = Q0 + (u - v)R0, so T is a product and every operator
-built inside the library, and its action, needs no polynomial division.  The
-public constructor PDDO(T, Q0) checks outside input and recovers
-R0 = (T - Q0)/(u - v) by the one-sided quotient, also without long division:
-T - Q0 is divisible exactly when it vanishes at u = v.  An operator is fixed
-by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so composition and
-the Hecke parameters are read off ``apply`` with no product formula of their own.
+T = P + (u - v)R + Q = Q0 + (u - v)R0, read off the pair.  The public
+constructor PDDO(T, Q0) checks outside input: R0 is the one-sided quotient of
+T - Q0 by u - v, found without long division, and T must equal Q0 + (u - v)R0.
+An operator is fixed by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so
+composition and the Hecke parameters are read off ``apply`` with no product
+formula of their own.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _apply
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
 _UV = SlotPoly.u() - SlotPoly.v()
+_set = object.__setattr__
 
 
 class Degeneracy(Enum):
@@ -53,34 +53,36 @@ class CanonicalForms:
 
 
 class PDDO:
-    """One polynomial divided difference operator in the first canonical
-    form (Q0, R0), with T = Q0 + (u - v)R0; compared and hashed by (T, Q0)."""
+    """One polynomial divided difference operator, stored as its first
+    canonical form (Q0, R0) and compared and hashed by it; T = Q0 + (u - v)R0
+    is read off the pair."""
 
-    __slots__ = ("T", "Q0", "R0")
+    __slots__ = ("Q0", "R0")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
-        """Build from outside (T, Q0); T - Q0 must vanish at u = v, so that
-        it is divisible by u - v."""
-        try:
-            R0 = (T - Q0)._over_u_minus_v()
-        except InexactDivisionError as exc:
+        """Build from outside (T, Q0), two SlotPolys; Q0 + (u - v)R0 gives T
+        back exactly when T - Q0 vanishes at u = v."""
+        for name, value in (("T", T), ("Q0", Q0)):
+            if not isinstance(value, SlotPoly):
+                raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")
+        _set(self, "Q0", Q0)
+        _set(self, "R0", (T - Q0)._over_u_minus_v())
+        if self.T != T:
             raise InexactDivisionError(
-                "T - Q0 must be divisible by u - v; corrupted operator data"
-            ) from exc
-        self._fill(T, Q0, R0)
-
-    def _fill(self, T: SlotPoly, Q0: SlotPoly, R0: SlotPoly) -> None:
-        for name, value in zip(PDDO.__slots__, (T, Q0, R0)):
-            object.__setattr__(self, name, value)
+                "T - Q0 must be divisible by u - v; corrupted operator data")
 
     def __setattr__(self, *args):
         raise AttributeError("PDDO is immutable")
 
     @property
+    def T(self) -> SlotPoly:
+        return self.Q0 + _UV * self.R0
+
+    @property
     def degeneracy(self) -> Degeneracy:
         if self.Q0:
             return Degeneracy.NONDEGENERATE if self.T else Degeneracy.T_ZERO
-        return Degeneracy.Q_ZERO if self.T else Degeneracy.ZERO
+        return Degeneracy.Q_ZERO if self.R0 else Degeneracy.ZERO  # T = (u - v)R0
 
     # -- constructors ------------------------------------------------------
 
@@ -93,7 +95,8 @@ class PDDO:
     def from_q0_r0(cls, Q0: SlotPoly, R0: SlotPoly) -> "PDDO":
         """The operator f |-> Q0 d f + R0 f."""
         op = object.__new__(cls)
-        op._fill(Q0 + _UV * R0, Q0, R0)
+        _set(op, "Q0", Q0)
+        _set(op, "R0", R0)
         return op
 
     @classmethod
@@ -103,9 +106,13 @@ class PDDO:
     # -- operator algebra --------------------------------------------------
 
     def __add__(self, other: "PDDO") -> "PDDO":
+        if not isinstance(other, PDDO):
+            return NotImplemented
         return PDDO.from_q0_r0(self.Q0 + other.Q0, self.R0 + other.R0)
 
     def __sub__(self, other: "PDDO") -> "PDDO":
+        if not isinstance(other, PDDO):
+            return NotImplemented
         return PDDO.from_q0_r0(self.Q0 - other.Q0, self.R0 - other.R0)
 
     def scale(self, c) -> "PDDO":
@@ -115,10 +122,10 @@ class PDDO:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PDDO):
             return NotImplemented
-        return self.T == other.T and self.Q0 == other.Q0
+        return self.Q0 == other.Q0 and self.R0 == other.R0
 
     def __hash__(self) -> int:
-        return hash((self.T, self.Q0))
+        return hash((self.Q0, self.R0))
 
     def __repr__(self) -> str:
         return f"PDDO(T={self.T}, Q0={self.Q0})"

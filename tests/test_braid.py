@@ -211,6 +211,23 @@ class TestFamilyCheck:
         )
         assert family_braid_check(fam).passed
 
+    def test_cubic_check_builds_no_variable_per_call(self, monkeypatch):
+        """x - y, x - z and y - z are module constants: checking a family
+        builds no variable polynomial."""
+        fam = main_case2(
+            5, 1, 2, 1, 2, [Case2Line.LINE1, Case2Line.LINE4, Case2Line.LINE2, Case2Line.LINE3]
+        )
+        calls = []
+        real = MultiPoly.variable
+
+        def counting(n_vars, i):
+            calls.append((n_vars, i))
+            return real(n_vars, i)
+
+        monkeypatch.setattr(MultiPoly, "variable", staticmethod(counting))
+        assert family_braid_check(fam).passed
+        assert calls == []
+
     @staticmethod
     def counting(monkeypatch):
         calls = []

@@ -59,6 +59,7 @@ U = SlotPoly.u()
 V = SlotPoly.v()
 ONE_P = SlotPoly.const(1)
 ZERO_P = SlotPoly.zero()
+qz_slots_or_zero = st.one_of(st.just(ZERO_P), qz_slotpolys)
 
 
 def demazure() -> PDDO:
@@ -116,6 +117,50 @@ class TestInvariants:
         r0 = PDDO(t, q0).R0
         assert r0 == expected
         assert list(r0.terms.items()) == list(expected.terms.items())
+
+    @given(qz_slots_or_zero, qz_slots_or_zero, qz_slots_or_zero)
+    @settings(max_examples=150, deadline=None)
+    def test_stored_pair_round_trips(self, q0, r0, bump):
+        """An operator is its pair (Q0, R0): T is read off it, PDDO(T, Q0)
+        gives the same pair back, and refuses exactly the (T, Q0) whose
+        difference u - v does not divide."""
+        op = PDDO.from_q0_r0(q0, r0)
+        assert op.T == q0 + (U - V) * r0
+        rebuilt = PDDO(op.T, op.Q0)
+        assert rebuilt == op and hash(rebuilt) == hash(op)
+        t = op.T + bump
+        try:
+            exact_div(t - q0, U - V)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError, match="corrupted operator data"):
+                PDDO(t, q0)
+        else:
+            assert PDDO(t, q0).T == t
+
+    def test_from_q0_r0_runs_no_slot_arithmetic(self, monkeypatch):
+        q0, r0 = U * V - ONE_P, V.scale(FieldElement.zeta())
+
+        def refuse(*args):
+            raise AssertionError("slot arithmetic in from_q0_r0")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+            monkeypatch.setattr(SlotPoly, name, refuse)
+        op = PDDO.from_q0_r0(q0, r0)
+        assert op.Q0 is q0 and op.R0 is r0
+
+    def test_constructor_refuses_what_is_not_a_slot_polynomial(self):
+        with pytest.raises(TypeError, match="Q0 must be a SlotPoly, not int"):
+            PDDO(SlotPoly.const(3), 3)
+        with pytest.raises(TypeError, match="T must be a SlotPoly, not MultiPoly"):
+            PDDO(MultiPoly.monomial(2, (1, 0)), ZERO_P)
+
+    def test_sum_refuses_what_is_not_an_operator(self):
+        op = demazure()
+        for other in (1, ONE_P):
+            for combine in (lambda: op + other, lambda: other + op,
+                            lambda: op - other, lambda: other - op):
+                with pytest.raises(TypeError):
+                    combine()
 
     def test_immutable_and_hashable(self):
         op = demazure()
@@ -333,7 +378,6 @@ class TestAlgebra:
 
 # Q(z) operators with zero Q0 or R0 drawn as often as nonzero ones, and ones
 # with linear Q0 and constant R0, which satisfy a Hecke relation.
-qz_slots_or_zero = st.one_of(st.just(ZERO_P), qz_slotpolys)
 qz_ops = st.one_of(
     st.builds(PDDO.from_q0_r0, qz_slots_or_zero, qz_slots_or_zero),
     st.builds(lambda a, b, c, r: PDDO.from_q0_r0(U * a + V * b + c, SlotPoly.const(r)),
