@@ -19,24 +19,39 @@ sf          -(y-z) q_xy           B - tt_xz ((y-z) t_yx + (x-y) tt_yz)
 sigma_f     -(x-y) qt_yz          t_xz ((y-z) t_xy + (x-y) tt_zy) - B
 s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz
 sigma_s_f   (x-y)(y-z) qt_yz q_xz t_xy - tt_xy
-s_sigma_s_f -(x-y)(y-z)           q_xy qt_xz q_yz - qt_xy q_xz qt_yz
+s_sigma_s_f -(x-y)(y-z)           q_xy qt_xz q_yz - qt_xy q_xz qt_yz,
+                                  zero exactly when q and qt are almost equal
+                                  (decided at z = c, below)
 =========== ===================== ==============================================
 
 Q(z)[x, y, z] is an integral domain, so a difference vanishes exactly when
 its factor or its reduced difference does, and a factor vanishes exactly
-when a Q0 or Q0~ in it does.  The last reduced difference is the almost-equality
-identity, and the middle two vanish exactly when T == T~: a braiding pair
-with both Q0 nonzero has T == T~.
+when a Q0 or Q0~ in it does.  The middle two reduced differences vanish
+exactly when T == T~: a braiding pair with both Q0 nonzero has T == T~.
+
+The last reduced difference is the almost-equality identity, and it is
+decided in two variables.  For nonzero q and qt let r = qt/q.  The identity
+says r(x,z) = r(x,y) r(y,z): r is a multiplicative cocycle, so the identity
+holds exactly when r(u,v) = g(u)/g(v) for some rational function g.  Setting
+z = c and renaming x, y to u, v gives
+
+    q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c).
+
+Conversely, when this holds for a constant c at which q(u,c) and qt(u,c) are
+nonzero, g(w) = r(w,c) gives r(u,v) = g(u)/g(v), so the three-variable
+identity holds.  c is the first of 0, 1, 2, ... at which q(u,c) and qt(u,c)
+are nonzero; q(u,c) vanishes exactly when v - c divides q, so at most
+deg_v q + deg_v qt values are passed over.  The three-variable difference is
+multiplied out only when it is the reported failure witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from operator import sub
+from itertools import count, product
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, instantiate
+from .multipoly import MultiPoly, SlotPoly, _nonzero, instantiate
 from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,10 +98,12 @@ _XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
-    table: name -> (known to vanish, factor, reduced difference), the last
-    two as functions that build the polynomial on demand.  A difference is
-    known to vanish when its factor is zero, and the middle two also when
-    T == T~."""
+    table: name -> (flag, factor, reduced difference), the last two as
+    functions that build the polynomial on demand.  The flag is True when the
+    difference is known to vanish: its factor is zero, or T == T~ for the
+    middle two, or q and qt are almost equal for the last.  It is False when
+    the difference is known not to vanish (the last, otherwise), and None
+    when only its reduced difference decides it."""
     n = 3
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
@@ -96,35 +113,36 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     t_xy, t_yx, t_xz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3)
-    q_xy, q_yx, q_xz = at(Q, 1, 2), at(Q, 2, 1), at(Q, 1, 3)
+    q_xy, q_yx = at(Q, 1, 2), at(Q, 2, 1)
     tt_xz, tt_yz, tt_zy = at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)
-    qt_xz, qt_yz, qt_zy = at(Qt, 1, 3), at(Qt, 2, 3), at(Qt, 3, 2)
+    qt_yz, qt_zy = at(Qt, 2, 3), at(Qt, 3, 2)
     B = t_xy * tt_yz * xz
     yz_t_xy, xy_tt_yz = yz * t_xy, xy * tt_yz
     same_t = Q.is_zero() or Qt.is_zero() or T == Tt
     return {
-        "f": (False, lambda: MultiPoly.const(n, 1), lambda: (
+        "f": (None, lambda: MultiPoly.const(n, 1), lambda: (
             B * (yz_t_xy - xy_tt_yz)
             - yz * yz * tt_xz * q_xy * q_yx + xy * xy * t_xz * qt_yz * qt_zy)),
-        "sf": (Q.is_zero(), lambda: -yz * q_xy,
+        "sf": (Q.is_zero() or None, lambda: -yz * q_xy,
                lambda: B - tt_xz * (yz * t_yx + xy_tt_yz)),
-        "sigma_f": (Qt.is_zero(), lambda: -xy * qt_yz,
+        "sigma_f": (Qt.is_zero() or None, lambda: -xy * qt_yz,
                     lambda: t_xz * (yz_t_xy + xy * tt_zy) - B),
-        "s_sigma_f": (same_t, lambda: xy * yz * q_xy * qt_xz,
+        "s_sigma_f": (same_t or None, lambda: xy * yz * q_xy * at(Qt, 1, 3),
                       lambda: at(T - Tt, 2, 3)),
-        "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * q_xz,
+        "sigma_s_f": (same_t or None, lambda: xy * yz * qt_yz * at(Q, 1, 3),
                       lambda: at(T - Tt, 1, 2)),
-        "s_sigma_s_f": (False, lambda: -xy * yz, lambda: sub(*_almost_products(
-            q_xy, q_xz, at(Q, 2, 3), at(Qt, 1, 2), qt_xz, qt_yz))),
+        "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or _almost(Q, Qt), lambda: -xy * yz,
+                        lambda: (q_xy * at(Qt, 1, 3) * at(Q, 2, 3)
+                                 - at(Qt, 1, 2) * at(Q, 1, 3) * qt_yz)),
     }
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
 
-    A coefficient's flag is True when its factor is zero, and otherwise says
-    whether its reduced difference is zero (see the module docstring); a
-    zero factor and T == T~ are read off the slot polynomials.  So the full
+    A coefficient's flag is read off the slot polynomials when the module
+    docstring decides it there (a zero factor, T == T~, almost-equality), and
+    otherwise says whether its reduced difference is zero.  So the full
     numerators, with their large shared factors, are never multiplied out.
     The failure witness, the full difference of the first failing
     coefficient, is built as factor * reduced difference for that name only.
@@ -133,11 +151,11 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     flags = {}
     failure = None
     for name in COEFF_NAMES:
-        vanishes, factor, reduced = parts[name]
-        diff = None if vanishes else reduced()
-        flags[name] = diff is None or diff.is_zero()
+        known, factor, reduced = parts[name]
+        diff = reduced() if known is None else None
+        flags[name] = known if diff is None else diff.is_zero()
         if failure is None and not flags[name]:
-            failure = (name, factor() * diff)
+            failure = (name, factor() * (reduced() if diff is None else diff))
     return CubicReport(flags=flags, failure=failure)
 
 
@@ -165,22 +183,33 @@ def quad_commute_check(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:
 
 
 def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
-    """Decide almost-equality of two nonzero slot polynomials.
-
-    Equivalent to the exact three-variable identity
-    q(x,y) qt(x,z) q(y,z) = qt(x,y) q(x,z) qt(y,z).
-    """
+    """Decide almost-equality of two nonzero slot polynomials: the identity
+    q(x,y) qt(x,z) q(y,z) = qt(x,y) q(x,z) qt(y,z) in three variables,
+    decided by its specialisation at one z = c in two (module docstring)."""
+    for name, value in (("q", q), ("qt", qt)):
+        if not isinstance(value, SlotPoly):
+            raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")
     if q.is_zero() or qt.is_zero():
         raise ValueError("almost_equal requires nonzero inputs")
-    lhs, rhs = _almost_products(
-        *(instantiate(p, i, j, 3) for p in (q, qt) for i, j in ((1, 2), (1, 3), (2, 3))))
-    return lhs == rhs  # cheaper than lhs - rhs when the term counts differ
+    return _almost(q, qt)
 
 
-def _almost_products(q_xy, q_xz, q_yz, qt_xy, qt_xz, qt_yz) -> tuple[MultiPoly, MultiPoly]:
-    """The sides q(x,y) qt(x,z) q(y,z) and qt(x,y) q(x,z) qt(y,z) of
-    almost-equality, from q and qt placed at the three variable pairs."""
-    return q_xy * qt_xz * q_yz, qt_xy * q_xz * qt_yz
+def _almost(q: SlotPoly, qt: SlotPoly) -> bool:
+    """q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c), for nonzero q and qt,
+    at the first c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero."""
+    def at(p: SlotPoly, c: int) -> SlotPoly:
+        """p(u, c), summed from the stored integer pairs over p's denominator."""
+        acc: dict = {}
+        for (r, s), (a, b) in p._num.items():
+            pair = acc.setdefault((r, 0), [0, 0])
+            pair[0] += a * c ** s
+            pair[1] += b * c ** s
+        return SlotPoly._normal(2, _nonzero(acc), p._den)
+
+    for c in count():
+        q_c, qt_c = at(q, c), at(qt, c)
+        if q_c and qt_c:
+            return q * (qt_c * q_c.swap()) == qt * (q_c * qt_c.swap())
 
 
 @dataclass(frozen=True)

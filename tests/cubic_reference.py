@@ -7,6 +7,8 @@ pi varpi pi numerators are multiplied by (y-z) and the varpi pi varpi ones
 by (x-y).  The library decides each identity through a factored difference
 instead; this module multiplies everything out.
 
+``almost_equal_reference`` multiplies out the three-variable
+almost-equality identity that ``braid.almost_equal`` decides in two.
 ``cubic_braid_oracle`` applies both triple compositions to monomials, and
 the two commutation references compose operators in both orders.
 """
@@ -66,6 +68,14 @@ def full_report(pi: PDDO, varpi: PDDO) -> CubicReport:
         if failure is None and not flags[name]:
             failure = (name, diff)
     return CubicReport(flags=flags, failure=failure)
+
+
+def almost_equal_reference(q: SlotPoly, qt: SlotPoly) -> bool:
+    """q(x,y) qt(x,z) q(y,z) == qt(x,y) q(x,z) qt(y,z), multiplied out."""
+    def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
+        return instantiate(p, i, j, 3)
+
+    return at(q, 1, 2) * at(qt, 1, 3) * at(q, 2, 3) == at(qt, 1, 2) * at(q, 1, 3) * at(qt, 2, 3)
 
 
 def cubic_braid_oracle(pi: PDDO, varpi: PDDO, max_degree: int | None = None) -> bool:

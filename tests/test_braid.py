@@ -2,11 +2,12 @@
 almost-equality decision procedure."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidops import braid, sampling
+from braidops import braid, multipoly, sampling
 from braidops.braid import (
     CubicReport,
     FamilyReport,
@@ -31,7 +32,7 @@ from braidops.families import (
 from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly
 from braidops.pddo import PDDO
-from cubic_reference import cubic_braid_oracle, full_report
+from cubic_reference import almost_equal_reference, cubic_braid_oracle, full_report
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 coeffs = rationals.map(FieldElement.of)
@@ -40,12 +41,14 @@ slotpolys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
 ).map(SlotPoly)
 
+zcoeffs = st.builds(FieldElement, rationals, rationals)
+
 zslotpolys = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.builds(FieldElement, rationals, rationals), max_size=3,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), zcoeffs, max_size=3,
 ).map(SlotPoly)
 
-UV = SlotPoly.u() - SlotPoly.v()
+U, V = SlotPoly.u(), SlotPoly.v()
+UV = U - V
 
 
 class TestCubicCheck:
@@ -57,9 +60,9 @@ class TestCubicCheck:
             assert report.failure is None
 
     def test_each_slot_polynomial_is_placed_once(self, monkeypatch):
-        """The almost-equality products reuse the placements that the other
-        differences built: 14 instantiate calls for a braiding pair of two
-        distinct, equal operators, none repeated."""
+        """Almost-equality is decided on the slot polynomials, and Q0, Q0~ at
+        (x, z) appear only in failure witnesses: 10 instantiate calls for a
+        braiding pair of two distinct, equal operators, none repeated."""
         calls = []
         real = braid.instantiate
 
@@ -70,8 +73,36 @@ class TestCubicCheck:
         monkeypatch.setattr(braid, "instantiate", counting)
         pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)
         assert cubic_braid_check(pi, varpi).passed
-        assert len(calls) == 14
-        assert len({(id(p), i, j) for p, i, j in calls}) == 14
+        assert len(calls) == 10
+        assert len({(id(p), i, j) for p, i, j in calls}) == 10
+
+    @pytest.mark.parametrize("pair", [
+        (case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)),
+        zeta_pair(1, 0, 1),
+        (preset("grothendieck", 3, 2)[1], preset("grothendieck", 3, 2)[2]),
+    ], ids=["case1", "zeta", "grothendieck"])
+    def test_almost_equality_is_not_multiplied_out(self, pair, monkeypatch):
+        """s_sigma_s_f of a braiding pair is decided in two variables: the
+        check's 3-variable products are those of the table's shared terms and
+        of the reduced differences that only building decides (flag None)."""
+        pi, varpi = pair
+        dims = []
+        real = multipoly._mul_pairs
+
+        def counting(a, b, n_vars):
+            dims.append(n_vars)
+            return real(a, b, n_vars)
+
+        monkeypatch.setattr(multipoly, "_mul_pairs", counting)
+        parts = braid._factored_differences(pi, varpi)
+        assert parts["s_sigma_s_f"][0] is True
+        for known, _, reduced in parts.values():
+            if known is None:
+                reduced()
+        needed = dims.count(3)
+        dims.clear()
+        assert cubic_braid_check(pi, varpi).passed
+        assert dims.count(3) == needed
 
     def test_failure_reports_a_witness(self):
         good = preset("demazure", 3)[1]
@@ -160,6 +191,21 @@ class TestAgainstFullNumerators:
                 report = assert_same_report(*broken)
                 failed.update(name for name, ok in report.flags.items() if not ok)
         assert failed == set(braid.COEFF_NAMES)
+
+    @pytest.mark.parametrize("r0, rt0, braids", [
+        (V + 1, U + 1, True),  # Q0~/Q0 = (u + 1)/(v + 1)
+        (V + 1, (V + 1) * 2, False),
+        (SlotPoly.const(1), U + 1, False),
+    ])
+    def test_almost_equality_decides_alone_when_t_is_zero(self, r0, rt0, braids):
+        """With T = T~ = 0 every other difference vanishes, so s_sigma_s_f
+        decides the pair, and its witness is built from the three-variable
+        identity only there."""
+        pi, varpi = PDDO.from_q0_r0(-UV * r0, r0), PDDO.from_q0_r0(-UV * rt0, rt0)
+        assert pi.T.is_zero() and varpi.T.is_zero()
+        report = assert_same_report(pi, varpi)
+        assert report.passed == braids == cubic_braid_oracle(pi, varpi)
+        assert braids or report.failure[0] == "s_sigma_s_f"
 
 
 class TestQuadCheck:
@@ -331,3 +377,57 @@ class TestAlmostEqual:
         # products pick up different powers of the scalar.
         q = SlotPoly.u() + SlotPoly.v() * SlotPoly.v()
         assert not almost_equal(q, q.scale(5))
+
+    @pytest.mark.parametrize("q, qt, name", [
+        (1, 2, "q"),
+        (MultiPoly.variable(3, 1), SlotPoly.u(), "q"),
+        (SlotPoly.u(), MultiPoly.variable(2, 1), "qt"),
+    ], ids=["int", "three-variable", "two-variable-multipoly"])
+    def test_rejects_what_is_not_a_slot_polynomial(self, q, qt, name):
+        with pytest.raises(TypeError, match=f"^{name} must be a SlotPoly"):
+            almost_equal(q, qt)
+
+    @given(zslotpolys, zslotpolys)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_three_variable_identity(self, q, qt):
+        if q.is_zero() or qt.is_zero():
+            return
+        assert almost_equal(q, qt) == almost_equal_reference(q, qt)
+
+    @given(st.lists(zcoeffs, min_size=1, max_size=3), zslotpolys, zslotpolys,
+           st.sampled_from([1, 1, 5, Fraction(-1, 2), FieldElement(0, 1)]))
+    @settings(max_examples=40, deadline=None)
+    def test_built_pairs_agree_with_three_variable_identity(self, g, p, k, scalar):
+        """q = g(v) p h and qt = scalar g(u) p h are almost equal exactly when
+        scalar = 1.  h has the factors v, v - 1 and v - 2, so that q(u, c)
+        and qt(u, c) vanish at c = 0, 1 and 2."""
+        h = k * V * (V - 1) * (V - 2)
+        q = SlotPoly.univariate(g, 1) * p * h
+        qt = SlotPoly.univariate(g, 0) * p * h * scalar
+        if q.is_zero():
+            return
+        assert almost_equal(q, qt) == almost_equal_reference(q, qt) == (scalar == 1)
+
+    @pytest.mark.parametrize("q, qt", [
+        (U * V, (U + 1) * V),  # both sides are 0 at c = 0
+        (U * U + V + 3, (U * U + V + 3) * 5),
+        ((V + 2) * (U - V * V), (U + 2) * (U - V * V) * 3),  # q g(u)/g(v), scaled
+    ], ids=["zero-at-c-0", "scalar-multiple", "scaled-cocycle"])
+    def test_negative_controls(self, q, qt):
+        assert not almost_equal_reference(q, qt)
+        assert not almost_equal(q, qt)
+        assert not almost_equal(qt, q)
+
+    def test_makes_no_three_variable_product(self, monkeypatch):
+        dims = []
+        real = multipoly._mul_pairs
+
+        def counting(a, b, n_vars):
+            dims.append(n_vars)
+            return real(a, b, n_vars)
+
+        monkeypatch.setattr(multipoly, "_mul_pairs", counting)
+        h = V * (V - 1) * (V - 2)
+        assert almost_equal((V + 1) * h, (U + 1) * h)
+        assert not almost_equal(U * V, (U + 1) * V)
+        assert dims and set(dims) == {2}

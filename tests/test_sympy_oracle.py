@@ -1,5 +1,5 @@
-"""PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff and the cubic
-braid numerators against sympy.
+"""PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff, the cubic
+braid numerators and braid.almost_equal against sympy.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from braidops.braid import COEFF_NAMES, _factored_differences
+from braidops.braid import COEFF_NAMES, _factored_differences, almost_equal
 from braidops.divdiff import ddiff
 from braidops.families import Case2Line, case1_operator, main_case1, main_case2, preset
 from braidops.field import FieldElement
@@ -68,9 +68,13 @@ def sympy_ddiff(expr, x, i):
     return quotient(expr - swapped(expr, x, i), x, i)
 
 
+def zero_mod_minpoly(expr) -> bool:
+    """expr expands to zero once z is reduced modulo z^2 - z + 1."""
+    return sympy.Poly(sympy.expand(expr), Z).rem(sympy.Poly(MINPOLY, Z)).is_zero
+
+
 def assert_same(lib_expr, oracle):
-    diff = sympy.Poly(sympy.expand(lib_expr - oracle), Z)
-    assert diff.rem(sympy.Poly(MINPOLY, Z)).is_zero
+    assert zero_mod_minpoly(lib_expr - oracle)
 
 
 def random_element(rng):
@@ -298,6 +302,36 @@ def test_factored_differences_match(seed):
             assert lib.is_zero() or not vanishes
             lhs, rhs = oracle[name]
             assert_same_poly(R, in_ring(R, lib) * vdm3(R), lhs - rhs)
+
+
+def test_almost_equal_matches_sympy():
+    """almost_equal against the three-variable identity
+    q(x,y) qt(x,z) q(y,z) = qt(x,y) q(x,z) qt(y,z), expanded by sympy, for 20
+    pairs: random ones, and ones built as q = g(v) p, qt = k g(u) p, which
+    are almost equal exactly when k = 1."""
+    rng = random.Random(5000)
+    x, y, z = xs(3)
+
+    def placed(p, a, b):
+        return slot_expr(p).subs({U: a, V: b}, simultaneous=True)
+
+    seen = set()
+    for trial in range(20):
+        q = qt = SlotPoly.zero()
+        while q.is_zero() or qt.is_zero():
+            if trial % 2:
+                g = [random_element(rng) for _ in range(2)]
+                p = random_slot(rng)
+                k = 1 if trial % 4 == 1 else random_element(rng)
+                q = SlotPoly.univariate(g, 1) * p
+                qt = SlotPoly.univariate(g, 0) * p * k
+            else:
+                q, qt = random_slot(rng), random_slot(rng)
+        holds = zero_mod_minpoly(placed(q, x, y) * placed(qt, x, z) * placed(q, y, z)
+                                 - placed(qt, x, y) * placed(q, x, z) * placed(qt, y, z))
+        assert almost_equal(q, qt) == holds
+        seen.add(holds)
+    assert seen == {True, False}
 
 
 def hecke_equations(op: PDDO):
