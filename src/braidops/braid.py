@@ -17,8 +17,8 @@ f           1                     B ((y-z) t_xy - (x-y) tt_yz)
                                   + (x-y)^2 t_xz qt_yz qt_zy
 sf          -(y-z) q_xy           B - tt_xz ((y-z) t_yx + (x-y) tt_yz)
 sigma_f     -(x-y) qt_yz          t_xz ((y-z) t_xy + (x-y) tt_zy) - B
-s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz
-sigma_s_f   (x-y)(y-z) qt_yz q_xz t_xy - tt_xy
+s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz, zero exactly when T == T~
+sigma_s_f   (x-y)(y-z) qt_yz q_xz t_xy - tt_xy, zero exactly when T == T~
 s_sigma_s_f -(x-y)(y-z)           q_xy qt_xz q_yz - qt_xy q_xz qt_yz,
                                   zero exactly when q and qt are almost equal
                                   (decided at z = c, below)
@@ -100,10 +100,10 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, factor, reduced difference), the last two as
     functions that build the polynomial on demand.  The flag is True when the
-    difference is known to vanish: its factor is zero, or T == T~ for the
-    middle two, or q and qt are almost equal for the last.  It is False when
-    the difference is known not to vanish (the last, otherwise), and None
-    when only its reduced difference decides it."""
+    difference is known to vanish and False when it is known not to: the
+    middle two are decided by T == T~ (or a zero factor), the last by
+    almost-equality.  It is None when only building the reduced difference
+    decides it."""
     n = 3
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
@@ -120,16 +120,16 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     yz_t_xy, xy_tt_yz = yz * t_xy, xy * tt_yz
     same_t = Q.is_zero() or Qt.is_zero() or T == Tt
     return {
-        "f": (None, lambda: MultiPoly.const(n, 1), lambda: (
+        "f": (None, lambda: 1, lambda: (
             B * (yz_t_xy - xy_tt_yz)
             - yz * yz * tt_xz * q_xy * q_yx + xy * xy * t_xz * qt_yz * qt_zy)),
         "sf": (Q.is_zero() or None, lambda: -yz * q_xy,
                lambda: B - tt_xz * (yz * t_yx + xy_tt_yz)),
         "sigma_f": (Qt.is_zero() or None, lambda: -xy * qt_yz,
                     lambda: t_xz * (yz_t_xy + xy * tt_zy) - B),
-        "s_sigma_f": (same_t or None, lambda: xy * yz * q_xy * at(Qt, 1, 3),
+        "s_sigma_f": (same_t, lambda: xy * yz * q_xy * at(Qt, 1, 3),
                       lambda: at(T - Tt, 2, 3)),
-        "sigma_s_f": (same_t or None, lambda: xy * yz * qt_yz * at(Q, 1, 3),
+        "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * at(Q, 1, 3),
                       lambda: at(T - Tt, 1, 2)),
         "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or _almost(Q, Qt), lambda: -xy * yz,
                         lambda: (q_xy * at(Qt, 1, 3) * at(Q, 2, 3)

@@ -5,8 +5,9 @@ returns an OperatorFamily; the construction realizes exactly the normalized
 coefficient polynomials recorded for each family, so every family built here
 passes the braid verification in :mod:`braidops.braid`.
 
-Every operator is built straight in the first canonical form (Q0, R0).  The
-main cases share one normal form: T = a uv + b u + c v + d with ad = bc, and
+Every operator is built straight in the first canonical form (Q0, R0), and
+a polynomial whose terms are known is written as its term map.  The main
+cases share one normal form: T = a uv + b u + c v + d with ad = bc, and
 Q0 = T - (u - v)R0, where R0 is b - c - e for case 1 and b - c, 0, a v + b,
 -(a u + c) for the four lines of case 2.  So case 1 at e = 0 is line 1 and
 at e = b - c is line 2, which is why case 1 excludes those two values.
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .field import FieldElement, ZERO, ZETA, ZETA_BAR
 from .multipoly import SlotPoly
-from .pddo import PDDO, identity_op
+from .pddo import PDDO, _UV, identity_op
 
 __all__ = [
     "ConstraintError",
@@ -38,11 +39,6 @@ __all__ = [
     "case2_operator",
     "coincident_lines",
 ]
-
-_U = SlotPoly.u()
-_V = SlotPoly.v()
-_UV = _U - _V
-
 
 class ConstraintError(ValueError):
     """A family constructor was given parameters violating its constraints."""
@@ -96,7 +92,7 @@ def _check_abcd(a, b, c, d) -> tuple[FieldElement, ...]:
 
 def _abcd_operator(a, b, c, d, r0: SlotPoly) -> PDDO:
     """The main-case operator with T = a uv + b u + c v + d and this R0."""
-    t = (_U * _V).scale(a) + _U.scale(b) + _V.scale(c) + SlotPoly.const(d)
+    t = SlotPoly({(1, 1): a, (1, 0): b, (0, 1): c, (0, 0): d})
     return PDDO.from_q0_r0(t - _UV * r0, r0)
 
 
@@ -128,8 +124,8 @@ def main_case1(n: int, a, b, c, d, e) -> OperatorFamily:
 _LINE_R0 = {
     Case2Line.LINE1: lambda a, b, c: SlotPoly.const(b - c),
     Case2Line.LINE2: lambda a, b, c: SlotPoly.zero(),
-    Case2Line.LINE3: lambda a, b, c: _V.scale(a) + SlotPoly.const(b),
-    Case2Line.LINE4: lambda a, b, c: -(_U.scale(a) + SlotPoly.const(c)),
+    Case2Line.LINE3: lambda a, b, c: SlotPoly({(0, 1): a, (0, 0): b}),
+    Case2Line.LINE4: lambda a, b, c: SlotPoly({(1, 0): -a, (0, 0): -c}),
 }
 
 
@@ -212,11 +208,11 @@ def zeta_pair(a, b, variant: int) -> tuple[PDDO, PDDO]:
         raise ConstraintError("leading constant a must be nonzero")
     if variant not in (1, 2, 3, 4):
         raise ConstraintError("variant must be 1, 2, 3, or 4")
-    u_b = _U + SlotPoly.const(b)
-    v_b = _V + SlotPoly.const(b)
+    u_b = SlotPoly({(1, 0): 1, (0, 0): b})
+    v_b = SlotPoly({(0, 1): 1, (0, 0): b})
     # Variants 2 and 4 are variants 1 and 3 with zeta and zeta-bar swapped.
     w, w_bar = (ZETA, ZETA_BAR) if variant in (1, 3) else (ZETA_BAR, ZETA)
-    mix = _U.scale(w) + _V.scale(w_bar) + SlotPoly.const(b)
+    mix = SlotPoly({(1, 0): w, (0, 1): w_bar, (0, 0): b})
     if variant <= 2:
         q, r = u_b * mix, u_b.scale(w_bar)
     else:
@@ -265,14 +261,18 @@ class Interval:
         return range(self.start, self.stop + 1)
 
     def operators(self, mu: FieldElement) -> dict[int, PDDO]:
-        """{index: operator} over start..stop via main_case2; requires b - c = mu."""
+        """{index: operator} over start..stop via main_case2, whose refusals
+        name the interval; requires b - c = mu."""
         indices = self.indices
         where = f"interval {self.start}..{self.stop}"
         if len(indices) < 2:
             raise ConstraintError(
                 f"{where} must contain at least two indices; use an Isolated segment")
         lines = [Case2Line.LINE1] * len(indices) if self.lines is None else self.lines
-        fam = main_case2(len(indices) + 1, self.a, self.b, self.c, self.d, lines)
+        try:
+            fam = main_case2(len(indices) + 1, self.a, self.b, self.c, self.d, lines)
+        except ConstraintError as err:
+            raise ConstraintError(f"{where}: {err}") from None
         if _fe(self.b) - _fe(self.c) != mu:
             raise ConstraintError(f"{where}: b - c must equal mu")
         return dict(zip(indices, fam.ops))

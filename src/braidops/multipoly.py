@@ -9,17 +9,21 @@ be instantiated at any ordered pair of variables; it carries the coefficient
 polynomials of the operators built in :mod:`braidops.pddo`.  Term order for
 printing and leading terms is graded lexicographic.
 
-Sums, products, operator applications and the slot moves work on the stored
-integers and end with at most one gcd pass over the result (``_normal``).
+The constructor reads outside coefficients (``_pairs``).  Every polynomial
+built inside, a sum, product, operator application, slot move, placement,
+``swap_vars`` or ``exact_div`` result or coerced scalar, ends in ``_normal``,
+the one internal constructor, with at most one gcd pass over its integers.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
 (Q0, R0) = (1, 0); it runs the two-variable kernel ``_ddiff_pairs`` on each
-slice of f, as ``SlotPoly.ddiff`` does on its own map.  Stored pairs are
-tuples, shared between polynomials and never changed.  Field elements are
-built only where a coefficient is read out as a value: ``terms``,
-``constant_value``, ``evaluate`` and the long division of ``exact_div``.  A
-polynomial becomes text in one way, the term walk ``_printed_terms``, which
-prints each stored pair through ``field._text`` with no field element; ``str``
-and the CLI's JSON writers read it.
+slice of f, as ``SlotPoly.ddiff`` does on its own map.  Every two-variable
+product, of ``_mul_pairs`` and of each slice of ``_apply``, runs the one loop
+``_mul_slots``.  Stored pairs are tuples, shared between polynomials and
+never changed.  Field elements are built only where a coefficient is read
+out as a value: ``terms``, ``constant_value``, ``evaluate`` and the long
+division of ``exact_div``.  A polynomial becomes text in one way, the term
+walk ``_printed_terms``, which prints each stored pair through
+``field._text`` with no field element; ``str`` and the CLI's JSON writers
+read it.
 """
 
 from __future__ import annotations
@@ -89,23 +93,14 @@ def _pairs(n_vars: int, terms: Mapping) -> tuple[dict, int]:
 
 
 def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
-    """The product of two numerator maps, before zero pairs are dropped:
-    (ra + za z)(rb + zb z) = ra rb - za zb + (ra zb + za (rb + zb)) z, as
-    z^2 = z - 1.  Exponent sums are written out for two and three variables,
-    where building each with map(add, ...) costs as much as the arithmetic."""
+    """The product of two numerator maps, before zero pairs are dropped.
+    Two variables go through _mul_slots; exponent sums are written out for
+    three, where building each with map(add, ...) costs as much as the
+    arithmetic."""
     acc: dict = {}
     get = acc.get
     if n_vars == 2:
-        bs = [(b0, b1, rb, zb, rb + zb) for (b0, b1), (rb, zb) in b.items()]
-        for (a0, a1), (ra, za) in a.items():
-            for b0, b1, rb, zb, sb in bs:
-                e = (a0 + b0, a1 + b1)
-                pair = get(e)
-                if pair is None:
-                    acc[e] = [ra * rb - za * zb, ra * zb + za * sb]
-                else:
-                    pair[0] += ra * rb - za * zb
-                    pair[1] += ra * zb + za * sb
+        _mul_slots(acc, a, [(b0, b1, rb, zb, rb + zb) for (b0, b1), (rb, zb) in b.items()])
     elif n_vars == 3:
         bs = [(b0, b1, b2, rb, zb, rb + zb) for (b0, b1, b2), (rb, zb) in b.items()]
         for (a0, a1, a2), (ra, za) in a.items():
@@ -129,6 +124,22 @@ def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
                     pair[0] += ra * rb - za * zb
                     pair[1] += ra * zb + za * sb
     return acc
+
+
+def _mul_slots(acc: dict, terms: Mapping, slots: list) -> None:
+    """The one two-variable product loop: adds into acc a numerator map times
+    the terms (c + g z) u^r v^s of a slot list [(r, s, c, g, c + g)], with
+    (a + b z)(c + g z) = ac - bg + (ag + b(c + g)) z, as z^2 = z - 1."""
+    get = acc.get
+    for (x, y), (a, b) in terms.items():
+        for r, s, c, g, cg in slots:
+            key = (x + r, y + s)
+            pair = get(key)
+            if pair is None:
+                acc[key] = [a * c - b * g, a * g + b * cg]
+            else:
+                pair[0] += a * c - b * g
+                pair[1] += a * g + b * cg
 
 
 def _divide_terms(f: Mapping, g: Mapping) -> dict:
@@ -180,8 +191,9 @@ def _apply(f: "MultiPoly", k: int, q0: "SlotPoly", r0: "SlotPoly") -> "MultiPoly
     """Q0(x, y) d f + R0(x, y) f for slot polynomials q0, r0 placed at exponent
     positions k, k + 1 (variables x, y), accumulated in integers over one
     denominator.  f is split once by the exponents outside the two positions.
-    Each two-variable slice goes through _ddiff_pairs and is summed in its two
-    variables, since its terms stay in it; a zero q0 or r0 skips its pass."""
+    Each two-variable slice goes through _ddiff_pairs and _mul_slots, summed
+    in its two variables, since its terms stay in it; a zero q0 or r0 skips
+    its pass."""
     dq, dr = q0._den, r0._den
     den = dq // gcd(dq, dr) * dr
     kq, kr = den // dq, den // dr
@@ -193,17 +205,10 @@ def _apply(f: "MultiPoly", k: int, q0: "SlotPoly", r0: "SlotPoly") -> "MultiPoly
     num: dict = {}
     for (head, tail), pairs in slices.items():
         acc: dict = {}
-        for slots, terms in ((sq, _ddiff_pairs(pairs) if sq else {}), (sr, pairs if sr else {})):
-            for (x, y), (a, b) in terms.items():
-                # (a + b z)(c + g z) with z^2 = z - 1, as in _mul_pairs.
-                for u, v, c, g, cg in slots:
-                    key = (x + u, y + v)
-                    pair = acc.get(key)
-                    if pair is None:
-                        acc[key] = [a * c - b * g, a * g + b * cg]
-                    else:
-                        pair[0] += a * c - b * g
-                        pair[1] += a * g + b * cg
+        if sq:
+            _mul_slots(acc, _ddiff_pairs(pairs), sq)
+        if sr:
+            _mul_slots(acc, pairs, sr)
         for xy, (a, b) in acc.items():
             if a or b:
                 num[head + xy + tail] = (a, b)
@@ -238,20 +243,11 @@ class MultiPoly:
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _wrap(cls, n_vars: int, num: dict, den: int) -> "MultiPoly":
-        """Take a canonical stored form as is: tuple exponents of length n_vars
-        mapped to tuple pairs, none (0, 0), over den > 0 with content 1; the
-        map is built by this module and never changed afterwards."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        return self
-
-    @classmethod
     def _normal(cls, n_vars: int, num: dict, den: int) -> "MultiPoly":
-        """As _wrap for pairs without (0, 0) over any den > 0: divides out the
-        gcd of den and every numerator."""
+        """The one internal constructor.  Its contract: num maps tuple
+        exponents of length n_vars to tuple pairs, none of them (0, 0), over
+        den > 0.  It divides out the gcd of den and every numerator; the map
+        is built by this module and never changed afterwards."""
         g = den
         if g != 1:
             for a, b in num.values():
@@ -261,7 +257,11 @@ class MultiPoly:
             else:  # the zero polynomial ends with g = den, so d = 1
                 num = {e: (a // g, b // g) for e, (a, b) in num.items()}
                 den //= g
-        return cls._wrap(n_vars, num, den)
+        self = object.__new__(cls)
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -350,9 +350,8 @@ class MultiPoly:
                 )
             return other
         c = FieldElement.of(other)
-        if not c:
-            return type(self)._wrap(self.n_vars, {}, 1)
-        return type(self)._wrap(self.n_vars, {(0,) * self.n_vars: (c._a, c._b)}, c._d)
+        num = {(0,) * self.n_vars: (c._a, c._b)} if c else {}
+        return type(self)._normal(self.n_vars, num, c._d)
 
     def _sum(self, other: "MultiPoly", sign: int) -> "MultiPoly":
         """self + sign * other over the least common denominator."""
@@ -434,13 +433,13 @@ def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
         le = list(e)
         le[i - 1], le[i] = le[i], le[i - 1]
         out[tuple(le)] = pair
-    return type(f)._wrap(f.n_vars, out, f._den)
+    return type(f)._normal(f.n_vars, out, f._den)
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The quotient f/g when g divides f exactly in the polynomial ring."""
     quo = _divide_terms(f.terms, f._coerce(g).terms)
-    return type(f)._wrap(f.n_vars, *_pairs(f.n_vars, quo))
+    return type(f)._normal(f.n_vars, *_pairs(f.n_vars, quo))
 
 
 class SlotPoly(MultiPoly):
@@ -502,7 +501,7 @@ class SlotPoly(MultiPoly):
 
     def swap(self) -> "SlotPoly":
         """Exchange the two slots."""
-        return SlotPoly._wrap(2, {(s, r): pair for (r, s), pair in self._num.items()}, self._den)
+        return SlotPoly._normal(2, {(s, r): pair for (r, s), pair in self._num.items()}, self._den)
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
@@ -553,4 +552,4 @@ def instantiate(p: SlotPoly, i: int, j: int, n: int) -> MultiPoly:
         e[i - 1] = r
         e[j - 1] = s
         out[tuple(e)] = pair
-    return MultiPoly._wrap(n, out, p._den)
+    return MultiPoly._normal(n, out, p._den)

@@ -23,7 +23,7 @@ from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _apply
 
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
-_UV = SlotPoly.u() - SlotPoly.v()
+_UV = SlotPoly({(1, 0): 1, (0, 1): -1})
 _set = object.__setattr__
 
 

@@ -76,6 +76,35 @@ class TestCubicCheck:
         assert len(calls) == 10
         assert len({(id(p), i, j) for p, i, j in calls}) == 10
 
+    def test_middle_flags_are_decided_by_t(self, monkeypatch):
+        """With both Q0 nonzero and T != T~, s_sigma_f and sigma_s_f are False
+        without T - T~ being placed: a failing pair makes the same 10
+        placements as a braiding one, and its f witness, whose factor is the
+        scalar 1, is the multiplied-out difference."""
+        calls = []
+        real = braid.instantiate
+
+        def counting(p, i, j, n):
+            calls.append((p, i, j))
+            return real(p, i, j, n)
+
+        monkeypatch.setattr(braid, "instantiate", counting)
+        op = case1_operator(1, 2, 1, 2, 3)
+        h = U + 2
+        bad = PDDO(op.T + h, op.Q0 + h)
+        report = cubic_braid_check(op, bad)
+        assert len(calls) == 10
+        assert report.flags["s_sigma_f"] is False and report.flags["sigma_s_f"] is False
+        assert report.failure == full_report(op, bad).failure
+        assert report.failure[0] == "f"
+        parts = braid._factored_differences(op, bad)
+        assert parts["f"][1]() == 1 and type(parts["f"][1]()) is int
+        mult = PDDO.from_q0_r0(SlotPoly.zero(), h)
+        for pi, varpi in ((op, bad), (bad, op), (op, op), (op, mult)):
+            parts = braid._factored_differences(pi, varpi)
+            for name in ("s_sigma_f", "sigma_s_f"):
+                assert parts[name][0] is (pi.T == varpi.T or not pi.Q0 or not varpi.Q0)
+
     @pytest.mark.parametrize("pair", [
         (case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)),
         zeta_pair(1, 0, 1),

@@ -336,6 +336,17 @@ class TestWithVanishingQ0:
                 5, 1, [Interval(start=1, stop=2, a=0, b=3, c=0, d=0)]
             )
 
+    def test_interval_refusals_name_the_interval(self):
+        """The line count and the (a, b, c, d) refusals of main_case2 read
+        like every other interval refusal."""
+        three = [Case2Line.LINE3, Case2Line.LINE4, Case2Line.LINE1]
+        with pytest.raises(ConstraintError) as err:
+            with_vanishing_q0(5, 1, [_interval(1, 2, three)])
+        assert str(err.value) == "interval 1..2: need 2 line choices, got 3"
+        with pytest.raises(ConstraintError) as err:
+            with_vanishing_q0(5, 1, [Interval(start=2, stop=3, a=1, b=2, c=1, d=1)])
+        assert str(err.value) == "interval 2..3: ad - bc must vanish (ad = bc)"
+
     def test_complement_must_be_nonempty(self):
         with pytest.raises(ConstraintError, match="non-empty"):
             with_vanishing_q0(

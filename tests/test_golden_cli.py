@@ -138,6 +138,9 @@ ARGVS = [
     ["verify", "--n", "4", "--family", "vanq0", "--config", "not_utf8.json"],
     ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", "not_utf8.json"],
     ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", "x" * 300],
+    # An interval with three line choices for its two indices: the refusal
+    # names the interval.
+    ["verify", "--n", "5", "--family", "vanq0", "--config", "vanq0_interval_three_lines.json"],
 ]
 
 

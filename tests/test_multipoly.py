@@ -371,6 +371,60 @@ class TestStoredForm:
             assert result.terms == expected
         assert [_snapshot(x) for x in (p, q, r, f)] == before
 
+    @given(operands(2), term_maps(2), qz_coeffs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_moves_divisions_and_scalars_are_canonical(self, data, s, c, choice):
+        """Slot swaps, placements, swap_vars, exact_div and the constant that
+        + makes of a scalar end in the same content check as sums and
+        products, on coefficients with denominators and z parts."""
+        n, a, b = data
+        f, g, p = MultiPoly(n, a), MultiPoly(n, b), SlotPoly(s)
+        i = choice.draw(st.integers(1, n))
+        j = choice.draw(st.integers(1, n).filter(lambda j: j != i))
+        k = choice.draw(st.integers(1, n - 1))
+        s, a = _clean(s), _clean(a)
+        cases = [
+            (p.swap(), ref_swap(s, 0)),
+            (instantiate(p, i, j, n), ref_place(s, i, j, n)),
+            (swap_vars(f, k), ref_swap(a, k - 1)),
+            (f._coerce(c), _clean({(0,) * n: c})),  # what f + c adds to f
+            (p._coerce(c), _clean({(0, 0): c})),
+            (f + c, ref_sum(a, {(0,) * n: c})),
+        ]
+        if g:
+            cases.append((exact_div(f * g, g), a))
+            cases.append((exact_div(f.scale(3), MultiPoly.const(n, 3)), a))
+        for result, expected in cases:
+            assert_canonical(result)
+            assert result.terms == expected
+
+    def test_two_variable_products_share_one_loop(self, monkeypatch):
+        """An operator applied to a 4-variable polynomial and a product of two
+        slot polynomials both run the one two-variable loop, _mul_slots, and
+        give what they give without it; a 3-variable product does not reach it."""
+        f = MultiPoly(4, {(2, 1, 0, 3): "1/2+1z", (0, 0, 1, 1): "3", (1, 3, 2, 0): "-2/3"})
+        q = SlotPoly({(1, 1): "0+1z", (0, 0): "1/2"})
+        r = SlotPoly({(1, 0): "-3/4", (0, 2): "1"})
+        g = MultiPoly(3, {(1, 0, 2): "1/3", (0, 1, 0): "0-1z"})
+        op = PDDO.from_q0_r0(q, r)
+        expected = [op.apply(2, f), q * r]
+        calls = []
+        real = multipoly._mul_slots
+
+        def counting(acc, terms, slots):
+            calls.append(len(slots))
+            return real(acc, terms, slots)
+
+        monkeypatch.setattr(multipoly, "_mul_slots", counting)
+        assert op.apply(2, f) == expected[0]
+        assert len(calls) == 2 * 3  # q and r, on each of f's three slices
+        calls.clear()
+        assert q * r == expected[1]
+        assert calls == [len(r._num)]
+        calls.clear()
+        assert g * g == MultiPoly(3, {(2, 0, 4): "1/9", (1, 1, 2): "0-2/3z", (0, 2, 0): "-1+1z"})
+        assert calls == []
+
     @given(operands(1), term_maps(2), qz_coeffs)
     @settings(max_examples=100, deadline=None)
     def test_scale_and_negation_match_the_reference(self, data, s, c):

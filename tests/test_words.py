@@ -19,6 +19,7 @@ from braidops.words import (
     reduced_words,
     staircase,
 )
+from combinatorial_reference import grothendieck, inverse, key
 
 
 class TestPermutation:
@@ -272,3 +273,45 @@ class TestHeckeRepresentation:
         results = _hecke_identities(HECKE_FAMILIES[kind](3), shift=1)
         assert any(longer for longer, _ in results)
         assert all(holds == (not longer) for longer, holds in results)
+
+
+def _rational_table(fam) -> dict:
+    """{one-line w: entry as {exponents: Fraction}}; the presets are rational."""
+    out = {}
+    for entry in polynomial_table(fam):
+        terms = entry.poly.terms
+        assert not any(c.zeta_part for c in terms.values())
+        out[entry.perm.one_line] = {e: c.rat_part for e, c in terms.items()}
+    return out
+
+
+class TestTableAgainstCombinatorics:
+    """The table convention means: entry w of pure_ddiff is the Schubert
+    polynomial of w, of grothendieck(beta) the beta-Grothendieck polynomial of
+    w, and of demazure the key polynomial of (w(1) - 1, ..., w(n) - 1).  The
+    formulas in combinatorial_reference share no code with the library."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_pure_ddiff_gives_schubert_polynomials(self, n):
+        schubert = grothendieck(n, 0)
+        table = _rational_table(preset("pure_ddiff", n, 1))
+        assert table == {w: schubert.get(w, {}) for w in table}
+        # Negative control: the pipe-dream sum indexed by w^{-1}.
+        assert table != {w: schubert.get(inverse(w), {}) for w in table}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("beta", [1, -1, 2])
+    def test_grothendieck_gives_beta_grothendieck_polynomials(self, n, beta):
+        expected = grothendieck(n, beta)
+        table = _rational_table(preset("grothendieck", n, beta))
+        assert table == {w: expected.get(w, {}) for w in table}
+        assert table != {w: expected.get(inverse(w), {}) for w in table}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_demazure_gives_key_polynomials(self, n):
+        table = _rational_table(preset("demazure", n))
+        assert table == {w: key(tuple(x - 1 for x in w)) for w in table}
+        if n >= 3:
+            # Negative control: a_j = delta_{v(j)} = n - v(j), v = w^{-1} w0.
+            assert table != {w: key(tuple(n - inverse(w)[n - j] for j in range(1, n + 1)))
+                             for w in table}
