@@ -14,7 +14,9 @@ name        factor                reduced difference
 =========== ===================== ==============================================
 f           1                     B ((y-z) t_xy - (x-y) tt_yz)
                                   - (y-z)^2 tt_xz q_xy q_yx
-                                  + (x-y)^2 t_xz qt_yz qt_zy
+                                  + (x-y)^2 t_xz qt_yz qt_zy,
+                                  decided on 1 when the other five
+                                  vanish (below)
 sf          -(y-z) q_xy           B - tt_xz ((y-z) t_yx + (x-y) tt_yz)
 sigma_f     -(x-y) qt_yz          t_xz ((y-z) t_xy + (x-y) tt_zy) - B
 s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz, zero exactly when T == T~
@@ -43,6 +45,19 @@ identity holds.  c is the first of 0, 1, 2, ... at which q(u,c) and qt(u,c)
 are nonzero; q(u,c) vanishes exactly when v - c divides q, so at most
 deg_v q + deg_v qt values are passed over.  The three-variable difference is
 multiplied out only when it is the reported failure witness.
+
+The f row is decided last.  In the twisted group algebra the difference
+pi varpi pi - varpi pi varpi is sum_g c_g g over g in S_3, each c_g being
+a row's difference over the common denominator, and every g fixes the
+constant 1, so the difference applied to 1 is sum_g c_g.  When the other
+five rows vanish this is c_id alone, and since pi(1) = R0(x,y) and
+varpi(1) = R0~(y,z), the f flag is
+
+    pi(varpi(R0(x,y))) == varpi(pi(R0~(y,z))),
+
+four applications to polynomials in x, y, z and no product of the table.
+f's reduced difference is built only when another flag fails, or as the
+failure witness.
 """
 
 from __future__ import annotations
@@ -51,7 +66,7 @@ from dataclasses import dataclass, field
 from itertools import count, product
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, _nonzero, instantiate
+from .multipoly import MultiPoly, SlotPoly, _apply, _nonzero, instantiate
 from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +118,7 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     difference is known to vanish and False when it is known not to: the
     middle two are decided by T == T~ (or a zero factor), the last by
     almost-equality.  It is None when only building the reduced difference
-    decides it."""
+    decides it, or, for f, the action on 1 (see cubic_braid_check)."""
     n = 3
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
@@ -113,16 +128,17 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     t_xy, t_yx, t_xz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3)
-    q_xy, q_yx = at(Q, 1, 2), at(Q, 2, 1)
+    q_xy = at(Q, 1, 2)
     tt_xz, tt_yz, tt_zy = at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)
-    qt_yz, qt_zy = at(Qt, 2, 3), at(Qt, 3, 2)
+    qt_yz = at(Qt, 2, 3)
     B = t_xy * tt_yz * xz
     yz_t_xy, xy_tt_yz = yz * t_xy, xy * tt_yz
     same_t = Q.is_zero() or Qt.is_zero() or T == Tt
     return {
         "f": (None, lambda: 1, lambda: (
             B * (yz_t_xy - xy_tt_yz)
-            - yz * yz * tt_xz * q_xy * q_yx + xy * xy * t_xz * qt_yz * qt_zy)),
+            - yz * yz * tt_xz * q_xy * at(Q, 2, 1)
+            + xy * xy * t_xz * qt_yz * at(Qt, 3, 2))),
         "sf": (Q.is_zero() or None, lambda: -yz * q_xy,
                lambda: B - tt_xz * (yz * t_yx + xy_tt_yz)),
         "sigma_f": (Qt.is_zero() or None, lambda: -xy * qt_yz,
@@ -142,21 +158,42 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
 
     A coefficient's flag is read off the slot polynomials when the module
     docstring decides it there (a zero factor, T == T~, almost-equality), and
-    otherwise says whether its reduced difference is zero.  So the full
-    numerators, with their large shared factors, are never multiplied out.
-    The failure witness, the full difference of the first failing
-    coefficient, is built as factor * reduced difference for that name only.
+    otherwise says whether its reduced difference is zero.  The five flags
+    after f are decided first; when they all hold, the f flag is the action
+    of both sides on 1 (module docstring), and only otherwise is f's reduced
+    difference built.  So the full numerators, with their large shared
+    factors, are never multiplied out.  The failure witness, the full
+    difference of the first failing coefficient, is built as factor *
+    reduced difference for that name only.
     """
     parts = _factored_differences(pi, varpi)
-    flags = {}
-    failure = None
-    for name in COEFF_NAMES:
-        known, factor, reduced = parts[name]
-        diff = reduced() if known is None else None
-        flags[name] = known if diff is None else diff.is_zero()
-        if failure is None and not flags[name]:
-            failure = (name, factor() * (reduced() if diff is None else diff))
-    return CubicReport(flags=flags, failure=failure)
+    diffs = {}
+
+    def decide(name: str) -> bool:
+        known, _, reduced = parts[name]
+        if known is None:
+            diffs[name] = reduced()
+            return diffs[name].is_zero()
+        return known
+
+    rest = {name: decide(name) for name in COEFF_NAMES[1:]}
+    flags = {"f": _same_at_one(pi, varpi) if all(rest.values()) else decide("f"), **rest}
+    for name, ok in flags.items():
+        if not ok:
+            _, factor, reduced = parts[name]
+            diff = diffs[name] if name in diffs else reduced()
+            return CubicReport(flags=flags, failure=(name, factor() * diff))
+    return CubicReport(flags=flags)
+
+
+def _same_at_one(pi: PDDO, varpi: PDDO) -> bool:
+    """pi varpi pi (1) == varpi pi varpi (1) in x, y, z, with pi(1) = R0(x, y)
+    and varpi(1) = R0~(y, z).  The actions run through multipoly's _apply, not
+    PDDO.apply, so a check adds nothing to the count of traced applications."""
+    Q, R, Qt, Rt = pi.Q0, pi.R0, varpi.Q0, varpi.R0
+    left = _apply(_apply(instantiate(R, 1, 2, 3), 1, Qt, Rt), 0, Q, R)
+    right = _apply(_apply(instantiate(Rt, 2, 3, 3), 0, Q, R), 1, Qt, Rt)
+    return left == right
 
 
 def quad_commute_check(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:

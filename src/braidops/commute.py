@@ -43,9 +43,9 @@ def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:
     if not lo.Q0 and not hi.Q0:
         return True
     if not lo.Q0:
-        return all(s == 0 for _, s in lo.R0.terms)
+        return all(s == 0 for _, s in lo.R0._num)
     if not hi.Q0:
-        return all(r == 0 for r, _ in hi.R0.terms)
+        return all(r == 0 for r, _ in hi.R0._num)
     return False
 
 

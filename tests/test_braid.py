@@ -60,9 +60,11 @@ class TestCubicCheck:
             assert report.failure is None
 
     def test_each_slot_polynomial_is_placed_once(self, monkeypatch):
-        """Almost-equality is decided on the slot polynomials, and Q0, Q0~ at
-        (x, z) appear only in failure witnesses: 10 instantiate calls for a
-        braiding pair of two distinct, equal operators, none repeated."""
+        """Almost-equality is decided on the slot polynomials, f on the
+        action on 1, and Q0, Q0~ at (x, z) appear only in failure witnesses:
+        10 instantiate calls for a braiding pair of two distinct, equal
+        operators, none repeated, 8 shared by the table and R0(x, y),
+        R0~(y, z) for the action on 1."""
         calls = []
         real = braid.instantiate
 
@@ -75,6 +77,7 @@ class TestCubicCheck:
         assert cubic_braid_check(pi, varpi).passed
         assert len(calls) == 10
         assert len({(id(p), i, j) for p, i, j in calls}) == 10
+        assert (pi.R0, 1, 2) in calls and (varpi.R0, 2, 3) in calls
 
     def test_middle_flags_are_decided_by_t(self, monkeypatch):
         """With both Q0 nonzero and T != T~, s_sigma_f and sigma_s_f are False
@@ -111,9 +114,10 @@ class TestCubicCheck:
         (preset("grothendieck", 3, 2)[1], preset("grothendieck", 3, 2)[2]),
     ], ids=["case1", "zeta", "grothendieck"])
     def test_almost_equality_is_not_multiplied_out(self, pair, monkeypatch):
-        """s_sigma_s_f of a braiding pair is decided in two variables: the
-        check's 3-variable products are those of the table's shared terms and
-        of the reduced differences that only building decides (flag None)."""
+        """A braiding pair's s_sigma_s_f is decided in two variables and its f
+        by the action on 1: the check's 3-variable products are those of the
+        table's shared terms and of the sf and sigma_f reduced differences
+        that only building decides (flag None), and none of f's."""
         pi, varpi = pair
         dims = []
         real = multipoly._mul_pairs
@@ -125,13 +129,17 @@ class TestCubicCheck:
         monkeypatch.setattr(multipoly, "_mul_pairs", counting)
         parts = braid._factored_differences(pi, varpi)
         assert parts["s_sigma_s_f"][0] is True
-        for known, _, reduced in parts.values():
+        for name in ("sf", "sigma_f"):
+            known, _, reduced = parts[name]
             if known is None:
                 reduced()
         needed = dims.count(3)
         dims.clear()
         assert cubic_braid_check(pi, varpi).passed
         assert dims.count(3) == needed
+        dims.clear()
+        parts["f"][2]()
+        assert dims.count(3) > 0  # what building f's reduced difference would add
 
     def test_failure_reports_a_witness(self):
         good = preset("demazure", 3)[1]
@@ -185,7 +193,8 @@ class TestAgainstFullNumerators:
     triple compositions: same flags, failing name and witness polynomial."""
 
     @given(zslotpolys, zslotpolys, zslotpolys, zslotpolys,
-           st.sampled_from(["random", "q_zero", "qt_zero", "t_zero", "same_t", "same_q"]))
+           st.sampled_from(["random", "q_zero", "qt_zero", "t_zero", "same_t", "same_q",
+                            "mult", "same_op"]))
     @settings(max_examples=80, deadline=None)
     def test_random_pairs(self, q1, r1, q2, r2, shape):
         if shape == "q_zero":
@@ -198,6 +207,10 @@ class TestAgainstFullNumerators:
             q2 = q1 + UV * (r1 - r2)
         elif shape == "same_q":
             q2 = q1
+        elif shape == "mult":
+            q1 = q2 = SlotPoly.zero()
+        elif shape == "same_op":
+            q2, r2 = q1, r1
         pi, varpi = PDDO(q1 + UV * r1, q1), PDDO(q2 + UV * r2, q2)
         assert_same_report(pi, varpi)
         assert_same_report(varpi, pi)
@@ -235,6 +248,22 @@ class TestAgainstFullNumerators:
         report = assert_same_report(pi, varpi)
         assert report.passed == braids == cubic_braid_oracle(pi, varpi)
         assert braids or report.failure[0] == "s_sigma_s_f"
+
+
+    @pytest.mark.parametrize("r0, rt0, braids", [
+        (U, U, False),  # x y x against y x y
+        (SlotPoly.const(1), SlotPoly.const(2), False),
+        (SlotPoly.const(2), SlotPoly.const(2), True),
+    ])
+    def test_only_f_fails_for_multiplication_operators(self, r0, rt0, braids):
+        """With both Q0 zero every factor after f vanishes, so f decides the
+        pair from the action on 1, R0(x,y) R0~(y,z) R0(x,y) against
+        R0~(y,z) R0(x,y) R0~(y,z); its witness is built only when it fails."""
+        pi, varpi = PDDO.from_q0_r0(SlotPoly.zero(), r0), PDDO.from_q0_r0(SlotPoly.zero(), rt0)
+        report = assert_same_report(pi, varpi)
+        assert all(report.flags[name] for name in braid.COEFF_NAMES[1:])
+        assert report.passed == braids == cubic_braid_oracle(pi, varpi)
+        assert braids or report.failure[0] == "f"
 
 
 class TestQuadCheck:
