@@ -147,7 +147,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
                       lambda: at(T - Tt, 2, 3)),
         "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * at(Q, 1, 3),
                       lambda: at(T - Tt, 1, 2)),
-        "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or _almost(Q, Qt), lambda: -xy * yz,
+        "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or Q == Qt or _almost(Q, Qt),
+                        lambda: -xy * yz,
                         lambda: (q_xy * at(Qt, 1, 3) * at(Q, 2, 3)
                                  - at(Qt, 1, 2) * at(Q, 1, 3) * qt_yz)),
     }
@@ -190,9 +191,9 @@ def _same_at_one(pi: PDDO, varpi: PDDO) -> bool:
     """pi varpi pi (1) == varpi pi varpi (1) in x, y, z, with pi(1) = R0(x, y)
     and varpi(1) = R0~(y, z).  The actions run through multipoly's _apply, not
     PDDO.apply, so a check adds nothing to the count of traced applications."""
-    Q, R, Qt, Rt = pi.Q0, pi.R0, varpi.Q0, varpi.R0
-    left = _apply(_apply(instantiate(R, 1, 2, 3), 1, Qt, Rt), 0, Q, R)
-    right = _apply(_apply(instantiate(Rt, 2, 3, 3), 0, Q, R), 1, Qt, Rt)
+    act, act_t = pi._action, varpi._action
+    left = _apply(_apply(instantiate(pi.R0, 1, 2, 3), 1, act_t), 0, act)
+    right = _apply(_apply(instantiate(varpi.R0, 2, 3, 3), 0, act), 1, act_t)
     return left == right
 
 

@@ -2,9 +2,10 @@
 decomposition of slot polynomials into symmetric plus d-positive parts.
 
 ``ddiff`` is the operator Q0 d_i + R0 with (Q0, R0) = (1, 0), applied by the
-one pass ``multipoly._apply``, whose two-variable kernel uses the closed form
-d_i(x_i^r x_{i+1}^s) = sum_{l=s}^{r-1} x_i^l x_{i+1}^{r+s-1-l} for r > s,
-term by term; ``SlotPoly.ddiff`` runs the same kernel on its own terms.
+one pass ``multipoly._apply`` through an action that lives for the call, so
+its monomial images are not kept.  The two-variable kernel uses the closed
+form d_i(x_i^r x_{i+1}^s) = sum_{l=s}^{r-1} x_i^l x_{i+1}^{r+s-1-l} for
+r > s, term by term; ``SlotPoly.ddiff`` runs the same kernel on its own terms.
 
 A monomial u^r v^s is d-positive when r > s; the d-positive polynomials are
 a complement of the symmetric ones, and the divided difference restricts to
@@ -18,7 +19,7 @@ h_{r,r}), so the lift of a symmetric phi is u phi[r >= s] - v phi[r >= s + 2].
 
 from __future__ import annotations
 
-from .multipoly import MultiPoly, SlotPoly, _apply
+from .multipoly import MultiPoly, SlotPoly, _Action, _apply
 
 __all__ = ["ddiff", "dpositive_split", "dpositive_lift"]
 
@@ -26,10 +27,11 @@ _Q0, _R0 = SlotPoly.const(1), SlotPoly.zero()
 
 
 def ddiff(f: MultiPoly, i: int) -> MultiPoly:
-    """(f - s_i f) / (x_i - x_{i+1}); the result is symmetric in x_i, x_{i+1}."""
+    """(f - s_i f) / (x_i - x_{i+1}); the result is symmetric in x_i, x_{i+1}.
+    The action of (1, 0) and its monomial images live for this call alone."""
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
-    return _apply(f, i - 1, _Q0, _R0)
+    return _apply(f, i - 1, _Action(_Q0, _R0))
 
 
 def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:

@@ -14,9 +14,17 @@ built inside, a sum, product, operator application, slot move, placement,
 ``swap_vars`` or ``exact_div`` result or coerced scalar, ends in ``_normal``,
 the one internal constructor, with at most one gcd pass over its integers.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
-(Q0, R0) = (1, 0); it runs the two-variable kernel ``_ddiff_pairs`` on each
-slice of f, as ``SlotPoly.ddiff`` does on its own map.  Every two-variable
-product, of ``_mul_pairs`` and of each slice of ``_apply``, runs the one loop
+(Q0, R0) = (1, 0).  It reads the operator from an ``_Action``: the common
+denominator of Q0 and R0, their slot lists, and the image
+Q0 d(u^r v^s) + R0 u^r v^s of each monomial met so far, built on first use.
+``PDDO`` keeps one action per operator; ``divdiff.ddiff`` builds one per
+call.  ``_apply`` splits f once into two-variable slices by the exponents
+outside the operator's pair.  A slice of one term reads the image of its
+monomial.  A slice of more terms is merged first: it runs the two-variable
+kernel ``_ddiff_pairs`` once, as ``SlotPoly.ddiff`` does on its own map, and
+is then multiplied by Q0 and by R0, so a slice of many high-degree terms
+costs one pass, not one image per term.  Every two-variable product, of
+``_mul_pairs``, of each merged slice and of each image, runs the one loop
 ``_mul_slots``.  Stored pairs are tuples, shared between polynomials and
 never changed.  Field elements are built only where a coefficient is read
 out as a value: ``terms``, ``constant_value``, ``evaluate`` and the long
@@ -187,23 +195,59 @@ def _ddiff_pairs(pairs: Mapping) -> dict:
     return acc
 
 
-def _apply(f: "MultiPoly", k: int, q0: "SlotPoly", r0: "SlotPoly") -> "MultiPoly":
-    """Q0(x, y) d f + R0(x, y) f for slot polynomials q0, r0 placed at exponent
-    positions k, k + 1 (variables x, y), accumulated in integers over one
-    denominator.  f is split once by the exponents outside the two positions.
-    Each two-variable slice goes through _ddiff_pairs and _mul_slots, summed
-    in its two variables, since its terms stay in it; a zero q0 or r0 skips
-    its pass."""
-    dq, dr = q0._den, r0._den
-    den = dq // gcd(dq, dr) * dr
-    kq, kr = den // dq, den // dr
-    sq = [(u, v, a * kq, b * kq, (a + b) * kq) for (u, v), (a, b) in q0._num.items()]
-    sr = [(u, v, a * kr, b * kr, (a + b) * kr) for (u, v), (a, b) in r0._num.items()]
+class _Action:
+    """An operator Q0 d + R0 prepared for _apply: the common denominator of
+    q0 and r0, each as a slot list [(r, s, c, g, c + g)] over it, and the
+    images Q0 d(u^r v^s) + R0 u^r v^s of the monomials met so far, as lists of
+    the same form keyed by (r, s), each built on first use."""
+
+    __slots__ = ("den", "sq", "sr", "images")
+
+    def __init__(self, q0: "SlotPoly", r0: "SlotPoly"):
+        dq, dr = q0._den, r0._den
+        self.den = den = dq // gcd(dq, dr) * dr
+        kq, kr = den // dq, den // dr
+        self.sq = [(u, v, a * kq, b * kq, (a + b) * kq) for (u, v), (a, b) in q0._num.items()]
+        self.sr = [(u, v, a * kr, b * kr, (a + b) * kr) for (u, v), (a, b) in r0._num.items()]
+        self.images: dict = {}
+
+    def build(self, rs: tuple) -> list:
+        """Build and keep the image of u^r v^s."""
+        acc: dict = {}
+        one = {rs: (1, 0)}
+        if self.sq:
+            _mul_slots(acc, _ddiff_pairs(one), self.sq)
+        if self.sr:
+            _mul_slots(acc, one, self.sr)
+        image = self.images[rs] = [(x, y, c, g, c + g) for (x, y), (c, g) in acc.items()
+                                   if c or g]
+        return image
+
+
+def _apply(f: "MultiPoly", k: int, action: _Action) -> "MultiPoly":
+    """Q0(x, y) d f + R0(x, y) f for the operator of action, its slots placed at
+    exponent positions k, k + 1 (variables x, y), accumulated in integers over
+    one denominator.  f is split once by the exponents outside the two
+    positions.  A slice of one term (a + b z) x^r y^s is (a + b z) times the
+    image of u^r v^s; a slice of more goes through _ddiff_pairs once and
+    _mul_slots for q0 and for r0, summed in its two variables, since its terms
+    stay in it, so that a slice of many terms is merged before it is
+    multiplied.  A zero q0 or r0 skips its pass.  Q(z) is a field, so no
+    product of a nonzero pair with an image term is zero."""
+    sq, sr, images = action.sq, action.sr, action.images
     slices: dict = {}
     for e, pair in f._num.items():
         slices.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = pair
     num: dict = {}
     for (head, tail), pairs in slices.items():
+        if len(pairs) == 1:
+            (rs, (a, b)), = pairs.items()
+            image = images.get(rs)
+            if image is None:
+                image = action.build(rs)
+            for x, y, c, g, cg in image:
+                num[head + (x, y) + tail] = (a * c - b * g, a * g + b * cg)
+            continue
         acc: dict = {}
         if sq:
             _mul_slots(acc, _ddiff_pairs(pairs), sq)
@@ -212,7 +256,7 @@ def _apply(f: "MultiPoly", k: int, q0: "SlotPoly", r0: "SlotPoly") -> "MultiPoly
         for xy, (a, b) in acc.items():
             if a or b:
                 num[head + xy + tail] = (a, b)
-    return type(f)._normal(f.n_vars, num, f._den * den)
+    return type(f)._normal(f.n_vars, num, f._den * action.den)
 
 
 def _nonzero(acc: Mapping) -> dict:

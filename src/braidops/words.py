@@ -149,9 +149,10 @@ def polynomial_table(
         )
     if seed is None:
         seed = staircase(n)
-    # One-line tuples by decreasing length; w0, the only longest, comes first,
-    # and w s_i for an ascent i, and w' below, are longer than w.
-    sweep = sorted(_permutations(range(1, n + 1)), key=_inversions, reverse=True)
+    # One-line tuples in descending lexicographic order, w0 first.  For an
+    # ascent i, w s_i puts the larger of w(i), w(i+1) first, and w' below puts
+    # m before m - 1, so both are lexicographically larger and come earlier.
+    sweep = list(_permutations(range(n, 0, -1)))
     polys, words = {sweep[0]: seed}, {sweep[0]: ()}
     for w in sweep[1:]:
         values = [fam[i].apply(i, polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]])

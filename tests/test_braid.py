@@ -141,6 +141,31 @@ class TestCubicCheck:
         parts["f"][2]()
         assert dims.count(3) > 0  # what building f's reduced difference would add
 
+    def test_equal_q0_decides_almost_equality_alone(self, monkeypatch):
+        """With Q0 == Q0~ both sides of the s_sigma_s_f identity are one
+        product, so a uniform pair calls no _almost, with flags unchanged;
+        a pair of distinct nonzero Q0 still calls it."""
+        calls = []
+        real = braid._almost
+
+        def counting(q, qt):
+            calls.append((q, qt))
+            return real(q, qt)
+
+        monkeypatch.setattr(braid, "_almost", counting)
+        uniform = [(fam[1], fam[2]) for fam in (
+            preset("demazure", 3), preset("pure_ddiff", 3), preset("grothendieck", 3, 2),
+            main_case1(3, 1, 2, 1, 2, 3))]
+        uniform.append((case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)))
+        for pi, varpi in uniform:
+            assert cubic_braid_check(pi, varpi).flags == full_report(pi, varpi).flags
+        assert calls == []
+        dem = preset("demazure", 3)[1]
+        for pi, varpi in ((dem, dem.scale(2)), (PDDO.from_q0_r0(V, U), PDDO.from_q0_r0(U, U))):
+            assert cubic_braid_check(pi, varpi).flags == full_report(pi, varpi).flags
+            assert calls == [(pi.Q0, varpi.Q0)]
+            calls.clear()
+
     def test_failure_reports_a_witness(self):
         good = preset("demazure", 3)[1]
         bad = PDDO.from_pqrs(

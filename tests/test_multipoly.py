@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidops import field, multipoly
 from braidops.cli import poly_to_json
@@ -401,29 +401,103 @@ class TestStoredForm:
     def test_two_variable_products_share_one_loop(self, monkeypatch):
         """An operator applied to a 4-variable polynomial and a product of two
         slot polynomials both run the one two-variable loop, _mul_slots, and
-        give what they give without it; a 3-variable product does not reach it."""
+        give what they give without it; a 3-variable product does not reach it.
+        A one-term slice reads the image of its monomial, which the operator
+        builds, through _mul_slots for q and for r, only the first time it
+        meets it; a slice of more terms runs _mul_slots for q and for r on
+        every application."""
         f = MultiPoly(4, {(2, 1, 0, 3): "1/2+1z", (0, 0, 1, 1): "3", (1, 3, 2, 0): "-2/3"})
+        h = MultiPoly(4, {(1, 2, 0, 3): "1/5", (1, 0, 2, 3): "2-1z"})  # one slice at 2
         q = SlotPoly({(1, 1): "0+1z", (0, 0): "1/2"})
         r = SlotPoly({(1, 0): "-3/4", (0, 2): "1"})
         g = MultiPoly(3, {(1, 0, 2): "1/3", (0, 1, 0): "0-1z"})
+        fresh = PDDO.from_q0_r0(q, r)
+        expected = [fresh.apply(2, f), fresh.apply(2, h), q * r]
         op = PDDO.from_q0_r0(q, r)
-        expected = [op.apply(2, f), q * r]
-        calls = []
-        real = multipoly._mul_slots
+        calls, builds = [], []
+        real, build = multipoly._mul_slots, multipoly._Action.build
 
         def counting(acc, terms, slots):
             calls.append(len(slots))
             return real(acc, terms, slots)
 
+        def counting_build(self, rs):
+            builds.append(rs)
+            return build(self, rs)
+
         monkeypatch.setattr(multipoly, "_mul_slots", counting)
+        monkeypatch.setattr(multipoly._Action, "build", counting_build)
         assert op.apply(2, f) == expected[0]
-        assert len(calls) == 2 * 3  # q and r, on each of f's three slices
+        assert sorted(builds) == [(0, 1), (1, 0), (3, 2)]  # f's three one-term slices
+        assert len(calls) == 2 * 3  # q and r, for each image
         calls.clear()
-        assert q * r == expected[1]
+        builds.clear()
+        assert op.apply(2, f) == expected[0]
+        assert calls == [] and builds == []  # every image is kept
+        assert op.apply(2, h) == expected[1]
+        assert sorted(calls) == sorted([len(q._num), len(r._num)]) and builds == []
+        calls.clear()
+        assert q * r == expected[2]
         assert calls == [len(r._num)]
         calls.clear()
         assert g * g == MultiPoly(3, {(2, 0, 4): "1/9", (1, 1, 2): "0-2/3z", (0, 2, 0): "-1+1z"})
         assert calls == []
+
+    def test_a_slice_of_many_terms_is_merged_first(self, monkeypatch):
+        """A slice of many terms goes through _ddiff_pairs once and builds no
+        image.  Reading one image per term instead (an all-images kernel) took
+        ``table --n 3 --family preset:demazure`` from x1^300 from 1.55 s to
+        5.76 s on a 2-core machine under Python 3.11: each image of u^r v^s
+        has about |r - s| terms, where the merged slice needs one pass."""
+        dem = preset("demazure", 3)[1]
+        f = dem.apply(1, MultiPoly.monomial(3, (300, 0, 0)))
+        assert len(f._num) == 301 and {e[2] for e in f._num} == {0}  # one slice at 1
+        expected = PDDO.from_q0_r0(dem.Q0, dem.R0).apply(1, f)
+        op = PDDO.from_q0_r0(dem.Q0, dem.R0)
+        calls, builds = [], []
+        real, build = multipoly._ddiff_pairs, multipoly._Action.build
+
+        def counting(pairs):
+            calls.append(len(pairs))
+            return real(pairs)
+
+        def counting_build(self, rs):
+            builds.append(rs)
+            return build(self, rs)
+
+        monkeypatch.setattr(multipoly, "_ddiff_pairs", counting)
+        monkeypatch.setattr(multipoly._Action, "build", counting_build)
+        assert op.apply(1, f) == expected
+        assert calls == [301] and builds == [] and op._act.images == {}
+
+    @given(operands(1), term_maps(2), term_maps(2), term_maps(2), st.data())
+    @example((4, {(2, 1, 0, 1): FieldElement.of("1/2+1z"), (0, 1, 3, 1): FieldElement.of(3),
+                  (1, 1, 1, 0): FieldElement.of("-2/3"), (0, 1, 0, 1): FieldElement.of(5)}),
+             {(1, 0): FieldElement.of("0+1z")}, {(0, 2): FieldElement.of(-1)},
+             {(2, 0): FieldElement.of(1), (0, 3): FieldElement.of("1/3")}, None)
+    @settings(max_examples=100, deadline=None)
+    def test_apply_matches_the_reference(self, data, q, r, s, choice):
+        """Q0 d_k f + R0 f against the field-element reference, on slices of
+        one term and of more, for zero Q0 and zero R0 and for a SlotPoly f,
+        and again on the images the operator kept: a second application
+        builds none."""
+        n, a = data
+        k = 2 if choice is None else choice.draw(st.integers(1, n - 1))
+        for qs, rs in ((q, r), ({}, r), (q, {})):
+            op = PDDO.from_q0_r0(SlotPoly(qs), SlotPoly(rs))
+            for f, terms, i in ((MultiPoly(n, a), _clean(a), k), (SlotPoly(s), _clean(s), 1)):
+                m = f.n_vars
+                expected = ref_sum(ref_mul(ref_place(qs, i, i + 1, m), ref_ddiff(terms, i - 1)),
+                                   ref_mul(ref_place(rs, i, i + 1, m), terms))
+                for repeat in range(2):
+                    result = op.apply(i, f)
+                    assert type(result) is type(f)
+                    assert_canonical(result)
+                    assert result.terms == expected
+                    images = dict(op._act.images)
+                    if repeat:
+                        assert images == kept and all(images[e] is kept[e] for e in kept)
+                    kept = images
 
     @given(operands(1), term_maps(2), qz_coeffs)
     @settings(max_examples=100, deadline=None)

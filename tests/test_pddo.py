@@ -405,6 +405,26 @@ def product_formula_hecke(op: PDDO):
     return (mu, nu.constant_value()) if nu.is_constant() else None
 
 
+class TestKeptAction:
+    @given(qz_ops, qz_ops, qz_polys(3))
+    @settings(max_examples=60, deadline=None)
+    def test_kept_action_changes_nothing_it_is_compared_by(self, op, other, f):
+        """==, hash, repr, immutability, compose and hecke_params read the
+        pair alone, whether or not the action has been built and filled."""
+        cold, warm = (PDDO.from_q0_r0(op.Q0, op.R0) for _ in range(2))
+        for i in (1, 2):
+            warm.apply(i, f)
+        assert cold._act is None and warm._act is not None
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert cold._act is None
+        for name in ("Q0", "R0", "T", "_act"):
+            with pytest.raises(AttributeError):
+                setattr(warm, name, ZERO_P)
+        for method in (lambda p: p.compose(other), lambda p: other.compose(p),
+                       PDDO.hecke_params):
+            assert method(warm) == method(PDDO.from_q0_r0(op.Q0, op.R0))
+
+
 class TestReadOffTheAction:
     """compose and hecke_params are read off apply; the expanded product
     formulas they replaced are the oracles."""

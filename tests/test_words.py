@@ -1,5 +1,6 @@
 """Tests for permutations, reduced words, and table generation."""
 
+import itertools
 import math
 import random
 
@@ -195,6 +196,24 @@ class TestTableAgainstReducedWords:
         assert [e.perm for e in table] == Permutation.all(n)
         got = {e.perm.one_line: (e.word, e.poly) for e in table}
         assert got == _reduced_word_table(fam, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sweep_puts_each_predecessor_first(self, n):
+        """polynomial_table sweeps S_n in descending lexicographic order, from
+        w0; there, for every w, each ascent successor w s_i and the w' whose
+        word precedes w's last letter come before w."""
+        sweep = list(itertools.permutations(range(n, 0, -1)))
+        assert sweep[0] == Permutation.longest(n).one_line
+        assert sorted(sweep, reverse=True) == sweep
+        position = {w: k for k, w in enumerate(sweep)}
+        for w in sweep[1:]:
+            for i in range(1, n):
+                if w[i - 1] < w[i]:
+                    ws = Permutation(w).apply_transposition(i).one_line
+                    assert position[ws] < position[w]
+            m = max(m for m in range(2, n + 1) if w.index(m) > w.index(m - 1))
+            w_prime = tuple({m: m - 1, m - 1: m}.get(x, x) for x in w)
+            assert position[w_prime] < position[w]
 
     def test_one_application_per_ascent(self, monkeypatch):
         calls = []
