@@ -63,10 +63,10 @@ failure witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, product
+from itertools import count
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, _apply, _nonzero, instantiate
+from .multipoly import MultiPoly, SlotPoly, _Action, _apply, _nonzero, instantiate
 from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -189,31 +189,31 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
 
 def _same_at_one(pi: PDDO, varpi: PDDO) -> bool:
     """pi varpi pi (1) == varpi pi varpi (1) in x, y, z, with pi(1) = R0(x, y)
-    and varpi(1) = R0~(y, z).  The actions run through multipoly's _apply, not
-    PDDO.apply, so a check adds nothing to the count of traced applications."""
-    act, act_t = pi._action, varpi._action
+    and varpi(1) = R0~(y, z).  Its four applications share two actions: an
+    action lives for the call that prepares it; the table sweep keeps one per
+    operator."""
+    act, act_t = _Action(pi.Q0, pi.R0), _Action(varpi.Q0, varpi.R0)
     left = _apply(_apply(instantiate(pi.R0, 1, 2, 3), 1, act_t), 0, act)
     right = _apply(_apply(instantiate(varpi.R0, 2, 3, 3), 0, act), 1, act_t)
     return left == right
 
 
 def quad_commute_check(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:
-    """Distant-index commutation pi_i pi_k = pi_k pi_i, checked on monomials.
-
-    Probes every monomial in x_i, x_{i+1}, x_k, x_{k+1} with per-variable
-    degree at most 2.  It holds for every pair of valid operators, so the
-    library does not call it; it is the test oracle for distant pairs.
+    """Distant-index commutation pi_i pi_k = pi_k pi_i, checked on 1, x_i, x_k
+    and x_i x_k: both words are linear over the functions that s_i and s_k
+    fix, and these four are a basis over them, as det[g(b)] over the group's
+    elements g and the four monomials b is (x_i - x_{i+1})^2 (x_k - x_{k+1})^2.
+    It holds for every pair of valid operators, so the library does not call
+    it; it is the test oracle for distant pairs.
     """
     if abs(k - i) < 2:
         raise ValueError("quad_commute_check needs |k - i| >= 2")
     for idx in (i, k):
         if not 1 <= idx <= n - 1:
             raise IndexError(f"operator index {idx} out of range 1..{n - 1}")
-    touched = (i, i + 1, k, k + 1)
-    for degs in product(range(3), repeat=4):
+    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
         e = [0] * n
-        for var, d in zip(touched, degs):
-            e[var - 1] = d
+        e[i - 1], e[k - 1] = a, b
         f = MultiPoly.monomial(n, e)
         if pi_i.apply(i, pi_k.apply(k, f)) != pi_k.apply(k, pi_i.apply(i, f)):
             return False

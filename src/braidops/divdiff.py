@@ -2,8 +2,9 @@
 decomposition of slot polynomials into symmetric plus d-positive parts.
 
 ``ddiff`` is the operator Q0 d_i + R0 with (Q0, R0) = (1, 0), applied by the
-one pass ``multipoly._apply`` through an action that lives for the call, so
-its monomial images are not kept.  The two-variable kernel uses the closed
+one pass ``multipoly._apply`` through an action that ``ddiff`` prepares: an
+action lives for the call that prepares it; the table sweep keeps one per
+operator.  The two-variable kernel uses the closed
 form d_i(x_i^r x_{i+1}^s) = sum_{l=s}^{r-1} x_i^l x_{i+1}^{r+s-1-l} for
 r > s, term by term; ``SlotPoly.ddiff`` runs the same kernel on its own terms.
 

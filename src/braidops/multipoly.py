@@ -17,8 +17,8 @@ the one internal constructor, with at most one gcd pass over its integers.
 (Q0, R0) = (1, 0).  It reads the operator from an ``_Action``: the common
 denominator of Q0 and R0, their slot lists, and the image
 Q0 d(u^r v^s) + R0 u^r v^s of each monomial met so far, built on first use.
-``PDDO`` keeps one action per operator; ``divdiff.ddiff`` builds one per
-call.  ``_apply`` splits f once into two-variable slices by the exponents
+An action lives for the call that prepares it; the table sweep keeps one per
+operator.  ``_apply`` splits f once into two-variable slices by the exponents
 outside the operator's pair.  A slice of one term reads the image of its
 monomial.  A slice of more terms is merged first: it runs the two-variable
 kernel ``_ddiff_pairs`` once, as ``SlotPoly.ddiff`` does on its own map, and

@@ -11,11 +11,9 @@ An operator is fixed by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so
 composition and the Hecke parameters are read off ``apply`` with no product
 formula of their own.
 
-Each operator also keeps its action, built from (Q0, R0) on its first
-application: the pair's common denominator, slot lists, and the image
-Q0 d(u^r v^s) + R0 u^r v^s of each monomial met so far, which multipoly's
-``_apply`` reads for a one-term slice.  It is a cache derived from the pair,
-the same at every index, and outside ==, hash and repr.
+``apply`` prepares multipoly's ``_Action`` from the pair for its one call: an
+action lives for the call that prepares it; the table sweep keeps one per
+operator.
 """
 
 from __future__ import annotations
@@ -61,10 +59,9 @@ class CanonicalForms:
 class PDDO:
     """One polynomial divided difference operator, stored as its first
     canonical form (Q0, R0) and compared and hashed by it; T = Q0 + (u - v)R0
-    is read off the pair.  The operator also keeps its action, derived from
-    the pair on first application and never compared, hashed or printed."""
+    is read off the pair."""
 
-    __slots__ = ("Q0", "R0", "_act")
+    __slots__ = ("Q0", "R0")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
         """Build from outside (T, Q0), two SlotPolys; Q0 + (u - v)R0 gives T
@@ -74,7 +71,6 @@ class PDDO:
                 raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")
         _set(self, "Q0", Q0)
         _set(self, "R0", (T - Q0)._over_u_minus_v())
-        _set(self, "_act", None)
         if self.T != T:
             raise InexactDivisionError(
                 "T - Q0 must be divisible by u - v; corrupted operator data")
@@ -105,7 +101,6 @@ class PDDO:
         op = object.__new__(cls)
         _set(op, "Q0", Q0)
         _set(op, "R0", R0)
-        _set(op, "_act", None)
         return op
 
     @classmethod
@@ -141,23 +136,13 @@ class PDDO:
 
     # -- action ------------------------------------------------------------
 
-    @property
-    def _action(self) -> _Action:
-        """(Q0, R0) prepared for multipoly's _apply, with the images of the
-        monomials met so far; built on first use and kept, for any index."""
-        act = self._act
-        if act is None:
-            act = _Action(self.Q0, self.R0)
-            _set(self, "_act", act)
-        return act
-
     def apply(self, i: int, f: MultiPoly) -> MultiPoly:
         """Apply at index i: Q0 d_i f + R0 f at (x_i, x_{i+1}), in one
-        integer pass through the operator's kept action."""
+        integer pass through an action prepared for this call."""
         n = f.n_vars
         if not 1 <= i <= n - 1:
             raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        return _apply(f, i - 1, self._action)
+        return _apply(f, i - 1, _Action(self.Q0, self.R0))
 
     # -- derived data ------------------------------------------------------
 

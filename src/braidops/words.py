@@ -9,7 +9,8 @@ from typing import Sequence
 
 from .braid import family_braid_check
 from .families import OperatorFamily
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _Action, _apply
+from .pddo import per_operator
 
 __all__ = [
     "Permutation",
@@ -135,11 +136,17 @@ def polynomial_table(
     Entries are built down the weak order: entry(w) = pi_i(entry(w s_i)),
     asserted equal for every ascent i of w (n!(n-1)/2 applications).  The
     ascents are the first letters of the reduced words of w^{-1} w0, so by
-    induction on length this is agreement across all reduced words.
+    induction on length this is agreement across all reduced words.  The
+    sweep prepares one multipoly action per distinct operator object and
+    reuses its monomial images; the actions are dropped when it returns.
     """
     n = fam.n
     if n > MAX_TABLE_N:
         raise SizeLimitError(f"tables capped at n = {MAX_TABLE_N}")
+    if seed is None:
+        seed = staircase(n)
+    elif seed.n_vars < n:
+        raise IndexError(f"operator index {n - 1} out of range 1..{seed.n_vars - 1}")
     report = family_braid_check(fam) if n >= 3 else None  # S_2 has no braid relation
     if report is not None and not report.passed:
         bad = ", ".join(f"cubic{p}" for p, rep in report.cubic.items() if not rep.passed)
@@ -147,15 +154,14 @@ def polynomial_table(
             "family fails the braid relations; table entries would depend "
             f"on the chosen reduced words (failing: {bad})"
         )
-    if seed is None:
-        seed = staircase(n)
+    actions = per_operator(_Action, [(op.Q0, op.R0) for op in fam.ops])
     # One-line tuples in descending lexicographic order, w0 first.  For an
     # ascent i, w s_i puts the larger of w(i), w(i+1) first, and w' below puts
     # m before m - 1, so both are lexicographically larger and come earlier.
     sweep = list(_permutations(range(n, 0, -1)))
     polys, words = {sweep[0]: seed}, {sweep[0]: ()}
     for w in sweep[1:]:
-        values = [fam[i].apply(i, polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]])
+        values = [_apply(polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]], i - 1, actions[i - 1])
                   for i in range(1, n) if w[i - 1] < w[i]]
         if any(p != values[0] for p in values[1:]):
             raise AssertionError(f"reduced-word dependence at {w} despite braid check")

@@ -9,11 +9,19 @@ instead; this module multiplies everything out.
 
 ``almost_equal_reference`` multiplies out the three-variable
 almost-equality identity that ``braid.almost_equal`` decides in two.
-``cubic_braid_oracle`` applies both triple compositions to monomials, and
-the two commutation references compose operators in both orders.
-"""
+``cubic_braid_oracle`` and ``consecutive_probe`` apply two words of
+operators to the six Artin monomials x^a y^b (a <= 2, b <= 1) of the three
+touched variables x, y, z, and ``commutes_by_composition`` composes
+operators in both orders.
 
-from itertools import product
+Six monomials decide exactly.  Each word is a sum over g in S_3 of a rational
+coefficient times g, so the difference of two words is linear over the
+functions that S_3 fixes.  The Artin monomials are a basis over them: the
+matrix [g(b)] of the six elements g at the six monomials b is invertible
+(tests/test_artin_basis.py checks its determinant at a rational point).  So
+two words that agree on the six monomials agree on every polynomial, at any
+degree of the operators' coefficients.
+"""
 
 from braidops.braid import COEFF_NAMES, CubicReport
 from braidops.multipoly import MultiPoly, SlotPoly, instantiate
@@ -78,17 +86,12 @@ def almost_equal_reference(q: SlotPoly, qt: SlotPoly) -> bool:
     return at(q, 1, 2) * at(qt, 1, 3) * at(q, 2, 3) == at(qt, 1, 2) * at(q, 1, 3) * at(qt, 2, 3)
 
 
-def cubic_braid_oracle(pi: PDDO, varpi: PDDO, max_degree: int | None = None) -> bool:
-    """Brute-force check: apply both compositions to monomial probes.
+ARTIN_EXPONENTS = tuple((a, b) for a in range(3) for b in range(2))
 
-    The probe degree defaults to the maximal coefficient degree plus two,
-    which separates the six coefficient groups at the degrees in play.
-    """
-    if max_degree is None:
-        max_degree = max(
-            2,
-            pi.T.degree(), pi.Q0.degree(), varpi.T.degree(), varpi.Q0.degree(),
-        ) + 2
+
+def cubic_braid_oracle(pi: PDDO, varpi: PDDO) -> bool:
+    """pi varpi pi == varpi pi varpi, pi at index 1 and varpi at 2, applied
+    to the six Artin monomials of x_1, x_2, x_3."""
 
     def lhs(f: MultiPoly) -> MultiPoly:
         return pi.apply(1, varpi.apply(2, pi.apply(1, f)))
@@ -96,9 +99,8 @@ def cubic_braid_oracle(pi: PDDO, varpi: PDDO, max_degree: int | None = None) -> 
     def rhs(f: MultiPoly) -> MultiPoly:
         return varpi.apply(2, pi.apply(1, varpi.apply(2, f)))
 
-    rng = range(max_degree + 1)
-    for a, b, c in product(rng, rng, rng):
-        f = MultiPoly.monomial(3, (a, b, c))
+    for a, b in ARTIN_EXPONENTS:
+        f = MultiPoly.monomial(3, (a, b, 0))
         if lhs(f) != rhs(f):
             return False
     return True
@@ -111,15 +113,11 @@ def commutes_by_composition(op1: PDDO, op2: PDDO) -> bool:
 
 def consecutive_probe(op_i: PDDO, op_k: PDDO, i: int, k: int, n: int) -> bool:
     """Consecutive commutation pi_i pi_k = pi_k pi_i, |i - k| = 1, probed on
-    the 35 monomials of degree <= 4 in the three touched variables."""
+    the six Artin monomials of the three touched variables."""
     lo = min(i, k)
-    touched = (lo, lo + 1, lo + 2)
-    for degs in product(range(5), repeat=3):
-        if sum(degs) > 4:
-            continue
+    for a, b in ARTIN_EXPONENTS:
         e = [0] * n
-        for var, d in zip(touched, degs):
-            e[var - 1] = d
+        e[lo - 1], e[lo] = a, b
         f = MultiPoly.monomial(n, e)
         if op_i.apply(i, op_k.apply(k, f)) != op_k.apply(k, op_i.apply(i, f)):
             return False

@@ -253,13 +253,11 @@ def test_criterion_4_invariants_and_oracle(capsys):
             preset("grothendieck", 3, 2),
         ):
             report = cubic_braid_check(fam[1], fam[2])
-            assert report.passed == cubic_braid_oracle(fam[1], fam[2], max_degree=4)
+            assert report.passed == cubic_braid_oracle(fam[1], fam[2])
             assert report.passed
         qhat, p, pairs = sampling.draw_degent_data(rng, 3)
         fam = degenerate_t_family(3, qhat, p, pairs)
-        assert cubic_braid_check(fam[1], fam[2]).passed == cubic_braid_oracle(
-            fam[1], fam[2], max_degree=4
-        )
+        assert cubic_braid_check(fam[1], fam[2]).passed == cubic_braid_oracle(fam[1], fam[2])
         for _ in range(100):
             pi = PDDO.from_q0_r0(
                 sampling.random_slotpoly(rng, max_degree=1),
@@ -269,9 +267,7 @@ def test_criterion_4_invariants_and_oracle(capsys):
                 sampling.random_slotpoly(rng, max_degree=1),
                 sampling.random_slotpoly(rng, max_degree=1),
             )
-            assert cubic_braid_check(pi, varpi).passed == cubic_braid_oracle(
-                pi, varpi, max_degree=4
-            )
+            assert cubic_braid_check(pi, varpi).passed == cubic_braid_oracle(pi, varpi)
     except AssertionError:
         ok = False
     _emit(capsys, 4, "invariants and oracle agreement", ok)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidops import cli
+from braidops import cli, words
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.families import OperatorFamily
 from braidops.field import FieldElement
@@ -981,26 +981,27 @@ def test_hecke_writer_matches_dumps(params):
 
 def test_refused_table_prints_nothing(monkeypatch):
     """The whole table is computed before its first byte is written, so a
-    refusal at the table's last operator application leaves stdout empty."""
+    refusal at the table sweep's last operator application leaves stdout
+    empty."""
     argv = ["table", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3"]
-    apply, calls = PDDO.apply, []
+    apply, calls = words._apply, []
 
-    def counted(self, i, f):
-        calls.append(i)
-        return apply(self, i, f)
+    def counted(f, k, action):
+        calls.append(k)
+        return apply(f, k, action)
 
-    monkeypatch.setattr(PDDO, "apply", counted)
+    monkeypatch.setattr(words, "_apply", counted)
     assert run_quietly(argv)[0] == 0
     last = len(calls)
 
-    def refused(self, i, f):
-        calls.append(i)
+    def refused(f, k, action):
+        calls.append(k)
         if len(calls) == last:
             raise ValueError("refused at the last application")
-        return apply(self, i, f)
+        return apply(f, k, action)
 
     calls.clear()
-    monkeypatch.setattr(PDDO, "apply", refused)
+    monkeypatch.setattr(words, "_apply", refused)
     assert run_quietly(argv) == (2, "", "error: refused at the last application\n")
 
 

@@ -402,7 +402,7 @@ class TestStoredForm:
         """An operator applied to a 4-variable polynomial and a product of two
         slot polynomials both run the one two-variable loop, _mul_slots, and
         give what they give without it; a 3-variable product does not reach it.
-        A one-term slice reads the image of its monomial, which the operator
+        A one-term slice reads the image of its monomial, which the action
         builds, through _mul_slots for q and for r, only the first time it
         meets it; a slice of more terms runs _mul_slots for q and for r on
         every application."""
@@ -411,9 +411,9 @@ class TestStoredForm:
         q = SlotPoly({(1, 1): "0+1z", (0, 0): "1/2"})
         r = SlotPoly({(1, 0): "-3/4", (0, 2): "1"})
         g = MultiPoly(3, {(1, 0, 2): "1/3", (0, 1, 0): "0-1z"})
-        fresh = PDDO.from_q0_r0(q, r)
-        expected = [fresh.apply(2, f), fresh.apply(2, h), q * r]
         op = PDDO.from_q0_r0(q, r)
+        expected = [op.apply(2, f), op.apply(2, h), q * r]
+        act = multipoly._Action(q, r)
         calls, builds = [], []
         real, build = multipoly._mul_slots, multipoly._Action.build
 
@@ -427,14 +427,14 @@ class TestStoredForm:
 
         monkeypatch.setattr(multipoly, "_mul_slots", counting)
         monkeypatch.setattr(multipoly._Action, "build", counting_build)
-        assert op.apply(2, f) == expected[0]
+        assert multipoly._apply(f, 1, act) == expected[0]
         assert sorted(builds) == [(0, 1), (1, 0), (3, 2)]  # f's three one-term slices
         assert len(calls) == 2 * 3  # q and r, for each image
         calls.clear()
         builds.clear()
-        assert op.apply(2, f) == expected[0]
-        assert calls == [] and builds == []  # every image is kept
-        assert op.apply(2, h) == expected[1]
+        assert multipoly._apply(f, 1, act) == expected[0]
+        assert calls == [] and builds == []  # the action keeps every image
+        assert multipoly._apply(h, 1, act) == expected[1]
         assert sorted(calls) == sorted([len(q._num), len(r._num)]) and builds == []
         calls.clear()
         assert q * r == expected[2]
@@ -453,7 +453,7 @@ class TestStoredForm:
         f = dem.apply(1, MultiPoly.monomial(3, (300, 0, 0)))
         assert len(f._num) == 301 and {e[2] for e in f._num} == {0}  # one slice at 1
         expected = PDDO.from_q0_r0(dem.Q0, dem.R0).apply(1, f)
-        op = PDDO.from_q0_r0(dem.Q0, dem.R0)
+        act = multipoly._Action(dem.Q0, dem.R0)
         calls, builds = [], []
         real, build = multipoly._ddiff_pairs, multipoly._Action.build
 
@@ -467,8 +467,8 @@ class TestStoredForm:
 
         monkeypatch.setattr(multipoly, "_ddiff_pairs", counting)
         monkeypatch.setattr(multipoly._Action, "build", counting_build)
-        assert op.apply(1, f) == expected
-        assert calls == [301] and builds == [] and op._act.images == {}
+        assert multipoly._apply(f, 0, act) == expected
+        assert calls == [301] and builds == [] and act.images == {}
 
     @given(operands(1), term_maps(2), term_maps(2), term_maps(2), st.data())
     @example((4, {(2, 1, 0, 1): FieldElement.of("1/2+1z"), (0, 1, 3, 1): FieldElement.of(3),
@@ -479,23 +479,24 @@ class TestStoredForm:
     def test_apply_matches_the_reference(self, data, q, r, s, choice):
         """Q0 d_k f + R0 f against the field-element reference, on slices of
         one term and of more, for zero Q0 and zero R0 and for a SlotPoly f,
-        and again on the images the operator kept: a second application
-        builds none."""
+        through PDDO.apply and through one action applied twice, the second
+        time on the images it kept: a second application builds none."""
         n, a = data
         k = 2 if choice is None else choice.draw(st.integers(1, n - 1))
         for qs, rs in ((q, r), ({}, r), (q, {})):
             op = PDDO.from_q0_r0(SlotPoly(qs), SlotPoly(rs))
+            act = multipoly._Action(op.Q0, op.R0)
             for f, terms, i in ((MultiPoly(n, a), _clean(a), k), (SlotPoly(s), _clean(s), 1)):
                 m = f.n_vars
                 expected = ref_sum(ref_mul(ref_place(qs, i, i + 1, m), ref_ddiff(terms, i - 1)),
                                    ref_mul(ref_place(rs, i, i + 1, m), terms))
-                for repeat in range(2):
-                    result = op.apply(i, f)
+                for repeat in range(3):
+                    result = multipoly._apply(f, i - 1, act) if repeat else op.apply(i, f)
                     assert type(result) is type(f)
                     assert_canonical(result)
                     assert result.terms == expected
-                    images = dict(op._act.images)
-                    if repeat:
+                    images = dict(act.images)
+                    if repeat == 2:
                         assert images == kept and all(images[e] is kept[e] for e in kept)
                     kept = images
 

@@ -405,24 +405,35 @@ def product_formula_hecke(op: PDDO):
     return (mu, nu.constant_value()) if nu.is_constant() else None
 
 
-class TestKeptAction:
+class TestApplyKeepsNothing:
     @given(qz_ops, qz_ops, qz_polys(3))
     @settings(max_examples=60, deadline=None)
-    def test_kept_action_changes_nothing_it_is_compared_by(self, op, other, f):
+    def test_applied_operator_changes_nothing_it_is_compared_by(self, op, other, f):
         """==, hash, repr, immutability, compose and hecke_params read the
-        pair alone, whether or not the action has been built and filled."""
+        pair alone, whether or not the operator has been applied."""
         cold, warm = (PDDO.from_q0_r0(op.Q0, op.R0) for _ in range(2))
         for i in (1, 2):
             warm.apply(i, f)
-        assert cold._act is None and warm._act is not None
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
-        assert cold._act is None
-        for name in ("Q0", "R0", "T", "_act"):
+        for name in ("Q0", "R0", "T", "images"):
             with pytest.raises(AttributeError):
                 setattr(warm, name, ZERO_P)
         for method in (lambda p: p.compose(other), lambda p: other.compose(p),
                        PDDO.hecke_params):
-            assert method(warm) == method(PDDO.from_q0_r0(op.Q0, op.R0))
+            assert method(warm) == method(cold)
+
+    def test_apply_changes_no_attribute(self):
+        """An operator is its pair alone: applying it, at any index and on
+        any polynomial, leaves both slots holding the same objects."""
+        assert PDDO.__slots__ == ("Q0", "R0")
+        op = main_case1(4, 1, 2, 1, 2, 3)[2]
+        before = [getattr(op, name) for name in PDDO.__slots__]
+        for i in (1, 2, 3):
+            op.apply(i, staircase(4))
+        op.compose(op)
+        op.hecke_params()
+        assert all(getattr(op, name) is kept for name, kept in zip(PDDO.__slots__, before))
+        assert not hasattr(op, "__dict__")
 
 
 class TestReadOffTheAction:

@@ -1,12 +1,13 @@
 """Tests for permutations, reduced words, and table generation."""
 
+import gc
 import itertools
 import math
 import random
 
 import pytest
 
-from braidops import sampling, words
+from braidops import multipoly, sampling, words
 from braidops.braid import FamilyReport
 from braidops.families import Case2Line, OperatorFamily, main_case1, main_case2, preset
 from braidops.multipoly import MultiPoly, SlotPoly
@@ -217,13 +218,13 @@ class TestTableAgainstReducedWords:
 
     def test_one_application_per_ascent(self, monkeypatch):
         calls = []
-        apply = PDDO.apply
+        apply = words._apply
 
-        def counting_apply(self, i, f):
-            calls.append(i)
-            return apply(self, i, f)
+        def counting_apply(f, k, action):
+            calls.append(k)
+            return apply(f, k, action)
 
-        monkeypatch.setattr(PDDO, "apply", counting_apply)
+        monkeypatch.setattr(words, "_apply", counting_apply)
         polynomial_table(preset("grothendieck", 4, 1))
         assert len(calls) == 36  # n!(n-1)/2 at n = 4
 
@@ -239,6 +240,62 @@ class TestTableAgainstReducedWords:
         monkeypatch.setattr(words, "family_braid_check", lambda fam: FamilyReport())
         with pytest.raises(AssertionError, match="reduced-word dependence"):
             polynomial_table(bad)
+
+
+class TestTableActions:
+    """The table sweep keeps one action per operator for the length of the
+    call and no longer; the operators themselves keep nothing."""
+
+    def test_no_action_outlives_the_table(self, monkeypatch):
+        """No action built during a table, by the braid check or the sweep,
+        is alive once it returns.  An _Action takes no weak reference (its
+        __slots__ hold none), so survivors are looked for among the objects
+        the garbage collector tracks."""
+        fam = main_case2(4, 1, 2, 1, 2, [Case2Line.LINE1, Case2Line.LINE3, Case2Line.LINE4])
+        built, init = set(), multipoly._Action.__init__
+
+        def recording_init(self, q0, r0):
+            built.add(id(self))
+            init(self, q0, r0)
+
+        monkeypatch.setattr(multipoly._Action, "__init__", recording_init)
+        table = polynomial_table(fam)
+        assert len(table) == 24 and len(built) >= 3
+        gc.collect()
+        assert not [o for o in gc.get_objects()
+                    if type(o) is multipoly._Action and id(o) in built]
+
+    def test_each_image_is_built_once_per_table(self, monkeypatch):
+        """Within one table each action builds the image of a monomial at
+        most once, and a second table of the same family builds the same
+        images again: nothing is carried from one table to the next."""
+        fam = preset("grothendieck", 4, 1)
+        builds, build = [], multipoly._Action.build
+
+        def recording_build(self, rs):
+            builds.append((self, rs))  # holding self keeps its id from reuse
+            return build(self, rs)
+
+        monkeypatch.setattr(multipoly._Action, "build", recording_build)
+        per_table = []
+        for _ in range(2):
+            builds.clear()
+            polynomial_table(fam)
+            assert len({(id(act), rs) for act, rs in builds}) == len(builds) > 0
+            per_table.append(sorted(rs for _, rs in builds))
+        assert per_table[0] == per_table[1]
+
+    def test_a_seed_with_too_few_variables_is_refused_first(self, monkeypatch):
+        """A seed in fewer than n variables raises IndexError once, before the
+        braid check and before any operator is applied."""
+        def no_check(fam):
+            raise AssertionError("braid check ran")
+
+        monkeypatch.setattr(words, "family_braid_check", no_check)
+        with pytest.raises(IndexError, match=r"operator index 3 out of range 1\.\.2"):
+            polynomial_table(preset("demazure", 4), staircase(3))
+        with pytest.raises(IndexError, match=r"operator index 1 out of range 1\.\.0"):
+            polynomial_table(preset("demazure", 2), MultiPoly.const(1, 1))
 
 
 HECKE_FAMILIES = {
