@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, _Action, _apply, _nonzero, instantiate
+from .multipoly import MultiPoly, SlotPoly, _Action, _apply, instantiate
 from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -189,9 +189,7 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
 
 def _same_at_one(pi: PDDO, varpi: PDDO) -> bool:
     """pi varpi pi (1) == varpi pi varpi (1) in x, y, z, with pi(1) = R0(x, y)
-    and varpi(1) = R0~(y, z).  Its four applications share two actions: an
-    action lives for the call that prepares it; the table sweep keeps one per
-    operator."""
+    and varpi(1) = R0~(y, z).  Its four applications share two actions."""
     act, act_t = _Action(pi.Q0, pi.R0), _Action(varpi.Q0, varpi.R0)
     left = _apply(_apply(instantiate(pi.R0, 1, 2, 3), 1, act_t), 0, act)
     right = _apply(_apply(instantiate(varpi.R0, 2, 3, 3), 0, act), 1, act_t)
@@ -235,17 +233,8 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
 def _almost(q: SlotPoly, qt: SlotPoly) -> bool:
     """q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c), for nonzero q and qt,
     at the first c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero."""
-    def at(p: SlotPoly, c: int) -> SlotPoly:
-        """p(u, c), summed from the stored integer pairs over p's denominator."""
-        acc: dict = {}
-        for (r, s), (a, b) in p._num.items():
-            pair = acc.setdefault((r, 0), [0, 0])
-            pair[0] += a * c ** s
-            pair[1] += b * c ** s
-        return SlotPoly._normal(2, _nonzero(acc), p._den)
-
     for c in count():
-        q_c, qt_c = at(q, c), at(qt, c)
+        q_c, qt_c = q._at_v(c), qt._at_v(c)
         if q_c and qt_c:
             return q * (qt_c * q_c.swap()) == qt * (q_c * qt_c.swap())
 

@@ -20,18 +20,24 @@ Q0 d(u^r v^s) + R0 u^r v^s of each monomial met so far, built on first use.
 An action lives for the call that prepares it; the table sweep keeps one per
 operator.  ``_apply`` splits f once into two-variable slices by the exponents
 outside the operator's pair.  A slice of one term reads the image of its
-monomial.  A slice of more terms is merged first: it runs the two-variable
-kernel ``_ddiff_pairs`` once, as ``SlotPoly.ddiff`` does on its own map, and
-is then multiplied by Q0 and by R0, so a slice of many high-degree terms
-costs one pass, not one image per term.  Every two-variable product, of
-``_mul_pairs``, of each merged slice and of each image, runs the one loop
-``_mul_slots``.  Stored pairs are tuples, shared between polynomials and
-never changed.  Field elements are built only where a coefficient is read
-out as a value: ``terms``, ``constant_value``, ``evaluate`` and the long
-division of ``exact_div``.  A polynomial becomes text in one way, the term
-walk ``_printed_terms``, which prints each stored pair through
-``field._text`` with no field element; ``str`` and the CLI's JSON writers
-read it.
+monomial.  A slice of more terms is merged first, so a slice of many
+high-degree terms costs one pass, not one image per term.  A merged slice
+and a monomial's image are both formed by ``_Action.act``, the one routine
+for Q0 d p + R0 p: the two-variable kernel ``_ddiff_pairs`` once, as
+``SlotPoly.ddiff`` does on its own map, then products by Q0 and by R0.
+Every two-variable product, of ``_mul_pairs`` and inside ``_Action.act``,
+runs the one loop ``_mul_slots``.
+
+This is the only module that reads stored pairs.  Other modules work on
+polynomials through their methods, among them the slot helpers
+``SlotPoly._where`` (the terms with a chosen exponent pair) and
+``SlotPoly._at_v`` (v set to an integer).  Stored pairs are tuples, shared
+between polynomials and never changed.  Field elements are built only where
+a coefficient is read out as a value: ``terms``, ``constant_value``,
+``evaluate`` and the long division of ``exact_div``.  A polynomial becomes
+text in one way, the term walk ``_printed_terms``, which prints each stored
+pair through ``field._text`` with no field element; ``str`` and the CLI's
+JSON writers read it.
 """
 
 from __future__ import annotations
@@ -211,16 +217,21 @@ class _Action:
         self.sr = [(u, v, a * kr, b * kr, (a + b) * kr) for (u, v), (a, b) in r0._num.items()]
         self.images: dict = {}
 
+    def act(self, pairs: Mapping) -> dict:
+        """Q0 d p + R0 p for a two-variable numerator map p, as an accumulator
+        {(x, y): [a, b]} over self.den times p's denominator, zero pairs kept.
+        A zero Q0 or R0 skips its pass."""
+        acc: dict = {}
+        if self.sq:
+            _mul_slots(acc, _ddiff_pairs(pairs), self.sq)
+        if self.sr:
+            _mul_slots(acc, pairs, self.sr)
+        return acc
+
     def build(self, rs: tuple) -> list:
         """Build and keep the image of u^r v^s."""
-        acc: dict = {}
-        one = {rs: (1, 0)}
-        if self.sq:
-            _mul_slots(acc, _ddiff_pairs(one), self.sq)
-        if self.sr:
-            _mul_slots(acc, one, self.sr)
-        image = self.images[rs] = [(x, y, c, g, c + g) for (x, y), (c, g) in acc.items()
-                                   if c or g]
+        image = self.images[rs] = [(x, y, c, g, c + g)
+                                   for (x, y), (c, g) in self.act({rs: (1, 0)}).items() if c or g]
         return image
 
 
@@ -229,12 +240,11 @@ def _apply(f: "MultiPoly", k: int, action: _Action) -> "MultiPoly":
     exponent positions k, k + 1 (variables x, y), accumulated in integers over
     one denominator.  f is split once by the exponents outside the two
     positions.  A slice of one term (a + b z) x^r y^s is (a + b z) times the
-    image of u^r v^s; a slice of more goes through _ddiff_pairs once and
-    _mul_slots for q0 and for r0, summed in its two variables, since its terms
-    stay in it, so that a slice of many terms is merged before it is
-    multiplied.  A zero q0 or r0 skips its pass.  Q(z) is a field, so no
-    product of a nonzero pair with an image term is zero."""
-    sq, sr, images = action.sq, action.sr, action.images
+    image of u^r v^s; a slice of more goes through action.act once, summed in
+    its two variables, since its terms stay in it, so that a slice of many
+    terms is merged before it is multiplied.  Q(z) is a field, so no product
+    of a nonzero pair with an image term is zero."""
+    images = action.images
     slices: dict = {}
     for e, pair in f._num.items():
         slices.setdefault((e[:k], e[k + 2:]), {})[e[k], e[k + 1]] = pair
@@ -248,12 +258,7 @@ def _apply(f: "MultiPoly", k: int, action: _Action) -> "MultiPoly":
             for x, y, c, g, cg in image:
                 num[head + (x, y) + tail] = (a * c - b * g, a * g + b * cg)
             continue
-        acc: dict = {}
-        if sq:
-            _mul_slots(acc, _ddiff_pairs(pairs), sq)
-        if sr:
-            _mul_slots(acc, pairs, sr)
-        for xy, (a, b) in acc.items():
+        for xy, (a, b) in action.act(pairs).items():
             if a or b:
                 num[head + xy + tail] = (a, b)
     return type(f)._normal(f.n_vars, num, f._den * action.den)
@@ -553,6 +558,20 @@ class SlotPoly(MultiPoly):
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return exact_div(self, g)
+
+    def _where(self, keep) -> "SlotPoly":
+        """The terms u^r v^s of self with keep(r, s)."""
+        return SlotPoly._normal(2, {rs: pair for rs, pair in self._num.items() if keep(*rs)},
+                                self._den)
+
+    def _at_v(self, c: int) -> "SlotPoly":
+        """self(u, c), summed from the stored integer pairs over self's denominator."""
+        acc: dict = {}
+        for (r, s), (a, b) in self._num.items():
+            pair = acc.setdefault((r, 0), [0, 0])
+            pair[0] += a * c ** s
+            pair[1] += b * c ** s
+        return SlotPoly._normal(2, _nonzero(acc), self._den)
 
     def _over_u_minus_v(self) -> "SlotPoly":
         """The one-sided quotient of self by u - v, without long division and

@@ -8,12 +8,8 @@ T = P + (u - v)R + Q = Q0 + (u - v)R0, read off the pair.  The public
 constructor PDDO(T, Q0) checks outside input: R0 is the one-sided quotient of
 T - Q0 by u - v, found without long division, and T must equal Q0 + (u - v)R0.
 An operator is fixed by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so
-composition and the Hecke parameters are read off ``apply`` with no product
-formula of their own.
-
-``apply`` prepares multipoly's ``_Action`` from the pair for its one call: an
-action lives for the call that prepares it; the table sweep keeps one per
-operator.
+composition and the Hecke parameters are read off the action with no
+product formula of their own.
 """
 
 from __future__ import annotations
@@ -138,7 +134,7 @@ class PDDO:
 
     def apply(self, i: int, f: MultiPoly) -> MultiPoly:
         """Apply at index i: Q0 d_i f + R0 f at (x_i, x_{i+1}), in one
-        integer pass through an action prepared for this call."""
+        integer pass."""
         n = f.n_vars
         if not 1 <= i <= n - 1:
             raise IndexError(f"operator index {i} out of range 1..{n - 1}")
@@ -166,9 +162,11 @@ class PDDO:
         """The operator f |-> self(other(f)), same index on both, read off the
         action.  With pi = self and other = Q0~ d + R0~, d(Q0~ d f) = d(Q0~) d f
         and d(R0~ f) = d(R0~) f + swap(R0~) d f, so the composite has
-        Q0 = pi(Q0~) + Q0 swap(R0~) and R0 = pi(R0~), its value at 1."""
-        return PDDO.from_q0_r0(self.apply(1, other.Q0) + self.Q0 * other.R0.swap(),
-                               self.apply(1, other.R0))
+        Q0 = pi(Q0~) + Q0 swap(R0~) and R0 = pi(R0~), its value at 1.  Both
+        applications go through one action."""
+        act = _Action(self.Q0, self.R0)
+        return PDDO.from_q0_r0(_apply(other.Q0, 0, act) + self.Q0 * other.R0.swap(),
+                               _apply(other.R0, 0, act))
 
     def hecke_params(self) -> tuple[FieldElement, FieldElement] | None:
         """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.

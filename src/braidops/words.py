@@ -138,7 +138,7 @@ def polynomial_table(
     ascents are the first letters of the reduced words of w^{-1} w0, so by
     induction on length this is agreement across all reduced words.  The
     sweep prepares one multipoly action per distinct operator object and
-    reuses its monomial images; the actions are dropped when it returns.
+    reuses its monomial images.
     """
     n = fam.n
     if n > MAX_TABLE_N:

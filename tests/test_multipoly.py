@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -397,6 +398,54 @@ class TestStoredForm:
         for result, expected in cases:
             assert_canonical(result)
             assert result.terms == expected
+
+    @given(term_maps(2), st.booleans())
+    @example({}, False)
+    @example({(2, 0): FieldElement.of("1/2+1z"), (0, 0): FieldElement.of(-3)}, False)
+    @settings(max_examples=100, deadline=None)
+    def test_at_v_matches_the_reference(self, terms, no_v):
+        """p(u, c) for c = 0..3 against the sum of each term's value, its
+        coefficient times Fraction(c)^s, for the zero polynomial and for
+        polynomials with and without v."""
+        if no_v:
+            terms = {(r, 0): c for (r, s), c in terms.items()}
+        p = SlotPoly(terms)
+        for c in range(4):
+            expected: dict = {}
+            for (r, s), coeff in terms.items():
+                value = coeff * Fraction(c) ** s
+                expected[(r, 0)] = expected.get((r, 0), FieldElement.of(0)) + value
+            result = p._at_v(c)
+            assert type(result) is SlotPoly
+            assert_canonical(result)
+            assert result.terms == _clean(expected)
+        if no_v:
+            assert p._at_v(0) == p and p._at_v(3) == p
+
+    @given(term_maps(2))
+    @settings(max_examples=100, deadline=None)
+    def test_where_matches_a_filter_of_the_terms(self, terms):
+        p = SlotPoly(terms)
+        for keep in (lambda r, s: r > s, lambda r, s: r < s, lambda r, s: r == s,
+                     lambda r, s: r + s >= 3, lambda r, s: True, lambda r, s: False):
+            result = p._where(keep)
+            assert type(result) is SlotPoly
+            assert_canonical(result)
+            assert result.terms == {e: c for e, c in _clean(terms).items() if keep(*e)}
+
+    def test_only_multipoly_reads_stored_pairs(self):
+        """The stored form is read and built in braidops.multipoly alone: no
+        other library file names the stored numerators or denominator, the
+        internal constructor or the zero-pair filter."""
+        readers = {}
+        for path in Path(multipoly.__file__).parent.glob("*.py"):
+            if path.name != "multipoly.py":
+                text = path.read_text()
+                found = [name for name in ("._num", "._den", "_normal(", "_nonzero")
+                         if name in text]
+                if found:
+                    readers[path.name] = found
+        assert readers == {}
 
     def test_two_variable_products_share_one_loop(self, monkeypatch):
         """An operator applied to a 4-variable polynomial and a product of two
