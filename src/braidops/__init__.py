@@ -11,6 +11,7 @@ from .braid import (
     cubic_braid_check,
     family_braid_check,
     quad_commute_check,
+    relation_holds,
 )
 from .families import (
     Case2Line,
@@ -41,7 +42,7 @@ __all__ = [
     "ddiff", "dpositive_lift", "dpositive_split",
     "PDDO", "CanonicalForms", "Degeneracy", "identity_op",
     "CubicReport", "FamilyReport", "almost_equal", "cubic_braid_check",
-    "family_braid_check", "quad_commute_check",
+    "family_braid_check", "quad_commute_check", "relation_holds",
     "Case2Line", "ConstraintError", "Interval", "Isolated", "OperatorFamily",
     "degenerate_t_family", "main_case1", "main_case2", "preset",
     "with_vanishing_q0", "zeta_pair",

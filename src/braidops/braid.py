@@ -14,9 +14,7 @@ name        factor                reduced difference
 =========== ===================== ==============================================
 f           1                     B ((y-z) t_xy - (x-y) tt_yz)
                                   - (y-z)^2 tt_xz q_xy q_yx
-                                  + (x-y)^2 t_xz qt_yz qt_zy,
-                                  decided on 1 when the other five
-                                  vanish (below)
+                                  + (x-y)^2 t_xz qt_yz qt_zy
 sf          -(y-z) q_xy           B - tt_xz ((y-z) t_yx + (x-y) tt_yz)
 sigma_f     -(x-y) qt_yz          t_xz ((y-z) t_xy + (x-y) tt_zy) - B
 s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz, zero exactly when T == T~
@@ -43,31 +41,23 @@ Conversely, when this holds for a constant c at which q(u,c) and qt(u,c) are
 nonzero, g(w) = r(w,c) gives r(u,v) = g(u)/g(v), so the three-variable
 identity holds.  c is the first of 0, 1, 2, ... at which q(u,c) and qt(u,c)
 are nonzero; q(u,c) vanishes exactly when v - c divides q, so at most
-deg_v q + deg_v qt values are passed over.  The three-variable difference is
-multiplied out only when it is the reported failure witness.
+deg_v q + deg_v qt values are passed over.
 
-The f row is decided last.  In the twisted group algebra the difference
-pi varpi pi - varpi pi varpi is sum_g c_g g over g in S_3, each c_g being
-a row's difference over the common denominator, and every g fixes the
-constant 1, so the difference applied to 1 is sum_g c_g.  When the other
-five rows vanish this is c_id alone, and since pi(1) = R0(x,y) and
-varpi(1) = R0~(y,z), the f flag is
-
-    pi(varpi(R0(x,y))) == varpi(pi(R0~(y,z))),
-
-four applications to polynomials in x, y, z and no product of the table.
-f's reduced difference is built only when another flag fails, or as the
-failure witness.
+The f row is decided last.  The difference of the two words is sum_g c_g g
+over g in S_3 (relation_holds), c_g being a row's difference, and every g
+fixes 1; once the other five rows vanish, c_id alone is left, so the f flag
+is the relation decided on the monomial 1 alone.  f's reduced difference is
+built only when another flag fails, or as the failure witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, product
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, _Action, _apply, instantiate
-from .pddo import PDDO, per_operator
+from .multipoly import MultiPoly, SlotPoly, instantiate
+from .pddo import PDDO, _run_word, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -78,6 +68,7 @@ __all__ = [
     "FamilyReport",
     "cubic_braid_check",
     "quad_commute_check",
+    "relation_holds",
     "almost_equal",
     "family_braid_check",
 ]
@@ -114,11 +105,9 @@ _XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, factor, reduced difference), the last two as
-    functions that build the polynomial on demand.  The flag is True when the
-    difference is known to vanish and False when it is known not to: the
-    middle two are decided by T == T~ (or a zero factor), the last by
-    almost-equality.  It is None when only building the reduced difference
-    decides it, or, for f, the action on 1 (see cubic_braid_check)."""
+    functions that build the polynomial on demand.  The flag is True or False
+    when the slot polynomials decide it (module docstring), and None when
+    only the reduced difference, or for f the action on 1, does."""
     n = 3
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
@@ -157,13 +146,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
 
-    A coefficient's flag is read off the slot polynomials when the module
-    docstring decides it there (a zero factor, T == T~, almost-equality), and
-    otherwise says whether its reduced difference is zero.  The five flags
-    after f are decided first; when they all hold, the f flag is the action
-    of both sides on 1 (module docstring), and only otherwise is f's reduced
-    difference built.  So the full numerators, with their large shared
-    factors, are never multiplied out.  The failure witness, the full
+    Each flag is decided as the module docstring says, f last, so the full
+    numerators are never multiplied out.  The failure witness, the full
     difference of the first failing coefficient, is built as factor *
     reduced difference for that name only.
     """
@@ -178,7 +162,9 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
         return known
 
     rest = {name: decide(name) for name in COEFF_NAMES[1:]}
-    flags = {"f": _same_at_one(pi, varpi) if all(rest.values()) else decide("f"), **rest}
+    words = [(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)]
+    f = _first_difference(*words, [(0, 0, 0)]) is None if all(rest.values()) else decide("f")
+    flags = {"f": f, **rest}
     for name, ok in flags.items():
         if not ok:
             _, factor, reduced = parts[name]
@@ -187,35 +173,48 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     return CubicReport(flags=flags)
 
 
-def _same_at_one(pi: PDDO, varpi: PDDO) -> bool:
-    """pi varpi pi (1) == varpi pi varpi (1) in x, y, z, with pi(1) = R0(x, y)
-    and varpi(1) = R0~(y, z).  Its four applications share two actions."""
-    act, act_t = _Action(pi.Q0, pi.R0), _Action(varpi.Q0, varpi.R0)
-    left = _apply(_apply(instantiate(pi.R0, 1, 2, 3), 1, act_t), 0, act)
-    right = _apply(_apply(instantiate(varpi.R0, 2, 3, 3), 0, act), 1, act_t)
-    return left == right
-
-
 def quad_commute_check(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:
-    """Distant-index commutation pi_i pi_k = pi_k pi_i, checked on 1, x_i, x_k
-    and x_i x_k: both words are linear over the functions that s_i and s_k
-    fix, and these four are a basis over them, as det[g(b)] over the group's
-    elements g and the four monomials b is (x_i - x_{i+1})^2 (x_k - x_{k+1})^2.
-    It holds for every pair of valid operators, so the library does not call
-    it; it is the test oracle for distant pairs.
-    """
+    """Distant-index commutation pi_i pi_k = pi_k pi_i, decided by relation_holds
+    on its Artin basis 1, x_i, x_k, x_i x_k; it holds for every valid pair, so
+    the library does not call it: it is the test oracle for distant pairs."""
     if abs(k - i) < 2:
         raise ValueError("quad_commute_check needs |k - i| >= 2")
     for idx in (i, k):
         if not 1 <= idx <= n - 1:
             raise IndexError(f"operator index {idx} out of range 1..{n - 1}")
-    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        e = [0] * n
-        e[i - 1], e[k - 1] = a, b
-        f = MultiPoly.monomial(n, e)
-        if pi_i.apply(i, pi_k.apply(k, f)) != pi_k.apply(k, pi_i.apply(i, f)):
-            return False
-    return True
+    return relation_holds([(i, pi_i), (k, pi_k)], [(k, pi_k), (i, pi_i)]) is None
+
+
+def relation_holds(lhs: list, rhs: list) -> tuple[tuple[int, ...], MultiPoly] | None:
+    """Decide lhs = rhs for two words, lists of (index, PDDO) pairs applied
+    right to left: None when it holds, else (b, lhs(x^b) - rhs(x^b)) for the
+    first basis vector b where they differ, in 1 + the largest index entries.
+
+    The basis is the product of the Artin monomials of each block of
+    consecutive touched indices: x_j^a, a at most the number of consecutive
+    touched indices from j on.  An operator at index i is a + b s_i with a, b
+    in L = Q(z)(x), so a word is sum_g c_g g over the group W that the
+    touched s_i generate, and K-linear for K = L^W.  The |W| monomials are a
+    K-basis of L (Artin, Galois Theory, 1944) and the g are L-linearly
+    independent (Dedekind), so the words agree on the basis exactly when
+    every c_g of their difference vanishes."""
+    for i, op in (*lhs, *rhs):
+        if type(i) is not int or not isinstance(op, PDDO):
+            raise TypeError(f"{(type(i).__name__, type(op).__name__)} is not an (int, PDDO) pair")
+    touched = {i for i, _ in (*lhs, *rhs)}
+    runs = (next(a for a in count() if j + a not in touched)
+            for j in range(1, max((1, *touched)) + 2))
+    return _first_difference(lhs, rhs, product(*(range(a + 1) for a in runs)))
+
+
+def _first_difference(lhs: list, rhs: list, basis) -> tuple | None:
+    """relation_holds on the exponent vectors of basis, one action per operator."""
+    actions: dict = {}
+    for b in basis:
+        x_b = MultiPoly._monomial(b)
+        left, right = _run_word(lhs, x_b, actions), _run_word(rhs, x_b, actions)
+        if left != right:
+            return b, left - right
 
 
 def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:

@@ -39,7 +39,7 @@ def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:
     with r < s is (u^r v^s + u^s v^r) - u^s v^r, a symmetric basis element
     minus a d-positive monomial.
     """
-    pos = p._where(lambda r, s: r > s) - p._where(lambda r, s: r < s).swap()
+    pos = _dpositive(p)
     return p - pos, pos
 
 
@@ -48,4 +48,8 @@ def dpositive_lift(phi: SlotPoly) -> SlotPoly:
     d-positive part of u phi (module docstring)."""
     if not phi.is_symmetric():
         raise ValueError("dpositive_lift requires a slot-symmetric input")
-    return dpositive_split(_U * phi)[1]
+    return _dpositive(_U * phi)
+
+
+def _dpositive(p: SlotPoly) -> SlotPoly:  # p[r > s] - swap(p[r < s])
+    return p._where(lambda r, s: r > s) - p._where(lambda r, s: r < s).swap()

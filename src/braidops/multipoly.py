@@ -14,19 +14,12 @@ built inside, a sum, product, operator application, slot move, placement,
 ``swap_vars`` or ``exact_div`` result or coerced scalar, ends in ``_normal``,
 the one internal constructor, with at most one gcd pass over its integers.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
-(Q0, R0) = (1, 0).  It reads the operator from an ``_Action``: the common
-denominator of Q0 and R0, their slot lists, and the image
-Q0 d(u^r v^s) + R0 u^r v^s of each monomial met so far, built on first use.
-An action lives for the call that prepares it; the table sweep keeps one per
-operator.  ``_apply`` splits f once into two-variable slices by the exponents
-outside the operator's pair.  A slice of one term reads the image of its
-monomial.  A slice of more terms is merged first, so a slice of many
-high-degree terms costs one pass, not one image per term.  A merged slice
-and a monomial's image are both formed by ``_Action.act``, the one routine
-for Q0 d p + R0 p: the two-variable kernel ``_ddiff_pairs`` once, as
-``SlotPoly.ddiff`` does on its own map, then products by Q0 and by R0.
-Every two-variable product, of ``_mul_pairs`` and inside ``_Action.act``,
-runs the one loop ``_mul_slots``.
+(Q0, R0) = (1, 0), read from an ``_Action`` that keeps the image of each
+monomial met: R0 for 1, and for the others ``_Action.act``, the one routine
+for Q0 d p + R0 p, which merged slices of f go through too.  An action lives
+for the call that prepares it; the table sweep and ``pddo``'s word loop keep
+one per operator object.  Every two-variable product, of ``_mul_pairs`` and
+inside ``_Action.act``, runs the one loop ``_mul_slots``.
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
@@ -229,9 +222,9 @@ class _Action:
         return acc
 
     def build(self, rs: tuple) -> list:
-        """Build and keep the image of u^r v^s."""
-        image = self.images[rs] = [(x, y, c, g, c + g)
-                                   for (x, y), (c, g) in self.act({rs: (1, 0)}).items() if c or g]
+        """Build and keep the image of u^r v^s; the image of 1 is R0's slot list."""
+        image = self.images[rs] = self.sr if rs == (0, 0) else [
+            (x, y, c, g, c + g) for (x, y), (c, g) in self.act({rs: (1, 0)}).items() if c or g]
         return image
 
 
@@ -336,6 +329,11 @@ class MultiPoly:
     @staticmethod
     def monomial(n_vars: int, exponents: Iterable[int], coeff=1) -> "MultiPoly":
         return MultiPoly(n_vars, {tuple(exponents): FieldElement.of(coeff)})
+
+    @classmethod
+    def _monomial(cls, e: tuple) -> "MultiPoly":
+        """x^e for an exponent tuple built by the library, unchecked."""
+        return cls._normal(len(e), {e: (1, 0)}, 1)
 
     # -- queries -----------------------------------------------------------
 

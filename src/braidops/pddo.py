@@ -134,11 +134,8 @@ class PDDO:
 
     def apply(self, i: int, f: MultiPoly) -> MultiPoly:
         """Apply at index i: Q0 d_i f + R0 f at (x_i, x_{i+1}), in one
-        integer pass."""
-        n = f.n_vars
-        if not 1 <= i <= n - 1:
-            raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        return _apply(f, i - 1, _Action(self.Q0, self.R0))
+        integer pass, as the one-letter word [(i, self)]."""
+        return _run_word([(i, self)], f, {})
 
     # -- derived data ------------------------------------------------------
 
@@ -194,6 +191,18 @@ class PDDO:
 def identity_op(c=1) -> PDDO:
     """The operator c * Id."""
     return PDDO.from_q0_r0(SlotPoly.zero(), SlotPoly.const(c))
+
+
+def _run_word(word: list, f: MultiPoly, actions: dict) -> MultiPoly:
+    """The one loop that applies a word of (index, operator) pairs to f, right
+    to left, each operator through actions[id(operator)], kept from first use."""
+    n = f.n_vars
+    for i, op in reversed(word):
+        if not 1 <= i <= n - 1:
+            raise IndexError(f"operator index {i} out of range 1..{n - 1}")
+        action = actions.get(id(op)) or actions.setdefault(id(op), _Action(op.Q0, op.R0))
+        f = _apply(f, i - 1, action)
+    return f
 
 
 def per_operator(fn, argument_tuples) -> list:

@@ -10,7 +10,7 @@ from typing import Sequence
 from .braid import family_braid_check
 from .families import OperatorFamily
 from .multipoly import MultiPoly, _Action, _apply
-from .pddo import per_operator
+from .pddo import _run_word, per_operator
 
 __all__ = [
     "Permutation",
@@ -108,10 +108,8 @@ def reduced_words(w: Permutation) -> list[list[int]]:
 
 
 def apply_word(fam: OperatorFamily, word: Sequence[int], f: MultiPoly) -> MultiPoly:
-    """Right-to-left application pi_{w1}(pi_{w2}(...f))."""
-    for i in reversed(list(word)):
-        f = fam[i].apply(i, f)
-    return f
+    """Right-to-left application pi_{w1}(pi_{w2}(...f)), by the one word loop."""
+    return _run_word([(i, fam[i]) for i in word], f, {})
 
 
 def staircase(n: int) -> MultiPoly:

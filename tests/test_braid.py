@@ -16,6 +16,7 @@ from braidops.braid import (
     cubic_braid_check,
     family_braid_check,
     quad_commute_check,
+    relation_holds,
 )
 from braidops.cli import _random_family
 from braidops.commute import CommuteReport
@@ -32,7 +33,12 @@ from braidops.families import (
 from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly
 from braidops.pddo import PDDO
-from cubic_reference import almost_equal_reference, cubic_braid_oracle, full_report
+from cubic_reference import (
+    ARTIN_EXPONENTS,
+    almost_equal_reference,
+    cubic_braid_oracle,
+    full_report,
+)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 coeffs = rationals.map(FieldElement.of)
@@ -62,9 +68,9 @@ class TestCubicCheck:
     def test_each_slot_polynomial_is_placed_once(self, monkeypatch):
         """Almost-equality is decided on the slot polynomials, f on the
         action on 1, and Q0, Q0~ at (x, z) appear only in failure witnesses:
-        10 instantiate calls for a braiding pair of two distinct, equal
-        operators, none repeated, 8 shared by the table and R0(x, y),
-        R0~(y, z) for the action on 1."""
+        8 instantiate calls for a braiding pair of two distinct, equal
+        operators, none repeated, all shared by the table.  The action on 1
+        starts from 1, so R0(x, y) and R0~(y, z) are not placed."""
         calls = []
         real = braid.instantiate
 
@@ -75,9 +81,9 @@ class TestCubicCheck:
         monkeypatch.setattr(braid, "instantiate", counting)
         pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)
         assert cubic_braid_check(pi, varpi).passed
-        assert len(calls) == 10
-        assert len({(id(p), i, j) for p, i, j in calls}) == 10
-        assert (pi.R0, 1, 2) in calls and (varpi.R0, 2, 3) in calls
+        assert len(calls) == 8
+        assert len({(id(p), i, j) for p, i, j in calls}) == 8
+        assert all(p is not pi.R0 and p is not varpi.R0 for p, _, _ in calls)
 
     def test_middle_flags_are_decided_by_t(self, monkeypatch):
         """With both Q0 nonzero and T != T~, s_sigma_f and sigma_s_f are False
@@ -305,6 +311,128 @@ class TestQuadCheck:
         fam = preset("demazure", 4)
         with pytest.raises(IndexError):
             quad_commute_check(fam[1], fam[1], 1, 5, 4)
+
+
+
+def braid_words(pi, varpi):
+    """pi varpi pi and varpi pi varpi, pi at index 1 and varpi at 2."""
+    return [(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)]
+
+
+def shaped(q1, r1, q2, r2, shape):
+    """An ordered pair (pi, varpi) of the given shape from four slot polynomials."""
+    zero = SlotPoly.zero()
+    q1, r1, q2, r2 = {
+        "random": (q1, r1, q2, r2),
+        "q_zero": (zero, r1, q2, r2),
+        "qt_zero": (q1, r1, zero, r2),
+        "t_zero": (-UV * r1, r1, q2, r2),
+        "same_t": (q1, r1, q1 + UV * (r1 - r2), r2),
+        "same_q": (q1, r1, q1, r2),
+        "mult": (zero, r1, zero, r2),
+        "same_op": (q1, r1, q1, r1),
+    }[shape]
+    return PDDO.from_q0_r0(q1, r1), PDDO.from_q0_r0(q2, r2)
+
+
+def assert_relation_agrees(pi, varpi):
+    """relation_holds on the braid words against the cubic check and the
+    six-monomial oracle; returns the verdict."""
+    holds = relation_holds(*braid_words(pi, varpi)) is None
+    assert holds == cubic_braid_check(pi, varpi).passed == cubic_braid_oracle(pi, varpi)
+    return holds
+
+
+class TestRelationHolds:
+    @given(zslotpolys, zslotpolys, zslotpolys, zslotpolys,
+           st.sampled_from(["random", "q_zero", "qt_zero", "t_zero", "same_t", "same_q",
+                            "mult", "same_op"]))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_cubic_check_on_random_shapes(self, q1, r1, q2, r2, shape):
+        pi, varpi = shaped(q1, r1, q2, r2, shape)
+        assert_relation_agrees(pi, varpi)
+        assert_relation_agrees(varpi, pi)
+
+    def test_agrees_on_presets_zeta_pairs_and_perturbed_copies(self):
+        rng = random.Random(5)
+        pairs = []
+        for name in ("pure_ddiff", "demazure", "grothendieck"):
+            fam = preset(name, 3, None if name == "demazure" else 2)
+            pairs.append((fam[1], fam[2]))
+        for _ in range(4):
+            pairs.append(zeta_pair(*sampling.draw_zeta_params(rng)))
+        fam = _random_family("case1", 3, rng)
+        pairs.append((fam[1], fam[2]))
+        for pi, varpi in pairs:
+            assert assert_relation_agrees(pi, varpi)
+            for broken in ((perturbed(pi, rng), varpi), (pi, perturbed(varpi, rng))):
+                assert not assert_relation_agrees(*broken)
+
+    def test_agrees_with_the_distant_oracle(self):
+        rng = random.Random(3)
+        for family in ("case1", "case2", "degen-t", "vanq0"):
+            fam = _random_family(family, 6, rng)
+            for i, k in ((1, 3), (1, 5), (2, 4), (3, 5)):
+                pi_i, pi_k = fam[i], perturbed(fam[k], rng)
+                holds = relation_holds([(i, pi_i), (k, pi_k)], [(k, pi_k), (i, pi_i)])
+                assert holds is None and quad_commute_check(pi_i, pi_k, i, k, 6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_is_the_first_differing_basis_vector(self, seed):
+        rng = random.Random(seed)
+        pi = perturbed(preset("demazure", 3)[1], rng)
+        varpi = perturbed(preset("grothendieck", 3, 1)[2], rng)
+        lhs, rhs = braid_words(pi, varpi)
+        b, diff = relation_holds(lhs, rhs)
+
+        def word(w, e):
+            f = MultiPoly.monomial(3, e)
+            for i, op in reversed(w):
+                f = op.apply(i, f)
+            return f
+
+        basis = [(a, c, 0) for a, c in ARTIN_EXPONENTS]
+        assert b in basis and diff
+        assert diff == word(lhs, b) - word(rhs, b)
+        for e in basis[:basis.index(b)]:
+            assert word(lhs, e) == word(rhs, e)
+
+    def test_negative_control_agrees_on_one_and_fails_later(self):
+        """Both operators have R0 = -2, so both words send 1 to -8, yet the
+        pair fails all six cubic flags: the monomial 1 alone does not decide."""
+        pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(0, 1, 0, 0, 3)
+        assert pi.R0 == varpi.R0 == -2
+        lhs, rhs = braid_words(pi, varpi)
+        one = MultiPoly.const(3, 1)
+        left = pi.apply(1, varpi.apply(2, pi.apply(1, one)))
+        assert left == varpi.apply(2, pi.apply(1, varpi.apply(2, one))) == -8
+        assert not any(cubic_braid_check(pi, varpi).flags.values())
+        b, diff = relation_holds(lhs, rhs)
+        assert b != (0, 0, 0) and diff
+
+    def test_nil_coxeter(self):
+        d, zero = preset("pure_ddiff", 3)[1], PDDO.zero()
+        assert relation_holds([(1, d), (1, d)], [(1, zero)]) is None
+        assert relation_holds([(2, d), (2, d)], []) == ((0, 0, 0), -1)  # [] is the identity
+        b, diff = relation_holds([(1, d)], [(1, zero)])
+        assert b == (1, 0) and diff == 1
+
+    @pytest.mark.parametrize("lhs, error", [
+        ([(0, PDDO.zero())], IndexError),
+        ([(-1, PDDO.zero())], IndexError),
+        ([(1, SlotPoly.u())], TypeError),
+        ([("1", PDDO.zero())], TypeError),
+        ([(1.0, PDDO.zero())], TypeError),
+    ])
+    def test_refusals(self, lhs, error):
+        with pytest.raises(error):
+            relation_holds(lhs, [(1, PDDO.zero())])
+        with pytest.raises(error):
+            relation_holds([(1, PDDO.zero())], lhs)
+
+    def test_index_message_is_the_apply_message(self):
+        with pytest.raises(IndexError, match=r"operator index 0 out of range 1\.\.1"):
+            relation_holds([(0, PDDO.zero())], [(1, PDDO.zero())])
 
 
 class TestFamilyCheck:

@@ -92,6 +92,30 @@ class TestApplyWord:
         expected = MultiPoly.variable(3, 1) + MultiPoly.variable(3, 2)
         assert apply_word(fam, [1, 2], f) == expected
 
+    def test_one_action_per_operator_object(self, monkeypatch):
+        """The word loop prepares one action per distinct operator object and
+        gives what letter-by-letter PDDO.apply gives."""
+        fam = main_case2(4, 1, 2, 1, 2, [Case2Line.LINE1, Case2Line.LINE4, Case2Line.LINE1])
+        word, f = [1, 2, 3, 1, 2, 1, 3], staircase(4)
+        expected = f
+        for i in reversed(word):
+            expected = fam[i].apply(i, expected)
+        built = []
+        real = multipoly._Action.__init__
+
+        def counting(self, q0, r0):
+            built.append((q0, r0))
+            real(self, q0, r0)
+
+        monkeypatch.setattr(multipoly._Action, "__init__", counting)
+        assert apply_word(fam, word, f) == expected
+        assert len(built) == len({id(op) for op in fam.ops}) == 2
+
+    def test_index_beyond_the_polynomial_keeps_the_apply_message(self):
+        fam = preset("demazure", 4)
+        with pytest.raises(IndexError, match=r"^operator index 3 out of range 1\.\.1$"):
+            apply_word(fam, [3], MultiPoly.variable(2, 1))
+
 
 class TestTable:
     def test_schubert_values(self):
