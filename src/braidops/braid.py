@@ -56,8 +56,8 @@ from dataclasses import dataclass, field
 from itertools import count, product
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, instantiate
-from .pddo import PDDO, _run_word, per_operator
+from .multipoly import MultiPoly, SlotPoly, _run_word, instantiate
+from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily

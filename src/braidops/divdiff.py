@@ -1,11 +1,10 @@
 """The transposition and divided difference operators, and the canonical
 decomposition of slot polynomials into symmetric plus d-positive parts.
 
-``ddiff`` is the operator Q0 d_i + R0 with (Q0, R0) = (1, 0), applied by the
-one pass ``multipoly._apply`` through an action that ``ddiff`` prepares.  The
-two-variable kernel uses the closed form d_i(x_i^r x_{i+1}^s) =
-sum_{l=s}^{r-1} x_i^l x_{i+1}^{r+s-1-l} for r > s, term by term;
-``SlotPoly.ddiff`` runs the same kernel on its own terms.
+``ddiff`` is Q0 d_i + R0 with (Q0, R0) = (1, 0), a one-letter word of
+``multipoly._run_word``.  Its two-variable kernel, which ``SlotPoly.ddiff``
+runs too, is the closed form d_i(x_i^r x_{i+1}^s) =
+sum_{l=s}^{r-1} x_i^l x_{i+1}^{r+s-1-l} for r > s, term by term.
 
 A monomial u^r v^s is d-positive when r > s; the d-positive polynomials are
 a complement of the symmetric ones, and the divided difference restricts to
@@ -18,18 +17,20 @@ polynomials, so the lift of phi is the d-positive part of u phi.
 
 from __future__ import annotations
 
-from .multipoly import MultiPoly, SlotPoly, _Action, _apply
+from types import SimpleNamespace
+
+from .multipoly import MultiPoly, SlotPoly, _run_word
 
 __all__ = ["ddiff", "dpositive_split", "dpositive_lift"]
 
-_Q0, _R0, _U = SlotPoly.const(1), SlotPoly.zero(), SlotPoly.u()
+_D, _U = SimpleNamespace(Q0=SlotPoly.const(1), R0=SlotPoly.zero()), SlotPoly.u()
 
 
 def ddiff(f: MultiPoly, i: int) -> MultiPoly:
     """(f - s_i f) / (x_i - x_{i+1}); the result is symmetric in x_i, x_{i+1}."""
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
-    return _apply(f, i - 1, _Action(_Q0, _R0))
+    return _run_word([(i, _D)], f, {})
 
 
 def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:

@@ -16,10 +16,12 @@ the one internal constructor, with at most one gcd pass over its integers.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
 (Q0, R0) = (1, 0), read from an ``_Action`` that keeps the image of each
 monomial met: R0 for 1, and for the others ``_Action.act``, the one routine
-for Q0 d p + R0 p, which merged slices of f go through too.  An action lives
-for the call that prepares it; the table sweep and ``pddo``'s word loop keep
-one per operator object.  Every two-variable product, of ``_mul_pairs`` and
-inside ``_Action.act``, runs the one loop ``_mul_slots``.
+for Q0 d p + R0 p, which merged slices of f go through too.  Every operator
+application of the library runs the word loop ``_run_word``, the one place
+that prepares an action: one per operator object, kept in the dict its
+caller passes, so an action and its monomial images live as long as that
+dict.  Every two-variable product, of ``_mul_pairs`` and inside
+``_Action.act``, runs the one loop ``_mul_slots``.
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
@@ -255,6 +257,19 @@ def _apply(f: "MultiPoly", k: int, action: _Action) -> "MultiPoly":
             if a or b:
                 num[head + xy + tail] = (a, b)
     return type(f)._normal(f.n_vars, num, f._den * action.den)
+
+
+def _run_word(word: list, f: "MultiPoly", actions: dict) -> "MultiPoly":
+    """The one loop that applies a word of (index, operator) pairs to f, right
+    to left, each operator (slots Q0, R0) through actions[id(operator)],
+    prepared on first use and living as long as the caller's actions dict."""
+    n = f.n_vars
+    for i, op in reversed(word):
+        if not 1 <= i <= n - 1:
+            raise IndexError(f"operator index {i} out of range 1..{n - 1}")
+        action = actions.get(id(op)) or actions.setdefault(id(op), _Action(op.Q0, op.R0))
+        f = _apply(f, i - 1, action)
+    return f
 
 
 def _nonzero(acc: Mapping) -> dict:

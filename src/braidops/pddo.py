@@ -19,7 +19,7 @@ from enum import Enum
 
 from .divdiff import dpositive_lift, dpositive_split
 from .field import FieldElement
-from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _Action, _apply
+from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _run_word
 
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
@@ -159,11 +159,10 @@ class PDDO:
         """The operator f |-> self(other(f)), same index on both, read off the
         action.  With pi = self and other = Q0~ d + R0~, d(Q0~ d f) = d(Q0~) d f
         and d(R0~ f) = d(R0~) f + swap(R0~) d f, so the composite has
-        Q0 = pi(Q0~) + Q0 swap(R0~) and R0 = pi(R0~), its value at 1.  Both
-        applications go through one action."""
-        act = _Action(self.Q0, self.R0)
-        return PDDO.from_q0_r0(_apply(other.Q0, 0, act) + self.Q0 * other.R0.swap(),
-                               _apply(other.R0, 0, act))
+        Q0 = pi(Q0~) + Q0 swap(R0~) and R0 = pi(R0~), its value at 1."""
+        word, actions = [(1, self)], {}
+        return PDDO.from_q0_r0(_run_word(word, other.Q0, actions) + self.Q0 * other.R0.swap(),
+                               _run_word(word, other.R0, actions))
 
     def hecke_params(self) -> tuple[FieldElement, FieldElement] | None:
         """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.
@@ -191,18 +190,6 @@ class PDDO:
 def identity_op(c=1) -> PDDO:
     """The operator c * Id."""
     return PDDO.from_q0_r0(SlotPoly.zero(), SlotPoly.const(c))
-
-
-def _run_word(word: list, f: MultiPoly, actions: dict) -> MultiPoly:
-    """The one loop that applies a word of (index, operator) pairs to f, right
-    to left, each operator through actions[id(operator)], kept from first use."""
-    n = f.n_vars
-    for i, op in reversed(word):
-        if not 1 <= i <= n - 1:
-            raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        action = actions.get(id(op)) or actions.setdefault(id(op), _Action(op.Q0, op.R0))
-        f = _apply(f, i - 1, action)
-    return f
 
 
 def per_operator(fn, argument_tuples) -> list:

@@ -9,8 +9,7 @@ from typing import Sequence
 
 from .braid import family_braid_check
 from .families import OperatorFamily
-from .multipoly import MultiPoly, _Action, _apply
-from .pddo import _run_word, per_operator
+from .multipoly import MultiPoly, _run_word
 
 __all__ = [
     "Permutation",
@@ -134,9 +133,7 @@ def polynomial_table(
     Entries are built down the weak order: entry(w) = pi_i(entry(w s_i)),
     asserted equal for every ascent i of w (n!(n-1)/2 applications).  The
     ascents are the first letters of the reduced words of w^{-1} w0, so by
-    induction on length this is agreement across all reduced words.  The
-    sweep prepares one multipoly action per distinct operator object and
-    reuses its monomial images.
+    induction on length this is agreement across all reduced words.
     """
     n = fam.n
     if n > MAX_TABLE_N:
@@ -152,15 +149,15 @@ def polynomial_table(
             "family fails the braid relations; table entries would depend "
             f"on the chosen reduced words (failing: {bad})"
         )
-    actions = per_operator(_Action, [(op.Q0, op.R0) for op in fam.ops])
+    actions: dict = {}
     # One-line tuples in descending lexicographic order, w0 first.  For an
     # ascent i, w s_i puts the larger of w(i), w(i+1) first, and w' below puts
     # m before m - 1, so both are lexicographically larger and come earlier.
     sweep = list(_permutations(range(n, 0, -1)))
     polys, words = {sweep[0]: seed}, {sweep[0]: ()}
     for w in sweep[1:]:
-        values = [_apply(polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]], i - 1, actions[i - 1])
-                  for i in range(1, n) if w[i - 1] < w[i]]
+        values = [_run_word([(i, fam[i])], polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]],
+                            actions) for i in range(1, n) if w[i - 1] < w[i]]
         if any(p != values[0] for p in values[1:]):
             raise AssertionError(f"reduced-word dependence at {w} despite braid check")
         polys[w] = values[0]

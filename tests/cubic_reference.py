@@ -21,11 +21,18 @@ matrix [g(b)] of the six elements g at the six monomials b is invertible
 (tests/test_artin_basis.py checks its determinant at a rational point).  So
 two words that agree on the six monomials agree on every polynomial, at any
 degree of the operators' coefficients.
+
+``distant_commute_oracle`` applies pi_i pi_k and pi_k pi_i, |i - k| >= 2, to
+the four Artin monomials 1, x_i, x_k and x_i x_k of the two distant
+transpositions, through the field-element reference of ``term_reference``,
+which shares no word loop, action or stored pair with the library.
 """
 
 from braidops.braid import COEFF_NAMES, CubicReport
+from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly, instantiate
 from braidops.pddo import PDDO
+from term_reference import ref_apply
 
 
 def full_numerators(pi: PDDO, varpi: PDDO) -> tuple[dict, dict]:
@@ -121,4 +128,19 @@ def consecutive_probe(op_i: PDDO, op_k: PDDO, i: int, k: int, n: int) -> bool:
         f = MultiPoly.monomial(n, e)
         if op_i.apply(i, op_k.apply(k, f)) != op_k.apply(k, op_i.apply(i, f)):
             return False
+    return True
+
+
+def distant_commute_oracle(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:
+    """pi_i pi_k == pi_k pi_i for |i - k| >= 2, through ref_apply on the four
+    Artin monomials 1, x_i, x_k and x_i x_k of the group that s_i and s_k
+    generate (tests/test_artin_basis.py checks its determinant)."""
+    for a in range(2):
+        for c in range(2):
+            e = [0] * n
+            e[i - 1], e[k - 1] = a, c
+            f = {tuple(e): FieldElement.of(1)}
+            if (ref_apply(pi_i, i, ref_apply(pi_k, k, f, n), n)
+                    != ref_apply(pi_k, k, ref_apply(pi_i, i, f, n), n)):
+                return False
     return True

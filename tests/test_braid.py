@@ -37,6 +37,7 @@ from cubic_reference import (
     ARTIN_EXPONENTS,
     almost_equal_reference,
     cubic_braid_oracle,
+    distant_commute_oracle,
     full_report,
 )
 
@@ -376,6 +377,7 @@ class TestRelationHolds:
                 pi_i, pi_k = fam[i], perturbed(fam[k], rng)
                 holds = relation_holds([(i, pi_i), (k, pi_k)], [(k, pi_k), (i, pi_i)])
                 assert holds is None and quad_commute_check(pi_i, pi_k, i, k, 6)
+                assert distant_commute_oracle(pi_i, pi_k, i, k, 6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_witness_is_the_first_differing_basis_vector(self, seed):
@@ -453,7 +455,8 @@ class TestFamilyCheck:
     @pytest.mark.parametrize("family", ["case1", "case2", "degen-t", "vanq0"])
     def test_distant_pairs_match_the_oracle(self, family, n):
         # The report fills distant pairs without computing; the probing
-        # oracle must agree on every one of them.
+        # oracle and the term-map oracle, which shares no code with the
+        # library's word loop, must agree on every one of them.
         fam = _random_family(family, n, random.Random(10 * n))
         report = family_braid_check(fam)
         distant = {(i, k) for i in range(1, n) for k in range(1, n) if k - i >= 2}
@@ -461,6 +464,7 @@ class TestFamilyCheck:
         for i, k in distant:
             assert report.quad[(i, k)]
             assert quad_commute_check(fam[i], fam[k], i, k, n)
+            assert distant_commute_oracle(fam[i], fam[k], i, k, n)
 
     def test_mixed_lines_family(self):
         fam = main_case2(

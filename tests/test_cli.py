@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidops import cli, words
+from braidops import cli, multipoly
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.families import OperatorFamily
 from braidops.field import FieldElement
@@ -984,13 +984,13 @@ def test_refused_table_prints_nothing(monkeypatch):
     refusal at the table sweep's last operator application leaves stdout
     empty."""
     argv = ["table", "--n", "4", "--family", "case1", "--params", "1,2,1,2,3"]
-    apply, calls = words._apply, []
+    apply, calls = multipoly._apply, []
 
     def counted(f, k, action):
         calls.append(k)
         return apply(f, k, action)
 
-    monkeypatch.setattr(words, "_apply", counted)
+    monkeypatch.setattr(multipoly, "_apply", counted)
     assert run_quietly(argv)[0] == 0
     last = len(calls)
 
@@ -1001,7 +1001,7 @@ def test_refused_table_prints_nothing(monkeypatch):
         return apply(f, k, action)
 
     calls.clear()
-    monkeypatch.setattr(words, "_apply", refused)
+    monkeypatch.setattr(multipoly, "_apply", refused)
     assert run_quietly(argv) == (2, "", "error: refused at the last application\n")
 
 

@@ -1,5 +1,6 @@
 """PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff, the cubic
-braid numerators and braid.almost_equal against sympy.
+braid numerators and braid.almost_equal against sympy, and a sympy negative
+control for the monomial basis of braid.relation_holds.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -14,11 +15,13 @@ reduced after every step.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from braidops.braid import COEFF_NAMES, _factored_differences, almost_equal
+from braidops.braid import COEFF_NAMES, _factored_differences, almost_equal, relation_holds
 from braidops.divdiff import ddiff
 from braidops.families import Case2Line, case1_operator, main_case1, main_case2, preset
 from braidops.field import FieldElement
@@ -397,3 +400,30 @@ def test_hecke_params_match(seed):
             mu.rat_part, mu.zeta_part, nu.rat_part, nu.zeta_part))))
         assert all(eq.subs(values) == 0 for eq in equations)
     assert found_in == {Degeneracy.NONDEGENERATE, Degeneracy.Q_ZERO, Degeneracy.T_ZERO}
+
+
+def test_five_artin_monomials_do_not_decide(monkeypatch):
+    """A negative control for the basis of relation_holds.  For each of the
+    six exponent vectors b0 it uses for indices {1, 2}, the matrix [g(x^b)]
+    of the six g in S_3 at the other five monomials has a nonzero nullspace
+    vector c over Q(x1, x2, x3), and sum_g c_g g(x^b0) != 0: the element
+    sum_g c_g g of the twisted group algebra vanishes on five monomials and
+    not on the sixth, so a five-monomial decider would call it zero and the
+    full decider does not.  The six nullspaces take about 0.4 s."""
+    seen = []
+    real = MultiPoly._monomial
+    monkeypatch.setattr(MultiPoly, "_monomial", staticmethod(lambda e: seen.append(e) or real(e)))
+    d = preset("demazure", 3)
+    assert relation_holds([(1, d[1]), (2, d[2]), (1, d[1])],
+                          [(2, d[2]), (1, d[1]), (2, d[2])]) is None
+    assert len(set(seen)) == len(seen) == 6
+    x = xs(3)
+    K = sympy.QQ.frac_field(*x)
+    rows = [[K.from_sympy(sympy.prod([x[g[v]] ** k for v, k in enumerate(b)]))
+             for g in permutations(range(3))] for b in seen]
+    matrix = DomainMatrix(rows, (6, 6), K)
+    for k in range(6):
+        c = DomainMatrix(rows[:k] + rows[k + 1:], (5, 6), K).nullspace()
+        assert c.shape == (1, 6)
+        values = (matrix * c.transpose()).to_Matrix()  # sum_g c_g g(x^b), one row per b
+        assert [j for j in range(6) if values[j] != 0] == [k]

@@ -241,14 +241,17 @@ class TestTableAgainstReducedWords:
             assert position[w_prime] < position[w]
 
     def test_one_application_per_ascent(self, monkeypatch):
+        # The braid check's f row runs the same word loop, so a passing report
+        # stands in for it and only the sweep's applications are counted.
         calls = []
-        apply = words._apply
+        apply = multipoly._apply
 
         def counting_apply(f, k, action):
             calls.append(k)
             return apply(f, k, action)
 
-        monkeypatch.setattr(words, "_apply", counting_apply)
+        monkeypatch.setattr(multipoly, "_apply", counting_apply)
+        monkeypatch.setattr(words, "family_braid_check", lambda fam: FamilyReport())
         polynomial_table(preset("grothendieck", 4, 1))
         assert len(calls) == 36  # n!(n-1)/2 at n = 4
 
