@@ -43,11 +43,54 @@ identity holds.  c is the first of 0, 1, 2, ... at which q(u,c) and qt(u,c)
 are nonzero; q(u,c) vanishes exactly when v - c divides q, so at most
 deg_v q + deg_v qt values are passed over.
 
-The f row is decided last.  The difference of the two words is sum_g c_g g
-over g in S_3 (relation_holds), c_g being a row's difference, and every g
-fixes 1; once the other five rows vanish, c_id alone is left, so the f flag
-is the relation decided on the monomial 1 alone.  f's reduced difference is
-built only when another flag fails, or as the failure witness.
+Pairs with T == T~ (every braiding pair with both Q0 nonzero) are decided
+further in two variables when d(T) = mu is a constant, as in every
+classified family.  Write t for T = T~; d(T) = mu says t_yx = t_xy - mu (x-y),
+and so for every pair of variables.
+
+*Cocycle lemma.*  t_zx t_xy t_yz - t_yx t_zy t_xz = -mu * (sf's reduced
+difference): substitute t_zx, t_yx and t_zy as above and expand.  Exchanging
+x and z turns sf's reduced difference into sigma_f's (the same substitution),
+so the two vanish together.  For mu != 0, sf's vanishes exactly when
+T(v,u)/T(u,v) is a multiplicative cocycle, the almost-equality of T and
+swap(T), decided at z = c as above.  For mu = 0, T is symmetric, and
+dividing sf's reduced difference by t_xy t_yz t_xz shows that it vanishes
+exactly when g = (u - v)/T is an additive cocycle, g(x,z) = g(x,y) + g(y,z).
+At z = c that reads
+
+    (u-c) T(u,v) T(v,c) == (u-v) T(u,c) T(v,c) + (v-c) T(u,c) T(u,v),
+
+and conversely, when this holds at a c with T(u,c) nonzero, G(w) = g(w,c)
+gives g(u,v) = G(u) - G(v), an additive cocycle; c is the first of 0, 1,
+2, ... with T(u,c) nonzero.
+
+*Hecke lemma.*  Let nu = pi(R0) - mu R0 at one index and nu~ that of varpi
+(the Hecke nu: pi^2 = mu pi + nu when nu is constant).  Writing
+q = t - (u-v) R0 gives q(u,v) q(v,u) = t(u,v) t(v,u) - (u-v)^2 nu(u,v), and
+with this f's reduced difference is
+
+    (t_xy (y-z) - t_yz (x-y)) * (sf's reduced difference)
+    + (x-y)^2 (y-z)^2 t_xz (nu(x,y) - nu~(y,z)),
+
+the terms without nu cancelling by t_yx = t_xy - mu (x-y) and t_zy =
+t_yz - mu (y-z).  So once sf's reduced difference vanishes and t != 0, f
+holds exactly when nu(x,y) = nu~(y,z).  nu is symmetric: pi^2 - mu pi is
+multiplication by nu and commutes with pi, which forces d(nu) = 0 when
+Q0 != 0, and nu = -R0 swap(R0) when Q0 = 0.  So f holds exactly when nu and
+nu~ are one constant.  T = T~ = 0 makes the f, sf and sigma_f reduced
+differences zero outright, each of their terms having a t factor.
+
+Both lemmas are polynomial identities with integer coefficients in the
+coefficients of T, R0 and R0~, and the cocycle arguments only divide by
+nonzero polynomials and by mu, so they hold over any field of
+characteristic 0, a field of rational functions in parameters included.
+
+The f row is otherwise decided last.  The difference of the two words is
+sum_g c_g g over g in S_3 (relation_holds), c_g being a row's difference,
+and every g fixes 1; once the other five rows vanish, c_id alone is left, so
+the f flag is the relation decided on the monomial 1 alone.  The
+three-variable placements and products are built on first use, only for a
+reduced difference that decides a flag or for the failure witness.
 """
 
 from __future__ import annotations
@@ -56,8 +99,9 @@ from dataclasses import dataclass, field
 from itertools import count, product
 from typing import TYPE_CHECKING
 
+from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly, _run_word, instantiate
-from .pddo import PDDO, per_operator
+from .pddo import PDDO, _UV, _hecke_nu, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -100,47 +144,85 @@ class CubicReport(Report):
 # x - y, x - z and y - z in Q(z)[x, y, z], built once for every cubic check.
 _XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
                  for i, j in ((1, 2), (1, 3), (2, 3)))
+_U, _V = SlotPoly.u(), SlotPoly.v()
 
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, factor, reduced difference), the last two as
     functions that build the polynomial on demand.  The flag is True or False
-    when the slot polynomials decide it (module docstring), and None when
-    only the reduced difference, or for f the action on 1, does."""
-    n = 3
+    when the slot polynomials or the Hecke nu decide it (module docstring),
+    and None when only the reduced difference, or for f the action on 1,
+    does.  Each slot polynomial is placed in three variables on first use, so
+    a pair decided in two variables places none."""
+    built: dict = {}
+
+    def once(key, build) -> MultiPoly:
+        if key not in built:
+            built[key] = build()
+        return built[key]
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
-        return instantiate(p, i, j, n)
+        # p is one of T, Q, Tt, Qt, alive while the table is, so its id is a key.
+        return once((id(p), i, j), lambda: instantiate(p, i, j, 3))
 
     xy, xz, yz = _XY, _XZ, _YZ
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
-    t_xy, t_yx, t_xz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3)
-    q_xy = at(Q, 1, 2)
-    tt_xz, tt_yz, tt_zy = at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)
-    qt_yz = at(Qt, 2, 3)
-    B = t_xy * tt_yz * xz
-    yz_t_xy, xy_tt_yz = yz * t_xy, xy * tt_yz
-    same_t = Q.is_zero() or Qt.is_zero() or T == Tt
+
+    def B() -> MultiPoly:
+        return once("B", lambda: at(T, 1, 2) * at(Tt, 2, 3) * xz)
+
+    def yz_t_xy() -> MultiPoly:
+        return once("yz_t_xy", lambda: yz * at(T, 1, 2))
+
+    def xy_tt_yz() -> MultiPoly:
+        return once("xy_tt_yz", lambda: xy * at(Tt, 2, 3))
+
+    same_t = T == Tt
+    sf_red_zero = f_known = None
+    if same_t and not T:
+        sf_red_zero = f_known = True
+    elif same_t and (dt := T.ddiff()).is_constant():
+        mu = dt.constant_value()
+        sf_red_zero = _sf_vanishes(T, mu)
+        if sf_red_zero:
+            nu = _hecke_nu(pi, mu)
+            f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
+    middle = Q.is_zero() or Qt.is_zero() or same_t
     return {
-        "f": (None, lambda: 1, lambda: (
-            B * (yz_t_xy - xy_tt_yz)
-            - yz * yz * tt_xz * q_xy * at(Q, 2, 1)
-            + xy * xy * t_xz * qt_yz * at(Qt, 3, 2))),
-        "sf": (Q.is_zero() or None, lambda: -yz * q_xy,
-               lambda: B - tt_xz * (yz * t_yx + xy_tt_yz)),
-        "sigma_f": (Qt.is_zero() or None, lambda: -xy * qt_yz,
-                    lambda: t_xz * (yz_t_xy + xy * tt_zy) - B),
-        "s_sigma_f": (same_t, lambda: xy * yz * q_xy * at(Qt, 1, 3),
-                      lambda: at(T - Tt, 2, 3)),
-        "sigma_s_f": (same_t, lambda: xy * yz * qt_yz * at(Q, 1, 3),
-                      lambda: at(T - Tt, 1, 2)),
+        "f": (f_known, lambda: 1, lambda: (
+            B() * (yz_t_xy() - xy_tt_yz())
+            - yz * yz * at(Tt, 1, 3) * at(Q, 1, 2) * at(Q, 2, 1)
+            + xy * xy * at(T, 1, 3) * at(Qt, 2, 3) * at(Qt, 3, 2))),
+        "sf": (Q.is_zero() or sf_red_zero, lambda: -yz * at(Q, 1, 2),
+               lambda: B() - at(Tt, 1, 3) * (yz * at(T, 2, 1) + xy_tt_yz())),
+        "sigma_f": (Qt.is_zero() or sf_red_zero, lambda: -xy * at(Qt, 2, 3),
+                    lambda: at(T, 1, 3) * (yz_t_xy() + xy * at(Tt, 3, 2)) - B()),
+        "s_sigma_f": (middle, lambda: xy * yz * at(Q, 1, 2) * at(Qt, 1, 3),
+                      lambda: instantiate(T - Tt, 2, 3, 3)),
+        "sigma_s_f": (middle, lambda: xy * yz * at(Qt, 2, 3) * at(Q, 1, 3),
+                      lambda: instantiate(T - Tt, 1, 2, 3)),
         "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or Q == Qt or _almost(Q, Qt),
                         lambda: -xy * yz,
-                        lambda: (q_xy * at(Qt, 1, 3) * at(Q, 2, 3)
-                                 - at(Qt, 1, 2) * at(Q, 1, 3) * qt_yz)),
+                        lambda: (at(Q, 1, 2) * at(Qt, 1, 3) * at(Q, 2, 3)
+                                 - at(Qt, 1, 2) * at(Q, 1, 3) * at(Qt, 2, 3))),
     }
+
+
+def _sf_vanishes(T: SlotPoly, mu: FieldElement) -> bool:
+    """Whether sf's reduced difference, and so sigma_f's, vanishes for
+    T == T~ != 0 with d(T) = mu, decided in two variables (module
+    docstring): for mu != 0 by T(v,u)/T(u,v) being a multiplicative cocycle,
+    for mu = 0 by (u - v)/T being an additive one, at the first c = 0, 1,
+    2, ... at which T(u, c) is nonzero."""
+    if mu:
+        return _almost(T, T.swap())
+    for c in count():
+        t_c = T._at_v(c)
+        if t_c:
+            t_vc = t_c.swap()
+            return T * ((_U - c) * t_vc - (_V - c) * t_c) == _UV * t_c * t_vc
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
@@ -162,8 +244,11 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
         return known
 
     rest = {name: decide(name) for name in COEFF_NAMES[1:]}
-    words = [(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)]
-    f = _first_difference(*words, [(0, 0, 0)]) is None if all(rest.values()) else decide("f")
+    if parts["f"][0] is None and all(rest.values()):
+        words = [(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)]
+        f = _first_difference(*words, [(0, 0, 0)]) is None
+    else:
+        f = decide("f")
     flags = {"f": f, **rest}
     for name, ok in flags.items():
         if not ok:

@@ -181,10 +181,17 @@ class PDDO:
         if not dt.is_constant():
             return None
         mu = dt.constant_value()
-        nu = self.apply(1, self.R0) - self.R0 * mu
+        nu = _hecke_nu(self, mu)
         if not nu.is_constant():
             return None
         return mu, nu.constant_value()
+
+
+def _hecke_nu(op: PDDO, mu: FieldElement) -> SlotPoly:
+    """op(R0) - mu R0 at index 1.  When d(T) = mu, op o op - mu op has Q0
+    d(T) - mu Q0 = 0 for its Q0 and this for its R0 (see compose): it is
+    multiplication by nu, and op^2 = mu op + nu exactly when nu is constant."""
+    return op.apply(1, op.R0) - op.R0 * mu
 
 
 def identity_op(c=1) -> PDDO:

@@ -54,7 +54,7 @@ zslotpolys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), zcoeffs, max_size=3,
 ).map(SlotPoly)
 
-U, V = SlotPoly.u(), SlotPoly.v()
+U, V, ONE = SlotPoly.u(), SlotPoly.v(), SlotPoly.const(1)
 UV = U - V
 
 
@@ -67,11 +67,11 @@ class TestCubicCheck:
             assert report.failure is None
 
     def test_each_slot_polynomial_is_placed_once(self, monkeypatch):
-        """Almost-equality is decided on the slot polynomials, f on the
-        action on 1, and Q0, Q0~ at (x, z) appear only in failure witnesses:
-        8 instantiate calls for a braiding pair of two distinct, equal
-        operators, none repeated, all shared by the table.  The action on 1
-        starts from 1, so R0(x, y) and R0~(y, z) are not placed."""
+        """A braiding case1 pair of two distinct, equal operators has T == T~
+        with d(T) constant, so sf, sigma_f and f are decided in two variables
+        and nothing is placed in three.  A pair that fails all six flags
+        builds f's reduced difference, its witness, from 10 placements, none
+        repeated, all shared by the table; R0 and R0~ are never placed."""
         calls = []
         real = braid.instantiate
 
@@ -82,8 +82,11 @@ class TestCubicCheck:
         monkeypatch.setattr(braid, "instantiate", counting)
         pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)
         assert cubic_braid_check(pi, varpi).passed
-        assert len(calls) == 8
-        assert len({(id(p), i, j) for p, i, j in calls}) == 8
+        assert calls == []
+        pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(0, 1, 0, 0, 3)
+        assert not any(cubic_braid_check(pi, varpi).flags.values())
+        assert len(calls) == 10
+        assert len({(id(p), i, j) for p, i, j in calls}) == 10
         assert all(p is not pi.R0 and p is not varpi.R0 for p, _, _ in calls)
 
     def test_middle_flags_are_decided_by_t(self, monkeypatch):
@@ -122,9 +125,9 @@ class TestCubicCheck:
     ], ids=["case1", "zeta", "grothendieck"])
     def test_almost_equality_is_not_multiplied_out(self, pair, monkeypatch):
         """A braiding pair's s_sigma_s_f is decided in two variables and its f
-        by the action on 1: the check's 3-variable products are those of the
-        table's shared terms and of the sf and sigma_f reduced differences
-        that only building decides (flag None), and none of f's."""
+        by the Hecke nu or the action on 1: the check's 3-variable products
+        are those of the sf and sigma_f reduced differences that only
+        building decides (flag None), and none of f's."""
         pi, varpi = pair
         dims = []
         real = multipoly._mul_pairs
@@ -150,14 +153,19 @@ class TestCubicCheck:
 
     def test_equal_q0_decides_almost_equality_alone(self, monkeypatch):
         """With Q0 == Q0~ both sides of the s_sigma_s_f identity are one
-        product, so a uniform pair calls no _almost, with flags unchanged;
-        a pair of distinct nonzero Q0 still calls it."""
+        product, so a uniform pair calls no _almost on (Q0, Q0~), with flags
+        unchanged; a pair of distinct nonzero Q0 calls it once.  Calls on
+        (T, swap T), which decide sf when d(T) is a nonzero constant, are not
+        counted."""
         calls = []
         real = braid._almost
 
         def counting(q, qt):
             calls.append((q, qt))
             return real(q, qt)
+
+        def on_q0(pi, varpi):
+            return [c for c in calls if c[0] is pi.Q0 and c[1] is varpi.Q0]
 
         monkeypatch.setattr(braid, "_almost", counting)
         uniform = [(fam[1], fam[2]) for fam in (
@@ -166,12 +174,11 @@ class TestCubicCheck:
         uniform.append((case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)))
         for pi, varpi in uniform:
             assert cubic_braid_check(pi, varpi).flags == full_report(pi, varpi).flags
-        assert calls == []
+            assert on_q0(pi, varpi) == []
         dem = preset("demazure", 3)[1]
         for pi, varpi in ((dem, dem.scale(2)), (PDDO.from_q0_r0(V, U), PDDO.from_q0_r0(U, U))):
             assert cubic_braid_check(pi, varpi).flags == full_report(pi, varpi).flags
-            assert calls == [(pi.Q0, varpi.Q0)]
-            calls.clear()
+            assert len(on_q0(pi, varpi)) == 1
 
     def test_failure_reports_a_witness(self):
         good = preset("demazure", 3)[1]
@@ -296,6 +303,56 @@ class TestAgainstFullNumerators:
         assert all(report.flags[name] for name in braid.COEFF_NAMES[1:])
         assert report.passed == braids == cubic_braid_oracle(pi, varpi)
         assert braids or report.failure[0] == "f"
+
+
+def equal_t_pair(t, r0, rt0):
+    """(pi, varpi) with T == T~ = t and R0, R0~ = r0, rt0."""
+    return PDDO.from_q0_r0(t - UV * r0, r0), PDDO.from_q0_r0(t - UV * rt0, rt0)
+
+
+symmetric = st.one_of(zcoeffs.map(SlotPoly.const), zslotpolys.map(lambda p: p + p.swap()))
+
+# T with d(T) constant: symmetric + mu u, a product (pu + q)(rv + s), and 0.
+equal_ts = st.one_of(
+    st.builds(lambda s, mu: s + U * mu, symmetric, st.sampled_from([0, 1, -1, 2])),
+    st.builds(lambda p, q, r, s: (U * p + q) * (V * r + s), zcoeffs, zcoeffs, zcoeffs, zcoeffs),
+    st.just(SlotPoly.zero()),
+)
+
+
+class TestEqualT:
+    """Pairs with T == T~, where sf and sigma_f are decided by a cocycle test
+    on T and f by equal Hecke nu, against the multiplied-out numerators."""
+
+    @given(equal_ts, zslotpolys, zslotpolys, st.sampled_from(["same", "plus_one", "random"]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_shapes(self, t, r0, rt0, choice):
+        rt0 = {"same": r0, "plus_one": r0 + 1, "random": rt0}[choice]
+        pi, varpi = equal_t_pair(t, r0, rt0)
+        assert_same_report(pi, varpi)
+        assert_same_report(varpi, pi)
+
+    @pytest.mark.parametrize("t, r0, rt0, known", [
+        (U * 2 + V, ONE, ONE, (False, False, None)),  # mu = 1, (2v + u)/(2u + v) no cocycle
+        (U + V, ONE, V, (False, False, None)),  # mu = 0, (u - v)/(u + v) no cocycle
+        ((U + 1) * (V + 2), ONE, ONE, (True, True, True)),  # nu = nu~ = 0
+        ((U + 1) * (V + 2), ONE, ONE * 2, (True, True, False)),  # nu = 0, nu~ = 2
+        (ONE * 3, U, U, (True, True, False)),  # nu = 3 + uv, not constant
+        (U * U + V, ONE, ONE, (None, None, None)),  # d(T) = u + v - 1
+        (SlotPoly.zero(), V + 1, U + 1, (True, True, True)),
+    ], ids=["mu1-no-cocycle", "mu0-no-cocycle", "equal-nu", "unequal-nu",
+            "nonconstant-nu", "nonconstant-dt", "t-zero"])
+    def test_rules_decide_in_two_variables(self, t, r0, rt0, known):
+        """The sf, sigma_f and f flags that the rules decide, None where the
+        pair keeps the three-variable route, and the full report in both
+        orders."""
+        pi, varpi = equal_t_pair(t, r0, rt0)
+        for a, b in ((pi, varpi), (varpi, pi)):
+            parts = braid._factored_differences(a, b)
+            assert tuple(parts[name][0] for name in ("sf", "sigma_f", "f")) == known
+            report = assert_same_report(a, b)
+            for name, flag in zip(("sf", "sigma_f", "f"), known):
+                assert flag is None or report.flags[name] is flag
 
 
 class TestQuadCheck:

@@ -1,6 +1,8 @@
 """PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff, the cubic
-braid numerators and braid.almost_equal against sympy, and a sympy negative
-control for the monomial basis of braid.relation_holds.
+braid numerators and braid.almost_equal against sympy, a sympy negative
+control for the monomial basis of braid.relation_holds, and the two lemmas
+behind the cubic check's rules for T == T~ as identities in symbolic
+coefficients.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -427,3 +429,58 @@ def test_five_artin_monomials_do_not_decide(monkeypatch):
         assert c.shape == (1, 6)
         values = (matrix * c.transpose()).to_Matrix()  # sum_g c_g g(x^b), one row per b
         assert [j for j in range(6) if values[j] != 0] == [k]
+
+
+def test_equal_t_lemmas_hold_with_symbolic_coefficients():
+    """The two lemmas behind the cubic check's two-variable rules for
+    T == T~ with d(T) = mu, as identities in the coefficients, with no
+    braidops code: T = S + mu u with S a generic symmetric polynomial of
+    degree at most 2, and R0, R0~ generic of degree at most 2 (22 symbols
+    with x, y, z).  The reduced differences are the module table's
+    (braid.py), t_xy = T(x, y) and so on, and nu = Q0 d(R0) + R0^2 - mu R0
+    is op(R0) - mu R0.
+
+    f_red = (t_xy (y-z) - t_yz (x-y)) sf_red + (x-y)^2 (y-z)^2 t_xz (nu(x,y) - nu~(y,z))
+    T(z,x) T(x,y) T(y,z) - T(y,x) T(z,y) T(x,z) = -mu sf_red
+
+    and the two steps the module docstring takes with them: sigma_f_red is
+    sf_red with x and z exchanged, and Q0(u,v) Q0(v,u) = T(u,v) T(v,u)
+    - (u-v)^2 nu(u,v).
+    """
+    R, *gens = sympy.polys.rings.ring("x y z u v mu s0:4 r0:6 rt0:6", sympy.QQ)
+    x, y, z, u, v, mu = gens[:6]
+    s, r, rt = gens[6:10], gens[10:16], gens[16:22]
+
+    def at(p, a, b):
+        return p.compose([(u, a), (v, b)])
+
+    def d(p):
+        return (p - at(p, v, u)).exquo(u - v)
+
+    def generic(c):
+        return c[0] + c[1] * u + c[2] * v + c[3] * u**2 + c[4] * u * v + c[5] * v**2
+
+    assert at(u * v**2, v, u) == v * u**2  # the substitution is simultaneous
+    T = s[0] + s[1] * (u + v) + s[2] * (u**2 + v**2) + s[3] * u * v + mu * u
+    assert d(T) == mu
+    r0, rt0 = generic(r), generic(rt)
+    q0, qt0 = T - (u - v) * r0, T - (u - v) * rt0
+    nu, nut = q0 * d(r0) + r0**2 - mu * r0, qt0 * d(rt0) + rt0**2 - mu * rt0
+
+    def t(a, b):
+        return at(T, a, b)
+
+    B = t(x, y) * t(y, z) * (x - z)
+    f_red = (B * ((y - z) * t(x, y) - (x - y) * t(y, z))
+             - (y - z)**2 * t(x, z) * at(q0, x, y) * at(q0, y, x)
+             + (x - y)**2 * t(x, z) * at(qt0, y, z) * at(qt0, z, y))
+    sf_red = B - t(x, z) * ((y - z) * t(y, x) + (x - y) * t(y, z))
+    sf_part = (t(x, y) * (y - z) - t(y, z) * (x - y)) * sf_red
+    nu_part = (x - y)**2 * (y - z)**2 * t(x, z) * (at(nu, x, y) - at(nut, y, z))
+    assert f_red == sf_part + nu_part
+    assert nu_part != 0  # with sf_red = 0, f still turns on nu
+    assert t(z, x) * t(x, y) * t(y, z) - t(y, x) * t(z, y) * t(x, z) == -mu * sf_red
+    assert sf_red != 0
+    sigma_f_red = t(x, z) * ((y - z) * t(x, y) + (x - y) * t(z, y)) - B
+    assert sigma_f_red == sf_red.compose([(x, z), (z, x)])
+    assert q0 * at(q0, v, u) == T * at(T, v, u) - (u - v)**2 * nu
