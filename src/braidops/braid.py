@@ -29,6 +29,18 @@ its factor or its reduced difference does, and a factor vanishes exactly
 when a Q0 or Q0~ in it does.  The middle two reduced differences vanish
 exactly when T == T~: a braiding pair with both Q0 nonzero has T == T~.
 
+*Diagonal lemma.*  Setting y = z in sf's reduced difference and x = y in
+sigma_f's, as the table writes them, gives
+
+    sf:      (x-z) tt(z,z) (t - tt)(x,z)
+    sigma_f: (y-z) t(y,y) (t - tt)(y,z),
+
+and T = Q0 + (u-v) R0 gives T(v,v) = Q0(v,v).  A polynomial with a nonzero
+specialisation is nonzero, so when T != T~, sf's reduced difference is
+nonzero whenever Q0~(v,v) != 0, and sigma_f's whenever Q0(v,v) != 0: those
+flags are False with nothing placed in three variables.  A zero diagonal
+decides nothing, and that reduced difference is built.
+
 The last reduced difference is the almost-equality identity, and it is
 decided in two variables.  For nonzero q and qt let r = qt/q.  The identity
 says r(x,z) = r(x,y) r(y,z): r is a multiplicative cocycle, so the identity
@@ -43,6 +55,17 @@ identity holds.  c is the first of 0, 1, 2, ... at which q(u,c) and qt(u,c)
 are nonzero; q(u,c) vanishes exactly when v - c divides q, so at most
 deg_v q + deg_v qt values are passed over.
 
+*Separable rule.*  When q = a(u) b(v) and qt = at(u) bt(v),
+
+    q(x,y) qt(x,z) q(y,z) - qt(x,y) q(x,z) qt(y,z)
+        = a(x) at(x) b(z) bt(z) (q(y,y) - qt(y,y)),
+
+so for nonzero q and qt the identity holds exactly when q(v,v) = qt(v,v):
+the ratio qt/q = A(u) B(v) is a cocycle exactly when A(y) B(y) = 1.  q is
+such a product exactly when its coefficient matrix [c_rs] has rank at most
+1, and the test decides this first, by the matrix's 2x2 minors, before any
+z = c.
+
 Pairs with T == T~ (every braiding pair with both Q0 nonzero) are decided
 further in two variables when d(T) = mu is a constant, as in every
 classified family.  Write t for T = T~; d(T) = mu says t_yx = t_xy - mu (x-y),
@@ -53,7 +76,9 @@ difference): substitute t_zx, t_yx and t_zy as above and expand.  Exchanging
 x and z turns sf's reduced difference into sigma_f's (the same substitution),
 so the two vanish together.  For mu != 0, sf's vanishes exactly when
 T(v,u)/T(u,v) is a multiplicative cocycle, the almost-equality of T and
-swap(T), decided at z = c as above.  For mu = 0, T is symmetric, and
+swap(T), decided as above; a separable T has a separable swap(T) with
+the same diagonal, so every T = (pu + q)(rv + s) of a classified family
+passes with no z = c.  For mu = 0, T is symmetric, and
 dividing sf's reduced difference by t_xy t_yz t_xz shows that it vanishes
 exactly when g = (u - v)/T is an additive cocycle, g(x,z) = g(x,y) + g(y,z).
 At z = c that reads
@@ -90,7 +115,9 @@ sum_g c_g g over g in S_3 (relation_holds), c_g being a row's difference,
 and every g fixes 1; once the other five rows vanish, c_id alone is left, so
 the f flag is the relation decided on the monomial 1 alone.  The
 three-variable placements and products are built on first use, only for a
-reduced difference that decides a flag or for the failure witness.
+reduced difference that decides a flag or for the failure witness.  In f's,
+q_xy q_yx and qt_yz qt_zy are the two-variable products Q0 swap(Q0) and
+Q0~ swap(Q0~) placed, and f's factor 1 is not multiplied in.
 """
 
 from __future__ import annotations
@@ -141,9 +168,11 @@ class CubicReport(Report):
     failure: tuple[str, MultiPoly] | None = None
 
 
-# x - y, x - z and y - z in Q(z)[x, y, z], built once for every cubic check.
+# x - y, x - z and y - z in Q(z)[x, y, z], and (x - y)^2 and (y - z)^2,
+# built once for every cubic check.
 _XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
                  for i, j in ((1, 2), (1, 3), (2, 3)))
+_XY2, _YZ2 = _XY * _XY, _YZ * _YZ
 _U, _V = SlotPoly.u(), SlotPoly.v()
 
 
@@ -151,10 +180,10 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, factor, reduced difference), the last two as
     functions that build the polynomial on demand.  The flag is True or False
-    when the slot polynomials or the Hecke nu decide it (module docstring),
-    and None when only the reduced difference, or for f the action on 1,
-    does.  Each slot polynomial is placed in three variables on first use, so
-    a pair decided in two variables places none."""
+    when the slot polynomials, their diagonals or the Hecke nu decide it
+    (module docstring), and None when only the reduced difference, or for f
+    the action on 1, does.  Each slot polynomial is placed in three variables
+    on first use, so a pair decided in two variables places none."""
     built: dict = {}
 
     def once(key, build) -> MultiPoly:
@@ -180,24 +209,29 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
         return once("xy_tt_yz", lambda: xy * at(Tt, 2, 3))
 
     same_t = T == Tt
-    sf_red_zero = f_known = None
+    sf_red_zero = sigma_f_red_zero = f_known = None
     if same_t and not T:
-        sf_red_zero = f_known = True
+        sf_red_zero = sigma_f_red_zero = f_known = True
     elif same_t and (dt := T.ddiff()).is_constant():
         mu = dt.constant_value()
-        sf_red_zero = _sf_vanishes(T, mu)
+        sf_red_zero = sigma_f_red_zero = _sf_vanishes(T, mu)
         if sf_red_zero:
             nu = _hecke_nu(pi, mu)
             f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
+    elif not same_t:  # the diagonal lemma, where the flag's factor is nonzero
+        if Q and Qt._diagonal():
+            sf_red_zero = False
+        if Qt and Q._diagonal():
+            sigma_f_red_zero = False
     middle = Q.is_zero() or Qt.is_zero() or same_t
     return {
         "f": (f_known, lambda: 1, lambda: (
             B() * (yz_t_xy() - xy_tt_yz())
-            - yz * yz * at(Tt, 1, 3) * at(Q, 1, 2) * at(Q, 2, 1)
-            + xy * xy * at(T, 1, 3) * at(Qt, 2, 3) * at(Qt, 3, 2))),
+            - _YZ2 * at(Tt, 1, 3) * instantiate(Q * Q.swap(), 1, 2, 3)
+            + _XY2 * at(T, 1, 3) * instantiate(Qt * Qt.swap(), 2, 3, 3))),
         "sf": (Q.is_zero() or sf_red_zero, lambda: -yz * at(Q, 1, 2),
                lambda: B() - at(Tt, 1, 3) * (yz * at(T, 2, 1) + xy_tt_yz())),
-        "sigma_f": (Qt.is_zero() or sf_red_zero, lambda: -xy * at(Qt, 2, 3),
+        "sigma_f": (Qt.is_zero() or sigma_f_red_zero, lambda: -xy * at(Qt, 2, 3),
                     lambda: at(T, 1, 3) * (yz_t_xy() + xy * at(Tt, 3, 2)) - B()),
         "s_sigma_f": (middle, lambda: xy * yz * at(Q, 1, 2) * at(Qt, 1, 3),
                       lambda: instantiate(T - Tt, 2, 3, 3)),
@@ -254,7 +288,8 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
         if not ok:
             _, factor, reduced = parts[name]
             diff = diffs[name] if name in diffs else reduced()
-            return CubicReport(flags=flags, failure=(name, factor() * diff))
+            scale = factor()
+            return CubicReport(flags=flags, failure=(name, diff if scale == 1 else scale * diff))
     return CubicReport(flags=flags)
 
 
@@ -315,8 +350,12 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
 
 
 def _almost(q: SlotPoly, qt: SlotPoly) -> bool:
-    """q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c), for nonzero q and qt,
-    at the first c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero."""
+    """The almost-equality of nonzero q and qt (module docstring): equal
+    diagonals when both are separable, else q(u,v) qt(u,c) q(v,c) ==
+    qt(u,v) q(u,c) qt(v,c) at the first c = 0, 1, 2, ... at which q(u,c) and
+    qt(u,c) are nonzero."""
+    if q._separable() and qt._separable():
+        return q._diagonal() == qt._diagonal()
     for c in count():
         q_c, qt_c = q._at_v(c), qt._at_v(c)
         if q_c and qt_c:

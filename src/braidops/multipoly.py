@@ -25,10 +25,12 @@ dict.  Every two-variable product, of ``_mul_pairs`` and inside
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
-``SlotPoly._where`` (the terms with a chosen exponent pair) and
-``SlotPoly._at_v`` (v set to an integer).  Stored pairs are tuples, shared
-between polynomials and never changed.  Field elements are built only where
-a coefficient is read out as a value: ``terms``, ``constant_value``,
+``SlotPoly._where`` (the terms with a chosen exponent pair),
+``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._diagonal`` (u set to
+v) and ``SlotPoly._separable`` (whether it is a product a(u) b(v), by the
+2x2 minors of its coefficients).  Stored pairs are tuples, shared between
+polynomials and never changed.  Field elements are built only where a
+coefficient is read out as a value: ``terms``, ``constant_value``,
 ``evaluate`` and the long division of ``exact_div``.  A polynomial becomes
 text in one way, the term walk ``_printed_terms``, which prints each stored
 pair through ``field._text`` with no field element; ``str`` and the CLI's
@@ -585,6 +587,40 @@ class SlotPoly(MultiPoly):
             pair[0] += a * c ** s
             pair[1] += b * c ** s
         return SlotPoly._normal(2, _nonzero(acc), self._den)
+
+    def _diagonal(self) -> "SlotPoly":
+        """self(v, v), summed from the stored integer pairs over self's denominator."""
+        acc: dict = {}
+        for (r, s), (a, b) in self._num.items():
+            pair = acc.setdefault((0, r + s), [0, 0])
+            pair[0] += a
+            pair[1] += b
+        return SlotPoly._normal(2, _nonzero(acc), self._den)
+
+    def _separable(self) -> bool:
+        """Whether self is a(u) b(v): its coefficient matrix [c_rs] has rank
+        at most 1.  With a pivot c_r0s0 != 0 that holds exactly when every
+        minor c_rs c_r0s0 - c_rs0 c_r0s vanishes, zero entries included: the
+        terms fill exactly the grid of the rows r with c_rs0 != 0 by the
+        columns s with c_r0s != 0, and each passes its minor.  The minors are
+        formed on the stored pairs, with (a + b z)(c + g z) = ac - bg +
+        (ag + b(c + g)) z, as z^2 = z - 1."""
+        num = self._num
+        if not num:
+            return True
+        (r0, s0), (pa, pb) = next(iter(num.items()))
+        rows = {r: pair for (r, s), pair in num.items() if s == s0}
+        cols = {s: pair for (r, s), pair in num.items() if r == r0}
+        if len(rows) * len(cols) != len(num):
+            return False
+        for (r, s), (a, b) in num.items():
+            if r not in rows or s not in cols:
+                return False
+            (c, g), (e, h) = rows[r], cols[s]
+            if (a * pa - b * pb != c * e - g * h
+                    or a * pb + b * (pa + pb) != c * h + g * (e + h)):
+                return False
+        return True
 
     def _over_u_minus_v(self) -> "SlotPoly":
         """The one-sided quotient of self by u - v, without long division and

@@ -70,8 +70,10 @@ class TestCubicCheck:
         """A braiding case1 pair of two distinct, equal operators has T == T~
         with d(T) constant, so sf, sigma_f and f are decided in two variables
         and nothing is placed in three.  A pair that fails all six flags
-        builds f's reduced difference, its witness, from 10 placements, none
-        repeated, all shared by the table; R0 and R0~ are never placed."""
+        refutes sf and sigma_f on the diagonal and builds f's reduced
+        difference, its witness, from 6 placements, none repeated: T and T~
+        at three pairs, Q0 swap(Q0) and Q0~ swap(Q0~); R0 and R0~ are never
+        placed."""
         calls = []
         real = braid.instantiate
 
@@ -85,15 +87,15 @@ class TestCubicCheck:
         assert calls == []
         pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(0, 1, 0, 0, 3)
         assert not any(cubic_braid_check(pi, varpi).flags.values())
-        assert len(calls) == 10
-        assert len({(id(p), i, j) for p, i, j in calls}) == 10
+        assert len(calls) == 6
+        assert len({(id(p), i, j) for p, i, j in calls}) == 6
         assert all(p is not pi.R0 and p is not varpi.R0 for p, _, _ in calls)
 
     def test_middle_flags_are_decided_by_t(self, monkeypatch):
         """With both Q0 nonzero and T != T~, s_sigma_f and sigma_s_f are False
-        without T - T~ being placed: a failing pair makes the same 10
-        placements as a braiding one, and its f witness, whose factor is the
-        scalar 1, is the multiplied-out difference."""
+        without T - T~ being placed: a failing pair makes only the 6
+        placements of its f witness, whose factor is the scalar 1, and that
+        witness is the multiplied-out difference."""
         calls = []
         real = braid.instantiate
 
@@ -106,7 +108,7 @@ class TestCubicCheck:
         h = U + 2
         bad = PDDO(op.T + h, op.Q0 + h)
         report = cubic_braid_check(op, bad)
-        assert len(calls) == 10
+        assert len(calls) == 6
         assert report.flags["s_sigma_f"] is False and report.flags["sigma_s_f"] is False
         assert report.failure == full_report(op, bad).failure
         assert report.failure[0] == "f"
@@ -353,6 +355,78 @@ class TestEqualT:
             report = assert_same_report(a, b)
             for name, flag in zip(("sf", "sigma_f", "f"), known):
                 assert flag is None or report.flags[name] is flag
+
+
+univariates = st.lists(zcoeffs, min_size=1, max_size=2).map(SlotPoly.univariate).filter(bool)
+
+
+@st.composite
+def rule_operators(draw, kind):
+    """An operator of one kind.  "separable": T = a(u) b(v) c(v) and Q0 =
+    a(u) b(u) c(v), both separable with one diagonal.  "separable_uv": that
+    Q0 times (u - v), so Q0(v,v) = T(v,v) = 0, with R0 random or -Q0 (T = 0).
+    "nonseparable": Q0 random and not separable, R0 random."""
+    if kind == "nonseparable":
+        q0 = draw(zslotpolys.filter(lambda p: not p._separable()))
+        return PDDO.from_q0_r0(q0, draw(zslotpolys))
+    a, b, c = draw(univariates), draw(univariates), draw(univariates).swap()
+    q0 = a * b * c
+    if kind == "separable":
+        return PDDO(a * b.swap() * c, q0)
+    r0 = draw(st.one_of(st.just(-q0), zslotpolys))
+    return PDDO.from_q0_r0(UV * q0, r0)
+
+
+rule_kinds = st.sampled_from(["separable", "separable_uv", "nonseparable"])
+
+
+class TestDiagonalAndSeparableRules:
+    """Failing pairs refuted on the diagonal and separable pairs decided by
+    their diagonals, against the multiplied-out numerators."""
+
+    @given(st.data(), rule_kinds, rule_kinds, st.sampled_from(["own", "same_r0", "same_t"]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_kinds(self, data, kind, kind_t, r0_choice):
+        """pi and varpi of the three kinds, varpi with its own R0, with R0~ =
+        R0, or with T~ = T."""
+        pi, varpi = data.draw(rule_operators(kind)), data.draw(rule_operators(kind_t))
+        if r0_choice == "same_r0":
+            varpi = PDDO.from_q0_r0(varpi.Q0, pi.R0)
+        elif r0_choice == "same_t":
+            varpi = PDDO.from_q0_r0(pi.T - UV * varpi.R0, varpi.R0)
+        assert_same_report(pi, varpi)
+        assert_same_report(varpi, pi)
+
+    @pytest.mark.parametrize("pi, varpi, known", [
+        # T != T~ and both diagonals nonzero: both refuted, neither built.
+        (PDDO(U + 2, U + 2), PDDO(V + 1, U + 1), (False, False)),
+        # T~ = 0 with Q0~ = -(u - v): Q0~(v,v) = 0 and sf holds.
+        (PDDO(U + 2, U + 2), PDDO.from_q0_r0(-UV, ONE), (None, False)),
+        # Q0 = 0: sf holds through its factor, sigma_f needs three variables.
+        (PDDO.from_q0_r0(SlotPoly.zero(), U), PDDO(V + 1, U + 1), (True, None)),
+    ], ids=["both-refuted", "t-zero", "q-zero"])
+    def test_diagonal_refutation(self, pi, varpi, known):
+        """The sf and sigma_f flags that the diagonal lemma decides, None
+        where the pair keeps the three-variable route."""
+        parts = braid._factored_differences(pi, varpi)
+        assert (parts["sf"][0], parts["sigma_f"][0]) == known
+        report = assert_same_report(pi, varpi)
+        for name, flag in zip(("sf", "sigma_f"), known):
+            assert flag is None or report.flags[name] is flag
+
+    @given(univariates, univariates, univariates, univariates,
+           st.sampled_from(["own", "equal_diagonal", "swapped"]))
+    @settings(max_examples=60, deadline=None)
+    def test_separable_pairs_against_the_identity(self, a, b, at, bt, choice):
+        """q = a(u) b(v) against qt = at(u) bt(v); q = a(u) (b at)(v) against
+        qt = at(u) (a b)(v), whose diagonals are both a b at; and q against
+        qt = b(u) a(v)."""
+        q, qt = {"own": (a * b.swap(), at * bt.swap()),
+                 "equal_diagonal": (a * (b * at).swap(), at * (a * b).swap()),
+                 "swapped": (a * b.swap(), b * a.swap())}[choice]
+        assert q._separable() and qt._separable()
+        assert almost_equal(q, qt) == almost_equal_reference(q, qt)
+        assert almost_equal(q, qt) == (q._diagonal() == qt._diagonal())
 
 
 class TestQuadCheck:

@@ -393,6 +393,42 @@ class TestStoredForm:
             assert_canonical(result)
             assert result.terms == {e: c for e, c in _clean(terms).items() if keep(*e)}
 
+    @given(term_maps(2))
+    @settings(max_examples=100, deadline=None)
+    def test_diagonal_matches_the_reference(self, terms):
+        """p(v, v): each term's coefficient summed onto v^(r+s)."""
+        expected: dict = {}
+        for (r, s), coeff in terms.items():
+            expected[(0, r + s)] = expected.get((0, r + s), FieldElement.of(0)) + coeff
+        result = SlotPoly(terms)._diagonal()
+        assert type(result) is SlotPoly
+        assert_canonical(result)
+        assert result.terms == _clean(expected)
+
+    @given(st.one_of(
+        term_maps(2),
+        st.builds(lambda a, b: ref_mul({(r, 0): c for (r, _), c in a.items()},
+                                       {(0, s): c for (_, s), c in b.items()}),
+                  term_maps(2, 3), term_maps(2, 3))))
+    @example({(0, 0): FieldElement.of(1), (1, 0): FieldElement.of(1),
+              (0, 1): FieldElement.of(1)})  # every minor with the pivot 1 vanishes
+    @example({(1, 0): FieldElement.of(1), (0, 1): FieldElement.of(1)})
+    @example({(1, 1): FieldElement(0, 1), (1, 0): FieldElement(-1, 1),
+              (0, 1): FieldElement(-1, 0), (0, 0): FieldElement(0, -1)})  # (zu - 1)(v + z)
+    @settings(max_examples=150, deadline=None)
+    def test_separable_matches_every_minor(self, terms):
+        """Rank at most 1 of the coefficient matrix, against every 2x2 minor
+        of it in field arithmetic; products a(u) b(v) are drawn too."""
+        c = _clean(terms)
+        rows, cols = sorted({r for r, _ in c}), sorted({s for _, s in c})
+        zero = FieldElement.of(0)
+        rank_one = all(
+            c.get((r1, s1), zero) * c.get((r2, s2), zero)
+            == c.get((r1, s2), zero) * c.get((r2, s1), zero)
+            for i, r1 in enumerate(rows) for r2 in rows[i + 1:]
+            for j, s1 in enumerate(cols) for s2 in cols[j + 1:])
+        assert SlotPoly(terms)._separable() is rank_one
+
     def test_only_multipoly_reads_stored_pairs(self):
         """The stored form is read and built in braidops.multipoly alone: no
         other library file names the stored numerators or denominator, the

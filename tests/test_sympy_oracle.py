@@ -1,8 +1,9 @@
 """PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff, the cubic
 braid numerators and braid.almost_equal against sympy, a sympy negative
-control for the monomial basis of braid.relation_holds, and the two lemmas
-behind the cubic check's rules for T == T~ as identities in symbolic
-coefficients.
+control for the monomial basis of braid.relation_holds, and the lemmas
+behind the cubic check's two-variable rules (for T == T~, the diagonal
+refutation of failing pairs and the separable almost-equality test) as
+identities in symbolic coefficients.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -484,3 +485,67 @@ def test_equal_t_lemmas_hold_with_symbolic_coefficients():
     sigma_f_red = t(x, z) * ((y - z) * t(x, y) + (x - y) * t(z, y)) - B
     assert sigma_f_red == sf_red.compose([(x, z), (z, x)])
     assert q0 * at(q0, v, u) == T * at(T, v, u) - (u - v)**2 * nu
+
+
+def test_diagonal_lemma_holds_with_symbolic_coefficients():
+    """The cubic check's diagonal lemma, with no braidops code: for generic T,
+    T~ and R0 of degree at most 2 in u, v, sf's reduced difference at y = z is
+    (x-z) T~(z,z) (T - T~)(x,z), sigma_f's at x = y is (y-z) T(y,y)
+    (T - T~)(y,z), and Q0 = T - (u-v) R0 has Q0(v,v) = T(v,v)."""
+    R, *gens = sympy.polys.rings.ring("x y z u v t0:6 tt0:6 r0:6", sympy.QQ)
+    x, y, z, u, v = gens[:5]
+    c, ct, cr = gens[5:11], gens[11:17], gens[17:23]
+
+    def at(p, a, b):
+        return p.compose([(u, a), (v, b)])
+
+    def generic(k):
+        return k[0] + k[1] * u + k[2] * v + k[3] * u**2 + k[4] * u * v + k[5] * v**2
+
+    T, Tt, r0 = generic(c), generic(ct), generic(cr)
+    B = at(T, x, y) * at(Tt, y, z) * (x - z)
+    sf_red = B - at(Tt, x, z) * ((y - z) * at(T, y, x) + (x - y) * at(Tt, y, z))
+    sigma_f_red = at(T, x, z) * ((y - z) * at(T, x, y) + (x - y) * at(Tt, z, y)) - B
+    assert sf_red.compose(y, z) == (x - z) * at(Tt, z, z) * at(T - Tt, x, z)
+    assert sigma_f_red.compose(x, y) == (y - z) * at(T, y, y) * at(T - Tt, y, z)
+    assert at(T - (u - v) * r0, v, v) == at(T, v, v)
+
+
+def test_separable_rule_holds_with_symbolic_coefficients():
+    """The separable rule of the almost-equality test, with no braidops code:
+    for q = a(u) b(v) and qt = at(u) bt(v), a, b, at, bt generic of degree at
+    most 2,
+
+        q(x,y) qt(x,z) q(y,z) - qt(x,y) q(x,z) qt(y,z)
+            = a(x) at(x) b(z) bt(z) (q(y,y) - qt(y,y)),
+
+    and every 2x2 minor of q's coefficient matrix vanishes, while a generic
+    polynomial of degree 1 in each slot has a nonzero one."""
+    R, *gens = sympy.polys.rings.ring("x y z u v a0:3 b0:3 at0:3 bt0:3 g0:4", sympy.QQ)
+    x, y, z, u, v = gens[:5]
+    a, b, at_, bt, g = gens[5:8], gens[8:11], gens[11:14], gens[14:17], gens[17:21]
+
+    def poly(k, w):
+        return sum((k_i * w**i for i, k_i in enumerate(k)), R.zero)
+
+    def at(p, s, t):
+        return p.compose([(u, s), (v, t)])
+
+    q, qt = poly(a, u) * poly(b, v), poly(at_, u) * poly(bt, v)
+    lhs = at(q, x, y) * at(qt, x, z) * at(q, y, z) - at(qt, x, y) * at(q, x, z) * at(qt, y, z)
+    rhs = (poly(a, x) * poly(at_, x) * poly(b, z) * poly(bt, z)
+           * (at(q, y, y) - at(qt, y, y)))
+    assert lhs == rhs != 0
+
+    def minors(p):
+        """The 2x2 minors of [c_rs], c_rs the coefficient of u^r v^s in the
+        other symbols."""
+        c = {(r, s): R.from_dict({m[:3] + (0, 0) + m[5:]: k for m, k in p.terms()
+                                  if m[3:5] == (r, s)})
+             for r in range(3) for s in range(3)}
+        return [c[r1, s1] * c[r2, s2] - c[r1, s2] * c[r2, s1]
+                for r1 in range(3) for r2 in range(r1 + 1, 3)
+                for s1 in range(3) for s2 in range(s1 + 1, 3)]
+
+    assert not any(minors(q))
+    assert any(minors(g[0] + g[1] * u + g[2] * v + g[3] * u * v))
