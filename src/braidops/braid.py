@@ -21,7 +21,7 @@ s_sigma_f   (x-y)(y-z) q_xy qt_xz t_yz - tt_yz, zero exactly when T == T~
 sigma_s_f   (x-y)(y-z) qt_yz q_xz t_xy - tt_xy, zero exactly when T == T~
 s_sigma_s_f -(x-y)(y-z)           q_xy qt_xz q_yz - qt_xy q_xz qt_yz,
                                   zero exactly when q and qt are almost equal
-                                  (decided at z = c, below)
+                                  (decided in two variables, below)
 =========== ===================== ==============================================
 
 Q(z)[x, y, z] is an integral domain, so a difference vanishes exactly when
@@ -64,35 +64,40 @@ so for nonzero q and qt the identity holds exactly when q(v,v) = qt(v,v):
 the ratio qt/q = A(u) B(v) is a cocycle exactly when A(y) B(y) = 1.  q is
 such a product exactly when its coefficient matrix [c_rs] has rank at most
 1, and the test decides this first, by the matrix's 2x2 minors, before any
-z = c.
+z = c.  The cubic check runs the almost-equality test on (Q0, Q0~) alone,
+for the s_sigma_s_f flag.
 
-Pairs with T == T~ (every braiding pair with both Q0 nonzero) are decided
-further in two variables when d(T) = mu is a constant, as in every
-classified family.  Write t for T = T~; d(T) = mu says t_yx = t_xy - mu (x-y),
-and so for every pair of variables.
+*Normal-form lemma.*  Pairs with T == T~ = t != 0 (every braiding pair with
+both Q0 nonzero) are decided further in two variables: sf's reduced
+difference vanishes exactly when t = A(u) B(v) with deg B <= 1, and
+sigma_f's exactly when t = A(u) B(v) with deg A <= 1.  Both vanish exactly
+for t = (pu + q)(rv + s), the normal form a uv + b u + c v + d with ad = bc
+of every classified family, and then d(t) = mu is the constant ps - qr.
+(<=)  For t = A(u) B(v), with P[x,y,z] the second divided difference of P,
+zero exactly when deg P <= 1, the two reduced differences are
 
-*Cocycle lemma.*  t_zx t_xy t_yz - t_yx t_zy t_xz = -mu * (sf's reduced
-difference): substitute t_zx, t_yx and t_zy as above and expand.  Exchanging
-x and z turns sf's reduced difference into sigma_f's (the same substitution),
-so the two vanish together.  For mu != 0, sf's vanishes exactly when
-T(v,u)/T(u,v) is a multiplicative cocycle, the almost-equality of T and
-swap(T), decided as above; a separable T has a separable swap(T) with
-the same diagonal, so every T = (pu + q)(rv + s) of a classified family
-passes with no z = c.  For mu = 0, T is symmetric, and
-dividing sf's reduced difference by t_xy t_yz t_xz shows that it vanishes
-exactly when g = (u - v)/T is an additive cocycle, g(x,z) = g(x,y) + g(y,z).
-At z = c that reads
+    sf:      -(x-y)(x-z)(y-z) A(x) A(y) B(z) B[x,y,z]
+    sigma_f:  (x-y)(x-z)(y-z) A(x) B(y) B(z) A[x,y,z].
 
-    (u-c) T(u,v) T(v,c) == (u-v) T(u,c) T(v,c) + (v-c) T(u,c) T(u,v),
+(=>)  Let c be an integer with t(c,c) != 0.  At x = c, sf's reduced
+difference is (y-z) (t(y,z) E(y,z) - t(y,c) t(c,z)), where the polynomial
+E(y,z) = (t(c,y) (c-z) - t(c,z) (c-y)) / (y-z) has E(y,c) = E(c,z) =
+t(c,c).  When it vanishes, t E = t(y,c) t(c,z), nonzero at y = z = c, is a
+product of univariates, and so are t and E, by unique factorisation.
+E(y,c) and E(c,z) are constant, so E is the constant t(c,c), t(y,z) =
+t(y,c) t(c,z)/t(c,c) is separable, and (<=) gives deg B <= 1.  sigma_f mirrors this at z = c: there it is -(x-y)
+(t(x,y) E'(x,y) - t(x,c) t(c,y)), E'(x,y) = ((x-c) t(y,c) - (y-c) t(x,c)) /
+(x-y), E'(x,c) = E'(c,y) = t(c,c).  With a zero diagonal neither vanishes:
+at a c with t(y,c) t(c,z) != 0 the same step gives t = A(u) B(v), so
+t(v,v) = A(v) B(v) != 0.  The check reads the lemma off t's coefficients:
+separable (the rank test above) with no term v^s, s > 1, for sf, and no
+term u^r, r > 1, for sigma_f.
 
-and conversely, when this holds at a c with T(u,c) nonzero, G(w) = g(w,c)
-gives g(u,v) = G(u) - G(v), an additive cocycle; c is the first of 0, 1,
-2, ... with T(u,c) nonzero.
-
-*Hecke lemma.*  Let nu = pi(R0) - mu R0 at one index and nu~ that of varpi
-(the Hecke nu: pi^2 = mu pi + nu when nu is constant).  Writing
-q = t - (u-v) R0 gives q(u,v) q(v,u) = t(u,v) t(v,u) - (u-v)^2 nu(u,v), and
-with this f's reduced difference is
+*Hecke lemma.*  Let d(t) = mu be a constant, as in the normal form.  Let
+nu = pi(R0) - mu R0 at one index and nu~ that of varpi (the Hecke nu:
+pi^2 = mu pi + nu when nu is constant).  Writing q = t - (u-v) R0 gives
+q(u,v) q(v,u) = t(u,v) t(v,u) - (u-v)^2 nu(u,v), and with this f's reduced
+difference is
 
     (t_xy (y-z) - t_yz (x-y)) * (sf's reduced difference)
     + (x-y)^2 (y-z)^2 t_xz (nu(x,y) - nu~(y,z)),
@@ -105,10 +110,10 @@ Q0 != 0, and nu = -R0 swap(R0) when Q0 = 0.  So f holds exactly when nu and
 nu~ are one constant.  T = T~ = 0 makes the f, sf and sigma_f reduced
 differences zero outright, each of their terms having a t factor.
 
-Both lemmas are polynomial identities with integer coefficients in the
-coefficients of T, R0 and R0~, and the cocycle arguments only divide by
-nonzero polynomials and by mu, so they hold over any field of
-characteristic 0, a field of rational functions in parameters included.
+The Hecke lemma is an identity with integer coefficients in those of T, R0
+and R0~, and the normal-form lemma needs only unique factorisation and an
+integer c off the finitely many at which t(c,c) or t(u,c) t(c,v) vanishes,
+so both hold over any field of characteristic 0, parameters included.
 
 The f row is otherwise decided last.  The difference of the two words is
 sum_g c_g g over g in S_3 (relation_holds), c_g being a row's difference,
@@ -126,9 +131,8 @@ from dataclasses import dataclass, field
 from itertools import count, product
 from typing import TYPE_CHECKING
 
-from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly, _run_word, instantiate
-from .pddo import PDDO, _UV, _hecke_nu, per_operator
+from .pddo import PDDO, _hecke_nu, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -173,7 +177,6 @@ class CubicReport(Report):
 _XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
                  for i, j in ((1, 2), (1, 3), (2, 3)))
 _XY2, _YZ2 = _XY * _XY, _YZ * _YZ
-_U, _V = SlotPoly.u(), SlotPoly.v()
 
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
@@ -212,13 +215,15 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     sf_red_zero = sigma_f_red_zero = f_known = None
     if same_t and not T:
         sf_red_zero = sigma_f_red_zero = f_known = True
-    elif same_t and (dt := T.ddiff()).is_constant():
-        mu = dt.constant_value()
-        sf_red_zero = sigma_f_red_zero = _sf_vanishes(T, mu)
-        if sf_red_zero:
+    elif same_t:  # the normal-form lemma
+        separable = T._separable()
+        sf_red_zero = separable and not T._where(lambda r, s: s > 1)
+        sigma_f_red_zero = separable and not T._where(lambda r, s: r > 1)
+        if sf_red_zero and sigma_f_red_zero:  # T bilinear, so d(T) is a constant
+            mu = T.ddiff().constant_value()
             nu = _hecke_nu(pi, mu)
             f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
-    elif not same_t:  # the diagonal lemma, where the flag's factor is nonzero
+    else:  # the diagonal lemma, where the flag's factor is nonzero
         if Q and Qt._diagonal():
             sf_red_zero = False
         if Qt and Q._diagonal():
@@ -242,21 +247,6 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
                         lambda: (at(Q, 1, 2) * at(Qt, 1, 3) * at(Q, 2, 3)
                                  - at(Qt, 1, 2) * at(Q, 1, 3) * at(Qt, 2, 3))),
     }
-
-
-def _sf_vanishes(T: SlotPoly, mu: FieldElement) -> bool:
-    """Whether sf's reduced difference, and so sigma_f's, vanishes for
-    T == T~ != 0 with d(T) = mu, decided in two variables (module
-    docstring): for mu != 0 by T(v,u)/T(u,v) being a multiplicative cocycle,
-    for mu = 0 by (u - v)/T being an additive one, at the first c = 0, 1,
-    2, ... at which T(u, c) is nonzero."""
-    if mu:
-        return _almost(T, T.swap())
-    for c in count():
-        t_c = T._at_v(c)
-        if t_c:
-            t_vc = t_c.swap()
-            return T * ((_U - c) * t_vc - (_V - c) * t_c) == _UV * t_c * t_vc
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
@@ -340,7 +330,8 @@ def _first_difference(lhs: list, rhs: list, basis) -> tuple | None:
 def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
     """Decide almost-equality of two nonzero slot polynomials: the identity
     q(x,y) qt(x,z) q(y,z) = qt(x,y) q(x,z) qt(y,z) in three variables,
-    decided by its specialisation at one z = c in two (module docstring)."""
+    decided in two (module docstring): by the diagonals when both are
+    separable, else by its specialisation at one z = c."""
     for name, value in (("q", q), ("qt", qt)):
         if not isinstance(value, SlotPoly):
             raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")

@@ -68,7 +68,7 @@ class TestCubicCheck:
 
     def test_each_slot_polynomial_is_placed_once(self, monkeypatch):
         """A braiding case1 pair of two distinct, equal operators has T == T~
-        with d(T) constant, so sf, sigma_f and f are decided in two variables
+        in normal form, so sf, sigma_f and f are decided in two variables
         and nothing is placed in three.  A pair that fails all six flags
         refutes sf and sigma_f on the diagonal and builds f's reduced
         difference, its witness, from 6 placements, none repeated: T and T~
@@ -155,10 +155,8 @@ class TestCubicCheck:
 
     def test_equal_q0_decides_almost_equality_alone(self, monkeypatch):
         """With Q0 == Q0~ both sides of the s_sigma_s_f identity are one
-        product, so a uniform pair calls no _almost on (Q0, Q0~), with flags
-        unchanged; a pair of distinct nonzero Q0 calls it once.  Calls on
-        (T, swap T), which decide sf when d(T) is a nonzero constant, are not
-        counted."""
+        product, so a uniform pair calls no _almost, with flags unchanged; a
+        pair of distinct nonzero Q0 calls it once, on (Q0, Q0~)."""
         calls = []
         real = braid._almost
 
@@ -166,21 +164,21 @@ class TestCubicCheck:
             calls.append((q, qt))
             return real(q, qt)
 
-        def on_q0(pi, varpi):
-            return [c for c in calls if c[0] is pi.Q0 and c[1] is varpi.Q0]
-
         monkeypatch.setattr(braid, "_almost", counting)
         uniform = [(fam[1], fam[2]) for fam in (
             preset("demazure", 3), preset("pure_ddiff", 3), preset("grothendieck", 3, 2),
             main_case1(3, 1, 2, 1, 2, 3))]
         uniform.append((case1_operator(1, 2, 1, 2, 3), case1_operator(1, 2, 1, 2, 3)))
         for pi, varpi in uniform:
+            calls.clear()
             assert cubic_braid_check(pi, varpi).flags == full_report(pi, varpi).flags
-            assert on_q0(pi, varpi) == []
+            assert calls == []
         dem = preset("demazure", 3)[1]
         for pi, varpi in ((dem, dem.scale(2)), (PDDO.from_q0_r0(V, U), PDDO.from_q0_r0(U, U))):
+            calls.clear()
             assert cubic_braid_check(pi, varpi).flags == full_report(pi, varpi).flags
-            assert len(on_q0(pi, varpi)) == 1
+            assert len(calls) == 1
+            assert calls[0][0] is pi.Q0 and calls[0][1] is varpi.Q0
 
     def test_failure_reports_a_witness(self):
         good = preset("demazure", 3)[1]
@@ -314,17 +312,24 @@ def equal_t_pair(t, r0, rt0):
 
 symmetric = st.one_of(zcoeffs.map(SlotPoly.const), zslotpolys.map(lambda p: p + p.swap()))
 
-# T with d(T) constant: symmetric + mu u, a product (pu + q)(rv + s), and 0.
+quadratics = st.lists(zcoeffs, min_size=1, max_size=3).map(SlotPoly.univariate)
+
+# T = T~ of every shape: symmetric + mu u (d(T) = mu), the normal form
+# (pu + q)(rv + s), a(u) b(v) with a and b of degree at most 2, any slot
+# polynomial, and 0.
 equal_ts = st.one_of(
     st.builds(lambda s, mu: s + U * mu, symmetric, st.sampled_from([0, 1, -1, 2])),
     st.builds(lambda p, q, r, s: (U * p + q) * (V * r + s), zcoeffs, zcoeffs, zcoeffs, zcoeffs),
+    st.builds(lambda a, b: a * b.swap(), quadratics, quadratics),
+    zslotpolys,
     st.just(SlotPoly.zero()),
 )
 
 
 class TestEqualT:
-    """Pairs with T == T~, where sf and sigma_f are decided by a cocycle test
-    on T and f by equal Hecke nu, against the multiplied-out numerators."""
+    """Pairs with T == T~, where sf and sigma_f are decided by the normal-form
+    lemma on T and f by equal Hecke nu, against the multiplied-out
+    numerators."""
 
     @given(equal_ts, zslotpolys, zslotpolys, st.sampled_from(["same", "plus_one", "random"]))
     @settings(max_examples=80, deadline=None)
@@ -335,18 +340,23 @@ class TestEqualT:
         assert_same_report(varpi, pi)
 
     @pytest.mark.parametrize("t, r0, rt0, known", [
-        (U * 2 + V, ONE, ONE, (False, False, None)),  # mu = 1, (2v + u)/(2u + v) no cocycle
-        (U + V, ONE, V, (False, False, None)),  # mu = 0, (u - v)/(u + v) no cocycle
+        (U * 2 + V, ONE, ONE, (False, False, None)),  # mu = 1, not separable
+        (U + V, ONE, V, (False, False, None)),  # mu = 0, not separable
         ((U + 1) * (V + 2), ONE, ONE, (True, True, True)),  # nu = nu~ = 0
         ((U + 1) * (V + 2), ONE, ONE * 2, (True, True, False)),  # nu = 0, nu~ = 2
         (ONE * 3, U, U, (True, True, False)),  # nu = 3 + uv, not constant
-        (U * U + V, ONE, ONE, (None, None, None)),  # d(T) = u + v - 1
+        (U * U + V, ONE, ONE, (False, False, None)),  # d(T) = u + v - 1, not separable
         (SlotPoly.zero(), V + 1, U + 1, (True, True, True)),
+        (U * U * (V + 2), ONE, ONE, (True, False, None)),  # deg_v T = 1, deg_u T = 2
+        ((U + 1) * V * V, ONE, ONE, (False, True, None)),  # deg_u T = 1, deg_v T = 2
+        # Symmetric with mu = 0, separable but of degree 2 in each slot.
+        ((U + 1) * (U + 1) * (V + 1) * (V + 1) * 3, ONE, ONE, (False, False, None)),
     ], ids=["mu1-no-cocycle", "mu0-no-cocycle", "equal-nu", "unequal-nu",
-            "nonconstant-nu", "nonconstant-dt", "t-zero"])
+            "nonconstant-nu", "nonconstant-dt", "t-zero", "sf-only", "sigma-f-only",
+            "separable-quadratic"])
     def test_rules_decide_in_two_variables(self, t, r0, rt0, known):
-        """The sf, sigma_f and f flags that the rules decide, None where the
-        pair keeps the three-variable route, and the full report in both
+        """The sf, sigma_f and f flags that the rules decide, None where f
+        keeps the three-variable route, and the full report in both
         orders."""
         pi, varpi = equal_t_pair(t, r0, rt0)
         for a, b in ((pi, varpi), (varpi, pi)):

@@ -1,9 +1,9 @@
 """PDDO.apply, PDDO.compose, PDDO.hecke_params, divdiff.ddiff, the cubic
 braid numerators and braid.almost_equal against sympy, a sympy negative
 control for the monomial basis of braid.relation_holds, and the lemmas
-behind the cubic check's two-variable rules (for T == T~, the diagonal
-refutation of failing pairs and the separable almost-equality test) as
-identities in symbolic coefficients.
+behind the cubic check's two-variable rules (the normal-form and Hecke
+lemmas for T == T~, the diagonal refutation of failing pairs and the
+separable almost-equality test) as identities in symbolic coefficients.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -433,20 +433,18 @@ def test_five_artin_monomials_do_not_decide(monkeypatch):
 
 
 def test_equal_t_lemmas_hold_with_symbolic_coefficients():
-    """The two lemmas behind the cubic check's two-variable rules for
-    T == T~ with d(T) = mu, as identities in the coefficients, with no
-    braidops code: T = S + mu u with S a generic symmetric polynomial of
-    degree at most 2, and R0, R0~ generic of degree at most 2 (22 symbols
-    with x, y, z).  The reduced differences are the module table's
-    (braid.py), t_xy = T(x, y) and so on, and nu = Q0 d(R0) + R0^2 - mu R0
-    is op(R0) - mu R0.
+    """The Hecke lemma behind the cubic check's f rule for T == T~ with
+    d(T) = mu, as an identity in the coefficients, with no braidops code:
+    T = S + mu u with S a generic symmetric polynomial of degree at most 2,
+    and R0, R0~ generic of degree at most 2 (22 symbols with x, y, z).  The
+    reduced differences are the module table's (braid.py), t_xy = T(x, y)
+    and so on, and nu = Q0 d(R0) + R0^2 - mu R0 is op(R0) - mu R0.
 
     f_red = (t_xy (y-z) - t_yz (x-y)) sf_red + (x-y)^2 (y-z)^2 t_xz (nu(x,y) - nu~(y,z))
-    T(z,x) T(x,y) T(y,z) - T(y,x) T(z,y) T(x,z) = -mu sf_red
 
-    and the two steps the module docstring takes with them: sigma_f_red is
-    sf_red with x and z exchanged, and Q0(u,v) Q0(v,u) = T(u,v) T(v,u)
-    - (u-v)^2 nu(u,v).
+    and the step the module docstring takes with it: Q0(u,v) Q0(v,u) =
+    T(u,v) T(v,u) - (u-v)^2 nu(u,v).  sigma_f_red is sf_red with x and z
+    exchanged.
     """
     R, *gens = sympy.polys.rings.ring("x y z u v mu s0:4 r0:6 rt0:6", sympy.QQ)
     x, y, z, u, v, mu = gens[:6]
@@ -480,11 +478,54 @@ def test_equal_t_lemmas_hold_with_symbolic_coefficients():
     nu_part = (x - y)**2 * (y - z)**2 * t(x, z) * (at(nu, x, y) - at(nut, y, z))
     assert f_red == sf_part + nu_part
     assert nu_part != 0  # with sf_red = 0, f still turns on nu
-    assert t(z, x) * t(x, y) * t(y, z) - t(y, x) * t(z, y) * t(x, z) == -mu * sf_red
     assert sf_red != 0
     sigma_f_red = t(x, z) * ((y - z) * t(x, y) + (x - y) * t(z, y)) - B
     assert sigma_f_red == sf_red.compose([(x, z), (z, x)])
     assert q0 * at(q0, v, u) == T * at(T, v, u) - (u - v)**2 * nu
+
+
+def test_normal_form_lemma_holds_with_symbolic_coefficients():
+    """The cubic check's normal-form lemma for T == T~, with no braidops
+    code.  For T generic of degree at most 2 in each slot (9 symbols) and an
+    integer symbol c: sf's reduced difference at x = c is (y-z) (T(y,z)
+    E(y,z) - T(y,c) T(c,z)) and sigma_f's at z = c is -(x-y) (T(x,y) E'(x,y)
+    - T(x,c) T(c,y)), E and E' polynomials equal to T(c,c) when either
+    argument is c.  For T = A(u) B(v), A and B generic of degree at most 2,
+    sf's is -(x-y)(x-z)(y-z) A(x) A(y) B(z) B[x,y,z] and sigma_f's is
+    (x-y)(x-z)(y-z) A(x) B(y) B(z) A[x,y,z], P[x,y,z] the second divided
+    difference, zero exactly when deg P <= 1."""
+    R, *gens = sympy.polys.rings.ring("x y z u v c t0:9 a0:3 b0:3", sympy.QQ)
+    x, y, z, u, v, c = gens[:6]
+    t, a, b = gens[6:15], gens[15:18], gens[18:21]
+
+    def at(p, p_u, p_v):
+        return p.compose([(u, p_u), (v, p_v)])
+
+    def reduced(T):
+        B = at(T, x, y) * at(T, y, z) * (x - z)
+        sf = B - at(T, x, z) * ((y - z) * at(T, y, x) + (x - y) * at(T, y, z))
+        sigma_f = at(T, x, z) * ((y - z) * at(T, x, y) + (x - y) * at(T, z, y)) - B
+        return sf, sigma_f
+
+    T = sum(t[3 * i + j] * u**i * v**j for i in range(3) for j in range(3))
+    sf, sigma_f = reduced(T)
+    E = (at(T, c, y) * (c - z) - at(T, c, z) * (c - y)).exquo(y - z)
+    assert sf.compose(x, c) == (y - z) * (at(T, y, z) * E - at(T, y, c) * at(T, c, z))
+    assert E.compose(z, c) == E.compose(y, c).compose(z, y) == at(T, c, c)
+    E_ = ((x - c) * at(T, y, c) - (y - c) * at(T, x, c)).exquo(x - y)
+    assert sigma_f.compose(z, c) == -(x - y) * (at(T, x, y) * E_ - at(T, x, c) * at(T, c, y))
+    assert E_.compose(y, c) == E_.compose(x, c).compose(y, x) == at(T, c, c)
+
+    def second_difference(P, w):
+        first = [(P.compose(w, p) - P.compose(w, q)).exquo(p - q) for p, q in ((x, y), (y, z))]
+        return (first[0] - first[1]).exquo(x - z)
+
+    A, B = (k[0] + k[1] * u + k[2] * u**2 for k in (a, b))
+    sf, sigma_f = reduced(A * B.compose(u, v))
+    vandermonde = (x - y) * (x - z) * (y - z)
+    assert sf == -vandermonde * A.compose(u, x) * A.compose(u, y) * B.compose(u, z) * second_difference(B, u)
+    assert sigma_f == vandermonde * A.compose(u, x) * B.compose(u, y) * B.compose(u, z) * second_difference(A, u)
+    assert second_difference(B, u) == b[2]  # zero exactly when deg B <= 1
 
 
 def test_diagonal_lemma_holds_with_symbolic_coefficients():
