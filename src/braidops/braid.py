@@ -115,14 +115,42 @@ and R0~, and the normal-form lemma needs only unique factorisation and an
 integer c off the finitely many at which t(c,c) or t(u,c) t(c,v) vanishes,
 so both hold over any field of characteristic 0, parameters included.
 
-The f row is otherwise decided last.  The difference of the two words is
-sum_g c_g g over g in S_3 (relation_holds), c_g being a row's difference,
-and every g fixes 1; once the other five rows vanish, c_id alone is left, so
-the f flag is the relation decided on the monomial 1 alone.  The
-three-variable placements and products are built on first use, only for a
-reduced difference that decides a flag or for the failure witness.  In f's,
-q_xy q_yx and qt_yz qt_zy are the two-variable products Q0 swap(Q0) and
-Q0~ swap(Q0~) placed, and f's factor 1 is not multiplied in.
+*Multiplication lemma.*  A pair with a zero Q0 is decided in two variables
+from g, the multiplier's R0.  Take Q0~ = 0, so T~ = (u-v) g, and write t, q
+for T, Q0 of pi.  The table's reduced differences are then
+
+    sf: (x-z)(y-z) [t_xy g_yz - t_yx g_xz - (x-y) g_xz g_yz]
+    f:  (x-z)(y-z)^2 [t_xy^2 g_yz - q_xy q_yx g_xz - (x-y) t_xy g_yz^2].
+
+Let g have degree K in its second slot, z here, the one variable varpi
+touches and pi does not, with leading coefficient g_K.  When K >= 1, the
+brackets' z^{2K} coefficients are -(x-y) g_K(x) g_K(y) and -(x-y) t_xy
+g_K(y)^2, every other term having degree at most K in z: sf's reduced
+difference is nonzero, and f's vanishes only when t = 0, where its bracket
+is -q_xy q_yx g_xz, so f holds exactly when q = t = 0.  When K = 0, g_yz =
+g(y) and g_xz = g(x), and with gs = swap(g) the brackets in u = x, v = y are
+
+    sf: t gs - swap(t) g - (u-v) g gs
+    f:  t^2 gs - q swap(q) g - (u-v) t gs^2.
+
+When Q0 = 0 and Q0~ != 0, pi multiplies by g, T = (u-v) g, and t, q are T~,
+Q0~.  The proof mirrors this with x, g's first slot, as the unshared
+variable: the reduced differences are
+
+    sigma_f: (x-y)(x-z) [(y-z) g_xy g_xz + g_xz t_zy - g_xy t_yz]
+    f:       (x-y)^2 (x-z) [(y-z) g_xy^2 t_yz - g_xy t_yz^2 + g_xz q_yz q_zy],
+
+with x^{2K} coefficients (y-z) g_K(y) g_K(z) and (y-z) g_K(y)^2 t_yz, and at
+K = 0, in u = y, v = z, the same two brackets, negated.
+
+So every braiding pair is decided in two variables: one with a zero Q0 by
+this lemma, one with both Q0 nonzero by T == T~ in normal form and the
+Hecke lemma.  A flag left None means that the pair fails.
+
+The three-variable placements and products are built on first use, only
+for a reduced difference that decides a flag or for the failure witness.
+In f's, q_xy q_yx and qt_yz qt_zy are the two-variable products Q0 swap(Q0)
+and Q0~ swap(Q0~) placed, and f's factor 1 is not multiplied in.
 """
 
 from __future__ import annotations
@@ -132,7 +160,7 @@ from itertools import count, product
 from typing import TYPE_CHECKING
 
 from .multipoly import MultiPoly, SlotPoly, _run_word, instantiate
-from .pddo import PDDO, _hecke_nu, per_operator
+from .pddo import PDDO, _UV, _hecke_nu, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -183,10 +211,11 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, factor, reduced difference), the last two as
     functions that build the polynomial on demand.  The flag is True or False
-    when the slot polynomials, their diagonals or the Hecke nu decide it
-    (module docstring), and None when only the reduced difference, or for f
-    the action on 1, does.  Each slot polynomial is placed in three variables
-    on first use, so a pair decided in two variables places none."""
+    when the slot polynomials, their diagonals, the Hecke nu or the
+    multiplier's R0 decide it (module docstring), and None when only the
+    reduced difference does, which happens only for a failing pair.  Each
+    slot polynomial is placed in three variables on first use, so a pair
+    decided in two variables places none."""
     built: dict = {}
 
     def once(key, build) -> MultiPoly:
@@ -215,6 +244,16 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     sf_red_zero = sigma_f_red_zero = f_known = None
     if same_t and not T:
         sf_red_zero = sigma_f_red_zero = f_known = True
+    elif not (Q and Qt):  # the multiplication lemma: pi multiplies by g when Qt != 0
+        g, t, q = (pi.R0, Tt, Qt) if Qt else (varpi.R0, T, Q)
+        gs = g.swap()
+        if g._where(lambda r, s: (r if Qt else s) > 0):  # K >= 1
+            flag, f_known = False, not (q or t)
+        else:  # the K = 0 brackets, rearranged to share t gs and (u - v) gs
+            t_gs, uv_gs = t * gs, _UV * gs
+            flag = t_gs == (t.swap() + uv_gs) * g
+            f_known = t_gs * (t - uv_gs) == q * q.swap() * g
+        sf_red_zero, sigma_f_red_zero = (None, flag) if Qt else (flag, None)
     elif same_t:  # the normal-form lemma
         separable = T._separable()
         sf_red_zero = separable and not T._where(lambda r, s: s > 1)
@@ -223,11 +262,9 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
             mu = T.ddiff().constant_value()
             nu = _hecke_nu(pi, mu)
             f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
-    else:  # the diagonal lemma, where the flag's factor is nonzero
-        if Q and Qt._diagonal():
-            sf_red_zero = False
-        if Qt and Q._diagonal():
-            sigma_f_red_zero = False
+    else:  # the diagonal lemma; both Q0 are nonzero here
+        sf_red_zero = False if Qt._diagonal() else None
+        sigma_f_red_zero = False if Q._diagonal() else None
     middle = Q.is_zero() or Qt.is_zero() or same_t
     return {
         "f": (f_known, lambda: 1, lambda: (
@@ -252,7 +289,7 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
 
-    Each flag is decided as the module docstring says, f last, so the full
+    Each flag is decided as the module docstring says, so the full
     numerators are never multiplied out.  The failure witness, the full
     difference of the first failing coefficient, is built as factor *
     reduced difference for that name only.
@@ -267,13 +304,7 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
             return diffs[name].is_zero()
         return known
 
-    rest = {name: decide(name) for name in COEFF_NAMES[1:]}
-    if parts["f"][0] is None and all(rest.values()):
-        words = [(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)]
-        f = _first_difference(*words, [(0, 0, 0)]) is None
-    else:
-        f = decide("f")
-    flags = {"f": f, **rest}
+    flags = {name: decide(name) for name in COEFF_NAMES}
     for name, ok in flags.items():
         if not ok:
             _, factor, reduced = parts[name]
@@ -314,13 +345,8 @@ def relation_holds(lhs: list, rhs: list) -> tuple[tuple[int, ...], MultiPoly] | 
     touched = {i for i, _ in (*lhs, *rhs)}
     runs = (next(a for a in count() if j + a not in touched)
             for j in range(1, max((1, *touched)) + 2))
-    return _first_difference(lhs, rhs, product(*(range(a + 1) for a in runs)))
-
-
-def _first_difference(lhs: list, rhs: list, basis) -> tuple | None:
-    """relation_holds on the exponent vectors of basis, one action per operator."""
-    actions: dict = {}
-    for b in basis:
+    actions: dict = {}  # one per operator
+    for b in product(*(range(a + 1) for a in runs)):
         x_b = MultiPoly._monomial(b)
         left, right = _run_word(lhs, x_b, actions), _run_word(rhs, x_b, actions)
         if left != right:

@@ -24,6 +24,8 @@ from braidops.families import (
     Case2Line,
     OperatorFamily,
     case1_operator,
+    case2_operator,
+    isolated_operator,
     main_case1,
     main_case2,
     preset,
@@ -32,7 +34,7 @@ from braidops.families import (
 )
 from braidops.field import FieldElement
 from braidops.multipoly import MultiPoly, SlotPoly
-from braidops.pddo import PDDO
+from braidops.pddo import PDDO, identity_op
 from cubic_reference import (
     ARTIN_EXPONENTS,
     almost_equal_reference,
@@ -126,10 +128,11 @@ class TestCubicCheck:
         (preset("grothendieck", 3, 2)[1], preset("grothendieck", 3, 2)[2]),
     ], ids=["case1", "zeta", "grothendieck"])
     def test_almost_equality_is_not_multiplied_out(self, pair, monkeypatch):
-        """A braiding pair's s_sigma_s_f is decided in two variables and its f
-        by the Hecke nu or the action on 1: the check's 3-variable products
-        are those of the sf and sigma_f reduced differences that only
-        building decides (flag None), and none of f's."""
+        """A braiding pair is decided in two variables: s_sigma_s_f by the
+        almost-equality test, and sf, sigma_f and f by the normal-form and
+        Hecke lemmas or, next to the zeta pair's multiplication operator, by
+        the multiplication lemma.  The check makes no three-variable product,
+        though building f's reduced difference would."""
         pi, varpi = pair
         dims = []
         real = multipoly._mul_pairs
@@ -141,15 +144,8 @@ class TestCubicCheck:
         monkeypatch.setattr(multipoly, "_mul_pairs", counting)
         parts = braid._factored_differences(pi, varpi)
         assert parts["s_sigma_s_f"][0] is True
-        for name in ("sf", "sigma_f"):
-            known, _, reduced = parts[name]
-            if known is None:
-                reduced()
-        needed = dims.count(3)
-        dims.clear()
         assert cubic_braid_check(pi, varpi).passed
-        assert dims.count(3) == needed
-        dims.clear()
+        assert 3 not in dims
         parts["f"][2]()
         assert dims.count(3) > 0  # what building f's reduced difference would add
 
@@ -296,8 +292,8 @@ class TestAgainstFullNumerators:
     ])
     def test_only_f_fails_for_multiplication_operators(self, r0, rt0, braids):
         """With both Q0 zero every factor after f vanishes, so f decides the
-        pair from the action on 1, R0(x,y) R0~(y,z) R0(x,y) against
-        R0~(y,z) R0(x,y) R0~(y,z); its witness is built only when it fails."""
+        pair, by the multiplication lemma on R0 and R0~ in two variables; its
+        witness is built only when it fails."""
         pi, varpi = PDDO.from_q0_r0(SlotPoly.zero(), r0), PDDO.from_q0_r0(SlotPoly.zero(), rt0)
         report = assert_same_report(pi, varpi)
         assert all(report.flags[name] for name in braid.COEFF_NAMES[1:])
@@ -367,6 +363,95 @@ class TestEqualT:
                 assert flag is None or report.flags[name] is flag
 
 
+# The multiplier's R0: random, univariate in u, univariate in v, constant or zero.
+multiplier_r0s = st.one_of(zslotpolys, quadratics, quadratics.map(SlotPoly.swap),
+                           zcoeffs.map(SlotPoly.const), st.just(SlotPoly.zero()))
+
+other_kinds = st.sampled_from(["case1", "case2", "isolated", "random", "zero", "t_zero"])
+
+
+@st.composite
+def other_operators(draw, kind):
+    """The operator next to the multiplier: a case-1, case-2 or isolated
+    operator from the samplers, a random one, the zero operator, or one
+    with T = 0."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "case1":
+        return case1_operator(*sampling.draw_case1_params(rng))
+    if kind == "case2":
+        return case2_operator(*sampling.draw_case2_params(rng), rng.choice(list(Case2Line)))
+    if kind == "isolated":
+        mu = sampling.random_field_element(rng, 5, nonzero=True)
+        return isolated_operator(*sampling.draw_isolated_pair(rng, mu))
+    if kind == "zero":
+        return PDDO.zero()
+    r0 = draw(zslotpolys)
+    return PDDO.from_q0_r0(-UV * r0 if kind == "t_zero" else draw(zslotpolys), r0)
+
+
+class TestMultiplicationLemma:
+    """Pairs with a multiplication operator (Q0 = 0), every flag decided by
+    the multiplication lemma in two variables, against the multiplied-out
+    numerators in both orders."""
+
+    @given(multiplier_r0s, st.data(), other_kinds)
+    @settings(max_examples=80, deadline=None)
+    def test_random_pairs(self, g, data, kind):
+        mult, other = PDDO.from_q0_r0(SlotPoly.zero(), g), data.draw(other_operators(kind))
+        for pi, varpi in ((mult, other), (other, mult)):
+            parts = braid._factored_differences(pi, varpi)
+            assert None not in (parts[name][0] for name in braid.COEFF_NAMES)
+            assert_same_report(pi, varpi)
+
+    @pytest.mark.parametrize("pi, varpi, flags", [
+        # Both multiply by g(y) = y + 2: the pair braids.
+        (PDDO.from_q0_r0(SlotPoly.zero(), V + 2), PDDO.from_q0_r0(SlotPoly.zero(), U + 2),
+         {"sf": True, "sigma_f": True, "f": True}),
+        # mu = 1 gives sf, and nu = 6, not 0, refutes f.
+        (case1_operator(1, 2, 1, 2, 3), identity_op(), {"sf": True, "f": False}),
+        (identity_op(), case1_operator(1, 2, 1, 2, 3), {"sigma_f": True, "f": False}),
+        (PDDO.zero(), PDDO.from_q0_r0(SlotPoly.zero(), U + V), {"sf": True, "f": True}),
+        (PDDO.from_q0_r0(SlotPoly.zero(), U + V), PDDO.zero(), {"sigma_f": True, "f": True}),
+        # g reaches the unshared variable, so the transposition flag fails,
+        # though T = +-uv passes its two-variable test with that g.
+        (PDDO.from_q0_r0(U * V, SlotPoly.zero()), PDDO.from_q0_r0(SlotPoly.zero(), V),
+         {"sf": False, "f": False}),
+        (PDDO.from_q0_r0(SlotPoly.zero(), U), PDDO.from_q0_r0(-U * V, SlotPoly.zero()),
+         {"sigma_f": False, "f": False}),
+    ], ids=["same-g-of-y", "case1-next-to-id", "id-next-to-case1", "zero-then-u-plus-v",
+            "u-plus-v-then-zero", "g-of-z", "g-of-x"])
+    def test_pinned_pairs(self, pi, varpi, flags):
+        report = assert_same_report(pi, varpi)
+        assert {name: report.flags[name] for name in flags} == flags
+        assert report.passed == all(flags.values()) == cubic_braid_oracle(pi, varpi)
+
+
+def test_braiding_pairs_never_leave_two_variables(monkeypatch):
+    """A braiding pair is decided in two variables: on the presets, zeta
+    pairs, vanq0 families and case-2 families, the check places no slot
+    polynomial in three variables and applies no word."""
+    rng = random.Random(7)
+    pairs = [(fam[1], fam[2]) for fam in (preset("pure_ddiff", 3), preset("demazure", 3),
+                                          preset("grothendieck", 3, 1))]
+    pairs += [zeta_pair(a, b, variant) for a, b in ((1, 0), (-3, 5)) for variant in (1, 2, 3, 4)]
+    pairs += [zeta_pair(*sampling.draw_zeta_params(rng)) for _ in range(4)]
+    for family in ("vanq0", "case2"):
+        for n in (4, 5, 6):
+            fam = _random_family(family, n, rng)
+            pairs += [(fam[i], fam[i + 1]) for i in range(1, n - 1)]
+    assert any(not pi.Q0 or not varpi.Q0 for pi, varpi in pairs)
+    calls = []
+    for name in ("instantiate", "_run_word"):
+        def counting(*args, real=getattr(braid, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(braid, name, counting)
+    for pi, varpi in pairs:
+        assert cubic_braid_check(pi, varpi).passed
+    assert calls == []
+
+
 univariates = st.lists(zcoeffs, min_size=1, max_size=2).map(SlotPoly.univariate).filter(bool)
 
 
@@ -412,12 +497,15 @@ class TestDiagonalAndSeparableRules:
         (PDDO(U + 2, U + 2), PDDO(V + 1, U + 1), (False, False)),
         # T~ = 0 with Q0~ = -(u - v): Q0~(v,v) = 0 and sf holds.
         (PDDO(U + 2, U + 2), PDDO.from_q0_r0(-UV, ONE), (None, False)),
-        # Q0 = 0: sf holds through its factor, sigma_f needs three variables.
-        (PDDO.from_q0_r0(SlotPoly.zero(), U), PDDO(V + 1, U + 1), (True, None)),
+        # Q0 = 0: sf holds through its factor, and pi multiplies by u, which
+        # reaches x, the variable varpi does not touch: the multiplication
+        # lemma refutes sigma_f in two variables.
+        (PDDO.from_q0_r0(SlotPoly.zero(), U), PDDO(V + 1, U + 1), (True, False)),
     ], ids=["both-refuted", "t-zero", "q-zero"])
     def test_diagonal_refutation(self, pi, varpi, known):
-        """The sf and sigma_f flags that the diagonal lemma decides, None
-        where the pair keeps the three-variable route."""
+        """The sf and sigma_f flags that the diagonal lemma (with a zero Q0,
+        the multiplication lemma) decides, None where the pair keeps the
+        three-variable route."""
         parts = braid._factored_differences(pi, varpi)
         assert (parts["sf"][0], parts["sigma_f"][0]) == known
         report = assert_same_report(pi, varpi)

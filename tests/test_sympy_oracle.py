@@ -2,8 +2,9 @@
 braid numerators and braid.almost_equal against sympy, a sympy negative
 control for the monomial basis of braid.relation_holds, and the lemmas
 behind the cubic check's two-variable rules (the normal-form and Hecke
-lemmas for T == T~, the diagonal refutation of failing pairs and the
-separable almost-equality test) as identities in symbolic coefficients.
+lemmas for T == T~, the multiplication lemma for pairs with a zero Q0, the
+diagonal refutation of failing pairs and the separable almost-equality
+test) as identities in symbolic coefficients.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -590,3 +591,89 @@ def test_separable_rule_holds_with_symbolic_coefficients():
 
     assert not any(minors(q))
     assert any(minors(g[0] + g[1] * u + g[2] * v + g[3] * u * v))
+
+
+def test_multiplication_lemma_holds_with_symbolic_coefficients():
+    """The cubic check's multiplication lemma, with no braidops code.  The
+    other operator has T = t and Q0 = q generic of degree at most 2 (12
+    symbols), and the multiplier has Q0 = 0 and T = (u-v) g, g generic of
+    degree at most 2 in each slot (9 symbols).  The table's reduced
+    differences factor as the module docstring says, in both orders:
+
+        varpi multiplies, sf: (x-z)(y-z) [t_xy g_yz - t_yx g_xz - (x-y) g_xz g_yz]
+                          f:  (x-z)(y-z)^2 [t_xy^2 g_yz - q_xy q_yx g_xz - (x-y) t_xy g_yz^2]
+        pi multiplies, sigma_f: (x-y)(x-z) [(y-z) g_xy g_xz + g_xz t_zy - g_xy t_yz]
+                       f:       (x-y)^2 (x-z) [(y-z) g_xy^2 t_yz - g_xy t_yz^2 + g_xz q_yz q_zy]
+
+    With g univariate in the shared variable (K = 0), the brackets are the
+    two-variable tests t gs - swap(t) g - (u-v) g gs and t^2 gs - q swap(q) g
+    - (u-v) t gs^2, gs = swap(g), placed at (x, y) and, negated, at (y, z).
+    With g of degree K = 2 in the unshared variable, each bracket has degree
+    2K there, with the top coefficients the docstring names."""
+    R, *gens = sympy.polys.rings.ring("x y z u v t0:6 q0:6 g0:9", sympy.QQ)
+    x, y, z, u, v = gens[:5]
+    ct, cq, cg = gens[5:11], gens[11:17], gens[17:26]
+
+    def at(p, a, b):
+        return p.compose([(u, a), (v, b)])
+
+    def generic(k):
+        return k[0] + k[1] * u + k[2] * v + k[3] * u**2 + k[4] * u * v + k[5] * v**2
+
+    def coeff(p, w, k):
+        """The coefficient of w^k in p, w one of x, y, z."""
+        i = gens.index(w)
+        return R.from_dict({m[:i] + (0,) + m[i + 1:]: c for m, c in p.terms() if m[i] == k})
+
+    def reduced(T, Q, Tt, Qt):
+        """The module table's sf, sigma_f and f reduced differences."""
+        B = at(T, x, y) * at(Tt, y, z) * (x - z)
+        sf = B - at(Tt, x, z) * ((y - z) * at(T, y, x) + (x - y) * at(Tt, y, z))
+        sigma_f = at(T, x, z) * ((y - z) * at(T, x, y) + (x - y) * at(Tt, z, y)) - B
+        f = (B * ((y - z) * at(T, x, y) - (x - y) * at(Tt, y, z))
+             - (y - z)**2 * at(Tt, x, z) * at(Q, x, y) * at(Q, y, x)
+             + (x - y)**2 * at(T, x, z) * at(Qt, y, z) * at(Qt, z, y))
+        return sf, sigma_f, f
+
+    t, q = generic(ct), generic(cq)
+
+    def varpi_multiplies(g):
+        sf, _, f = reduced(t, q, (u - v) * g, R.zero)
+        g_xz, g_yz, t_xy = at(g, x, z), at(g, y, z), at(t, x, y)
+        brackets = (t_xy * g_yz - at(t, y, x) * g_xz - (x - y) * g_xz * g_yz,
+                    t_xy**2 * g_yz - at(q, x, y) * at(q, y, x) * g_xz - (x - y) * t_xy * g_yz**2)
+        assert sf == (x - z) * (y - z) * brackets[0]
+        assert f == (x - z) * (y - z)**2 * brackets[1]
+        return brackets
+
+    def pi_multiplies(g):
+        _, sigma_f, f = reduced((u - v) * g, R.zero, t, q)
+        g_xy, g_xz, t_yz = at(g, x, y), at(g, x, z), at(t, y, z)
+        brackets = ((y - z) * g_xy * g_xz + g_xz * at(t, z, y) - g_xy * t_yz,
+                    (y - z) * g_xy**2 * t_yz - g_xy * t_yz**2 + g_xz * at(q, y, z) * at(q, z, y))
+        assert sigma_f == (x - y) * (x - z) * brackets[0]
+        assert f == (x - y)**2 * (x - z) * brackets[1]
+        return brackets
+
+    def two_variable_tests(g):
+        gs = at(g, v, u)
+        return (t * gs - at(t, v, u) * g - (u - v) * g * gs,
+                t * t * gs - q * at(q, v, u) * g - (u - v) * t * gs * gs)
+
+    g_u = sum(cg[i] * u**i for i in range(3))
+    g_v = at(g_u, v, u)
+    assert varpi_multiplies(g_u) == tuple(at(e, x, y) for e in two_variable_tests(g_u))
+    assert pi_multiplies(g_v) == tuple(-at(e, y, z) for e in two_variable_tests(g_v))
+
+    # K = 2, with a degree-1 and a degree-2 term in the unshared variable.
+    g = sum(cg[3 * i + j] * u**i * v**j for i in range(3) for j in range(3))
+    top = sum(cg[3 * i + 2] * u**i for i in range(3))  # g_K, the coefficient of v^2
+    sf, f = varpi_multiplies(g)
+    assert sf.degree(z) == f.degree(z) == 4
+    assert coeff(sf, z, 4) == -(x - y) * top.compose(u, x) * top.compose(u, y)
+    assert coeff(f, z, 4) == -(x - y) * at(t, x, y) * top.compose(u, y)**2
+    g, top = at(g, v, u), at(top, v, u)  # now of degree 2 in its first slot
+    sigma_f, f = pi_multiplies(g)
+    assert sigma_f.degree(x) == f.degree(x) == 4
+    assert coeff(sigma_f, x, 4) == (y - z) * top.compose(v, y) * top.compose(v, z)
+    assert coeff(f, x, 4) == (y - z) * top.compose(v, y)**2 * at(t, y, z)
