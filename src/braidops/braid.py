@@ -39,7 +39,7 @@ and T = Q0 + (u-v) R0 gives T(v,v) = Q0(v,v).  A polynomial with a nonzero
 specialisation is nonzero, so when T != T~, sf's reduced difference is
 nonzero whenever Q0~(v,v) != 0, and sigma_f's whenever Q0(v,v) != 0: those
 flags are False with nothing placed in three variables.  A zero diagonal
-decides nothing, and that reduced difference is built.
+decides nothing, and that difference is built.
 
 The last reduced difference is the almost-equality identity, and it is
 decided in two variables.  For nonzero q and qt let r = qt/q.  The identity
@@ -54,18 +54,6 @@ nonzero, g(w) = r(w,c) gives r(u,v) = g(u)/g(v), so the three-variable
 identity holds.  c is the first of 0, 1, 2, ... at which q(u,c) and qt(u,c)
 are nonzero; q(u,c) vanishes exactly when v - c divides q, so at most
 deg_v q + deg_v qt values are passed over.
-
-*Separable rule.*  When q = a(u) b(v) and qt = at(u) bt(v),
-
-    q(x,y) qt(x,z) q(y,z) - qt(x,y) q(x,z) qt(y,z)
-        = a(x) at(x) b(z) bt(z) (q(y,y) - qt(y,y)),
-
-so for nonzero q and qt the identity holds exactly when q(v,v) = qt(v,v):
-the ratio qt/q = A(u) B(v) is a cocycle exactly when A(y) B(y) = 1.  q is
-such a product exactly when its coefficient matrix [c_rs] has rank at most
-1, and the test decides this first, by the matrix's 2x2 minors, before any
-z = c.  The cubic check runs the almost-equality test on (Q0, Q0~) alone,
-for the s_sigma_s_f flag.
 
 *Normal-form lemma.*  Pairs with T == T~ = t != 0 (every braiding pair with
 both Q0 nonzero) are decided further in two variables: sf's reduced
@@ -89,9 +77,11 @@ t(y,c) t(c,z)/t(c,c) is separable, and (<=) gives deg B <= 1.  sigma_f mirrors t
 (t(x,y) E'(x,y) - t(x,c) t(c,y)), E'(x,y) = ((x-c) t(y,c) - (y-c) t(x,c)) /
 (x-y), E'(x,c) = E'(c,y) = t(c,c).  With a zero diagonal neither vanishes:
 at a c with t(y,c) t(c,z) != 0 the same step gives t = A(u) B(v), so
-t(v,v) = A(v) B(v) != 0.  The check reads the lemma off t's coefficients:
-separable (the rank test above) with no term v^s, s > 1, for sf, and no
-term u^r, r > 1, for sigma_f.
+t(v,v) = A(v) B(v) != 0.  The check reads the lemma off t's coefficients.
+t is such a product a(u) b(v) exactly when its coefficient matrix [c_rs]
+has rank at most 1, which the check decides by the matrix's 2x2 minors: t
+must pass that rank test with no term v^s, s > 1, for sf, and no term u^r,
+r > 1, for sigma_f.
 
 *Hecke lemma.*  Let d(t) = mu be a constant, as in the normal form.  Let
 nu = pi(R0) - mu R0 at one index and nu~ that of varpi (the Hecke nu:
@@ -147,10 +137,12 @@ So every braiding pair is decided in two variables: one with a zero Q0 by
 this lemma, one with both Q0 nonzero by T == T~ in normal form and the
 Hecke lemma.  A flag left None means that the pair fails.
 
-The three-variable placements and products are built on first use, only
-for a reduced difference that decides a flag or for the failure witness.
-In f's, q_xy q_yx and qt_yz qt_zy are the two-variable products Q0 swap(Q0)
-and Q0~ swap(Q0~) placed, and f's factor 1 is not multiplied in.
+Only a failing pair builds anything in three variables: the difference,
+factor times reduced difference, of each flag left None, and the failure
+witness, the difference of the first failing coefficient, which is one of
+those when its flag was None.  Each difference places each slot
+polynomial it reads once; in f's, q_xy q_yx and qt_yz qt_zy are the
+two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed.
 """
 
 from __future__ import annotations
@@ -209,37 +201,15 @@ _XY2, _YZ2 = _XY * _XY, _YZ * _YZ
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
-    table: name -> (flag, factor, reduced difference), the last two as
-    functions that build the polynomial on demand.  The flag is True or False
-    when the slot polynomials, their diagonals, the Hecke nu or the
-    multiplier's R0 decide it (module docstring), and None when only the
-    reduced difference does, which happens only for a failing pair.  Each
-    slot polynomial is placed in three variables on first use, so a pair
-    decided in two variables places none."""
-    built: dict = {}
-
-    def once(key, build) -> MultiPoly:
-        if key not in built:
-            built[key] = build()
-        return built[key]
-
-    def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
-        # p is one of T, Q, Tt, Qt, alive while the table is, so its id is a key.
-        return once((id(p), i, j), lambda: instantiate(p, i, j, 3))
-
-    xy, xz, yz = _XY, _XZ, _YZ
+    table: name -> (flag, difference), the difference a function that builds
+    factor * reduced difference on demand.  The flag is True or False when
+    the slot polynomials, their diagonals, the Hecke nu or the multiplier's
+    R0 decide it (module docstring), and None when only the difference does,
+    which happens only for a failing pair.  Each difference places each slot
+    polynomial it reads once, so a pair decided in two variables places
+    none."""
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
-
-    def B() -> MultiPoly:
-        return once("B", lambda: at(T, 1, 2) * at(Tt, 2, 3) * xz)
-
-    def yz_t_xy() -> MultiPoly:
-        return once("yz_t_xy", lambda: yz * at(T, 1, 2))
-
-    def xy_tt_yz() -> MultiPoly:
-        return once("xy_tt_yz", lambda: xy * at(Tt, 2, 3))
-
     same_t = T == Tt
     sf_red_zero = sigma_f_red_zero = f_known = None
     if same_t and not T:
@@ -266,23 +236,36 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
         sf_red_zero = False if Qt._diagonal() else None
         sigma_f_red_zero = False if Q._diagonal() else None
     middle = Q.is_zero() or Qt.is_zero() or same_t
+    xy, xz, yz = _XY, _XZ, _YZ
+
+    def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
+        return instantiate(p, i, j, 3)
+
+    def f() -> MultiPoly:
+        t_xy, tt_yz = at(T, 1, 2), at(Tt, 2, 3)
+        return (t_xy * tt_yz * xz * (yz * t_xy - xy * tt_yz)
+                - _YZ2 * at(Tt, 1, 3) * at(Q * Q.swap(), 1, 2)
+                + _XY2 * at(T, 1, 3) * at(Qt * Qt.swap(), 2, 3))
+
+    def sf() -> MultiPoly:
+        tt_yz = at(Tt, 2, 3)
+        return -yz * at(Q, 1, 2) * (
+            at(T, 1, 2) * tt_yz * xz - at(Tt, 1, 3) * (yz * at(T, 2, 1) + xy * tt_yz))
+
+    def sigma_f() -> MultiPoly:
+        t_xy = at(T, 1, 2)
+        return -xy * at(Qt, 2, 3) * (
+            at(T, 1, 3) * (yz * t_xy + xy * at(Tt, 3, 2)) - t_xy * at(Tt, 2, 3) * xz)
+
     return {
-        "f": (f_known, lambda: 1, lambda: (
-            B() * (yz_t_xy() - xy_tt_yz())
-            - _YZ2 * at(Tt, 1, 3) * instantiate(Q * Q.swap(), 1, 2, 3)
-            + _XY2 * at(T, 1, 3) * instantiate(Qt * Qt.swap(), 2, 3, 3))),
-        "sf": (Q.is_zero() or sf_red_zero, lambda: -yz * at(Q, 1, 2),
-               lambda: B() - at(Tt, 1, 3) * (yz * at(T, 2, 1) + xy_tt_yz())),
-        "sigma_f": (Qt.is_zero() or sigma_f_red_zero, lambda: -xy * at(Qt, 2, 3),
-                    lambda: at(T, 1, 3) * (yz_t_xy() + xy * at(Tt, 3, 2)) - B()),
-        "s_sigma_f": (middle, lambda: xy * yz * at(Q, 1, 2) * at(Qt, 1, 3),
-                      lambda: instantiate(T - Tt, 2, 3, 3)),
-        "sigma_s_f": (middle, lambda: xy * yz * at(Qt, 2, 3) * at(Q, 1, 3),
-                      lambda: instantiate(T - Tt, 1, 2, 3)),
+        "f": (f_known, f),
+        "sf": (Q.is_zero() or sf_red_zero, sf),
+        "sigma_f": (Qt.is_zero() or sigma_f_red_zero, sigma_f),
+        "s_sigma_f": (middle, lambda: xy * yz * at(Q, 1, 2) * at(Qt, 1, 3) * at(T - Tt, 2, 3)),
+        "sigma_s_f": (middle, lambda: xy * yz * at(Qt, 2, 3) * at(Q, 1, 3) * at(T - Tt, 1, 2)),
         "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or Q == Qt or _almost(Q, Qt),
-                        lambda: -xy * yz,
-                        lambda: (at(Q, 1, 2) * at(Qt, 1, 3) * at(Q, 2, 3)
-                                 - at(Qt, 1, 2) * at(Q, 1, 3) * at(Qt, 2, 3))),
+                        lambda: -xy * yz * (at(Q, 1, 2) * at(Qt, 1, 3) * at(Q, 2, 3)
+                                            - at(Qt, 1, 2) * at(Q, 1, 3) * at(Qt, 2, 3))),
     }
 
 
@@ -290,27 +273,18 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
 
     Each flag is decided as the module docstring says, so the full
-    numerators are never multiplied out.  The failure witness, the full
-    difference of the first failing coefficient, is built as factor *
-    reduced difference for that name only.
+    numerators are never multiplied out.  A flag left None is decided by
+    its difference, built once.  The failure witness is the difference of
+    the first failing coefficient, reused when it was built for its flag.
     """
     parts = _factored_differences(pi, varpi)
-    diffs = {}
-
-    def decide(name: str) -> bool:
-        known, _, reduced = parts[name]
-        if known is None:
-            diffs[name] = reduced()
-            return diffs[name].is_zero()
-        return known
-
-    flags = {name: decide(name) for name in COEFF_NAMES}
+    diffs = {name: difference() for name, (known, difference) in parts.items() if known is None}
+    flags = {name: diffs[name].is_zero() if name in diffs else parts[name][0]
+             for name in COEFF_NAMES}
     for name, ok in flags.items():
         if not ok:
-            _, factor, reduced = parts[name]
-            diff = diffs[name] if name in diffs else reduced()
-            scale = factor()
-            return CubicReport(flags=flags, failure=(name, diff if scale == 1 else scale * diff))
+            return CubicReport(flags=flags, failure=(
+                name, diffs[name] if name in diffs else parts[name][1]()))
     return CubicReport(flags=flags)
 
 
@@ -356,8 +330,7 @@ def relation_holds(lhs: list, rhs: list) -> tuple[tuple[int, ...], MultiPoly] | 
 def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
     """Decide almost-equality of two nonzero slot polynomials: the identity
     q(x,y) qt(x,z) q(y,z) = qt(x,y) q(x,z) qt(y,z) in three variables,
-    decided in two (module docstring): by the diagonals when both are
-    separable, else by its specialisation at one z = c."""
+    decided in two by its specialisation at one z = c (module docstring)."""
     for name, value in (("q", q), ("qt", qt)):
         if not isinstance(value, SlotPoly):
             raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")
@@ -367,12 +340,9 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
 
 
 def _almost(q: SlotPoly, qt: SlotPoly) -> bool:
-    """The almost-equality of nonzero q and qt (module docstring): equal
-    diagonals when both are separable, else q(u,v) qt(u,c) q(v,c) ==
-    qt(u,v) q(u,c) qt(v,c) at the first c = 0, 1, 2, ... at which q(u,c) and
-    qt(u,c) are nonzero."""
-    if q._separable() and qt._separable():
-        return q._diagonal() == qt._diagonal()
+    """The almost-equality of nonzero q and qt (module docstring):
+    q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c) at the first
+    c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero."""
     for c in count():
         q_c, qt_c = q._at_v(c), qt._at_v(c)
         if q_c and qt_c:

@@ -37,17 +37,15 @@ def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:
     Write the lower operator as a + b s and the upper one as a' + b' sigma.
     The s sigma and sigma s coefficients of the two products, b s(b') and
     b' sigma(b), vanish only when a Q0 is zero.  A lower multiplication
-    operator R0(x_i, x_i+1) then commutes exactly when it has no v, that is
-    R0(u, 0) == R0, and an upper one R0(x_i+1, x_i+2) exactly when it has no
-    u, the same test on swap(R0).
+    operator R0(x_i, x_i+1) then commutes exactly when it has no term in v,
+    and an upper one R0(x_i+1, x_i+2) exactly when it has none in u.
     """
     if not lo.Q0 and not hi.Q0:
         return True
     if not lo.Q0:
-        return lo.R0 == lo.R0._at_v(0)
+        return not lo.R0._where(lambda r, s: s > 0)
     if not hi.Q0:
-        r0 = hi.R0.swap()
-        return r0 == r0._at_v(0)
+        return not hi.R0._where(lambda r, s: r > 0)
     return False
 
 

@@ -96,8 +96,8 @@ class TestCubicCheck:
     def test_middle_flags_are_decided_by_t(self, monkeypatch):
         """With both Q0 nonzero and T != T~, s_sigma_f and sigma_s_f are False
         without T - T~ being placed: a failing pair makes only the 6
-        placements of its f witness, whose factor is the scalar 1, and that
-        witness is the multiplied-out difference."""
+        placements of its f witness, and that witness is the multiplied-out
+        difference."""
         calls = []
         real = braid.instantiate
 
@@ -114,8 +114,6 @@ class TestCubicCheck:
         assert report.flags["s_sigma_f"] is False and report.flags["sigma_s_f"] is False
         assert report.failure == full_report(op, bad).failure
         assert report.failure[0] == "f"
-        parts = braid._factored_differences(op, bad)
-        assert parts["f"][1]() == 1 and type(parts["f"][1]()) is int
         mult = PDDO.from_q0_r0(SlotPoly.zero(), h)
         for pi, varpi in ((op, bad), (bad, op), (op, op), (op, mult)):
             parts = braid._factored_differences(pi, varpi)
@@ -132,7 +130,7 @@ class TestCubicCheck:
         almost-equality test, and sf, sigma_f and f by the normal-form and
         Hecke lemmas or, next to the zeta pair's multiplication operator, by
         the multiplication lemma.  The check makes no three-variable product,
-        though building f's reduced difference would."""
+        though building f's difference would."""
         pi, varpi = pair
         dims = []
         real = multipoly._mul_pairs
@@ -146,8 +144,8 @@ class TestCubicCheck:
         assert parts["s_sigma_s_f"][0] is True
         assert cubic_braid_check(pi, varpi).passed
         assert 3 not in dims
-        parts["f"][2]()
-        assert dims.count(3) > 0  # what building f's reduced difference would add
+        parts["f"][1]()
+        assert dims.count(3) > 0  # what building f's difference would add
 
     def test_equal_q0_decides_almost_equality_alone(self, monkeypatch):
         """With Q0 == Q0~ both sides of the s_sigma_s_f identity are one
@@ -476,8 +474,9 @@ rule_kinds = st.sampled_from(["separable", "separable_uv", "nonseparable"])
 
 
 class TestDiagonalAndSeparableRules:
-    """Failing pairs refuted on the diagonal and separable pairs decided by
-    their diagonals, against the multiplied-out numerators."""
+    """Failing pairs refuted on the diagonal, and separable pairs, almost
+    equal exactly when their diagonals agree, against the multiplied-out
+    numerators."""
 
     @given(st.data(), rule_kinds, rule_kinds, st.sampled_from(["own", "same_r0", "same_t"]))
     @settings(max_examples=80, deadline=None)
@@ -861,6 +860,30 @@ class TestAlmostEqual:
         assert not almost_equal_reference(q, qt)
         assert not almost_equal(q, qt)
         assert not almost_equal(qt, q)
+
+    @pytest.mark.parametrize("q, qt, expected", [
+        ((U + 1) * (V + 2) * V * (V - 1), (U + 2) * (V + 1) * V * (V - 1), True),
+        ((U + 1) * V * (V - 1), (U + 2) * V * (V - 1), False),
+    ], ids=["separable-equal-diagonals", "separable-unequal-diagonals"])
+    def test_separable_pairs_step_past_vanishing_c(self, q, qt, expected, monkeypatch):
+        """Separable q and qt with q(u, 0) = q(u, 1) = 0: the z = c identity
+        passes over c = 0 and c = 1 and decides at c = 2, almost equal
+        exactly when the diagonals agree."""
+        assert q._separable() and qt._separable()
+        assert not (q._at_v(0) or q._at_v(1) or qt._at_v(0) or qt._at_v(1))
+        assert (q._diagonal() == qt._diagonal()) is expected
+        assert almost_equal_reference(q, qt) is expected
+        seen = []
+        real = SlotPoly._at_v
+
+        def recording(p, c):
+            seen.append(c)
+            return real(p, c)
+
+        monkeypatch.setattr(SlotPoly, "_at_v", recording)
+        assert almost_equal(q, qt) is expected
+        assert almost_equal(qt, q) is expected
+        assert seen == [0, 0, 1, 1, 2, 2] * 2
 
     def test_makes_no_three_variable_product(self, monkeypatch):
         dims = []

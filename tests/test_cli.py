@@ -849,6 +849,27 @@ class TestReportSizeLimit:
         assert out.count("\n") == self.LIMIT
 
 
+class TestHeckeSizeLimit:
+    LIMIT = cli.MAX_HECKE_N
+
+    def test_over_the_limit_exits_two_before_building_the_family(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_family", lambda *args: built.append(args))
+        for n in (self.LIMIT + 1, 10 * self.LIMIT):
+            code, out, err = run(["hecke", "--n", str(n), "--family", "case2",
+                                  "--params", "1,2,1,2", "--output", "json"], capsys)
+            assert (code, out, err) == (2, "", f"error: --n {n} exceeds the limit "
+                                               f"{self.LIMIT} of hecke\n")
+        assert built == []
+
+    def test_at_the_limit_runs(self, capsys):
+        code, out, err = run(
+            ["hecke", "--n", str(self.LIMIT), "--family", "case2", "--params", "1,2,1,2"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.count("\n") == self.LIMIT - 1
+
+
 def test_table_refuses_a_large_n_before_building_the_family(monkeypatch, capsys):
     built = []
     monkeypatch.setattr(cli, "build_family", lambda *args: built.append(args))

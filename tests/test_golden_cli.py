@@ -141,6 +141,8 @@ ARGVS = [
     # An interval with three line choices for its two indices: the refusal
     # names the interval.
     ["verify", "--n", "5", "--family", "vanq0", "--config", "vanq0_interval_three_lines.json"],
+    # Refused before any operator is built: an --n over the size limit of hecke.
+    ["hecke", "--n", "100001", "--family", "case2", "--params", "1,2,1,2"],
 ]
 
 

@@ -2,9 +2,9 @@
 braid numerators and braid.almost_equal against sympy, a sympy negative
 control for the monomial basis of braid.relation_holds, and the lemmas
 behind the cubic check's two-variable rules (the normal-form and Hecke
-lemmas for T == T~, the multiplication lemma for pairs with a zero Q0, the
-diagonal refutation of failing pairs and the separable almost-equality
-test) as identities in symbolic coefficients.
+lemmas for T == T~, the multiplication lemma for pairs with a zero Q0 and
+the diagonal refutation of failing pairs) as identities in symbolic
+coefficients.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -298,14 +298,15 @@ def degenerate_pairs(rng):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_factored_differences_match(seed):
-    """factor * reduced difference of every name equals D (N_lhs - N_rhs),
-    and it is zero when the library reports it as known to vanish."""
+    """The difference of every name, factor * reduced difference, equals
+    D (N_lhs - N_rhs), and it is zero when the library reports it as known
+    to vanish."""
     rng = random.Random(3000 + seed)
     pairs = [(random_op(rng), random_op(rng))] + degenerate_pairs(rng)
     for pi, varpi in pairs:
         R, oracle = triple_compositions(pi, varpi)
-        for name, (vanishes, factor, reduced) in _factored_differences(pi, varpi).items():
-            lib = factor() * reduced()
+        for name, (vanishes, difference) in _factored_differences(pi, varpi).items():
+            lib = difference()
             assert lib.is_zero() or not vanishes
             lhs, rhs = oracle[name]
             assert_same_poly(R, in_ring(R, lib) * vdm3(R), lhs - rhs)
@@ -554,15 +555,18 @@ def test_diagonal_lemma_holds_with_symbolic_coefficients():
 
 
 def test_separable_rule_holds_with_symbolic_coefficients():
-    """The separable rule of the almost-equality test, with no braidops code:
-    for q = a(u) b(v) and qt = at(u) bt(v), a, b, at, bt generic of degree at
+    """The almost-equality of separable pairs, with no braidops code: for
+    q = a(u) b(v) and qt = at(u) bt(v), a, b, at, bt generic of degree at
     most 2,
 
         q(x,y) qt(x,z) q(y,z) - qt(x,y) q(x,z) qt(y,z)
             = a(x) at(x) b(z) bt(z) (q(y,y) - qt(y,y)),
 
     and every 2x2 minor of q's coefficient matrix vanishes, while a generic
-    polynomial of degree 1 in each slot has a nonzero one."""
+    polynomial of degree 1 in each slot has a nonzero one.  The first backs
+    the tests that hold separable pairs almost equal exactly when their
+    diagonals agree; the second backs SlotPoly._separable, the rank test of
+    the normal-form lemma."""
     R, *gens = sympy.polys.rings.ring("x y z u v a0:3 b0:3 at0:3 bt0:3 g0:4", sympy.QQ)
     x, y, z, u, v = gens[:5]
     a, b, at_, bt, g = gens[5:8], gens[8:11], gens[11:14], gens[14:17], gens[17:21]
