@@ -39,7 +39,7 @@ and T = Q0 + (u-v) R0 gives T(v,v) = Q0(v,v).  A polynomial with a nonzero
 specialisation is nonzero, so when T != T~, sf's reduced difference is
 nonzero whenever Q0~(v,v) != 0, and sigma_f's whenever Q0(v,v) != 0: those
 flags are False with nothing placed in three variables.  A zero diagonal
-decides nothing, and that difference is built.
+is left to the divisible-T step below.
 
 The last reduced difference is the almost-equality identity, and it is
 decided in two variables.  For nonzero q and qt let r = qt/q.  The identity
@@ -105,42 +105,63 @@ and R0~, and the normal-form lemma needs only unique factorisation and an
 integer c off the finitely many at which t(c,c) or t(u,c) t(c,v) vanishes,
 so both hold over any field of characteristic 0, parameters included.
 
-*Multiplication lemma.*  A pair with a zero Q0 is decided in two variables
-from g, the multiplier's R0.  Take Q0~ = 0, so T~ = (u-v) g, and write t, q
-for T, Q0 of pi.  The table's reduced differences are then
+*Divisible-T step.*  sf's reduced difference reads only T and T~.  When
+T~(v,v) = Q0~(v,v) = 0, T~ = (u-v) g (g = R0~ when Q0~ = 0), and with t for
+T, whatever Q0~ is, sf's reduced difference is
 
-    sf: (x-z)(y-z) [t_xy g_yz - t_yx g_xz - (x-y) g_xz g_yz]
-    f:  (x-z)(y-z)^2 [t_xy^2 g_yz - q_xy q_yx g_xz - (x-y) t_xy g_yz^2].
+    (x-z)(y-z) [t_xy g_yz - t_yx g_xz - (x-y) g_xz g_yz].
 
 Let g have degree K in its second slot, z here, the one variable varpi
 touches and pi does not, with leading coefficient g_K.  When K >= 1, the
-brackets' z^{2K} coefficients are -(x-y) g_K(x) g_K(y) and -(x-y) t_xy
-g_K(y)^2, every other term having degree at most K in z: sf's reduced
-difference is nonzero, and f's vanishes only when t = 0, where its bracket
-is -q_xy q_yx g_xz, so f holds exactly when q = t = 0.  When K = 0, g_yz =
-g(y) and g_xz = g(x), and with gs = swap(g) the brackets in u = x, v = y are
+bracket's z^{2K} coefficient is -(x-y) g_K(x) g_K(y), every other term
+having degree at most K in z, so the reduced difference is nonzero.  When
+K = 0, g_yz = g(y) and g_xz = g(x), and with gs = swap(g) the bracket in
+u = x, v = y is
 
-    sf: t gs - swap(t) g - (u-v) g gs
-    f:  t^2 gs - q swap(q) g - (u-v) t gs^2.
+    t gs - swap(t) g - (u-v) g gs = (t - T~) gs - swap(t) g.
+
+sigma_f mirrors this when T(v,v) = Q0(v,v) = 0, with T = (u-v) g, t for T~
+and x, g's first slot, as the unshared variable: its reduced difference is
+
+    (x-y)(x-z) [(y-z) g_xy g_xz + g_xz t_zy - g_xy t_yz],
+
+with x^{2K} coefficient (y-z) g_K(y) g_K(z), and at K = 0, in u = y, v = z,
+the same bracket, negated.  So for a pair with T != T~ or a zero Q0, sf
+holds when Q0 = 0 (its factor), fails when Q0~(v,v) != 0 (the diagonal
+lemma) and is otherwise decided by this step; sigma_f likewise with Q0 and
+Q0~ exchanged.  No pair decides sf or sigma_f in three variables.
+
+*Multiplication lemma.*  A pair with a zero Q0 also has f decided in two
+variables, from g, the multiplier's R0.  Take Q0~ = 0, so T~ = (u-v) g,
+and write t, q for T, Q0 of pi.  f's reduced difference is then
+
+    (x-z)(y-z)^2 [t_xy^2 g_yz - q_xy q_yx g_xz - (x-y) t_xy g_yz^2].
+
+With K as above, when K >= 1 the bracket's z^{2K} coefficient is -(x-y)
+t_xy g_K(y)^2, so it vanishes only when t = 0, where the bracket is
+-q_xy q_yx g_xz: f holds exactly when q = t = 0.  When K = 0 the bracket in
+u = x, v = y is
+
+    t^2 gs - q swap(q) g - (u-v) t gs^2 = t gs (t + swap(T~)) - q swap(q) g.
 
 When Q0 = 0 and Q0~ != 0, pi multiplies by g, T = (u-v) g, and t, q are T~,
-Q0~.  The proof mirrors this with x, g's first slot, as the unshared
-variable: the reduced differences are
+Q0~.  The proof mirrors this with x as the unshared variable: f's reduced
+difference is
 
-    sigma_f: (x-y)(x-z) [(y-z) g_xy g_xz + g_xz t_zy - g_xy t_yz]
-    f:       (x-y)^2 (x-z) [(y-z) g_xy^2 t_yz - g_xy t_yz^2 + g_xz q_yz q_zy],
+    (x-y)^2 (x-z) [(y-z) g_xy^2 t_yz - g_xy t_yz^2 + g_xz q_yz q_zy],
 
-with x^{2K} coefficients (y-z) g_K(y) g_K(z) and (y-z) g_K(y)^2 t_yz, and at
-K = 0, in u = y, v = z, the same two brackets, negated.
+with x^{2K} coefficient (y-z) g_K(y)^2 t_yz, and at K = 0, in u = y, v = z,
+the same bracket, negated.
 
-So every braiding pair is decided in two variables: one with a zero Q0 by
-this lemma, one with both Q0 nonzero by T == T~ in normal form and the
-Hecke lemma.  A flag left None means that the pair fails.
+So sf and sigma_f are always decided in two variables, and so is f for
+every braiding pair: one with a zero Q0 by the multiplication lemma, one
+with both Q0 nonzero by T == T~ in normal form and the Hecke lemma.  Only
+f's flag can be left None, and then the pair fails.
 
-Only a failing pair builds anything in three variables: the difference,
-factor times reduced difference, of each flag left None, and the failure
-witness, the difference of the first failing coefficient, which is one of
-those when its flag was None.  Each difference places each slot
+Only a failing pair builds anything in three variables: f's difference,
+factor times reduced difference, when its flag is left None, and the
+failure witness, the difference of the first failing coefficient, which is
+f's when its flag was None.  Each difference places each slot
 polynomial it reads once; in f's, q_xy q_yx and qt_yz qt_zy are the
 two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed.
 """
@@ -152,7 +173,7 @@ from itertools import count, product
 from typing import TYPE_CHECKING
 
 from .multipoly import MultiPoly, SlotPoly, _run_word, instantiate
-from .pddo import PDDO, _UV, _hecke_nu, per_operator
+from .pddo import PDDO, _hecke_nu, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -202,39 +223,34 @@ _XY2, _YZ2 = _XY * _XY, _YZ * _YZ
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, difference), the difference a function that builds
-    factor * reduced difference on demand.  The flag is True or False when
-    the slot polynomials, their diagonals, the Hecke nu or the multiplier's
-    R0 decide it (module docstring), and None when only the difference does,
-    which happens only for a failing pair.  Each difference places each slot
-    polynomial it reads once, so a pair decided in two variables places
-    none."""
+    factor * reduced difference on demand.  Every flag but f's is True or
+    False, decided by the slot polynomials, their diagonals and T / (u - v)
+    (module docstring).  f's is decided by the Hecke nu or the multiplier's
+    R0, and is None when only its difference decides it, which happens only
+    for a failing pair.  Each difference places each slot polynomial it
+    reads once, so a pair decided in two variables places none."""
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     same_t = T == Tt
-    sf_red_zero = sigma_f_red_zero = f_known = None
+    f_known = None
     if same_t and not T:
-        sf_red_zero = sigma_f_red_zero = f_known = True
-    elif not (Q and Qt):  # the multiplication lemma: pi multiplies by g when Qt != 0
-        g, t, q = (pi.R0, Tt, Qt) if Qt else (varpi.R0, T, Q)
-        gs = g.swap()
-        if g._where(lambda r, s: (r if Qt else s) > 0):  # K >= 1
-            flag, f_known = False, not (q or t)
-        else:  # the K = 0 brackets, rearranged to share t gs and (u - v) gs
-            t_gs, uv_gs = t * gs, _UV * gs
-            flag = t_gs == (t.swap() + uv_gs) * g
-            f_known = t_gs * (t - uv_gs) == q * q.swap() * g
-        sf_red_zero, sigma_f_red_zero = (None, flag) if Qt else (flag, None)
-    elif same_t:  # the normal-form lemma
+        sf_known = sigma_f_known = f_known = True
+    elif same_t and Q and Qt:  # the normal-form lemma
         separable = T._separable()
-        sf_red_zero = separable and not T._where(lambda r, s: s > 1)
-        sigma_f_red_zero = separable and not T._where(lambda r, s: r > 1)
-        if sf_red_zero and sigma_f_red_zero:  # T bilinear, so d(T) is a constant
+        sf_known = separable and not T._where(lambda r, s: s > 1)
+        sigma_f_known = separable and not T._where(lambda r, s: r > 1)
+        if sf_known and sigma_f_known:  # T bilinear, so d(T) is a constant
             mu = T.ddiff().constant_value()
             nu = _hecke_nu(pi, mu)
             f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
-    else:  # the diagonal lemma; both Q0 are nonzero here
-        sf_red_zero = False if Qt._diagonal() else None
-        sigma_f_red_zero = False if Q._diagonal() else None
+    else:  # the divisible-T step decides sf and sigma_f
+        sf_known = not Q or _divisible_t(T, Tt, lambda r, s: s > 0)
+        sigma_f_known = not Qt or _divisible_t(Tt, T, lambda r, s: r > 0)
+        if not (Q and Qt):  # the multiplication lemma: pi multiplies by g when Qt != 0,
+            # and tg = (u - v) g is the multiplier's T
+            g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)
+            f_known = (not (q or t) if g._where(lambda r, s: (r if Qt else s) > 0)  # K >= 1
+                       else t * g.swap() * (t + tg.swap()) == q * q.swap() * g)
     middle = Q.is_zero() or Qt.is_zero() or same_t
     xy, xz, yz = _XY, _XZ, _YZ
 
@@ -259,8 +275,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
 
     return {
         "f": (f_known, f),
-        "sf": (Q.is_zero() or sf_red_zero, sf),
-        "sigma_f": (Qt.is_zero() or sigma_f_red_zero, sigma_f),
+        "sf": (sf_known, sf),
+        "sigma_f": (sigma_f_known, sigma_f),
         "s_sigma_f": (middle, lambda: xy * yz * at(Q, 1, 2) * at(Qt, 1, 3) * at(T - Tt, 2, 3)),
         "sigma_s_f": (middle, lambda: xy * yz * at(Qt, 2, 3) * at(Q, 1, 3) * at(T - Tt, 1, 2)),
         "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or Q == Qt or _almost(Q, Qt),
@@ -269,12 +285,26 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     }
 
 
+def _divisible_t(t: SlotPoly, tt: SlotPoly, unshared) -> bool:
+    """Whether sf's reduced difference vanishes, with t, tt = T, T~ and
+    unshared(r, s) = s > 0, or sigma_f's, with t, tt = T~, T and r > 0, for
+    a pair with T != T~ or a zero Q0 whose t operator has a nonzero Q0
+    (module docstring).  There a nonzero diagonal tt(v,v) means T != T~
+    and refutes it (the diagonal lemma).  Otherwise tt = (u - v) g, and by
+    the divisible-T step it vanishes exactly when g has no term that
+    unshared keeps and (t - tt) swap(g) == swap(t) g."""
+    if tt._diagonal():
+        return False
+    g = tt._over_u_minus_v()
+    return not g._where(unshared) and (t - tt) * g.swap() == t.swap() * g
+
+
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
 
     Each flag is decided as the module docstring says, so the full
-    numerators are never multiplied out.  A flag left None is decided by
-    its difference, built once.  The failure witness is the difference of
+    numerators are never multiplied out.  f's flag, when left None, is
+    decided by its difference, built once.  The failure witness is the difference of
     the first failing coefficient, reused when it was built for its flag.
     """
     parts = _factored_differences(pi, varpi)

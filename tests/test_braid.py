@@ -129,8 +129,8 @@ class TestCubicCheck:
         """A braiding pair is decided in two variables: s_sigma_s_f by the
         almost-equality test, and sf, sigma_f and f by the normal-form and
         Hecke lemmas or, next to the zeta pair's multiplication operator, by
-        the multiplication lemma.  The check makes no three-variable product,
-        though building f's difference would."""
+        the divisible-T step and the multiplication lemma.  The check makes no
+        three-variable product, though building f's difference would."""
         pi, varpi = pair
         dims = []
         real = multipoly._mul_pairs
@@ -388,9 +388,10 @@ def other_operators(draw, kind):
 
 
 class TestMultiplicationLemma:
-    """Pairs with a multiplication operator (Q0 = 0), every flag decided by
-    the multiplication lemma in two variables, against the multiplied-out
-    numerators in both orders."""
+    """Pairs with a multiplication operator (Q0 = 0), every flag decided in
+    two variables, sf and sigma_f by the divisible-T step and f by the
+    multiplication lemma, against the multiplied-out numerators in both
+    orders."""
 
     @given(multiplier_r0s, st.data(), other_kinds)
     @settings(max_examples=80, deadline=None)
@@ -488,28 +489,41 @@ class TestDiagonalAndSeparableRules:
             varpi = PDDO.from_q0_r0(varpi.Q0, pi.R0)
         elif r0_choice == "same_t":
             varpi = PDDO.from_q0_r0(pi.T - UV * varpi.R0, varpi.R0)
-        assert_same_report(pi, varpi)
-        assert_same_report(varpi, pi)
+        for a, b in ((pi, varpi), (varpi, pi)):
+            parts = braid._factored_differences(a, b)
+            assert None not in (parts["sf"][0], parts["sigma_f"][0])
+            assert_same_report(a, b)
 
     @pytest.mark.parametrize("pi, varpi, known", [
         # T != T~ and both diagonals nonzero: both refuted, neither built.
         (PDDO(U + 2, U + 2), PDDO(V + 1, U + 1), (False, False)),
-        # T~ = 0 with Q0~ = -(u - v): Q0~(v,v) = 0 and sf holds.
-        (PDDO(U + 2, U + 2), PDDO.from_q0_r0(-UV, ONE), (None, False)),
+        # T~ = 0 with Q0~ = -(u - v): Q0~(v,v) = 0, and the divisible-T step,
+        # with g = T~ / (u - v) = 0, decides that sf holds.
+        (PDDO(U + 2, U + 2), PDDO.from_q0_r0(-UV, ONE), (True, False)),
         # Q0 = 0: sf holds through its factor, and pi multiplies by u, which
-        # reaches x, the variable varpi does not touch: the multiplication
-        # lemma refutes sigma_f in two variables.
+        # reaches x, the variable varpi does not touch: the divisible-T step,
+        # with g = T / (u - v) = u, refutes sigma_f in two variables.
         (PDDO.from_q0_r0(SlotPoly.zero(), U), PDDO(V + 1, U + 1), (True, False)),
-    ], ids=["both-refuted", "t-zero", "q-zero"])
+        # T != T~, both Q0 nonzero and one zero diagonal, where the divisible-T
+        # step finds the transposition flag true: T = g(u)(s - v) next to
+        # T~ = (u - v) g(u) with R0~ = g + 1, so Q0~ = -(u - v), for sf, and
+        # T = (u - v) g(v) with R0 = g(v) + 1 next to T~ = (u + s) g(v) for
+        # sigma_f.
+        *((PDDO(g * (s - V), g * (s - V)), PDDO.from_q0_r0(-UV, g + 1), (True, False))
+          for g in (1 + 2 * U, 3 + U * U, 2 * ONE) for s in (0, 3)),
+        *((PDDO.from_q0_r0(-UV, g.swap() + 1), PDDO((U + s) * g.swap(), (U + s) * g.swap()),
+           (False, True)) for g in (1 + 2 * U, 3 + U * U, 2 * ONE) for s in (0, 3)),
+    ], ids=["both-refuted", "t-zero", "q-zero",
+            *(f"{name}-g={g}-s={s}" for name in ("sf", "sigma_f")
+              for g in ("1+2u", "3+u^2", "2") for s in (0, 3))])
     def test_diagonal_refutation(self, pi, varpi, known):
-        """The sf and sigma_f flags that the diagonal lemma (with a zero Q0,
-        the multiplication lemma) decides, None where the pair keeps the
-        three-variable route."""
+        """The sf and sigma_f flags that the diagonal lemma decides, or, where
+        a Q0 or a diagonal is zero, a zero Q0 or the divisible-T step, all in
+        two variables."""
         parts = braid._factored_differences(pi, varpi)
         assert (parts["sf"][0], parts["sigma_f"][0]) == known
         report = assert_same_report(pi, varpi)
-        for name, flag in zip(("sf", "sigma_f"), known):
-            assert flag is None or report.flags[name] is flag
+        assert (report.flags["sf"], report.flags["sigma_f"]) == known
 
     @given(univariates, univariates, univariates, univariates,
            st.sampled_from(["own", "equal_diagonal", "swapped"]))

@@ -2,9 +2,9 @@
 braid numerators and braid.almost_equal against sympy, a sympy negative
 control for the monomial basis of braid.relation_holds, and the lemmas
 behind the cubic check's two-variable rules (the normal-form and Hecke
-lemmas for T == T~, the multiplication lemma for pairs with a zero Q0 and
-the diagonal refutation of failing pairs) as identities in symbolic
-coefficients.
+lemmas for T == T~, the multiplication lemma for pairs with a zero Q0, the
+diagonal refutation of failing pairs and the divisible-T step for a zero
+diagonal) as identities in symbolic coefficients.
 
 The oracle shares no arithmetic with the library: polynomials become sympy
 expressions in x_1..x_n and a symbol z, divided differences are formed with
@@ -681,3 +681,75 @@ def test_multiplication_lemma_holds_with_symbolic_coefficients():
     assert sigma_f.degree(x) == f.degree(x) == 4
     assert coeff(sigma_f, x, 4) == (y - z) * top.compose(v, y) * top.compose(v, z)
     assert coeff(f, x, 4) == (y - z) * top.compose(v, y)**2 * at(t, y, z)
+
+
+def test_divisible_t_step_holds_with_nonzero_q0():
+    """The cubic check's divisible-T step, with no braidops code.  varpi has
+    Q0~ = (u-v) h, nonzero for generic h, and T~ = Q0~ + (u-v) R0~ = (u-v) g
+    with g = h + R0~; pi has T generic and Q0 = T - (u-v) R0 (h, R0~, T and
+    R0 generic of degree at most 2, 24 symbols).  sf's difference of the
+    full numerators, written as cubic_reference.full_numerators writes them,
+    is -(x-z)(y-z)^2 q_xy times the module docstring's bracket
+
+        t_xy g_yz - t_yx g_xz - (x-y) g_xz g_yz,
+
+    and, mirrored with Q0 = (u-v) h and T = (u-v) g, sigma_f's is
+    -(x-y)^2 (x-z) qt_yz times
+
+        (y-z) g_xy g_xz + g_xz t_zy - g_xy t_yz,
+
+    t being the other operator's T.  So the step holds when the divided Q0
+    is nonzero, not only when it is zero.  With g univariate in the shared
+    variable, the brackets are the two-variable test (t - (u-v) g) gs -
+    swap(t) g, gs = swap(g), placed at (x, y) and, negated, at (y, z)."""
+    R, *gens = sympy.polys.rings.ring("x y z u v t0:6 r0:6 h0:6 rt0:6", sympy.QQ)
+    x, y, z, u, v = gens[:5]
+    ct, cr, ch, crt = gens[5:11], gens[11:17], gens[17:23], gens[23:29]
+    xy, xz, yz = x - y, x - z, y - z
+
+    def at(p, a, b):
+        return p.compose([(u, a), (v, b)])
+
+    def generic(k):
+        return k[0] + k[1] * u + k[2] * v + k[3] * u**2 + k[4] * u * v + k[5] * v**2
+
+    def differences(T, Q, Tt, Qt):
+        """left - right of sf and sigma_f in full_numerators."""
+        t_xy, t_yx, t_xz = at(T, x, y), at(T, y, x), at(T, x, z)
+        tt_xz, tt_yz, tt_zy = at(Tt, x, z), at(Tt, y, z), at(Tt, z, y)
+        q_xy, qt_yz = at(Q, x, y), at(Qt, y, z)
+        sf = (-yz * q_xy * (t_xy * tt_yz * xz - t_yx * tt_xz * yz)
+              + xy * yz * tt_yz * q_xy * tt_xz)
+        sigma_f = (-xy * yz * t_xy * qt_yz * t_xz
+                   + xy * qt_yz * (t_xy * tt_yz * xz - tt_zy * t_xz * xy))
+        return sf, sigma_f
+
+    def two_variable_test(t, g):
+        gs = at(g, v, u)
+        return (t - (u - v) * g) * gs - at(t, v, u) * g
+
+    t, r0 = generic(ct), generic(cr)
+
+    def sf_bracket(h, rt0):
+        g = h + rt0
+        sf, _ = differences(t, t - (u - v) * r0, (u - v) * g, (u - v) * h)
+        g_xz, g_yz = at(g, x, z), at(g, y, z)
+        bracket = at(t, x, y) * g_yz - at(t, y, x) * g_xz - xy * g_xz * g_yz
+        assert sf == -xz * yz**2 * at(t - (u - v) * r0, x, y) * bracket
+        return bracket
+
+    def sigma_f_bracket(h, r0_pi):
+        g = h + r0_pi
+        _, sigma_f = differences((u - v) * g, (u - v) * h, t, t - (u - v) * r0)
+        g_xy, g_xz = at(g, x, y), at(g, x, z)
+        bracket = yz * g_xy * g_xz + g_xz * at(t, z, y) - g_xy * at(t, y, z)
+        assert sigma_f == -xy**2 * xz * at(t - (u - v) * r0, y, z) * bracket
+        return bracket
+
+    h, rt0 = generic(ch), generic(crt)
+    assert h and sf_bracket(h, rt0) and sigma_f_bracket(h, rt0)
+    # K = 0: g univariate in the shared variable, with h nonzero.
+    h_u, rt0_u = sum(ch[i] * u**i for i in range(3)), sum(crt[i] * u**i for i in range(3))
+    h_v, rt0_v = at(h_u, v, u), at(rt0_u, v, u)
+    assert sf_bracket(h_u, rt0_u) == at(two_variable_test(t, h_u + rt0_u), x, y)
+    assert sigma_f_bracket(h_v, rt0_v) == -at(two_variable_test(t, h_v + rt0_v), y, z)
