@@ -38,8 +38,10 @@ sigma_f's, as the table writes them, gives
 and T = Q0 + (u-v) R0 gives T(v,v) = Q0(v,v).  A polynomial with a nonzero
 specialisation is nonzero, so when T != T~, sf's reduced difference is
 nonzero whenever Q0~(v,v) != 0, and sigma_f's whenever Q0(v,v) != 0: those
-flags are False with nothing placed in three variables.  A zero diagonal
-is left to the divisible-T step below.
+flags are False with nothing placed in three variables.  T~(v,v) is the
+remainder of T~ by u - v, so the check computes no diagonal: the quotient
+T~ / (u - v) that the divisible-T step below takes is refused exactly when
+the diagonal is nonzero, and the refusal refutes the flag.
 
 The last reduced difference is the almost-equality identity, and it is
 decided in two variables.  For nonzero q and qt let r = qt/q.  The identity
@@ -106,8 +108,8 @@ integer c off the finitely many at which t(c,c) or t(u,c) t(c,v) vanishes,
 so both hold over any field of characteristic 0, parameters included.
 
 *Divisible-T step.*  sf's reduced difference reads only T and T~.  When
-T~(v,v) = Q0~(v,v) = 0, T~ = (u-v) g (g = R0~ when Q0~ = 0), and with t for
-T, whatever Q0~ is, sf's reduced difference is
+T~(v,v) = Q0~(v,v) = 0, T~ = (u-v) g (g = R0~ when Q0~ = 0, with nothing
+divided), and with t for T, whatever Q0~ is, sf's reduced difference is
 
     (x-z)(y-z) [t_xy g_yz - t_yx g_xz - (x-y) g_xz g_yz].
 
@@ -126,10 +128,14 @@ and x, g's first slot, as the unshared variable: its reduced difference is
     (x-y)(x-z) [(y-z) g_xy g_xz + g_xz t_zy - g_xy t_yz],
 
 with x^{2K} coefficient (y-z) g_K(y) g_K(z), and at K = 0, in u = y, v = z,
-the same bracket, negated.  So for a pair with T != T~ or a zero Q0, sf
-holds when Q0 = 0 (its factor), fails when Q0~(v,v) != 0 (the diagonal
-lemma) and is otherwise decided by this step; sigma_f likewise with Q0 and
-Q0~ exchanged.  No pair decides sf or sigma_f in three variables.
+the same bracket, negated.  So for a pair with T != T~ and both Q0
+nonzero, sf fails when u - v does not divide T~ (the diagonal lemma) and is
+otherwise decided by this step on g = T~ / (u-v); sigma_f likewise with T
+and T~ exchanged.  For a pair with a zero Q0, g is the multiplier's stored
+R0: sf holds when Q0 = 0 (its factor) and sigma_f when Q0~ = 0, and the
+other flag of the two, the multiplier's transposition flag, is this step on
+that g, sharing g, swap(g) and the test K = 0 with the multiplication lemma
+below.  No pair decides sf or sigma_f in three variables.
 
 *Multiplication lemma.*  A pair with a zero Q0 also has f decided in two
 variables, from g, the multiplier's R0.  Take Q0~ = 0, so T~ = (u-v) g,
@@ -163,7 +169,8 @@ factor times reduced difference, when its flag is left None, and the
 failure witness, the difference of the first failing coefficient, which is
 f's when its flag was None.  Each difference places each slot
 polynomial it reads once; in f's, q_xy q_yx and qt_yz qt_zy are the
-two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed.
+two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed, and for a pair
+with a zero Q0 the q swap(q) that the multiplication lemma formed is reused.
 """
 
 from __future__ import annotations
@@ -224,15 +231,17 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, difference), the difference a function that builds
     factor * reduced difference on demand.  Every flag but f's is True or
-    False, decided by the slot polynomials, their diagonals and T / (u - v)
-    (module docstring).  f's is decided by the Hecke nu or the multiplier's
-    R0, and is None when only its difference decides it, which happens only
-    for a failing pair.  Each difference places each slot polynomial it
-    reads once, so a pair decided in two variables places none."""
+    False, decided by the slot polynomials and, for sf and sigma_f, the
+    multiplier's R0 or, when both Q0 are nonzero, T / (u - v) and
+    T~ / (u - v) (module docstring).  f's is decided by the Hecke nu or the
+    multiplier's R0, and is None when only its difference decides it, which
+    happens only for a failing pair.  Each difference places each slot
+    polynomial it reads once, so a pair decided in two variables places
+    none; a pair with a zero Q0 divides nothing."""
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     same_t = T == Tt
-    f_known = None
+    f_known = q_sq = qt_sq = None  # Q0 swap(Q0) and Q0~ swap(Q0~), once formed
     if same_t and not T:
         sf_known = sigma_f_known = f_known = True
     elif same_t and Q and Qt:  # the normal-form lemma
@@ -243,14 +252,18 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
             mu = T.ddiff().constant_value()
             nu = _hecke_nu(pi, mu)
             f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
-    else:  # the divisible-T step decides sf and sigma_f
-        sf_known = not Q or _divisible_t(T, Tt, lambda r, s: s > 0)
-        sigma_f_known = not Qt or _divisible_t(Tt, T, lambda r, s: r > 0)
-        if not (Q and Qt):  # the multiplication lemma: pi multiplies by g when Qt != 0,
-            # and tg = (u - v) g is the multiplier's T
-            g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)
-            f_known = (not (q or t) if g._where(lambda r, s: (r if Qt else s) > 0)  # K >= 1
-                       else t * g.swap() * (t + tg.swap()) == q * q.swap() * g)
+    elif not (Q and Qt):  # the multiplication lemma and the divisible-T step on the
+        # multiplier's stored R0 = g: pi multiplies when Qt != 0, and tg = (u - v) g is its T
+        g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)
+        gs, qq = g.swap(), q * q.swap()
+        k0 = not g._where(lambda r, s: (r if Qt else s) > 0)  # K = 0
+        transposition = not q or k0 and (t - tg) * gs == t.swap() * g
+        f_known = t * gs * (t + tg.swap()) == qq * g if k0 else not (q or t)
+        sf_known, sigma_f_known = (True, transposition) if Qt else (transposition, True)
+        q_sq, qt_sq = (Q, qq) if Qt else (qq, Qt)
+    else:  # T != T~ with both Q0 nonzero: the diagonal lemma and the divisible-T step
+        sf_known = _divisible_t(T, Tt, lambda r, s: s > 0)
+        sigma_f_known = _divisible_t(Tt, T, lambda r, s: r > 0)
     middle = Q.is_zero() or Qt.is_zero() or same_t
     xy, xz, yz = _XY, _XZ, _YZ
 
@@ -260,8 +273,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     def f() -> MultiPoly:
         t_xy, tt_yz = at(T, 1, 2), at(Tt, 2, 3)
         return (t_xy * tt_yz * xz * (yz * t_xy - xy * tt_yz)
-                - _YZ2 * at(Tt, 1, 3) * at(Q * Q.swap(), 1, 2)
-                + _XY2 * at(T, 1, 3) * at(Qt * Qt.swap(), 2, 3))
+                - _YZ2 * at(Tt, 1, 3) * at(Q * Q.swap() if q_sq is None else q_sq, 1, 2)
+                + _XY2 * at(T, 1, 3) * at(Qt * Qt.swap() if qt_sq is None else qt_sq, 2, 3))
 
     def sf() -> MultiPoly:
         tt_yz = at(Tt, 2, 3)
@@ -288,15 +301,13 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
 def _divisible_t(t: SlotPoly, tt: SlotPoly, unshared) -> bool:
     """Whether sf's reduced difference vanishes, with t, tt = T, T~ and
     unshared(r, s) = s > 0, or sigma_f's, with t, tt = T~, T and r > 0, for
-    a pair with T != T~ or a zero Q0 whose t operator has a nonzero Q0
-    (module docstring).  There a nonzero diagonal tt(v,v) means T != T~
-    and refutes it (the diagonal lemma).  Otherwise tt = (u - v) g, and by
-    the divisible-T step it vanishes exactly when g has no term that
-    unshared keeps and (t - tt) swap(g) == swap(t) g."""
-    if tt._diagonal():
-        return False
+    a pair with T != T~ and both Q0 nonzero (module docstring).  When u - v
+    does not divide tt, its diagonal tt(v,v) is nonzero and refutes it (the
+    diagonal lemma).  Otherwise tt = (u - v) g, and by the divisible-T step
+    it vanishes exactly when g has no term that unshared keeps and
+    (t - tt) swap(g) == swap(t) g."""
     g = tt._over_u_minus_v()
-    return not g._where(unshared) and (t - tt) * g.swap() == t.swap() * g
+    return g is not None and not g._where(unshared) and (t - tt) * g.swap() == t.swap() * g
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:

@@ -26,9 +26,10 @@ dict.  Every two-variable product, of ``_mul_pairs`` and inside
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
 ``SlotPoly._where`` (the terms with a chosen exponent pair),
-``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._diagonal`` (u set to
-v) and ``SlotPoly._separable`` (whether it is a product a(u) b(v), by the
-2x2 minors of its coefficients).  Stored pairs are tuples, shared between
+``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._separable`` (whether
+it is a product a(u) b(v), by the 2x2 minors of its coefficients) and
+``SlotPoly._over_u_minus_v`` (the quotient by u - v, or None when u - v does
+not divide it: the one test of that divisibility).  Stored pairs are tuples, shared between
 polynomials and never changed.  Field elements are built only where a
 coefficient is read out as a value: ``terms``, ``constant_value``,
 ``evaluate`` and the long division of ``exact_div``.  A polynomial becomes
@@ -588,15 +589,6 @@ class SlotPoly(MultiPoly):
             pair[1] += b * c ** s
         return SlotPoly._normal(2, _nonzero(acc), self._den)
 
-    def _diagonal(self) -> "SlotPoly":
-        """self(v, v), summed from the stored integer pairs over self's denominator."""
-        acc: dict = {}
-        for (r, s), (a, b) in self._num.items():
-            pair = acc.setdefault((0, r + s), [0, 0])
-            pair[0] += a
-            pair[1] += b
-        return SlotPoly._normal(2, _nonzero(acc), self._den)
-
     def _separable(self) -> bool:
         """Whether self is a(u) b(v): its coefficient matrix [c_rs] has rank
         at most 1.  With a pivot c_r0s0 != 0 that holds exactly when every
@@ -622,21 +614,26 @@ class SlotPoly(MultiPoly):
                 return False
         return True
 
-    def _over_u_minus_v(self) -> "SlotPoly":
-        """The one-sided quotient of self by u - v, without long division and
-        with no check of its own: u^r v^s = v^s (u^r - v^r) + v^(r+s), so
-        p = (u - v) sum c_rs sum_{l<r} u^l v^(r-1-l+s) + p(v, v), and the sum
-        is p/(u - v) exactly when p(v, v) = 0."""
+    def _over_u_minus_v(self) -> "SlotPoly | None":
+        """self / (u - v), or None when u - v does not divide self: the one
+        test of that divisibility, with no long division.  u^r v^s =
+        v^s (u^r - v^r) + v^(r+s), so p = (u - v) sum c_rs sum_{l<r}
+        u^l v^(r-1-l+s) + p(v, v), and the remainder p(v, v) is zero exactly
+        when each degree's coefficients c_rs, r + s = k, sum to zero.  It is
+        tested first, so a refusal builds no quotient."""
+        remainder: dict = {}
+        for (r, s), (a, b) in self._num.items():
+            pair = remainder.setdefault(r + s, [0, 0])
+            pair[0] += a
+            pair[1] += b
+        if any(a or b for a, b in remainder.values()):
+            return None
         acc: dict = {}
         for (r, s), (a, b) in self._num.items():
             for l in range(r):
-                key = (l, r - 1 - l + s)
-                pair = acc.get(key)
-                if pair is None:
-                    acc[key] = [a, b]
-                else:
-                    pair[0] += a
-                    pair[1] += b
+                pair = acc.setdefault((l, r - 1 - l + s), [0, 0])
+                pair[0] += a
+                pair[1] += b
         # In descending term order, as long division yields its quotient.
         num = {e: (a, b) for e in sorted(acc, key=_grlex, reverse=True)
                for a, b in (acc[e],) if a or b}

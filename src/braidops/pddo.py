@@ -5,8 +5,9 @@ canonical form, the pair (Q0, R0) of Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f
 with Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
 (T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}) with
 T = P + (u - v)R + Q = Q0 + (u - v)R0, read off the pair.  The public
-constructor PDDO(T, Q0) checks outside input: R0 is the one-sided quotient of
-T - Q0 by u - v, found without long division, and T must equal Q0 + (u - v)R0.
+constructor PDDO(T, Q0) checks outside input: R0 is the quotient of T - Q0 by
+u - v, found without long division, and the input is refused when u - v does
+not divide T - Q0, which ``SlotPoly._over_u_minus_v`` alone decides.
 An operator is fixed by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so
 composition and the Hecke parameters are read off the action with no
 product formula of their own.
@@ -60,16 +61,17 @@ class PDDO:
     __slots__ = ("Q0", "R0")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
-        """Build from outside (T, Q0), two SlotPolys; Q0 + (u - v)R0 gives T
-        back exactly when T - Q0 vanishes at u = v."""
+        """Build from outside (T, Q0), two SlotPolys, with R0 = (T - Q0)/(u - v);
+        refused when u - v does not divide T - Q0."""
         for name, value in (("T", T), ("Q0", Q0)):
             if not isinstance(value, SlotPoly):
                 raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")
-        _set(self, "Q0", Q0)
-        _set(self, "R0", (T - Q0)._over_u_minus_v())
-        if self.T != T:
+        r0 = (T - Q0)._over_u_minus_v()
+        if r0 is None:
             raise InexactDivisionError(
                 "T - Q0 must be divisible by u - v; corrupted operator data")
+        _set(self, "Q0", Q0)
+        _set(self, "R0", r0)
 
     def __setattr__(self, *args):
         raise AttributeError("PDDO is immutable")

@@ -5,6 +5,8 @@ A polynomial is a term map {exponent tuple: FieldElement}; every result has
 its zero coefficients dropped.  ``ref_apply`` forms Q0 d_i f + R0 f for an
 operator from its slot polynomials' terms, by the closed form of d_i on
 monomials, term by term, with no stored pair, action or monomial image.
+``ref_diagonal`` sets u to v in a two-variable term map, the remainder of
+its division by u - v.
 """
 
 from braidops.field import FieldElement
@@ -39,6 +41,14 @@ def ref_ddiff(a: dict, k: int) -> dict:
         for l in range(min(r, s), max(r, s)):
             key = e[:k] + (l, r + s - 1 - l) + e[k + 2:]
             out[key] = out.get(key, FieldElement.of(0)) + c * sign
+    return _clean(out)
+
+
+def ref_diagonal(a: dict) -> dict:
+    """p(v, v): each term's coefficient summed onto v^(r+s)."""
+    out: dict = {}
+    for (r, s), c in a.items():
+        out[(0, r + s)] = out.get((0, r + s), FieldElement.of(0)) + c
     return _clean(out)
 
 

@@ -42,6 +42,7 @@ from cubic_reference import (
     distant_commute_oracle,
     full_report,
 )
+from term_reference import ref_diagonal
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 coeffs = rationals.map(FieldElement.of)
@@ -424,6 +425,34 @@ class TestMultiplicationLemma:
         assert {name: report.flags[name] for name in flags} == flags
         assert report.passed == all(flags.values()) == cubic_braid_oracle(pi, varpi)
 
+    def test_divides_nothing(self, monkeypatch):
+        """g is the multiplier's stored R0, so no quotient by u - v is taken:
+        on the 16 zeta_pair shapes, in both orders, and each case-2 line and
+        case1 operator next to 1 Id and 2 Id, in both orders, the flags make
+        no call of SlotPoly._over_u_minus_v and place nothing in three
+        variables, and the whole check, witness included, makes no such
+        call.  Flags and witness match the multiplied-out numerators."""
+        zetas = [zeta_pair(a, b, variant) for a, b in ((1, 0), (-3, 5), (2, 1), (Fraction(1, 2), -1))
+                 for variant in (1, 2, 3, 4)]
+        ops = [case1_operator(1, 2, 1, 2, 3), *(case2_operator(1, 2, 1, 2, l) for l in Case2Line)]
+        pairs = [pair for pi, varpi in zetas for pair in ((pi, varpi), (varpi, pi))]
+        pairs += [pair for op in ops for m in (identity_op(1), identity_op(2))
+                  for pair in ((op, m), (m, op))]
+        calls = []
+        for owner, name in ((SlotPoly, "_over_u_minus_v"), (braid, "instantiate")):
+            def recording(*args, real=getattr(owner, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, recording)
+        for pi, varpi in pairs:
+            braid._factored_differences(pi, varpi)
+        assert calls == []
+        for pi, varpi in pairs:
+            assert_same_report(pi, varpi)
+        assert "_over_u_minus_v" not in calls
+        assert "instantiate" in calls  # the failing pairs' witnesses
+
 
 def test_braiding_pairs_never_leave_two_variables(monkeypatch):
     """A braiding pair is decided in two variables: on the presets, zeta
@@ -537,7 +566,7 @@ class TestDiagonalAndSeparableRules:
                  "swapped": (a * b.swap(), b * a.swap())}[choice]
         assert q._separable() and qt._separable()
         assert almost_equal(q, qt) == almost_equal_reference(q, qt)
-        assert almost_equal(q, qt) == (q._diagonal() == qt._diagonal())
+        assert almost_equal(q, qt) == (ref_diagonal(q.terms) == ref_diagonal(qt.terms))
 
 
 class TestQuadCheck:
@@ -885,7 +914,7 @@ class TestAlmostEqual:
         exactly when the diagonals agree."""
         assert q._separable() and qt._separable()
         assert not (q._at_v(0) or q._at_v(1) or qt._at_v(0) or qt._at_v(1))
-        assert (q._diagonal() == qt._diagonal()) is expected
+        assert (ref_diagonal(q.terms) == ref_diagonal(qt.terms)) is expected
         assert almost_equal_reference(q, qt) is expected
         seen = []
         real = SlotPoly._at_v

@@ -23,7 +23,8 @@ from braidops.multipoly import (
     swap_vars,
 )
 from braidops.pddo import PDDO
-from term_reference import _clean, ref_apply, ref_ddiff, ref_mul, ref_place, ref_sum
+from term_reference import (_clean, ref_apply, ref_ddiff, ref_diagonal, ref_mul, ref_place,
+                            ref_sum)
 
 coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
     FieldElement.of
@@ -229,6 +230,9 @@ def term_maps(n_vars: int, max_size: int = 6):
                            max_size=max_size)
 
 
+U_MINUS_V = {(1, 0): ONE, (0, 1): -ONE}
+
+
 def operands(count: int):
     """(n, count term maps in n variables) for n from 2 to 5."""
     return st.integers(2, 5).flatmap(
@@ -393,17 +397,27 @@ class TestStoredForm:
             assert_canonical(result)
             assert result.terms == {e: c for e, c in _clean(terms).items() if keep(*e)}
 
-    @given(term_maps(2))
-    @settings(max_examples=100, deadline=None)
-    def test_diagonal_matches_the_reference(self, terms):
-        """p(v, v): each term's coefficient summed onto v^(r+s)."""
-        expected: dict = {}
-        for (r, s), coeff in terms.items():
-            expected[(0, r + s)] = expected.get((0, r + s), FieldElement.of(0)) + coeff
-        result = SlotPoly(terms)._diagonal()
-        assert type(result) is SlotPoly
-        assert_canonical(result)
-        assert result.terms == _clean(expected)
+    @given(st.one_of(term_maps(2), term_maps(2).map(lambda h: ref_mul(h, U_MINUS_V))),
+           term_maps(2))
+    @example({(1, 0): ONE, (0, 0): -ONE}, {})  # p(1, 1) = 0, but p(v, v) = v - 1
+    @example({(2, 1): ONE, (1, 2): -ONE, (3, 0): ONE, (0, 3): -ONE}, {(1, 1): ONE})
+    @settings(max_examples=150, deadline=None)
+    def test_quotient_by_u_minus_v_is_refused_exactly_off_the_diagonal(self, terms, q0_terms):
+        """p / (u - v) is None exactly when the remainder p(v, v) of the
+        reference is nonzero, and otherwise (u - v) times it gives p back;
+        PDDO(Q0 + p, Q0) is refused for exactly those p, and otherwise has
+        the quotient for its R0."""
+        p, q0 = SlotPoly(terms), SlotPoly(q0_terms)
+        quotient = p._over_u_minus_v()
+        assert (quotient is None) is bool(ref_diagonal(terms))
+        if quotient is None:
+            with pytest.raises(InexactDivisionError, match="corrupted operator data"):
+                PDDO(q0 + p, q0)
+            return
+        assert type(quotient) is SlotPoly
+        assert_canonical(quotient)
+        assert ref_mul(quotient.terms, U_MINUS_V) == _clean(terms)
+        assert PDDO(q0 + p, q0).R0 == quotient
 
     @given(st.one_of(
         term_maps(2),
