@@ -383,11 +383,14 @@ def almost_equal(q: SlotPoly, qt: SlotPoly) -> bool:
 def _almost(q: SlotPoly, qt: SlotPoly) -> bool:
     """The almost-equality of nonzero q and qt (module docstring):
     q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c) at the first
-    c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero."""
+    c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero.  The product
+    m = qt(u,c) q(v,c) is formed once: its swap is q(u,c) qt(v,c), so the
+    identity reads q m == qt swap(m)."""
     for c in count():
         q_c, qt_c = q._at_v(c), qt._at_v(c)
         if q_c and qt_c:
-            return q * (qt_c * q_c.swap()) == qt * (q_c * qt_c.swap())
+            m = qt_c * q_c.swap()
+            return q * m == qt * m.swap()
 
 
 @dataclass(frozen=True)

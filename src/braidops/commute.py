@@ -25,10 +25,18 @@ def commutes_same_index(op1: PDDO, op2: PDDO) -> bool:
     The coefficients of 1 and s in pi pi' - pi' pi vanish exactly when
     Q0 d(Q0') = Q0' d(Q0) and Q0 d(R0') = Q0' d(R0).  This holds for every
     pair, degenerate or not.
+
+    The first condition is decided with one product.  Q(z)[u, v] is a
+    domain, so multiplying both sides by u - v keeps the equation true or
+    false, and (u - v) d(g) = g - swap(g) turns it into Q0 (Q0' - swap Q0')
+    = Q0' (Q0 - swap Q0), that is Q0 swap(Q0') = Q0' swap(Q0).  The right
+    side is swap of the left, so the condition holds exactly when p =
+    Q0 swap(Q0') is symmetric: one product and two swaps, in place of two
+    products and two divided differences.
     """
     q1, r1 = op1.Q0, op1.R0
     q2, r2 = op2.Q0, op2.R0
-    return q1 * q2.ddiff() == q2 * q1.ddiff() and q1 * r2.ddiff() == q2 * r1.ddiff()
+    return (q1 * q2.swap()).is_symmetric() and q1 * r2.ddiff() == q2 * r1.ddiff()
 
 
 def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:

@@ -10,7 +10,8 @@ A monomial u^r v^s is d-positive when r > s; the d-positive polynomials are
 a complement of the symmetric ones, and the divided difference restricts to
 a bijection from d-positive onto symmetric polynomials.  Both directions are
 closed forms.  Writing p[cond] for the terms u^r v^s of p whose (r, s)
-satisfy cond, the split is pos = p[r > s] - swap(p[r < s]), sym = p - pos.
+satisfy cond, the split is pos = p[r > s] - swap(p[r < s]), sym = p - pos;
+``SlotPoly._dpositive`` forms pos in one pass over the terms of p.
 For symmetric phi, d(u phi) = phi, and d is injective on d-positive
 polynomials, so the lift of phi is the d-positive part of u phi.
 """
@@ -40,7 +41,7 @@ def dpositive_split(p: SlotPoly) -> tuple[SlotPoly, SlotPoly]:
     with r < s is (u^r v^s + u^s v^r) - u^s v^r, a symmetric basis element
     minus a d-positive monomial.
     """
-    pos = _dpositive(p)
+    pos = p._dpositive()
     return p - pos, pos
 
 
@@ -49,8 +50,4 @@ def dpositive_lift(phi: SlotPoly) -> SlotPoly:
     d-positive part of u phi (module docstring)."""
     if not phi.is_symmetric():
         raise ValueError("dpositive_lift requires a slot-symmetric input")
-    return _dpositive(_U * phi)
-
-
-def _dpositive(p: SlotPoly) -> SlotPoly:  # p[r > s] - swap(p[r < s])
-    return p._where(lambda r, s: r > s) - p._where(lambda r, s: r < s).swap()
+    return (_U * phi)._dpositive()

@@ -10,9 +10,16 @@ polynomials of the operators built in :mod:`braidops.pddo`.  Term order for
 printing and leading terms is graded lexicographic.
 
 The constructor reads outside coefficients (``_pairs``).  Every polynomial
-built inside, a sum, product, operator application, slot move, placement,
-``swap_vars`` or ``exact_div`` result or coerced scalar, ends in ``_normal``,
-the one internal constructor, with at most one gcd pass over its integers.
+built inside ends in ``_normal``, the one internal constructor, which
+divides out the content and sets the three slots through their member
+descriptors, with at most one gcd pass over its integers.  A result summed
+in an integer accumulator {e: [a, b]}, a product, ``SlotPoly.ddiff``,
+``SlotPoly._at_v``, ``SlotPoly._dpositive`` or a quotient by u - v, comes
+out of ``_from_acc``, one pass that drops the zero pairs and takes the gcd.
+A move of stored pairs (a slot swap, ``swap_vars``, a placement) keeps the
+content, as do the stored forms that ``_pairs`` gives ``exact_div`` and a
+coerced scalar, so these pass it as 1 and take no gcd pass.  A sum skips the
+coercion of an operand of its own class and dimension, and so does a product.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
 (Q0, R0) = (1, 0), read from an ``_Action`` that keeps the image of each
 monomial met: R0 for 1, and for the others ``_Action.act``, the one routine
@@ -26,7 +33,9 @@ dict.  Every two-variable product, of ``_mul_pairs`` and inside
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
 ``SlotPoly._where`` (the terms with a chosen exponent pair),
-``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._separable`` (whether
+``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._dpositive`` (the
+d-positive part of :func:`braidops.divdiff.dpositive_split`),
+``SlotPoly._separable`` (whether
 it is a product a(u) b(v), by the 2x2 minors of its coefficients) and
 ``SlotPoly._over_u_minus_v`` (the quotient by u - v, or None when u - v does
 not divide it: the one test of that divisibility).  Stored pairs are tuples, shared between
@@ -41,8 +50,8 @@ JSON writers read it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import add
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .field import FieldElement, ONE, ZERO, _text
@@ -74,8 +83,8 @@ def _grlex(exponents: tuple[int, ...]) -> tuple:
 
 
 def _pairs(n_vars: int, terms: Mapping) -> tuple[dict, int]:
-    """The stored form (exponent -> (a, b), d) of a map to coefficients, in
-    one pass; the pairs met so far are rescaled when d grows.
+    """The stored form (exponent -> (a, b), d) of a map to coefficients: the
+    nonzero coefficients are checked and kept, then written over d.
 
     d is the least common multiple of the coefficients' denominators.  Each
     coefficient is in lowest terms, so a prime power that divides d exactly
@@ -83,25 +92,17 @@ def _pairs(n_vars: int, terms: Mapping) -> tuple[dict, int]:
     numerators, scaled by a factor prime to it, are not both multiples of the
     prime: the content is 1 with no gcd pass.
     """
-    num: dict = {}
-    den = 1
+    kept, den = {}, 1
     for e, c in terms.items():
         if len(e) != n_vars:
             raise ValueError(f"exponent vector {e} does not have {n_vars} entries")
         if not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"exponent vector {e} has an entry that is not an int >= 0")
-        if type(c) is not FieldElement:
-            c = FieldElement.of(c)
-        a, b, d = c._a, c._b, c._d
-        if not (a or b):
-            continue
-        if den % d:
-            k = d // gcd(den, d)
-            num = {x: (p * k, q * k) for x, (p, q) in num.items()}
-            den *= k
-        k = den // d
-        num[tuple(e)] = (a * k, b * k) if k != 1 else (a, b)
-    return num, den
+        c = FieldElement.of(c)
+        if c:
+            kept[tuple(e)] = c
+            den = lcm(den, c._d)
+    return {e: (c._a * den // c._d, c._b * den // c._d) for e, c in kept.items()}, den
 
 
 def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
@@ -164,13 +165,13 @@ def _divide_terms(f: Mapping, g: Mapping) -> dict:
     quo: dict = {}
     while rem:
         lead = max(rem, key=_grlex)
-        diff = tuple(a - b for a, b in zip(lead, lead_g))
-        if any(d < 0 for d in diff):
+        diff = tuple(map(sub, lead, lead_g))
+        if min(diff) < 0:
             raise InexactDivisionError("nonzero remainder in exact division")
         c = rem[lead] / coeff_g
         quo[diff] = c
         for e, ce in g.items():
-            shifted = tuple(a + b for a, b in zip(diff, e))
+            shifted = tuple(map(add, diff, e))
             new = rem.get(shifted, ZERO) - c * ce
             if new:
                 rem[shifted] = new
@@ -275,9 +276,17 @@ def _run_word(word: list, f: "MultiPoly", actions: dict) -> "MultiPoly":
     return f
 
 
-def _nonzero(acc: Mapping) -> dict:
-    """The pairs of an accumulator that are not (0, 0), as tuples."""
-    return {e: (a, b) for e, (a, b) in acc.items() if a or b}
+def _summed(triples: Iterable) -> dict:
+    """The accumulator {key: [a, b]} of (key, a, b) triples, equal keys summed."""
+    acc: dict = {}
+    for key, a, b in triples:
+        pair = acc.get(key)
+        if pair is None:
+            acc[key] = [a, b]
+        else:
+            pair[0] += a
+            pair[1] += b
+    return acc
 
 
 def _fmt_terms(p: "MultiPoly", names) -> str:
@@ -298,30 +307,45 @@ class MultiPoly:
         if n_vars < 1:
             raise ValueError("n_vars must be positive")
         num, den = _pairs(n_vars, terms)
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set_n_vars(self, n_vars)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
-    def _normal(cls, n_vars: int, num: dict, den: int) -> "MultiPoly":
+    def _normal(cls, n_vars: int, num: dict, den: int, g: int = 0) -> "MultiPoly":
         """The one internal constructor.  Its contract: num maps tuple
         exponents of length n_vars to tuple pairs, none of them (0, 0), over
-        den > 0.  It divides out the gcd of den and every numerator; the map
-        is built by this module and never changed afterwards."""
-        g = den
-        if g != 1:
-            for a, b in num.values():
-                g = gcd(g, a, b)
-                if g == 1:
-                    break
-            else:  # the zero polynomial ends with g = den, so d = 1
-                num = {e: (a // g, b // g) for e, (a, b) in num.items()}
-                den //= g
+        den > 0.  It divides out g, the gcd of den and every numerator, found
+        here when not given; the map is built by this module and never
+        changed afterwards."""
+        if not g:
+            g = den
+            if g != 1:
+                for a, b in num.values():
+                    g = gcd(g, a, b)
+                    if g == 1:
+                        break
+        if g != 1:  # the zero polynomial has g = den, so d = 1
+            num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+            den //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set_n_vars(self, n_vars)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
+
+    @classmethod
+    def _from_acc(cls, n_vars: int, acc: Mapping, den: int) -> "MultiPoly":
+        """The polynomial of an accumulator {e: [a, b]} over den: zero pairs
+        are dropped and the gcd taken in one pass."""
+        num = {}
+        g = den
+        for e, (a, b) in acc.items():
+            if a or b:
+                num[e] = (a, b)
+                if g != 1:
+                    g = gcd(g, a, b)
+        return cls._normal(n_vars, num, den, g)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -334,7 +358,7 @@ class MultiPoly:
 
     @staticmethod
     def const(n_vars: int, value) -> "MultiPoly":
-        return MultiPoly(n_vars, {(0,) * n_vars: FieldElement.of(value)})
+        return MultiPoly(n_vars, {(0,) * n_vars: value})
 
     @staticmethod
     def variable(n_vars: int, i: int) -> "MultiPoly":
@@ -346,7 +370,7 @@ class MultiPoly:
 
     @staticmethod
     def monomial(n_vars: int, exponents: Iterable[int], coeff=1) -> "MultiPoly":
-        return MultiPoly(n_vars, {tuple(exponents): FieldElement.of(coeff)})
+        return MultiPoly(n_vars, {tuple(exponents): coeff})
 
     @classmethod
     def _monomial(cls, e: tuple) -> "MultiPoly":
@@ -393,8 +417,7 @@ class MultiPoly:
         if len(values) != self.n_vars:
             raise DimensionMismatchError("evaluation point has wrong length")
         total = ZERO
-        for e, c in self.terms.items():
-            term = c
+        for e, term in self.terms.items():
             for val, exp in zip(values, e):
                 term = term * val**exp
             total = total + term
@@ -406,49 +429,36 @@ class MultiPoly:
         """other as a polynomial of this class and dimension; a scalar
         becomes a constant."""
         if isinstance(other, MultiPoly):
-            if type(other) is not type(self):
-                raise DimensionMismatchError(
-                    f"mixing {type(self).__name__} and {type(other).__name__}")
-            if other.n_vars != self.n_vars:
-                raise DimensionMismatchError(
-                    f"mixing {self.n_vars}-variable and {other.n_vars}-variable polynomials"
-                )
+            if type(other) is not type(self) or other.n_vars != self.n_vars:
+                raise DimensionMismatchError(f"mixing {type(self).__name__} and {type(other).__name__}"
+                                             f" in {self.n_vars} and {other.n_vars} variables")
             return other
-        c = FieldElement.of(other)
-        num = {(0,) * self.n_vars: (c._a, c._b)} if c else {}
-        return type(self)._normal(self.n_vars, num, c._d)
+        return type(self)._normal(self.n_vars, *_pairs(self.n_vars, {(0,) * self.n_vars: other}), 1)
 
-    def _sum(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign * other over the least common denominator."""
-        den, db = self._den, other._den
-        if den == db:
-            out = dict(self._num)
-            kb = sign
-        else:
-            den = den // gcd(den, db) * db
-            ka = den // self._den
-            out = {e: (a * ka, b * ka) for e, (a, b) in self._num.items()}
-            kb = sign * (den // db)
+    def _sum(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other over the least common denominator; other is
+        coerced unless it has self's class and dimension."""
+        if type(other) is not type(self) or other.n_vars != self.n_vars:
+            other = self._coerce(other)
+        den = lcm(self._den, other._den)
+        ka, kb = den // self._den, sign * den // other._den
+        out = {e: (a * ka, b * ka) for e, (a, b) in self._num.items()} if ka != 1 else dict(self._num)
         for e, (a, b) in other._num.items():
-            pair = out.get(e)
-            if pair is None:
-                out[e] = (a * kb, b * kb)
+            pa, pb = out.get(e, (0, 0))
+            a, b = pa + a * kb, pb + b * kb
+            if a or b:
+                out[e] = (a, b)
             else:
-                a = pair[0] + a * kb
-                b = pair[1] + b * kb
-                if a or b:
-                    out[e] = (a, b)
-                else:
-                    del out[e]
+                del out[e]
         return type(self)._normal(self.n_vars, out, den)
 
     def __add__(self, other) -> "MultiPoly":
-        return self._sum(self._coerce(other), 1)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        return self._sum(self._coerce(other), -1)
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
@@ -457,9 +467,10 @@ class MultiPoly:
         return self * -1
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
+        if type(other) is not type(self) or other.n_vars != self.n_vars:
+            other = self._coerce(other)
         acc = _mul_pairs(self._num, other._num, self.n_vars)
-        return type(self)._normal(self.n_vars, _nonzero(acc), self._den * other._den)
+        return type(self)._from_acc(self.n_vars, acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -489,22 +500,22 @@ class MultiPoly:
     __repr__ = __str__
 
 
+_set_n_vars, _set_num, _set_den = (MultiPoly.n_vars.__set__, MultiPoly._num.__set__,
+                                   MultiPoly._den.__set__)
+
+
 def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
     """Exchange x_i and x_{i+1} in every term (1 <= i <= n_vars - 1)."""
     if not 1 <= i <= f.n_vars - 1:
         raise IndexError(f"transposition index {i} out of range 1..{f.n_vars - 1}")
-    out = {}
-    for e, pair in f._num.items():
-        le = list(e)
-        le[i - 1], le[i] = le[i], le[i - 1]
-        out[tuple(le)] = pair
-    return type(f)._normal(f.n_vars, out, f._den)
+    out = {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: pair for e, pair in f._num.items()}
+    return type(f)._normal(f.n_vars, out, f._den, 1)  # a move keeps the content
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The quotient f/g when g divides f exactly in the polynomial ring."""
     quo = _divide_terms(f.terms, f._coerce(g).terms)
-    return type(f)._normal(f.n_vars, *_pairs(f.n_vars, quo))
+    return type(f)._normal(f.n_vars, *_pairs(f.n_vars, quo), 1)
 
 
 class SlotPoly(MultiPoly):
@@ -531,7 +542,7 @@ class SlotPoly(MultiPoly):
 
     @staticmethod
     def const(value) -> "SlotPoly":
-        return SlotPoly({(0, 0): FieldElement.of(value)})
+        return SlotPoly({(0, 0): value})
 
     @staticmethod
     def u() -> "SlotPoly":
@@ -543,18 +554,14 @@ class SlotPoly(MultiPoly):
 
     @staticmethod
     def monomial(r: int, s: int, coeff=1) -> "SlotPoly":
-        return SlotPoly({(r, s): FieldElement.of(coeff)})
+        return SlotPoly({(r, s): coeff})
 
     @staticmethod
     def univariate(coeffs, slot: int = 0) -> "SlotPoly":
         """Build sum coeffs[k] * slot^k; slot 0 is u, slot 1 is v."""
         if slot not in (0, 1):
             raise ValueError("slot must be 0 (u) or 1 (v)")
-        terms = {}
-        for k, c in enumerate(coeffs):
-            e = (k, 0) if slot == 0 else (0, k)
-            terms[e] = FieldElement.of(c)
-        return SlotPoly(terms)
+        return SlotPoly({(k, 0) if slot == 0 else (0, k): c for k, c in enumerate(coeffs)})
 
     # -- slot operations ---------------------------------------------------
 
@@ -566,11 +573,17 @@ class SlotPoly(MultiPoly):
 
     def swap(self) -> "SlotPoly":
         """Exchange the two slots."""
-        return SlotPoly._normal(2, {(s, r): pair for (r, s), pair in self._num.items()}, self._den)
+        return SlotPoly._normal(2, {(s, r): pair for (r, s), pair in self._num.items()}, self._den, 1)
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
-        return SlotPoly._normal(2, _nonzero(_ddiff_pairs(self._num)), self._den)
+        return SlotPoly._from_acc(2, _ddiff_pairs(self._num), self._den)
+
+    def _dpositive(self) -> "SlotPoly":
+        """self[r > s] - swap(self[r < s]) in one pass (braidops.divdiff)."""
+        return SlotPoly._from_acc(2, _summed(((r, s), a, b) if r > s else ((s, r), -a, -b)
+                                             for (r, s), (a, b) in self._num.items() if r != s),
+                                  self._den)
 
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return exact_div(self, g)
@@ -582,12 +595,8 @@ class SlotPoly(MultiPoly):
 
     def _at_v(self, c: int) -> "SlotPoly":
         """self(u, c), summed from the stored integer pairs over self's denominator."""
-        acc: dict = {}
-        for (r, s), (a, b) in self._num.items():
-            pair = acc.setdefault((r, 0), [0, 0])
-            pair[0] += a * c ** s
-            pair[1] += b * c ** s
-        return SlotPoly._normal(2, _nonzero(acc), self._den)
+        return SlotPoly._from_acc(2, _summed(((r, 0), a * c ** s, b * c ** s)
+                                             for (r, s), (a, b) in self._num.items()), self._den)
 
     def _separable(self) -> bool:
         """Whether self is a(u) b(v): its coefficient matrix [c_rs] has rank
@@ -621,23 +630,13 @@ class SlotPoly(MultiPoly):
         u^l v^(r-1-l+s) + p(v, v), and the remainder p(v, v) is zero exactly
         when each degree's coefficients c_rs, r + s = k, sum to zero.  It is
         tested first, so a refusal builds no quotient."""
-        remainder: dict = {}
-        for (r, s), (a, b) in self._num.items():
-            pair = remainder.setdefault(r + s, [0, 0])
-            pair[0] += a
-            pair[1] += b
-        if any(a or b for a, b in remainder.values()):
+        num = self._num
+        if any(map(any, _summed((r + s, a, b) for (r, s), (a, b) in num.items()).values())):
             return None
-        acc: dict = {}
-        for (r, s), (a, b) in self._num.items():
-            for l in range(r):
-                pair = acc.setdefault((l, r - 1 - l + s), [0, 0])
-                pair[0] += a
-                pair[1] += b
+        acc = _summed(((l, r - 1 - l + s), a, b) for (r, s), (a, b) in num.items() for l in range(r))
         # In descending term order, as long division yields its quotient.
-        num = {e: (a, b) for e in sorted(acc, key=_grlex, reverse=True)
-               for a, b in (acc[e],) if a or b}
-        return SlotPoly._normal(2, num, self._den)
+        return SlotPoly._from_acc(2, {e: acc[e] for e in sorted(acc, key=_grlex, reverse=True)},
+                                  self._den)
 
     def evaluate(self, uval, vval) -> FieldElement:
         return super().evaluate((uval, vval))
@@ -661,4 +660,4 @@ def instantiate(p: SlotPoly, i: int, j: int, n: int) -> MultiPoly:
         e[i - 1] = r
         e[j - 1] = s
         out[tuple(e)] = pair
-    return MultiPoly._normal(n, out, p._den)
+    return MultiPoly._normal(n, out, p._den, 1)

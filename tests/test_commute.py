@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidops import commute, sampling
-from braidops.braid import quad_commute_check
+from braidops.braid import quad_commute_check, relation_holds
 from braidops.commute import (
     CommuteReport,
     _consecutive_commute,
@@ -95,7 +96,51 @@ class TestExactCriteria:
             assert not any(report.consecutive.values())
 
 
+def _four_products(op1: PDDO, op2: PDDO) -> bool:
+    """Q0 d(Q0~) = Q0~ d(Q0) and Q0 d(R0~) = Q0~ d(R0), each side its own
+    product with a divided difference."""
+    q1, r1, q2, r2 = op1.Q0, op1.R0, op2.Q0, op2.R0
+    return q1 * q2.ddiff() == q2 * q1.ddiff() and q1 * r2.ddiff() == q2 * r1.ddiff()
+
+
+_qz = st.builds(FieldElement, st.fractions(-9, 9, max_denominator=6),
+                st.fractions(-9, 9, max_denominator=6))
+_slots = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _qz,
+                         max_size=4).map(SlotPoly)
+_ops = st.builds(PDDO.from_q0_r0, _slots, _slots)
+_multipliers = st.builds(PDDO.from_q0_r0, st.just(ZERO_P), _slots)  # zero Q0
+# A symmetric R0 has d(R0) = 0, so the R0 condition holds and Q0 decides.
+_symmetric_r0 = st.builds(lambda q, r: PDDO.from_q0_r0(q, r + r.swap()), _slots, _slots)
+_same_index_pairs = st.one_of(
+    st.tuples(_ops, _ops),
+    st.tuples(_symmetric_r0, _symmetric_r0),
+    st.tuples(_multipliers, _ops),
+    st.tuples(_ops, _multipliers),
+    st.tuples(_multipliers, _multipliers),
+    _ops.map(lambda op: (op, op.compose(op))),
+    st.tuples(_ops, _qz).map(lambda t: (t[0], identity_op(t[1]))),
+    st.tuples(_qz, _qz).map(lambda t: (identity_op(t[0]), identity_op(t[1]))),
+    # Q0~ a multiple of Q0: the first condition holds, the R0 one decides.
+    st.tuples(_ops, _qz, _slots).map(
+        lambda t: (t[0], PDDO.from_q0_r0(t[0].Q0.scale(t[1]), t[2]))),
+    st.tuples(_ops, _qz, _qz).map(
+        lambda t: (t[0], t[0].scale(t[1]) + identity_op(t[2]))),
+)
+
+
 class TestSameIndex:
+    @given(_same_index_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_one_product_test_matches_the_word_oracle_and_four_products(self, pair):
+        """The one-product decision against the word-level decider, which
+        compares pi pi~ and pi~ pi on the Artin basis, and against the
+        four-product formula, on random operators over Q(z), operators with
+        a zero Q0, scalar operators and op against op o op."""
+        a, b = pair
+        got = commutes_same_index(a, b)
+        assert got is (relation_holds([(1, a), (1, b)], [(1, b), (1, a)]) is None)
+        assert got is _four_products(a, b)
+
     def test_operator_commutes_with_itself(self):
         op = preset("demazure", 3)[1]
         assert commutes_same_index(op, op)

@@ -255,6 +255,15 @@ def assert_canonical(p: MultiPoly) -> None:
     assert gcd(den, *[x for pair in num.values() for x in pair]) == 1
 
 
+def assert_stored_form(p: MultiPoly) -> None:
+    """Canonical, the zero polynomial over d = 1, and the very stored form
+    that the constructor gives p's own terms."""
+    assert_canonical(p)
+    assert p._num or p._den == 1
+    rebuilt = MultiPoly(p.n_vars, p.terms)
+    assert (rebuilt._num, rebuilt._den) == (p._num, p._den)
+
+
 def _snapshot(p: MultiPoly):
     return dict(p._num), p._den
 
@@ -290,6 +299,34 @@ class TestStoredForm:
             assert_canonical(result)
             assert result.terms == expected
         assert [_snapshot(p) for p in (f, g, k)] == before
+
+    @given(operands(2), term_maps(2), term_maps(2), qz_coeffs, st.integers(0, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_result_is_in_canonical_stored_form(self, data, s, t, c, v, choice):
+        """Every result built from an accumulator or a move of stored pairs:
+        products, divided differences, v set to an integer, slot swaps,
+        d-positive parts, an operator's T, sums and placements, among them
+        results whose pairs cancel, results that are zero and results whose
+        pairs share a factor with the denominator."""
+        n, a, b = data
+        f, g, p, q = MultiPoly(n, a), MultiPoly(n, b), SlotPoly(s), SlotPoly(t)
+        i = choice.draw(st.integers(1, n))
+        j = choice.draw(st.integers(1, n).filter(lambda j: j != i))
+        k = choice.draw(st.integers(1, n - 1))
+        u_minus_v = SlotPoly(U_MINUS_V)
+        symmetric = p + p.swap()
+        results = [
+            f * g, f * c, f * 0, (f + g) * (f - g), f.scale(6) * g.scale(10),
+            f + g, f - g, f - f, f + c, c - f, -f,
+            ddiff(f, k), ddiff(f * f, k), swap_vars(f, k), instantiate(p, i, j, n),
+            p * q, (p + q) * (p - q), p * u_minus_v, p.scale(6) * q.scale(4),
+            p.ddiff(), symmetric.ddiff(), (p * u_minus_v).ddiff(),
+            p._at_v(v), symmetric._at_v(v), (p * u_minus_v)._at_v(0),
+            p.swap(), p._dpositive(), symmetric._dpositive(), *dpositive_split(p),
+            dpositive_lift(symmetric), PDDO.from_q0_r0(p, q).T, PDDO.from_q0_r0(p, -p).T,
+        ]
+        for result in results:
+            assert_stored_form(result)
 
     @given(operands(1), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
@@ -446,11 +483,12 @@ class TestStoredForm:
     def test_only_multipoly_reads_stored_pairs(self):
         """The stored form is read and built in braidops.multipoly alone: no
         other library file names the stored numerators or denominator, the
-        internal constructor or the zero-pair filter, nor an operator's
+        internal constructor or the accumulator pass, nor an operator's
         action, the pass that applies it or the monomial images it keeps.
         Names that begin with "_" are matched as whole identifiers, so that
         cli's _cmd_apply is not _apply."""
-        names = ("._num", "._den", "_normal(", "_nonzero", "_Action", "_apply(", ".images")
+        names = ("._num", "._den", "_normal(", "_from_acc(", "_summed(", "_Action", "_apply(",
+                 ".images")
         readers = {}
         for path in Path(multipoly.__file__).parent.glob("*.py"):
             if path.name != "multipoly.py":
