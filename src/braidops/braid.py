@@ -86,10 +86,10 @@ must pass that rank test with no term v^s, s > 1, for sf, and no term u^r,
 r > 1, for sigma_f.
 
 *Hecke lemma.*  Let d(t) = mu be a constant, as in the normal form.  Let
-nu = pi(R0) - mu R0 at one index and nu~ that of varpi (the Hecke nu:
-pi^2 = mu pi + nu when nu is constant).  Writing q = t - (u-v) R0 gives
-q(u,v) q(v,u) = t(u,v) t(v,u) - (u-v)^2 nu(u,v), and with this f's reduced
-difference is
+nu = pi(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu), a slot polynomial, and nu~
+that of varpi (the Hecke nu: pi^2 = mu pi + nu when nu is constant).
+Writing q = t - (u-v) R0 gives q(u,v) q(v,u) = t(u,v) t(v,u) - (u-v)^2
+nu(u,v), and with this f's reduced difference is
 
     (t_xy (y-z) - t_yz (x-y)) * (sf's reduced difference)
     + (x-y)^2 (y-z)^2 t_xz (nu(x,y) - nu~(y,z)),
@@ -245,9 +245,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     if same_t and not T:
         sf_known = sigma_f_known = f_known = True
     elif same_t and Q and Qt:  # the normal-form lemma
-        separable = T._separable()
-        sf_known = separable and not T._where(lambda r, s: s > 1)
-        sigma_f_known = separable and not T._where(lambda r, s: r > 1)
+        separable, (deg_u, deg_v) = T._separable(), T._degrees()
+        sf_known, sigma_f_known = separable and deg_v <= 1, separable and deg_u <= 1
         if sf_known and sigma_f_known:  # T bilinear, so d(T) is a constant
             mu = T.ddiff().constant_value()
             nu = _hecke_nu(pi, mu)
@@ -256,14 +255,13 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
         # multiplier's stored R0 = g: pi multiplies when Qt != 0, and tg = (u - v) g is its T
         g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)
         gs, qq = g.swap(), q * q.swap()
-        k0 = not g._where(lambda r, s: (r if Qt else s) > 0)  # K = 0
+        k0 = not g._degrees()[0 if Qt else 1]  # K = 0, K the degree in the unshared slot
         transposition = not q or k0 and (t - tg) * gs == t.swap() * g
         f_known = t * gs * (t + tg.swap()) == qq * g if k0 else not (q or t)
         sf_known, sigma_f_known = (True, transposition) if Qt else (transposition, True)
         q_sq, qt_sq = (Q, qq) if Qt else (qq, Qt)
     else:  # T != T~ with both Q0 nonzero: the diagonal lemma and the divisible-T step
-        sf_known = _divisible_t(T, Tt, lambda r, s: s > 0)
-        sigma_f_known = _divisible_t(Tt, T, lambda r, s: r > 0)
+        sf_known, sigma_f_known = _divisible_t(T, Tt, 1), _divisible_t(Tt, T, 0)
     middle = Q.is_zero() or Qt.is_zero() or same_t
     xy, xz, yz = _XY, _XZ, _YZ
 
@@ -298,16 +296,16 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     }
 
 
-def _divisible_t(t: SlotPoly, tt: SlotPoly, unshared) -> bool:
-    """Whether sf's reduced difference vanishes, with t, tt = T, T~ and
-    unshared(r, s) = s > 0, or sigma_f's, with t, tt = T~, T and r > 0, for
-    a pair with T != T~ and both Q0 nonzero (module docstring).  When u - v
-    does not divide tt, its diagonal tt(v,v) is nonzero and refutes it (the
-    diagonal lemma).  Otherwise tt = (u - v) g, and by the divisible-T step
-    it vanishes exactly when g has no term that unshared keeps and
+def _divisible_t(t: SlotPoly, tt: SlotPoly, unshared: int) -> bool:
+    """Whether sf's reduced difference vanishes, with t, tt = T, T~ and the
+    unshared slot 1 (v), or sigma_f's, with t, tt = T~, T and slot 0 (u),
+    for a pair with T != T~ and both Q0 nonzero (module docstring).  When
+    u - v does not divide tt, its diagonal tt(v,v) is nonzero and refutes it
+    (the diagonal lemma).  Otherwise tt = (u - v) g, and by the divisible-T
+    step it vanishes exactly when g has degree 0 in the unshared slot and
     (t - tt) swap(g) == swap(t) g."""
     g = tt._over_u_minus_v()
-    return g is not None and not g._where(unshared) and (t - tt) * g.swap() == t.swap() * g
+    return g is not None and not g._degrees()[unshared] and (t - tt) * g.swap() == t.swap() * g
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:

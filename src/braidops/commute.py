@@ -51,9 +51,9 @@ def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:
     if not lo.Q0 and not hi.Q0:
         return True
     if not lo.Q0:
-        return not lo.R0._where(lambda r, s: s > 0)
+        return not lo.R0._degrees()[1]
     if not hi.Q0:
-        return not hi.R0._where(lambda r, s: r > 0)
+        return not hi.R0._degrees()[0]
     return False
 
 

@@ -32,13 +32,15 @@ dict.  Every two-variable product, of ``_mul_pairs`` and inside
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
-``SlotPoly._where`` (the terms with a chosen exponent pair),
 ``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._dpositive`` (the
-d-positive part of :func:`braidops.divdiff.dpositive_split`),
-``SlotPoly._separable`` (whether
-it is a product a(u) b(v), by the 2x2 minors of its coefficients) and
+d-positive part of :func:`braidops.divdiff.dpositive_split`) and
 ``SlotPoly._over_u_minus_v`` (the quotient by u - v, or None when u - v does
-not divide it: the one test of that divisibility).  Stored pairs are tuples, shared between
+not divide it: the one test of that divisibility).  A slot test that is
+answered by a yes or no or a number reads the stored pairs and builds no
+polynomial: ``SlotPoly.is_symmetric`` (each pair against the pair under its
+mirrored key), ``SlotPoly._degrees`` (the largest exponent of each slot)
+and ``SlotPoly._separable`` (whether it is a product a(u) b(v), by the 2x2
+minors of its coefficients).  Stored pairs are tuples, shared between
 polynomials and never changed.  Field elements are built only where a
 coefficient is read out as a value: ``terms``, ``constant_value``,
 ``evaluate`` and the long division of ``exact_div``.  A polynomial becomes
@@ -566,7 +568,10 @@ class SlotPoly(MultiPoly):
     # -- slot operations ---------------------------------------------------
 
     def is_symmetric(self) -> bool:
-        return self == self.swap()
+        """self == swap(self), read off the stored pairs with no swap built:
+        each pair must be the one under its mirrored key (a swap keeps the
+        denominator, as it keeps the content)."""
+        return all(self._num.get(rs[::-1]) == pair for rs, pair in self._num.items())
 
     def is_dpositive(self) -> bool:
         return all(r > s for r, s in self._num)
@@ -588,10 +593,9 @@ class SlotPoly(MultiPoly):
     def exact_div(self, g: "SlotPoly") -> "SlotPoly":
         return exact_div(self, g)
 
-    def _where(self, keep) -> "SlotPoly":
-        """The terms u^r v^s of self with keep(r, s)."""
-        return SlotPoly._normal(2, {rs: pair for rs, pair in self._num.items() if keep(*rs)},
-                                self._den)
+    def _degrees(self) -> tuple[int, int]:
+        """(deg_u, deg_v), the largest exponents of u and v; (0, 0) for zero."""
+        return tuple(map(max, zip((0, 0), *self._num)))
 
     def _at_v(self, c: int) -> "SlotPoly":
         """self(u, c), summed from the stored integer pairs over self's denominator."""

@@ -9,8 +9,9 @@ constructor PDDO(T, Q0) checks outside input: R0 is the quotient of T - Q0 by
 u - v, found without long division, and the input is refused when u - v does
 not divide T - Q0, which ``SlotPoly._over_u_minus_v`` alone decides.
 An operator is fixed by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so
-composition and the Hecke parameters are read off the action with no
-product formula of their own.
+composition is read off the action with no product formula of its own.  The
+Hecke parameters are slot arithmetic: mu = d(T) and nu = pi(R0) - mu R0 =
+Q0 d(R0) + R0 (R0 - mu), with no operator applied.
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ class PDDO:
 
         When Q0 != 0, op o op has Q0 d(T) for its Q0 (see compose), so mu must
         be d(T), and at 1, where op(1) = R0, the relation reads op(R0) = mu R0
-        + nu: it holds iff d(T) and nu = op(R0) - mu R0 are both constant.  When
-        Q0 = 0 the operator is multiplication by R0, which satisfies one iff
-        R0 = r is constant, and then op^2 = r * op.
+        + nu: it holds iff d(T) and nu = op(R0) - mu R0 are both constant, nu
+        formed in slot arithmetic (_hecke_nu).  When Q0 = 0 the operator is
+        multiplication by R0, which satisfies one iff R0 = r is constant, and
+        then op^2 = r * op.
         """
         if not self.Q0:
             if self.R0.is_constant():
@@ -190,10 +192,11 @@ class PDDO:
 
 
 def _hecke_nu(op: PDDO, mu: FieldElement) -> SlotPoly:
-    """op(R0) - mu R0 at index 1.  When d(T) = mu, op o op - mu op has Q0
-    d(T) - mu Q0 = 0 for its Q0 and this for its R0 (see compose): it is
-    multiplication by nu, and op^2 = mu op + nu exactly when nu is constant."""
-    return op.apply(1, op.R0) - op.R0 * mu
+    """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu), in slot arithmetic with no
+    operator applied.  When d(T) = mu, op o op - mu op has Q0 d(T) - mu Q0 = 0
+    for its Q0 and this for its R0 (see compose): it is multiplication by nu,
+    and op^2 = mu op + nu exactly when nu is constant."""
+    return op.Q0 * op.R0.ddiff() + op.R0 * (op.R0 - mu)
 
 
 def identity_op(c=1) -> PDDO:

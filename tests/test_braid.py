@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidops import braid, multipoly, sampling
+from braidops import braid, multipoly, pddo, sampling
 from braidops.braid import (
     CubicReport,
     FamilyReport,
@@ -457,7 +457,8 @@ class TestMultiplicationLemma:
 def test_braiding_pairs_never_leave_two_variables(monkeypatch):
     """A braiding pair is decided in two variables: on the presets, zeta
     pairs, vanq0 families and case-2 families, the check places no slot
-    polynomial in three variables and applies no word."""
+    polynomial in three variables and applies no operator, not even for the
+    Hecke nu."""
     rng = random.Random(7)
     pairs = [(fam[1], fam[2]) for fam in (preset("pure_ddiff", 3), preset("demazure", 3),
                                           preset("grothendieck", 3, 1))]
@@ -469,12 +470,13 @@ def test_braiding_pairs_never_leave_two_variables(monkeypatch):
             pairs += [(fam[i], fam[i + 1]) for i in range(1, n - 1)]
     assert any(not pi.Q0 or not varpi.Q0 for pi, varpi in pairs)
     calls = []
-    for name in ("instantiate", "_run_word"):
-        def counting(*args, real=getattr(braid, name)):
+    for module, name in ((braid, "instantiate"), (braid, "_run_word"), (pddo, "_run_word"),
+                         (multipoly, "_apply")):
+        def counting(*args, real=getattr(module, name)):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(braid, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for pi, varpi in pairs:
         assert cubic_braid_check(pi, varpi).passed
     assert calls == []

@@ -424,15 +424,31 @@ class TestStoredForm:
             assert p._at_v(0) == p and p._at_v(3) == p
 
     @given(term_maps(2))
+    @example({})
+    @example({(0, 3): FieldElement.of(0), (2, 1): ONE})  # a zero coefficient is no term
     @settings(max_examples=100, deadline=None)
-    def test_where_matches_a_filter_of_the_terms(self, terms):
+    def test_degrees_are_the_largest_exponents_of_the_terms(self, terms):
+        """(deg_u, deg_v) is the largest u and v exponent of a nonzero term,
+        (0, 0) for the zero polynomial."""
+        kept = _clean(terms)
+        assert SlotPoly(terms)._degrees() == (max((r for r, _ in kept), default=0),
+                                              max((s for _, s in kept), default=0))
+
+    @given(term_maps(2), qz_coeffs, st.sampled_from(["plain", "symmetrised", "mirrored"]))
+    @example({(2, 1): ONE}, FieldElement.of(2), "mirrored")
+    @example({(2, 1): ONE, (1, 1): ONE}, ONE, "mirrored")
+    @settings(max_examples=150, deadline=None)
+    def test_is_symmetric_is_equality_with_the_swap(self, terms, c, kind):
+        """is_symmetric() is p == swap(p) for p with Q(z) coefficients, for
+        p + swap(p), and for p + c swap(p), whose keys are mirrored but whose
+        mirrored coefficients differ unless c = 1."""
         p = SlotPoly(terms)
-        for keep in (lambda r, s: r > s, lambda r, s: r < s, lambda r, s: r == s,
-                     lambda r, s: r + s >= 3, lambda r, s: True, lambda r, s: False):
-            result = p._where(keep)
-            assert type(result) is SlotPoly
-            assert_canonical(result)
-            assert result.terms == {e: c for e, c in _clean(terms).items() if keep(*e)}
+        if kind == "symmetrised":
+            p = p + p.swap()
+            assert p.is_symmetric()
+        elif kind == "mirrored":
+            p = p + p.swap() * c
+        assert p.is_symmetric() == (p == p.swap())
 
     @given(st.one_of(term_maps(2), term_maps(2).map(lambda h: ref_mul(h, U_MINUS_V))),
            term_maps(2))

@@ -393,15 +393,16 @@ def product_formula_compose(op1: PDDO, op2: PDDO) -> PDDO:
                            q1 * r2.ddiff() + r1 * r2)
 
 
-def product_formula_hecke(op: PDDO):
-    """(mu, nu) with mu = d(T) and nu = Q0 d(R0) + (R0 - mu) R0, expanded."""
+def action_hecke(op: PDDO):
+    """(mu, nu) with mu = d(T) and nu = op(R0) - mu R0, read off the action
+    at index 1, as the relation op^2 = mu op + nu reads at 1."""
     if not op.Q0:
         return (op.R0.constant_value(), ZERO) if op.R0.is_constant() else None
     dt = op.T.ddiff()
     if not dt.is_constant():
         return None
     mu = dt.constant_value()
-    nu = op.Q0 * op.R0.ddiff() + (op.R0 - mu) * op.R0
+    nu = op.apply(1, op.R0) - op.R0 * mu
     return (mu, nu.constant_value()) if nu.is_constant() else None
 
 
@@ -437,8 +438,9 @@ class TestApplyKeepsNothing:
 
 
 class TestReadOffTheAction:
-    """compose and hecke_params are read off apply; the expanded product
-    formulas they replaced are the oracles."""
+    """compose is read off apply, with the expanded product formula as its
+    oracle; hecke_params is slot arithmetic, with nu read off apply as its
+    oracle."""
 
     @given(qz_ops, qz_ops, qz_polys(3))
     @settings(max_examples=80, deadline=None)
@@ -450,9 +452,9 @@ class TestReadOffTheAction:
 
     @given(qz_ops)
     @settings(max_examples=120, deadline=None)
-    def test_hecke_params_match_the_product_formula(self, op):
+    def test_hecke_params_match_the_action(self, op):
         params = op.hecke_params()
-        assert params == product_formula_hecke(op)
+        assert params == action_hecke(op)
         if params is not None:
             mu, nu = params
             assert op.compose(op) == op.scale(mu) + identity_op(nu)
