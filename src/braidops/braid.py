@@ -171,6 +171,10 @@ f's when its flag was None.  Each difference places each slot
 polynomial it reads once; in f's, q_xy q_yx and qt_yz qt_zy are the
 two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed, and for a pair
 with a zero Q0 the q swap(q) that the multiplication lemma formed is reused.
+Each two-variable identity above, of almost-equality, the divisible-T step
+and the multiplication lemma, is a sum of slot products, decided zero or not
+in one integer accumulator (``multipoly._slot_sum``) with no polynomial
+built for the sum.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ from dataclasses import dataclass, field
 from itertools import count, product
 from typing import TYPE_CHECKING
 
-from .multipoly import MultiPoly, SlotPoly, _run_word, instantiate
+from .multipoly import MultiPoly, SlotPoly, _run_word, _slot_sum, instantiate
 from .pddo import PDDO, _hecke_nu, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -254,14 +258,16 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     elif not (Q and Qt):  # the multiplication lemma and the divisible-T step on the
         # multiplier's stored R0 = g: pi multiplies when Qt != 0, and tg = (u - v) g is its T
         g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)
-        gs, qq = g.swap(), q * q.swap()
-        k0 = not g._degrees()[0 if Qt else 1]  # K = 0, K the degree in the unshared slot
-        transposition = not q or k0 and (t - tg) * gs == t.swap() * g
-        f_known = t * gs * (t + tg.swap()) == qq * g if k0 else not (q or t)
+        unshared, qq = 0 if Qt else 1, _times_swap(q)
+        transposition = not q or _divisible_t(t, tg, g, unshared)
+        k0 = not g._degrees()[unshared]  # K = 0, K the degree in the unshared slot
+        t_gs = k0 and _slot_sum([(t, g._swap_view(), 1)])  # t swap(g), for K = 0
+        f_known = _slot_sum([(t_gs, t + tg.swap(), 1), (qq, g, -1)], "zero") if k0 else not (q or t)
         sf_known, sigma_f_known = (True, transposition) if Qt else (transposition, True)
         q_sq, qt_sq = (Q, qq) if Qt else (qq, Qt)
     else:  # T != T~ with both Q0 nonzero: the diagonal lemma and the divisible-T step
-        sf_known, sigma_f_known = _divisible_t(T, Tt, 1), _divisible_t(Tt, T, 0)
+        sf_known = _divisible_t(T, Tt, Tt._over_u_minus_v(), 1)
+        sigma_f_known = _divisible_t(Tt, T, T._over_u_minus_v(), 0)
     middle = Q.is_zero() or Qt.is_zero() or same_t
     xy, xz, yz = _XY, _XZ, _YZ
 
@@ -271,8 +277,8 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     def f() -> MultiPoly:
         t_xy, tt_yz = at(T, 1, 2), at(Tt, 2, 3)
         return (t_xy * tt_yz * xz * (yz * t_xy - xy * tt_yz)
-                - _YZ2 * at(Tt, 1, 3) * at(Q * Q.swap() if q_sq is None else q_sq, 1, 2)
-                + _XY2 * at(T, 1, 3) * at(Qt * Qt.swap() if qt_sq is None else qt_sq, 2, 3))
+                - _YZ2 * at(Tt, 1, 3) * at(_times_swap(Q) if q_sq is None else q_sq, 1, 2)
+                + _XY2 * at(T, 1, 3) * at(_times_swap(Qt) if qt_sq is None else qt_sq, 2, 3))
 
     def sf() -> MultiPoly:
         tt_yz = at(Tt, 2, 3)
@@ -296,16 +302,23 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     }
 
 
-def _divisible_t(t: SlotPoly, tt: SlotPoly, unshared: int) -> bool:
+def _times_swap(q: SlotPoly) -> SlotPoly:
+    """q swap(q), the slot product that f's difference places."""
+    return _slot_sum([(q, q._swap_view(), 1)])
+
+
+def _divisible_t(t: SlotPoly, tt: SlotPoly, g: SlotPoly | None, unshared: int) -> bool:
     """Whether sf's reduced difference vanishes, with t, tt = T, T~ and the
-    unshared slot 1 (v), or sigma_f's, with t, tt = T~, T and slot 0 (u),
-    for a pair with T != T~ and both Q0 nonzero (module docstring).  When
-    u - v does not divide tt, its diagonal tt(v,v) is nonzero and refutes it
-    (the diagonal lemma).  Otherwise tt = (u - v) g, and by the divisible-T
-    step it vanishes exactly when g has degree 0 in the unshared slot and
-    (t - tt) swap(g) == swap(t) g."""
-    g = tt._over_u_minus_v()
-    return g is not None and not g._degrees()[unshared] and (t - tt) * g.swap() == t.swap() * g
+    unshared slot 1 (v), or sigma_f's, with t, tt = T~, T and slot 0 (u)
+    (module docstring), given g = tt / (u - v), None when u - v does not
+    divide tt.  A pair with both Q0 nonzero passes the quotient: when it is
+    refused, the diagonal tt(v,v) is nonzero and refutes the flag (the
+    diagonal lemma).  A pair with a zero Q0 passes the multiplier's R0.  By
+    the divisible-T step the flag holds exactly when g has degree 0 in the
+    unshared slot and (t - tt) swap(g) - swap(t) g is zero, decided with no
+    polynomial built."""
+    return (g is not None and not g._degrees()[unshared]
+            and _slot_sum([(t - tt, g._swap_view(), 1), (g, t._swap_view(), -1)], "zero"))
 
 
 def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
@@ -383,12 +396,12 @@ def _almost(q: SlotPoly, qt: SlotPoly) -> bool:
     q(u,v) qt(u,c) q(v,c) == qt(u,v) q(u,c) qt(v,c) at the first
     c = 0, 1, 2, ... at which q(u,c) and qt(u,c) are nonzero.  The product
     m = qt(u,c) q(v,c) is formed once: its swap is q(u,c) qt(v,c), so the
-    identity reads q m == qt swap(m)."""
+    identity reads q m - qt swap(m) = 0, decided with no polynomial built."""
     for c in count():
         q_c, qt_c = q._at_v(c), qt._at_v(c)
         if q_c and qt_c:
-            m = qt_c * q_c.swap()
-            return q * m == qt * m.swap()
+            m = _slot_sum([(qt_c, q_c._swap_view(), 1)])
+            return _slot_sum([(q, m, 1), (qt, m._swap_view(), -1)], "zero")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .braid import Report, _distant_pairs
 from .families import OperatorFamily
+from .multipoly import _slot_sum
 from .pddo import PDDO, per_operator
 
 __all__ = ["commutes_same_index", "CommuteReport", "cross_family_commute"]
@@ -31,12 +32,15 @@ def commutes_same_index(op1: PDDO, op2: PDDO) -> bool:
     false, and (u - v) d(g) = g - swap(g) turns it into Q0 (Q0' - swap Q0')
     = Q0' (Q0 - swap Q0), that is Q0 swap(Q0') = Q0' swap(Q0).  The right
     side is swap of the left, so the condition holds exactly when p =
-    Q0 swap(Q0') is symmetric: one product and two swaps, in place of two
-    products and two divided differences.
+    Q0 swap(Q0') is symmetric.  Each condition is one sum of slot products
+    (``multipoly._slot_sum``), decided in its accumulator with no polynomial
+    built: the first by the symmetry of one product, the second by the
+    vanishing of Q0 d(R0') - Q0' d(R0).
     """
     q1, r1 = op1.Q0, op1.R0
     q2, r2 = op2.Q0, op2.R0
-    return (q1 * q2.swap()).is_symmetric() and q1 * r2.ddiff() == q2 * r1.ddiff()
+    return (_slot_sum([(q1, q2._swap_view(), 1)], "symmetric")
+            and _slot_sum([(q1, r2._ddiff_view(), 1), (q2, r1._ddiff_view(), -1)], "zero"))
 
 
 def _consecutive_commute(lo: PDDO, hi: PDDO) -> bool:

@@ -13,9 +13,10 @@ The constructor reads outside coefficients (``_pairs``).  Every polynomial
 built inside ends in ``_normal``, the one internal constructor, which
 divides out the content and sets the three slots through their member
 descriptors, with at most one gcd pass over its integers.  A result summed
-in an integer accumulator {e: [a, b]}, a product, ``SlotPoly.ddiff``,
-``SlotPoly._at_v``, ``SlotPoly._dpositive`` or a quotient by u - v, comes
-out of ``_from_acc``, one pass that drops the zero pairs and takes the gcd.
+in an integer accumulator {e: [a, b]}, a product, a sum of slot products,
+``SlotPoly.ddiff``, ``SlotPoly._at_v``, ``SlotPoly._dpositive`` or a
+quotient by u - v, comes out of ``_from_acc``, one pass that drops the zero
+pairs and takes the gcd.
 A move of stored pairs (a slot swap, ``swap_vars``, a placement) keeps the
 content, as do the stored forms that ``_pairs`` gives ``exact_div`` and a
 coerced scalar, so these pass it as 1 and take no gcd pass.  A sum skips the
@@ -27,8 +28,13 @@ for Q0 d p + R0 p, which merged slices of f go through too.  Every operator
 application of the library runs the word loop ``_run_word``, the one place
 that prepares an action: one per operator object, kept in the dict its
 caller passes, so an action and its monomial images live as long as that
-dict.  Every two-variable product, of ``_mul_pairs`` and inside
-``_Action.act``, runs the one loop ``_mul_slots``.
+dict.  Every two-variable product, of ``_mul_pairs``, ``_slot_sum`` and
+inside ``_Action.act``, runs the one loop ``_mul_slots``.  ``_slot_sum`` is
+the one path for a sum of slot products (a composite's Q0 and R0, the Hecke
+nu, the slot identities of commutation and of the cubic check): one integer
+accumulator, operands read as stored pairs, slot swaps or divided
+differences with no SlotPoly built, and three exits, the sum built with one
+``_from_acc``, or whether it is zero or symmetric, with nothing built.
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
@@ -141,6 +147,12 @@ def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
     return acc
 
 
+def _slots(num: Mapping, k: int) -> list:
+    """The slot list [(r, s, c, g, c + g)] of a two-variable numerator map
+    {(r, s): (c, g)} times k."""
+    return [(r, s, c * k, g * k, (c + g) * k) for (r, s), (c, g) in num.items()]
+
+
 def _mul_slots(acc: dict, terms: Mapping, slots: list) -> None:
     """The one two-variable product loop: adds into acc a numerator map times
     the terms (c + g z) u^r v^s of a slot list [(r, s, c, g, c + g)], with
@@ -155,6 +167,24 @@ def _mul_slots(acc: dict, terms: Mapping, slots: list) -> None:
             else:
                 pair[0] += a * c - b * g
                 pair[1] += a * g + b * cg
+
+
+def _slot_sum(products: Iterable, exit: str = "poly") -> "SlotPoly | bool":
+    """The sum of signed slot products [(a, b, sign)] in one integer
+    accumulator over the lcm of the products' denominators.  a is a SlotPoly
+    and b a SlotPoly or a (pairs, den) view of one (``SlotPoly._swap_view``,
+    ``_ddiff_view``).  Exit "poly" builds the sum; "zero" and "symmetric"
+    decide whether it is zero or its own slot swap, building nothing."""
+    views = [(a, b if type(b) is tuple else (b._num, b._den), sign) for a, b, sign in products]
+    den = lcm(*[a._den * db for a, (_, db), _ in views])
+    acc: dict = {}
+    for a, (nb, db), sign in views:
+        _mul_slots(acc, a._num, _slots(nb, sign * den // (a._den * db)))
+    if exit == "zero":
+        return not any(map(any, acc.values()))
+    if exit == "symmetric":
+        return all(acc.get((s, r), [0, 0]) == pair for (r, s), pair in acc.items())
+    return SlotPoly._from_acc(2, acc, den)
 
 
 def _divide_terms(f: Mapping, g: Mapping) -> dict:
@@ -211,11 +241,8 @@ class _Action:
     __slots__ = ("den", "sq", "sr", "images")
 
     def __init__(self, q0: "SlotPoly", r0: "SlotPoly"):
-        dq, dr = q0._den, r0._den
-        self.den = den = dq // gcd(dq, dr) * dr
-        kq, kr = den // dq, den // dr
-        self.sq = [(u, v, a * kq, b * kq, (a + b) * kq) for (u, v), (a, b) in q0._num.items()]
-        self.sr = [(u, v, a * kr, b * kr, (a + b) * kr) for (u, v), (a, b) in r0._num.items()]
+        self.den = den = lcm(q0._den, r0._den)
+        self.sq, self.sr = _slots(q0._num, den // q0._den), _slots(r0._num, den // r0._den)
         self.images: dict = {}
 
     def act(self, pairs: Mapping) -> dict:
@@ -578,11 +605,19 @@ class SlotPoly(MultiPoly):
 
     def swap(self) -> "SlotPoly":
         """Exchange the two slots."""
-        return SlotPoly._normal(2, {(s, r): pair for (r, s), pair in self._num.items()}, self._den, 1)
+        return SlotPoly._normal(2, *self._swap_view(), 1)
 
     def ddiff(self) -> "SlotPoly":
         """The divided difference (p - swap p)/(u - v), taken in the slots."""
-        return SlotPoly._from_acc(2, _ddiff_pairs(self._num), self._den)
+        return SlotPoly._from_acc(2, *self._ddiff_view())
+
+    def _swap_view(self) -> tuple:
+        """(pairs, den) of swap(self), a _slot_sum operand."""
+        return {(s, r): pair for (r, s), pair in self._num.items()}, self._den
+
+    def _ddiff_view(self) -> tuple:
+        """(pairs, den) of ddiff(self), a _slot_sum operand."""
+        return _ddiff_pairs(self._num), self._den
 
     def _dpositive(self) -> "SlotPoly":
         """self[r > s] - swap(self[r < s]) in one pass (braidops.divdiff)."""

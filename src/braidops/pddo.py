@@ -8,20 +8,26 @@ T = P + (u - v)R + Q = Q0 + (u - v)R0, read off the pair.  The public
 constructor PDDO(T, Q0) checks outside input: R0 is the quotient of T - Q0 by
 u - v, found without long division, and the input is refused when u - v does
 not divide T - Q0, which ``SlotPoly._over_u_minus_v`` alone decides.
-An operator is fixed by its action, R0 = pi(1) and Q0 = pi(x_i) - x_i pi(1), so
-composition is read off the action with no product formula of its own.  The
-Hecke parameters are slot arithmetic: mu = d(T) and nu = pi(R0) - mu R0 =
-Q0 d(R0) + R0 (R0 - mu), with no operator applied.
+Composition is slot arithmetic, by the product formula.  The Leibniz rule
+d(g h) = d(g) h + swap(g) d(h) and d(d f) = 0 give, for pi = Q0 d + R0 after
+pi~ = Q0~ d + R0~,
+
+    Q0' = Q0 d(Q0~) + Q0 swap(R0~) + R0 Q0~,    R0' = Q0 d(R0~) + R0 R0~,
+
+each a sum of slot products summed in one accumulator
+(``multipoly._slot_sum``), with no operator applied.  The Hecke parameters
+are slot arithmetic too: mu = d(T) and nu = pi(R0) - mu R0 = Q0 d(R0) +
+R0 (R0 - mu), the R0' of pi o pi less mu R0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .divdiff import dpositive_lift, dpositive_split
 from .field import FieldElement
-from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _run_word
+from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _run_word, _slot_sum
 
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
@@ -36,8 +42,7 @@ class Degeneracy(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class CanonicalForms:
+class CanonicalForms(NamedTuple):
     """The three canonical presentations of one operator.
 
     First form: P = S = 0 with coefficients (Q0, R0).
@@ -159,13 +164,17 @@ class PDDO:
         )
 
     def compose(self, other: "PDDO") -> "PDDO":
-        """The operator f |-> self(other(f)), same index on both, read off the
-        action.  With pi = self and other = Q0~ d + R0~, d(Q0~ d f) = d(Q0~) d f
-        and d(R0~ f) = d(R0~) f + swap(R0~) d f, so the composite has
-        Q0 = pi(Q0~) + Q0 swap(R0~) and R0 = pi(R0~), its value at 1."""
-        word, actions = [(1, self)], {}
-        return PDDO.from_q0_r0(_run_word(word, other.Q0, actions) + self.Q0 * other.R0.swap(),
-                               _run_word(word, other.R0, actions))
+        """The operator f |-> self(other(f)), same index on both, by the
+        product formula.  With self = Q0 d + R0 and other = Q0~ d + R0~,
+        self(other f) = Q0 d(Q0~ d f) + Q0 d(R0~ f) + R0 Q0~ d f + R0 R0~ f,
+        and d(g h) = d(g) h + swap(g) d(h) with d(d f) = 0 gives d(Q0~ d f) =
+        d(Q0~) d f and d(R0~ f) = d(R0~) f + swap(R0~) d f.  So the composite
+        has Q0' = Q0 d(Q0~) + Q0 swap(R0~) + R0 Q0~ and R0' = Q0 d(R0~) +
+        R0 R0~, each summed in one accumulator."""
+        q, r, qt, rt = self.Q0, self.R0, other.Q0, other.R0
+        return PDDO.from_q0_r0(
+            _slot_sum([(q, qt._ddiff_view(), 1), (q, rt._swap_view(), 1), (r, qt, 1)]),
+            _slot_sum([(q, rt._ddiff_view(), 1), (r, rt, 1)]))
 
     def hecke_params(self) -> tuple[FieldElement, FieldElement] | None:
         """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.
@@ -192,11 +201,11 @@ class PDDO:
 
 
 def _hecke_nu(op: PDDO, mu: FieldElement) -> SlotPoly:
-    """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu), in slot arithmetic with no
-    operator applied.  When d(T) = mu, op o op - mu op has Q0 d(T) - mu Q0 = 0
-    for its Q0 and this for its R0 (see compose): it is multiplication by nu,
-    and op^2 = mu op + nu exactly when nu is constant."""
-    return op.Q0 * op.R0.ddiff() + op.R0 * (op.R0 - mu)
+    """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu), summed in one accumulator
+    with no operator applied.  When d(T) = mu, op o op - mu op has Q0 d(T) -
+    mu Q0 = 0 for its Q0 and this for its R0 (see compose): it is
+    multiplication by nu, and op^2 = mu op + nu exactly when nu is constant."""
+    return _slot_sum([(op.Q0, op.R0._ddiff_view(), 1), (op.R0, op.R0 - mu, 1)])
 
 
 def identity_op(c=1) -> PDDO:

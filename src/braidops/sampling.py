@@ -38,10 +38,12 @@ def random_fraction(rng: random.Random, bound: int = 10, nonzero: bool = False) 
 def random_field_element(
     rng: random.Random, bound: int = 10, with_zeta: bool = False, nonzero: bool = False
 ) -> FieldElement:
+    """p/q + (r/s) z from the same four draws as random_fraction twice (two
+    when with_zeta is False), built as one canonical (p s + r q z)/(q s)."""
     while True:
-        rat = random_fraction(rng, bound)
-        zeta = random_fraction(rng, bound) if with_zeta else Fraction(0)
-        fe = FieldElement(rat, zeta)
+        p, q = rng.randint(-bound, bound), rng.randint(1, bound)
+        r, s = (rng.randint(-bound, bound), rng.randint(1, bound)) if with_zeta else (0, 1)
+        fe = FieldElement._raw(p * s, r * q, q * s)
         if fe or not nonzero:
             return fe
 

@@ -1,11 +1,13 @@
 """Tests for exact arithmetic in the quadratic extension Q(z), z^2 = z - 1."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from braidops import sampling
 from braidops.field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR, _text
 
 rationals = st.fractions(
@@ -258,3 +260,26 @@ class TestAgainstReference:
         for name in ("rat_part", "zeta_part", "extra"):
             with pytest.raises(AttributeError):
                 setattr(x, name, Fraction(3))
+
+
+@pytest.mark.parametrize("with_zeta", [False, True])
+@pytest.mark.parametrize("nonzero", [False, True])
+@pytest.mark.parametrize("bound", [1, 5, 10])
+def test_random_field_element_draws_as_two_fractions(bound, with_zeta, nonzero):
+    """The element built from four integer draws equals FieldElement(p/q, r/s)
+    of two random_fraction draws from an identically seeded generator, and
+    leaves it in the same state."""
+    def reference(rng):
+        while True:
+            rat = sampling.random_fraction(rng, bound)
+            zeta = sampling.random_fraction(rng, bound) if with_zeta else Fraction(0)
+            fe = FieldElement(rat, zeta)
+            if fe or not nonzero:
+                return fe
+
+    for seed in range(20):
+        drawn, expected = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            x = sampling.random_field_element(drawn, bound, with_zeta=with_zeta, nonzero=nonzero)
+            assert x == reference(expected) and is_canonical(x)
+            assert drawn.getstate() == expected.getstate()

@@ -697,6 +697,108 @@ class TestStoredForm:
                     op()
 
 
+# -- sums of slot products: the one accumulator against MultiPoly arithmetic ---
+
+# Slot polynomials over Q(z) with unequal denominators (each one's coefficients
+# are scaled by its own 1/k), the zero polynomial and scalars among them.
+sum_slots = st.one_of(
+    st.just(SlotPoly.zero()),
+    qz_coeffs.map(SlotPoly.const),
+    st.tuples(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), qz_coeffs,
+                              min_size=1, max_size=4),
+              st.sampled_from([1, 5, 7, 9])).map(
+        lambda t: SlotPoly({e: c * Fraction(1, t[1]) for e, c in t[0].items()})),
+)
+
+# An operand as the kernel reads it, and as MultiPoly arithmetic builds it.
+VIEWS = {
+    "pairs": (lambda p: p, lambda p: p),
+    "swap": (SlotPoly._swap_view, SlotPoly.swap),
+    "ddiff": (SlotPoly._ddiff_view, SlotPoly.ddiff),
+}
+
+
+@st.composite
+def slot_products(draw, min_size=1):
+    """[((a, b, sign), a * b)] with a view of b for the kernel and the
+    product built by MultiPoly arithmetic; half the time a last product
+    (b k, a / k) that cancels the first, over other denominators."""
+    products = []
+    for _ in range(draw(st.integers(min_size, 3))):
+        a, b = draw(sum_slots), draw(sum_slots)
+        view, built = VIEWS[draw(st.sampled_from(sorted(VIEWS)))]
+        products.append(((a, view(b), draw(st.sampled_from([1, -1]))), a * built(b)))
+        if len(products) == 1:
+            first = built(b), a
+    if draw(st.booleans()):
+        (b, a), k = first, draw(qz_coeffs.filter(bool))
+        products.append(((b * k, a * k.inverse(), -products[0][0][2]), products[0][1]))
+    return products
+
+
+def expected_sum(products) -> SlotPoly:
+    return sum((built if sign == 1 else -built for (_, _, sign), built in products),
+               SlotPoly.zero())
+
+
+class TestSlotSum:
+    """multipoly._slot_sum, the one accumulator for a sum of slot products."""
+
+    @given(slot_products())
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_exit_is_the_canonical_sum(self, products):
+        total = multipoly._slot_sum([kernel for kernel, _ in products])
+        assert type(total) is SlotPoly
+        assert_canonical(total)
+        assert total == expected_sum(products)
+
+    @given(slot_products())
+    @settings(max_examples=150, deadline=None)
+    def test_zero_exit_agrees_with_equality(self, products):
+        """With one product moved to the right side, "the sum is zero" reads
+        a * b == c * d and the rest."""
+        (first, built), rest = products[0], products[1:]
+        right = -expected_sum(rest) if first[2] == 1 else expected_sum(rest)
+        assert multipoly._slot_sum([k for k, _ in products], "zero") is (built == right)
+
+    @given(sum_slots, sum_slots, st.sampled_from(sorted(VIEWS)))
+    @settings(max_examples=150, deadline=None)
+    def test_symmetric_exit_agrees_with_is_symmetric(self, a, b, view):
+        (read, built), product = VIEWS[view], a * VIEWS[view][1](b)
+        assert multipoly._slot_sum([(a, read(b), 1)], "symmetric") is product.is_symmetric()
+        # a b + swap(a b), the second product over other denominators.
+        mirrored = [(a, read(b), 1), (a.swap() * 3, (built(b) * Fraction(1, 3))._swap_view(), 1)]
+        assert multipoly._slot_sum(mirrored, "symmetric")
+
+    def test_exits_of_an_empty_or_cancelling_sum(self):
+        a = SlotPoly({(2, 0): "1/3+1/2z", (0, 1): "-5/7"})
+        b = SlotPoly({(1, 1): "0+1/9z"})
+        cancelling = [(a, b, 1), (b, a, -1)]
+        assert multipoly._slot_sum([], "zero") and multipoly._slot_sum([], "symmetric")
+        assert multipoly._slot_sum(cancelling, "zero")
+        assert multipoly._slot_sum(cancelling, "symmetric")
+        for products in ([], cancelling):
+            total = multipoly._slot_sum(products)
+            assert_canonical(total)
+            assert total == SlotPoly.zero() and total._den == 1
+
+    def test_views_build_no_polynomial(self, monkeypatch):
+        """A swap or divided-difference operand, and the zero and symmetric
+        exits, build no SlotPoly; the polynomial exit builds one."""
+        a = SlotPoly({(2, 1): "1/3+1/2z", (0, 1): "-5/7"})
+        b = SlotPoly({(3, 0): "1/4", (1, 1): "0+2/5z"})
+        built = []
+        real = multipoly.MultiPoly.__dict__["_normal"]
+        monkeypatch.setattr(multipoly.MultiPoly, "_normal",
+                            classmethod(lambda cls, *args: built.append(cls) or real.__func__(cls, *args)))
+        products = [(a, b._swap_view(), 1), (b, a._ddiff_view(), -1)]
+        multipoly._slot_sum(products, "zero")
+        multipoly._slot_sum(products, "symmetric")
+        assert built == []
+        multipoly._slot_sum(products)
+        assert built == [SlotPoly]
+
+
 # -- text: the one term walk against a field-element reference -----------------
 
 # Coefficients with z parts and denominators, and +-1, which str prints without

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidops import multipoly, sampling
+from braidops import multipoly, pddo, sampling
+from braidops.braid import relation_holds
 from braidops.divdiff import ddiff
 from braidops.families import (
     Case2Line,
@@ -438,9 +439,33 @@ class TestApplyKeepsNothing:
 
 
 class TestReadOffTheAction:
-    """compose is read off apply, with the expanded product formula as its
-    oracle; hecke_params is slot arithmetic, with nu read off apply as its
-    oracle."""
+    """compose is the product formula, summed in one accumulator, with the
+    formula in MultiPoly arithmetic and apply as its oracles; hecke_params is
+    slot arithmetic, with nu read off apply as its oracle."""
+
+    @given(st.one_of(qz_ops, st.builds(identity_op, qz_coeffs)),
+           st.one_of(qz_ops, st.builds(identity_op, qz_coeffs), st.none()))
+    @settings(max_examples=80, deadline=None)
+    def test_compose_is_the_word_of_its_factors(self, op1, op2):
+        """The composite at index 1 agrees with the two-letter word on the
+        Artin basis 1, x_1 of index 1; op2 None composes op1 with itself."""
+        op2 = op1 if op2 is None else op2
+        assert relation_holds([(1, op1.compose(op2))], [(1, op1), (1, op2)]) is None
+
+    def test_compose_applies_no_operator(self, monkeypatch):
+        """compose neither prepares an action nor runs the word loop."""
+        op1, op2 = main_case1(3, 1, 2, 1, 2, 3)[1], PDDO.from_q0_r0(U * V + 1, U - 2)
+        expected = [op1.compose(op2), op2.compose(op1), op1.compose(op1)]
+
+        def refuse(*args):
+            raise AssertionError("compose applied an operator")
+
+        monkeypatch.setattr(multipoly, "_Action", refuse)
+        for module in (multipoly, pddo):
+            monkeypatch.setattr(module, "_run_word", refuse)
+        assert [op1.compose(op2), op2.compose(op1), op1.compose(op1)] == expected
+        assert expected == [product_formula_compose(*pair)
+                            for pair in ((op1, op2), (op2, op1), (op1, op1))]
 
     @given(qz_ops, qz_ops, qz_polys(3))
     @settings(max_examples=80, deadline=None)
