@@ -1,0 +1,236 @@
+"""The cost of braidops layer by layer, printed with no gate.
+
+    python perf/layers.py
+
+Run from a checkout, it measures that checkout's ``src``, which it puts first
+on the import path, so a copy of another commit measures that commit.  It
+prints four sections.
+
+Library size.  The total line count of ``src/braidops``, and per module the
+code lines (neither blank, nor a comment, nor in a docstring, found with
+``ast``) and the tracemalloc peak of compiling the module's source.  Every
+import compiles each module when no .pyc is written, and the largest compile
+peak sets the process's import-time memory peak.
+
+Cubic check and relation decider.  The mean time per pair of
+``cubic_braid_check`` and of ``relation_holds`` on the braid words over a
+fixed n = 3 and 4 catalogue (presets, case1, every ordered pair of case-2
+lines, zeta pairs, consecutive degenerate-T pairs) and a copy of each pair
+with (u + 1) d added to its second operator, in five groups:
+
+- braiding: every pair is decided in two variables (T == T~ in the normal
+  form T = (pu + q)(rv + s), or the divisible-T step and the multiplication
+  lemma when a Q0 is zero), and the Hecke nu is slot arithmetic, so the group
+  applies no operator;
+- failing: a failing pair builds its witness in three variables;
+- failing, Q0(v,v) = 0: the failing pairs among copies of the catalogue with
+  both Q0 multiplied by (u - v), R0 kept.  Neither sf nor sigma_f is refuted
+  on the diagonal; the divisible-T step decides both in two variables from
+  T~ / (u - v) and T / (u - v), and only f's difference, which is also the
+  witness, is built in three;
+- T == T~ braiding, rebuilt with T + u^2, each operator keeping its own R0:
+  T + u^2 is out of the normal form, so sf or sigma_f is refuted in two
+  variables and only the witness is built in three;
+- with a multiplication operator (Q0 = 0), decided by the divisible-T step
+  and, for f, the multiplication lemma: each catalogue operator with nonzero
+  Q0 next to 1 Id and 2 Id, in both orders, and the zeta pairs.
+
+Slot arithmetic.  The mean time per call of the slot-level decisions over the
+operators at index 1 of the same catalogue (the presets, two case1
+operators, the four case-2 lines, four zeta pairs) and 20 operators with
+random coefficients in Q(z), drawn with seed 1.  compose and
+commutes_same_index take each operator with the next one and with its own
+square; almost_equal takes the nonzero Q0 (or else T) of the same neighbours.
+
+Table sweep.  The mean time per operator application of polynomial_table for
+two n = 5 families of n!(n-1)/2 = 240 applications each, each call including
+the family's braid check.
+
+Each cubic group logs, for one pass, the three-variable products
+(``multipoly._mul_pairs`` calls) and their term pairs, len(a) len(b) summed,
+the polynomials built (``MultiPoly._normal`` calls, slot polynomials
+included) and the operator applications (``multipoly._apply`` calls); each
+slot case logs its ``MultiPoly._normal`` calls.  These counts and the code
+lines do not depend on the machine.  Times are the best of 20 passes (5 for
+the table sweep); each pass starts after a collection and runs with the
+collector off, so that a collection does not land in some passes and not in
+others.
+"""
+
+import gc
+import random
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
+
+from braidops import (PDDO, SlotPoly, almost_equal, commutes_same_index,  # noqa: E402
+                      cubic_braid_check, degenerate_t_family, identity_op, main_case2, multipoly,
+                      polynomial_table, preset, relation_holds, zeta_pair)
+from braidops.families import Case2Line, case1_operator, case2_operator  # noqa: E402
+from braidops.sampling import draw_degent_data, random_field_element  # noqa: E402
+
+# Run in a fresh interpreter: compiling a module allocates less for each name
+# that the process has interned already, as importing braidops or compiling
+# this script would.
+LIBRARY_SIZE = """import ast, pathlib, sys, tracemalloc
+total = 0
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
+    source = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \\
+                and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = sum(1 for i, line in enumerate(source.splitlines(), 1)
+               if i not in docstrings and line.strip() and not line.strip().startswith("#"))
+    total += code
+    tracemalloc.start()
+    compile(source, str(path), "exec")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"{path.name}: {code} code lines, compile peak {peak / 1e6:.3f} MB")
+print(f"src/braidops: {total} code lines")
+"""
+
+
+def catalogue() -> tuple[list, list, list]:
+    """(pairs, zetas, ops): the consecutive pairs of the cubic check, the
+    zeta pairs among them, and the operators of the slot-level decisions."""
+    presets = [preset("pure_ddiff", 3), preset("demazure", 3), preset("grothendieck", 3, 1)]
+    case1 = [case1_operator(*p) for p in ((1, 2, 1, 2, 3), (2, 3, 4, 6, 5))]
+    lines = [case2_operator(1, 2, 1, 2, line) for line in Case2Line]
+    zetas = {(a, b, v): zeta_pair(a, b, v) for a, b in ((1, 0), (-3, 5)) for v in (1, 2, 3, 4)}
+    degent = [degenerate_t_family(4, *draw_degent_data(random.Random(seed), 4)) for seed in range(4)]
+    rng = random.Random(1)
+
+    def slot(degree, size):
+        return SlotPoly({(rng.randint(0, degree), rng.randint(0, degree)):
+                         random_field_element(rng, 5, with_zeta=True) for _ in range(size)})
+
+    pairs = [(fam[1], fam[2]) for fam in presets] + [(op, op) for op in case1]
+    pairs += [(l1, l2) for l1 in lines for l2 in lines] + list(zetas.values())
+    pairs += [(fam[i], fam[i + 1]) for fam in degent for i in (1, 2)]
+    ops = [fam[1] for fam in presets] + case1 + lines
+    ops += [op for (_, _, v), pair in zetas.items() if v <= 2 for op in pair]
+    ops += [PDDO.from_q0_r0(slot(3, 3), slot(2, 2)) for _ in range(20)]
+    return pairs, list(zetas.values()), ops
+
+
+def cubic_groups(pairs: list, zetas: list) -> dict:
+    """The five groups of the module docstring, by name."""
+    h, uv, u2 = SlotPoly.u() + 1, SlotPoly.u() - SlotPoly.v(), SlotPoly.u() * SlotPoly.u()
+    ops = dict.fromkeys(op for pair in pairs for op in pair if op.Q0)
+    pairs = pairs + [(pi, PDDO(varpi.T + h, varpi.Q0 + h)) for pi, varpi in pairs]
+    groups = {"braiding": [], "failing": []}
+    for pair in pairs:
+        groups["braiding" if cubic_braid_check(*pair).passed else "failing"].append(pair)
+    zero_diagonal = [(PDDO.from_q0_r0(uv * pi.Q0, pi.R0), PDDO.from_q0_r0(uv * varpi.Q0, varpi.R0))
+                     for pi, varpi in pairs]
+    groups["failing, Q0(v,v) = 0"] = [pair for pair in zero_diagonal if not cubic_braid_check(*pair).passed]
+    groups["T == T~ braiding, rebuilt with T + u^2"] = [
+        tuple(PDDO.from_q0_r0(pi.T + u2 - uv * op.R0, op.R0) for op in (pi, varpi))
+        for pi, varpi in groups["braiding"] if pi.T == varpi.T]
+    groups["with a multiplication operator"] = [
+        pair for op in ops for m in (identity_op(1), identity_op(2)) for pair in ((op, m), (m, op))] + zetas
+    return groups
+
+
+def slot_cases(ops: list) -> dict:
+    """name -> (function, argument tuples) of the slot-level decisions."""
+    pairs = list(zip(ops, ops[1:])) + [(op, op.compose(op)) for op in ops]
+    nonzero = [(a.Q0 or a.T, b.Q0 or b.T) for a, b in zip(ops, ops[1:])]
+    return {
+        "canonical_forms": (PDDO.canonical_forms, [(op,) for op in ops]),
+        "compose": (PDDO.compose, pairs),
+        "commutes_same_index": (commutes_same_index, pairs),
+        "hecke_params": (PDDO.hecke_params, [(op,) for op in ops]),
+        "almost_equal": (almost_equal, [pair for pair in nonzero if all(pair)]),
+    }
+
+
+@contextmanager
+def counting():
+    """Counts of the body: [three-variable products, their term pairs,
+    MultiPoly._normal calls, multipoly._apply calls].  The three names are
+    patched for the body and restored after it, also when it raises."""
+    counts = [0, 0, 0, 0]
+    mul_pairs, normal, apply = multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply
+
+    def counted_mul_pairs(a, b, n_vars):
+        if n_vars == 3:
+            counts[0] += 1
+            counts[1] += len(a) * len(b)
+        return mul_pairs(a, b, n_vars)
+
+    def counted(k, real):
+        def call(*args):
+            counts[k] += 1
+            return real(*args)
+        return call
+
+    multipoly._mul_pairs, multipoly._apply = counted_mul_pairs, counted(3, apply)
+    multipoly.MultiPoly._normal = classmethod(counted(2, normal.__func__))
+    try:
+        yield counts
+    finally:
+        multipoly._mul_pairs, multipoly._apply = mul_pairs, apply
+        multipoly.MultiPoly._normal = normal
+
+
+def count_pass(fn, calls: list) -> list:
+    """The counts of one pass of fn over the argument tuples."""
+    with counting() as counts:
+        for args in calls:
+            fn(*args)
+    return counts
+
+
+def best_of(passes: int, fn, calls: list) -> float:
+    """The least time of passes passes of fn over the argument tuples, each
+    after a collection and with the collector off."""
+    best = float("inf")
+    for _ in range(passes):
+        gc.collect()
+        gc.disable()
+        start = time.perf_counter()
+        for args in calls:
+            fn(*args)
+        best = min(best, time.perf_counter() - start)
+        gc.enable()
+    return best
+
+
+def main() -> None:
+    def relation(pi, varpi):
+        return relation_holds([(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)])
+
+    lines = sum(path.read_text().count("\n") for path in (SRC / "braidops").glob("*.py"))
+    print(f"{lines} total", flush=True)
+    subprocess.run([sys.executable, "-c", LIBRARY_SIZE, str(SRC / "braidops")], check=True)
+    pairs, zetas, ops = catalogue()
+    for group, members in cubic_groups(pairs, zetas).items():
+        products, term_pairs, built, applied = count_pass(cubic_braid_check, members)
+        print(f"cubic_braid_check, {group}: {products} three-variable products, {term_pairs} term pairs, "
+              f"{built} MultiPoly._normal calls, {applied} multipoly._apply calls over {len(members)} pairs")
+        for name, check in (("cubic_braid_check", cubic_braid_check), ("relation_holds", relation)):
+            best = best_of(20, check, members)
+            print(f"{name}, {group}: {best / len(members) * 1e6:.1f} us per pair over {len(members)} pairs")
+    for name, (fn, calls) in slot_cases(ops).items():
+        built, best = count_pass(fn, calls)[2], best_of(20, fn, calls)
+        print(f"{name}: {best / len(calls) * 1e6:.1f} us per call over {len(calls)} calls, "
+              f"{built} MultiPoly._normal calls in one pass")
+    tables = {"preset:grothendieck --params 1": preset("grothendieck", 5, 1),
+              "case2 lines 1,3,4,1": main_case2(5, 1, 2, 1, 2, [Case2Line(k) for k in (1, 3, 4, 1)])}
+    for name, fam in tables.items():
+        best = best_of(5, polynomial_table, [(fam,)])
+        print(f"polynomial_table {name}, n = 5: {best / 240 * 1e6:.1f} us per application")
+
+
+if __name__ == "__main__":
+    main()

@@ -121,7 +121,7 @@ def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
     acc: dict = {}
     get = acc.get
     if n_vars == 2:
-        _mul_slots(acc, a, [(b0, b1, rb, zb, rb + zb) for (b0, b1), (rb, zb) in b.items()])
+        _mul_slots(acc, a, _slots(b, 1))
     elif n_vars == 3:
         bs = [(b0, b1, b2, rb, zb, rb + zb) for (b0, b1, b2), (rb, zb) in b.items()]
         for (a0, a1, a2), (ra, za) in a.items():

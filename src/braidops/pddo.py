@@ -16,8 +16,8 @@ pi~ = Q0~ d + R0~,
 
 each a sum of slot products summed in one accumulator
 (``multipoly._slot_sum``), with no operator applied.  The Hecke parameters
-are slot arithmetic too: mu = d(T) and nu = pi(R0) - mu R0 = Q0 d(R0) +
-R0 (R0 - mu), the R0' of pi o pi less mu R0.
+are slot arithmetic too: mu = d(T) = d(Q0) + R0 + swap(R0) and nu = pi(R0) -
+mu R0 = Q0 d(R0) + R0 (R0 - mu), the R0' of pi o pi less mu R0.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _run_word, _sl
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
 _UV = SlotPoly({(1, 0): 1, (0, 1): -1})
+_ONE = SlotPoly.const(1)
 _set = object.__setattr__
 
 
@@ -180,17 +181,19 @@ class PDDO:
         """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.
 
         When Q0 != 0, op o op has Q0 d(T) for its Q0 (see compose), so mu must
-        be d(T), and at 1, where op(1) = R0, the relation reads op(R0) = mu R0
-        + nu: it holds iff d(T) and nu = op(R0) - mu R0 are both constant, nu
-        formed in slot arithmetic (_hecke_nu).  When Q0 = 0 the operator is
-        multiplication by R0, which satisfies one iff R0 = r is constant, and
-        then op^2 = r * op.
+        be d(T) = d(Q0) + R0 + swap(R0) (the Leibniz rule, with d(u - v) = 2),
+        summed in one accumulator with no T built.  At 1, where op(1) = R0,
+        the relation reads op(R0) = mu R0 + nu: it holds iff d(T) and nu =
+        op(R0) - mu R0 are both constant, nu formed in slot arithmetic
+        (_hecke_nu).  When Q0 = 0 the operator is multiplication by R0, which
+        satisfies one iff R0 = r is constant, and then op^2 = r * op.
         """
         if not self.Q0:
             if self.R0.is_constant():
                 return self.R0.constant_value(), FieldElement.of(0)
             return None
-        dt = self.T.ddiff()
+        dt = _slot_sum([(_ONE, self.Q0._ddiff_view(), 1), (_ONE, self.R0, 1),
+                        (_ONE, self.R0._swap_view(), 1)])
         if not dt.is_constant():
             return None
         mu = dt.constant_value()

@@ -1,0 +1,57 @@
+"""The layer-cost harness perf/layers.py: its count pass, with no timing."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from braidops import MultiPoly, cubic_braid_check, identity_op, multipoly
+
+_spec = importlib.util.spec_from_file_location(
+    "layers", Path(__file__).resolve().parent.parent / "perf" / "layers.py")
+layers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layers)
+
+
+def _patched_names():
+    return (multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply)
+
+
+def test_cubic_groups_count_what_their_docstring_says():
+    """Every group has pairs; the braiding group is decided in two variables
+    and applies no operator."""
+    pairs, zetas, _ = layers.catalogue()
+    groups = layers.cubic_groups(pairs, zetas)
+    assert len(groups) == 5 and all(groups.values())
+    counts = {group: layers.count_pass(cubic_braid_check, members)
+              for group, members in groups.items()}
+    products, term_pairs, built, applied = counts["braiding"]
+    assert (products, term_pairs, applied) == (0, 0, 0) and built > 0
+    assert all(counts[group][0] > 0 for group in groups if group != "braiding")
+
+
+def test_hecke_params_builds_no_t():
+    """d(T) is summed from Q0 and R0 with no T built: at most 60 polynomials
+    over the 37 slot-level operators."""
+    _, _, ops = layers.catalogue()
+    fn, calls = layers.slot_cases(ops)["hecke_params"]
+    assert len(calls) == 37
+    assert layers.count_pass(fn, calls)[2] <= 60
+
+
+def test_counting_counts_and_restores_the_patched_names():
+    """The three names are counted inside the body and are the original
+    objects after it, also when it raises."""
+    originals = _patched_names()
+    f, g = MultiPoly.const(3, 2), MultiPoly.variable(3, 1) + 1
+    with layers.counting() as counts:
+        f * g
+    assert counts == [1, 2, 1, 0]
+    with layers.counting() as counts:
+        identity_op(2).apply(1, g)
+    assert counts[3] == 1
+    assert all(a is b for a, b in zip(_patched_names(), originals))
+    with pytest.raises(RuntimeError):
+        with layers.counting():
+            raise RuntimeError("the counted body fails")
+    assert all(a is b for a, b in zip(_patched_names(), originals))
