@@ -22,15 +22,15 @@ with (u + 1) d added to its second operator, in five groups:
   form T = (pu + q)(rv + s), or the divisible-T step and the multiplication
   lemma when a Q0 is zero), and the Hecke nu is slot arithmetic, so the group
   applies no operator;
-- failing: a failing pair builds its witness in three variables;
+- failing: f is refuted by its value at one integer point;
 - failing, Q0(v,v) = 0: the failing pairs among copies of the catalogue with
   both Q0 multiplied by (u - v), R0 kept.  Neither sf nor sigma_f is refuted
   on the diagonal; the divisible-T step decides both in two variables from
-  T~ / (u - v) and T / (u - v), and only f's difference, which is also the
-  witness, is built in three;
+  T~ / (u - v) and T / (u - v), and f is refuted at the point, except in the
+  one pair whose f holds, where its difference is built in three variables;
 - T == T~ braiding, rebuilt with T + u^2, each operator keeping its own R0:
   T + u^2 is out of the normal form, so sf or sigma_f is refuted in two
-  variables and only the witness is built in three;
+  variables and f at the point;
 - with a multiplication operator (Q0 = 0), decided by the divisible-T step
   and, for f, the multiplication lemma: each catalogue operator with nonzero
   Q0 next to 1 Id and 2 Id, in both orders, and the zeta pairs.
@@ -46,15 +46,18 @@ Table sweep.  The mean time per operator application of polynomial_table for
 two n = 5 families of n!(n-1)/2 = 240 applications each, each call including
 the family's braid check.
 
-Each cubic group logs, for one pass, the three-variable products
-(``multipoly._mul_pairs`` calls) and their term pairs, len(a) len(b) summed,
-the polynomials built (``MultiPoly._normal`` calls, slot polynomials
-included) and the operator applications (``multipoly._apply`` calls); each
-slot case logs its ``MultiPoly._normal`` calls.  These counts and the code
-lines do not depend on the machine.  Times are the best of 20 passes (5 for
-the table sweep); each pass starts after a collection and runs with the
-collector off, so that a collection does not land in some passes and not in
-others.
+A failing pair's witness, the difference of its first failing coefficient,
+is built in three variables when ``CubicReport.failure`` is first read, so
+each cubic group is timed a second time with failure read.  Each cubic group
+logs, for one pass, the three-variable products (``multipoly._mul_pairs``
+calls) and their term pairs, len(a) len(b) summed, the polynomials built
+(``MultiPoly._normal`` calls, slot polynomials included) and the operator
+applications (``multipoly._apply`` calls), and the three-variable products
+and term pairs of reading each report's failure; each slot case logs its
+``MultiPoly._normal`` calls.  These counts and the code lines do not depend
+on the machine.  Times are the best of 20 passes (5 for the table sweep);
+each pass starts after a collection and runs with the collector off, so
+that a collection does not land in some passes and not in others.
 """
 
 import gc
@@ -210,6 +213,9 @@ def main() -> None:
     def relation(pi, varpi):
         return relation_holds([(1, pi), (2, varpi), (1, pi)], [(2, varpi), (1, pi), (2, varpi)])
 
+    def witness(pi, varpi):
+        return cubic_braid_check(pi, varpi).failure
+
     lines = sum(path.read_text().count("\n") for path in (SRC / "braidops").glob("*.py"))
     print(f"{lines} total", flush=True)
     subprocess.run([sys.executable, "-c", LIBRARY_SIZE, str(SRC / "braidops")], check=True)
@@ -218,7 +224,12 @@ def main() -> None:
         products, term_pairs, built, applied = count_pass(cubic_braid_check, members)
         print(f"cubic_braid_check, {group}: {products} three-variable products, {term_pairs} term pairs, "
               f"{built} MultiPoly._normal calls, {applied} multipoly._apply calls over {len(members)} pairs")
-        for name, check in (("cubic_braid_check", cubic_braid_check), ("relation_holds", relation)):
+        reports = [(cubic_braid_check(*pair),) for pair in members]
+        products, term_pairs = count_pass(lambda report: report.failure, reports)[:2]
+        print(f"cubic_braid_check, {group}, failure read: {products} three-variable products, "
+              f"{term_pairs} term pairs over {len(members)} pairs")
+        for name, check in (("cubic_braid_check", cubic_braid_check),
+                            ("cubic_braid_check, failure read", witness), ("relation_holds", relation)):
             best = best_of(20, check, members)
             print(f"{name}, {group}: {best / len(members) * 1e6:.1f} us per pair over {len(members)} pairs")
     for name, (fn, calls) in slot_cases(ops).items():

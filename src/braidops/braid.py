@@ -161,16 +161,22 @@ the same bracket, negated.
 
 So sf and sigma_f are always decided in two variables, and so is f for
 every braiding pair: one with a zero Q0 by the multiplication lemma, one
-with both Q0 nonzero by T == T~ in normal form and the Hecke lemma.  Only
-f's flag can be left None, and then the pair fails.
+with both Q0 nonzero by T == T~ in normal form and the Hecke lemma.
 
-Only a failing pair builds anything in three variables: f's difference,
-factor times reduced difference, when its flag is left None, and the
-failure witness, the difference of the first failing coefficient, which is
-f's when its flag was None.  Each difference places each slot
-polynomial it reads once; in f's, q_xy q_yx and qt_yz qt_zy are the
-two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed, and for a pair
-with a zero Q0 the q swap(q) that the multiplication lemma formed is reused.
+*Point rule.*  The lemmas leave f open only for a pair with both Q0
+nonzero and T != T~, or T == T~ out of the normal form.  A polynomial with
+a nonzero value is nonzero, so f's reduced difference is first evaluated
+at one integer point (x, y, z), each slot polynomial it reads summed at two
+of the point's coordinates, with nothing built in three variables, and a
+nonzero value makes f's flag False.  Only a zero value, from an f that holds or a point that falls on a
+root, builds f's difference in three variables and decides the flag by it.
+
+The failure witness, the difference of the first failing coefficient, is
+built in three variables when ``CubicReport.failure`` is first read, so a
+check whose witness is not read multiplies nothing in three variables but
+f's difference after a zero value at the point.  Each difference places
+each slot polynomial it reads once; in f's, q_xy q_yx and qt_yz qt_zy are
+the two-variable products Q0 swap(Q0) and Q0~ swap(Q0~) placed.
 Each two-variable identity above, of almost-equality, the divisible-T step
 and the multiplication lemma, is a sum of slot products, decided zero or not
 in one integer accumulator (``multipoly._slot_sum``) with no polynomial
@@ -216,36 +222,62 @@ class Report:
         return self.passed
 
 
-@dataclass(frozen=True)
 class CubicReport(Report):
-    """Outcome of one cubic braid comparison, one flag per coefficient."""
+    """Outcome of one cubic braid comparison, one flag per coefficient, and
+    failure, None or the name and difference of the first failing
+    coefficient.  failure may be given as the function that builds it (a
+    witness is not callable), called on the first read; the report is
+    immutable."""
 
-    flags: dict[str, bool]
-    failure: tuple[str, MultiPoly] | None = None
+    def __init__(self, flags: dict[str, bool], failure=None):
+        vars(self).update(flags=flags, _failure=failure)
+
+    @property
+    def failure(self) -> tuple[str, MultiPoly] | None:
+        if callable(self._failure):
+            vars(self)["_failure"] = self._failure()
+        return self._failure
+
+    def __setattr__(self, *args):
+        raise AttributeError("CubicReport is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CubicReport)
+                and (self.flags, self.failure) == (other.flags, other.failure))
+
+    def __repr__(self) -> str:
+        return f"CubicReport(flags={self.flags!r}, failure={self.failure!r})"
 
 
-# x - y, x - z and y - z in Q(z)[x, y, z], and (x - y)^2 and (y - z)^2,
-# built once for every cubic check.
+# x - y, x - z and y - z in Q(z)[x, y, z], built once for every cubic check,
+# and the integer point (x, y, z) where f's reduced difference is tried first
+# (the point rule), away from the small integer roots of the linear factors
+# that the families' coefficients carry.
 _XY, _XZ, _YZ = (MultiPoly.variable(3, i) - MultiPoly.variable(3, j)
                  for i, j in ((1, 2), (1, 3), (2, 3)))
-_XY2, _YZ2 = _XY * _XY, _YZ * _YZ
+_POINT = _X0, _Y0, _Z0 = (19, -7, 11)
+
+
+def _at_point(p: SlotPoly, i: int, j: int):
+    """p placed at the i-th and j-th coordinates of the point: a value."""
+    return p._value(_POINT[i - 1], _POINT[j - 1])
 
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     """The six numerator differences, left minus right, in the module's
     table: name -> (flag, difference), the difference a function that builds
-    factor * reduced difference on demand.  Every flag but f's is True or
-    False, decided by the slot polynomials and, for sf and sigma_f, the
-    multiplier's R0 or, when both Q0 are nonzero, T / (u - v) and
-    T~ / (u - v) (module docstring).  f's is decided by the Hecke nu or the
-    multiplier's R0, and is None when only its difference decides it, which
-    happens only for a failing pair.  Each difference places each slot
-    polynomial it reads once, so a pair decided in two variables places
-    none; a pair with a zero Q0 divides nothing."""
+    factor * reduced difference on demand.  Every flag is decided by the
+    slot polynomials and, for sf and sigma_f, the multiplier's R0 or, when
+    both Q0 are nonzero, T / (u - v) and T~ / (u - v) (module docstring).
+    f's is decided by the Hecke nu or the multiplier's R0, or else by its
+    reduced difference at one integer point, and only when that value is 0
+    by its difference, built in three variables.  Each difference places
+    each slot polynomial it reads once, so a pair decided in two variables
+    places none; a pair with a zero Q0 divides nothing."""
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     same_t = T == Tt
-    f_known = q_sq = qt_sq = None  # Q0 swap(Q0) and Q0~ swap(Q0~), once formed
+    f_known = None
     if same_t and not T:
         sf_known = sigma_f_known = f_known = True
     elif same_t and Q and Qt:  # the normal-form lemma
@@ -264,41 +296,45 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
         t_gs = k0 and _slot_sum([(t, g._swap_view(), 1)])  # t swap(g), for K = 0
         f_known = _slot_sum([(t_gs, t + tg.swap(), 1), (qq, g, -1)], "zero") if k0 else not (q or t)
         sf_known, sigma_f_known = (True, transposition) if Qt else (transposition, True)
-        q_sq, qt_sq = (Q, qq) if Qt else (qq, Qt)
     else:  # T != T~ with both Q0 nonzero: the diagonal lemma and the divisible-T step
         sf_known = _divisible_t(T, Tt, Tt._over_u_minus_v(), 1)
         sigma_f_known = _divisible_t(Tt, T, T._over_u_minus_v(), 0)
     middle = Q.is_zero() or Qt.is_zero() or same_t
-    xy, xz, yz = _XY, _XZ, _YZ
 
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
         return instantiate(p, i, j, 3)
 
-    def f() -> MultiPoly:
+    def f(at=at, xy=_XY, xz=_XZ, yz=_YZ):
+        """f's difference, which is its reduced difference, in x, y, z; or
+        its value at a point, with at placing a slot polynomial at two of the
+        point's coordinates and xy, xz, yz their differences."""
         t_xy, tt_yz = at(T, 1, 2), at(Tt, 2, 3)
         return (t_xy * tt_yz * xz * (yz * t_xy - xy * tt_yz)
-                - _YZ2 * at(Tt, 1, 3) * at(_times_swap(Q) if q_sq is None else q_sq, 1, 2)
-                + _XY2 * at(T, 1, 3) * at(_times_swap(Qt) if qt_sq is None else qt_sq, 2, 3))
+                - yz * yz * at(Tt, 1, 3) * at(_times_swap(Q), 1, 2)
+                + xy * xy * at(T, 1, 3) * at(_times_swap(Qt), 2, 3))
+
+    if f_known is None:  # a polynomial with a nonzero value is nonzero
+        f_known = not f(_at_point, _X0 - _Y0, _X0 - _Z0, _Y0 - _Z0) and f().is_zero()
 
     def sf() -> MultiPoly:
         tt_yz = at(Tt, 2, 3)
-        return -yz * at(Q, 1, 2) * (
-            at(T, 1, 2) * tt_yz * xz - at(Tt, 1, 3) * (yz * at(T, 2, 1) + xy * tt_yz))
+        return -_YZ * at(Q, 1, 2) * (
+            at(T, 1, 2) * tt_yz * _XZ - at(Tt, 1, 3) * (_YZ * at(T, 2, 1) + _XY * tt_yz))
 
     def sigma_f() -> MultiPoly:
         t_xy = at(T, 1, 2)
-        return -xy * at(Qt, 2, 3) * (
-            at(T, 1, 3) * (yz * t_xy + xy * at(Tt, 3, 2)) - t_xy * at(Tt, 2, 3) * xz)
+        return -_XY * at(Qt, 2, 3) * (
+            at(T, 1, 3) * (_YZ * t_xy + _XY * at(Tt, 3, 2)) - t_xy * at(Tt, 2, 3) * _XZ)
 
     return {
         "f": (f_known, f),
         "sf": (sf_known, sf),
         "sigma_f": (sigma_f_known, sigma_f),
-        "s_sigma_f": (middle, lambda: xy * yz * at(Q, 1, 2) * at(Qt, 1, 3) * at(T - Tt, 2, 3)),
-        "sigma_s_f": (middle, lambda: xy * yz * at(Qt, 2, 3) * at(Q, 1, 3) * at(T - Tt, 1, 2)),
+        "s_sigma_f": (middle, lambda: _XY * _YZ * at(Q, 1, 2) * at(Qt, 1, 3) * at(T - Tt, 2, 3)),
+        "sigma_s_f": (middle, lambda: _XY * _YZ * at(Qt, 2, 3) * at(Q, 1, 3) * at(T - Tt, 1, 2)),
         "s_sigma_s_f": (Q.is_zero() or Qt.is_zero() or Q == Qt or _almost(Q, Qt),
-                        lambda: -xy * yz * (at(Q, 1, 2) * at(Qt, 1, 3) * at(Q, 2, 3)
-                                            - at(Qt, 1, 2) * at(Q, 1, 3) * at(Qt, 2, 3))),
+                        lambda: -_XY * _YZ * (at(Q, 1, 2) * at(Qt, 1, 3) * at(Q, 2, 3)
+                                              - at(Qt, 1, 2) * at(Q, 1, 3) * at(Qt, 2, 3))),
     }
 
 
@@ -325,19 +361,13 @@ def cubic_braid_check(pi: PDDO, varpi: PDDO) -> CubicReport:
     """Does pi at index i and varpi at index i+1 satisfy pi varpi pi = varpi pi varpi?
 
     Each flag is decided as the module docstring says, so the full
-    numerators are never multiplied out.  f's flag, when left None, is
-    decided by its difference, built once.  The failure witness is the difference of
-    the first failing coefficient, reused when it was built for its flag.
+    numerators are never multiplied out.  The failure witness, the
+    difference of the first failing coefficient, is built on its first read.
     """
     parts = _factored_differences(pi, varpi)
-    diffs = {name: difference() for name, (known, difference) in parts.items() if known is None}
-    flags = {name: diffs[name].is_zero() if name in diffs else parts[name][0]
-             for name in COEFF_NAMES}
-    for name, ok in flags.items():
-        if not ok:
-            return CubicReport(flags=flags, failure=(
-                name, diffs[name] if name in diffs else parts[name][1]()))
-    return CubicReport(flags=flags)
+    flags = {name: parts[name][0] for name in COEFF_NAMES}
+    name = next((name for name in COEFF_NAMES if not flags[name]), None)
+    return CubicReport(flags, name and (lambda: (name, parts[name][1]())))
 
 
 def quad_commute_check(pi_i: PDDO, pi_k: PDDO, i: int, k: int, n: int) -> bool:

@@ -29,7 +29,8 @@ application of the library runs the word loop ``_run_word``, the one place
 that prepares an action: one per operator object, kept in the dict its
 caller passes, so an action and its monomial images live as long as that
 dict.  Every two-variable product, of ``_mul_pairs``, ``_slot_sum`` and
-inside ``_Action.act``, runs the one loop ``_mul_slots``.  ``_slot_sum`` is
+inside ``_Action.act``, runs the one loop ``_mul_slots``; a product in more
+variables runs the one generic loop of ``_mul_pairs``.  ``_slot_sum`` is
 the one path for a sum of slot products (a composite's Q0 and R0, the Hecke
 nu, the slot identities of commutation and of the cubic check): one integer
 accumulator, operands read as stored pairs, slot swaps or divided
@@ -38,7 +39,8 @@ differences with no SlotPoly built, and three exits, the sum built with one
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
-``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._dpositive`` (the
+``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._value`` (u and v set
+to integers, summed to one field element), ``SlotPoly._dpositive`` (the
 d-positive part of :func:`braidops.divdiff.dpositive_split`) and
 ``SlotPoly._over_u_minus_v`` (the quotient by u - v, or None when u - v does
 not divide it: the one test of that divisibility).  A slot test that is
@@ -49,10 +51,10 @@ and ``SlotPoly._separable`` (whether it is a product a(u) b(v), by the 2x2
 minors of its coefficients).  Stored pairs are tuples, shared between
 polynomials and never changed.  Field elements are built only where a
 coefficient is read out as a value: ``terms``, ``constant_value``,
-``evaluate`` and the long division of ``exact_div``.  A polynomial becomes
-text in one way, the term walk ``_printed_terms``, which prints each stored
-pair through ``field._text`` with no field element; ``str`` and the CLI's
-JSON writers read it.
+``evaluate``, ``SlotPoly._value`` and the long division of ``exact_div``.
+A polynomial becomes text in one way, the term walk ``_printed_terms``,
+which prints each stored pair through ``field._text`` with no field
+element; ``str`` and the CLI's JSON writers read it.
 """
 
 from __future__ import annotations
@@ -115,24 +117,14 @@ def _pairs(n_vars: int, terms: Mapping) -> tuple[dict, int]:
 
 def _mul_pairs(a: Mapping, b: Mapping, n_vars: int) -> dict:
     """The product of two numerator maps, before zero pairs are dropped.
-    Two variables go through _mul_slots; exponent sums are written out for
-    three, where building each with map(add, ...) costs as much as the
-    arithmetic."""
+    Two variables go through _mul_slots, and any other number through one
+    loop that sums exponent vectors with map(add, ...).  The cubic check
+    multiplies in three variables only to build a failure witness that is
+    read, or f's difference when its value at the check's point is 0."""
     acc: dict = {}
     get = acc.get
     if n_vars == 2:
         _mul_slots(acc, a, _slots(b, 1))
-    elif n_vars == 3:
-        bs = [(b0, b1, b2, rb, zb, rb + zb) for (b0, b1, b2), (rb, zb) in b.items()]
-        for (a0, a1, a2), (ra, za) in a.items():
-            for b0, b1, b2, rb, zb, sb in bs:
-                e = (a0 + b0, a1 + b1, a2 + b2)
-                pair = get(e)
-                if pair is None:
-                    acc[e] = [ra * rb - za * zb, ra * zb + za * sb]
-                else:
-                    pair[0] += ra * rb - za * zb
-                    pair[1] += ra * zb + za * sb
     else:
         bs = [(eb, rb, zb, rb + zb) for eb, (rb, zb) in b.items()]
         for ea, (ra, za) in a.items():
@@ -636,6 +628,11 @@ class SlotPoly(MultiPoly):
         """self(u, c), summed from the stored integer pairs over self's denominator."""
         return SlotPoly._from_acc(2, _summed(((r, 0), a * c ** s, b * c ** s)
                                              for (r, s), (a, b) in self._num.items()), self._den)
+
+    def _value(self, x: int, y: int) -> FieldElement:
+        """self(x, y) at integers, summed from the stored pairs."""
+        terms = [(x ** r * y ** s, a, b) for (r, s), (a, b) in self._num.items()]
+        return _element(sum(w * a for w, a, _ in terms), sum(w * b for w, _, b in terms), self._den)
 
     def _separable(self) -> bool:
         """Whether self is a(u) b(v): its coefficient matrix [c_rs] has rank

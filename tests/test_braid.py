@@ -3,6 +3,7 @@ almost-equality decision procedure."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from cubic_reference import (
     almost_equal_reference,
     cubic_braid_oracle,
     distant_commute_oracle,
+    full_numerators,
     full_report,
 )
 from term_reference import ref_diagonal
@@ -73,9 +75,10 @@ class TestCubicCheck:
         """A braiding case1 pair of two distinct, equal operators has T == T~
         in normal form, so sf, sigma_f and f are decided in two variables
         and nothing is placed in three.  A pair that fails all six flags
-        refutes sf and sigma_f on the diagonal and builds f's reduced
-        difference, its witness, from 6 placements, none repeated: T and T~
-        at three pairs, Q0 swap(Q0) and Q0~ swap(Q0~); R0 and R0~ are never
+        refutes sf and sigma_f on the diagonal and f at one integer point,
+        placing nothing, and builds f's difference, its witness, on the
+        first read of failure from 6 placements, none repeated: T and T~ at
+        three pairs, Q0 swap(Q0) and Q0~ swap(Q0~); R0 and R0~ are never
         placed."""
         calls = []
         real = braid.instantiate
@@ -89,16 +92,19 @@ class TestCubicCheck:
         assert cubic_braid_check(pi, varpi).passed
         assert calls == []
         pi, varpi = case1_operator(1, 2, 1, 2, 3), case1_operator(0, 1, 0, 0, 3)
-        assert not any(cubic_braid_check(pi, varpi).flags.values())
+        report = cubic_braid_check(pi, varpi)
+        assert not any(report.flags.values())
+        assert calls == []
+        assert report.failure == full_report(pi, varpi).failure
         assert len(calls) == 6
         assert len({(id(p), i, j) for p, i, j in calls}) == 6
         assert all(p is not pi.R0 and p is not varpi.R0 for p, _, _ in calls)
 
     def test_middle_flags_are_decided_by_t(self, monkeypatch):
         """With both Q0 nonzero and T != T~, s_sigma_f and sigma_s_f are False
-        without T - T~ being placed: a failing pair makes only the 6
-        placements of its f witness, and that witness is the multiplied-out
-        difference."""
+        without T - T~ being placed: a failing pair places nothing until
+        failure is read, then makes only the 6 placements of its f witness,
+        and that witness is the multiplied-out difference."""
         calls = []
         real = braid.instantiate
 
@@ -111,9 +117,10 @@ class TestCubicCheck:
         h = U + 2
         bad = PDDO(op.T + h, op.Q0 + h)
         report = cubic_braid_check(op, bad)
-        assert len(calls) == 6
+        assert calls == []
         assert report.flags["s_sigma_f"] is False and report.flags["sigma_s_f"] is False
         assert report.failure == full_report(op, bad).failure
+        assert len(calls) == len({(id(p), i, j) for p, i, j in calls}) == 6
         assert report.failure[0] == "f"
         mult = PDDO.from_q0_r0(SlotPoly.zero(), h)
         for pi, varpi in ((op, bad), (bad, op), (op, op), (op, mult)):
@@ -300,6 +307,55 @@ class TestAgainstFullNumerators:
         assert braids or report.failure[0] == "f"
 
 
+def three_variable_products(pi, varpi):
+    """The report of cubic_braid_check(pi, varpi), failure unread, and the
+    three-variable products the check made."""
+    with mock.patch.object(multipoly, "_mul_pairs", wraps=multipoly._mul_pairs) as mul:
+        report = cubic_braid_check(pi, varpi)
+    return report, sum(call.args[2] == 3 for call in mul.call_args_list)
+
+
+X0 = braid._POINT[0]
+
+
+class TestPointRule:
+    """f is refuted by a nonzero value of its reduced difference at one
+    integer point; a zero value builds the difference in three variables.
+    The witness is built on the first read of failure."""
+
+    @pytest.mark.parametrize("pi, varpi, f", [
+        (PDDO.from_q0_r0(UV, SlotPoly.zero()), PDDO.from_q0_r0(UV, SlotPoly.zero()), True),
+        (PDDO.from_q0_r0((U - X0) * (V + 1), U - X0), case1_operator(1, 2, 1, 2, 3), False),
+    ], ids=["t-equals-q0-equals-u-minus-v", "root-at-the-point"])
+    def test_zero_value_builds_the_difference(self, pi, varpi, f):
+        """T = Q0 = u - v on both sides is out of the normal form, and its f
+        holds while the pair fails; Q0 and R0 both carrying u - x0, x0 the
+        point's x, make f's reduced difference vanish at the point though it
+        is nonzero.  Both build f's difference during the check."""
+        report, products = three_variable_products(pi, varpi)
+        assert products > 0
+        assert report.flags["f"] is f and not report.passed
+        assert_same_report(pi, varpi)
+
+    @given(zslotpolys, zslotpolys, zslotpolys, zslotpolys, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_pairs(self, q1, r1, q2, r2, root):
+        """f's flag and the read witness, its name, polynomial and text, are
+        the multiplied-out numerators'.  The check multiplies in three
+        variables only when f's difference vanishes at the point, which a
+        factor u - x0 of pi's Q0 and R0 forces."""
+        if root:
+            q1, r1 = q1 * (U - X0), r1 * (U - X0)
+        pi, varpi = PDDO(q1 + UV * r1, q1), PDDO(q2 + UV * r2, q2)
+        report, products = three_variable_products(pi, varpi)
+        left, right = full_numerators(pi, varpi)
+        assert not products or not (left["f"] - right["f"]).evaluate(braid._POINT)
+        want = full_report(pi, varpi)
+        assert report.flags["f"] == want.flags["f"]
+        assert report.failure == want.failure
+        assert report.failure is None or str(report.failure[1]) == str(want.failure[1])
+
+
 def equal_t_pair(t, r0, rt0):
     """(pi, varpi) with T == T~ = t and R0, R0~ = r0, rt0."""
     return PDDO.from_q0_r0(t - UV * r0, r0), PDDO.from_q0_r0(t - UV * rt0, rt0)
@@ -335,31 +391,30 @@ class TestEqualT:
         assert_same_report(varpi, pi)
 
     @pytest.mark.parametrize("t, r0, rt0, known", [
-        (U * 2 + V, ONE, ONE, (False, False, None)),  # mu = 1, not separable
-        (U + V, ONE, V, (False, False, None)),  # mu = 0, not separable
+        (U * 2 + V, ONE, ONE, (False, False, False)),  # mu = 1, not separable
+        (U + V, ONE, V, (False, False, False)),  # mu = 0, not separable
         ((U + 1) * (V + 2), ONE, ONE, (True, True, True)),  # nu = nu~ = 0
         ((U + 1) * (V + 2), ONE, ONE * 2, (True, True, False)),  # nu = 0, nu~ = 2
         (ONE * 3, U, U, (True, True, False)),  # nu = 3 + uv, not constant
-        (U * U + V, ONE, ONE, (False, False, None)),  # d(T) = u + v - 1, not separable
+        (U * U + V, ONE, ONE, (False, False, False)),  # d(T) = u + v - 1, not separable
         (SlotPoly.zero(), V + 1, U + 1, (True, True, True)),
-        (U * U * (V + 2), ONE, ONE, (True, False, None)),  # deg_v T = 1, deg_u T = 2
-        ((U + 1) * V * V, ONE, ONE, (False, True, None)),  # deg_u T = 1, deg_v T = 2
+        (U * U * (V + 2), ONE, ONE, (True, False, False)),  # deg_v T = 1, deg_u T = 2
+        ((U + 1) * V * V, ONE, ONE, (False, True, False)),  # deg_u T = 1, deg_v T = 2
         # Symmetric with mu = 0, separable but of degree 2 in each slot.
-        ((U + 1) * (U + 1) * (V + 1) * (V + 1) * 3, ONE, ONE, (False, False, None)),
+        ((U + 1) * (U + 1) * (V + 1) * (V + 1) * 3, ONE, ONE, (False, False, False)),
     ], ids=["mu1-no-cocycle", "mu0-no-cocycle", "equal-nu", "unequal-nu",
             "nonconstant-nu", "nonconstant-dt", "t-zero", "sf-only", "sigma-f-only",
             "separable-quadratic"])
     def test_rules_decide_in_two_variables(self, t, r0, rt0, known):
-        """The sf, sigma_f and f flags that the rules decide, None where f
-        keeps the three-variable route, and the full report in both
-        orders."""
+        """The sf, sigma_f and f flags that the rules decide, f outside the
+        normal form by its value at one integer point, and the full report
+        in both orders."""
         pi, varpi = equal_t_pair(t, r0, rt0)
         for a, b in ((pi, varpi), (varpi, pi)):
             parts = braid._factored_differences(a, b)
             assert tuple(parts[name][0] for name in ("sf", "sigma_f", "f")) == known
             report = assert_same_report(a, b)
-            for name, flag in zip(("sf", "sigma_f", "f"), known):
-                assert flag is None or report.flags[name] is flag
+            assert tuple(report.flags[name] for name in ("sf", "sigma_f", "f")) == known
 
 
 # The multiplier's R0: random, univariate in u, univariate in v, constant or zero.

@@ -18,8 +18,10 @@ def _patched_names():
 
 
 def test_cubic_groups_count_what_their_docstring_says():
-    """Every group has pairs; the braiding group is decided in two variables
-    and applies no operator."""
+    """Every group has pairs; the braiding group applies no operator.  No
+    check multiplies in three variables but the one in the zero-diagonal
+    group whose f holds, so that f's value at the point is 0; reading
+    failure does, in every group but the braiding one."""
     pairs, zetas, _ = layers.catalogue()
     groups = layers.cubic_groups(pairs, zetas)
     assert len(groups) == 5 and all(groups.values())
@@ -27,7 +29,14 @@ def test_cubic_groups_count_what_their_docstring_says():
               for group, members in groups.items()}
     products, term_pairs, built, applied = counts["braiding"]
     assert (products, term_pairs, applied) == (0, 0, 0) and built > 0
-    assert all(counts[group][0] > 0 for group in groups if group != "braiding")
+    built_in_three = [(group, pair) for group, members in groups.items() for pair in members
+                      if layers.count_pass(cubic_braid_check, [pair])[0]]
+    assert [group for group, _ in built_in_three] == ["failing, Q0(v,v) = 0"]
+    assert cubic_braid_check(*built_in_three[0][1]).flags["f"]
+    for group, members in groups.items():
+        reports = [(cubic_braid_check(*pair),) for pair in members]
+        products = layers.count_pass(lambda report: report.failure, reports)[0]
+        assert (products > 0) is (group != "braiding")
 
 
 def test_hecke_params_builds_no_t():
