@@ -166,10 +166,12 @@ with both Q0 nonzero by T == T~ in normal form and the Hecke lemma.
 *Point rule.*  The lemmas leave f open only for a pair with both Q0
 nonzero and T != T~, or T == T~ out of the normal form.  A polynomial with
 a nonzero value is nonzero, so f's reduced difference is first evaluated
-at one integer point (x, y, z), each slot polynomial it reads summed at two
-of the point's coordinates, with nothing built in three variables, and a
-nonzero value makes f's flag False.  Only a zero value, from an f that holds or a point that falls on a
-root, builds f's difference in three variables and decides the flag by it.
+at one integer point (x, y, z), each slot polynomial it reads evaluated at
+two of the point's coordinates (``SlotPoly.evaluate``, an integer sum over
+the stored pairs), with nothing built in three variables, and a nonzero
+value makes f's flag False.  Only a zero value, from an f that holds or a
+point that falls on a root, builds f's difference in three variables; it
+decides the flag and is kept as f's witness.
 
 The failure witness, the difference of the first failing coefficient, is
 built in three variables when ``CubicReport.failure`` is first read, so a
@@ -260,7 +262,7 @@ _POINT = _X0, _Y0, _Z0 = (19, -7, 11)
 
 def _at_point(p: SlotPoly, i: int, j: int):
     """p placed at the i-th and j-th coordinates of the point: a value."""
-    return p._value(_POINT[i - 1], _POINT[j - 1])
+    return p.evaluate(_POINT[i - 1], _POINT[j - 1])
 
 
 def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
@@ -271,13 +273,14 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     both Q0 are nonzero, T / (u - v) and T~ / (u - v) (module docstring).
     f's is decided by the Hecke nu or the multiplier's R0, or else by its
     reduced difference at one integer point, and only when that value is 0
-    by its difference, built in three variables.  Each difference places
-    each slot polynomial it reads once, so a pair decided in two variables
-    places none; a pair with a zero Q0 divides nothing."""
+    by its difference, built in three variables and kept as f's witness.
+    Each difference places each slot polynomial it reads once, so a pair
+    decided in two variables places none; a pair with a zero Q0 divides
+    nothing."""
     T, Q = pi.T, pi.Q0
     Tt, Qt = varpi.T, varpi.Q0
     same_t = T == Tt
-    f_known = None
+    f_known = built = None  # built: f's difference, when its flag needed it
     if same_t and not T:
         sf_known = sigma_f_known = f_known = True
     elif same_t and Q and Qt:  # the normal-form lemma
@@ -314,7 +317,7 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
                 + xy * xy * at(T, 1, 3) * at(_times_swap(Qt), 2, 3))
 
     if f_known is None:  # a polynomial with a nonzero value is nonzero
-        f_known = not f(_at_point, _X0 - _Y0, _X0 - _Z0, _Y0 - _Z0) and f().is_zero()
+        f_known = not f(_at_point, _X0 - _Y0, _X0 - _Z0, _Y0 - _Z0) and (built := f()).is_zero()
 
     def sf() -> MultiPoly:
         tt_yz = at(Tt, 2, 3)
@@ -327,7 +330,7 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
             at(T, 1, 3) * (_YZ * t_xy + _XY * at(Tt, 3, 2)) - t_xy * at(Tt, 2, 3) * _XZ)
 
     return {
-        "f": (f_known, f),
+        "f": (f_known, f if built is None else lambda: built),
         "sf": (sf_known, sf),
         "sigma_f": (sigma_f_known, sigma_f),
         "s_sigma_f": (middle, lambda: _XY * _YZ * at(Q, 1, 2) * at(Qt, 1, 3) * at(T - Tt, 2, 3)),

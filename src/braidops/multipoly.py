@@ -39,8 +39,7 @@ differences with no SlotPoly built, and three exits, the sum built with one
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
-``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._value`` (u and v set
-to integers, summed to one field element), ``SlotPoly._dpositive`` (the
+``SlotPoly._at_v`` (v set to an integer), ``SlotPoly._dpositive`` (the
 d-positive part of :func:`braidops.divdiff.dpositive_split`) and
 ``SlotPoly._over_u_minus_v`` (the quotient by u - v, or None when u - v does
 not divide it: the one test of that divisibility).  A slot test that is
@@ -51,7 +50,8 @@ and ``SlotPoly._separable`` (whether it is a product a(u) b(v), by the 2x2
 minors of its coefficients).  Stored pairs are tuples, shared between
 polynomials and never changed.  Field elements are built only where a
 coefficient is read out as a value: ``terms``, ``constant_value``,
-``evaluate``, ``SlotPoly._value`` and the long division of ``exact_div``.
+``evaluate`` (a sum over the stored pairs, in integers at an integer
+point) and the long division of ``exact_div``.
 A polynomial becomes text in one way, the term walk ``_printed_terms``,
 which prints each stored pair through ``field._text`` with no field
 element; ``str`` and the CLI's JSON writers read it.
@@ -60,11 +60,11 @@ element; ``str`` and the CLI's JSON writers read it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .field import FieldElement, ONE, ZERO, _text
+from .field import FieldElement, ONE, ZERO, ZETA, _text
 
 __all__ = [
     "MultiPoly",
@@ -434,15 +434,17 @@ class MultiPoly:
         return [(e, _text(a, b, d)) for _, e, a, b in terms]
 
     def evaluate(self, point) -> FieldElement:
-        values = [FieldElement.of(p) for p in point]
+        """self at a point of field elements, or values that coerce to them,
+        summed over the stored pairs: (sum w a + (sum w b) z)/d, w the value
+        of each term's monomial.  Ints and Fractions are kept as they are, so
+        at an integer point every w and both sums are ints, and the value is
+        built from them with no field arithmetic."""
+        values = [p if isinstance(p, (int, Fraction)) else FieldElement.of(p) for p in point]
         if len(values) != self.n_vars:
             raise DimensionMismatchError("evaluation point has wrong length")
-        total = ZERO
-        for e, term in self.terms.items():
-            for val, exp in zip(values, e):
-                term = term * val**exp
-            total = total + term
-        return total
+        terms = [(prod(map(pow, values, e)), a, b) for e, (a, b) in self._num.items()]
+        a, b = sum(w * a for w, a, _ in terms), sum(w * b for w, _, b in terms)
+        return _element(a, b, self._den) if type(a) is type(b) is int else (a + b * ZETA) / self._den
 
     # -- arithmetic --------------------------------------------------------
 
@@ -628,11 +630,6 @@ class SlotPoly(MultiPoly):
         """self(u, c), summed from the stored integer pairs over self's denominator."""
         return SlotPoly._from_acc(2, _summed(((r, 0), a * c ** s, b * c ** s)
                                              for (r, s), (a, b) in self._num.items()), self._den)
-
-    def _value(self, x: int, y: int) -> FieldElement:
-        """self(x, y) at integers, summed from the stored pairs."""
-        terms = [(x ** r * y ** s, a, b) for (r, s), (a, b) in self._num.items()]
-        return _element(sum(w * a for w, a, _ in terms), sum(w * b for w, _, b in terms), self._den)
 
     def _separable(self) -> bool:
         """Whether self is a(u) b(v): its coefficient matrix [c_rs] has rank

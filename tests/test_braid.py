@@ -331,10 +331,17 @@ class TestPointRule:
         """T = Q0 = u - v on both sides is out of the normal form, and its f
         holds while the pair fails; Q0 and R0 both carrying u - x0, x0 the
         point's x, make f's reduced difference vanish at the point though it
-        is nonzero.  Both build f's difference during the check."""
+        is nonzero.  Both build f's difference during the check; where f
+        fails, that difference is the witness, and reading it builds nothing
+        more."""
         report, products = three_variable_products(pi, varpi)
         assert products > 0
         assert report.flags["f"] is f and not report.passed
+        if not f:
+            with mock.patch.object(multipoly, "_mul_pairs", wraps=multipoly._mul_pairs) as mul:
+                assert report.failure[0] == "f"
+            assert not mul.called
+        assert report == full_report(pi, varpi)
         assert_same_report(pi, varpi)
 
     @given(zslotpolys, zslotpolys, zslotpolys, zslotpolys, st.booleans())

@@ -38,6 +38,19 @@ def multipolys(n_vars: int, max_degree: int = 3):
     ).map(lambda t: MultiPoly(n_vars, t))
 
 
+# Coefficients and point values with a z part, and values of each kind
+# that evaluate accepts.
+zeta_coeffs = st.builds(FieldElement, st.fractions(-9, 9, max_denominator=6),
+                        st.fractions(-9, 9, max_denominator=6))
+point_values = st.one_of(st.integers(-30, 30), st.fractions(-9, 9, max_denominator=7), zeta_coeffs,
+                         zeta_coeffs.map(str))
+
+
+def zeta_multipolys(n_vars: int):
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * n_vars), zeta_coeffs,
+                           max_size=6).map(lambda t: MultiPoly(n_vars, t))
+
+
 slotpolys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=6
 ).map(SlotPoly)
@@ -108,6 +121,22 @@ class TestMultiPoly:
     @given(multipolys(3), st.integers(min_value=1, max_value=2))
     def test_swap_is_an_involution(self, f, i):
         assert swap_vars(swap_vars(f, i), i) == f
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(zeta_multipolys(n), st.lists(
+        point_values, min_size=n, max_size=n))))
+    def test_evaluation_is_the_sum_of_its_terms(self, args):
+        """evaluate, summed over the stored pairs, is each coefficient times
+        its monomial's value, summed in field arithmetic, at points of ints,
+        Fractions, strings and elements with a z part."""
+        f, point = args
+        values = [FieldElement.of(v) for v in point]
+        want = FieldElement.of(0)
+        for e, c in f.terms.items():
+            for v, k in zip(values, e):
+                c = c * v ** k
+            want = want + c
+        got = f.evaluate(point)
+        assert type(got) is FieldElement and (got._a, got._b, got._d) == (want._a, want._b, want._d)
 
     @given(multipolys(2))
     def test_evaluation_is_a_ring_map(self, f):
