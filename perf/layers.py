@@ -4,7 +4,7 @@
 
 Run from a checkout, it measures that checkout's ``src``, which it puts first
 on the import path, so a copy of another commit measures that commit.  It
-prints four sections.
+prints five sections.
 
 Library size.  The total line count of ``src/braidops``, and per module the
 code lines (neither blank, nor a comment, nor in a docstring, found with
@@ -42,9 +42,26 @@ random coefficients in Q(z), drawn with seed 1.  compose and
 commutes_same_index take each operator with the next one and with its own
 square; almost_equal takes the nonzero Q0 (or else T) of the same neighbours.
 
+Family braid check.  The time per family of family_braid_check on three
+n = 5 families: main_case2 with lines 1, 3, 4, 1 at (a, b, c, d) = (1, 2, 1,
+2), the same family with its operator at index 2 perturbed as PDDO(T + h,
+Q0 + h), h = u + 1, and a vanishing-Q0 family with one isolated index.  Each
+logs, for one pass, the T builds (reads of ``PDDO.T`` on an operator that
+kept none) and the nu computations (``PDDO._hecke_nu`` calls on an operator
+that kept none): the main-case constructors pass their T, and each operator
+keeps its nu, so the case-2 family builds no T and forms nu once per
+distinct operator.
+
 Table sweep.  The mean time per operator application of polynomial_table for
 two n = 5 families of n!(n-1)/2 = 240 applications each, each call including
 the family's braid check.
+
+An operator keeps its T and its Hecke nu once formed, so a pass over the
+same operators would find the first pass's work kept.  Each timed pass of the
+first three sections therefore runs on copies made by
+``PDDO.from_q0_r0(op.Q0, op.R0)``, which keep nothing, one copy per operator
+of each argument tuple, and each pass of the last two on families built
+afresh by their constructors, as a caller builds them.
 
 A failing pair's witness, the difference of its first failing coefficient,
 is built in three variables when ``CubicReport.failure`` is first read, so
@@ -52,10 +69,10 @@ each cubic group is timed a second time with failure read.  Each cubic group
 logs, for one pass, the three-variable products (``multipoly._mul_pairs``
 calls) and their term pairs, len(a) len(b) summed, the polynomials built
 (``MultiPoly._normal`` calls, slot polynomials included) and the operator
-applications (``multipoly._apply`` calls), and the three-variable products
-and term pairs of reading each report's failure; each slot case logs its
-``MultiPoly._normal`` calls.  These counts and the code lines do not depend
-on the machine.  Times are the best of 20 passes (5 for the table sweep);
+applications (``multipoly._apply`` calls) of a pass on such copies, and the
+three-variable products and term pairs of reading each report's failure;
+each slot case logs its ``MultiPoly._normal`` calls.  These counts and the
+code lines do not depend on the machine.  Times are the best of 20 passes (5 for the table sweep);
 each pass starts after a collection and runs with the collector off, so
 that a collection does not land in some passes and not in others.
 """
@@ -72,11 +89,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if __name__ == "__main__":
     sys.path.insert(0, str(SRC))
 
-from braidops import (PDDO, SlotPoly, almost_equal, commutes_same_index,  # noqa: E402
-                      cubic_braid_check, degenerate_t_family, identity_op, main_case2, multipoly,
-                      polynomial_table, preset, relation_holds, zeta_pair)
+from braidops import (PDDO, Isolated, OperatorFamily, SlotPoly, almost_equal,  # noqa: E402
+                      commutes_same_index, cubic_braid_check, degenerate_t_family,
+                      family_braid_check, identity_op, main_case2, multipoly, polynomial_table,
+                      preset, relation_holds, with_vanishing_q0, zeta_pair)
 from braidops.families import Case2Line, case1_operator, case2_operator  # noqa: E402
-from braidops.sampling import draw_degent_data, random_field_element  # noqa: E402
+from braidops.sampling import (draw_degent_data, draw_isolated_pair,  # noqa: E402
+                               random_field_element)
 
 # Run in a fresh interpreter: compiling a module allocates less for each name
 # that the process has interned already, as importing braidops or compiling
@@ -157,13 +176,45 @@ def slot_cases(ops: list) -> dict:
     }
 
 
+def families() -> dict:
+    """name -> constructor of the three families of the family section."""
+    h = SlotPoly.u() + 1
+
+    def case2():
+        return main_case2(5, 1, 2, 1, 2, [Case2Line(k) for k in (1, 3, 4, 1)])
+
+    def perturbed():
+        ops = list(case2().ops)
+        ops[1] = PDDO(ops[1].T + h, ops[1].Q0 + h)
+        return OperatorFamily(5, tuple(ops))
+
+    def vanq0():
+        return with_vanishing_q0(5, 2, [Isolated(1, *draw_isolated_pair(random.Random(1), 2))])
+
+    return {"case2 lines 1,3,4,1": case2, "case2 lines 1,3,4,1, index 2 perturbed": perturbed,
+            "vanq0, isolated index 1": vanq0}
+
+
+def fresh(calls: list) -> list:
+    """The argument tuples with each operator replaced by a copy that keeps
+    nothing, one copy per operator of a tuple, so that an operator that
+    appears twice in a tuple is one object in the copy too."""
+    def copies(args):
+        made = {}
+        return tuple(made.setdefault(id(a), PDDO.from_q0_r0(a.Q0, a.R0)) if isinstance(a, PDDO)
+                     else a for a in args)
+    return [copies(args) for args in calls]
+
+
 @contextmanager
 def counting():
     """Counts of the body: [three-variable products, their term pairs,
-    MultiPoly._normal calls, multipoly._apply calls].  The three names are
-    patched for the body and restored after it, also when it raises."""
-    counts = [0, 0, 0, 0]
+    MultiPoly._normal calls, multipoly._apply calls, T builds, nu
+    computations].  The five names are patched for the body and restored
+    after it, also when it raises."""
+    counts = [0, 0, 0, 0, 0, 0]
     mul_pairs, normal, apply = multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply
+    t_read, nu = PDDO.__dict__["T"], PDDO.__dict__["_hecke_nu"]
 
     def counted_mul_pairs(a, b, n_vars):
         if n_vars == 3:
@@ -177,13 +228,23 @@ def counting():
             return real(*args)
         return call
 
+    def counted_t(op):
+        counts[4] += getattr(op, "_t", None) is None
+        return t_read.fget(op)
+
+    def counted_nu(op, mu):
+        counts[5] += getattr(op, "_nu", None) is None
+        return nu(op, mu)
+
     multipoly._mul_pairs, multipoly._apply = counted_mul_pairs, counted(3, apply)
     multipoly.MultiPoly._normal = classmethod(counted(2, normal.__func__))
+    PDDO.T, PDDO._hecke_nu = property(counted_t), counted_nu
     try:
         yield counts
     finally:
         multipoly._mul_pairs, multipoly._apply = mul_pairs, apply
         multipoly.MultiPoly._normal = normal
+        PDDO.T, PDDO._hecke_nu = t_read, nu
 
 
 def count_pass(fn, calls: list) -> list:
@@ -194,11 +255,13 @@ def count_pass(fn, calls: list) -> list:
     return counts
 
 
-def best_of(passes: int, fn, calls: list) -> float:
-    """The least time of passes passes of fn over the argument tuples, each
-    after a collection and with the collector off."""
+def best_of(passes: int, fn, make) -> float:
+    """The least time of passes passes of fn over the argument tuples that
+    make() returns, called for each pass before it, each pass after a
+    collection and with the collector off."""
     best = float("inf")
     for _ in range(passes):
+        calls = make()
         gc.collect()
         gc.disable()
         start = time.perf_counter()
@@ -221,7 +284,7 @@ def main() -> None:
     subprocess.run([sys.executable, "-c", LIBRARY_SIZE, str(SRC / "braidops")], check=True)
     pairs, zetas, ops = catalogue()
     for group, members in cubic_groups(pairs, zetas).items():
-        products, term_pairs, built, applied = count_pass(cubic_braid_check, members)
+        products, term_pairs, built, applied = count_pass(cubic_braid_check, fresh(members))[:4]
         print(f"cubic_braid_check, {group}: {products} three-variable products, {term_pairs} term pairs, "
               f"{built} MultiPoly._normal calls, {applied} multipoly._apply calls over {len(members)} pairs")
         reports = [(cubic_braid_check(*pair),) for pair in members]
@@ -230,16 +293,21 @@ def main() -> None:
               f"{term_pairs} term pairs over {len(members)} pairs")
         for name, check in (("cubic_braid_check", cubic_braid_check),
                             ("cubic_braid_check, failure read", witness), ("relation_holds", relation)):
-            best = best_of(20, check, members)
+            best = best_of(20, check, lambda: fresh(members))
             print(f"{name}, {group}: {best / len(members) * 1e6:.1f} us per pair over {len(members)} pairs")
     for name, (fn, calls) in slot_cases(ops).items():
-        built, best = count_pass(fn, calls)[2], best_of(20, fn, calls)
+        built, best = count_pass(fn, fresh(calls))[2], best_of(20, fn, lambda: fresh(calls))
         print(f"{name}: {best / len(calls) * 1e6:.1f} us per call over {len(calls)} calls, "
               f"{built} MultiPoly._normal calls in one pass")
-    tables = {"preset:grothendieck --params 1": preset("grothendieck", 5, 1),
-              "case2 lines 1,3,4,1": main_case2(5, 1, 2, 1, 2, [Case2Line(k) for k in (1, 3, 4, 1)])}
-    for name, fam in tables.items():
-        best = best_of(5, polynomial_table, [(fam,)])
+    for name, build in families().items():
+        t_builds, nus = count_pass(family_braid_check, [(build(),)])[4:]
+        best = best_of(20, family_braid_check, lambda: [(build(),)])
+        print(f"family_braid_check {name}: {best * 1e6:.1f} us per family, "
+              f"{t_builds} T builds, {nus} nu computations in one pass")
+    tables = {"preset:grothendieck --params 1": lambda: preset("grothendieck", 5, 1),
+              "case2 lines 1,3,4,1": families()["case2 lines 1,3,4,1"]}
+    for name, build in tables.items():
+        best = best_of(5, polynomial_table, lambda: [(build(),)])
         print(f"polynomial_table {name}, n = 5: {best / 240 * 1e6:.1f} us per application")
 
 

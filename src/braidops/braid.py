@@ -100,7 +100,9 @@ holds exactly when nu(x,y) = nu~(y,z).  nu is symmetric: pi^2 - mu pi is
 multiplication by nu and commutes with pi, which forces d(nu) = 0 when
 Q0 != 0, and nu = -R0 swap(R0) when Q0 = 0.  So f holds exactly when nu and
 nu~ are one constant.  T = T~ = 0 makes the f, sf and sigma_f reduced
-differences zero outright, each of their terms having a t factor.
+differences zero outright, each of their terms having a t factor.  Each
+operator keeps its nu (``PDDO._hecke_nu``), as it keeps its T, so a family's
+check forms nu once per operator, not once per pair it is in.
 
 The Hecke lemma is an identity with integer coefficients in those of T, R0
 and R0~, and the normal-form lemma needs only unique factorisation and an
@@ -168,10 +170,10 @@ nonzero and T != T~, or T == T~ out of the normal form.  A polynomial with
 a nonzero value is nonzero, so f's reduced difference is first evaluated
 at one integer point (x, y, z), each slot polynomial it reads evaluated at
 two of the point's coordinates (``SlotPoly.evaluate``, an integer sum over
-the stored pairs), with nothing built in three variables, and a nonzero
-value makes f's flag False.  Only a zero value, from an f that holds or a
-point that falls on a root, builds f's difference in three variables; it
-decides the flag and is kept as f's witness.
+the stored pairs; q_xy q_yx is two such values), with nothing built, and a
+nonzero value makes f's flag False.  Only a zero value, from an f that holds
+or a point that falls on a root, builds f's difference in three variables;
+it decides the flag and is kept as f's witness.
 
 The failure witness, the difference of the first failing coefficient, is
 built in three variables when ``CubicReport.failure`` is first read, so a
@@ -192,7 +194,7 @@ from itertools import count, product
 from typing import TYPE_CHECKING
 
 from .multipoly import MultiPoly, SlotPoly, _run_word, _slot_sum, instantiate
-from .pddo import PDDO, _hecke_nu, per_operator
+from .pddo import PDDO, per_operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import OperatorFamily
@@ -286,10 +288,10 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     elif same_t and Q and Qt:  # the normal-form lemma
         separable, (deg_u, deg_v) = T._separable(), T._degrees()
         sf_known, sigma_f_known = separable and deg_v <= 1, separable and deg_u <= 1
-        if sf_known and sigma_f_known:  # T bilinear, so d(T) is a constant
+        if sf_known and sigma_f_known:  # T bilinear, so d(T) = d(T~) is a constant
             mu = T.ddiff().constant_value()
-            nu = _hecke_nu(pi, mu)
-            f_known = nu.is_constant() and (varpi == pi or nu == _hecke_nu(varpi, mu))
+            nu = pi._hecke_nu(mu)
+            f_known = nu.is_constant() and nu == varpi._hecke_nu(mu)
     elif not (Q and Qt):  # the multiplication lemma and the divisible-T step on the
         # multiplier's stored R0 = g: pi multiplies when Qt != 0, and tg = (u - v) g is its T
         g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)
@@ -307,17 +309,20 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     def at(p: SlotPoly, i: int, j: int) -> MultiPoly:
         return instantiate(p, i, j, 3)
 
-    def f(at=at, xy=_XY, xz=_XZ, yz=_YZ):
+    def f(at=at, xy=_XY, xz=_XZ, yz=_YZ, at_both=lambda q, i, j: at(_times_swap(q), i, j)):
         """f's difference, which is its reduced difference, in x, y, z; or
         its value at a point, with at placing a slot polynomial at two of the
-        point's coordinates and xy, xz, yz their differences."""
+        point's coordinates, xy, xz, yz their differences and at_both(q, i, j)
+        placing q(i, j) q(j, i)."""
         t_xy, tt_yz = at(T, 1, 2), at(Tt, 2, 3)
         return (t_xy * tt_yz * xz * (yz * t_xy - xy * tt_yz)
-                - yz * yz * at(Tt, 1, 3) * at(_times_swap(Q), 1, 2)
-                + xy * xy * at(T, 1, 3) * at(_times_swap(Qt), 2, 3))
+                - yz * yz * at(Tt, 1, 3) * at_both(Q, 1, 2)
+                + xy * xy * at(T, 1, 3) * at_both(Qt, 2, 3))
 
     if f_known is None:  # a polynomial with a nonzero value is nonzero
-        f_known = not f(_at_point, _X0 - _Y0, _X0 - _Z0, _Y0 - _Z0) and (built := f()).is_zero()
+        f_known = not f(_at_point, _X0 - _Y0, _X0 - _Z0, _Y0 - _Z0,
+                        lambda q, i, j: _at_point(q, i, j) * _at_point(q, j, i)) \
+            and (built := f()).is_zero()
 
     def sf() -> MultiPoly:
         tt_yz = at(Tt, 2, 3)

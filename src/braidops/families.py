@@ -7,10 +7,12 @@ passes the braid verification in :mod:`braidops.braid`.
 
 Every operator is built straight in the first canonical form (Q0, R0), and
 a polynomial whose terms are known is written as its term map.  The main
-cases share one normal form: T = a uv + b u + c v + d with ad = bc, and
-Q0 = T - (u - v)R0, where R0 is b - c - e for case 1 and b - c, 0, a v + b,
--(a u + c) for the four lines of case 2.  So case 1 at e = 0 is line 1 and
-at e = b - c is line 2, which is why case 1 excludes those two values.
+cases and the degenerate-T family pass their T, which the operator keeps.
+The main cases share one normal form: T = a uv + b u + c v + d with ad = bc,
+and Q0 = T - (u - v)R0, where R0 is b - c - e for case 1 and b - c, 0,
+a v + b, -(a u + c) for the four lines of case 2.  So case 1 at e = 0 is
+line 1 and at e = b - c is line 2, which is why case 1 excludes those two
+values.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ def _check_abcd(a, b, c, d) -> tuple[FieldElement, ...]:
 
 
 def _abcd_operator(a, b, c, d, r0: SlotPoly) -> PDDO:
-    """The main-case operator with T = a uv + b u + c v + d and this R0."""
+    """The main-case operator with T = a uv + b u + c v + d, which it keeps,
+    and this R0."""
     t = SlotPoly({(1, 1): a, (1, 0): b, (0, 1): c, (0, 0): d})
-    return PDDO.from_q0_r0(t - _UV * r0, r0)
+    return PDDO.from_q0_r0(t - _UV * r0, r0, t)
 
 
 def case1_operator(a, b, c, d, e) -> PDDO:
@@ -159,9 +162,10 @@ def coincident_lines(a, b, c, d) -> list[set[Case2Line]]:
 
 
 def transposition_scaled(q_l, q_r, qhat: SlotPoly) -> PDDO:
-    """The operator f |-> q_l(x_i) q_r(x_{i+1}) qhat(x_i, x_{i+1}) s_i f."""
+    """The operator f |-> q_l(x_i) q_r(x_{i+1}) qhat(x_i, x_{i+1}) s_i f,
+    which keeps T = 0."""
     multiplier = SlotPoly.univariate(q_l, 0) * SlotPoly.univariate(q_r, 1) * qhat
-    return PDDO.from_q0_r0(-(_UV * multiplier), multiplier)
+    return PDDO.from_q0_r0(-(_UV * multiplier), multiplier, SlotPoly.zero())
 
 
 def degenerate_t_family(

@@ -4,10 +4,13 @@ An operator f |-> d_i(P f) + Q d_i f + R f + S s_i f is stored as its first
 canonical form, the pair (Q0, R0) of Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f,
 with Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
 (T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}) with
-T = P + (u - v)R + Q = Q0 + (u - v)R0, read off the pair.  The public
-constructor PDDO(T, Q0) checks outside input: R0 is the quotient of T - Q0 by
-u - v, found without long division, and the input is refused when u - v does
-not divide T - Q0, which ``SlotPoly._over_u_minus_v`` alone decides.
+T = P + (u - v)R + Q = Q0 + (u - v)R0.  The operator keeps its T: the one
+its constructor was given, or else Q0 + (u - v)R0, built on the first read.
+``PDDO.from_q0_r0`` takes T from internal callers that have it at hand, and
+it must equal Q0 + (u - v)R0.  The public constructor PDDO(T, Q0) checks
+outside input: R0 is the quotient of T - Q0 by u - v, found without long
+division, and the input is refused when u - v does not divide T - Q0, which
+``SlotPoly._over_u_minus_v`` alone decides.
 Composition is slot arithmetic, by the product formula.  The Leibniz rule
 d(g h) = d(g) h + swap(g) d(h) and d(d f) = 0 give, for pi = Q0 d + R0 after
 pi~ = Q0~ d + R0~,
@@ -17,7 +20,8 @@ pi~ = Q0~ d + R0~,
 each a sum of slot products summed in one accumulator
 (``multipoly._slot_sum``), with no operator applied.  The Hecke parameters
 are slot arithmetic too: mu = d(T) = d(Q0) + R0 + swap(R0) and nu = pi(R0) -
-mu R0 = Q0 d(R0) + R0 (R0 - mu), the R0' of pi o pi less mu R0.
+mu R0 = Q0 d(R0) + R0 (R0 - mu), the R0' of pi o pi less mu R0, which the
+operator keeps once formed.
 """
 
 from __future__ import annotations
@@ -62,14 +66,16 @@ class CanonicalForms(NamedTuple):
 
 class PDDO:
     """One polynomial divided difference operator, stored as its first
-    canonical form (Q0, R0) and compared and hashed by it; T = Q0 + (u - v)R0
-    is read off the pair."""
+    canonical form (Q0, R0) and compared and hashed by it.  It keeps
+    T = Q0 + (u - v)R0, given by its constructor or built on the first read,
+    and its Hecke nu once formed; neither is compared, hashed or printed
+    apart from the pair."""
 
-    __slots__ = ("Q0", "R0")
+    __slots__ = ("Q0", "R0", "_t", "_nu")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
         """Build from outside (T, Q0), two SlotPolys, with R0 = (T - Q0)/(u - v);
-        refused when u - v does not divide T - Q0."""
+        refused when u - v does not divide T - Q0.  T is kept."""
         for name, value in (("T", T), ("Q0", Q0)):
             if not isinstance(value, SlotPoly):
                 raise TypeError(f"{name} must be a SlotPoly, not {type(value).__name__}")
@@ -79,13 +85,19 @@ class PDDO:
                 "T - Q0 must be divisible by u - v; corrupted operator data")
         _set(self, "Q0", Q0)
         _set(self, "R0", r0)
+        _set(self, "_t", T)
 
     def __setattr__(self, *args):
         raise AttributeError("PDDO is immutable")
 
     @property
     def T(self) -> SlotPoly:
-        return self.Q0 + _UV * self.R0
+        """Q0 + (u - v)R0, kept: the constructor's, or built on the first read."""
+        t = getattr(self, "_t", None)
+        if t is None:
+            t = self.Q0 + _UV * self.R0
+            _set(self, "_t", t)
+        return t
 
     @property
     def degeneracy(self) -> Degeneracy:
@@ -101,11 +113,14 @@ class PDDO:
         return cls.from_q0_r0(P.swap() + Q - _UV * S, P.ddiff() + R + S)
 
     @classmethod
-    def from_q0_r0(cls, Q0: SlotPoly, R0: SlotPoly) -> "PDDO":
-        """The operator f |-> Q0 d f + R0 f."""
+    def from_q0_r0(cls, Q0: SlotPoly, R0: SlotPoly, T: SlotPoly | None = None) -> "PDDO":
+        """The operator f |-> Q0 d f + R0 f.  T, when given, is kept as it is
+        and must equal Q0 + (u - v)R0."""
         op = object.__new__(cls)
         _set(op, "Q0", Q0)
         _set(op, "R0", R0)
+        if T is not None:
+            _set(op, "_t", T)
         return op
 
     @classmethod
@@ -184,9 +199,9 @@ class PDDO:
         be d(T) = d(Q0) + R0 + swap(R0) (the Leibniz rule, with d(u - v) = 2),
         summed in one accumulator with no T built.  At 1, where op(1) = R0,
         the relation reads op(R0) = mu R0 + nu: it holds iff d(T) and nu =
-        op(R0) - mu R0 are both constant, nu formed in slot arithmetic
-        (_hecke_nu).  When Q0 = 0 the operator is multiplication by R0, which
-        satisfies one iff R0 = r is constant, and then op^2 = r * op.
+        op(R0) - mu R0 are both constant, nu formed in slot arithmetic and
+        kept (_hecke_nu).  When Q0 = 0 the operator is multiplication by R0,
+        which satisfies one iff R0 = r is constant, and then op^2 = r * op.
         """
         if not self.Q0:
             if self.R0.is_constant():
@@ -197,18 +212,23 @@ class PDDO:
         if not dt.is_constant():
             return None
         mu = dt.constant_value()
-        nu = _hecke_nu(self, mu)
+        nu = self._hecke_nu(mu)
         if not nu.is_constant():
             return None
         return mu, nu.constant_value()
 
-
-def _hecke_nu(op: PDDO, mu: FieldElement) -> SlotPoly:
-    """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu), summed in one accumulator
-    with no operator applied.  When d(T) = mu, op o op - mu op has Q0 d(T) -
-    mu Q0 = 0 for its Q0 and this for its R0 (see compose): it is
-    multiplication by nu, and op^2 = mu op + nu exactly when nu is constant."""
-    return _slot_sum([(op.Q0, op.R0._ddiff_view(), 1), (op.R0, op.R0 - mu, 1)])
+    def _hecke_nu(self, mu: FieldElement) -> SlotPoly:
+        """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu) for mu = d(T), a constant,
+        summed in one accumulator with no operator applied and kept.  Then
+        op o op - mu op has Q0 d(T) - mu Q0 = 0 for its Q0 and this for its R0
+        (see compose): it is multiplication by nu, and op^2 = mu op + nu
+        exactly when nu is constant."""
+        nu = getattr(self, "_nu", None)
+        if nu is None:
+            q, r = self.Q0, self.R0
+            nu = _slot_sum([(q, r._ddiff_view(), 1), (r, r - mu, 1)])
+            _set(self, "_nu", nu)
+        return nu
 
 
 def identity_op(c=1) -> PDDO:

@@ -46,8 +46,10 @@ def full_numerators(pi: PDDO, varpi: PDDO) -> tuple[dict, dict]:
     z = MultiPoly.variable(n, 3)
     xy, xz, yz = x - y, x - z, y - z
 
-    T, Q = pi.T, pi.Q0
-    Tt, Qt = varpi.T, varpi.Q0
+    # T from the pair, not the operator's kept T, which this oracle checks.
+    uv = SlotPoly.u() - SlotPoly.v()
+    T, Q = pi.Q0 + uv * pi.R0, pi.Q0
+    Tt, Qt = varpi.Q0 + uv * varpi.R0, varpi.Q0
     t_xy, t_yx, t_xz, t_yz = at(T, 1, 2), at(T, 2, 1), at(T, 1, 3), at(T, 2, 3)
     q_xy, q_yx, q_xz, q_yz = at(Q, 1, 2), at(Q, 2, 1), at(Q, 1, 3), at(Q, 2, 3)
     tt_xy, tt_xz, tt_yz, tt_zy = at(Tt, 1, 2), at(Tt, 1, 3), at(Tt, 2, 3), at(Tt, 3, 2)

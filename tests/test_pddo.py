@@ -425,17 +425,57 @@ class TestApplyKeepsNothing:
             assert method(warm) == method(cold)
 
     def test_apply_changes_no_attribute(self):
-        """An operator is its pair alone: applying it, at any index and on
-        any polynomial, leaves both slots holding the same objects."""
-        assert PDDO.__slots__ == ("Q0", "R0")
+        """An operator is its pair with its kept T and nu: applying it, at
+        any index and on any polynomial, composing it and reading its Hecke
+        parameters leave every slot that is set holding the same object, the
+        T its constructor kept included."""
+        assert PDDO.__slots__ == ("Q0", "R0", "_t", "_nu")
         op = main_case1(4, 1, 2, 1, 2, 3)[2]
-        before = [getattr(op, name) for name in PDDO.__slots__]
+        before = {name: getattr(op, name) for name in PDDO.__slots__ if hasattr(op, name)}
+        assert list(before) == ["Q0", "R0", "_t"]
         for i in (1, 2, 3):
             op.apply(i, staircase(4))
         op.compose(op)
         op.hecke_params()
-        assert all(getattr(op, name) is kept for name, kept in zip(PDDO.__slots__, before))
+        assert all(getattr(op, name) is kept for name, kept in before.items())
         assert not hasattr(op, "__dict__")
+
+
+def assert_t_kept(op: PDDO, given: SlotPoly | None = None) -> None:
+    """op's T is Q0 + (u - v)R0, the same object on every read, and the
+    object its constructor was given, if any."""
+    t = op.T
+    assert t == op.Q0 + (U - V) * op.R0 and op.T is t
+    assert given is None or t is given
+
+
+class TestKeptT:
+    @given(qz_slots_or_zero, qz_slots_or_zero, quadruples, st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_every_constructor_keeps_the_t_of_its_pair(self, q0, r0, pqrs, seed):
+        """PDDO(T, Q0) and from_q0_r0 with a T keep the T given; from_q0_r0
+        without one, from_pqrs, compose and the family constructors keep the
+        T of their pair, whether given or built on the first read."""
+        t = q0 + (U - V) * r0
+        assert_t_kept(PDDO(t, q0), t)
+        assert_t_kept(PDDO.from_q0_r0(q0, r0, t), t)
+        plain, pqrs_op = PDDO.from_q0_r0(q0, r0), PDDO.from_pqrs(*pqrs)
+        rng = random.Random(seed)
+        mu = sampling.random_fraction(rng, 5, nonzero=True)
+        families = [
+            main_case1(4, *sampling.draw_case1_params(rng)),
+            main_case2(4, *sampling.draw_case2_params(rng), sampling.random_lines(rng, 3)),
+            degenerate_t_family(4, *sampling.draw_degent_data(rng, 4)),
+            with_vanishing_q0(6, mu, [Isolated(1, *sampling.draw_isolated_pair(rng, mu)),
+                                      Interval(3, 4, 0, mu, 0, 0)]),
+            *(preset(name, 4, param) for name, param in
+              (("pure_ddiff", 2), ("demazure", None), ("grothendieck", 3))),
+        ]
+        ops = [plain, pqrs_op, plain.compose(pqrs_op), pqrs_op.compose(plain),
+               *zeta_pair(*sampling.draw_zeta_params(rng)),
+               *(op for fam in families for op in fam.ops)]
+        for op in ops:
+            assert_t_kept(op)
 
 
 class TestReadOffTheAction:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from braidops import MultiPoly, cubic_braid_check, identity_op, multipoly
+from braidops import PDDO, MultiPoly, cubic_braid_check, family_braid_check, identity_op, multipoly
+from braidops.families import case1_operator
 
 _spec = importlib.util.spec_from_file_location(
     "layers", Path(__file__).resolve().parent.parent / "perf" / "layers.py")
@@ -14,7 +15,8 @@ _spec.loader.exec_module(layers)
 
 
 def _patched_names():
-    return (multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply)
+    return (multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply,
+            PDDO.__dict__["T"], PDDO.__dict__["_hecke_nu"])
 
 
 def test_cubic_groups_count_what_their_docstring_says():
@@ -27,7 +29,7 @@ def test_cubic_groups_count_what_their_docstring_says():
     assert len(groups) == 5 and all(groups.values())
     counts = {group: layers.count_pass(cubic_braid_check, members)
               for group, members in groups.items()}
-    products, term_pairs, built, applied = counts["braiding"]
+    products, term_pairs, built, applied = counts["braiding"][:4]
     assert (products, term_pairs, applied) == (0, 0, 0) and built > 0
     built_in_three = [(group, pair) for group, members in groups.items() for pair in members
                       if layers.count_pass(cubic_braid_check, [pair])[0]]
@@ -48,17 +50,53 @@ def test_hecke_params_builds_no_t():
     assert layers.count_pass(fn, calls)[2] <= 60
 
 
+def test_family_checks_build_t_and_nu_once_per_operator():
+    """The main-case constructors pass their T and PDDO(T + h, Q0 + h) keeps
+    its own, so neither case-2 family builds a T; each operator keeps its nu,
+    so the case-2 family forms it once for each of its three operator
+    objects, and the perturbed one for the two of its one normal-form pair,
+    (line 4, line 1).  The vanishing-Q0 family builds the T of its two
+    operator objects, each once, and forms no nu."""
+    expected = {"case2 lines 1,3,4,1": [0, 3], "case2 lines 1,3,4,1, index 2 perturbed": [0, 2],
+                "vanq0, isolated index 1": [2, 0]}
+    families = layers.families()
+    assert list(families) == list(expected)
+    for name, build in families.items():
+        fam = build()
+        assert layers.count_pass(family_braid_check, [(fam,)])[4:] == expected[name]
+        assert family_braid_check(fam).passed is ("perturbed" not in name)
+    case2 = families["case2 lines 1,3,4,1"]()
+    assert len(set(map(id, case2.ops))) == 3
+
+
+def test_fresh_copies_keep_nothing():
+    """A fresh copy equals its operator, keeps no T or nu, and an operator
+    that appears twice in an argument tuple is one copy."""
+    op = case1_operator(1, 2, 1, 2, 3)
+    op.hecke_params()
+    assert op._t is op.T and op._nu is not None
+    [(a, b, c)] = layers.fresh([(op, op, 5)])
+    assert a is b and a is not op and a == op and c == 5
+    assert not hasattr(a, "_t") and not hasattr(a, "_nu")
+
+
 def test_counting_counts_and_restores_the_patched_names():
-    """The three names are counted inside the body and are the original
+    """The five names are counted inside the body and are the original
     objects after it, also when it raises."""
     originals = _patched_names()
     f, g = MultiPoly.const(3, 2), MultiPoly.variable(3, 1) + 1
     with layers.counting() as counts:
         f * g
-    assert counts == [1, 2, 1, 0]
+    assert counts == [1, 2, 1, 0, 0, 0]
     with layers.counting() as counts:
         identity_op(2).apply(1, g)
     assert counts[3] == 1
+    op = case1_operator(1, 2, 1, 2, 3)
+    copy = PDDO.from_q0_r0(op.Q0, op.R0)
+    with layers.counting() as counts:
+        op.T, copy.T, copy.T
+        op.hecke_params(), op.hecke_params()
+    assert counts[4:] == [1, 1]
     assert all(a is b for a, b in zip(_patched_names(), originals))
     with pytest.raises(RuntimeError):
         with layers.counting():
