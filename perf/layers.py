@@ -54,7 +54,11 @@ distinct operator.
 
 Table sweep.  The mean time per operator application of polynomial_table for
 two n = 5 families of n!(n-1)/2 = 240 applications each, each call including
-the family's braid check.
+the family's braid check.  Then, for the three presets at n = 4 on the
+staircase, the time per table, and the time per table with
+``multipoly._apply`` made the identity (``identity_apply``), which leaves
+the table's fixed cost: the braid check, the schedule, the actions, the
+ascent audit's comparisons and the entries.
 
 An operator keeps its T and its Hecke nu once formed, so a pass over the
 same operators would find the first pass's work kept.  Each timed pass of the
@@ -72,7 +76,7 @@ calls) and their term pairs, len(a) len(b) summed, the polynomials built
 applications (``multipoly._apply`` calls) of a pass on such copies, and the
 three-variable products and term pairs of reading each report's failure;
 each slot case logs its ``MultiPoly._normal`` calls.  These counts and the
-code lines do not depend on the machine.  Times are the best of 20 passes (5 for the table sweep);
+code lines do not depend on the machine.  Times are the best of 20 passes (5 for the n = 5 tables);
 each pass starts after a collection and runs with the collector off, so
 that a collection does not land in some passes and not in others.
 """
@@ -247,6 +251,18 @@ def counting():
         PDDO.T, PDDO._hecke_nu = t_read, nu
 
 
+@contextmanager
+def identity_apply():
+    """multipoly._apply returns f unchanged in the body, so every table entry
+    is the seed, and is restored after it, also when it raises."""
+    apply = multipoly._apply
+    multipoly._apply = lambda f, k, action: f
+    try:
+        yield
+    finally:
+        multipoly._apply = apply
+
+
 def count_pass(fn, calls: list) -> list:
     """The counts of one pass of fn over the argument tuples."""
     with counting() as counts:
@@ -309,6 +325,14 @@ def main() -> None:
     for name, build in tables.items():
         best = best_of(5, polynomial_table, lambda: [(build(),)])
         print(f"polynomial_table {name}, n = 5: {best / 240 * 1e6:.1f} us per application")
+    for name in ("pure_ddiff", "demazure", "grothendieck"):
+        def make(name=name):
+            return [(preset(name, 4, 1 if name == "grothendieck" else None),)]
+        best = best_of(20, polynomial_table, make)
+        with identity_apply():
+            fixed = best_of(20, polynomial_table, make)
+        print(f"polynomial_table preset:{name}, n = 4, staircase: {best * 1e6:.1f} us per table, "
+              f"{fixed * 1e6:.1f} us with multipoly._apply the identity")
 
 
 if __name__ == "__main__":

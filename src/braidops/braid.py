@@ -102,7 +102,8 @@ Q0 != 0, and nu = -R0 swap(R0) when Q0 = 0.  So f holds exactly when nu and
 nu~ are one constant.  T = T~ = 0 makes the f, sf and sigma_f reduced
 differences zero outright, each of their terms having a t factor.  Each
 operator keeps its nu (``PDDO._hecke_nu``), as it keeps its T, so a family's
-check forms nu once per operator, not once per pair it is in.
+check forms nu once per operator, not once per pair it is in, and forms mu
+only for a pair with an operator that has not kept its nu yet.
 
 The Hecke lemma is an identity with integer coefficients in those of T, R0
 and R0~, and the normal-form lemma needs only unique factorisation and an
@@ -289,7 +290,9 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
         separable, (deg_u, deg_v) = T._separable(), T._degrees()
         sf_known, sigma_f_known = separable and deg_v <= 1, separable and deg_u <= 1
         if sf_known and sigma_f_known:  # T bilinear, so d(T) = d(T~) is a constant
-            mu = T.ddiff().constant_value()
+            # mu is read only by an operator that has not kept its nu yet.
+            kept = hasattr(pi, "_nu") and hasattr(varpi, "_nu")
+            mu = None if kept else T.ddiff().constant_value()
             nu = pi._hecke_nu(mu)
             f_known = nu.is_constant() and nu == varpi._hecke_nu(mu)
     elif not (Q and Qt):  # the multiplication lemma and the divisible-T step on the

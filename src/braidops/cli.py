@@ -157,7 +157,7 @@ def _ints(values, newline: str) -> str:
     if not values:
         return "[]"
     inner = newline + "  "
-    return "[" + ",".join([inner + str(x) for x in values]) + newline + "]"
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
 
 
 def _object(fields, newline: str) -> str:

@@ -200,8 +200,10 @@ def _text(a: int, b: int, d: int) -> str:
 
     Each part is printed in lowest terms, so (a, b, d) need not be canonical:
     a polynomial's stored pair over its shared denominator prints as its
-    coefficient does.
+    coefficient does.  Over d = 1 there is nothing to reduce.
     """
+    if d == 1:
+        return f"{a}{'+' if b > 0 else '-'}{abs(b)}z" if b else str(a)
     if not b:
         return _ratio(a, d)
     return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{_ratio(abs(b), d)}z"

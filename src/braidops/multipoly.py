@@ -24,18 +24,20 @@ coercion of an operand of its own class and dimension, and so does a product.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
 (Q0, R0) = (1, 0), read from an ``_Action`` that keeps the image of each
 monomial met: R0 for 1, and for the others ``_Action.act``, the one routine
-for Q0 d p + R0 p, which merged slices of f go through too.  Every operator
-application of the library runs the word loop ``_run_word``, the one place
-that prepares an action: one per operator object, kept in the dict its
-caller passes, so an action and its monomial images live as long as that
-dict.  Every two-variable product, of ``_mul_pairs``, ``_slot_sum`` and
-inside ``_Action.act``, runs the one loop ``_mul_slots``; a product in more
-variables runs the one generic loop of ``_mul_pairs``.  ``_slot_sum`` is
-the one path for a sum of slot products (a composite's Q0 and R0, the Hecke
-nu, the slot identities of commutation and of the cubic check): one integer
-accumulator, operands read as stored pairs, slot swaps or divided
-differences with no SlotPoly built, and three exits, the sum built with one
-``_from_acc``, or whether it is zero or symmetric, with nothing built.
+for Q0 d p + R0 p, which merged slices of f go through too.  ``_action`` is
+the one place that prepares an action: one per operator object, kept in the
+dict its caller passes, so an action and its monomial images live as long as
+that dict.  Every operator application of the library runs the word loop
+``_run_word``, except the table sweep's, which calls ``_apply`` once per
+ascent with the actions ``_action`` prepared.  Every two-variable product,
+of ``_mul_pairs``, ``_slot_sum`` and inside ``_Action.act``, runs the one
+loop ``_mul_slots``; a product in more variables runs the one generic loop
+of ``_mul_pairs``.  ``_slot_sum`` is the one path for a sum of slot
+products (a composite's Q0 and R0, the Hecke nu, the slot identities of
+commutation and of the cubic check): one integer accumulator, operands
+read as stored pairs, slot swaps or divided differences with no SlotPoly
+built, and three exits, the sum built with one ``_from_acc``, or whether it
+is zero or symmetric, with nothing built.
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
@@ -284,16 +286,21 @@ def _apply(f: "MultiPoly", k: int, action: _Action) -> "MultiPoly":
     return type(f)._normal(f.n_vars, num, f._den * action.den)
 
 
+def _action(op, actions: dict) -> _Action:
+    """The action of op (slots Q0, R0): actions[id(op)], prepared on first use,
+    so one per operator object, living as long as the caller's actions dict."""
+    return actions.get(id(op)) or actions.setdefault(id(op), _Action(op.Q0, op.R0))
+
+
 def _run_word(word: list, f: "MultiPoly", actions: dict) -> "MultiPoly":
     """The one loop that applies a word of (index, operator) pairs to f, right
-    to left, each operator (slots Q0, R0) through actions[id(operator)],
-    prepared on first use and living as long as the caller's actions dict."""
+    to left, each operator through _action(operator, actions), the one
+    preparer."""
     n = f.n_vars
     for i, op in reversed(word):
         if not 1 <= i <= n - 1:
             raise IndexError(f"operator index {i} out of range 1..{n - 1}")
-        action = actions.get(id(op)) or actions.setdefault(id(op), _Action(op.Q0, op.R0))
-        f = _apply(f, i - 1, action)
+        f = _apply(f, i - 1, _action(op, actions))
     return f
 
 

@@ -217,12 +217,13 @@ class PDDO:
             return None
         return mu, nu.constant_value()
 
-    def _hecke_nu(self, mu: FieldElement) -> SlotPoly:
+    def _hecke_nu(self, mu: FieldElement | None) -> SlotPoly:
         """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu) for mu = d(T), a constant,
         summed in one accumulator with no operator applied and kept.  Then
         op o op - mu op has Q0 d(T) - mu Q0 = 0 for its Q0 and this for its R0
         (see compose): it is multiplication by nu, and op^2 = mu op + nu
-        exactly when nu is constant."""
+        exactly when nu is constant.  mu is read only when nu is not kept
+        yet, so a caller that knows it is kept may pass None."""
         nu = getattr(self, "_nu", None)
         if nu is None:
             q, r = self.Q0, self.R0

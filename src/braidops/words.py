@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from itertools import permutations as _permutations
 from typing import Sequence
 
+from . import multipoly
 from .braid import family_braid_check
 from .families import OperatorFamily
-from .multipoly import MultiPoly, _run_word
+from .multipoly import MultiPoly, _action, _run_word
 
 __all__ = [
     "Permutation",
@@ -44,6 +45,13 @@ class Permutation:
         if sorted(self.one_line) != list(range(1, n + 1)):
             raise ValueError(f"{self.one_line} is not a permutation of 1..{n}")
 
+    @classmethod
+    def _of(cls, one_line: tuple[int, ...]) -> "Permutation":
+        """The permutation of a tuple that itertools.permutations gave, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "one_line", one_line)
+        return p
+
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
@@ -54,7 +62,7 @@ class Permutation:
 
     @staticmethod
     def all(n: int) -> list["Permutation"]:
-        return [Permutation(p) for p in _permutations(range(1, n + 1))]
+        return [Permutation._of(p) for p in _permutations(range(1, n + 1))]
 
     @property
     def n(self) -> int:
@@ -123,6 +131,35 @@ class TableEntry:
     poly: MultiPoly
 
 
+def _schedule(n: int) -> list:
+    """(w, ascents, word) for each one-line tuple w of S_n, in descending
+    lexicographic order, w0 first, in one pass.  ascents lists (k, w s_i) for
+    each ascent i = k + 1 of w, w(i) < w(i + 1); word is the first reduced
+    word of w^{-1} w0, reduced_words(w^{-1} w0)[0].  For an ascent i, w s_i
+    puts the larger of w(i), w(i + 1) first, and w' below puts m before
+    m - 1, so both are lexicographically larger and come earlier."""
+    sweep = _permutations(range(n, 0, -1))
+    w0 = next(sweep)
+    words, schedule, at = {w0: ()}, [(w0, [], ())], [0] * (n + 1)  # at[v]: v's position in w
+    for w in sweep:
+        ascents = []
+        for k, v in enumerate(w):
+            at[v] = k
+            if k and w[k - 1] < v:
+                ascents.append((k - 1, w[:k - 1] + (v, w[k - 1]) + w[k + 1:]))
+        # The first reduced word ends in its smallest right descent
+        # n + 1 - m, m the largest value standing right of m - 1 in w;
+        # before it comes the word of w' = w with m - 1, m exchanged.
+        m = n
+        while at[m] < at[m - 1]:
+            m -= 1
+        w_prime = list(w)
+        w_prime[at[m]], w_prime[at[m - 1]] = m - 1, m
+        word = words[w] = words[tuple(w_prime)] + (n + 1 - m,)
+        schedule.append((w, ascents, word))
+    return schedule
+
+
 def polynomial_table(
     fam: OperatorFamily, seed: MultiPoly | None = None
 ) -> list[TableEntry]:
@@ -130,10 +167,13 @@ def polynomial_table(
 
     Convention: the entry for w applies the operators along the reduced word
     reduced_words(w^{-1} w0)[0] to the seed (default: the staircase monomial).
-    Entries are built down the weak order: entry(w) = pi_i(entry(w s_i)),
-    asserted equal for every ascent i of w (n!(n-1)/2 applications).  The
-    ascents are the first letters of the reduced words of w^{-1} w0, so by
-    induction on length this is agreement across all reduced words.
+    Entries are built down the weak order of _schedule: entry(w) =
+    pi_i(entry(w s_i)), asserted equal for every ascent i of w (n!(n-1)/2
+    applications).  The ascents are the first letters of the reduced words of
+    w^{-1} w0, so by induction on length this is agreement across all reduced
+    words.  Each application is one multipoly._apply with the action of
+    fam[i], prepared once per operator object; the schedule is built afresh
+    on every call.
     """
     n = fam.n
     if n > MAX_TABLE_N:
@@ -149,23 +189,13 @@ def polynomial_table(
             "family fails the braid relations; table entries would depend "
             f"on the chosen reduced words (failing: {bad})"
         )
-    actions: dict = {}
-    # One-line tuples in descending lexicographic order, w0 first.  For an
-    # ascent i, w s_i puts the larger of w(i), w(i+1) first, and w' below puts
-    # m before m - 1, so both are lexicographically larger and come earlier.
-    sweep = list(_permutations(range(n, 0, -1)))
-    polys, words = {sweep[0]: seed}, {sweep[0]: ()}
-    for w in sweep[1:]:
-        values = [_run_word([(i, fam[i])], polys[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]],
-                            actions) for i in range(1, n) if w[i - 1] < w[i]]
-        if any(p != values[0] for p in values[1:]):
-            raise AssertionError(f"reduced-word dependence at {w} despite braid check")
-        polys[w] = values[0]
-        # The first reduced word of w^{-1} w0 ends in its smallest right
-        # descent d = n + 1 - m, m the largest value standing right of m - 1
-        # in w; before it comes the word of w' = w with m - 1, m exchanged.
-        m = max(m for m in range(2, n + 1) if w.index(m) > w.index(m - 1))
-        w_prime = tuple(m - 1 if x == m else m if x == m - 1 else x for x in w)
-        words[w] = words[w_prime] + (n + 1 - m,)
-    return [TableEntry(perm=Permutation(w), word=words[w], poly=polys[w])
-            for w in _permutations(range(1, n + 1))]
+    apply, actions = multipoly._apply, {}  # looked up on each call, so a patched _apply is used
+    acts = [_action(op, actions) for op in fam.ops]  # acts[k] acts at positions k, k + 1
+    schedule = _schedule(n)
+    polys = {schedule[0][0]: seed}
+    for w, ((k, parent), *others), _ in schedule[1:]:
+        value = polys[w] = apply(polys[parent], k, acts[k])
+        for k, parent in others:
+            if apply(polys[parent], k, acts[k]) != value:
+                raise AssertionError(f"reduced-word dependence at {w} despite braid check")
+    return [TableEntry(Permutation._of(w), word, polys[w]) for w, _, word in reversed(schedule)]

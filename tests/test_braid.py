@@ -882,6 +882,25 @@ class TestFamilyCheck:
             assert report.cubic[(i, i + 1)].flags == alone.flags
             assert report.cubic[(i, i + 1)].failure == alone.failure
 
+    def test_a_second_check_forms_no_mu(self, monkeypatch):
+        """mu = d(T) is formed only for a pair with an operator that has not
+        kept its nu: once a case-2 family's operators keep theirs, a second
+        check of it differentiates no slot polynomial, with the same flags."""
+        fam = main_case2(5, 1, 2, 1, 2, [Case2Line(k) for k in (1, 3, 4, 1)])
+        first = family_braid_check(fam)
+        calls = []
+        real = SlotPoly.ddiff
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SlotPoly, "ddiff", counting)
+        second = family_braid_check(fam)
+        assert calls == [] and first.passed and second.passed
+        assert {p: r.flags for p, r in second.cubic.items()} == \
+            {p: r.flags for p, r in first.cubic.items()}
+
 
 @pytest.mark.parametrize("ok", [True, False])
 def test_passed_and_bool_agree_on_every_report(ok):

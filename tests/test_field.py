@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from braidops import sampling
-from braidops.field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR, _text
+from braidops.field import FieldElement, ONE, ZERO, ZETA, ZETA_BAR, _ratio, _text
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -97,6 +97,17 @@ class TestProperties:
         """The one coefficient formatter, which tables call on a polynomial's
         stored pair over its shared denominator: k cancels."""
         assert _text(a * k, b * k, d * k) == str(FieldElement._raw(a, b, d))
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+    @example(0, 0)
+    @example(0, -1)
+    @example(-7, 0)
+    @example(5, 3)
+    def test_text_over_one_is_the_ratio_text(self, a, b):
+        """Over d = 1 the text takes no gcd and reads as each part's _ratio."""
+        expected = _ratio(a, 1) if not b else \
+            f"{_ratio(a, 1)}{'+' if b > 0 else '-'}{_ratio(abs(b), 1)}z"
+        assert _text(a, b, 1) == expected == str(FieldElement._raw(a, b, 1))
 
     @given(rationals)
     def test_rational_elements_equal_and_hash_like_fractions(self, q):

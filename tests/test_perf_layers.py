@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from braidops import PDDO, MultiPoly, cubic_braid_check, family_braid_check, identity_op, multipoly
+from braidops import (PDDO, MultiPoly, cubic_braid_check, family_braid_check, identity_op, multipoly,
+                      polynomial_table, preset, staircase)
 from braidops.families import case1_operator
 
 _spec = importlib.util.spec_from_file_location(
@@ -102,3 +103,17 @@ def test_counting_counts_and_restores_the_patched_names():
         with layers.counting():
             raise RuntimeError("the counted body fails")
     assert all(a is b for a, b in zip(_patched_names(), originals))
+
+
+def test_identity_apply_leaves_every_entry_the_seed_and_restores_apply():
+    """Under identity_apply a table passes its ascent audit with every entry
+    the seed; multipoly._apply is the original after it, also when it raises."""
+    apply, fam = multipoly._apply, preset("grothendieck", 4, 1)
+    with layers.identity_apply():
+        table = polynomial_table(fam)
+    assert multipoly._apply is apply
+    assert len(table) == 24 and all(entry.poly == staircase(4) for entry in table)
+    with pytest.raises(RuntimeError):
+        with layers.identity_apply():
+            raise RuntimeError("the body fails")
+    assert multipoly._apply is apply

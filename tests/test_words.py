@@ -196,6 +196,15 @@ def _reduced_word_table(fam, seed):
     return table
 
 
+def _first_word(v):
+    """reduced_words(v)[0] with no enumeration: the first word of v s_d, then
+    d, for the smallest right descent d of v."""
+    if v.is_identity():
+        return []
+    d = v.descents()[0]
+    return _first_word(v.apply_transposition(d)) + [d]
+
+
 def _family(kind, n):
     if kind == "case2-mixed":
         lines = [Case2Line.LINE1, Case2Line.LINE4, Case2Line.LINE2][: n - 1]
@@ -239,6 +248,26 @@ class TestTableAgainstReducedWords:
             m = max(m for m in range(2, n + 1) if w.index(m) > w.index(m - 1))
             w_prime = tuple({m: m - 1, m - 1: m}.get(x, x) for x in w)
             assert position[w_prime] < position[w]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_schedule_gives_every_ascent_and_the_first_word(self, n):
+        """_schedule lists S_n in the sweep's order with, for each w, the pair
+        (i - 1, w s_i) of every ascent i of w, and the word
+        reduced_words(w^{-1} w0)[0].  At n = 6 that enumeration is too large,
+        so the word is read by its recursion on the smallest right descent,
+        which agrees with it at n <= 5."""
+        w0 = Permutation.longest(n)
+        schedule = words._schedule(n)
+        assert [w for w, _, _ in schedule] == list(itertools.permutations(range(n, 0, -1)))
+        for w, ascents, word in schedule:
+            perm = Permutation(w)
+            assert ascents == [(i - 1, perm.apply_transposition(i).one_line)
+                               for i in range(1, n) if w[i - 1] < w[i]]
+            v = perm.inverse() * w0
+            first = _first_word(v)
+            assert word == tuple(first)
+            if n <= 5:
+                assert first == reduced_words(v)[0]
 
     def test_one_application_per_ascent(self, monkeypatch):
         # The braid check's f row runs the same word loop, so a passing report
