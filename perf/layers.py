@@ -20,8 +20,8 @@ with (u + 1) d added to its second operator, in five groups:
 
 - braiding: every pair is decided in two variables (T == T~ in the normal
   form T = (pu + q)(rv + s), or the divisible-T step and the multiplication
-  lemma when a Q0 is zero), and the Hecke nu is slot arithmetic, so the group
-  applies no operator;
+  lemma when a Q0 is zero), and the Hecke parameters are slot arithmetic,
+  so the group applies no operator;
 - failing: f is refuted by its value at one integer point;
 - failing, Q0(v,v) = 0: the failing pairs among copies of the catalogue with
   both Q0 multiplied by (u - v), R0 kept.  Neither sf nor sigma_f is refuted
@@ -47,10 +47,10 @@ n = 5 families: main_case2 with lines 1, 3, 4, 1 at (a, b, c, d) = (1, 2, 1,
 2), the same family with its operator at index 2 perturbed as PDDO(T + h,
 Q0 + h), h = u + 1, and a vanishing-Q0 family with one isolated index.  Each
 logs, for one pass, the T builds (reads of ``PDDO.T`` on an operator that
-kept none) and the nu computations (``PDDO._hecke_nu`` calls on an operator
-that kept none): the main-case constructors pass their T, and each operator
-keeps its nu, so the case-2 family builds no T and forms nu once per
-distinct operator.
+kept none) and the Hecke formations (``PDDO.hecke_params`` calls on an
+operator that has formed none): the main-case operators are built from their
+T, and each operator keeps its Hecke parameters, so the case-2 family builds
+no T and forms the parameters once per distinct operator.
 
 Table sweep.  The mean time per operator application of polynomial_table for
 two n = 5 families of n!(n-1)/2 = 240 applications each, each call including
@@ -60,9 +60,9 @@ staircase, the time per table, and the time per table with
 the table's fixed cost: the braid check, the schedule, the actions, the
 ascent audit's comparisons and the entries.
 
-An operator keeps its T and its Hecke nu once formed, so a pass over the
-same operators would find the first pass's work kept.  Each timed pass of the
-first three sections therefore runs on copies made by
+An operator keeps its T and its Hecke parameters once formed, so a pass over
+the same operators would find the first pass's work kept.  Each timed pass of
+the first three sections therefore runs on copies made by
 ``PDDO.from_q0_r0(op.Q0, op.R0)``, which keep nothing, one copy per operator
 of each argument tuple, and each pass of the last two on families built
 afresh by their constructors, as a caller builds them.
@@ -95,8 +95,8 @@ if __name__ == "__main__":
 
 from braidops import (PDDO, Isolated, OperatorFamily, SlotPoly, almost_equal,  # noqa: E402
                       commutes_same_index, cubic_braid_check, degenerate_t_family,
-                      family_braid_check, identity_op, main_case2, multipoly, polynomial_table,
-                      preset, relation_holds, with_vanishing_q0, zeta_pair)
+                      family_braid_check, identity_op, main_case2, multipoly, pddo,
+                      polynomial_table, preset, relation_holds, with_vanishing_q0, zeta_pair)
 from braidops.families import Case2Line, case1_operator, case2_operator  # noqa: E402
 from braidops.sampling import (draw_degent_data, draw_isolated_pair,  # noqa: E402
                                random_field_element)
@@ -213,12 +213,12 @@ def fresh(calls: list) -> list:
 @contextmanager
 def counting():
     """Counts of the body: [three-variable products, their term pairs,
-    MultiPoly._normal calls, multipoly._apply calls, T builds, nu
-    computations].  The five names are patched for the body and restored
+    MultiPoly._normal calls, multipoly._apply calls, T builds, Hecke
+    formations].  The five names are patched for the body and restored
     after it, also when it raises."""
     counts = [0, 0, 0, 0, 0, 0]
     mul_pairs, normal, apply = multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply
-    t_read, nu = PDDO.__dict__["T"], PDDO.__dict__["_hecke_nu"]
+    t_read, hecke = PDDO.__dict__["T"], PDDO.__dict__["hecke_params"]
 
     def counted_mul_pairs(a, b, n_vars):
         if n_vars == 3:
@@ -233,22 +233,22 @@ def counting():
         return call
 
     def counted_t(op):
-        counts[4] += getattr(op, "_t", None) is None
+        counts[4] += op._t is None
         return t_read.fget(op)
 
-    def counted_nu(op, mu):
-        counts[5] += getattr(op, "_nu", None) is None
-        return nu(op, mu)
+    def counted_hecke(op):
+        counts[5] += op._hecke is pddo._UNFORMED
+        return hecke(op)
 
     multipoly._mul_pairs, multipoly._apply = counted_mul_pairs, counted(3, apply)
     multipoly.MultiPoly._normal = classmethod(counted(2, normal.__func__))
-    PDDO.T, PDDO._hecke_nu = property(counted_t), counted_nu
+    PDDO.T, PDDO.hecke_params = property(counted_t), counted_hecke
     try:
         yield counts
     finally:
         multipoly._mul_pairs, multipoly._apply = mul_pairs, apply
         multipoly.MultiPoly._normal = normal
-        PDDO.T, PDDO._hecke_nu = t_read, nu
+        PDDO.T, PDDO.hecke_params = t_read, hecke
 
 
 @contextmanager
@@ -316,10 +316,10 @@ def main() -> None:
         print(f"{name}: {best / len(calls) * 1e6:.1f} us per call over {len(calls)} calls, "
               f"{built} MultiPoly._normal calls in one pass")
     for name, build in families().items():
-        t_builds, nus = count_pass(family_braid_check, [(build(),)])[4:]
+        t_builds, formations = count_pass(family_braid_check, [(build(),)])[4:]
         best = best_of(20, family_braid_check, lambda: [(build(),)])
         print(f"family_braid_check {name}: {best * 1e6:.1f} us per family, "
-              f"{t_builds} T builds, {nus} nu computations in one pass")
+              f"{t_builds} T builds, {formations} Hecke formations in one pass")
     tables = {"preset:grothendieck --params 1": lambda: preset("grothendieck", 5, 1),
               "case2 lines 1,3,4,1": families()["case2 lines 1,3,4,1"]}
     for name, build in tables.items():

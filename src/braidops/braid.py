@@ -99,11 +99,11 @@ t_yz - mu (y-z).  So once sf's reduced difference vanishes and t != 0, f
 holds exactly when nu(x,y) = nu~(y,z).  nu is symmetric: pi^2 - mu pi is
 multiplication by nu and commutes with pi, which forces d(nu) = 0 when
 Q0 != 0, and nu = -R0 swap(R0) when Q0 = 0.  So f holds exactly when nu and
-nu~ are one constant.  T = T~ = 0 makes the f, sf and sigma_f reduced
-differences zero outright, each of their terms having a t factor.  Each
-operator keeps its nu (``PDDO._hecke_nu``), as it keeps its T, so a family's
-check forms nu once per operator, not once per pair it is in, and forms mu
-only for a pair with an operator that has not kept its nu yet.
+nu~ are one constant, that is when both operators have the same Hecke
+parameters (mu, nu), read from ``PDDO.hecke_params``, which each operator
+forms once and keeps, as it keeps its T.  T = T~ = 0 makes the f, sf and
+sigma_f reduced differences zero outright, each of their terms having a t
+factor.
 
 The Hecke lemma is an identity with integer coefficients in those of T, R0
 and R0~, and the normal-form lemma needs only unique factorisation and an
@@ -274,9 +274,9 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     factor * reduced difference on demand.  Every flag is decided by the
     slot polynomials and, for sf and sigma_f, the multiplier's R0 or, when
     both Q0 are nonzero, T / (u - v) and T~ / (u - v) (module docstring).
-    f's is decided by the Hecke nu or the multiplier's R0, or else by its
-    reduced difference at one integer point, and only when that value is 0
-    by its difference, built in three variables and kept as f's witness.
+    f's is decided by the Hecke parameters or the multiplier's R0, or else by
+    its reduced difference at one integer point, and only when that value is
+    0 by its difference, built in three variables and kept as f's witness.
     Each difference places each slot polynomial it reads once, so a pair
     decided in two variables places none; a pair with a zero Q0 divides
     nothing."""
@@ -289,12 +289,9 @@ def _factored_differences(pi: PDDO, varpi: PDDO) -> dict:
     elif same_t and Q and Qt:  # the normal-form lemma
         separable, (deg_u, deg_v) = T._separable(), T._degrees()
         sf_known, sigma_f_known = separable and deg_v <= 1, separable and deg_u <= 1
-        if sf_known and sigma_f_known:  # T bilinear, so d(T) = d(T~) is a constant
-            # mu is read only by an operator that has not kept its nu yet.
-            kept = hasattr(pi, "_nu") and hasattr(varpi, "_nu")
-            mu = None if kept else T.ddiff().constant_value()
-            nu = pi._hecke_nu(mu)
-            f_known = nu.is_constant() and nu == varpi._hecke_nu(mu)
+        if sf_known and sigma_f_known:  # the Hecke lemma: T == T~ gives mu == mu~
+            hp = pi.hecke_params()
+            f_known = hp is not None and hp == varpi.hecke_params()
     elif not (Q and Qt):  # the multiplication lemma and the divisible-T step on the
         # multiplier's stored R0 = g: pi multiplies when Qt != 0, and tg = (u - v) g is its T
         g, t, q, tg = (pi.R0, Tt, Qt, T) if Qt else (varpi.R0, T, Q, Tt)

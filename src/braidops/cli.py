@@ -35,7 +35,6 @@ from .families import (
 )
 from .field import FieldElement
 from .multipoly import MultiPoly, SlotPoly
-from .pddo import PDDO, per_operator
 from .words import MAX_TABLE_N, apply_word, polynomial_table, staircase
 
 __all__ = ["main", "poly_to_json", "poly_from_json"]
@@ -408,7 +407,7 @@ def _cmd_verify(args) -> int:
 def _cmd_hecke(args) -> int:
     _refuse_large_n(args.n, MAX_HECKE_N, "hecke")
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
-    params = dict(enumerate(per_operator(PDDO.hecke_params, ((op,) for op in fam.ops)), 1))
+    params = {i: op.hecke_params() for i, op in enumerate(fam.ops, 1)}
     if args.output == "json":
         def text(x):  # a parameter as a JSON string, or null
             return "null" if x is None else f'"{x}"'

@@ -7,7 +7,8 @@ passes the braid verification in :mod:`braidops.braid`.
 
 Every operator is built straight in the first canonical form (Q0, R0), and
 a polynomial whose terms are known is written as its term map.  The main
-cases and the degenerate-T family pass their T, which the operator keeps.
+cases and the degenerate-T family are built from their T and R0
+(``PDDO._from_t_r0``), so the operator keeps its T.
 The main cases share one normal form: T = a uv + b u + c v + d with ad = bc,
 and Q0 = T - (u - v)R0, where R0 is b - c - e for case 1 and b - c, 0,
 a v + b, -(a u + c) for the four lines of case 2.  So case 1 at e = 0 is
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .field import FieldElement, ZERO, ZETA, ZETA_BAR
 from .multipoly import SlotPoly
-from .pddo import PDDO, _UV, identity_op
+from .pddo import PDDO, identity_op
 
 __all__ = [
     "ConstraintError",
@@ -95,8 +96,7 @@ def _check_abcd(a, b, c, d) -> tuple[FieldElement, ...]:
 def _abcd_operator(a, b, c, d, r0: SlotPoly) -> PDDO:
     """The main-case operator with T = a uv + b u + c v + d, which it keeps,
     and this R0."""
-    t = SlotPoly({(1, 1): a, (1, 0): b, (0, 1): c, (0, 0): d})
-    return PDDO.from_q0_r0(t - _UV * r0, r0, t)
+    return PDDO._from_t_r0(SlotPoly({(1, 1): a, (1, 0): b, (0, 1): c, (0, 0): d}), r0)
 
 
 def case1_operator(a, b, c, d, e) -> PDDO:
@@ -165,7 +165,7 @@ def transposition_scaled(q_l, q_r, qhat: SlotPoly) -> PDDO:
     """The operator f |-> q_l(x_i) q_r(x_{i+1}) qhat(x_i, x_{i+1}) s_i f,
     which keeps T = 0."""
     multiplier = SlotPoly.univariate(q_l, 0) * SlotPoly.univariate(q_r, 1) * qhat
-    return PDDO.from_q0_r0(-(_UV * multiplier), multiplier, SlotPoly.zero())
+    return PDDO._from_t_r0(SlotPoly.zero(), multiplier)
 
 
 def degenerate_t_family(

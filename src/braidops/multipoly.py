@@ -251,8 +251,8 @@ class _Action:
         return acc
 
     def build(self, rs: tuple) -> list:
-        """Build and keep the image of u^r v^s; the image of 1 is R0's slot list."""
-        image = self.images[rs] = self.sr if rs == (0, 0) else [
+        """Build and keep the image of u^r v^s."""
+        image = self.images[rs] = [
             (x, y, c, g, c + g) for (x, y), (c, g) in self.act({rs: (1, 0)}).items() if c or g]
         return image
 

@@ -4,13 +4,15 @@ An operator f |-> d_i(P f) + Q d_i f + R f + S s_i f is stored as its first
 canonical form, the pair (Q0, R0) of Q0(x_i, x_{i+1}) d_i f + R0(x_i, x_{i+1}) f,
 with Q0 = swap(P) + Q - (u - v)S and R0 = d(P) + R + S.  The action is
 (T(x_i, x_{i+1}) f - Q0(x_i, x_{i+1}) s_i f) / (x_i - x_{i+1}) with
-T = P + (u - v)R + Q = Q0 + (u - v)R0.  The operator keeps its T: the one
-its constructor was given, or else Q0 + (u - v)R0, built on the first read.
-``PDDO.from_q0_r0`` takes T from internal callers that have it at hand, and
-it must equal Q0 + (u - v)R0.  The public constructor PDDO(T, Q0) checks
-outside input: R0 is the quotient of T - Q0 by u - v, found without long
-division, and the input is refused when u - v does not divide T - Q0, which
-``SlotPoly._over_u_minus_v`` alone decides.
+T = P + (u - v)R + Q = Q0 + (u - v)R0.  The operator is the one owner of what
+it derives from its pair, and every constructor sets all of it, so a wrong
+kept T cannot be built.  It keeps its T: the public PDDO(T, Q0) keeps the T
+it checks, ``PDDO._from_t_r0(T, R0)`` derives Q0 = T - (u - v)R0 and keeps T,
+and ``PDDO.from_q0_r0(Q0, R0)`` stores the pair with no arithmetic and builds
+T on the first read.  PDDO(T, Q0) checks outside input: R0 is the quotient
+of T - Q0 by u - v, found without long division, and the input is refused
+when u - v does not divide T - Q0, which ``SlotPoly._over_u_minus_v`` alone
+decides.
 Composition is slot arithmetic, by the product formula.  The Leibniz rule
 d(g h) = d(g) h + swap(g) d(h) and d(d f) = 0 give, for pi = Q0 d + R0 after
 pi~ = Q0~ d + R0~,
@@ -19,9 +21,11 @@ pi~ = Q0~ d + R0~,
 
 each a sum of slot products summed in one accumulator
 (``multipoly._slot_sum``), with no operator applied.  The Hecke parameters
-are slot arithmetic too: mu = d(T) = d(Q0) + R0 + swap(R0) and nu = pi(R0) -
-mu R0 = Q0 d(R0) + R0 (R0 - mu), the R0' of pi o pi less mu R0, which the
-operator keeps once formed.
+are slot arithmetic too: mu = d(T) and nu = pi(R0) - mu R0 = Q0 d(R0) +
+R0 (R0 - mu), the R0' of pi o pi less mu R0.  ``PDDO.hecke_params`` forms
+them on its first call and keeps the result, None included; the cubic
+check's f rule reads it too, so a family's check forms them once per
+operator.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .multipoly import InexactDivisionError, MultiPoly, SlotPoly, _run_word, _sl
 __all__ = ["Degeneracy", "PDDO", "CanonicalForms", "identity_op", "per_operator"]
 
 _UV = SlotPoly({(1, 0): 1, (0, 1): -1})
-_ONE = SlotPoly.const(1)
+_UNFORMED = object()  # the Hecke slot of an operator that has not formed its parameters
 _set = object.__setattr__
 
 
@@ -64,14 +68,24 @@ class CanonicalForms(NamedTuple):
     r_plus: SlotPoly
 
 
+def _filled(op: "PDDO", Q0: SlotPoly, R0: SlotPoly, T: SlotPoly | None) -> "PDDO":
+    """op with every slot set: the pair, T = Q0 + (u - v)R0 or None until it
+    is built on the first read, and no Hecke parameters formed."""
+    _set(op, "Q0", Q0)
+    _set(op, "R0", R0)
+    _set(op, "_t", T)
+    _set(op, "_hecke", _UNFORMED)
+    return op
+
+
 class PDDO:
     """One polynomial divided difference operator, stored as its first
     canonical form (Q0, R0) and compared and hashed by it.  It keeps
-    T = Q0 + (u - v)R0, given by its constructor or built on the first read,
-    and its Hecke nu once formed; neither is compared, hashed or printed
-    apart from the pair."""
+    T = Q0 + (u - v)R0, set by its constructor or built on the first read,
+    and its Hecke parameters once formed; neither is compared, hashed or
+    printed apart from the pair."""
 
-    __slots__ = ("Q0", "R0", "_t", "_nu")
+    __slots__ = ("Q0", "R0", "_t", "_hecke")
 
     def __init__(self, T: SlotPoly, Q0: SlotPoly):
         """Build from outside (T, Q0), two SlotPolys, with R0 = (T - Q0)/(u - v);
@@ -83,9 +97,7 @@ class PDDO:
         if r0 is None:
             raise InexactDivisionError(
                 "T - Q0 must be divisible by u - v; corrupted operator data")
-        _set(self, "Q0", Q0)
-        _set(self, "R0", r0)
-        _set(self, "_t", T)
+        _filled(self, Q0, r0, T)
 
     def __setattr__(self, *args):
         raise AttributeError("PDDO is immutable")
@@ -93,11 +105,9 @@ class PDDO:
     @property
     def T(self) -> SlotPoly:
         """Q0 + (u - v)R0, kept: the constructor's, or built on the first read."""
-        t = getattr(self, "_t", None)
-        if t is None:
-            t = self.Q0 + _UV * self.R0
-            _set(self, "_t", t)
-        return t
+        if self._t is None:
+            _set(self, "_t", self.Q0 + _UV * self.R0)
+        return self._t
 
     @property
     def degeneracy(self) -> Degeneracy:
@@ -113,15 +123,14 @@ class PDDO:
         return cls.from_q0_r0(P.swap() + Q - _UV * S, P.ddiff() + R + S)
 
     @classmethod
-    def from_q0_r0(cls, Q0: SlotPoly, R0: SlotPoly, T: SlotPoly | None = None) -> "PDDO":
-        """The operator f |-> Q0 d f + R0 f.  T, when given, is kept as it is
-        and must equal Q0 + (u - v)R0."""
-        op = object.__new__(cls)
-        _set(op, "Q0", Q0)
-        _set(op, "R0", R0)
-        if T is not None:
-            _set(op, "_t", T)
-        return op
+    def from_q0_r0(cls, Q0: SlotPoly, R0: SlotPoly) -> "PDDO":
+        """The operator f |-> Q0 d f + R0 f; T is built on the first read."""
+        return _filled(object.__new__(cls), Q0, R0, None)
+
+    @classmethod
+    def _from_t_r0(cls, T: SlotPoly, R0: SlotPoly) -> "PDDO":
+        """The operator with this T and R0, so Q0 = T - (u - v)R0; T is kept."""
+        return _filled(object.__new__(cls), T - _UV * R0, R0, T)
 
     @classmethod
     def zero(cls) -> "PDDO":
@@ -193,43 +202,32 @@ class PDDO:
             _slot_sum([(q, rt._ddiff_view(), 1), (r, rt, 1)]))
 
     def hecke_params(self) -> tuple[FieldElement, FieldElement] | None:
-        """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist.
+        """(mu, nu) with op^2 = mu*op + nu*Id, when such constants exist,
+        formed on the first call and kept, None included.
 
         When Q0 != 0, op o op has Q0 d(T) for its Q0 (see compose), so mu must
-        be d(T) = d(Q0) + R0 + swap(R0) (the Leibniz rule, with d(u - v) = 2),
-        summed in one accumulator with no T built.  At 1, where op(1) = R0,
-        the relation reads op(R0) = mu R0 + nu: it holds iff d(T) and nu =
-        op(R0) - mu R0 are both constant, nu formed in slot arithmetic and
-        kept (_hecke_nu).  When Q0 = 0 the operator is multiplication by R0,
-        which satisfies one iff R0 = r is constant, and then op^2 = r * op.
+        be d(T), a constant.  Then op o op - mu op has Q0 d(T) - mu Q0 = 0
+        for its Q0 and nu = op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu) for its
+        R0, summed in one accumulator with no operator applied: it is
+        multiplication by nu, and the relation holds exactly when nu is
+        constant.  When Q0 = 0 the operator is multiplication by R0, which
+        satisfies one iff R0 = r is constant, and then op^2 = r * op.
         """
-        if not self.Q0:
-            if self.R0.is_constant():
-                return self.R0.constant_value(), FieldElement.of(0)
-            return None
-        dt = _slot_sum([(_ONE, self.Q0._ddiff_view(), 1), (_ONE, self.R0, 1),
-                        (_ONE, self.R0._swap_view(), 1)])
-        if not dt.is_constant():
-            return None
-        mu = dt.constant_value()
-        nu = self._hecke_nu(mu)
-        if not nu.is_constant():
-            return None
-        return mu, nu.constant_value()
-
-    def _hecke_nu(self, mu: FieldElement | None) -> SlotPoly:
-        """op(R0) - mu R0 = Q0 d(R0) + R0 (R0 - mu) for mu = d(T), a constant,
-        summed in one accumulator with no operator applied and kept.  Then
-        op o op - mu op has Q0 d(T) - mu Q0 = 0 for its Q0 and this for its R0
-        (see compose): it is multiplication by nu, and op^2 = mu op + nu
-        exactly when nu is constant.  mu is read only when nu is not kept
-        yet, so a caller that knows it is kept may pass None."""
-        nu = getattr(self, "_nu", None)
-        if nu is None:
-            q, r = self.Q0, self.R0
-            nu = _slot_sum([(q, r._ddiff_view(), 1), (r, r - mu, 1)])
-            _set(self, "_nu", nu)
-        return nu
+        if self._hecke is not _UNFORMED:
+            return self._hecke
+        q, r, params = self.Q0, self.R0, None
+        if not q:
+            if r.is_constant():
+                params = r.constant_value(), FieldElement.of(0)
+        else:
+            dt = self.T.ddiff()
+            if dt.is_constant():
+                mu = dt.constant_value()
+                nu = _slot_sum([(q, r._ddiff_view(), 1), (r, r - mu, 1)])
+                if nu.is_constant():
+                    params = mu, nu.constant_value()
+        _set(self, "_hecke", params)
+        return params
 
 
 def identity_op(c=1) -> PDDO:

@@ -883,9 +883,9 @@ class TestFamilyCheck:
             assert report.cubic[(i, i + 1)].failure == alone.failure
 
     def test_a_second_check_forms_no_mu(self, monkeypatch):
-        """mu = d(T) is formed only for a pair with an operator that has not
-        kept its nu: once a case-2 family's operators keep theirs, a second
-        check of it differentiates no slot polynomial, with the same flags."""
+        """mu = d(T) is formed only with an operator's Hecke parameters, which
+        it keeps: once a case-2 family's operators keep theirs, a second check
+        of it differentiates no slot polynomial, with the same flags."""
         fam = main_case2(5, 1, 2, 1, 2, [Case2Line(k) for k in (1, 3, 4, 1)])
         first = family_braid_check(fam)
         calls = []

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidops import cli, multipoly
+from braidops import cli, multipoly, pddo
 from braidops.cli import main, poly_from_json, poly_to_json
 from braidops.families import OperatorFamily
 from braidops.field import FieldElement
@@ -244,17 +244,19 @@ class TestHecke:
         ]
 
     def test_one_computation_per_distinct_operator(self, monkeypatch, capsys):
+        """hecke reads each operator's kept parameters, so an operator at
+        two indices forms them once."""
         one, two = identity_op(1), identity_op(2)
         monkeypatch.setattr(cli, "build_family",
                             lambda *args: OperatorFamily(4, (one, two, one)))
-        computed = []
+        formed = []
         hecke_params = PDDO.hecke_params
-        monkeypatch.setattr(PDDO, "hecke_params",
-                            lambda op: computed.append(op) or hecke_params(op))
+        monkeypatch.setattr(PDDO, "hecke_params", lambda op: (
+            op._hecke is pddo._UNFORMED and formed.append(op)) or hecke_params(op))
         code, out, _ = run(["hecke", "--n", "4", "--family", "case1"], capsys)
         assert (code, out) == (0, "pi_1: mu = 1, nu = 0\npi_2: mu = 2, nu = 0\n"
                                   "pi_3: mu = 1, nu = 0\n")
-        assert computed == [one, two]
+        assert formed == [one, two]
 
 
 class TestTable:
@@ -991,8 +993,11 @@ def test_hecke_writer_matches_dumps(params):
     """hecke's listing writer against json.dumps, with the Hecke parameters
     replaced by drawn (mu, nu) pairs, or None where no relation holds."""
     n = len(params) + 1
+    ops = tuple(identity_op(i) for i in range(1, n))
+    drawn = dict(zip(map(id, ops), params))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "per_operator", lambda compute, args: params)
+        patch.setattr(cli, "build_family", lambda *args: OperatorFamily(n, ops))
+        patch.setattr(PDDO, "hecke_params", lambda op: drawn[id(op)])
         printed = run_quietly(["hecke", "--n", str(n), "--family", "preset:demazure",
                                "--output", "json"])
     assert printed == (0, _reference({"n": n, "hecke": [

@@ -616,6 +616,14 @@ class TestStoredForm:
         assert multipoly._apply(f, 0, act) == expected
         assert calls == [301] and builds == [] and act.images == {}
 
+    @given(term_maps(2), term_maps(2))
+    @settings(max_examples=100, deadline=None)
+    def test_image_of_one_is_the_slot_list_of_r0(self, q, r):
+        """Q0 d(1) + R0 = R0, since d(1) = 0: the image of 1 that an action
+        builds is R0's slot list, the same terms in the same order."""
+        act = multipoly._Action(SlotPoly(q), SlotPoly(r))
+        assert act.build((0, 0)) == act.sr
+
     @given(operands(1), term_maps(2), term_maps(2), term_maps(2), st.data())
     @example((4, {(2, 1, 0, 1): FieldElement.of("1/2+1z"), (0, 1, 3, 1): FieldElement.of(3),
                   (1, 1, 1, 0): FieldElement.of("-2/3"), (0, 1, 0, 1): FieldElement.of(5)}),

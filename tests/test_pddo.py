@@ -425,55 +425,67 @@ class TestApplyKeepsNothing:
             assert method(warm) == method(cold)
 
     def test_apply_changes_no_attribute(self):
-        """An operator is its pair with its kept T and nu: applying it, at
-        any index and on any polynomial, composing it and reading its Hecke
-        parameters leave every slot that is set holding the same object, the
-        T its constructor kept included."""
-        assert PDDO.__slots__ == ("Q0", "R0", "_t", "_nu")
+        """An operator is its pair with its kept T and Hecke parameters, every
+        slot set by its constructor: applying it, at any index and on any
+        polynomial, and composing it leave every slot holding the same
+        object, the T its constructor kept included; reading its Hecke
+        parameters sets their slot alone."""
+        assert PDDO.__slots__ == ("Q0", "R0", "_t", "_hecke")
         op = main_case1(4, 1, 2, 1, 2, 3)[2]
-        before = {name: getattr(op, name) for name in PDDO.__slots__ if hasattr(op, name)}
-        assert list(before) == ["Q0", "R0", "_t"]
+        before = {name: getattr(op, name) for name in PDDO.__slots__}
         for i in (1, 2, 3):
             op.apply(i, staircase(4))
         op.compose(op)
-        op.hecke_params()
         assert all(getattr(op, name) is kept for name, kept in before.items())
+        params = op.hecke_params()
+        assert op._hecke is params and before["_hecke"] is pddo._UNFORMED
+        assert all(getattr(op, name) is before[name] for name in ("Q0", "R0", "_t"))
         assert not hasattr(op, "__dict__")
 
 
 def assert_t_kept(op: PDDO, given: SlotPoly | None = None) -> None:
-    """op's T is Q0 + (u - v)R0, the same object on every read, and the
-    object its constructor was given, if any."""
+    """Every slot of op is set, its T is Q0 + (u - v)R0, the same object on
+    every read, and the object its constructor was given, if any."""
+    assert all(hasattr(op, name) for name in PDDO.__slots__)
     t = op.T
     assert t == op.Q0 + (U - V) * op.R0 and op.T is t
     assert given is None or t is given
 
 
+def family_ops(rng: random.Random) -> list:
+    """The operators of a zeta pair and of a family from every other family
+    constructor, drawn from rng."""
+    mu = sampling.random_fraction(rng, 5, nonzero=True)
+    families = [
+        main_case1(4, *sampling.draw_case1_params(rng)),
+        main_case2(4, *sampling.draw_case2_params(rng), sampling.random_lines(rng, 3)),
+        degenerate_t_family(4, *sampling.draw_degent_data(rng, 4)),
+        with_vanishing_q0(6, mu, [Isolated(1, *sampling.draw_isolated_pair(rng, mu)),
+                                  Interval(3, 4, 0, mu, 0, 0)]),
+        *(preset(name, 4, param) for name, param in
+          (("pure_ddiff", 2), ("demazure", None), ("grothendieck", 3))),
+    ]
+    return [*zeta_pair(*sampling.draw_zeta_params(rng)), *(op for fam in families for op in fam.ops)]
+
+
 class TestKeptT:
-    @given(qz_slots_or_zero, qz_slots_or_zero, quadruples, st.integers(0, 2 ** 32))
+    @given(qz_slots_or_zero, qz_slots_or_zero, quadruples, qz_coeffs, st.integers(0, 2 ** 32))
     @settings(max_examples=40, deadline=None)
-    def test_every_constructor_keeps_the_t_of_its_pair(self, q0, r0, pqrs, seed):
-        """PDDO(T, Q0) and from_q0_r0 with a T keep the T given; from_q0_r0
-        without one, from_pqrs, compose and the family constructors keep the
-        T of their pair, whether given or built on the first read."""
+    def test_every_constructor_keeps_the_t_of_its_pair(self, q0, r0, pqrs, c, seed):
+        """Every constructor sets every slot.  PDDO(T, Q0) and _from_t_r0 keep
+        the T given, _from_t_r0 with the Q0 of its pair; from_q0_r0,
+        from_pqrs, compose, zero, identity_op, +, -, scale and the family
+        constructors keep the T of their pair, whether set or built on the
+        first read."""
         t = q0 + (U - V) * r0
         assert_t_kept(PDDO(t, q0), t)
-        assert_t_kept(PDDO.from_q0_r0(q0, r0, t), t)
+        from_t = PDDO._from_t_r0(t, r0)
+        assert_t_kept(from_t, t)
+        assert (from_t.Q0, from_t.R0) == (q0, r0)
         plain, pqrs_op = PDDO.from_q0_r0(q0, r0), PDDO.from_pqrs(*pqrs)
-        rng = random.Random(seed)
-        mu = sampling.random_fraction(rng, 5, nonzero=True)
-        families = [
-            main_case1(4, *sampling.draw_case1_params(rng)),
-            main_case2(4, *sampling.draw_case2_params(rng), sampling.random_lines(rng, 3)),
-            degenerate_t_family(4, *sampling.draw_degent_data(rng, 4)),
-            with_vanishing_q0(6, mu, [Isolated(1, *sampling.draw_isolated_pair(rng, mu)),
-                                      Interval(3, 4, 0, mu, 0, 0)]),
-            *(preset(name, 4, param) for name, param in
-              (("pure_ddiff", 2), ("demazure", None), ("grothendieck", 3))),
-        ]
-        ops = [plain, pqrs_op, plain.compose(pqrs_op), pqrs_op.compose(plain),
-               *zeta_pair(*sampling.draw_zeta_params(rng)),
-               *(op for fam in families for op in fam.ops)]
+        ops = [plain, pqrs_op, plain.compose(pqrs_op), pqrs_op.compose(plain), PDDO.zero(),
+               identity_op(c), plain + pqrs_op, plain - pqrs_op, plain.scale(c),
+               *family_ops(random.Random(seed))]
         for op in ops:
             assert_t_kept(op)
 
@@ -518,8 +530,10 @@ class TestReadOffTheAction:
     @given(qz_ops)
     @settings(max_examples=120, deadline=None)
     def test_hecke_params_match_the_action(self, op):
+        """The parameters read off the action, formed once: a second call
+        returns the kept result."""
         params = op.hecke_params()
-        assert params == action_hecke(op)
+        assert params == action_hecke(op) and op.hecke_params() is params
         if params is not None:
             mu, nu = params
             assert op.compose(op) == op.scale(mu) + identity_op(nu)
@@ -551,6 +565,20 @@ class TestHecke:
         square = op.compose(op)
         expected = op.scale(mu) + identity_op(nu)
         assert square == expected
+
+    @given(qz_ops, qz_ops, st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_mu_is_the_leibniz_constant_of_the_pair(self, op1, op2, seed):
+        """For random operators, their composites and the operators of every
+        family constructor with Q0 != 0, mu is the constant d(T) = d(Q0) + R0 +
+        swap(R0) (the Leibniz rule, with d(u - v) = 2), built from the pair,
+        so no relation holds when that is not constant."""
+        for op in (op1, op2, op1.compose(op2), op1.compose(op1), *family_ops(random.Random(seed))):
+            if not op.Q0:
+                continue
+            leibniz, params = op.Q0.ddiff() + op.R0 + op.R0.swap(), op.hecke_params()
+            if params is not None:
+                assert leibniz == SlotPoly.const(params[0])
 
 
 def test_per_operator_computes_once_per_tuple_of_objects():

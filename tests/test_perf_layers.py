@@ -17,7 +17,7 @@ _spec.loader.exec_module(layers)
 
 def _patched_names():
     return (multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply,
-            PDDO.__dict__["T"], PDDO.__dict__["_hecke_nu"])
+            PDDO.__dict__["T"], PDDO.__dict__["hecke_params"])
 
 
 def test_cubic_groups_count_what_their_docstring_says():
@@ -42,22 +42,27 @@ def test_cubic_groups_count_what_their_docstring_says():
         assert (products > 0) is (group != "braiding")
 
 
-def test_hecke_params_builds_no_t():
-    """d(T) is summed from Q0 and R0 with no T built: at most 60 polynomials
-    over the 37 slot-level operators."""
+def test_hecke_params_builds_t_once():
+    """mu is d(T), read from the operator's T, which a copy that keeps
+    nothing builds and keeps for every later read: at most 126 polynomials
+    over fresh copies of the 37 slot-level operators (60 when mu was summed
+    from Q0 and R0 with no T built), and none on a second pass."""
     _, _, ops = layers.catalogue()
     fn, calls = layers.slot_cases(ops)["hecke_params"]
+    calls = layers.fresh(calls)
     assert len(calls) == 37
-    assert layers.count_pass(fn, calls)[2] <= 60
+    assert layers.count_pass(fn, calls)[2] <= 126
+    assert layers.count_pass(fn, calls)[2] == 0
 
 
 def test_family_checks_build_t_and_nu_once_per_operator():
-    """The main-case constructors pass their T and PDDO(T + h, Q0 + h) keeps
-    its own, so neither case-2 family builds a T; each operator keeps its nu,
-    so the case-2 family forms it once for each of its three operator
-    objects, and the perturbed one for the two of its one normal-form pair,
-    (line 4, line 1).  The vanishing-Q0 family builds the T of its two
-    operator objects, each once, and forms no nu."""
+    """The main-case operators are built from their T and PDDO(T + h, Q0 + h)
+    keeps its own, so neither case-2 family builds a T; each operator keeps
+    its Hecke parameters, so the case-2 family forms them once for each of
+    its three operator objects, and the perturbed one for the two of its one
+    normal-form pair, (line 4, line 1).  The vanishing-Q0 family builds the T
+    of its two operator objects, each once, and forms no Hecke parameters.
+    A second check of the case-2 family builds and forms nothing."""
     expected = {"case2 lines 1,3,4,1": [0, 3], "case2 lines 1,3,4,1, index 2 perturbed": [0, 2],
                 "vanq0, isolated index 1": [2, 0]}
     families = layers.families()
@@ -68,17 +73,25 @@ def test_family_checks_build_t_and_nu_once_per_operator():
         assert family_braid_check(fam).passed is ("perturbed" not in name)
     case2 = families["case2 lines 1,3,4,1"]()
     assert len(set(map(id, case2.ops))) == 3
+    family_braid_check(case2)
+    assert layers.count_pass(family_braid_check, [(case2,)])[4:] == [0, 0]
 
 
 def test_fresh_copies_keep_nothing():
-    """A fresh copy equals its operator, keeps no T or nu, and an operator
-    that appears twice in an argument tuple is one copy."""
+    """A fresh copy equals its operator and keeps no T or Hecke parameters,
+    so reading them builds and forms them, where its operator, which keeps
+    both, does neither; an operator that appears twice in an argument tuple
+    is one copy."""
     op = case1_operator(1, 2, 1, 2, 3)
     op.hecke_params()
-    assert op._t is op.T and op._nu is not None
     [(a, b, c)] = layers.fresh([(op, op, 5)])
     assert a is b and a is not op and a == op and c == 5
-    assert not hasattr(a, "_t") and not hasattr(a, "_nu")
+    with layers.counting() as counts:
+        op.T, op.hecke_params()
+    assert counts[4:] == [0, 0]
+    with layers.counting() as counts:
+        a.T, a.hecke_params()
+    assert counts[4:] == [1, 1]
 
 
 def test_counting_counts_and_restores_the_patched_names():
