@@ -4,7 +4,7 @@
 
 Run from a checkout, it measures that checkout's ``src``, which it puts first
 on the import path, so a copy of another commit measures that commit.  It
-prints five sections.
+prints six sections.
 
 Library size.  The total line count of ``src/braidops``, and per module the
 code lines (neither blank, nor a comment, nor in a docstring, found with
@@ -60,11 +60,21 @@ staircase, the time per table, and the time per table with
 the table's fixed cost: the braid check, the schedule, the actions, the
 ascent audit's comparisons and the entries.
 
+Table stages.  The time per run of each stage of two ``braidops table --n 4
+--output json`` runs, a staircase preset and a preset on a dense seed of six
+degree-3 terms: parse (argparse), family (``cli.build_family``), seed
+(``cli._read_seed``), braid check (``family_braid_check``), sweep
+(``polynomial_table`` with ``words.family_braid_check`` made a no-op,
+``no_braid_check``), writer (``cli._print_table`` into a string buffer),
+and the whole ``cli.main`` for comparison.  Each stage is timed alone, ten
+runs to a pass, so that the stages sum to less than ``cli.main``, whose
+stages evict each other's data from the caches.
+
 An operator keeps its T and its Hecke parameters once formed, so a pass over
 the same operators would find the first pass's work kept.  Each timed pass of
 the first three sections therefore runs on copies made by
 ``PDDO.from_q0_r0(op.Q0, op.R0)``, which keep nothing, one copy per operator
-of each argument tuple, and each pass of the last two on families built
+of each argument tuple, and each pass of the last three on families built
 afresh by their constructors, as a caller builds them.
 
 A failing pair's witness, the difference of its first failing coefficient,
@@ -82,11 +92,13 @@ that a collection does not land in some passes and not in others.
 """
 
 import gc
+import io
+import json
 import random
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, redirect_stdout
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -94,9 +106,10 @@ if __name__ == "__main__":
     sys.path.insert(0, str(SRC))
 
 from braidops import (PDDO, Isolated, OperatorFamily, SlotPoly, almost_equal,  # noqa: E402
-                      commutes_same_index, cubic_braid_check, degenerate_t_family,
+                      cli, commutes_same_index, cubic_braid_check, degenerate_t_family,
                       family_braid_check, identity_op, main_case2, multipoly, pddo,
-                      polynomial_table, preset, relation_holds, with_vanishing_q0, zeta_pair)
+                      polynomial_table, preset, relation_holds, with_vanishing_q0, words,
+                      zeta_pair)
 from braidops.families import Case2Line, case1_operator, case2_operator  # noqa: E402
 from braidops.sampling import (draw_degent_data, draw_isolated_pair,  # noqa: E402
                                random_field_element)
@@ -263,6 +276,70 @@ def identity_apply():
         multipoly._apply = apply
 
 
+@contextmanager
+def no_braid_check():
+    """words.family_braid_check returns None in the body, so polynomial_table
+    checks no braid relation, and is restored after it, also when it raises."""
+    check = words.family_braid_check
+    words.family_braid_check = lambda fam: None
+    try:
+        yield
+    finally:
+        words.family_braid_check = check
+
+
+# The table stages' argvs: the seed is six distinct degree-3 monomials with
+# coefficients +-1 and +-2 written p/1, as the table_build workload draws them.
+DENSE_SEED = json.dumps([{"e": e, "c": c} for e, c in (
+    ([3, 0, 0, 0], "1/1"), ([2, 1, 0, 0], "-1/1"), ([1, 1, 1, 0], "2/1"),
+    ([0, 2, 0, 1], "-2/1"), ([1, 0, 1, 1], "1/1"), ([0, 0, 2, 1], "-1/1"))], separators=(",", ":"))
+TABLE_ARGVS = {
+    "preset:grothendieck --params 1, staircase":
+        ["table", "--n", "4", "--family", "preset:grothendieck", "--params", "1"],
+    "preset:demazure, dense seed":
+        ["table", "--n", "4", "--family", "preset:demazure", "--seed-poly", DENSE_SEED],
+}
+
+
+def table_stages(argv: list, passes: int, runs: int = 10) -> dict:
+    """stage -> the best of passes times, in seconds per run, of each stage of
+    one table run (module docstring), runs runs in a pass, each on inputs made
+    before the pass: the parsed arguments, a family built afresh for each
+    run, the seed and the table."""
+    args = cli._build_parser().parse_args(argv)
+    family = (args.family, args.n, args.params, args.lines, args.config)
+    seed = cli._read_seed(args, args.n)
+    entries = polynomial_table(cli.build_family(*family), seed)
+
+    def quietly(fn):
+        def call(*args):
+            with redirect_stdout(io.StringIO()):
+                fn(*args)
+        return call
+
+    stages = {
+        "parse": (cli._build_parser().parse_args, lambda: [(argv,)]),
+        "family": (cli.build_family, lambda: [family]),
+        "seed": (cli._read_seed, lambda: [(args, args.n)]),
+        "braid check": (family_braid_check, lambda: [(cli.build_family(*family),)]),
+        "sweep": (polynomial_table, lambda: [(cli.build_family(*family), seed)]),
+        "writer": (quietly(cli._print_table), lambda: [(entries, args.n)]),
+        "cli.main": (quietly(cli.main), lambda: [(list(argv),)]),
+    }
+    times = {}
+    for name, (fn, make) in stages.items():
+        with no_braid_check() if name == "sweep" else nullcontext():
+            times[name] = best_of(passes, fn, lambda: [call for _ in range(runs) for call in make()]) / runs
+    return times
+
+
+def table_line(name: str, argv: list, passes: int, runs: int = 10) -> str:
+    """The printed line of table_stages for the argv named name."""
+    times = table_stages(argv, passes, runs)
+    return (f"table {name}, n = 4, us per run: "
+            + ", ".join(f"{stage} {t * 1e6:.1f}" for stage, t in times.items()))
+
+
 def count_pass(fn, calls: list) -> list:
     """The counts of one pass of fn over the argument tuples."""
     with counting() as counts:
@@ -333,6 +410,8 @@ def main() -> None:
             fixed = best_of(20, polynomial_table, make)
         print(f"polynomial_table preset:{name}, n = 4, staircase: {best * 1e6:.1f} us per table, "
               f"{fixed * 1e6:.1f} us with multipoly._apply the identity")
+    for name, argv in TABLE_ARGVS.items():
+        print(table_line(name, argv, 20))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .families import (
     with_vanishing_q0,
 )
 from .field import FieldElement
-from .multipoly import MultiPoly, SlotPoly
+from .multipoly import MultiPoly, SlotPoly, _grlex_rank
 from .words import MAX_TABLE_N, apply_word, polynomial_table, staircase
 
 __all__ = ["main", "poly_to_json", "poly_from_json"]
@@ -127,16 +127,35 @@ class _Json:
         return int(x)
 
     def terms(self, arity: int) -> dict[tuple[int, ...], FieldElement]:
-        """The exponent -> coefficient map of a term list [{"e": [...], "c": "p/q"}]."""
-        terms = {}
-        for item in self.list():
-            item = item.fields(("e", "c"))
-            exponents = item["e"].list()
-            if len(exponents) != arity:
-                raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
-            e = tuple(x.natural(MAX_EXPONENT) for x in exponents)
-            terms[e] = terms.get(e, FieldElement.of(0)) + item["c"].element()
+        """The exponent -> coefficient map of a term list [{"e": [...], "c": "p/q"}],
+        equal exponents summed.  An item of exactly the fields e and c, with
+        arity int exponents in 0..MAX_EXPONENT and a coefficient that parses,
+        is read with plain type tests; any other item goes through _term,
+        which refuses it with its path, or reads its integral floats."""
+        terms, zero = {}, FieldElement.of(0)
+        for k, item in enumerate(self._is(list)):
+            value = None
+            if type(item) is dict and len(item) == 2:
+                e, c = item.get("e"), item.get("c")
+                if (type(e) is list and len(e) == arity and type(c) is str
+                        and all(type(x) is int and 0 <= x <= MAX_EXPONENT for x in e)):
+                    try:
+                        e, value = tuple(e), FieldElement.parse(c)
+                    except ValueError:
+                        pass
+            if value is None:
+                e, value = self._at(k, item)._term(arity)
+            terms[e] = terms.get(e, zero) + value
         return terms
+
+    def _term(self, arity: int) -> tuple[tuple[int, ...], FieldElement]:
+        """One item {"e": [...], "c": "p/q"} of a term list, each value read
+        through its path, so that a refusal names it."""
+        item = self.fields(("e", "c"))
+        exponents = item["e"].list()
+        if len(exponents) != arity:
+            raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
+        return tuple(x.natural(MAX_EXPONENT) for x in exponents), item["c"].element()
 
 
 def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
@@ -144,43 +163,65 @@ def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
 
 
 # json.dumps(obj, indent=2, sort_keys=True) prints the reports.  Tables, apply
-# and hecke print the same bytes through the writers below: they format each
-# polynomial from its term walk, and a listing streams one item at a time.
+# and hecke print the same bytes through the writers below.  An int list fills
+# one %d template per length, and an object one %s template per set of keys.
+# A _Writer serves one listing and every polynomial in it: it ranks their
+# distinct exponent vectors once in descending graded-lex order and formats
+# the end of a term, its "e" block included, once per exponent vector.  A
+# polynomial's text is then its term walk in that rank, each term its
+# coefficient text between a fixed head and its exponents' ending.  No whole
+# term text is kept, as a large table would keep one per distinct term.  A
+# listing streams one item at a time.
 # A report or an apply result is one print call: under python -u a closed pipe
 # cuts its long text short without an error, and the newline that print writes
 # next raises BrokenPipeError, so the exit status is 141 in either mode.
 
 
-def _ints(values, newline: str) -> str:
-    """The JSON of a list of ints, on a line whose break and indent is newline."""
-    if not values:
+def _template(length: int, newline: str) -> str:
+    """The %d template of the JSON of a list of length ints, on a line whose
+    break and indent is newline."""
+    if not length:
         return "[]"
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
+    return "[" + inner + ("," + inner).join(["%d"] * length) + newline + "]"
 
 
-def _object(fields, newline: str) -> str:
-    """The JSON of an object from its (key, value text) pairs, keys in sorted
-    order, on a line whose break and indent is newline."""
+def _object(keys, newline: str) -> str:
+    """The %s template of the JSON of an object with these keys, given in
+    sorted order, on a line whose break and indent is newline; each %s takes
+    the JSON text of its key's value."""
     inner = newline + "  "
-    return "{" + ",".join([f'{inner}"{key}": {text}' for key, text in fields]) + newline + "}"
+    return "{" + ",".join([f'{inner}"{key}": %s' for key in keys]) + newline + "}"
 
 
-def _poly_text(p: MultiPoly, newline: str, blocks: dict) -> str:
-    """The JSON of poly_to_json(p) on a line whose break and indent is newline,
-    formatted from p's term walk with no dict per term.  blocks maps an
-    exponent tuple to its "e" list as it reads at this indent; a table passes
-    one map for all of its entries."""
-    inner = newline + "  "
-    field = inner + "  "
-    head, middle, tail = inner + "{" + field + '"c": "', '",' + field + '"e": ', inner + "}"
-    parts = []
-    for e, c in p._printed_terms():
-        block = blocks.get(e)
-        if block is None:
-            block = blocks[e] = _ints(e, field)
-        parts.append(head + c + middle + block + tail)
-    return "[" + ",".join(parts) + newline + "]" if parts else "[]"
+class _Writer:
+    """The JSON texts of a listing's int lists and of the polynomials polys,
+    these as poly_to_json gives them, on lines whose break and indent is
+    newline."""
+
+    def __init__(self, newline: str, polys):
+        self.newline, self.templates = newline, {}
+        self.rank = rank = _grlex_rank(polys)
+        inner = newline + "  "
+        field = inner + "  "
+        # A term's text is head + coefficient + its exponents' ending, which
+        # holds the "e" block; polys share one number of variables.
+        self.head = inner + "{" + field + '"c": "'
+        ending = '",' + field + '"e": ' + _template(len(next(iter(rank), ())), field) + inner + "}"
+        self.endings = {e: ending % e for e in rank}
+
+    def ints(self, values: tuple) -> str:
+        template = self.templates.get(len(values))
+        if template is None:
+            template = self.templates[len(values)] = _template(len(values), self.newline)
+        return template % values
+
+    def poly(self, p: MultiPoly) -> str:
+        if not p:
+            return "[]"
+        head, endings = self.head, self.endings
+        parts = [head + c + endings[e] for e, c in p._printed_terms(self.rank)]
+        return "[" + ",".join(parts) + self.newline + "]"
 
 
 def _print_listing(key: str, items, n: int) -> None:
@@ -411,9 +452,9 @@ def _cmd_hecke(args) -> int:
     if args.output == "json":
         def text(x):  # a parameter as a JSON string, or null
             return "null" if x is None else f'"{x}"'
-        _print_listing("hecke", (_object((
-            ("index", str(i)), ("mu", text(hp and hp[0])), ("nu", text(hp and hp[1]))), "\n    ")
-            for i, hp in params.items()), fam.n)
+        entry = _object(("index", "mu", "nu"), "\n    ")
+        _print_listing("hecke", (entry % (i, text(hp and hp[0]), text(hp and hp[1]))
+                                 for i, hp in params.items()), fam.n)
         return 0
     for i, hp in params.items():
         relation = "no Hecke relation" if hp is None else f"mu = {hp[0]}, nu = {hp[1]}"
@@ -441,6 +482,14 @@ def _read_seed(args, n: int) -> MultiPoly:
     return MultiPoly(n, _Json.load(text, "--seed-poly").terms(n))
 
 
+def _print_table(entries, n: int) -> None:
+    """Print the JSON of a table: its entries' perm, poly and word, and n."""
+    write, entry = _Writer("\n      ", [e.poly for e in entries]), _object(
+        ("perm", "poly", "word"), "\n    ")
+    _print_listing("entries", (entry % (write.ints(e.perm.one_line), write.poly(e.poly),
+                                        write.ints(e.word)) for e in entries), n)
+
+
 def _cmd_table(args) -> int:
     if args.n > MAX_TABLE_N:  # refused before the family's n - 1 operators are built
         raise ConfigError(f"tables capped at n = {MAX_TABLE_N}")
@@ -448,11 +497,7 @@ def _cmd_table(args) -> int:
     seed = _read_seed(args, fam.n)
     entries = polynomial_table(fam, seed)  # all of it, so a refusal prints nothing
     if args.output == "json":
-        line, blocks = "\n      ", {}
-        _print_listing("entries", (_object((
-            ("perm", _ints(entry.perm.one_line, line)),
-            ("poly", _poly_text(entry.poly, line, blocks)),
-            ("word", _ints(entry.word, line))), "\n    ") for entry in entries), fam.n)
+        _print_table(entries, fam.n)
     else:
         width = max(len(str(e.perm.one_line)) for e in entries)
         for entry in entries:
@@ -473,8 +518,9 @@ def _cmd_apply(args) -> int:
             raise ConfigError(f"--word letter {letter} out of range 1..{fam.n - 1}")
     result = apply_word(fam, word, seed)
     if args.output == "json":
-        print(_object((("n", str(fam.n)), ("poly", _poly_text(result, "\n  ", {})),
-                       ("word", _ints(word, "\n  "))), "\n"))
+        write = _Writer("\n  ", (result,))
+        print(_object(("n", "poly", "word"), "\n")
+              % (fam.n, write.poly(result), write.ints(tuple(word))))
     else:
         print(result)
     return 0

@@ -79,13 +79,12 @@ class FieldElement:
         m = _ELEM_RE.match(text.strip())
         if m is None:
             raise ValueError(f"malformed field element: {text!r}")
-        rat = Fraction(m.group("rat"))
-        zeta = Fraction(0)
-        if m.group("zeta") is not None:
-            zeta = Fraction(m.group("zeta"))
-            if m.group("zsign") == "-":
-                zeta = -zeta
-        return FieldElement(rat, zeta)
+        rat, zsign, zeta = m.group("rat", "zsign", "zeta")
+        p, _, q = rat.partition("/")
+        r, _, s = (zeta or "0").partition("/")
+        p, q, r, s = int(p), int(q or 1), int(r), int(s or 1)
+        # p/q + r/s z as in __init__; _raw reduces it, as the form is unique.
+        return _raw(p * s, -r * q if zsign == "-" else r * q, q * s)
 
     def __str__(self) -> str:
         return _text(self._a, self._b, self._d)

@@ -24,10 +24,11 @@ coercion of an operand of its own class and dimension, and so does a product.
 ``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
 (Q0, R0) = (1, 0), read from an ``_Action`` that keeps the image of each
 monomial met: R0 for 1, and for the others ``_Action.act``, the one routine
-for Q0 d p + R0 p, which merged slices of f go through too.  ``_action`` is
-the one place that prepares an action: one per operator object, kept in the
-dict its caller passes, so an action and its monomial images live as long as
-that dict.  Every operator application of the library runs the word loop
+for Q0 d p + R0 p, which merged slices of f go through too; with R0 = 0 and
+a constant Q0, as for d itself, it scales d p in place with no product.
+``_action`` is the one place that prepares an action: one per operator
+object, kept in the dict its caller passes, so an action and its monomial
+images live as long as that dict.  Every operator application of the library runs the word loop
 ``_run_word``, except the table sweep's, which calls ``_apply`` once per
 ascent with the actions ``_action`` prepared.  Every two-variable product,
 of ``_mul_pairs``, ``_slot_sum`` and inside ``_Action.act``, runs the one
@@ -56,7 +57,9 @@ coefficient is read out as a value: ``terms``, ``constant_value``,
 point) and the long division of ``exact_div``.
 A polynomial becomes text in one way, the term walk ``_printed_terms``,
 which prints each stored pair through ``field._text`` with no field
-element; ``str`` and the CLI's JSON writers read it.
+element, in the order of a ``_grlex_rank``: its own, or one that a caller
+formed once for many polynomials, as the CLI's table writer does.  ``str``,
+``poly_to_json`` and the CLI's JSON writers read it.
 """
 
 from __future__ import annotations
@@ -230,19 +233,32 @@ class _Action:
     """An operator Q0 d + R0 prepared for _apply: the common denominator of
     q0 and r0, each as a slot list [(r, s, c, g, c + g)] over it, and the
     images Q0 d(u^r v^s) + R0 u^r v^s of the monomials met so far, as lists of
-    the same form keyed by (r, s), each built on first use."""
+    the same form keyed by (r, s), each built on first use.  scale is Q0's
+    (c, g, c + g) when R0 = 0 and Q0 is one constant slot, as for d itself
+    and pure_ddiff, and None otherwise."""
 
-    __slots__ = ("den", "sq", "sr", "images")
+    __slots__ = ("den", "sq", "sr", "images", "scale")
 
     def __init__(self, q0: "SlotPoly", r0: "SlotPoly"):
         self.den = den = lcm(q0._den, r0._den)
         self.sq, self.sr = _slots(q0._num, den // q0._den), _slots(r0._num, den // r0._den)
         self.images: dict = {}
+        constant = not self.sr and len(self.sq) == 1 and self.sq[0][:2] == (0, 0)
+        self.scale = self.sq[0][2:] if constant else None
 
     def act(self, pairs: Mapping) -> dict:
         """Q0 d p + R0 p for a two-variable numerator map p, as an accumulator
         {(x, y): [a, b]} over self.den times p's denominator, zero pairs kept.
-        A zero Q0 or R0 skips its pass."""
+        A zero Q0 or R0 skips its pass.  With a scale, d p is scaled in place,
+        or returned as it is when Q0 = 1, with no product pass."""
+        if self.scale is not None:
+            acc = _ddiff_pairs(pairs)
+            c, g, cg = self.scale
+            if (c, g) != (1, 0):
+                for pair in acc.values():
+                    a, b = pair
+                    pair[0], pair[1] = a * c - b * g, a * g + b * cg
+            return acc
         acc: dict = {}
         if self.sq:
             _mul_slots(acc, _ddiff_pairs(pairs), self.sq)
@@ -315,6 +331,14 @@ def _summed(triples: Iterable) -> dict:
             pair[0] += a
             pair[1] += b
     return acc
+
+
+def _grlex_rank(polys: Iterable["MultiPoly"]) -> dict:
+    """Each exponent vector of the polynomials -> its place, 0 first, in
+    descending graded-lex order among them: the order _printed_terms sorts by."""
+    exponents = sorted(set().union(*[p._num for p in polys]), reverse=True)
+    # A stable sort by degree keeps equal degrees in descending lex order.
+    return {e: k for k, e in enumerate(sorted(exponents, key=sum, reverse=True))}
 
 
 def _fmt_terms(p: "MultiPoly", names) -> str:
@@ -431,13 +455,17 @@ class MultiPoly:
         pair = self._num.get((0,) * self.n_vars)
         return ZERO if pair is None else _element(*pair, self._den)
 
-    def _printed_terms(self) -> list:
+    def _printed_terms(self, rank: Mapping | None = None) -> list:
         """The (exponents, coefficient text) of each term in descending
         graded-lex order, the text read from the stored pair as str of its
-        field element reads: the one way a polynomial becomes text.  Exponent
-        vectors are distinct, so the sort never compares two pairs."""
+        field element reads: the one way a polynomial becomes text.  rank is
+        a _grlex_rank over a set of polynomials that holds self, such as a
+        table's entries, ranked once for all of them; by default self's own.
+        Ranks are distinct, so the sort compares ints only."""
+        if rank is None:
+            rank = _grlex_rank((self,))
         d = self._den
-        terms = sorted([(sum(e), e, a, b) for e, (a, b) in self._num.items()], reverse=True)
+        terms = sorted([(rank[e], e, a, b) for e, (a, b) in self._num.items()])
         return [(e, _text(a, b, d)) for _, e, a, b in terms]
 
     def evaluate(self, point) -> FieldElement:

@@ -821,6 +821,90 @@ class TestConfigFields:
         assert (code, out, err) == (2, "", f"error: --seed-poly: {message}\n")
 
 
+# -- term lists ------------------------------------------------------------------
+
+
+def _walked_terms(value, arity: int) -> dict:
+    """The term-list reader as it was before _Json.terms took its plain type
+    tests: every item, field and exponent read through a path-carrying _Json.
+    The reference that _Json.terms must match, in its values and refusals."""
+    terms = {}
+    for item in cli._Json(value, "term list").list():
+        item = item.fields(("e", "c"))
+        exponents = item["e"].list()
+        if len(exponents) != arity:
+            raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
+        e = tuple(x.natural(cli.MAX_EXPONENT) for x in exponents)
+        terms[e] = terms.get(e, FieldElement.of(0)) + item["c"].element()
+    return terms
+
+
+# Values json.loads can return where a term list holds an exponent or a
+# coefficient: the edges of each check, and a value of every other JSON type.
+ODD_EXPONENTS = st.sampled_from([cli.MAX_EXPONENT, cli.MAX_EXPONENT + 1, -1, 2.0, 0.0, -0.0,
+                                 2.5, 1e300, True, False, "1", None, [], {}])
+GOOD_COEFFS = st.sampled_from(["1", "-1", "1/1", "-3/4+2/3z", "0-1z", "0", " 2 "])
+ODD_COEFFS = st.sampled_from(["1/0", "1/2z", "x", "", 1, 1.5, None, True, [], {}])
+
+
+@st.composite
+def term_items(draw, arity: int):
+    """An item of a term list: {"e": [...], "c": "p/q"} with arity
+    exponents from 0..3, its fields in either order, or, one time in two,
+    with one fault: not an object, an odd exponent or coefficient, the wrong
+    number of exponents, or an extra or a missing field."""
+    exponents = draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity))
+    fields = {"e": exponents, "c": draw(GOOD_COEFFS)}
+    fault = draw(st.integers(0, 11))
+    if fault == 6:
+        return draw(st.sampled_from([[], "e", 3, None, True, [{"e": [0], "c": "1"}]]))
+    if fault == 7:
+        exponents[draw(st.integers(0, arity - 1))] = draw(ODD_EXPONENTS)
+    elif fault == 8:
+        fields["c"] = draw(ODD_COEFFS)
+    elif fault == 9:
+        fields["e"] = exponents[:draw(st.integers(0, arity - 1))] or exponents + [0]
+    elif fault == 10:
+        fields[draw(st.sampled_from(["x", "a", "z"]))] = 1
+    elif fault == 11:
+        del fields[draw(st.sampled_from(["e", "c"]))]
+    if draw(st.booleans()):
+        fields = dict(reversed(fields.items()))
+    return fields
+
+
+@given(st.integers(1, 4).flatmap(lambda arity: st.tuples(st.just(arity), st.one_of(
+    st.lists(term_items(arity), max_size=6),
+    st.sampled_from([{}, {"e": [0], "c": "1"}, "[]", 0, 1.5, True, None])))))
+@example((2, []))
+@example((2, [{"e": [1, 0], "c": "1/2"}, {"c": "-1/2", "e": [1, 0]}, {"e": [0, 1], "c": "3"}]))
+@example((2, [{"e": [cli.MAX_EXPONENT, 0], "c": "1"}, {"e": [0, cli.MAX_EXPONENT + 1], "c": "1"}]))
+@example((2, [{"e": [2.0, 0], "c": "1"}, {"e": [2, 0], "c": "1"}]))
+@example((2, [{"e": [1, 0], "c": "1", "x": 2}]))
+@example((2, [{"e": [1, 0], "c": 1}, {"e": [1], "c": "1"}]))
+@example((2, [{"e": [1, 0], "c": "1/0"}]))
+@example((1, [{"e": [True], "c": "1"}]))
+@example((1, [{"e": [-1], "c": "1"}]))
+@settings(max_examples=300, deadline=None)
+def test_term_list_reader_matches_the_walk(case):
+    """_Json.terms against the walk it replaced: an accepted list gives the
+    same terms and polynomial, and a refused one the same ConfigError text,
+    for bools, integral floats, negative exponents, the MAX_EXPONENT edge,
+    wrong arity, extra or missing fields, non-string and bad coefficients,
+    duplicate exponents that cancel, [] and tops that are not lists."""
+    arity, value = case
+    try:
+        expected = _walked_terms(value, arity)
+    except cli.ConfigError as exc:
+        with pytest.raises(cli.ConfigError) as refused:
+            cli._Json(value, "term list").terms(arity)
+        assert str(refused.value) == str(exc)
+    else:
+        terms = cli._Json(value, "term list").terms(arity)
+        assert terms == expected
+        assert MultiPoly(arity, terms) == MultiPoly(arity, expected)
+
+
 class TestReportSizeLimit:
     LIMIT = cli.MAX_REPORT_N
 
@@ -962,9 +1046,12 @@ def test_apply_and_table_writers_match_dumps(case):
     assert table == (0, _reference({"n": n, "entries": [_entry_json(e) for e in entries]}), "")
 
 
-# A seed with z parts, negative parts and denominators, as a --seed-poly.
-ODD_SEED = json.dumps([{"e": [2, 0, 1, 0], "c": "-3/4+2/3z"}, {"e": [0, 1, 0, 0], "c": "5/6"},
-                       {"e": [1, 1, 1, 0], "c": "0-1z"}])
+def _odd_seed(n: int) -> str:
+    """A --seed-poly in n variables with z parts, negative parts and
+    denominators, of degree 3, so that d kills it along long words."""
+    return json.dumps([{"e": [2] + [0] * (n - 2) + [1], "c": "-3/4+2/3z"},
+                       {"e": [0, 1] + [0] * (n - 2), "c": "5/6"},
+                       {"e": [1] * min(n, 3) + [0] * (n - 3), "c": "0-1z"}])
 
 
 @pytest.mark.parametrize("family, params, lines", [
@@ -972,15 +1059,28 @@ ODD_SEED = json.dumps([{"e": [2, 0, 1, 0], "c": "-3/4+2/3z"}, {"e": [0, 1, 0, 0]
     ("preset:grothendieck", None, None), ("preset:grothendieck", "-2/3", None),
     ("case1", "1,2,1,2,3", None), ("case2", "1,2,1,2", "l1,l3,l4"),
 ])
-@pytest.mark.parametrize("seed", [None, ODD_SEED], ids=["staircase", "odd-seed"])
+@pytest.mark.parametrize("seed", [None, _odd_seed], ids=["staircase", "odd-seed"])
 def test_table_writer_matches_dumps(family, params, lines, seed):
-    argv = ["table", "--n", "4", "--family", family]
-    for option, value in (("--params", params), ("--lines", lines), ("--seed-poly", seed)):
-        argv += [f"{option}={value}"] if value is not None else []
-    fam = cli.build_family(family, 4, params, lines, None)
-    entries = polynomial_table(fam, seed and poly_from_json(json.loads(seed), 4))
-    expected = _reference({"n": 4, "entries": [_entry_json(e) for e in entries]})
-    assert run_quietly(argv) == (0, expected, "")
+    """Whole tables at n = 2..5 (case1 and case2 to n = 4: their n = 5
+    staircase tables hold over 80,000 terms) against json.dumps.  Every table
+    lists w0 with the empty word; the odd seed, w0's entry, has coefficients
+    with a denominator and a z part, and d kills it along the long words of
+    n = 4 and 5, so pure_ddiff and grothendieck at beta = 0 list zero
+    entries ("poly": []) between nonzero ones."""
+    for n in range(2, 5 if family.startswith("case") else 6):
+        argv = ["table", "--n", str(n), "--family", family]
+        lines_n = lines and ",".join((lines.split(",") * n)[:n - 1])
+        seed_n = seed and seed(n)
+        for option, value in (("--params", params), ("--lines", lines_n), ("--seed-poly", seed_n)):
+            argv += [f"{option}={value}"] if value is not None else []
+        start = seed_n and poly_from_json(json.loads(seed_n), n)
+        entries = polynomial_table(cli.build_family(family, n, params, lines_n, None), start)
+        assert [e.poly for e in entries if not e.word] == [start or staircase(n)]
+        killed = (seed is not None and n >= 4 and params is None
+                  and family in ("preset:pure_ddiff", "preset:grothendieck"))
+        assert any(not e.poly for e in entries) is killed
+        expected = _reference({"n": n, "entries": [_entry_json(e) for e in entries]})
+        assert run_quietly(argv) == (0, expected, "")
 
 
 @given(st.integers(2, 7).flatmap(lambda n: st.lists(

@@ -78,6 +78,22 @@ class TestProperties:
     def test_string_round_trip(self, x):
         assert FieldElement.parse(str(x)) == x
 
+    @given(st.integers(-10**20, 10**20), st.integers(1, 10**6), st.integers(0, 10**20),
+           st.integers(1, 10**6), st.sampled_from(["", "+", "-"]), st.booleans(), st.booleans())
+    @example(6, 4, 4, 6, "-", True, True)
+    @example(0, 5, 0, 7, "+", True, False)
+    def test_parse_reads_what_fractions_read(self, p, q, r, s, zsign, over_q, zero_pad):
+        """parse, from the ints of its text, gives the element of the two
+        Fractions that text names, unreduced and zero-padded parts included."""
+        pad = "00" if zero_pad else ""
+        rat = f"{p}/{pad}{q}" if over_q else f"{p}"
+        zeta = f"{r}/{pad}{s}" if over_q else f"{r}"
+        text = rat + (f"{zsign}{zeta}z" if zsign else "")
+        sign = -1 if zsign == "-" else 1
+        expected = FieldElement(Fraction(rat), sign * Fraction(zeta) if zsign else 0)
+        x = FieldElement.parse(f" {text} ")
+        assert (x._a, x._b, x._d) == (expected._a, expected._b, expected._d)
+
     @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
            st.integers(1, 10**30))
     @example(0, 0, 1)

@@ -656,6 +656,32 @@ class TestStoredForm:
                         assert images == kept and all(images[e] is kept[e] for e in kept)
                     kept = images
 
+    @given(operands(1), st.just(ONE) | qz_coeffs.filter(bool), st.data())
+    @example((3, {(2, 0, 1): FieldElement.of("1/2+1z"), (0, 3, 1): FieldElement.of(-3),
+                  (1, 1, 0): FieldElement.of(2)}), ONE, None)
+    @settings(max_examples=100, deadline=None)
+    def test_constant_q0_makes_no_product_pass(self, data, c, choice):
+        """With R0 = 0 and Q0 a nonzero constant, as for d itself and
+        pure_ddiff, an action scales d f in place, or keeps it as it is when
+        Q0 = 1: no _mul_slots call, on slices of one term and of more, and
+        the terms of term_reference.ref_apply.  divdiff.ddiff is Q0 = 1."""
+        n, a = data
+        i = 1 if choice is None else choice.draw(st.integers(1, n - 1))
+        op = PDDO.from_q0_r0(SlotPoly.const(c), SlotPoly.zero())
+        f, products, real = MultiPoly(n, a), [], multipoly._mul_slots
+
+        def counting(*args):
+            products.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multipoly, "_mul_slots", counting)
+            results = [op.apply(i, f)] + ([ddiff(f, i)] if c == ONE else [])
+        assert products == []
+        for result in results:
+            assert_canonical(result)
+            assert result.terms == ref_apply(op, i, _clean(a), n)
+
     @given(operands(1), term_maps(2), qz_coeffs)
     @settings(max_examples=100, deadline=None)
     def test_scale_and_negation_match_the_reference(self, data, s, c):
@@ -867,6 +893,19 @@ class TestText:
         for p, names in ((MultiPoly(n, a), [f"x{k}" for k in range(1, n + 1)]),
                          (SlotPoly(s), ["u", "v"])):
             assert (str(p), poly_to_json(p)) == ref_text(p, names)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        text_polys(n).map(lambda a: MultiPoly(n, a)), max_size=5)))
+    @settings(max_examples=100, deadline=None)
+    def test_a_shared_rank_walks_each_polynomial_as_its_own(self, polys):
+        """_grlex_rank ranks the exponent vectors of several polynomials in
+        descending graded-lex order, 0 first, and each polynomial's term walk
+        by that rank is its walk by its own."""
+        rank = multipoly._grlex_rank(polys)
+        assert list(rank.values()) == list(range(len(rank)))
+        assert list(rank) == sorted(rank, key=lambda e: (sum(e), e), reverse=True)
+        for p in polys:
+            assert p._printed_terms(rank) == p._printed_terms()
 
     def test_str_builds_no_field_element(self, monkeypatch):
         f = MultiPoly(3, {(2, 0, 1): "-3/4+2/3z", (0, 1, 0): "1", (0, 0, 0): "5/6"})

@@ -1,12 +1,13 @@
 """The layer-cost harness perf/layers.py: its count pass, with no timing."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from braidops import (PDDO, MultiPoly, cubic_braid_check, family_braid_check, identity_op, multipoly,
-                      polynomial_table, preset, staircase)
+                      polynomial_table, preset, staircase, words)
 from braidops.families import case1_operator
 
 _spec = importlib.util.spec_from_file_location(
@@ -130,3 +131,28 @@ def test_identity_apply_leaves_every_entry_the_seed_and_restores_apply():
         with layers.identity_apply():
             raise RuntimeError("the body fails")
     assert multipoly._apply is apply
+
+
+def test_table_line_times_every_stage_and_restores_the_patched_names(capsys):
+    """Each table line names its seven stages with a time each, prints
+    nothing while it runs, and leaves words.family_braid_check and
+    sys.stdout the original objects.  Under no_braid_check the braid check
+    is a no-op, so the sweep stage times the sweep alone, and the check is
+    the original after it, also when the body raises."""
+    check, stdout = words.family_braid_check, sys.stdout
+    stages = ["parse", "family", "seed", "braid check", "sweep", "writer", "cli.main"]
+    assert len(layers.TABLE_ARGVS) == 2
+    for name, argv in layers.TABLE_ARGVS.items():
+        head, times = layers.table_line(name, argv, passes=1, runs=1).split(": ")
+        fields = [field.rsplit(" ", 1) for field in times.split(", ")]
+        assert head == f"table {name}, n = 4, us per run"
+        assert [stage for stage, _ in fields] == stages and all(float(t) > 0 for _, t in fields)
+    assert capsys.readouterr() == ("", "")
+    assert words.family_braid_check is check and sys.stdout is stdout
+    with layers.no_braid_check():
+        assert words.family_braid_check(preset("demazure", 3)) is None
+    assert words.family_braid_check is check
+    with pytest.raises(RuntimeError):
+        with layers.no_braid_check():
+            raise RuntimeError("the body fails")
+    assert words.family_braid_check is check
