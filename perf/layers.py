@@ -53,12 +53,13 @@ T, and each operator keeps its Hecke parameters, so the case-2 family builds
 no T and forms the parameters once per distinct operator.
 
 Table sweep.  The mean time per operator application of polynomial_table for
-two n = 5 families of n!(n-1)/2 = 240 applications each, each call including
-the family's braid check.  Then, for the three presets at n = 4 on the
+two n = 5 families, each call including the family's braid check, over the
+``multipoly._apply`` calls counted in one pass (n! - 1 = 119 for the sweep,
+one per entry but w0's).  Then, for the three presets at n = 4 on the
 staircase, the time per table, and the time per table with
 ``multipoly._apply`` made the identity (``identity_apply``), which leaves
-the table's fixed cost: the braid check, the schedule, the actions, the
-ascent audit's comparisons and the entries.
+the table's fixed cost: the braid check, the schedule, the actions and the
+entries.
 
 Table stages.  The time per run of each stage of two ``braidops table --n 4
 --output json`` runs, a staircase preset and a preset on a dense seed of six
@@ -400,8 +401,10 @@ def main() -> None:
     tables = {"preset:grothendieck --params 1": lambda: preset("grothendieck", 5, 1),
               "case2 lines 1,3,4,1": families()["case2 lines 1,3,4,1"]}
     for name, build in tables.items():
+        applied = count_pass(polynomial_table, [(build(),)])[3]
         best = best_of(5, polynomial_table, lambda: [(build(),)])
-        print(f"polynomial_table {name}, n = 5: {best / 240 * 1e6:.1f} us per application")
+        print(f"polynomial_table {name}, n = 5: {best / applied * 1e6:.1f} us per application, "
+              f"{applied} multipoly._apply calls in one pass")
     for name in ("pure_ddiff", "demazure", "grothendieck"):
         def make(name=name):
             return [(preset(name, 4, 1 if name == "grothendieck" else None),)]

@@ -30,7 +30,7 @@ a constant Q0, as for d itself, it scales d p in place with no product.
 object, kept in the dict its caller passes, so an action and its monomial
 images live as long as that dict.  Every operator application of the library runs the word loop
 ``_run_word``, except the table sweep's, which calls ``_apply`` once per
-ascent with the actions ``_action`` prepared.  Every two-variable product,
+entry with the actions ``_action`` prepared.  Every two-variable product,
 of ``_mul_pairs``, ``_slot_sum`` and inside ``_Action.act``, runs the one
 loop ``_mul_slots``; a product in more variables runs the one generic loop
 of ``_mul_pairs``.  ``_slot_sum`` is the one path for a sum of slot

@@ -132,21 +132,20 @@ class TableEntry:
 
 
 def _schedule(n: int) -> list:
-    """(w, ascents, word) for each one-line tuple w of S_n, in descending
-    lexicographic order, w0 first, in one pass.  ascents lists (k, w s_i) for
-    each ascent i = k + 1 of w, w(i) < w(i + 1); word is the first reduced
-    word of w^{-1} w0, reduced_words(w^{-1} w0)[0].  For an ascent i, w s_i
-    puts the larger of w(i), w(i + 1) first, and w' below puts m before
-    m - 1, so both are lexicographically larger and come earlier."""
+    """(w, k, w s_{k+1}, word) for each one-line tuple w != w0 of S_n, in
+    descending lexicographic order, in one pass.  word is the first reduced
+    word of w^{-1} w0, reduced_words(w^{-1} w0)[0], and k + 1 = word[0].
+    word[1:] is the word of w s_{k+1}, by induction on length: the last
+    letter of a first word is its smallest right descent, and for a left
+    descent i of v each right descent of s_i v is one of v.  k + 1 is an
+    ascent of w, so w s_{k+1} puts the larger of w(k+1), w(k+2) first, and
+    w' below puts m before m - 1: both are lexicographically larger and come
+    earlier."""
     sweep = _permutations(range(n, 0, -1))
-    w0 = next(sweep)
-    words, schedule, at = {w0: ()}, [(w0, [], ())], [0] * (n + 1)  # at[v]: v's position in w
+    words, schedule, at = {next(sweep): ()}, [], [0] * (n + 1)  # at[v]: v's position in w
     for w in sweep:
-        ascents = []
         for k, v in enumerate(w):
             at[v] = k
-            if k and w[k - 1] < v:
-                ascents.append((k - 1, w[:k - 1] + (v, w[k - 1]) + w[k + 1:]))
         # The first reduced word ends in its smallest right descent
         # n + 1 - m, m the largest value standing right of m - 1 in w;
         # before it comes the word of w' = w with m - 1, m exchanged.
@@ -156,7 +155,8 @@ def _schedule(n: int) -> list:
         w_prime = list(w)
         w_prime[at[m]], w_prime[at[m - 1]] = m - 1, m
         word = words[w] = words[tuple(w_prime)] + (n + 1 - m,)
-        schedule.append((w, ascents, word))
+        k = word[0] - 1
+        schedule.append((w, k, w[:k] + (w[k + 1], w[k]) + w[k + 2:], word))
     return schedule
 
 
@@ -167,13 +167,13 @@ def polynomial_table(
 
     Convention: the entry for w applies the operators along the reduced word
     reduced_words(w^{-1} w0)[0] to the seed (default: the staircase monomial).
-    Entries are built down the weak order of _schedule: entry(w) =
-    pi_i(entry(w s_i)), asserted equal for every ascent i of w (n!(n-1)/2
-    applications).  The ascents are the first letters of the reduced words of
-    w^{-1} w0, so by induction on length this is agreement across all reduced
-    words.  Each application is one multipoly._apply with the action of
-    fam[i], prepared once per operator object; the schedule is built afresh
-    on every call.
+    Entries are built down the weak order of _schedule, one application each
+    (n! - 1 in all): entry(w) = pi_{word[0]}(entry(w s_{word[0]})), whose
+    entry applies word[1:], so each entry is its own word applied to the
+    seed.  The family must pass its braid check first; Matsumoto's theorem
+    then makes every reduced word give the same entry.  Each application is
+    one multipoly._apply with the action of fam[i], prepared once per
+    operator object; the schedule is built afresh on every call.
     """
     n = fam.n
     if n > MAX_TABLE_N:
@@ -191,11 +191,9 @@ def polynomial_table(
         )
     apply, actions = multipoly._apply, {}  # looked up on each call, so a patched _apply is used
     acts = [_action(op, actions) for op in fam.ops]  # acts[k] acts at positions k, k + 1
-    schedule = _schedule(n)
-    polys = {schedule[0][0]: seed}
-    for w, ((k, parent), *others), _ in schedule[1:]:
-        value = polys[w] = apply(polys[parent], k, acts[k])
-        for k, parent in others:
-            if apply(polys[parent], k, acts[k]) != value:
-                raise AssertionError(f"reduced-word dependence at {w} despite braid check")
-    return [TableEntry(Permutation._of(w), word, polys[w]) for w, _, word in reversed(schedule)]
+    w0 = Permutation.longest(n)
+    polys, schedule = {w0.one_line: seed}, _schedule(n)
+    for w, k, parent, _ in schedule:
+        polys[w] = apply(polys[parent], k, acts[k])
+    entries = [TableEntry(Permutation._of(w), word, polys[w]) for w, _, _, word in reversed(schedule)]
+    return entries + [TableEntry(w0, (), seed)]

@@ -9,6 +9,7 @@ intended:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -187,6 +188,29 @@ def test_replay_is_byte_identical(index, monkeypatch):
 def test_json_output_is_what_the_stdlib_prints(index):
     stdout = _recorded()[index]["stdout"]
     assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+
+
+# Tables too large for the corpus, whose tables stop at n = 4, pinned by the
+# byte count and sha256 of their JSON stdout.
+LARGE_TABLES = {
+    "grothendieck-6": (["--n", "6", "--family", "preset:grothendieck", "--params", "1"], 2_847_496,
+                       "96957d9003907c6bf726b0feb1ca685ed3445832f779f17270ca14b517c6ebe4"),
+    "pure_ddiff-6": (["--n", "6", "--family", "preset:pure_ddiff"], 1_071_341,
+                     "4e2af9c54cf24dad4217e582605ae809bd976b2f99fe6022cb7c1ea0505b9efc"),
+    "case1-5": (["--n", "5", *CASE1], 11_831_002,
+                "3f9645192dbda76532494f5575e035fb971b026b5d439b734c8a22f4ced8ea50"),
+    "case2-5": (["--n", "5", "--family", "case2", "--params", "1,2,1,2", "--lines", "l1,l3,l4,l1"],
+                12_894_900, "415e756ae3edbe1b2a1878132bc911df79d55f146951e2ba5aa3561456e5e1e1"),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_TABLES)
+def test_large_table_bytes_are_pinned(name):
+    argv, size, digest = LARGE_TABLES[name]
+    code, out, err = run_cli(["table", *argv, *JSON])
+    stdout = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(stdout), hashlib.sha256(stdout).hexdigest()) == (size, digest)
 
 
 if __name__ == "__main__":

@@ -120,8 +120,8 @@ def test_counting_counts_and_restores_the_patched_names():
 
 
 def test_identity_apply_leaves_every_entry_the_seed_and_restores_apply():
-    """Under identity_apply a table passes its ascent audit with every entry
-    the seed; multipoly._apply is the original after it, also when it raises."""
+    """Under identity_apply every entry of a table is the seed;
+    multipoly._apply is the original after it, also when it raises."""
     apply, fam = multipoly._apply, preset("grothendieck", 4, 1)
     with layers.identity_apply():
         table = polynomial_table(fam)

@@ -249,29 +249,33 @@ class TestTableAgainstReducedWords:
             w_prime = tuple({m: m - 1, m - 1: m}.get(x, x) for x in w)
             assert position[w_prime] < position[w]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_schedule_gives_every_ascent_and_the_first_word(self, n):
-        """_schedule lists S_n in the sweep's order with, for each w, the pair
-        (i - 1, w s_i) of every ascent i of w, and the word
-        reduced_words(w^{-1} w0)[0].  At n = 6 that enumeration is too large,
-        so the word is read by its recursion on the smallest right descent,
-        which agrees with it at n <= 5."""
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_schedule_gives_each_entry_its_parent_and_first_word(self, n):
+        """_schedule lists S_n but w0 in the sweep's order with, for each w,
+        the word reduced_words(w^{-1} w0)[0], its first letter k + 1 and the
+        parent w s_{k+1}, whose word is word[1:].  At n >= 6 that enumeration
+        is too large, so the word is read by its recursion on the smallest
+        right descent, which agrees with it at n <= 5."""
         w0 = Permutation.longest(n)
         schedule = words._schedule(n)
-        assert [w for w, _, _ in schedule] == list(itertools.permutations(range(n, 0, -1)))
-        for w, ascents, word in schedule:
+        assert [w for w, _, _, _ in schedule] == list(itertools.permutations(range(n, 0, -1)))[1:]
+        row_words = {w0.one_line: ()}
+        for w, k, parent, word in schedule:
             perm = Permutation(w)
-            assert ascents == [(i - 1, perm.apply_transposition(i).one_line)
-                               for i in range(1, n) if w[i - 1] < w[i]]
+            assert k + 1 == word[0]
+            assert parent == perm.apply_transposition(k + 1).one_line
+            assert word[1:] == row_words[parent]
+            row_words[w] = word
             v = perm.inverse() * w0
             first = _first_word(v)
             assert word == tuple(first)
             if n <= 5:
                 assert first == reduced_words(v)[0]
 
-    def test_one_application_per_ascent(self, monkeypatch):
-        # The braid check's f row runs the same word loop, so a passing report
-        # stands in for it and only the sweep's applications are counted.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_application_per_entry(self, n, monkeypatch):
+        """A table, braid check included, makes one operator application per
+        entry but w0's, n! - 1 in all."""
         calls = []
         apply = multipoly._apply
 
@@ -280,22 +284,25 @@ class TestTableAgainstReducedWords:
             return apply(f, k, action)
 
         monkeypatch.setattr(multipoly, "_apply", counting_apply)
-        monkeypatch.setattr(words, "family_braid_check", lambda fam: FamilyReport())
-        polynomial_table(preset("grothendieck", 4, 1))
-        assert len(calls) == 36  # n!(n-1)/2 at n = 4
+        polynomial_table(preset("grothendieck", n, 1))
+        assert len(calls) == math.factorial(n) - 1
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_ascent_audit_catches_a_non_braid_family(self, n, monkeypatch):
-        # Past a braid check that wrongly passes, the audit must still see
-        # that different reduced words give different entries.
+    def test_each_entry_applies_its_own_word(self, n, monkeypatch):
+        """Past a braid check that wrongly passes, different reduced words give
+        different entries, and each entry is still its own JSON word applied
+        to the seed."""
         dem = preset("demazure", n)
         h = SlotPoly.u()
         ops = list(dem.ops)
         ops[0] = PDDO(ops[0].T + h, ops[0].Q0 + h)
         bad = OperatorFamily(n, tuple(ops))
         monkeypatch.setattr(words, "family_braid_check", lambda fam: FamilyReport())
-        with pytest.raises(AssertionError, match="reduced-word dependence"):
-            polynomial_table(bad)
+        seed = staircase(n)
+        table = polynomial_table(bad, seed)
+        assert [e.perm for e in table] == Permutation.all(n)
+        assert all(e.poly == apply_word(bad, e.word, seed) for e in table)
+        assert apply_word(bad, [1, 2, 1], seed) != apply_word(bad, [2, 1, 2], seed)
 
 
 class TestTableActions:
