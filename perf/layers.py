@@ -3,8 +3,8 @@
     python perf/layers.py
 
 Run from a checkout, it measures that checkout's ``src``, which it puts first
-on the import path, so a copy of another commit measures that commit.  It
-prints six sections.
+on its import path and on its children's PYTHONPATH, so a copy of another
+commit measures that commit.  It prints seven sections.
 
 Library size.  The total line count of ``src/braidops``, and per module the
 code lines (neither blank, nor a comment, nor in a docstring, found with
@@ -58,8 +58,7 @@ two n = 5 families, each call including the family's braid check, over the
 one per entry but w0's).  Then, for the three presets at n = 4 on the
 staircase, the time per table, and the time per table with
 ``multipoly._apply`` made the identity (``identity_apply``), which leaves
-the table's fixed cost: the braid check, the schedule, the actions and the
-entries.
+the table's fixed cost: the braid check, the actions and the entries.
 
 Table stages.  The time per run of each stage of two ``braidops table --n 4
 --output json`` runs, a staircase preset and a preset on a dense seed of six
@@ -75,8 +74,8 @@ An operator keeps its T and its Hecke parameters once formed, so a pass over
 the same operators would find the first pass's work kept.  Each timed pass of
 the first three sections therefore runs on copies made by
 ``PDDO.from_q0_r0(op.Q0, op.R0)``, which keep nothing, one copy per operator
-of each argument tuple, and each pass of the last three on families built
-afresh by their constructors, as a caller builds them.
+of each argument tuple, and each pass of the family and table sections on
+families built afresh by their constructors, as a caller builds them.
 
 A failing pair's witness, the difference of its first failing coefficient,
 is built in three variables when ``CubicReport.failure`` is first read, so
@@ -87,20 +86,30 @@ calls) and their term pairs, len(a) len(b) summed, the polynomials built
 applications (``multipoly._apply`` calls) of a pass on such copies, and the
 three-variable products and term pairs of reading each report's failure;
 each slot case logs its ``MultiPoly._normal`` calls.  These counts and the
-code lines do not depend on the machine.  Times are the best of 20 passes (5 for the n = 5 tables);
-each pass starts after a collection and runs with the collector off, so
-that a collection does not land in some passes and not in others.
+code lines do not depend on the machine.  Times are the best of 20 passes
+(5 for the n = 5 tables); each pass starts after a collection and runs with
+the collector off, so that a collection does not land in some passes and not
+in others.
+
+Whole processes.  Per ``PROCESSES`` row, the best of 3 wall times of a child
+``python -m braidops``, stdout discarded, and that run's peak RSS from
+``os.wait4``.  A fresh interpreter (``SPAWN``) spawns each child and exits
+with its status, since Linux counts the spawning process's peak RSS into the
+child's.  The x1^300 table's applications merge slices of hundreds of terms;
+the n = 6 demazure table, 69 MB, is the largest output that CI builds.
 """
 
 import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager, nullcontext, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 if __name__ == "__main__":
@@ -119,9 +128,10 @@ from braidops.sampling import (draw_degent_data, draw_isolated_pair,  # noqa: E4
 # that the process has interned already, as importing braidops or compiling
 # this script would.
 LIBRARY_SIZE = """import ast, pathlib, sys, tracemalloc
-total = 0
+total = lines = 0
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
     source = path.read_text()
+    lines += source.count("\\n")
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \\
@@ -135,7 +145,7 @@ for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(f"{path.name}: {code} code lines, compile peak {peak / 1e6:.3f} MB")
-print(f"src/braidops: {total} code lines")
+print(f"src/braidops: {lines} lines, {total} code lines")
 """
 
 
@@ -231,8 +241,8 @@ def counting():
     formations].  The five names are patched for the body and restored
     after it, also when it raises."""
     counts = [0, 0, 0, 0, 0, 0]
-    mul_pairs, normal, apply = multipoly._mul_pairs, multipoly.MultiPoly.__dict__["_normal"], multipoly._apply
-    t_read, hecke = PDDO.__dict__["T"], PDDO.__dict__["hecke_params"]
+    mul_pairs, normal, apply = multipoly._mul_pairs, multipoly.MultiPoly._normal.__func__, multipoly._apply
+    t_read, hecke = PDDO.T, PDDO.hecke_params
 
     def counted_mul_pairs(a, b, n_vars):
         if n_vars == 3:
@@ -254,39 +264,22 @@ def counting():
         counts[5] += op._hecke is pddo._UNFORMED
         return hecke(op)
 
-    multipoly._mul_pairs, multipoly._apply = counted_mul_pairs, counted(3, apply)
-    multipoly.MultiPoly._normal = classmethod(counted(2, normal.__func__))
-    PDDO.T, PDDO.hecke_params = property(counted_t), counted_hecke
-    try:
+    with (mock.patch.multiple(multipoly, _mul_pairs=counted_mul_pairs, _apply=counted(3, apply)),
+          mock.patch.object(multipoly.MultiPoly, "_normal", classmethod(counted(2, normal))),
+          mock.patch.multiple(PDDO, T=property(counted_t), hecke_params=counted_hecke)):
         yield counts
-    finally:
-        multipoly._mul_pairs, multipoly._apply = mul_pairs, apply
-        multipoly.MultiPoly._normal = normal
-        PDDO.T, PDDO.hecke_params = t_read, hecke
 
 
-@contextmanager
 def identity_apply():
     """multipoly._apply returns f unchanged in the body, so every table entry
     is the seed, and is restored after it, also when it raises."""
-    apply = multipoly._apply
-    multipoly._apply = lambda f, k, action: f
-    try:
-        yield
-    finally:
-        multipoly._apply = apply
+    return mock.patch.object(multipoly, "_apply", lambda f, k, action: f)
 
 
-@contextmanager
 def no_braid_check():
     """words.family_braid_check returns None in the body, so polynomial_table
     checks no braid relation, and is restored after it, also when it raises."""
-    check = words.family_braid_check
-    words.family_braid_check = lambda fam: None
-    try:
-        yield
-    finally:
-        words.family_braid_check = check
+    return mock.patch.object(words, "family_braid_check", lambda fam: None)
 
 
 # The table stages' argvs: the seed is six distinct degree-3 monomials with
@@ -300,6 +293,29 @@ TABLE_ARGVS = {
     "preset:demazure, dense seed":
         ["table", "--n", "4", "--family", "preset:demazure", "--seed-poly", DENSE_SEED],
 }
+
+SPAWN = """import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "braidops", *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss / 1024)  # KiB on Linux
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+PROCESSES = {argv: argv.split() for argv in (
+    "hecke --n 100000 --family case2 --params 1,2,1,2 --output json",
+    "table --n 6 --family preset:grothendieck --params 1",
+    "table --n 6 --family preset:demazure",
+    'table --n 3 --family preset:demazure --seed-poly [{"e":[300,0,0],"c":"1/1"}]',
+    "table --n 5 --family case1 --params 1,2,1,2,3 --output json",
+    "verify --n 500 --family preset:demazure --output json")}
+
+
+def run_process(argv: list) -> tuple[float, float]:
+    """(wall s, peak RSS MiB) of a child ``python -m braidops`` on argv; raises unless it exits 0."""
+    done = subprocess.run([sys.executable, "-c", SPAWN, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return tuple(map(float, done.stdout.split()))
 
 
 def table_stages(argv: list, passes: int, runs: int = 10) -> dict:
@@ -373,8 +389,6 @@ def main() -> None:
     def witness(pi, varpi):
         return cubic_braid_check(pi, varpi).failure
 
-    lines = sum(path.read_text().count("\n") for path in (SRC / "braidops").glob("*.py"))
-    print(f"{lines} total", flush=True)
     subprocess.run([sys.executable, "-c", LIBRARY_SIZE, str(SRC / "braidops")], check=True)
     pairs, zetas, ops = catalogue()
     for group, members in cubic_groups(pairs, zetas).items():
@@ -415,6 +429,9 @@ def main() -> None:
               f"{fixed * 1e6:.1f} us with multipoly._apply the identity")
     for name, argv in TABLE_ARGVS.items():
         print(table_line(name, argv, 20))
+    for name, argv in PROCESSES.items():
+        wall, rss = min(run_process(argv) for _ in range(3))
+        print(f"python -m braidops {name}: {wall:.2f} s wall, {rss:.1f} MiB peak RSS, best of 3 runs")
 
 
 if __name__ == "__main__":
