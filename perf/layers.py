@@ -58,7 +58,8 @@ two n = 5 families, each call including the family's braid check, over the
 one per entry but w0's).  Then, for the three presets at n = 4 on the
 staircase, the time per table, and the time per table with
 ``multipoly._apply`` made the identity (``identity_apply``), which leaves
-the table's fixed cost: the braid check, the actions and the entries.
+the table's fixed cost: the braid check, the schedule, the actions and the
+entries.
 
 Table stages.  The time per run of each stage of two ``braidops table --n 4
 --output json`` runs, a staircase preset and a preset on a dense seed of six
@@ -86,10 +87,9 @@ calls) and their term pairs, len(a) len(b) summed, the polynomials built
 applications (``multipoly._apply`` calls) of a pass on such copies, and the
 three-variable products and term pairs of reading each report's failure;
 each slot case logs its ``MultiPoly._normal`` calls.  These counts and the
-code lines do not depend on the machine.  Times are the best of 20 passes
-(5 for the n = 5 tables); each pass starts after a collection and runs with
-the collector off, so that a collection does not land in some passes and not
-in others.
+code lines do not depend on the machine.  Times are the best of 20 passes (5 for the n = 5 tables);
+each pass starts after a collection and runs with the collector off, so
+that a collection does not land in some passes and not in others.
 
 Whole processes.  Per ``PROCESSES`` row, the best of 3 wall times of a child
 ``python -m braidops``, stdout discarded, and that run's peak RSS from
@@ -128,10 +128,9 @@ from braidops.sampling import (draw_degent_data, draw_isolated_pair,  # noqa: E4
 # that the process has interned already, as importing braidops or compiling
 # this script would.
 LIBRARY_SIZE = """import ast, pathlib, sys, tracemalloc
-total = lines = 0
+total = 0
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
     source = path.read_text()
-    lines += source.count("\\n")
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \\
@@ -145,7 +144,7 @@ for path in sorted(pathlib.Path(sys.argv[1]).glob("*.py")):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(f"{path.name}: {code} code lines, compile peak {peak / 1e6:.3f} MB")
-print(f"src/braidops: {lines} lines, {total} code lines")
+print(f"src/braidops: {total} code lines")
 """
 
 
@@ -238,8 +237,7 @@ def fresh(calls: list) -> list:
 def counting():
     """Counts of the body: [three-variable products, their term pairs,
     MultiPoly._normal calls, multipoly._apply calls, T builds, Hecke
-    formations].  The five names are patched for the body and restored
-    after it, also when it raises."""
+    formations], with the five names patched for the body (``mock``)."""
     counts = [0, 0, 0, 0, 0, 0]
     mul_pairs, normal, apply = multipoly._mul_pairs, multipoly.MultiPoly._normal.__func__, multipoly._apply
     t_read, hecke = PDDO.T, PDDO.hecke_params
@@ -271,14 +269,12 @@ def counting():
 
 
 def identity_apply():
-    """multipoly._apply returns f unchanged in the body, so every table entry
-    is the seed, and is restored after it, also when it raises."""
+    """A patch of multipoly._apply to return f: every table entry is the seed."""
     return mock.patch.object(multipoly, "_apply", lambda f, k, action: f)
 
 
 def no_braid_check():
-    """words.family_braid_check returns None in the body, so polynomial_table
-    checks no braid relation, and is restored after it, also when it raises."""
+    """A patch of words.family_braid_check to return None: no braid check."""
     return mock.patch.object(words, "family_braid_check", lambda fam: None)
 
 
@@ -302,18 +298,18 @@ _, status, usage = os.wait4(pid, 0)
 print(time.perf_counter() - start, usage.ru_maxrss / 1024)  # KiB on Linux
 sys.exit(os.waitstatus_to_exitcode(status))
 """
-PROCESSES = {argv: argv.split() for argv in (
+PROCESSES = (
     "hecke --n 100000 --family case2 --params 1,2,1,2 --output json",
     "table --n 6 --family preset:grothendieck --params 1",
     "table --n 6 --family preset:demazure",
     'table --n 3 --family preset:demazure --seed-poly [{"e":[300,0,0],"c":"1/1"}]',
     "table --n 5 --family case1 --params 1,2,1,2,3 --output json",
-    "verify --n 500 --family preset:demazure --output json")}
+    "verify --n 500 --family preset:demazure --output json")
 
 
-def run_process(argv: list) -> tuple[float, float]:
-    """(wall s, peak RSS MiB) of a child ``python -m braidops`` on argv; raises unless it exits 0."""
-    done = subprocess.run([sys.executable, "-c", SPAWN, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+def run_process(argv: str) -> tuple[float, float]:
+    """(wall s, peak RSS MiB) of ``python -m braidops`` on argv's words; raises unless it exits 0."""
+    done = subprocess.run([sys.executable, "-c", SPAWN, *argv.split()], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           stdout=subprocess.PIPE, text=True, check=True)
     return tuple(map(float, done.stdout.split()))
 
@@ -389,6 +385,8 @@ def main() -> None:
     def witness(pi, varpi):
         return cubic_braid_check(pi, varpi).failure
 
+    lines = sum(path.read_text().count("\n") for path in (SRC / "braidops").glob("*.py"))
+    print(f"{lines} total", flush=True)
     subprocess.run([sys.executable, "-c", LIBRARY_SIZE, str(SRC / "braidops")], check=True)
     pairs, zetas, ops = catalogue()
     for group, members in cubic_groups(pairs, zetas).items():
@@ -429,9 +427,9 @@ def main() -> None:
               f"{fixed * 1e6:.1f} us with multipoly._apply the identity")
     for name, argv in TABLE_ARGVS.items():
         print(table_line(name, argv, 20))
-    for name, argv in PROCESSES.items():
+    for argv in PROCESSES:
         wall, rss = min(run_process(argv) for _ in range(3))
-        print(f"python -m braidops {name}: {wall:.2f} s wall, {rss:.1f} MiB peak RSS, best of 3 runs")
+        print(f"python -m braidops {argv}: {wall:.2f} s wall, {rss:.1f} MiB peak RSS, best of 3 runs")
 
 
 if __name__ == "__main__":

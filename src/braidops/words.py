@@ -4,7 +4,6 @@ operator application along reduced words."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations as _permutations
 from typing import Sequence
 
@@ -132,8 +131,7 @@ class TableEntry:
     poly: MultiPoly
 
 
-@cache
-def _schedule(n: int) -> tuple:
+def _schedule(n: int) -> list:
     """(w, k, w s_{k+1}, word) for each one-line tuple w != w0 of S_n, in
     descending lexicographic order, in one pass.  word is the first reduced
     word of w^{-1} w0, reduced_words(w^{-1} w0)[0], and k + 1 = word[0].
@@ -142,8 +140,7 @@ def _schedule(n: int) -> tuple:
     descent i of v each right descent of s_i v is one of v.  k + 1 is an
     ascent of w, so w s_{k+1} puts the larger of w(k+1), w(k+2) first, and
     w' below puts m before m - 1: both are lexicographically larger and come
-    earlier.  It depends on n alone, so it is built once per n and kept; the
-    rows are a tuple, which no caller can change."""
+    earlier."""
     sweep = _permutations(range(n, 0, -1))
     words, schedule, at = {next(sweep): ()}, [], [0] * (n + 1)  # at[v]: v's position in w
     for w in sweep:
@@ -160,7 +157,7 @@ def _schedule(n: int) -> tuple:
         word = words[w] = words[tuple(w_prime)] + (n + 1 - m,)
         k = word[0] - 1
         schedule.append((w, k, w[:k] + (w[k + 1], w[k]) + w[k + 2:], word))
-    return tuple(schedule)
+    return schedule
 
 
 def polynomial_table(
@@ -176,7 +173,7 @@ def polynomial_table(
     seed.  The family must pass its braid check first; Matsumoto's theorem
     then makes every reduced word give the same entry.  Each application is
     one multipoly._apply with the action of fam[i], prepared once per
-    operator object; the schedule is built once per n and kept.
+    operator object; the schedule is built afresh on every call.
     """
     n = fam.n
     if n > MAX_TABLE_N:

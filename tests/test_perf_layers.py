@@ -161,32 +161,28 @@ def test_table_line_times_every_stage_and_restores_the_patched_names(capsys):
 
 def test_processes_name_the_whole_process_rows():
     """The four runs whose output CI checks, a case1 table and a report."""
-    assert list(layers.PROCESSES.values()) == [
-        ["hecke", "--n", "100000", "--family", "case2", "--params", "1,2,1,2", "--output", "json"],
-        ["table", "--n", "6", "--family", "preset:grothendieck", "--params", "1"],
-        ["table", "--n", "6", "--family", "preset:demazure"],
-        ["table", "--n", "3", "--family", "preset:demazure", "--seed-poly", '[{"e":[300,0,0],"c":"1/1"}]'],
-        ["table", "--n", "5", "--family", "case1", "--params", "1,2,1,2,3", "--output", "json"],
-        ["verify", "--n", "500", "--family", "preset:demazure", "--output", "json"],
-    ]
+    assert layers.PROCESSES == (
+        "hecke --n 100000 --family case2 --params 1,2,1,2 --output json",
+        "table --n 6 --family preset:grothendieck --params 1",
+        "table --n 6 --family preset:demazure",
+        'table --n 3 --family preset:demazure --seed-poly [{"e":[300,0,0],"c":"1/1"}]',
+        "table --n 5 --family case1 --params 1,2,1,2,3 --output json",
+        "verify --n 500 --family preset:demazure --output json",
+    )
 
 
 def test_run_process_reads_each_child_alone():
     """A small table's wall time and peak RSS are positive, and its RSS is
-    lower than the hecke listing's, read right before it, and than a ballast
-    of 64 MiB that this process holds: the runner reads one child's peak,
-    not the largest of every child waited for so far, nor its spawner's."""
-    small = ["table", "--n", "3", "--family", "preset:demazure"]
-    hecke_rss = layers.run_process(layers.PROCESSES[
-        "hecke --n 100000 --family case2 --params 1,2,1,2 --output json"])[1]
-    wall, rss = layers.run_process(small)
-    assert wall > 0 and 0 < rss < hecke_rss
+    lower than a ballast of 64 MiB that this process holds: a runner that
+    spawned the child from this process, or read getrusage(RUSAGE_CHILDREN)
+    here, would read at least this process's peak."""
     ballast = b"\1" * (64 << 20)
-    assert layers.run_process(small)[1] < 64
+    wall, rss = layers.run_process("table --n 3 --family preset:demazure")
+    assert wall > 0 and 0 < rss < 64
     del ballast
 
 
 def test_run_process_raises_on_a_nonzero_exit():
     with pytest.raises(subprocess.CalledProcessError) as raised:
-        layers.run_process(["table", "--n", "3", "--family", "preset:nope"])
+        layers.run_process("table --n 3 --family preset:nope")
     assert raised.value.returncode == 2

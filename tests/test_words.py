@@ -272,13 +272,6 @@ class TestTableAgainstReducedWords:
             if n <= 5:
                 assert first == reduced_words(v)[0]
 
-    def test_schedule_is_built_once_per_n(self):
-        """The schedule depends on n alone: every call at one n returns the
-        same kept rows, as a tuple that no caller can change."""
-        schedule = words._schedule(4)
-        assert words._schedule(4) is schedule and isinstance(schedule, tuple)
-        assert words._schedule(3) is not schedule
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_application_per_entry(self, n, monkeypatch):
         """A table, braid check included, makes one operator application per
