@@ -53,9 +53,10 @@ T, and each operator keeps its Hecke parameters, so the case-2 family builds
 no T and forms the parameters once per distinct operator.
 
 Table sweep.  The mean time per operator application of polynomial_table for
-two n = 5 families, each call including the family's braid check, over the
+three n = 5 families, each call including the family's braid check, over the
 ``multipoly._apply`` calls counted in one pass (n! - 1 = 119 for the sweep,
-one per entry but w0's).  Then, for the three presets at n = 4 on the
+one per entry but w0's); preset:pure_ddiff is the one preset whose Q0 is a
+constant and whose R0 is zero.  Then, for the three presets at n = 4 on the
 staircase, the time per table, and the time per table with
 ``multipoly._apply`` made the identity (``identity_apply``), which leaves
 the table's fixed cost: the braid check, the schedule, the actions and the
@@ -411,6 +412,7 @@ def main() -> None:
         print(f"family_braid_check {name}: {best * 1e6:.1f} us per family, "
               f"{t_builds} T builds, {formations} Hecke formations in one pass")
     tables = {"preset:grothendieck --params 1": lambda: preset("grothendieck", 5, 1),
+              "preset:pure_ddiff": lambda: preset("pure_ddiff", 5),
               "case2 lines 1,3,4,1": families()["case2 lines 1,3,4,1"]}
     for name, build in tables.items():
         applied = count_pass(polynomial_table, [(build(),)])[3]

@@ -326,19 +326,21 @@ def with_vanishing_q0(
 
 
 def preset(name: str, n: int, param=None) -> OperatorFamily:
-    """Classical presets: pure_ddiff(d), demazure, grothendieck(beta)."""
+    """Classical presets: pure_ddiff(d), demazure, grothendieck(beta), each
+    main_case2 line 1 at every index.  Their (a, b, c, d) are (0, 0, 0, d),
+    (0, 1, 0, 0) and (0, 0, beta, 1), so ad = bc holds by construction."""
     if name == "pure_ddiff":
         d = _fe(1 if param is None else param)
         if d == ZERO:
             raise ConstraintError("pure_ddiff needs a nonzero scale d")
-        fam = main_case2(n, 0, 0, 0, d, [Case2Line.LINE1] * (n - 1))
+        abcd = (0, 0, 0, d)
     elif name == "demazure":
         if param is not None:
             raise ConstraintError("demazure takes no parameter")
-        fam = main_case2(n, 0, 1, 0, 0, [Case2Line.LINE1] * (n - 1))
+        abcd = (0, 1, 0, 0)
     elif name == "grothendieck":
-        beta = _fe(0 if param is None else param)
-        fam = main_case2(n, 0, 0, beta, 1, [Case2Line.LINE1] * (n - 1))
+        abcd = (0, 0, _fe(0 if param is None else param), 1)
     else:
         raise ConstraintError(f"unknown preset {name!r}")
-    return OperatorFamily(fam.n, fam.ops, provenance=f"preset:{name}")
+    op = case2_operator(*abcd, Case2Line.LINE1)
+    return OperatorFamily(n, (op,) * (n - 1), provenance=f"preset:{name}")

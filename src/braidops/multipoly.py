@@ -21,24 +21,21 @@ A move of stored pairs (a slot swap, ``swap_vars``, a placement) keeps the
 content, as do the stored forms that ``_pairs`` gives ``exact_div`` and a
 coerced scalar, so these pass it as 1 and take no gcd pass.  A sum skips the
 coercion of an operand of its own class and dimension, and so does a product.
-``_apply`` is the one n-variable pass of an operator Q0 d_i + R0, d_i being
-(Q0, R0) = (1, 0), read from an ``_Action`` that keeps the image of each
-monomial met: R0 for 1, and for the others ``_Action.act``, the one routine
-for Q0 d p + R0 p, which merged slices of f go through too; with R0 = 0 and
-a constant Q0, as for d itself, it scales d p in place with no product.
-``_action`` is the one place that prepares an action: one per operator
-object, kept in the dict its caller passes, so an action and its monomial
-images live as long as that dict.  Every operator application of the library runs the word loop
-``_run_word``, except the table sweep's, which calls ``_apply`` once per
-entry with the actions ``_action`` prepared.  Every two-variable product,
-of ``_mul_pairs``, ``_slot_sum`` and inside ``_Action.act``, runs the one
-loop ``_mul_slots``; a product in more variables runs the one generic loop
-of ``_mul_pairs``.  ``_slot_sum`` is the one path for a sum of slot
-products (a composite's Q0 and R0, the Hecke nu, the slot identities of
-commutation and of the cubic check): one integer accumulator, operands
-read as stored pairs, slot swaps or divided differences with no SlotPoly
-built, and three exits, the sum built with one ``_from_acc``, or whether it
-is zero or symmetric, with nothing built.
+``_apply`` applies an operator Q0 d_i + R0 (d_i is (Q0, R0) = (1, 0)) to
+the slices of f that agree outside x_i, x_{i+1}.  Its ``_Action`` has one
+body, ``act``: d p by ``_ddiff_pairs``, then ``_mul_slots`` by Q0 and by R0,
+each skipped when zero.  A one-term slice reads the image of its monomial,
+built by ``act`` once per action; a slice of more terms goes through ``act``
+merged.  Both paths stay (2-core machine, Python 3.11, alternating runs in
+one process, best of 10 or 3): with every slice merged, the n = 6 demazure
+and grothendieck (beta = 1) sweeps went 733 -> 828 and 30.1 -> 36.0 ms;
+with every term read from its image, the n = 3 demazure table on x1^300
+went 0.88 -> 5.16 s and 43 -> 439 MiB, since the image of u^r v^s has
+about |r - s| terms and images are kept per (r, s) met.  ``_action`` prepares
+one action per operator object, kept in its caller's dict; every
+application runs the word loop ``_run_word`` but the table sweep's, which
+calls ``_apply`` once per entry.  Every two-variable product runs
+``_mul_slots``, and every sum of slot products ``_slot_sum``.
 
 This is the only module that reads stored pairs.  Other modules work on
 polynomials through their methods, among them the slot helpers
@@ -233,32 +230,20 @@ class _Action:
     """An operator Q0 d + R0 prepared for _apply: the common denominator of
     q0 and r0, each as a slot list [(r, s, c, g, c + g)] over it, and the
     images Q0 d(u^r v^s) + R0 u^r v^s of the monomials met so far, as lists of
-    the same form keyed by (r, s), each built on first use.  scale is Q0's
-    (c, g, c + g) when R0 = 0 and Q0 is one constant slot, as for d itself
-    and pure_ddiff, and None otherwise."""
+    the same form keyed by (r, s), each built on first use."""
 
-    __slots__ = ("den", "sq", "sr", "images", "scale")
+    __slots__ = ("den", "sq", "sr", "images")
 
     def __init__(self, q0: "SlotPoly", r0: "SlotPoly"):
         self.den = den = lcm(q0._den, r0._den)
         self.sq, self.sr = _slots(q0._num, den // q0._den), _slots(r0._num, den // r0._den)
         self.images: dict = {}
-        constant = not self.sr and len(self.sq) == 1 and self.sq[0][:2] == (0, 0)
-        self.scale = self.sq[0][2:] if constant else None
 
     def act(self, pairs: Mapping) -> dict:
         """Q0 d p + R0 p for a two-variable numerator map p, as an accumulator
-        {(x, y): [a, b]} over self.den times p's denominator, zero pairs kept.
-        A zero Q0 or R0 skips its pass.  With a scale, d p is scaled in place,
-        or returned as it is when Q0 = 1, with no product pass."""
-        if self.scale is not None:
-            acc = _ddiff_pairs(pairs)
-            c, g, cg = self.scale
-            if (c, g) != (1, 0):
-                for pair in acc.values():
-                    a, b = pair
-                    pair[0], pair[1] = a * c - b * g, a * g + b * cg
-            return acc
+        {(x, y): [a, b]} over self.den times p's denominator, zero pairs kept:
+        d p by _ddiff_pairs, then one _mul_slots pass for Q0 and one for R0,
+        each skipped when that polynomial is zero."""
         acc: dict = {}
         if self.sq:
             _mul_slots(acc, _ddiff_pairs(pairs), self.sq)

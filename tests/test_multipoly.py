@@ -624,21 +624,24 @@ class TestStoredForm:
         act = multipoly._Action(SlotPoly(q), SlotPoly(r))
         assert act.build((0, 0)) == act.sr
 
-    @given(operands(1), term_maps(2), term_maps(2), term_maps(2), st.data())
+    @given(operands(1), term_maps(2), term_maps(2), term_maps(2),
+           st.just(ONE) | qz_coeffs.filter(bool), st.data())
     @example((4, {(2, 1, 0, 1): FieldElement.of("1/2+1z"), (0, 1, 3, 1): FieldElement.of(3),
                   (1, 1, 1, 0): FieldElement.of("-2/3"), (0, 1, 0, 1): FieldElement.of(5)}),
              {(1, 0): FieldElement.of("0+1z")}, {(0, 2): FieldElement.of(-1)},
-             {(2, 0): FieldElement.of(1), (0, 3): FieldElement.of("1/3")}, None)
+             {(2, 0): FieldElement.of(1), (0, 3): FieldElement.of("1/3")}, ONE, None)
     @settings(max_examples=100, deadline=None)
-    def test_apply_matches_the_reference(self, data, q, r, s, choice):
+    def test_apply_matches_the_reference(self, data, q, r, s, c, choice):
         """Q0 d_k f + R0 f against the field-element reference, on slices of
-        one term and of more, for zero Q0 and zero R0 and for a SlotPoly f,
-        through PDDO.apply and through one action applied twice, the second
-        time on the images it kept: a second application builds none.  The
-        operator reference term_reference.ref_apply gives the same terms."""
+        one term and of more, for zero Q0 and zero R0, for R0 = 0 and a
+        nonzero constant Q0 = c (as for d itself and pure_ddiff), and for a
+        SlotPoly f, through PDDO.apply and through one action applied twice,
+        the second time on the images it kept: a second application builds
+        none.  The operator reference term_reference.ref_apply gives the same
+        terms, and so does divdiff.ddiff when Q0 = 1 and R0 = 0."""
         n, a = data
         k = 2 if choice is None else choice.draw(st.integers(1, n - 1))
-        for qs, rs in ((q, r), ({}, r), (q, {})):
+        for qs, rs in ((q, r), ({}, r), (q, {}), ({(0, 0): c}, {})):
             op = PDDO.from_q0_r0(SlotPoly(qs), SlotPoly(rs))
             act = multipoly._Action(op.Q0, op.R0)
             for f, terms, i in ((MultiPoly(n, a), _clean(a), k), (SlotPoly(s), _clean(s), 1)):
@@ -646,6 +649,10 @@ class TestStoredForm:
                 expected = ref_sum(ref_mul(ref_place(qs, i, i + 1, m), ref_ddiff(terms, i - 1)),
                                    ref_mul(ref_place(rs, i, i + 1, m), terms))
                 assert ref_apply(op, i, terms, m) == expected
+                if op.Q0 == SlotPoly.const(1) and not op.R0:
+                    result = ddiff(f, i)
+                    assert_canonical(result)
+                    assert result.terms == expected
                 for repeat in range(3):
                     result = multipoly._apply(f, i - 1, act) if repeat else op.apply(i, f)
                     assert type(result) is type(f)
@@ -655,32 +662,6 @@ class TestStoredForm:
                     if repeat == 2:
                         assert images == kept and all(images[e] is kept[e] for e in kept)
                     kept = images
-
-    @given(operands(1), st.just(ONE) | qz_coeffs.filter(bool), st.data())
-    @example((3, {(2, 0, 1): FieldElement.of("1/2+1z"), (0, 3, 1): FieldElement.of(-3),
-                  (1, 1, 0): FieldElement.of(2)}), ONE, None)
-    @settings(max_examples=100, deadline=None)
-    def test_constant_q0_makes_no_product_pass(self, data, c, choice):
-        """With R0 = 0 and Q0 a nonzero constant, as for d itself and
-        pure_ddiff, an action scales d f in place, or keeps it as it is when
-        Q0 = 1: no _mul_slots call, on slices of one term and of more, and
-        the terms of term_reference.ref_apply.  divdiff.ddiff is Q0 = 1."""
-        n, a = data
-        i = 1 if choice is None else choice.draw(st.integers(1, n - 1))
-        op = PDDO.from_q0_r0(SlotPoly.const(c), SlotPoly.zero())
-        f, products, real = MultiPoly(n, a), [], multipoly._mul_slots
-
-        def counting(*args):
-            products.append(args)
-            return real(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(multipoly, "_mul_slots", counting)
-            results = [op.apply(i, f)] + ([ddiff(f, i)] if c == ONE else [])
-        assert products == []
-        for result in results:
-            assert_canonical(result)
-            assert result.terms == ref_apply(op, i, _clean(a), n)
 
     @given(operands(1), term_maps(2), qz_coeffs)
     @settings(max_examples=100, deadline=None)
