@@ -426,6 +426,22 @@ class TestPresets:
             FieldElement.of(-beta), zero
         )
 
+    @pytest.mark.parametrize("name, param, abcd", [
+        ("pure_ddiff", Fraction(3, 2), (0, 0, 0, Fraction(3, 2))),
+        ("demazure", None, (0, 1, 0, 0)),
+        ("grothendieck", 2, (0, 0, 2, 1)),
+    ])
+    def test_one_line1_operator_at_every_index(self, name, param, abcd):
+        fam = preset(name, 4, param)
+        assert fam.provenance == f"preset:{name}"
+        assert fam[1] is fam[2] is fam[3]
+        assert fam.ops == main_case2(4, *abcd, [Case2Line.LINE1] * 3).ops
+
+    def test_refuses_n_below_two(self):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError, match="a family needs n >= 2"):
+                preset("demazure", n)
+
     def test_all_presets_pass_braid(self):
         for name in ("pure_ddiff", "demazure", "grothendieck"):
             param = None if name == "demazure" else 1
