@@ -64,7 +64,8 @@ entries.
 
 Table stages.  The time per run of each stage of two ``braidops table --n 4
 --output json`` runs, a staircase preset and a preset on a dense seed of six
-degree-3 terms: parse (argparse), family (``cli.build_family``), seed
+degree-3 terms: parser build (``cli._build_parser`` uncached, as each process
+pays it once), parse (argparse), family (``cli.build_family``), seed
 (``cli._read_seed``), braid check (``family_braid_check``), sweep
 (``polynomial_table`` with ``words.family_braid_check`` made a no-op,
 ``no_braid_check``), writer (``cli._print_table`` into a string buffer),
@@ -88,9 +89,11 @@ calls) and their term pairs, len(a) len(b) summed, the polynomials built
 applications (``multipoly._apply`` calls) of a pass on such copies, and the
 three-variable products and term pairs of reading each report's failure;
 each slot case logs its ``MultiPoly._normal`` calls.  These counts and the
-code lines do not depend on the machine.  Times are the best of 20 passes (5 for the n = 5 tables);
-each pass starts after a collection and runs with the collector off, so
-that a collection does not land in some passes and not in others.
+code lines do not depend on the machine.  Times are the best of 20 passes (5
+for the n = 5 tables); a family or an n = 4 table, each under a millisecond,
+is called ten times to a pass, so that its figure does not carry the pass's
+cold start.  Each pass starts after a collection and runs with the collector
+off, so that a collection does not land in some passes and not in others.
 
 Whole processes.  Per ``PROCESSES`` row, the best of 3 wall times of a child
 ``python -m braidops``, stdout discarded, and that run's peak RSS from
@@ -332,6 +335,7 @@ def table_stages(argv: list, passes: int, runs: int = 10) -> dict:
         return call
 
     stages = {
+        "parser build": (cli._build_parser.__wrapped__, lambda: [()]),
         "parse": (cli._build_parser().parse_args, lambda: [(argv,)]),
         "family": (cli.build_family, lambda: [family]),
         "seed": (cli._read_seed, lambda: [(args, args.n)]),
@@ -408,7 +412,7 @@ def main() -> None:
               f"{built} MultiPoly._normal calls in one pass")
     for name, build in families().items():
         t_builds, formations = count_pass(family_braid_check, [(build(),)])[4:]
-        best = best_of(20, family_braid_check, lambda: [(build(),)])
+        best = best_of(20, family_braid_check, lambda: [(build(),) for _ in range(10)]) / 10
         print(f"family_braid_check {name}: {best * 1e6:.1f} us per family, "
               f"{t_builds} T builds, {formations} Hecke formations in one pass")
     tables = {"preset:grothendieck --params 1": lambda: preset("grothendieck", 5, 1),
@@ -421,10 +425,10 @@ def main() -> None:
               f"{applied} multipoly._apply calls in one pass")
     for name in ("pure_ddiff", "demazure", "grothendieck"):
         def make(name=name):
-            return [(preset(name, 4, 1 if name == "grothendieck" else None),)]
-        best = best_of(20, polynomial_table, make)
+            return [(preset(name, 4, 1 if name == "grothendieck" else None),) for _ in range(10)]
+        best = best_of(20, polynomial_table, make) / 10
         with identity_apply():
-            fixed = best_of(20, polynomial_table, make)
+            fixed = best_of(20, polynomial_table, make) / 10
         print(f"polynomial_table preset:{name}, n = 4, staircase: {best * 1e6:.1f} us per table, "
               f"{fixed * 1e6:.1f} us with multipoly._apply the identity")
     for name, argv in TABLE_ARGVS.items():

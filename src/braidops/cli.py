@@ -128,34 +128,17 @@ class _Json:
 
     def terms(self, arity: int) -> dict[tuple[int, ...], FieldElement]:
         """The exponent -> coefficient map of a term list [{"e": [...], "c": "p/q"}],
-        equal exponents summed.  An item of exactly the fields e and c, with
-        arity int exponents in 0..MAX_EXPONENT and a coefficient that parses,
-        is read with plain type tests; any other item goes through _term,
-        which refuses it with its path, or reads its integral floats."""
+        equal exponents summed.  Each item, exponent and coefficient is read
+        through its path, so that a refusal names the first bad value."""
         terms, zero = {}, FieldElement.of(0)
-        for k, item in enumerate(self._is(list)):
-            value = None
-            if type(item) is dict and len(item) == 2:
-                e, c = item.get("e"), item.get("c")
-                if (type(e) is list and len(e) == arity and type(c) is str
-                        and all(type(x) is int and 0 <= x <= MAX_EXPONENT for x in e)):
-                    try:
-                        e, value = tuple(e), FieldElement.parse(c)
-                    except ValueError:
-                        pass
-            if value is None:
-                e, value = self._at(k, item)._term(arity)
-            terms[e] = terms.get(e, zero) + value
+        for item in self.list():
+            item = item.fields(("e", "c"))
+            exponents = item["e"].list()
+            if len(exponents) != arity:
+                raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
+            e = tuple(x.natural(MAX_EXPONENT) for x in exponents)
+            terms[e] = terms.get(e, zero) + item["c"].element()
         return terms
-
-    def _term(self, arity: int) -> tuple[tuple[int, ...], FieldElement]:
-        """One item {"e": [...], "c": "p/q"} of a term list, each value read
-        through its path, so that a refusal names it."""
-        item = self.fields(("e", "c"))
-        exponents = item["e"].list()
-        if len(exponents) != arity:
-            raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
-        return tuple(x.natural(MAX_EXPONENT) for x in exponents), item["c"].element()
 
 
 def poly_from_json(data: list[dict], n_vars: int) -> MultiPoly:
@@ -409,9 +392,11 @@ def _print_report(report: FamilyReport | CommuteReport, output: str) -> None:
 # 180 MiB).
 MAX_REPORT_N = 500
 
-# hecke lists n - 1 operators.  On a 2-core machine a whole hecke process
-# at n = 100,000 takes 0.5-0.65 s at 30 MiB peak RSS, and at n = 1,000,000
-# 5.1-6.6 s at 123 MiB: the cost is linear in n.
+# hecke lists n - 1 operators, and apply builds them.  On a 2-core machine a
+# whole hecke process at n = 100,000 takes 0.5-0.65 s at 30 MiB peak RSS, and
+# at n = 1,000,000 5.1-6.6 s at 123 MiB: the cost is linear in n.  A whole
+# apply --family preset:demazure --word 1 process takes 0.23-0.26 s at 35 MiB
+# at n = 100,000, and 0.84-1.18 s at 200 MiB at n = 1,000,000.
 MAX_HECKE_N = 100_000
 
 
@@ -506,6 +491,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    _refuse_large_n(args.n, MAX_HECKE_N, "apply")
     fam = build_family(args.family, args.n, args.params, args.lines, args.config)
     seed = _read_seed(args, fam.n)
     try:

@@ -824,18 +824,29 @@ class TestConfigFields:
 # -- term lists ------------------------------------------------------------------
 
 
-def _walked_terms(value, arity: int) -> dict:
-    """The term-list reader as it was before _Json.terms took its plain type
-    tests: every item, field and exponent read through a path-carrying _Json.
-    The reference that _Json.terms must match, in its values and refusals."""
+def _plain_terms(value, arity: int) -> dict | None:
+    """The exponent -> coefficient map of a term list read in plain Python,
+    with no _Json, or None if a term list must be refused: items of exactly
+    the fields e and c, arity exponents each an int or an integral float in
+    0..MAX_EXPONENT, coefficients that FieldElement.parse reads, equal
+    exponents summed."""
+    if type(value) is not list:
+        return None
     terms = {}
-    for item in cli._Json(value, "term list").list():
-        item = item.fields(("e", "c"))
-        exponents = item["e"].list()
-        if len(exponents) != arity:
-            raise item["e"].error(f"must have {arity} entries, not {len(exponents)}")
-        e = tuple(x.natural(cli.MAX_EXPONENT) for x in exponents)
-        terms[e] = terms.get(e, FieldElement.of(0)) + item["c"].element()
+    for item in value:
+        if type(item) is not dict or set(item) != {"e", "c"}:
+            return None
+        e, c = item["e"], item["c"]
+        if type(e) is not list or len(e) != arity or type(c) is not str or not all(
+                (type(x) is int or type(x) is float and x.is_integer())
+                and 0 <= x <= cli.MAX_EXPONENT for x in e):
+            return None
+        try:
+            coeff = FieldElement.parse(c)
+        except ValueError:
+            return None
+        e = tuple(int(x) for x in e)
+        terms[e] = terms.get(e, FieldElement.of(0)) + coeff
     return terms
 
 
@@ -886,23 +897,21 @@ def term_items(draw, arity: int):
 @example((1, [{"e": [True], "c": "1"}]))
 @example((1, [{"e": [-1], "c": "1"}]))
 @settings(max_examples=300, deadline=None)
-def test_term_list_reader_matches_the_walk(case):
-    """_Json.terms against the walk it replaced: an accepted list gives the
-    same terms and polynomial, and a refused one the same ConfigError text,
-    for bools, integral floats, negative exponents, the MAX_EXPONENT edge,
-    wrong arity, extra or missing fields, non-string and bad coefficients,
+def test_term_list_reader_reads_or_refuses_as_plain_python(case):
+    """poly_from_json against _plain_terms: a list is read or refused with a
+    ConfigError and nothing else, an accepted list gives the polynomial of
+    _plain_terms and a refused one is one that _plain_terms refuses, for
+    bools, integral floats, negative exponents, the MAX_EXPONENT edge, wrong
+    arity, extra or missing fields, non-string and bad coefficients,
     duplicate exponents that cancel, [] and tops that are not lists."""
     arity, value = case
+    expected = _plain_terms(value, arity)
     try:
-        expected = _walked_terms(value, arity)
-    except cli.ConfigError as exc:
-        with pytest.raises(cli.ConfigError) as refused:
-            cli._Json(value, "term list").terms(arity)
-        assert str(refused.value) == str(exc)
+        poly = poly_from_json(value, arity)
+    except cli.ConfigError:
+        assert expected is None
     else:
-        terms = cli._Json(value, "term list").terms(arity)
-        assert terms == expected
-        assert MultiPoly(arity, terms) == MultiPoly(arity, expected)
+        assert expected is not None and poly == MultiPoly(arity, expected)
 
 
 class TestReportSizeLimit:
@@ -936,24 +945,31 @@ class TestReportSizeLimit:
 
 
 class TestHeckeSizeLimit:
+    """hecke and apply share one limit on --n."""
     LIMIT = cli.MAX_HECKE_N
+    # command -> (its family and options, its text output's line count at the limit)
+    COMMANDS = {"hecke": (["--family", "case2", "--params", "1,2,1,2"], LIMIT - 1),
+                "apply": (["--family", "preset:demazure", "--word", "1"], 1)}
 
-    def test_over_the_limit_exits_two_before_building_the_family(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_over_the_limit_exits_two_before_building_the_family(self, command, monkeypatch,
+                                                                 capsys):
         built = []
         monkeypatch.setattr(cli, "build_family", lambda *args: built.append(args))
         for n in (self.LIMIT + 1, 10 * self.LIMIT):
-            code, out, err = run(["hecke", "--n", str(n), "--family", "case2",
-                                  "--params", "1,2,1,2", "--output", "json"], capsys)
+            code, out, err = run([command, "--n", str(n), *self.COMMANDS[command][0],
+                                  "--output", "json"], capsys)
             assert (code, out, err) == (2, "", f"error: --n {n} exceeds the limit "
-                                               f"{self.LIMIT} of hecke\n")
+                                               f"{self.LIMIT} of {command}\n")
         assert built == []
 
-    def test_at_the_limit_runs(self, capsys):
-        code, out, err = run(
-            ["hecke", "--n", str(self.LIMIT), "--family", "case2", "--params", "1,2,1,2"], capsys
-        )
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_at_the_limit_runs(self, command, capsys):
+        options, lines = self.COMMANDS[command]
+        code, out, err = run([command, "--n", str(self.LIMIT), *options, "--output", "text"],
+                             capsys)
         assert (code, err) == (0, "")
-        assert out.count("\n") == self.LIMIT - 1
+        assert out.count("\n") == lines
 
 
 def test_table_refuses_a_large_n_before_building_the_family(monkeypatch, capsys):

@@ -144,6 +144,8 @@ ARGVS = [
     ["verify", "--n", "5", "--family", "vanq0", "--config", "vanq0_interval_three_lines.json"],
     # Refused before any operator is built: an --n over the size limit of hecke.
     ["hecke", "--n", "100001", "--family", "case2", "--params", "1,2,1,2"],
+    # Refused before any operator is built: an --n over the same limit of apply.
+    ["apply", "--n", "100001", "--family", "preset:demazure"],
 ]
 
 

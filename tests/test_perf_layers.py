@@ -135,13 +135,13 @@ def test_identity_apply_leaves_every_entry_the_seed_and_restores_apply():
 
 
 def test_table_line_times_every_stage_and_restores_the_patched_names(capsys):
-    """Each table line names its seven stages with a time each, prints
+    """Each table line names its eight stages with a time each, prints
     nothing while it runs, and leaves words.family_braid_check and
     sys.stdout the original objects.  Under no_braid_check the braid check
     is a no-op, so the sweep stage times the sweep alone, and the check is
     the original after it, also when the body raises."""
     check, stdout = words.family_braid_check, sys.stdout
-    stages = ["parse", "family", "seed", "braid check", "sweep", "writer", "cli.main"]
+    stages = ["parser build", "parse", "family", "seed", "braid check", "sweep", "writer", "cli.main"]
     assert len(layers.TABLE_ARGVS) == 2
     for name, argv in layers.TABLE_ARGVS.items():
         head, times = layers.table_line(name, argv, passes=1, runs=1).split(": ")
